@@ -7,15 +7,16 @@ the local conjugate along the path,
 
 and +inf when f(0) != x.  On the piecewise-linear paths used everywhere in
 this package the slope is constant per segment, so each segment contributes
-a Gauss-Legendre quadrature of s -> conj_a(f(s), slope).  The cost vanishes
-exactly on the solution of the mean flow f' = cgf_grad(f, 0), which is what
-limit_ode integrates.
+a Gauss-Legendre quadrature of s -> conj_a(f(s), slope).  One quadrature
+pass prices every node of every segment with a single batched conjugate
+solve (conjugate.fenchel_rows).  The cost vanishes exactly on the solution
+of the mean flow f' = cgf_grad(f, 0), which is what limit_ode integrates.
 
 minimize_action searches over the interior knots (plus the terminal knot,
 projected, for half-space targets) with BFGS descent.  Gradients come from
 the envelope identities: d conj/d z at the maximizer alpha* is alpha*
-itself, and d conj/d y is -grad_y cgf_a(y, alpha*), the latter evaluated by
-central finite differences in y.
+itself, and d conj/d y is -grad_y cgf_a(y, alpha*), taken in the same pass
+as central differences of cgf_rows over all nodes at once.
 """
 
 from __future__ import annotations
@@ -133,54 +134,60 @@ def straight_line(x, z, m: int) -> Trajectory:
     return Trajectory((1.0 - frac) * x + frac * z)
 
 
-def _grad_y_cgf(model, y, alpha, a, h):
-    """Central finite differences of cgf_a(., alpha) in the state argument."""
-    d = len(y)
-    out = np.empty(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        out[i] = (model.cgf(y + e, alpha) - model.cgf(y - e, alpha)) / (2.0 * h)
-    return out  # the smoothing term has no state dependence
-
-
 def _quadrature_pass(model, a, knots, settings, need_grad):
-    """Segment costs, and optionally the knot gradient, in one sweep.
+    """Segment costs, and optionally the knot gradient, from one batched solve.
 
-    Returns (seg_values, grad, divergent, warnings); grad is None unless
-    requested, divergent is a list of segment indices where the local
-    conjugate is +inf.
+    All m_seg x 5 Gauss-Legendre nodes go through a single fenchel_rows
+    call.  Returns (seg_values, grad, divergent, warnings): divergent lists
+    the segments where some node's conjugate is +inf, warnings the
+    (segment, node) pairs that ended as max-iterations ahead of the
+    segment's first divergent node, and grad is None unless requested and
+    every segment is finite.
     """
     m_seg = knots.shape[0] - 1
     d = knots.shape[1]
+    n_q = len(_NODES)
     dt = 1.0 / m_seg
-    seg_values = np.zeros(m_seg)
-    grad = np.zeros((m_seg + 1, d)) if need_grad else None
-    divergent: List[int] = []
-    warnings: List[Tuple[int, int]] = []
-    warm = None
-    for k in range(m_seg):
-        left, right = knots[k], knots[k + 1]
-        v = (right - left) / dt
-        acc = 0.0
-        for q, (theta, w) in enumerate(zip(_NODES, _WEIGHTS)):
-            y = (1.0 - theta) * left + theta * right
-            res = conj_mod.perturbed_fenchel(model, a, y, v, x0=warm)
-            if res.status == conj_mod.DIVERGENT:
-                divergent.append(k)
-                seg_values[k] = np.inf
-                break
-            if res.status == conj_mod.MAX_ITERATIONS:
-                warnings.append((k, q))
-            warm = res.argmax
-            acc += w * res.value
-            if need_grad:
-                astar = res.argmax
-                cy = -_grad_y_cgf(model, y, astar, a, settings.y_fd_step)
-                grad[k] += dt * w * (1.0 - theta) * cy - w * astar
-                grad[k + 1] += dt * w * theta * cy + w * astar
-        else:
-            seg_values[k] = dt * acc
+    left, right = knots[:-1], knots[1:]
+    slopes = (right - left) / dt
+    # row k * n_q + q holds node q of segment k
+    ys = ((1.0 - _NODES)[None, :, None] * left[:, None, :] + _NODES[None, :, None] * right[:, None, :]).reshape(-1, d)
+    zs = np.repeat(slopes, n_q, axis=0)
+    res = conj_mod.fenchel_rows(model, ys, zs, a=a)
+
+    status = res.status.reshape(m_seg, n_q)
+    values = res.value.reshape(m_seg, n_q)
+    is_div = status == conj_mod.DIVERGENT
+    first_div = np.where(is_div.any(axis=1), is_div.argmax(axis=1), n_q)
+    late = np.arange(n_q)[None, :] >= first_div[:, None]
+    divergent = [int(k) for k in np.flatnonzero(first_div < n_q)]
+    warnings = [(int(k), int(q)) for k, q in zip(*np.nonzero((status == conj_mod.MAX_ITERATIONS) & ~late))]
+
+    acc = np.zeros(m_seg)
+    for q in range(n_q):
+        acc += _WEIGHTS[q] * values[:, q]
+    seg_values = dt * acc
+    seg_values[divergent] = np.inf
+    if not need_grad or divergent:
+        return seg_values, None, divergent, warnings
+
+    # envelope identities: d conj/dz = alpha*, d conj/dy = -grad_y cgf(y, alpha*),
+    # the latter by central differences in y (the smoothing term has no y)
+    astar = res.argmax
+    h = settings.y_fd_step
+    cy = np.empty((m_seg * n_q, d))
+    for i in range(d):
+        up, dn = ys.copy(), ys.copy()
+        up[:, i] += h
+        dn[:, i] -= h
+        cy[:, i] = -(kernel.cgf_rows(model, up, astar) - kernel.cgf_rows(model, dn, astar)) / (2.0 * h)
+    cy = cy.reshape(m_seg, n_q, d)
+    astar = astar.reshape(m_seg, n_q, d)
+    grad = np.zeros((m_seg + 1, d))
+    for q, (theta, w) in enumerate(zip(_NODES, _WEIGHTS)):
+        grad[1:] += dt * w * theta * cy[:, q] + w * astar[:, q]
+    for q, (theta, w) in enumerate(zip(_NODES, _WEIGHTS)):
+        grad[:-1] += dt * w * (1.0 - theta) * cy[:, q] - w * astar[:, q]
     return seg_values, grad, divergent, warnings
 
 

@@ -4,11 +4,16 @@ The central object is the pointwise conjugate
 
     conj(y, z) = sup_alpha [ <z, alpha> - cgf(y, alpha) ]
 
-which prices the local cost of moving with velocity z from state y.  The sup
-is computed by damped Newton ascent on the concave objective, with an exact
-classification of the three possible outcomes: converged (finite value and
-an interior maximizer), divergent (the objective increases without bound, so
-the conjugate is +inf), and max-iterations (neither certificate reached).
+which prices the local cost of moving with velocity z from state y.
+fenchel_rows computes it for a stack of (y_i, z_i) rows in one damped
+Newton ascent on the concave objectives (stacked linear solves, Armijo
+backtracking by row mask).  Every row ends with its own status, iteration
+count and gradient norm, classified exactly as one of three outcomes:
+converged (finite value and an interior maximizer), divergent (the
+objective increases without bound, so the conjugate is +inf), and
+max-iterations (neither certificate reached).  Rows share no solver state,
+so the rows solved alongside one cannot change its outcome; fenchel and
+perturbed_fenchel are the one-row case.
 
 Smoothing the cumulant with a Gaussian term (amplitude a > 0) makes the
 conjugate finite everywhere with the explicit quadratic ceiling
@@ -18,7 +23,6 @@ perturbed_conjugate_bound.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,6 +70,26 @@ class ConjugateResult:
 
 
 @dataclass
+class ConjugateRows:
+    """Per-row results of fenchel_rows, as arrays over the N rows.
+
+    status holds CONVERGED, DIVERGENT or MAX_ITERATIONS for each row;
+    divergent rows have value +inf and a NaN argmax row.
+    """
+
+    value: np.ndarray
+    argmax: np.ndarray
+    status: np.ndarray
+    iterations: np.ndarray
+    grad_norm: np.ndarray
+
+    def row(self, i: int) -> ConjugateResult:
+        status = str(self.status[i])
+        argmax = None if status == DIVERGENT else self.argmax[i].copy()
+        return ConjugateResult(float(self.value[i]), argmax, status, int(self.iterations[i]), float(self.grad_norm[i]))
+
+
+@dataclass
 class DominatingPointResult:
     """Boundary point and tilt for a half-space target.
 
@@ -77,18 +101,6 @@ class DominatingPointResult:
     multiplier: np.ndarray
     level: float
     t: float
-
-
-def _hessian(model: KernelModel, y, alpha, step):
-    if model.cgf_hess is not None:
-        return np.asarray(model.cgf_hess(y, alpha), dtype=np.float64)
-    d = len(alpha)
-    h = np.empty((d, d))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = step
-        h[:, j] = (model.cgf_grad(y, alpha + e) - model.cgf_grad(y, alpha - e)) / (2.0 * step)
-    return 0.5 * (h + h.T)
 
 
 def _solve_ascent(hess, grad):
@@ -107,94 +119,159 @@ def _solve_ascent(hess, grad):
     return grad.copy()
 
 
-def _maximize(model, y, z, a, settings, x0):
-    """Damped Newton ascent for h(alpha) = <z, alpha> - cgf(y, alpha) - a^2|alpha|^2/2."""
-    d = model.dim
-    aa = a * a
-    z = np.asarray(z, dtype=np.float64)
-    tol = settings.grad_tol_scale * (1.0 + float(np.linalg.norm(z)))
+def _ascent_directions(hess, grad):
+    """Stacked Newton directions; rows whose plain solve fails get _solve_ascent."""
+    try:
+        p = np.linalg.solve(hess, grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # some row is singular: redo every row on its own
+        p = np.full_like(grad, np.nan)
+    ok = np.all(np.isfinite(p), axis=1) & (_dot_rows(p, grad) > 0.0)
+    for i in np.flatnonzero(~ok):
+        p[i] = _solve_ascent(hess[i], grad[i])
+    return p
 
-    def objective(alpha):
-        return float(z @ alpha) - model.cgf(y, alpha) - 0.5 * aa * float(alpha @ alpha)
 
-    alpha = np.zeros(d) if x0 is None else np.array(x0, dtype=np.float64)
-    h = objective(alpha)
-    if not np.isfinite(h):
-        alpha = np.zeros(d)
-        h = 0.0
-    best_val, best_arg = (0.0, np.zeros(d))
-    if h > best_val:
-        best_val, best_arg = h, alpha.copy()
-    history = deque(maxlen=settings.window + 1)
-    history.append(h)
+def _dot_rows(u, v):
+    return np.einsum("ij,ij->i", u, v)
 
+
+def fenchel_rows(model: KernelModel, ys, zs, a=0.0, settings: ConjugateSettings = None, x0=None) -> ConjugateRows:
+    """Conjugates of cgf_a(y_i, .) at z_i for every row, by one damped Newton ascent.
+
+    Maximizes h_i(alpha) = <z_i, alpha> - cgf(y_i, alpha) - a^2 |alpha|^2 / 2
+    on all rows at once: stacked Newton solves, steps capped at max_step,
+    and Armijo backtracking run by row mask.  Each row keeps its own
+    tolerance, best-so-far value, trailing-window divergence test and
+    status.  For d = 1 a row's result is bit for bit its one-row solve; for
+    d > 1 the stacked matrix products may round differently in the last
+    bit.  x0 is an optional start, one row or one per row.
+    """
+    settings = settings or DEFAULT_SETTINGS
+    amp = perturbation_amplitude(a)
+    aa = amp * amp
+    ys = kernel._as_rows(ys, model.dim, "ys")
+    zs = kernel._as_rows(zs, model.dim, "zs")
+    if ys.shape != zs.shape:
+        raise ValueError(f"ys and zs must have the same shape, got {ys.shape} and {zs.shape}")
+    n, d = zs.shape
+    tol = settings.grad_tol_scale * (1.0 + np.linalg.norm(zs, axis=1))
+
+    def objective(rows, alpha):
+        return (_dot_rows(zs[rows], alpha) - kernel.cgf_rows(model, ys[rows], alpha)
+                - 0.5 * aa * _dot_rows(alpha, alpha))
+
+    def gradient(rows, alpha):
+        return zs[rows] - kernel.cgf_grad_rows(model, ys[rows], alpha) - aa * alpha
+
+    every = np.arange(n)
+    alpha = np.zeros((n, d)) if x0 is None else np.array(np.broadcast_to(np.asarray(x0, dtype=np.float64), (n, d)))
+    h = objective(every, alpha)
+    bad = ~np.isfinite(h)
+    alpha[bad] = 0.0
+    h[bad] = 0.0
+    best_val = np.where(h > 0.0, h, 0.0)
+    best_arg = np.where((h > 0.0)[:, None], alpha, 0.0)
+    rising = np.zeros(n, dtype=np.int64)  # trailing run of strict increases of h
+
+    out = ConjugateRows(
+        value=best_val.copy(),
+        argmax=best_arg.copy(),
+        status=np.full(n, MAX_ITERATIONS),
+        iterations=np.full(n, settings.max_iter),
+        grad_norm=np.zeros(n),
+    )
+
+    def finish(rows, status, it, gnorm, value=None, argmax=None):
+        out.status[rows] = status
+        out.iterations[rows] = it
+        out.grad_norm[rows] = gnorm
+        out.value[rows] = best_val[rows] if value is None else value
+        out.argmax[rows] = best_arg[rows] if argmax is None else argmax
+
+    live = every
     for it in range(1, settings.max_iter + 1):
-        grad = z - np.asarray(model.cgf_grad(y, alpha), dtype=np.float64) - aa * alpha
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol:
-            return ConjugateResult(h, alpha, CONVERGED, it, gnorm)
-        hess = _hessian(model, y, alpha, settings.hess_fd_step)
+        if live.size == 0:
+            break
+        al = alpha[live]
+        grad = gradient(live, al)
+        gnorm = np.linalg.norm(grad, axis=1)
+        done = gnorm <= tol[live]
+        finish(live[done], CONVERGED, it, gnorm[done], h[live[done]], al[done])
+        live, al, grad, gnorm = live[~done], al[~done], grad[~done], gnorm[~done]
+        if live.size == 0:
+            break
+
+        hess = kernel.cgf_hess_rows(model, ys[live], al, settings.hess_fd_step)
         if aa > 0.0:
             hess = hess + aa * np.eye(d)
-        p = _solve_ascent(hess, grad)
+        p = _ascent_directions(hess, grad)
         with np.errstate(over="ignore"):
-            pnorm = float(np.linalg.norm(p))
-        if not np.isfinite(pnorm):
-            # Newton direction overflowed (flat Hessian); take the longest
-            # admissible gradient step instead
-            p = grad * (settings.max_step / gnorm)
-        elif pnorm > settings.max_step:
-            p = p * (settings.max_step / pnorm)
-        # backtracking line search on the concave objective
-        slope = float(grad @ p)
-        step = 1.0
-        accepted = False
-        for _ in range(40):
-            cand = alpha + step * p
-            if np.array_equal(cand, alpha):
-                break
-            h_cand = objective(cand)
-            if np.isfinite(h_cand) and h_cand >= h + 1e-4 * step * slope:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        alpha, h = cand, h_cand
-        history.append(h)
-        if h > best_val:
-            best_val, best_arg = h, alpha.copy()
-        if a == 0.0 and float(np.linalg.norm(alpha)) > settings.norm_cap:
-            increments = np.diff(np.asarray(history))
-            if len(increments) > 0 and np.all(increments > 0.0):
-                return ConjugateResult(np.inf, None, DIVERGENT, it, gnorm)
-            return ConjugateResult(best_val, best_arg, MAX_ITERATIONS, it, gnorm)
+            pnorm = np.linalg.norm(p, axis=1)
+        # a Newton direction that overflowed (flat Hessian) becomes the
+        # longest admissible gradient step
+        blown = ~np.isfinite(pnorm)
+        p[blown] = grad[blown] * (settings.max_step / gnorm[blown])[:, None]
+        long_ = ~blown & (pnorm > settings.max_step)
+        p[long_] = p[long_] * (settings.max_step / pnorm[long_])[:, None]
 
-    grad = z - np.asarray(model.cgf_grad(y, alpha), dtype=np.float64) - aa * alpha
-    return ConjugateResult(best_val, best_arg, MAX_ITERATIONS, settings.max_iter, float(np.linalg.norm(grad)))
+        # backtracking line search on the concave objectives, by row mask
+        slope = _dot_rows(grad, p)
+        accepted = np.zeros(live.size, dtype=bool)
+        new_al = al.copy()
+        new_h = h[live]
+        pending = np.arange(live.size)
+        step = 1.0
+        for _ in range(40):
+            cand = al[pending] + step * p[pending]
+            moved = np.any(cand != al[pending], axis=1)
+            pending, cand = pending[moved], cand[moved]
+            if pending.size == 0:
+                break
+            h_cand = objective(live[pending], cand)
+            ok = np.isfinite(h_cand) & (h_cand >= h[live[pending]] + 1e-4 * step * slope[pending])
+            accepted[pending[ok]] = True
+            new_al[pending[ok]] = cand[ok]
+            new_h[pending[ok]] = h_cand[ok]
+            pending = pending[~ok]
+            step *= 0.5
+        # a stalled line search ends the row where it stands
+        finish(live[~accepted], MAX_ITERATIONS, settings.max_iter, gnorm[~accepted])
+        live, new_al, new_h, gnorm = live[accepted], new_al[accepted], new_h[accepted], gnorm[accepted]
+
+        rising[live] = np.where(new_h > h[live], rising[live] + 1, 0)
+        alpha[live] = new_al
+        h[live] = new_h
+        better = new_h > best_val[live]
+        best_val[live[better]] = new_h[better]
+        best_arg[live[better]] = new_al[better]
+        if amp == 0.0:
+            capped = np.linalg.norm(new_al, axis=1) > settings.norm_cap
+            # divergent when h rose strictly over the whole trailing window
+            window = min(it + 1, settings.window + 1) - 1
+            divergent = capped & (rising[live] >= window)
+            finish(live[divergent], DIVERGENT, it, gnorm[divergent], np.inf, np.nan)
+            finish(live[capped & ~divergent], MAX_ITERATIONS, it, gnorm[capped & ~divergent])
+            live = live[~capped]
+
+    if live.size:
+        finish(live, MAX_ITERATIONS, settings.max_iter, np.linalg.norm(gradient(live, alpha[live]), axis=1))
+    return out
 
 
 def fenchel(model: KernelModel, y, z, settings: ConjugateSettings = None, x0=None) -> ConjugateResult:
-    """Conjugate of cgf(y, .) at z by Newton ascent.
+    """Conjugate of cgf(y, .) at z by Newton ascent: fenchel_rows on one row.
 
     Returns value >= 0 always (alpha = 0 is feasible with objective 0);
     converged results satisfy |z - cgf_grad(y, argmax)| <= tolerance.
     """
-    settings = settings or DEFAULT_SETTINGS
-    y = kernel._as_vector(y, model.dim, "y")
-    z = kernel._as_vector(z, model.dim, "z")
-    return _maximize(model, y, z, 0.0, settings, x0)
+    return perturbed_fenchel(model, 0.0, y, z, settings=settings, x0=x0)
 
 
 def perturbed_fenchel(model: KernelModel, a, y, z, settings: ConjugateSettings = None, x0=None) -> ConjugateResult:
     """Conjugate of the Gaussian-smoothed cumulant; finite for every z when a > 0."""
-    amp = perturbation_amplitude(a)
-    if amp == 0.0:
-        return fenchel(model, y, z, settings=settings, x0=x0)
-    settings = settings or DEFAULT_SETTINGS
     y = kernel._as_vector(y, model.dim, "y")
     z = kernel._as_vector(z, model.dim, "z")
-    return _maximize(model, y, z, amp, settings, x0)
+    return fenchel_rows(model, y[None], z[None], a=a, settings=settings, x0=x0).row(0)
 
 
 def perturbed_conjugate_bound(a, z, mean_norm_bound: float) -> float:
@@ -208,10 +285,9 @@ def perturbed_conjugate_bound(a, z, mean_norm_bound: float) -> float:
 
 def mean_norm_bound(model: KernelModel, states, headroom: float = 1.1) -> float:
     """Bound on |increment mean| over the supplied states, with headroom."""
-    worst = 0.0
-    for y in np.atleast_2d(np.asarray(states, dtype=np.float64)):
-        worst = max(worst, float(np.linalg.norm(kernel.cgf_grad(model, y, np.zeros(model.dim)))))
-    return headroom * worst
+    ys = kernel._as_rows(np.atleast_2d(np.asarray(states, dtype=np.float64)), model.dim, "states")
+    means = kernel.cgf_grad_rows(model, ys, np.zeros_like(ys))
+    return headroom * float(np.max(np.linalg.norm(means, axis=1)))
 
 
 def fenchel_closed_form_affine(model: AffineNoiseModel, y, z) -> float:

@@ -23,7 +23,8 @@ which behave fine on the bounded time window used here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,12 +45,22 @@ def _as_vector(x, dim: int, name: str) -> np.ndarray:
     return v
 
 
+def _as_rows(x, dim: int, name: str) -> np.ndarray:
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim != 2 or v.shape[1] != dim:
+        raise ValueError(f"{name} must have shape (N, {dim}), got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
 @dataclass(frozen=True, kw_only=True)
 class BaseNoise:
     """A fixed noise law with closed-form cumulant data.
 
-    logmgf and logmgf_grad must broadcast over a leading batch axis, i.e.
-    accept arrays of shape (..., d) and return shape (...) resp. (..., d).
+    logmgf, logmgf_grad and logmgf_hess must broadcast over a leading batch
+    axis, i.e. accept arrays of shape (..., d) and return shape (...),
+    (..., d) and (..., d, d) respectively.
     conjugate is the convex conjugate of logmgf when a closed form exists
     (returns +inf outside the reachable mean set), else None.  mean(d)
     returns E[Z] for the d-dimensional product law.
@@ -70,7 +81,7 @@ def gaussian_base() -> BaseNoise:
         kind="gaussian",
         logmgf=lambda a: 0.5 * np.sum(np.square(a), axis=-1),
         logmgf_grad=lambda a: np.asarray(a, dtype=np.float64),
-        logmgf_hess=lambda a: np.eye(np.shape(a)[-1]),
+        logmgf_hess=lambda a: np.broadcast_to(np.eye(np.shape(a)[-1]), np.shape(a) + np.shape(a)[-1:]).copy(),
         sample=lambda rng, size: rng.standard_normal(size),
         mean=lambda d: np.zeros(d),
         conjugate=lambda v: float(0.5 * np.dot(v, v)),
@@ -101,7 +112,7 @@ def bernoulli_base(p: float) -> BaseNoise:
     def hess(a):
         u = np.asarray(a, dtype=np.float64) + logit_p
         # expit(u) * expit(-u) stays accurate when u is large of either sign
-        return np.diag(expit(u) * expit(-u))
+        return (expit(u) * expit(-u))[..., None] * np.eye(u.shape[-1])
 
     def conjugate(v):
         v = np.atleast_1d(np.asarray(v, dtype=np.float64))
@@ -305,6 +316,38 @@ def cgf_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray) -> np.ndarr
     return np.array([model.cgf(y, al) for y, al in zip(ys, alphas)])
 
 
+def cgf_grad_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """cgf_grad(y_i, alpha_i) for paired rows, shape (m, d)."""
+    ys = np.asarray(ys, dtype=np.float64)
+    alphas = np.asarray(alphas, dtype=np.float64)
+    if supports_batch(model):
+        s = model.sigma_matrix
+        return drift_rows(model, ys) + model.base.logmgf_grad(alphas @ s) @ s.T
+    return np.array([model.cgf_grad(y, al) for y, al in zip(ys, alphas)], dtype=np.float64).reshape(alphas.shape)
+
+
+def cgf_hess_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray, fd_step: float = 1e-6) -> np.ndarray:
+    """Hessian in alpha of cgf(y_i, .) at alpha_i for paired rows, shape (m, d, d).
+
+    Models without cgf_hess get symmetrized central differences of
+    cgf_grad with step fd_step.
+    """
+    ys = np.asarray(ys, dtype=np.float64)
+    alphas = np.asarray(alphas, dtype=np.float64)
+    m, d = alphas.shape
+    if model.cgf_hess is None:
+        h = np.empty((m, d, d))
+        for j in range(d):
+            e = np.zeros(d)
+            e[j] = fd_step
+            h[:, :, j] = (cgf_grad_rows(model, ys, alphas + e) - cgf_grad_rows(model, ys, alphas - e)) / (2.0 * fd_step)
+        return 0.5 * (h + h.transpose(0, 2, 1))
+    if supports_batch(model):
+        s = model.sigma_matrix
+        return s @ model.base.logmgf_hess(alphas @ s) @ s.T
+    return np.array([model.cgf_hess(y, al) for y, al in zip(ys, alphas)], dtype=np.float64).reshape(m, d, d)
+
+
 # ---------------------------------------------------------------------------
 # drift builders (all broadcast over a leading batch axis)
 
@@ -461,7 +504,7 @@ def model_from_config(cfg: dict, path: str = "model") -> AffineNoiseModel:
         if name not in PRESETS:
             raise ModelConfigError(f"{path}.preset: unknown preset {name!r}; available: {sorted(PRESETS)}")
         model = model_from_config(PRESETS[name], path=f"{path}.preset[{name}]")
-        return _with_summary(model, name)
+        return dataclasses.replace(model, summary=name)
     _strict_keys(cfg, {"dim", "drift", "sigma", "base"}, path)
     for key in ("dim", "drift", "sigma", "base"):
         if key not in cfg:
@@ -479,22 +522,6 @@ def model_from_config(cfg: dict, path: str = "model") -> AffineNoiseModel:
         raise ModelConfigError(str(exc)) from exc
     summary = f"affine(d={dim}, drift={drift_tag}, sigma={sigma_tag}, base={base_tag})"
     return affine_model(dim, drift, sigma, base, summary=summary, drift_broadcasts=True)
-
-
-def _with_summary(model: AffineNoiseModel, summary: str) -> AffineNoiseModel:
-    return AffineNoiseModel(
-        dim=model.dim,
-        sampler=model.sampler,
-        cgf=model.cgf,
-        cgf_grad=model.cgf_grad,
-        cgf_hess=model.cgf_hess,
-        summary=summary,
-        drift=model.drift,
-        sigma_fn=model.sigma_fn,
-        base=model.base,
-        sigma_matrix=model.sigma_matrix,
-        drift_broadcasts=model.drift_broadcasts,
-    )
 
 
 def preset_model(name: str) -> AffineNoiseModel:

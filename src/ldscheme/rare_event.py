@@ -43,7 +43,6 @@ from .scheme import (
     SchemeRun,
     Trajectory,
     dual_pairing,
-    eval_path,
     eval_path_many,
     phi_n,
     simulate,
@@ -335,23 +334,19 @@ def _tilt_plan(model, x, event: HalfspaceEvent, minimize_knots: int):
 
 
 def _tilt_sequence(model, path: Trajectory, n: int) -> np.ndarray:
-    """Conjugate maximizers along the path, one per scheme step."""
+    """Conjugate maximizers along the path, one per scheme step, from one batched solve."""
     m_seg = path.n
-    alphas = np.empty((n, model.dim))
-    warm = None
-    for k in range(n):
-        t = k / n
-        seg = min(int(np.floor(t * m_seg)), m_seg - 1)
-        v = (path.knots[seg + 1] - path.knots[seg]) * m_seg
-        y = eval_path(path, t)
-        res = conj_mod.fenchel(model, y, v, x0=warm)
-        if res.status != conj_mod.CONVERGED:
-            raise TiltUnreachableError(
-                f"tilt solve along the minimizing path failed at step {k + 1} (status {res.status})"
-            )
-        alphas[k] = res.argmax
-        warm = res.argmax
-    return alphas
+    ts = np.arange(n) / n
+    seg = np.minimum(np.floor(ts * m_seg).astype(np.int64), m_seg - 1)
+    slopes = (path.knots[seg + 1] - path.knots[seg]) * m_seg
+    res = conj_mod.fenchel_rows(model, eval_path_many(path, ts), slopes)
+    failed = np.flatnonzero(res.status != conj_mod.CONVERGED)
+    if failed.size:
+        k = int(failed[0])
+        raise TiltUnreachableError(
+            f"tilt solve along the minimizing path failed at step {k + 1} (status {res.status[k]})"
+        )
+    return res.argmax
 
 
 def _batch_tilted(model, x, n, event: HalfspaceEvent, alphas, rng, size) -> np.ndarray:

@@ -11,6 +11,7 @@ from ldscheme.conjugate import (
     dominating_point_halfspace,
     fenchel,
     fenchel_closed_form_affine,
+    fenchel_rows,
     mean_norm_bound,
     perturbed_conjugate_bound,
     perturbed_fenchel,
@@ -194,3 +195,56 @@ def test_two_dimensional_anisotropic():
         assert fenchel(m, np.zeros(2), z).value == pytest.approx(
             fenchel_closed_form_affine(m, np.zeros(2), z), abs=1e-7
         )
+
+
+def _assert_same_row(rows, i, single):
+    assert rows.status[i] == single.status
+    assert rows.iterations[i] == single.iterations
+    if single.status == DIVERGENT:
+        assert rows.value[i] == np.inf
+        assert np.all(np.isnan(rows.argmax[i]))
+    else:
+        assert rows.value[i] == pytest.approx(single.value, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("max_iter", [200, 15, 1])
+def test_fenchel_rows_rows_are_independent(max_iter):
+    # bernoulli-walk: z = 0.3 is the mean (converged at once), z in (0, 1)
+    # converges, z = 1.5 and -0.5 lie outside the support (divergent after
+    # 12 steps), the boundary values 0 and 1 converge slowly (20+ steps);
+    # capping the iterations turns the slow rows into max-iterations rows
+    m = preset_model("bernoulli-walk")
+    s = ConjugateSettings(max_iter=max_iter)
+    zs = np.array([0.3, 1.5, 0.05, 0.6, 1.0, 0.0, -0.5, 0.9, 0.999])[:, None]
+    ys = np.zeros_like(zs)
+    rows = fenchel_rows(m, ys, zs, settings=s)
+    for i in range(len(zs)):
+        _assert_same_row(rows, i, fenchel(m, ys[i], zs[i], settings=s))
+    expected = {200: {CONVERGED, DIVERGENT}, 15: {CONVERGED, DIVERGENT, MAX_ITERATIONS}, 1: {CONVERGED, MAX_ITERATIONS}}
+    assert set(rows.status) == expected[max_iter]
+    # dropping the divergent neighbours changes no other row
+    keep = np.abs(zs[:, 0] - 0.5) <= 0.5
+    alone = fenchel_rows(m, ys[keep], zs[keep], settings=s)
+    assert np.array_equal(alone.value, rows.value[keep])
+    assert np.array_equal(alone.iterations, rows.iterations[keep])
+    assert np.array_equal(alone.status, rows.status[keep])
+
+
+def test_fenchel_rows_smoothed_rows_match_single_solves():
+    m = preset_model("bernoulli-walk")
+    zs = np.array([[2.5], [0.4], [-1.0]])
+    ys = np.zeros_like(zs)
+    rows = fenchel_rows(m, ys, zs, a=0.5)
+    for i in range(3):
+        _assert_same_row(rows, i, perturbed_fenchel(m, 0.5, ys[i], zs[i]))
+    assert np.all(rows.status == CONVERGED)
+
+
+def test_fenchel_rows_rejects_bad_shapes():
+    m = preset_model("gaussian-ou")
+    with pytest.raises(ValueError):
+        fenchel_rows(m, np.zeros((3, 1)), np.zeros((2, 1)))
+    with pytest.raises(ValueError):
+        fenchel_rows(m, np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError):
+        fenchel_rows(m, np.zeros((1, 1)), np.array([[np.nan]]))

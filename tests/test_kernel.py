@@ -5,6 +5,7 @@ from numpy.random import default_rng
 
 from ldscheme import kernel
 from ldscheme.kernel import (
+    KernelModel,
     ModelConfigError,
     PerturbationLevel,
     affine_model,
@@ -153,6 +154,63 @@ def test_cgf_rows_matches_pointwise():
         rows = kernel.cgf_rows(m, ys, alphas)
         for i in range(8):
             assert rows[i] == pytest.approx(cgf(m, ys[i], alphas[i]), abs=1e-12)
+
+
+def test_logmgf_hess_broadcasts_over_batch():
+    rng = default_rng(5)
+    alphas = rng.normal(size=(6, 3))
+    for base in [gaussian_base(), bernoulli_base(0.3)]:
+        stacked = base.logmgf_hess(alphas)
+        assert stacked.shape == (6, 3, 3)
+        for i in range(6):
+            assert np.array_equal(stacked[i], base.logmgf_hess(alphas[i]))
+        assert np.array_equal(stacked, np.diagonal(stacked, axis1=1, axis2=2)[:, :, None] * np.eye(3))
+
+
+def _callable_sigma_model():
+    # state-dependent sigma: not batch-capable, so the row helpers loop
+    return affine_model(
+        2,
+        linear_drift(np.array([[-1.0, 0.5], [0.0, -1.0]])),
+        lambda y: np.array([[1.0 + 0.1 * y[0] ** 2, 0.0], [0.3, 1.0]]),
+        bernoulli_base(0.4),
+        summary="callable-sigma",
+    )
+
+
+@pytest.mark.parametrize("name", sorted(kernel.PRESETS) + ["callable-sigma"])
+def test_cgf_grad_and_hess_rows_match_pointwise(name):
+    m = _callable_sigma_model() if name == "callable-sigma" else preset_model(name)
+    assert supports_batch(m) == (name != "callable-sigma")
+    rng = default_rng(17)
+    ys = rng.uniform(-1.0, 1.0, size=(9, m.dim))
+    alphas = rng.normal(scale=2.0, size=(9, m.dim))
+    grads = kernel.cgf_grad_rows(m, ys, alphas)
+    hessians = kernel.cgf_hess_rows(m, ys, alphas)
+    assert grads.shape == (9, m.dim)
+    assert hessians.shape == (9, m.dim, m.dim)
+    for i in range(9):
+        assert np.allclose(grads[i], m.cgf_grad(ys[i], alphas[i]), rtol=1e-13, atol=1e-14)
+        assert np.allclose(hessians[i], m.cgf_hess(ys[i], alphas[i]), rtol=1e-13, atol=1e-14)
+
+
+def test_cgf_hess_rows_finite_difference_fallback():
+    src = _callable_sigma_model()
+    stripped = KernelModel(
+        dim=2, sampler=src.sampler, cgf=src.cgf, cgf_grad=src.cgf_grad, cgf_hess=None, summary="nohess"
+    )
+    rng = default_rng(19)
+    ys = rng.uniform(-1.0, 1.0, size=(5, 2))
+    alphas = rng.normal(size=(5, 2))
+    fd = kernel.cgf_hess_rows(stripped, ys, alphas)
+    assert np.array_equal(fd, fd.transpose(0, 2, 1))
+    assert np.allclose(fd, kernel.cgf_hess_rows(src, ys, alphas), atol=1e-8)
+
+
+def test_preset_summary_is_its_name():
+    m = preset_model("gaussian-ou")
+    assert m.summary == "gaussian-ou"
+    assert supports_batch(m)
 
 
 def test_sample_increment_seeded():
