@@ -13,8 +13,9 @@ import os
 import numpy as np
 from scipy.stats import norm
 
+from ldscheme.action import TerminalHalfspace
 from ldscheme.kernel import preset_model
-from ldscheme.rare_event import HalfspaceEvent, mc_probability, tilted_mc_probability
+from ldscheme.rare_event import mc_probability, tilted_mc_probability
 
 
 def main():
@@ -28,7 +29,7 @@ def main():
     args = ap.parse_args()
 
     model = preset_model("gaussian-free")
-    event = HalfspaceEvent([1.0], args.level)
+    event = TerminalHalfspace([1.0], args.level)
     rows = []
     for idx, n in enumerate(args.n_grid):
         exact = float(norm.sf(args.level * np.sqrt(n)))

@@ -54,7 +54,10 @@ class TerminalPoint:
 
 @dataclass(frozen=True)
 class TerminalHalfspace:
-    """Endpoint constraint <f(1), normal> >= level, with unit normal."""
+    """Endpoint constraint <f(1), normal> >= level, with unit normal.
+
+    Also the terminal event {<Y(1), normal> >= level} of the estimators.
+    """
 
     normal: np.ndarray
     level: float
@@ -66,6 +69,14 @@ class TerminalHalfspace:
             raise ValueError("normal must be nonzero")
         object.__setattr__(self, "normal", xi / nrm)
         object.__setattr__(self, "level", float(self.level) / nrm)
+
+    def record(self) -> dict:
+        """The half-space as the terminal event of an estimate report."""
+        return {
+            "kind": "terminal-halfspace",
+            "normal": [float(v) for v in self.normal],
+            "level": float(self.level),
+        }
 
 
 TerminalSpec = Union[TerminalPoint, TerminalHalfspace]

@@ -41,7 +41,6 @@ from .action import (
 from .errors import NumericalFailure
 from .rare_event import (
     BallEvent,
-    HalfspaceEvent,
     PathDeviationEvent,
     martingale_check,
     mc_probability,
@@ -221,7 +220,7 @@ def _event_from(c: _Conf, dim: int):
         normal = e.take("normal", _as_vector)
         level = e.take("level", _as_float)
         e.close()
-        return HalfspaceEvent(normal=normal, level=level)
+        return TerminalHalfspace(normal=normal, level=level)
     if kind == "terminal-ball":
         center = e.take("center", _as_vector)
         radius = e.take("radius", _as_float)
@@ -370,7 +369,7 @@ def _cmd_estimate(cfg, out, workers):
     else:
         if a != 0.0:
             raise ConfigError("config.a: the tilted estimator runs the unsmoothed scheme; set a to 0")
-        if not isinstance(event, HalfspaceEvent):
+        if not isinstance(event, TerminalHalfspace):
             raise ConfigError("config.event.kind: the tilted estimator needs 'terminal-halfspace'")
         report = tilted_mc_probability(
             model, x, n, event, samples, seed, workers=workers, minimize_knots=minimize_knots
@@ -417,7 +416,7 @@ def _cmd_verify_rate(cfg, out, workers):
     minimize_knots = c.take("minimize_knots", _as_int, 21)
     max_rel_gap = c.take("max_rel_gap", _as_float, 0.15)
     c.close()
-    if not isinstance(event, HalfspaceEvent):
+    if not isinstance(event, TerminalHalfspace):
         raise ConfigError("config.event.kind: rate verification needs 'terminal-halfspace'")
     _write_json(os.path.join(out, "resolved_config.json"), {"command": "verify-rate", **c.resolved})
     report = verify_rate(

@@ -165,9 +165,11 @@ class KernelModel:
 class AffineNoiseModel(KernelModel):
     """Affine increment law F(y) = drift(y) + sigma(y) Z.
 
-    sigma_matrix is set when the diffusion factor is state independent;
-    together with drift_broadcasts=True it unlocks vectorized simulation
-    over replica batches (drift must then accept arrays of shape (..., d)).
+    sigma_matrix is set when the diffusion factor is state independent.
+    drift_broadcasts=True declares that drift accepts arrays of shape
+    (..., d); with a constant sigma it lets the cumulant row helpers
+    vectorize over rows.  Simulation draws the base noise for all rows at
+    once for every affine model (sample_rows).
     """
 
     drift: Callable[[np.ndarray], np.ndarray] = None
@@ -177,21 +179,8 @@ class AffineNoiseModel(KernelModel):
     drift_broadcasts: bool = False
 
 
-@dataclass(frozen=True)
-class PerturbationLevel:
-    """Amplitude of the auxiliary Gaussian smoothing noise, a >= 0."""
-
-    a: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.a) or self.a < 0.0:
-            raise ValueError(f"perturbation amplitude must be finite and >= 0, got {self.a}")
-
-
 def perturbation_amplitude(a) -> float:
-    """Normalize a float or PerturbationLevel into a validated float."""
-    if isinstance(a, PerturbationLevel):
-        return a.a
+    """Validate the smoothing amplitude a >= 0 and return it as a float."""
     a = float(a)
     if not np.isfinite(a) or a < 0.0:
         raise ValueError(f"perturbation amplitude must be finite and >= 0, got {a}")
@@ -278,20 +267,8 @@ def cgf_grad(model: KernelModel, y, alpha) -> np.ndarray:
     return np.asarray(model.cgf_grad(y, alpha), dtype=np.float64)
 
 
-def perturbed_cgf(model: KernelModel, a, y, alpha) -> float:
-    """cgf plus the Gaussian smoothing term a^2 |alpha|^2 / 2."""
-    amp = perturbation_amplitude(a)
-    alpha_v = _as_vector(alpha, model.dim, "alpha")
-    return cgf(model, y, alpha_v) + 0.5 * amp * amp * float(alpha_v @ alpha_v)
-
-
-def sample_increment(model: KernelModel, y, rng: Generator) -> np.ndarray:
-    y = _as_vector(y, model.dim, "y")
-    return np.asarray(model.sampler(y, rng), dtype=np.float64)
-
-
 def supports_batch(model: KernelModel) -> bool:
-    """True when replica-vectorized simulation is available for this model."""
+    """True when the cumulant row helpers evaluate all rows in one vectorized call."""
     return (
         isinstance(model, AffineNoiseModel)
         and model.sigma_matrix is not None
@@ -306,14 +283,39 @@ def drift_rows(model: AffineNoiseModel, ys: np.ndarray) -> np.ndarray:
     return np.stack([model.drift(y) for y in ys])
 
 
+def _affine_rows(model: AffineNoiseModel, ys: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Increments drift(y_i) + sigma(y_i) z_i for paired rows of states and base draws."""
+    if model.sigma_matrix is not None:
+        return drift_rows(model, ys) + zs @ model.sigma_matrix.T
+    sigmas = np.stack([model.sigma_fn(y) for y in ys])
+    return drift_rows(model, ys) + np.matmul(sigmas, zs[:, :, None])[:, :, 0]
+
+
+def sample_rows(model: KernelModel, ys: np.ndarray, rng: Generator) -> np.ndarray:
+    """One increment draw at each row of ys, shape (m, d) -> (m, d).
+
+    Affine models take a single base draw of shape (m, d) and evaluate
+    sigma per row only when it is a callable; other models call
+    model.sampler row by row, in row order.
+    """
+    if isinstance(model, AffineNoiseModel):
+        return _affine_rows(model, ys, model.base.sample(rng, ys.shape))
+    return np.array([model.sampler(y, rng) for y in ys], dtype=np.float64).reshape(ys.shape)
+
+
 def cgf_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """cgf(y_i, alpha_i) for paired rows, vectorized when the model allows."""
+    """cgf(y_i, alpha_i) for paired rows, vectorized when the model allows.
+
+    alphas may also be one (d,) vector shared by every row of ys.
+    """
     ys = np.asarray(ys, dtype=np.float64)
     alphas = np.asarray(alphas, dtype=np.float64)
     if supports_batch(model):
         bs = drift_rows(model, ys)
+        if alphas.ndim == 1:
+            return bs @ alphas + model.base.logmgf(alphas @ model.sigma_matrix)
         return np.einsum("ij,ij->i", bs, alphas) + model.base.logmgf(alphas @ model.sigma_matrix)
-    return np.array([model.cgf(y, al) for y, al in zip(ys, alphas)])
+    return np.array([model.cgf(y, al) for y, al in zip(ys, np.broadcast_to(alphas, ys.shape))])
 
 
 def cgf_grad_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray) -> np.ndarray:

@@ -38,40 +38,13 @@ from . import conjugate as conj_mod
 from . import kernel
 from .action import ActionProblem, MinimizeSettings, TerminalHalfspace, limit_ode, minimize_action
 from .kernel import AffineNoiseModel, KernelModel, perturbation_amplitude
-from .scheme import (
-    DualMeasure,
-    SchemeRun,
-    Trajectory,
-    dual_pairing,
-    eval_path_many,
-    phi_n,
-    simulate,
-)
+from .scheme import DualMeasure, Trajectory, _euler_steps, eval_path_many
 
 CHUNK_SIZE = 20_000
 
-
-@dataclass(frozen=True)
-class HalfspaceEvent:
-    """Terminal event {<Y(1), normal> >= level}; normal stored unit length."""
-
-    normal: np.ndarray
-    level: float
-
-    def __post_init__(self):
-        xi = np.atleast_1d(np.asarray(self.normal, dtype=np.float64))
-        nrm = float(np.linalg.norm(xi))
-        if nrm <= 0.0:
-            raise ValueError("event normal must be nonzero")
-        object.__setattr__(self, "normal", xi / nrm)
-        object.__setattr__(self, "level", float(self.level) / nrm)
-
-    def record(self) -> dict:
-        return {
-            "kind": "terminal-halfspace",
-            "normal": [float(v) for v in self.normal],
-            "level": float(self.level),
-        }
+# The terminal event {<Y(1), normal> >= level} is the minimizer's half-space
+# constraint type; HalfspaceEvent names it for callers of this module.
+HalfspaceEvent = TerminalHalfspace
 
 
 @dataclass(frozen=True)
@@ -117,7 +90,7 @@ class PathDeviationEvent:
         }
 
 
-EventSpec = Union[HalfspaceEvent, BallEvent, PathDeviationEvent]
+EventSpec = Union[TerminalHalfspace, BallEvent, PathDeviationEvent]
 
 
 @dataclass
@@ -195,7 +168,8 @@ def _map_chunks(worker, samples: int, workers: int, rng_key) -> List[np.ndarray]
 
 
 # ---------------------------------------------------------------------------
-# batched drivers (constant-sigma affine models)
+# event folds: each runs one chunk of the scheme stepper (scheme._euler_steps)
+# and folds its per-step output into one value per replica
 
 def _resolve_reference(event: PathDeviationEvent, model, x, n: int) -> Trajectory:
     if event.reference is not None:
@@ -224,52 +198,25 @@ def _deviation_grid(ref: Trajectory, n: int):
     return ref_lattice, per_step
 
 
-def _batch_hits(model, x, n, a, event, rng, size) -> np.ndarray:
-    """Event indicators for `size` replicas, vectorized across the batch."""
-    d = model.dim
-    s_t = model.sigma_matrix.T
-    state = np.broadcast_to(x, (size, d)).copy()
-    if isinstance(event, PathDeviationEvent):
-        ref = _resolve_reference(event, model, x, n)
-        ref_lattice, per_step = _deviation_grid(ref, n)
-        dev = np.linalg.norm(state - ref_lattice[0], axis=1)
-    for k in range(1, n + 1):
-        z = model.base.sample(rng, (size, d))
-        g = rng.standard_normal((size, d))
-        f = model.drift(state) + z @ s_t
-        new_state = state + (f + a * g) / n
-        if isinstance(event, PathDeviationEvent):
-            extras = per_step[k]
-            if extras is not None:
-                fracs, refs = extras
-                vals = state[:, None, :] + fracs[None, :, None] * (new_state - state)[:, None, :]
-                dev = np.maximum(dev, np.linalg.norm(vals - refs[None, :, :], axis=2).max(axis=1))
-            dev = np.maximum(dev, np.linalg.norm(new_state - ref_lattice[k], axis=1))
-        state = new_state
-    if isinstance(event, HalfspaceEvent):
-        return (state @ event.normal) >= event.level
-    if isinstance(event, BallEvent):
+def _hit_rows(model, x, n, a, event, rng, size) -> np.ndarray:
+    """Event indicators for `size` replicas."""
+    steps = _euler_steps(model, x, n, a, rng, size)
+    if not isinstance(event, PathDeviationEvent):
+        for _, _, _, state in steps:  # terminal events read the last state only
+            pass
+        if isinstance(event, TerminalHalfspace):
+            return (state @ event.normal) >= event.level
         return np.linalg.norm(state - event.center, axis=1) <= event.radius
+    ref_lattice, per_step = _deviation_grid(_resolve_reference(event, model, x, n), n)
+    dev = np.linalg.norm(np.broadcast_to(x, (size, model.dim)) - ref_lattice[0], axis=1)
+    for k, prev, _, state in steps:
+        extras = per_step[k]
+        if extras is not None:
+            fracs, refs = extras
+            vals = prev[:, None, :] + fracs[None, :, None] * (state - prev)[:, None, :]
+            dev = np.maximum(dev, np.linalg.norm(vals - refs[None, :, :], axis=2).max(axis=1))
+        dev = np.maximum(dev, np.linalg.norm(state - ref_lattice[k], axis=1))
     return dev >= event.epsilon
-
-
-def _loop_hits(model, x, n, a, event, rng, size) -> np.ndarray:
-    """Per-replica fallback for models without batched simulation."""
-    hits = np.empty(size, dtype=bool)
-    if isinstance(event, PathDeviationEvent):
-        ref = _resolve_reference(event, model, x, n)
-        grid = np.unique(np.concatenate([np.arange(n + 1) / n, ref.times]))
-        ref_vals = eval_path_many(ref, grid)
-    for i in range(size):
-        traj = simulate(SchemeRun(model=model, x=x, n=n, a=a, seed=0), rng=rng)
-        if isinstance(event, HalfspaceEvent):
-            hits[i] = float(traj.knots[-1] @ event.normal) >= event.level
-        elif isinstance(event, BallEvent):
-            hits[i] = float(np.linalg.norm(traj.knots[-1] - event.center)) <= event.radius
-        else:
-            dev = np.linalg.norm(eval_path_many(traj, grid) - ref_vals, axis=1)
-            hits[i] = float(dev.max()) >= event.epsilon
-    return hits
 
 
 def mc_probability(model: KernelModel, x, n: int, a, event: EventSpec, samples: int, seed: int, workers: int = 1) -> EstimateReport:
@@ -281,10 +228,7 @@ def mc_probability(model: KernelModel, x, n: int, a, event: EventSpec, samples: 
     """
     amp = perturbation_amplitude(a)
     x = kernel._as_vector(x, model.dim, "x")
-    if kernel.supports_batch(model):
-        worker = lambda rng, size: _batch_hits(model, x, n, amp, event, rng, size)
-    else:
-        worker = lambda rng, size: _loop_hits(model, x, n, amp, event, rng, size)
+    worker = lambda rng, size: _hit_rows(model, x, n, amp, event, rng, size)
     hits = np.concatenate(_map_chunks(worker, samples, workers, (seed,)))
     p = float(np.mean(hits))
     stderr = float(np.sqrt(p * (1.0 - p) / samples))
@@ -313,7 +257,7 @@ def _require_tiltable(model: KernelModel):
         raise ValueError("tilted estimation requires a constant sigma and batch-capable drift")
 
 
-def _tilt_plan(model, x, event: HalfspaceEvent, minimize_knots: int):
+def _tilt_plan(model, x, event: TerminalHalfspace, minimize_knots: int):
     """Minimum-cost path into the half-space and its cost (the predicted rate)."""
     flow = limit_ode(model, x, steps=256)
     drift_terminal = float(flow.knots[-1] @ event.normal)
@@ -325,7 +269,7 @@ def _tilt_plan(model, x, event: HalfspaceEvent, minimize_knots: int):
     problem = ActionProblem(
         model=model,
         x=x,
-        terminal=TerminalHalfspace(event.normal, event.level),
+        terminal=event,
         m=minimize_knots,
         a=0.0,
     )
@@ -349,27 +293,21 @@ def _tilt_sequence(model, path: Trajectory, n: int) -> np.ndarray:
     return res.argmax
 
 
-def _batch_tilted(model, x, n, event: HalfspaceEvent, alphas, rng, size) -> np.ndarray:
+def _tilted_rows(model, x, n, event: TerminalHalfspace, alphas, rng, size) -> np.ndarray:
     """Weighted indicators w * 1_A for `size` tilted replicas."""
-    d = model.dim
-    s_t = model.sigma_matrix.T
     shifts = alphas @ model.sigma_matrix  # row k holds sigma^T alpha_k
     log_norms = 0.5 * np.sum(shifts * shifts, axis=1)  # logmgf(sigma^T alpha_k)
-    state = np.broadcast_to(x, (size, d)).copy()
     logw = np.zeros(size)
-    for k in range(1, n + 1):
+    for k, prev, inc, state in _euler_steps(model, x, n, 0.0, rng, size, shifts=shifts):
         alpha = alphas[k - 1]
-        z = rng.standard_normal((size, d)) + shifts[k - 1]
-        f = model.drift(state) + z @ s_t
-        logw += (model.drift(state) @ alpha + log_norms[k - 1]) - f @ alpha
-        state = state + f / n
+        logw += (kernel.drift_rows(model, prev) @ alpha + log_norms[k - 1]) - inc @ alpha
     hits = (state @ event.normal) >= event.level
     return np.exp(logw) * hits
 
 
 def _tilted_estimate(model, x, n, event, samples, seed, workers, plan) -> EstimateReport:
     alphas = _tilt_sequence(model, plan.trajectory, n)
-    worker = lambda rng, size: _batch_tilted(model, x, n, event, alphas, rng, size)
+    worker = lambda rng, size: _tilted_rows(model, x, n, event, alphas, rng, size)
     vals = np.concatenate(_map_chunks(worker, samples, workers, seed))
     p = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples))
@@ -392,7 +330,7 @@ def tilted_mc_probability(
     model: KernelModel,
     x,
     n: int,
-    event: HalfspaceEvent,
+    event: TerminalHalfspace,
     samples: int,
     seed: int,
     workers: int = 1,
@@ -405,7 +343,7 @@ def tilted_mc_probability(
     estimate is unbiased whatever the tilt quality.  Requires a Gaussian
     base and an event whose half-space excludes the mean flow terminal.
     """
-    if not isinstance(event, HalfspaceEvent):
+    if not isinstance(event, TerminalHalfspace):
         raise ValueError("tilted estimation only covers terminal half-space events")
     _require_tiltable(model)
     x = kernel._as_vector(x, model.dim, "x")
@@ -416,29 +354,15 @@ def tilted_mc_probability(
 # ---------------------------------------------------------------------------
 # exponential normalization check
 
-def _batch_martingale(model, x, n, a, alphas, log_norms, sq_norms, rng, size) -> np.ndarray:
-    d = model.dim
-    s_t = model.sigma_matrix.T
-    state = np.broadcast_to(x, (size, d)).copy()
+def _martingale_rows(model, x, n, a, alphas, rng, size) -> np.ndarray:
+    """exp of sum_k [<F_k + a g_k, alpha_k> - cgf_a(X_{k-1}, alpha_k)] for `size` replicas."""
+    smoothing = 0.5 * a * a * np.sum(alphas * alphas, axis=1)
     acc = np.zeros(size)
-    for k in range(1, n + 1):
+    for k, prev, inc, _ in _euler_steps(model, x, n, a, rng, size):
         alpha = alphas[k - 1]
-        z = model.base.sample(rng, (size, d))
-        g = rng.standard_normal((size, d))
-        f = model.drift(state) + z @ s_t
-        pay = (f + a * g) @ alpha
-        price = model.drift(state) @ alpha + log_norms[k - 1] + 0.5 * a * a * sq_norms[k - 1]
-        acc += pay - price
-        state = state + (f + a * g) / n
+        price = kernel.cgf_rows(model, prev, alpha) + smoothing[k - 1]
+        acc += inc @ alpha - price
     return np.exp(acc)
-
-
-def _loop_martingale(model, x, n, a, lam, rng, size) -> np.ndarray:
-    out = np.empty(size)
-    for i in range(size):
-        traj = simulate(SchemeRun(model=model, x=x, n=n, a=a, seed=0), rng=rng)
-        out[i] = np.exp(dual_pairing(traj, lam) - phi_n(model, x, a, traj, lam))
-    return out
 
 
 def martingale_check(
@@ -466,15 +390,8 @@ def martingale_check(
             f"dual measure variation {variation:.3g} exceeds the cap {max_variation:.3g}; "
             "raise max_variation knowingly if the heavy tail is acceptable"
         )
-    if kernel.supports_batch(model):
-        alphas = lam.basis_integrals(n) / n
-        rows = alphas @ model.sigma_matrix
-        log_norms = np.asarray(model.base.logmgf(rows), dtype=np.float64)
-        log_norms[np.all(rows == 0.0, axis=1)] = 0.0  # exact when sigma^T alpha vanishes
-        sq_norms = np.sum(alphas * alphas, axis=1)
-        worker = lambda rng, size: _batch_martingale(model, x, n, amp, alphas, log_norms, sq_norms, rng, size)
-    else:
-        worker = lambda rng, size: _loop_martingale(model, x, n, amp, lam, rng, size)
+    alphas = lam.basis_integrals(n) / n
+    worker = lambda rng, size: _martingale_rows(model, x, n, amp, alphas, rng, size)
     vals = np.concatenate(_map_chunks(worker, samples, workers, (seed,)))
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
@@ -511,7 +428,7 @@ class RateReport:
 def verify_rate(
     model: KernelModel,
     x,
-    event: HalfspaceEvent,
+    event: TerminalHalfspace,
     n_grid: List[int],
     samples: int,
     seed: int,
@@ -525,7 +442,7 @@ def verify_rate(
     increase is recorded as a violation, excused when it sits within two
     combined standard errors of the rates involved.
     """
-    if not isinstance(event, HalfspaceEvent):
+    if not isinstance(event, TerminalHalfspace):
         raise ValueError("rate verification targets terminal half-space events")
     _require_tiltable(model)
     x = kernel._as_vector(x, model.dim, "x")
@@ -618,11 +535,7 @@ def verify_ode_convergence(
     pts = []
     for idx, n in enumerate(n_grid):
         event = PathDeviationEvent(epsilon=epsilon)
-        amp = 0.0
-        if kernel.supports_batch(model):
-            worker = lambda rng, size: _batch_hits(model, x, n, amp, event, rng, size)
-        else:
-            worker = lambda rng, size: _loop_hits(model, x, n, amp, event, rng, size)
+        worker = lambda rng, size: _hit_rows(model, x, n, 0.0, event, rng, size)
         hits = np.concatenate(_map_chunks(worker, samples, workers, (seed, idx)))
         count = int(np.sum(hits))
         q = count / samples

@@ -27,9 +27,15 @@ exactly 1.  Its n -> inf limit is
 
 approached at rate O(1/n) after rescaling lam by n (see scaling tests).
 
-Draw discipline: each step consumes the model draw first and then the
-Gaussian smoothing draw, whether or not a = 0, so runs at different
-amplitudes couple pathwise under a shared seed.
+Draw discipline: every simulation in the package runs one batched stepper
+over rows of replicas; a single path is its one-row case.  Each step draws
+the model increments for all rows first (kernel.sample_rows: one base draw
+for affine models, a row loop over model.sampler otherwise) and then the
+Gaussian smoothing draws for all rows, whether or not a = 0, so runs at
+different amplitudes couple pathwise under a shared seed.  Tilted runs
+draw the Gaussian base noise with a shifted mean and take no smoothing
+draw.  The stepper raises SimulationBlowup(k) at the first step k whose
+state is not finite, so every caller fails the same way.
 """
 
 from __future__ import annotations
@@ -80,13 +86,6 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.n + 1) / self.n
-
-
-def basis_phi(n: int, i: int, t: float) -> float:
-    """Tent basis value phi_{n,i}(t): ramp on [(i-1)/n, i/n], then 1."""
-    if not 1 <= i <= n:
-        raise ValueError(f"basis index must satisfy 1 <= i <= n, got i={i}, n={n}")
-    return float(np.clip(n * t - (i - 1), 0.0, 1.0))
 
 
 def eval_path(traj: Trajectory, t: float) -> np.ndarray:
@@ -254,9 +253,33 @@ def dual_pairing(traj: Trajectory, lam: DualMeasure) -> float:
     return float(np.sum(vals * lam.weights))
 
 
-def replica_rng(seed: int, index: int) -> Generator:
-    """Derived stream for replica or chunk `index` of a seeded experiment."""
-    return default_rng([seed, index])
+def _check_finite(states: np.ndarray, k: int) -> None:
+    if not np.all(np.isfinite(states)):
+        raise SimulationBlowup(k)
+
+
+def _euler_steps(model: KernelModel, x: np.ndarray, n: int, a: float, rng: Generator, rows: int, shifts=None):
+    """Run `rows` replicas of the scheme from x; yield (k, prev, inc, state) per step.
+
+    inc = F_k + a g_k is the full increment, so state = prev + inc / n.
+    Each step draws the model increments of all rows (kernel.sample_rows)
+    and then the smoothing Gaussians of all rows.  With shifts, an (n, d)
+    array, the run is tilted: the Gaussian base draw of step k has mean
+    shifts[k - 1], the model must have a constant sigma, and no smoothing
+    draw is taken.  Raises SimulationBlowup(k) at the first non-finite step.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    state = np.broadcast_to(x, (rows, model.dim)).copy()
+    for k in range(1, n + 1):
+        if shifts is None:
+            inc = kernel.sample_rows(model, state, rng)
+            inc = inc + a * rng.standard_normal(state.shape)
+        else:
+            inc = kernel._affine_rows(model, state, rng.standard_normal(state.shape) + shifts[k - 1])
+        prev, state = state, state + inc / n
+        _check_finite(state, k)
+        yield k, prev, inc, state
 
 
 def simulate(run: SchemeRun, rng: Generator = None) -> Trajectory:
@@ -266,46 +289,11 @@ def simulate(run: SchemeRun, rng: Generator = None) -> Trajectory:
     leaves the representable range.
     """
     rng = rng if rng is not None else default_rng(run.seed)
-    model, n, a = run.model, run.n, run.a
-    x = run.x
-    knots = np.empty((n + 1, model.dim))
-    knots[0] = x
-    state = x.copy()
-    for k in range(1, n + 1):
-        f = np.asarray(model.sampler(state, rng), dtype=np.float64)
-        g = rng.standard_normal(model.dim)
-        state = state + (f + a * g) / n
-        if not np.all(np.isfinite(state)):
-            raise SimulationBlowup(k)
-        knots[k] = state
+    knots = np.empty((run.n + 1, run.model.dim))
+    knots[0] = run.x
+    for k, _, _, state in _euler_steps(run.model, run.x, run.n, run.a, rng, 1):
+        knots[k] = state[0]
     return Trajectory(knots)
-
-
-def simulate_batch(model: KernelModel, x, n: int, a, replicas: int, rng: Generator) -> np.ndarray:
-    """Replica-vectorized simulation, shape (replicas, n + 1, d).
-
-    Requires kernel.supports_batch(model); per step it draws the model
-    noise for all replicas and then the smoothing Gaussians, mirroring the
-    single-run draw discipline.
-    """
-    if not kernel.supports_batch(model):
-        raise ValueError("model does not support batched simulation; simulate per replica instead")
-    amp = perturbation_amplitude(a)
-    x = kernel._as_vector(x, model.dim, "x")
-    d = model.dim
-    s_t = model.sigma_matrix.T
-    knots = np.empty((replicas, n + 1, d))
-    state = np.broadcast_to(x, (replicas, d)).copy()
-    knots[:, 0] = state
-    for k in range(1, n + 1):
-        z = model.base.sample(rng, (replicas, d))
-        g = rng.standard_normal((replicas, d))
-        f = model.drift(state) + z @ s_t
-        state = state + (f + amp * g) / n
-        if not np.all(np.isfinite(state)):
-            raise SimulationBlowup(k)
-        knots[:, k] = state
-    return knots
 
 
 def phi_n(model: KernelModel, x, a, traj: Trajectory, lam: DualMeasure) -> float:
@@ -389,16 +377,13 @@ def coupled_perturbation_gaps(
     gaps = np.zeros(b)
     ratio_sum = np.zeros(b)
     g_norm_sum = np.zeros(b)
-    constant_sigma = model.sigma_matrix is not None
+    # The two chains must share each step's base draw, which _euler_steps
+    # cannot hand to a second chain, so this is the one other step loop.
     for k in range(1, n + 1):
         z = model.base.sample(rng, (b, d))
         g = rng.standard_normal((b, d))
-        if constant_sigma and model.drift_broadcasts:
-            f_plain = model.drift(state_plain) + z @ model.sigma_matrix.T
-            f_smooth = model.drift(state_smooth) + z @ model.sigma_matrix.T
-        else:
-            f_plain = np.stack([model.drift(y) + model.sigma_fn(y) @ zz for y, zz in zip(state_plain, z)])
-            f_smooth = np.stack([model.drift(y) + model.sigma_fn(y) @ zz for y, zz in zip(state_smooth, z)])
+        f_plain = kernel._affine_rows(model, state_plain, z)
+        f_smooth = kernel._affine_rows(model, state_smooth, z)
         diff_state = np.linalg.norm(state_smooth - state_plain, axis=1)
         diff_f = np.linalg.norm(f_smooth - f_plain, axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -407,17 +392,11 @@ def coupled_perturbation_gaps(
         g_norm_sum += np.linalg.norm(g, axis=1)
         state_plain = state_plain + f_plain / n
         state_smooth = state_smooth + (f_smooth + amp * g) / n
-        if not (np.all(np.isfinite(state_plain)) and np.all(np.isfinite(state_smooth))):
-            raise SimulationBlowup(k)
+        _check_finite(state_plain, k)
+        _check_finite(state_smooth, k)
         gaps = np.maximum(gaps, np.linalg.norm(state_smooth - state_plain, axis=1))
     bounds = (amp / n) * g_norm_sum * np.exp(ratio_sum / n)
     return gaps, bounds
-
-
-def coupled_perturbation_gap(model, x, n: int, a, seed: int) -> tuple[float, float]:
-    """Single-realization version of coupled_perturbation_gaps."""
-    gaps, bounds = coupled_perturbation_gaps(model, x, n, a, seed, realizations=1)
-    return float(gaps[0]), float(bounds[0])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from ldscheme.action import (
 from ldscheme.conjugate import dominating_point_halfspace, fenchel
 from ldscheme.kernel import PRESETS, preset_model
 from ldscheme.rare_event import (
-    HalfspaceEvent,
     martingale_check,
     tilted_mc_probability,
     verify_ode_convergence,
@@ -130,7 +129,7 @@ def test_acceptance_4_cramer_benchmark():
     oracle = 1.0442437918812278e-45
     assert norm.sf(np.sqrt(200)) == pytest.approx(oracle, rel=1e-12)
     model = preset_model("gaussian-free")
-    rep = tilted_mc_probability(model, [0.0], 200, HalfspaceEvent([1.0], 1.0), 100_000, seed=104)
+    rep = tilted_mc_probability(model, [0.0], 200, TerminalHalfspace([1.0], 1.0), 100_000, seed=104)
     assert rep.p_hat > 0.0
     assert abs(rep.p_hat - oracle) <= 4.0 * rep.stderr
     assert rep.predicted_rate == pytest.approx(0.5, abs=1e-9)

@@ -357,6 +357,25 @@ def test_blowup_exits_3(tmp_path):
     assert code == 3
 
 
+def test_naive_estimate_blowup_exits_3(tmp_path):
+    # from x = -5 the logistic scheme leaves the finite range at step 14 of n = 15
+    code, out = _run(
+        tmp_path,
+        "estimate",
+        {
+            "model": {"preset": "logistic"},
+            "x": [-5.0],
+            "n": 15,
+            "event": {"kind": "terminal-halfspace", "normal": [1.0], "level": 0.5},
+            "samples": 2000,
+            "seed": 0,
+            "method": "naive",
+        },
+    )
+    assert code == 3
+    assert not (out / "estimate_report.json").exists()
+
+
 def test_unknown_subcommand_exits_2(tmp_path, capsys):
     assert main(["frobnicate", "--config", "x.json"]) == 2
 

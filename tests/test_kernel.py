@@ -7,7 +7,6 @@ from ldscheme import kernel
 from ldscheme.kernel import (
     KernelModel,
     ModelConfigError,
-    PerturbationLevel,
     affine_model,
     bernoulli_base,
     cgf,
@@ -18,9 +17,7 @@ from ldscheme.kernel import (
     logistic_drift,
     model_from_config,
     perturbation_amplitude,
-    perturbed_cgf,
     preset_model,
-    sample_increment,
     supports_batch,
     zero_drift,
 )
@@ -114,24 +111,13 @@ def test_state_dependent_sigma_disables_batch():
     assert cgf(m, np.array([2.0]), np.array([0.1])) == pytest.approx(0.5 * (5.0 * 0.1) ** 2, abs=1e-13)
 
 
-def test_perturbed_cgf_adds_quadratic():
-    m = preset_model("gaussian-free")
-    y, alpha = np.zeros(1), np.array([0.8])
-    base_val = cgf(m, y, alpha)
-    assert perturbed_cgf(m, 0.0, y, alpha) == base_val
-    assert perturbed_cgf(m, 0.5, y, alpha) == pytest.approx(base_val + 0.5 * 0.25 * 0.64, abs=1e-14)
-    assert perturbed_cgf(m, PerturbationLevel(2.0), y, alpha) == pytest.approx(
-        base_val + 2.0 * 0.64, abs=1e-14
-    )
-
-
 def test_perturbation_amplitude_validation():
     assert perturbation_amplitude(0.0) == 0.0
-    assert perturbation_amplitude(PerturbationLevel(0.25)) == 0.25
+    assert perturbation_amplitude(0.25) == 0.25
     with pytest.raises(ValueError):
         perturbation_amplitude(-0.1)
     with pytest.raises(ValueError):
-        PerturbationLevel(np.inf)
+        perturbation_amplitude(np.inf)
 
 
 def test_drift_builders_broadcast():
@@ -152,8 +138,10 @@ def test_cgf_rows_matches_pointwise():
         ys = rng.normal(size=(8, 1))
         alphas = rng.normal(size=(8, 1))
         rows = kernel.cgf_rows(m, ys, alphas)
+        shared = kernel.cgf_rows(m, ys, alphas[0])
         for i in range(8):
             assert rows[i] == pytest.approx(cgf(m, ys[i], alphas[i]), abs=1e-12)
+            assert shared[i] == pytest.approx(cgf(m, ys[i], alphas[0]), abs=1e-12)
 
 
 def test_logmgf_hess_broadcasts_over_batch():
@@ -213,14 +201,32 @@ def test_preset_summary_is_its_name():
     assert supports_batch(m)
 
 
-def test_sample_increment_seeded():
+def test_sample_rows_seeded():
     m = preset_model("gaussian-ou")
-    d1 = sample_increment(m, np.array([1.0]), default_rng(9))
-    d2 = sample_increment(m, np.array([1.0]), default_rng(9))
+    ys = np.array([[1.0], [2.0]])
+    d1 = kernel.sample_rows(m, ys, default_rng(9))
+    d2 = kernel.sample_rows(m, ys, default_rng(9))
+    assert d1.shape == (2, 1)
     assert np.array_equal(d1, d2)
     # increment = drift + noise, so its mean at y sits near -y
-    draws = np.array([sample_increment(m, np.array([2.0]), r) for r in [default_rng(s) for s in range(4000)]])
+    draws = kernel.sample_rows(m, np.full((4000, 1), 2.0), default_rng(0))
     assert abs(draws.mean() + 2.0) < 0.06
+
+
+@pytest.mark.parametrize("name", ["gaussian-ou", "bernoulli-walk", "callable-sigma"])
+def test_sample_rows_match_pointwise(name):
+    # affine models: one (m, d) base draw, row i gets drift(y_i) + sigma(y_i) z_i;
+    # other models: model.sampler row by row on the same stream
+    m = _callable_sigma_model() if name == "callable-sigma" else preset_model(name)
+    ys = default_rng(23).uniform(-1.0, 1.0, size=(6, m.dim))
+    rows = kernel.sample_rows(m, ys, default_rng(29))
+    zs = m.base.sample(default_rng(29), ys.shape)
+    for i in range(6):
+        assert np.allclose(rows[i], m.drift(ys[i]) + m.sigma_fn(ys[i]) @ zs[i], rtol=1e-13, atol=1e-14)
+    plain = KernelModel(dim=m.dim, sampler=m.sampler, cgf=m.cgf, cgf_grad=m.cgf_grad, summary="plain")
+    rng = default_rng(31)
+    expect = np.array([m.sampler(y, rng) for y in ys])
+    assert np.array_equal(kernel.sample_rows(plain, ys, default_rng(31)), expect)
 
 
 def test_presets_registry():

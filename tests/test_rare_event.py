@@ -3,16 +3,18 @@ import pytest
 from numpy.random import default_rng
 from scipy.stats import norm
 
-from ldscheme.kernel import KernelModel, preset_model
+from ldscheme.action import TerminalHalfspace
+from ldscheme.errors import SimulationBlowup
+from ldscheme.kernel import KernelModel, affine_model, gaussian_base, logistic_drift, preset_model
 from ldscheme.rare_event import (
     BallEvent,
     CHUNK_SIZE,
     HalfspaceEvent,
     PathDeviationEvent,
-    _batch_tilted,
     _chunk_sizes,
     _tilt_plan,
     _tilt_sequence,
+    _tilted_rows,
     martingale_check,
     mc_probability,
     tilted_mc_probability,
@@ -23,7 +25,7 @@ from ldscheme.scheme import DualMeasure, Trajectory
 
 
 def _plain(model):
-    """Strip the affine structure so only the per-replica path is available."""
+    """Strip the affine structure so the row helpers loop over model.sampler and model.cgf."""
     return KernelModel(
         dim=model.dim,
         sampler=model.sampler,
@@ -35,12 +37,13 @@ def _plain(model):
 
 
 def test_event_normalization():
-    ev = HalfspaceEvent([2.0], 4.0)
+    assert HalfspaceEvent is TerminalHalfspace
+    ev = TerminalHalfspace([2.0], 4.0)
     assert ev.normal[0] == pytest.approx(1.0)
     assert ev.level == pytest.approx(2.0)
     assert ev.record()["kind"] == "terminal-halfspace"
     with pytest.raises(ValueError):
-        HalfspaceEvent([0.0], 1.0)
+        TerminalHalfspace([0.0], 1.0)
     with pytest.raises(ValueError):
         BallEvent([0.0], 0.0)
     with pytest.raises(ValueError):
@@ -59,7 +62,7 @@ def test_naive_mc_free_gaussian_halfspace_oracle():
     # terminal is N(0, 1/n): P{Y(1) >= c} = Phibar(c sqrt(n))
     m = preset_model("gaussian-free")
     n, c = 40, 0.3
-    rep = mc_probability(m, [0.0], n, 0.0, HalfspaceEvent([1.0], c), 40_000, seed=11)
+    rep = mc_probability(m, [0.0], n, 0.0, TerminalHalfspace([1.0], c), 40_000, seed=11)
     oracle = norm.sf(c * np.sqrt(n))
     assert abs(rep.p_hat - oracle) < 4 * rep.stderr
     assert rep.method == "naive"
@@ -77,14 +80,14 @@ def test_naive_mc_ball_oracle():
 
 def test_naive_mc_zero_hits_censors_rate():
     m = preset_model("gaussian-free")
-    rep = mc_probability(m, [0.0], 50, 0.0, HalfspaceEvent([1.0], 50.0), 2_000, seed=1)
+    rep = mc_probability(m, [0.0], 50, 0.0, TerminalHalfspace([1.0], 50.0), 2_000, seed=1)
     assert rep.p_hat == 0.0
     assert rep.empirical_rate is None
 
 
 def test_naive_mc_worker_invariance():
     m = preset_model("gaussian-ou")
-    ev = HalfspaceEvent([1.0], 0.2)
+    ev = TerminalHalfspace([1.0], 0.2)
     a = mc_probability(m, [0.0], 30, 0.0, ev, 50_000, seed=7, workers=1)
     b = mc_probability(m, [0.0], 30, 0.0, ev, 50_000, seed=7, workers=4)
     assert a.p_hat == b.p_hat
@@ -92,12 +95,29 @@ def test_naive_mc_worker_invariance():
 
 def test_naive_mc_loop_fallback_agrees_with_batch():
     m = preset_model("gaussian-ou")
-    ev = HalfspaceEvent([1.0], 0.1)
+    ev = TerminalHalfspace([1.0], 0.1)
     fast = mc_probability(m, [0.0], 20, 0.0, ev, 4_000, seed=3)
     slow = mc_probability(_plain(m), [0.0], 20, 0.0, ev, 4_000, seed=3)
-    # different stream layouts, so agreement is statistical only
-    joint = np.hypot(fast.stderr, slow.stderr)
-    assert abs(fast.p_hat - slow.p_hat) < 4 * joint
+    # the row loop over model.sampler consumes the stream in the same order
+    # as the one (rows, d) base draw, so in d = 1 the estimates agree exactly
+    assert fast.p_hat == slow.p_hat
+
+
+@pytest.mark.parametrize("run", ["halfspace", "ball", "martingale", "ode"])
+def test_blowup_raises_on_every_path(run):
+    # from x = -5 the logistic scheme leaves the finite range at step 14 of
+    # n = 15; non-finite states must raise, never count as misses or NaN means
+    m = preset_model("logistic")
+    noisy = affine_model(1, logistic_drift(), 20.0, gaussian_base(), summary="noisy", drift_broadcasts=True)
+    calls = {
+        "halfspace": lambda: mc_probability(m, [-5.0], 15, 0.0, TerminalHalfspace([1.0], 0.5), 2_000, seed=0),
+        "ball": lambda: mc_probability(m, [-5.0], 15, 0.0, BallEvent([0.0], 1.0), 2_000, seed=0),
+        "martingale": lambda: martingale_check(m, [-5.0], 15, 0.0, DualMeasure.point_mass(1.0, 0.5), 2_000, seed=0),
+        # the mean flow from 0.5 stays finite; large noise blows the scheme up
+        "ode": lambda: verify_ode_convergence(noisy, [0.5], 0.5, [15], 2_000, seed=0),
+    }
+    with pytest.raises(SimulationBlowup):
+        calls[run]()
 
 
 def test_path_deviation_event_explicit_reference():
@@ -169,7 +189,7 @@ def test_martingale_check_variation_cap():
 def test_tilted_free_gaussian_matches_exact_oracle():
     m = preset_model("gaussian-free")
     n = 100
-    rep = tilted_mc_probability(m, [0.0], n, HalfspaceEvent([1.0], 1.0), 50_000, seed=31)
+    rep = tilted_mc_probability(m, [0.0], n, TerminalHalfspace([1.0], 1.0), 50_000, seed=31)
     oracle = norm.sf(np.sqrt(n))
     assert rep.method == "tilted"
     assert rep.p_hat > 0
@@ -180,21 +200,30 @@ def test_tilted_free_gaussian_matches_exact_oracle():
 
 def test_tilted_weights_positive_and_finite():
     m = preset_model("gaussian-free")
-    ev = HalfspaceEvent([1.0], 1.0)
+    ev = TerminalHalfspace([1.0], 1.0)
     plan = _tilt_plan(m, np.zeros(1), ev, 21)
     alphas = _tilt_sequence(m, plan.trajectory, 50)
     # state-independent model: the tilt collapses to the dominating point
     assert np.allclose(alphas, 1.0, atol=1e-6)
-    vals = _batch_tilted(m, np.zeros(1), 50, ev, alphas, default_rng(0), 2_000)
+    vals = _tilted_rows(m, np.zeros(1), 50, ev, alphas, default_rng(0), 2_000)
     assert np.all(np.isfinite(vals))
     assert np.all(vals >= 0.0)
     assert np.any(vals > 0.0)
+    # replay by hand: base draws shifted by sigma^T alpha_k, no smoothing draw
+    rng = default_rng(0)
+    state, logw = np.zeros((2_000, 1)), np.zeros(2_000)
+    for alpha in alphas:
+        shift = alpha @ m.sigma_matrix
+        f = m.drift(state) + (rng.standard_normal(state.shape) + shift) @ m.sigma_matrix.T
+        logw += (m.drift(state) @ alpha + 0.5 * np.sum(shift * shift)) - f @ alpha
+        state = state + f / 50
+    assert np.array_equal(vals, np.exp(logw) * (state[:, 0] >= 1.0))
 
 
 def test_tilted_agrees_with_naive_on_moderate_event():
     m = preset_model("gaussian-free")
     n, c = 40, 0.3
-    ev = HalfspaceEvent([1.0], c)
+    ev = TerminalHalfspace([1.0], c)
     naive = mc_probability(m, [0.0], n, 0.0, ev, 60_000, seed=41)
     tilt = tilted_mc_probability(m, [0.0], n, ev, 60_000, seed=42)
     assert naive.p_hat >= 1e-3
@@ -207,7 +236,7 @@ def test_tilted_ou_benchmark_unbiased():
     # OU event still reachable by naive sampling
     m = preset_model("gaussian-ou")
     n, c = 30, 0.35
-    ev = HalfspaceEvent([1.0], c)
+    ev = TerminalHalfspace([1.0], c)
     naive = mc_probability(m, [0.0], n, 0.0, ev, 60_000, seed=51)
     tilt = tilted_mc_probability(m, [0.0], n, ev, 60_000, seed=52)
     assert naive.p_hat >= 1e-3
@@ -218,18 +247,18 @@ def test_tilted_ou_benchmark_unbiased():
 def test_tilted_rejects_event_covering_mean():
     m = preset_model("gaussian-ou")
     with pytest.raises(ValueError, match="not rare"):
-        tilted_mc_probability(m, [1.0], 20, HalfspaceEvent([1.0], 0.1), 100, seed=0)
+        tilted_mc_probability(m, [1.0], 20, TerminalHalfspace([1.0], 0.1), 100, seed=0)
 
 
 def test_tilted_rejects_non_gaussian_base():
     m = preset_model("bernoulli-walk")
     with pytest.raises(ValueError, match="Gaussian"):
-        tilted_mc_probability(m, [0.0], 20, HalfspaceEvent([1.0], 0.6), 100, seed=0)
+        tilted_mc_probability(m, [0.0], 20, TerminalHalfspace([1.0], 0.6), 100, seed=0)
 
 
 def test_verify_rate_structure_and_trend():
     m = preset_model("gaussian-free")
-    rep = verify_rate(m, [0.0], HalfspaceEvent([1.0], 1.0), [25, 50, 100], 20_000, seed=61)
+    rep = verify_rate(m, [0.0], TerminalHalfspace([1.0], 1.0), [25, 50, 100], 20_000, seed=61)
     assert rep.predicted_rate == pytest.approx(0.5, abs=1e-9)
     assert rep.minimize_converged
     assert len(rep.estimates) == 3
@@ -248,8 +277,8 @@ def test_verify_rate_structure_and_trend():
 
 def test_verify_rate_deterministic():
     m = preset_model("gaussian-free")
-    a = verify_rate(m, [0.0], HalfspaceEvent([1.0], 1.0), [25, 50], 5_000, seed=62)
-    b = verify_rate(m, [0.0], HalfspaceEvent([1.0], 1.0), [25, 50], 5_000, seed=62, workers=3)
+    a = verify_rate(m, [0.0], TerminalHalfspace([1.0], 1.0), [25, 50], 5_000, seed=62)
+    b = verify_rate(m, [0.0], TerminalHalfspace([1.0], 1.0), [25, 50], 5_000, seed=62, workers=3)
     assert [r.p_hat for r in a.estimates] == [r.p_hat for r in b.estimates]
 
 

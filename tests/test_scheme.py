@@ -9,8 +9,7 @@ from ldscheme.scheme import (
     DualMeasure,
     SchemeRun,
     Trajectory,
-    basis_phi,
-    coupled_perturbation_gap,
+    _euler_steps,
     coupled_perturbation_gaps,
     dual_pairing,
     eval_path,
@@ -20,11 +19,9 @@ from ldscheme.scheme import (
     modulus,
     phi_limit,
     phi_n,
-    replica_rng,
     resample,
     save_trajectory,
     simulate,
-    simulate_batch,
 )
 
 
@@ -46,15 +43,16 @@ def test_trajectory_validation():
 
 
 def test_basis_phi_ramp():
-    # ramp i covers ((i-1)/n, i/n] and saturates afterwards
-    assert basis_phi(4, 2, 0.25) == 0.0
-    assert basis_phi(4, 2, 0.375) == pytest.approx(0.5)
-    assert basis_phi(4, 2, 0.5) == 1.0
-    assert basis_phi(4, 2, 1.0) == 1.0
-    with pytest.raises(ValueError):
-        basis_phi(4, 0, 0.5)
-    with pytest.raises(ValueError):
-        basis_phi(4, 5, 0.5)
+    # a unit atom at t reads off phi_{n,i}(t) in row i-1: ramp i covers
+    # ((i-1)/n, i/n] and saturates afterwards
+    def phi(n, i, t):
+        return DualMeasure.point_mass(t, 1.0).basis_integrals(n)[i - 1, 0]
+
+    assert phi(4, 2, 0.25) == 0.0
+    assert phi(4, 2, 0.375) == pytest.approx(0.5)
+    assert phi(4, 2, 0.5) == 1.0
+    assert phi(4, 2, 1.0) == 1.0
+    assert np.array_equal(DualMeasure.point_mass(0.375, 1.0).basis_integrals(4)[:, 0], [1.0, 0.5, 0.0, 0.0])
 
 
 def test_eval_path_reproduces_every_knot():
@@ -140,7 +138,7 @@ def test_basis_integrals_against_direct_sum():
     n = 5
     out = lam.basis_integrals(n)
     for i in range(1, n + 1):
-        direct = sum(w[0] * basis_phi(n, i, t) for t, w in zip(lam.times, lam.weights))
+        direct = sum(w[0] * min(max(n * t - (i - 1), 0.0), 1.0) for t, w in zip(lam.times, lam.weights))
         assert out[i - 1, 0] == pytest.approx(direct, abs=1e-14)
 
 
@@ -159,7 +157,7 @@ def test_draw_discipline_interleaves_model_and_smoothing_noise():
     m = preset_model("gaussian-free")
     n, seed = 12, 99
     for a in [0.0, 0.5]:
-        rng = replica_rng(seed, 0)
+        rng = default_rng([seed, 0])
         state = np.zeros(1)
         expect = [state.copy()]
         for _ in range(n):
@@ -177,7 +175,7 @@ def test_smoothing_changes_path_but_shares_model_draws():
     t1 = simulate(SchemeRun(model=m, x=[0.0], n=20, a=0.5, seed=1))
     assert not np.array_equal(t0.knots, t1.knots)
     # shared draws mean the gap is the smoothing term alone: replay g
-    rng = replica_rng(1, 0)
+    rng = default_rng([1, 0])
     gs = []
     for _ in range(20):
         m.base.sample(rng, 1)
@@ -186,15 +184,31 @@ def test_smoothing_changes_path_but_shares_model_draws():
     assert np.allclose(gap[1:], 0.5 / 20 * np.cumsum(gs, axis=0), atol=1e-15)
 
 
-def test_simulate_batch_first_replica_matches_scalar():
+def _stepper_knots(m, x, n, a, rows, rng):
+    knots = [np.broadcast_to(np.asarray(x, dtype=np.float64), (rows, m.dim))]
+    for k, prev, inc, state in _euler_steps(m, np.asarray(x, dtype=np.float64), n, a, rng, rows):
+        assert np.array_equal(prev, knots[-1])
+        assert np.array_equal(state, prev + inc / n)
+        knots.append(state)
+    return np.stack(knots, axis=1)
+
+
+def test_euler_steps_one_row_matches_simulate():
     m = preset_model("gaussian-ou")
-    out = simulate_batch(m, [1.0], 25, 0.5, 1, replica_rng(6, 0))
-    ref = simulate(SchemeRun(model=m, x=[1.0], n=25, a=0.5, seed=6), rng=replica_rng(6, 0))
+    out = _stepper_knots(m, [1.0], 25, 0.5, 1, default_rng([6, 0]))
+    ref = simulate(SchemeRun(model=m, x=[1.0], n=25, a=0.5, seed=6), rng=default_rng([6, 0]))
     assert np.array_equal(out[0], ref.knots)
-    big = simulate_batch(m, [1.0], 25, 0.5, 7, replica_rng(6, 0))
+    big = _stepper_knots(m, [1.0], 25, 0.5, 7, default_rng([6, 0]))
     assert big.shape == (7, 26, 1)
-    again = simulate_batch(m, [1.0], 25, 0.5, 7, replica_rng(6, 0))
+    again = _stepper_knots(m, [1.0], 25, 0.5, 7, default_rng([6, 0]))
     assert np.array_equal(big, again)
+    # replay by hand: each step draws the model noise of all rows, then the smoothing noise of all rows
+    rng = default_rng([6, 0])
+    state = np.ones((7, 1))
+    for k in range(1, 26):
+        f = m.drift(state) + m.base.sample(rng, state.shape) @ m.sigma_matrix.T
+        state = state + (f + 0.5 * rng.standard_normal(state.shape)) / 25
+        assert np.array_equal(big[:, k], state)
 
 
 def test_simulate_blowup_raises_with_step():
@@ -283,10 +297,11 @@ def test_coupling_gap_linear_in_amplitude_for_linear_drift():
     assert np.allclose(g1, 2.0 * g2, rtol=1e-9)
 
 
-def test_coupling_gap_scalar_wrapper():
+def test_coupling_gap_single_realization():
     m = preset_model("gaussian-ou")
-    gap, bound = coupled_perturbation_gap(m, [1.0], 30, 0.5, seed=2)
-    assert 0 < gap <= bound
+    gaps, bounds = coupled_perturbation_gaps(m, [1.0], 30, 0.5, seed=2)
+    assert gaps.shape == bounds.shape == (1,)
+    assert 0 < gaps[0] <= bounds[0]
 
 
 def test_coupling_rejects_non_affine():
