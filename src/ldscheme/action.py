@@ -12,11 +12,12 @@ pass prices every node of every segment with a single batched conjugate
 solve (conjugate.fenchel_rows).  The cost vanishes exactly on the solution
 of the mean flow f' = cgf_grad(f, 0), which is what limit_ode integrates.
 
-minimize_action searches over the interior knots (plus the terminal knot,
-projected, for half-space targets) with BFGS descent.  Gradients come from
-the envelope identities: d conj/d z at the maximizer alpha* is alpha*
-itself, and d conj/d y is -grad_y cgf_a(y, alpha*), taken in the same pass
-as central differences of cgf_rows over all nodes at once.
+minimize_action hands the interior knots (plus, for a half-space target,
+the terminal knot in a frame whose first axis is the normal, so that the
+constraint is one bound) to scipy's L-BFGS-B.  Gradients come from the
+envelope identities: d conj/d z at the maximizer alpha* is alpha* itself,
+and d conj/d y is -grad_y cgf_a(y, alpha*), taken in the same pass as
+central differences of cgf_rows over all nodes at once.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
+from scipy import optimize
 from scipy.linalg import null_space
 
 from .errors import InfeasibleProblemError, SimulationBlowup
@@ -87,8 +89,6 @@ class MinimizeSettings:
     max_iter: int = 500
     grad_tol: float = 1e-6
     y_fd_step: float = 1e-5
-    armijo: float = 1e-4
-    max_halvings: int = 40
     log_path: Optional[str] = None
 
 
@@ -252,201 +252,116 @@ def limit_ode(model: KernelModel, x, steps: int) -> Trajectory:
     return Trajectory(knots)
 
 
-def _project_terminal(knots, terminal):
-    if isinstance(terminal, TerminalHalfspace):
-        xi, c = terminal.normal, terminal.level
-        viol = c - float(knots[-1] @ xi)
-        if viol > 0.0:
-            knots[-1] = knots[-1] + viol * xi
-    return knots
-
-
-def _projected_grad(g_knots, terminal, knots):
-    """Stationarity residual over the movable knots.
-
-    The start row is reported as is (callers drop it), a point-constrained
-    terminal contributes nothing, and at an active half-space boundary only
-    the tangential part of the terminal gradient counts.
-    """
-    pg = g_knots.copy()
-    if isinstance(terminal, TerminalPoint):
-        pg[-1] = 0.0
-    else:
-        xi, c = terminal.normal, terminal.level
-        slack = float(knots[-1] @ xi) - c
-        if slack <= 1e-9 * (1.0 + abs(c)):
-            gn = float(pg[-1] @ xi)
-            if gn > 0.0:
-                pg[-1] = pg[-1] - gn * xi
-    return pg
-
-
-def _null_basis(xi: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to xi, shape (d, d-1)."""
-    d = len(xi)
-    if d == 1:
-        return np.zeros((1, 0))
-    return null_space(xi[None, :])
-
-
 def minimize_action(problem: ActionProblem) -> MinimizeResult:
     """Minimize the path cost over knots subject to the terminal constraint.
 
-    BFGS over the free knots, initialized at the straight line to the
-    target (its nearest boundary point for a half-space).  The half-space
-    constraint is handled by an active set: while the terminal sits on the
-    boundary with a positive multiplier it is pinned there and only its
-    tangential coordinates stay free; the BFGS memory is reset whenever the
-    active set flips or a trial step had to be projected back to the
-    feasible side.  Segments priced at +inf during the search are replaced
-    by a large finite barrier so backtracking can step back into the
-    finite domain.  The returned result certifies stationarity through the
-    projected gradient norm.
+    One scipy L-BFGS-B run over the free coordinates, started at the
+    straight line to the target (its foot on a half-space).  The free
+    coordinates are the interior knots and, for a half-space, the terminal
+    knot w in the orthonormal frame [normal, null_space(normal)], where the
+    constraint is the single bound w_0 >= level.  Each evaluation is one
+    quadrature pass with the envelope gradient; a pass with a divergent
+    segment is priced at BARRIER with a zero gradient, so the line search
+    steps back into the finite domain.
+
+    `converged` certifies stationarity: the 2-norm of the projected gradient
+    (the KKT residual; the bound component is dropped while the terminal
+    sits on the boundary and the gradient points outward) is at most
+    grad_tol at the returned knots.  Each log row is (iter, value,
+    grad_norm, step), where step is the length of the accepted move in free
+    coordinates (0 on the row for iteration 0).  An uncertified stop adds
+    scipy's stop message to `warnings`.
     """
     model, x, terminal = problem.model, problem.x, problem.terminal
     m, a, settings = problem.m, problem.a, problem.settings
     d = model.dim
-    m_seg = m - 1
+    n_int = (m - 2) * d
 
     if isinstance(terminal, TerminalPoint):
         target = kernel._as_vector(terminal.point, d, "terminal.point")
-        init = straight_line(x, target, m)
-        free_terminal = False
-        xi = c = tangent = None
+        frame = None
+        v0 = straight_line(x, target, m).knots[1:-1].ravel()
     else:
         xi, c = terminal.normal, terminal.level
-        tangent = _null_basis(xi)
-        foot = x + max(0.0, c - float(x @ xi)) * xi
-        init = straight_line(x, foot, m)
-        free_terminal = True
+        frame = np.column_stack([xi, null_space(xi[None, :])])
+        w_end = frame.T @ x
+        w_end[0] = max(float(x @ xi), c)
+        v0 = np.concatenate([straight_line(x, frame @ w_end, m).knots[1:-1].ravel(), w_end])
+    nfree = len(v0)
 
-    start_val = action(model, x, a, init, settings)
-    if not np.isfinite(start_val.value):
-        raise InfeasibleProblemError(
-            "straight-line candidate has infinite cost"
-            + (f" ({start_val.reason})" if start_val.reason else "")
-        )
-
-    knots = init.knots.copy()
-    knots_template = knots.copy()
-    n_int = (m_seg - 1) * d
-
-    def pack(kn, active):
-        parts = [kn[1:m_seg].ravel()]
-        if free_terminal:
-            parts.append(tangent.T @ kn[m_seg] if active else kn[m_seg])
-        return np.concatenate(parts)
-
-    def pack_grad(g_kn, active):
-        parts = [g_kn[1:m_seg].ravel()]
-        if free_terminal:
-            parts.append(tangent.T @ g_kn[m_seg] if active else g_kn[m_seg])
-        return np.concatenate(parts)
-
-    def unpack(vec, active):
-        kn = knots_template.copy()
-        kn[1:m_seg] = vec[:n_int].reshape(m_seg - 1, d)
-        if free_terminal:
-            kn[m_seg] = c * xi + tangent @ vec[n_int:] if active else vec[n_int:]
+    def knots_of(v):
+        kn = np.empty((m, d))
+        kn[0] = x
+        kn[1:-1] = v[:n_int].reshape(m - 2, d)
+        kn[-1] = target if frame is None else frame @ v[n_int:]
         return kn
 
-    def want_active(kn, g_kn):
-        if not free_terminal:
-            return False
-        slack = float(kn[m_seg] @ xi) - c
-        return slack <= 1e-9 * (1.0 + abs(c)) and float(g_kn[m_seg] @ xi) > 0.0
+    last = {}
 
-    def evaluate(kn):
-        seg, grad, divergent, warn = _quadrature_pass(model, a, kn, settings, need_grad=True)
-        if divergent:
-            return BARRIER, None, warn
-        return float(np.sum(seg)), grad, warn
+    def evaluate(v):
+        """One quadrature pass at v, memoized so the callback reuses it."""
+        if last.get("v") is None or not np.array_equal(last["v"], v):
+            seg, grad, divergent, warn = _quadrature_pass(model, a, knots_of(v), settings, need_grad=True)
+            if divergent:
+                f, g = BARRIER, np.zeros(nfree)
+            else:
+                f = float(np.sum(seg))
+                g = grad[1:-1].ravel() if frame is None else np.concatenate([grad[1:-1].ravel(), frame.T @ grad[-1]])
+            last.update(v=v.copy(), f=f, g=g, seg=seg, divergent=divergent, warn=warn)
+        return last
+
+    def residual():
+        """KKT residual at the last evaluation."""
+        pg = last["g"].copy()
+        if frame is not None and last["v"][n_int] - c <= 1e-9 * (1.0 + abs(c)) and pg[n_int] > 0.0:
+            pg[n_int] = 0.0
+        return float(np.linalg.norm(pg))
 
     warnings: List[str] = []
     log: List[Tuple[int, float, float, float]] = []
+    accepted = [v0]
 
-    f_cur, g_knots, warn = evaluate(knots)
-    if g_knots is None:
-        raise InfeasibleProblemError("initial candidate priced at the barrier; no finite descent start")
-    if warn:
-        warnings.append(f"conjugate solver hit max-iterations at {len(warn)} node(s)")
-
-    active = want_active(knots, g_knots)
-    v = pack(knots, active)
-    g = pack_grad(g_knots, active)
-    nfree = len(v)
-    h_inv = np.eye(nfree)
-    converged = False
-    it = 0
-    pg_norm = float(np.linalg.norm(_projected_grad(g_knots, terminal, knots)[1:]))
-    log.append((0, f_cur, pg_norm, 0.0))
-
-    if nfree == 0:
-        final = action(model, x, a, Trajectory(knots), settings)
-        return MinimizeResult(Trajectory(knots), final, True, pg_norm, 0, warnings, log)
-
-    for it in range(1, settings.max_iter + 1):
-        if pg_norm <= settings.grad_tol:
-            converged = True
-            break
-        p = -h_inv @ g
-        if float(p @ g) >= 0.0:
-            p = -g
-        step = 1.0
-        accepted = False
-        projected = False
-        for _ in range(settings.max_halvings):
-            raw_knots = unpack(v + step * p, active)
-            cand_knots = _project_terminal(raw_knots.copy(), terminal)
-            projected = bool(np.any(cand_knots[m_seg] != raw_knots[m_seg])) if free_terminal else False
-            move = pack(cand_knots, active) - v
-            if float(np.linalg.norm(move)) == 0.0:
-                break
-            f_new, g_new_knots, warn = evaluate(cand_knots)
-            decrease_ref = settings.armijo * float(g @ move)
-            if g_new_knots is not None and f_new <= f_cur + min(decrease_ref, 0.0):
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            warnings.append(f"line search stalled at iteration {it}")
-            break
+    def record(v):
+        warn = evaluate(v)["warn"]
         if warn:
             warnings.append(f"conjugate solver hit max-iterations at {len(warn)} node(s)")
-        new_active = want_active(cand_knots, g_new_knots)
-        if new_active == active and not projected:
-            cand_v = pack(cand_knots, active)
-            g_new = pack_grad(g_new_knots, active)
-            s_vec = cand_v - v
-            y_vec = g_new - g
-            sy = float(s_vec @ y_vec)
-            if sy > 1e-12 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
-                rho = 1.0 / sy
-                outer = np.outer(s_vec, y_vec)
-                h_inv = (np.eye(nfree) - rho * outer) @ h_inv @ (np.eye(nfree) - rho * outer.T)
-                h_inv += rho * np.outer(s_vec, s_vec)
-            v, g = cand_v, g_new
-        else:
-            active = new_active
-            v = pack(cand_knots, active)
-            g = pack_grad(g_new_knots, active)
-            nfree = len(v)
-            h_inv = np.eye(nfree)
-        f_cur, knots, g_knots = f_new, cand_knots, g_new_knots
-        pg_norm = float(np.linalg.norm(_projected_grad(g_knots, terminal, knots)[1:]))
-        log.append((it, f_cur, pg_norm, step))
-    else:
-        it = settings.max_iter
+        log.append((len(log), last["f"], residual(), float(np.linalg.norm(v - accepted[-1]))))
+        accepted.append(last["v"])
 
-    if pg_norm <= settings.grad_tol:
-        converged = True
+    if evaluate(v0)["divergent"]:
+        raise InfeasibleProblemError(
+            f"straight-line candidate has infinite cost (divergent segment {last['divergent'][0]})"
+        )
+    record(v0)
+    it, message = 0, "no free coordinates"
+    if nfree:
+        res = optimize.minimize(
+            lambda v: (evaluate(v)["f"], last["g"].copy()),
+            v0,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=None if frame is None else [(c, None) if i == n_int else (None, None) for i in range(nfree)],
+            callback=record,
+            options={
+                "maxiter": settings.max_iter,
+                "maxcor": nfree,
+                "gtol": settings.grad_tol / np.sqrt(nfree),
+                "ftol": 0.0,
+            },
+        )
+        it, message = res.nit, res.message
+        evaluate(res.x)
+    grad_norm = residual()
+    converged = grad_norm <= settings.grad_tol
+    if not converged:
+        warnings.append(f"stopped without a stationarity certificate: {message}")
 
-    traj = Trajectory(knots)
-    final = action(model, x, a, traj, settings)
+    value = np.inf if last["divergent"] else last["f"]
+    final = ActionValue(value, last["seg"], True, last["divergent"], last["warn"])
     if settings.log_path:
         with open(settings.log_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iter", "value", "grad_norm", "step"])
             for row in log:
                 writer.writerow([row[0]] + [repr(float(val)) for val in row[1:]])
-    return MinimizeResult(traj, final, converged, pg_norm, it, warnings, log)
+    return MinimizeResult(Trajectory(knots_of(last["v"])), final, converged, grad_norm, it, warnings, log)

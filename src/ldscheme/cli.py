@@ -260,8 +260,6 @@ def _minimize_settings_from(c: _Conf) -> MinimizeSettings:
         max_iter=s.take("max_iter", _as_int, 500),
         grad_tol=s.take("grad_tol", _as_float, 1e-6),
         y_fd_step=s.take("y_fd_step", _as_float, 1e-5),
-        armijo=s.take("armijo", _as_float, 1e-4),
-        max_halvings=s.take("max_halvings", _as_int, 40),
     )
     s.close()
     return settings

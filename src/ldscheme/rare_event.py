@@ -210,12 +210,14 @@ def _hit_rows(model, x, n, a, event, rng, size) -> np.ndarray:
     ref_lattice, per_step = _deviation_grid(_resolve_reference(event, model, x, n), n)
     dev = np.linalg.norm(np.broadcast_to(x, (size, model.dim)) - ref_lattice[0], axis=1)
     for k, prev, _, state in steps:
-        extras = per_step[k]
-        if extras is not None:
-            fracs, refs = extras
-            vals = prev[:, None, :] + fracs[None, :, None] * (state - prev)[:, None, :]
-            dev = np.maximum(dev, np.linalg.norm(vals - refs[None, :, :], axis=2).max(axis=1))
-        dev = np.maximum(dev, np.linalg.norm(state - ref_lattice[k], axis=1))
+        # a finite state too large to square has an inf deviation, which is a hit
+        with np.errstate(over="ignore"):
+            extras = per_step[k]
+            if extras is not None:
+                fracs, refs = extras
+                vals = prev[:, None, :] + fracs[None, :, None] * (state - prev)[:, None, :]
+                dev = np.maximum(dev, np.linalg.norm(vals - refs[None, :, :], axis=2).max(axis=1))
+            dev = np.maximum(dev, np.linalg.norm(state - ref_lattice[k], axis=1))
     return dev >= event.epsilon
 
 
@@ -253,8 +255,8 @@ def mc_probability(model: KernelModel, x, n: int, a, event: EventSpec, samples: 
 def _require_tiltable(model: KernelModel):
     if not (isinstance(model, AffineNoiseModel) and model.base.kind == "gaussian"):
         raise ValueError("tilted estimation requires an affine model with Gaussian base noise")
-    if model.sigma_matrix is None or not model.drift_broadcasts:
-        raise ValueError("tilted estimation requires a constant sigma and batch-capable drift")
+    if model.sigma_matrix is None:
+        raise ValueError("tilted estimation requires a constant sigma")
 
 
 def _tilt_plan(model, x, event: TerminalHalfspace, minimize_knots: int):

@@ -13,6 +13,7 @@ from scipy.stats import norm
 
 from ldscheme.action import (
     ActionProblem,
+    MinimizeSettings,
     TerminalHalfspace,
     TerminalPoint,
     action,
@@ -147,6 +148,7 @@ def test_acceptance_5_minimum_action():
     model = preset_model("gaussian-free")
     res = minimize_action(ActionProblem(model=model, x=[0.0], terminal=TerminalPoint([1.0]), m=21))
     assert res.converged
+    assert res.grad_norm <= MinimizeSettings().grad_tol
     line = straight_line(np.zeros(1), np.ones(1), 21)
     ts = np.linspace(0.0, 1.0, 201)
     dev = float(np.max(np.abs(eval_path_many(res.trajectory, ts) - eval_path_many(line, ts))))
@@ -157,6 +159,7 @@ def test_acceptance_5_minimum_action():
         ActionProblem(model=model, x=[0.0], terminal=TerminalHalfspace([1.0], 2.0), m=21)
     )
     assert half.converged
+    assert half.grad_norm <= MinimizeSettings().grad_tol
     assert half.action.value == pytest.approx(2.0, abs=1e-2)
     dom = dominating_point_halfspace(model, np.zeros(1), np.array([1.0]), 2.0)
     assert abs(half.action.value - dom.level) <= 1e-4

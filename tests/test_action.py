@@ -113,10 +113,16 @@ def test_limit_ode_blowup():
         limit_ode(m, [1e8], steps=16)
 
 
+def _assert_certificate(res, settings=MinimizeSettings()):
+    # converged must mean the KKT residual at the returned knots is within grad_tol
+    assert not res.converged or res.grad_norm <= settings.grad_tol
+
+
 def test_minimize_point_free_gaussian():
     m = preset_model("gaussian-free")
     res = minimize_action(ActionProblem(model=m, x=[0.0], terminal=TerminalPoint([1.0]), m=21))
     assert res.converged
+    _assert_certificate(res)
     assert res.action.value == pytest.approx(0.5, abs=1e-6)
     line = straight_line([0.0], [1.0], 21)
     assert np.max(np.abs(res.trajectory.knots - line.knots)) < 1e-4
@@ -127,6 +133,7 @@ def test_minimize_point_ou_closed_form():
     res = minimize_action(ActionProblem(model=m, x=[1.0], terminal=TerminalPoint([0.8]), m=21))
     expect = (0.8 - np.exp(-1.0)) ** 2 / (1.0 - np.exp(-2.0))
     assert res.converged
+    _assert_certificate(res)
     assert res.action.value == pytest.approx(expect, rel=2e-3)
 
 
@@ -134,6 +141,7 @@ def test_minimize_halfspace_free_gaussian():
     m = preset_model("gaussian-free")
     res = minimize_action(ActionProblem(model=m, x=[0.0], terminal=TerminalHalfspace([1.0], 2.0), m=15))
     assert res.converged
+    _assert_certificate(res)
     assert res.action.value == pytest.approx(2.0, abs=1e-8)
     assert res.trajectory.knots[-1, 0] == pytest.approx(2.0, abs=1e-8)
 
@@ -143,6 +151,7 @@ def test_minimize_halfspace_ou():
     res = minimize_action(ActionProblem(model=m, x=[0.0], terminal=TerminalHalfspace([1.0], 0.8), m=21))
     expect = 0.8**2 / (1.0 - np.exp(-2.0))
     assert res.converged
+    _assert_certificate(res)
     assert res.action.value == pytest.approx(expect, rel=2e-3)
     assert res.trajectory.knots[-1, 0] == pytest.approx(0.8, abs=1e-8)
 
@@ -152,6 +161,7 @@ def test_minimize_halfspace_inactive_constraint():
     # free flow from 1 ends at e^{-1} = 0.368, inside the target set
     res = minimize_action(ActionProblem(model=m, x=[1.0], terminal=TerminalHalfspace([1.0], 0.2), m=15))
     assert res.converged
+    _assert_certificate(res)
     assert res.action.value < 1e-3
     assert res.trajectory.knots[-1, 0] == pytest.approx(np.exp(-1.0), abs=5e-3)
 
@@ -162,6 +172,7 @@ def test_minimize_halfspace_2d():
         ActionProblem(model=m, x=[0.0, 0.0], terminal=TerminalHalfspace([1.0, 1.0], 2.0), m=9)
     )
     assert res.converged
+    _assert_certificate(res)
     assert res.action.value == pytest.approx(1.0, abs=1e-8)
     assert np.allclose(res.trajectory.knots[-1], [1.0, 1.0], atol=1e-6)
 
@@ -171,6 +182,7 @@ def test_minimize_bernoulli_halfspace_entropy_rate():
     res = minimize_action(ActionProblem(model=m, x=[0.0], terminal=TerminalHalfspace([1.0], 0.6), m=13))
     expect = bernoulli_base(0.3).conjugate(np.array([0.6]))
     assert res.converged
+    _assert_certificate(res)
     assert res.action.value == pytest.approx(expect, rel=1e-4)
 
 
@@ -208,6 +220,8 @@ def test_minimize_smoothing_lowers_value():
     r1 = minimize_action(ActionProblem(model=m, x=[0.0], terminal=TerminalPoint([1.0]), m=11, a=1.0))
     assert r1.action.value == pytest.approx(0.25, abs=1e-6)
     assert r1.action.value < r0.action.value
+    _assert_certificate(r0)
+    _assert_certificate(r1)
 
 
 def test_minimize_writes_log(tmp_path):
@@ -218,6 +232,7 @@ def test_minimize_writes_log(tmp_path):
         ActionProblem(model=m, x=[1.0], terminal=TerminalPoint([0.8]), m=9, settings=settings)
     )
     assert res.converged
+    _assert_certificate(res)
     with open(log_file) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["iter", "value", "grad_norm", "step"]
@@ -231,6 +246,7 @@ def test_minimize_log_values_decrease():
     res = minimize_action(ActionProblem(model=m, x=[1.0], terminal=TerminalPoint([0.5]), m=11))
     vals = [row[1] for row in res.log]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+    _assert_certificate(res)
 
 
 # linear-Gaussian oracle: for F(y) = A y + Z, Z ~ N(0, I), the cheapest path
@@ -255,6 +271,7 @@ def test_minimize_point_2d_gramian_oracle():
     assert exact == pytest.approx(0.5059738, abs=1e-7)
     res = minimize_action(ActionProblem(model=_linear_2d_model(), x=[0.0, 0.0], terminal=TerminalPoint(target), m=21))
     assert res.converged
+    _assert_certificate(res)
     assert res.action.value == pytest.approx(exact, rel=2e-4)
 
 
@@ -272,6 +289,49 @@ def test_minimize_halfspace_2d_gramian_oracle():
             settings=MinimizeSettings(max_iter=200),
         )
     )
-    # the value is right, but the minimizer does not certify convergence
-    # here yet, so `converged` is deliberately not asserted
+    assert res.converged
+    _assert_certificate(res)
     assert res.action.value == pytest.approx(exact, abs=2e-4)
+
+
+def test_minimize_max_iter_stop_is_not_converged():
+    res = minimize_action(
+        ActionProblem(
+            model=_linear_2d_model(),
+            x=[0.0, 0.0],
+            terminal=TerminalHalfspace([1.0, 1.0], 1.0),
+            m=21,
+            settings=MinimizeSettings(max_iter=1),
+        )
+    )
+    assert not res.converged
+    assert res.iterations == 1
+    assert res.grad_norm > MinimizeSettings().grad_tol
+    assert any("ITERATIONS REACHED LIMIT" in w for w in res.warnings)
+
+
+GRAMIAN_DRIFTS = [
+    [[-1.0]],
+    [[-1.0, 0.5], [0.0, -1.0]],
+    [[-1.0, 0.5, 0.0], [0.0, -1.0, 0.3], [0.0, 0.0, -0.5]],
+]
+
+
+@pytest.mark.parametrize("kind", ["point", "halfspace"])
+@pytest.mark.parametrize("drift", GRAMIAN_DRIFTS, ids=["d1", "d2", "d3"])
+def test_minimize_gramian_oracle(drift, kind):
+    a_mat = np.array(drift)
+    d = len(a_mat)
+    q = _gramian(a_mat)
+    model = affine_model(d, linear_drift(a_mat), np.eye(d), gaussian_base(), summary=f"linear-{d}d", drift_broadcasts=True)
+    if kind == "point":
+        z = np.array([0.8, -0.5, 0.3])[:d]
+        terminal, exact = TerminalPoint(z), 0.5 * z @ np.linalg.solve(q, z)
+    else:
+        terminal = TerminalHalfspace(np.array([1.0, 2.0, -1.0])[:d], 1.0)
+        xi, c = terminal.normal, terminal.level
+        exact = c * c / (2.0 * xi @ q @ xi)
+    res = minimize_action(ActionProblem(model=model, x=np.zeros(d), terminal=terminal, m=21))
+    assert res.converged
+    _assert_certificate(res)
+    assert res.action.value == pytest.approx(exact, rel=2e-4)

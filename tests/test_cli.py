@@ -164,7 +164,14 @@ def test_minimize_point_settings_override(tmp_path):
     assert code == 0
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert resolved["settings"]["max_iter"] == 200
-    assert resolved["settings"]["armijo"] == pytest.approx(1e-4)
+    assert resolved["settings"] == {"max_iter": 200, "grad_tol": pytest.approx(1e-5), "y_fd_step": pytest.approx(1e-5)}
+
+
+@pytest.mark.parametrize("key", ["armijo", "max_halvings"])
+def test_minimize_rejects_line_search_settings(tmp_path, key):
+    cfg = {"model": OU, "x": [1.0], "m": 9, "terminal": {"kind": "point", "point": [0.0]}, "settings": {key: 1}}
+    code, _ = _run(tmp_path, "minimize", cfg)
+    assert code == 2
 
 
 def test_estimate_naive_report_keys(tmp_path):

@@ -5,7 +5,7 @@ from scipy.stats import norm
 
 from ldscheme.action import TerminalHalfspace
 from ldscheme.errors import SimulationBlowup
-from ldscheme.kernel import KernelModel, affine_model, gaussian_base, logistic_drift, preset_model
+from ldscheme.kernel import KernelModel, affine_model, gaussian_base, linear_drift, logistic_drift, preset_model
 from ldscheme.rare_event import (
     BallEvent,
     CHUNK_SIZE,
@@ -103,6 +103,7 @@ def test_naive_mc_loop_fallback_agrees_with_batch():
     assert fast.p_hat == slow.p_hat
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("run", ["halfspace", "ball", "martingale", "ode"])
 def test_blowup_raises_on_every_path(run):
     # from x = -5 the logistic scheme leaves the finite range at step 14 of
@@ -242,6 +243,17 @@ def test_tilted_ou_benchmark_unbiased():
     assert naive.p_hat >= 1e-3
     joint = np.hypot(naive.stderr, tilt.stderr)
     assert abs(naive.p_hat - tilt.p_hat) < 4 * joint
+
+
+def test_tilted_estimate_without_broadcasting_drift_matches_preset():
+    # the tilted fold evaluates drift through kernel.drift_rows, which loops
+    # over rows when the drift does not broadcast; the estimate is unchanged
+    looped = affine_model(1, linear_drift([[-1.0]]), 1.0, gaussian_base(), summary="ou-loop", drift_broadcasts=False)
+    ev = TerminalHalfspace([1.0], 0.8)
+    ref = tilted_mc_probability(preset_model("gaussian-ou"), [0.0], 50, ev, 4_000, seed=7)
+    rep = tilted_mc_probability(looped, [0.0], 50, ev, 4_000, seed=7)
+    assert rep.p_hat == ref.p_hat
+    assert rep.stderr == ref.stderr
 
 
 def test_tilted_rejects_event_covering_mean():
