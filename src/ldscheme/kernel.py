@@ -165,11 +165,11 @@ class KernelModel:
 class AffineNoiseModel(KernelModel):
     """Affine increment law F(y) = drift(y) + sigma(y) Z.
 
-    sigma_matrix is set when the diffusion factor is state independent.
+    The row helpers evaluate the affine formula on all rows at once, and
+    the scalar callbacks are their one-row case.  sigma_matrix is set when
+    sigma is state independent; else sigma_fn is called once per row.
     drift_broadcasts=True declares that drift accepts arrays of shape
-    (..., d); with a constant sigma it lets the cumulant row helpers
-    vectorize over rows.  Simulation draws the base noise for all rows at
-    once for every affine model (sample_rows).
+    (..., d), so it is called once for all rows rather than once per row.
     """
 
     drift: Callable[[np.ndarray], np.ndarray] = None
@@ -212,37 +212,28 @@ def affine_model(
     if sigma_matrix is None:
         sigma_fn = sigma
     else:
-        frozen = sigma_matrix
-
-        def sigma_fn(y, _s=frozen):
+        def sigma_fn(y, _s=sigma_matrix):
             return _s
 
+    # one-row cases of the row helpers; `model` is bound below
     def cgf(y, alpha):
-        s = sigma_fn(y)
-        return float(drift(y) @ alpha + base.logmgf(s.T @ alpha))
+        return float(cgf_rows(model, [y], alpha)[0])
 
     def cgf_grad(y, alpha):
-        s = sigma_fn(y)
-        return drift(y) + s @ base.logmgf_grad(s.T @ alpha)
+        return cgf_grad_rows(model, [y], [alpha])[0]
 
-    if base.logmgf_hess is not None:
-
-        def cgf_hess(y, alpha):
-            s = sigma_fn(y)
-            return s @ base.logmgf_hess(s.T @ alpha) @ s.T
-
-    else:
-        cgf_hess = None
+    def cgf_hess(y, alpha):
+        return cgf_hess_rows(model, [y], [alpha])[0]
 
     def sampler(y, rng):
-        return drift(y) + sigma_fn(y) @ base.sample(rng, (dim,))
+        return sample_rows(model, np.asarray([y], dtype=np.float64), rng)[0]
 
-    return AffineNoiseModel(
+    model = AffineNoiseModel(
         dim=dim,
         sampler=sampler,
         cgf=cgf,
         cgf_grad=cgf_grad,
-        cgf_hess=cgf_hess,
+        cgf_hess=None if base.logmgf_hess is None else cgf_hess,
         summary=summary,
         drift=drift,
         sigma_fn=sigma_fn,
@@ -250,6 +241,7 @@ def affine_model(
         sigma_matrix=sigma_matrix,
         drift_broadcasts=drift_broadcasts,
     )
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +259,6 @@ def cgf_grad(model: KernelModel, y, alpha) -> np.ndarray:
     return np.asarray(model.cgf_grad(y, alpha), dtype=np.float64)
 
 
-def supports_batch(model: KernelModel) -> bool:
-    """True when the cumulant row helpers evaluate all rows in one vectorized call."""
-    return (
-        isinstance(model, AffineNoiseModel)
-        and model.sigma_matrix is not None
-        and model.drift_broadcasts
-    )
-
-
 def drift_rows(model: AffineNoiseModel, ys: np.ndarray) -> np.ndarray:
     """drift evaluated on rows of ys, shape (m, d) -> (m, d)."""
     if model.drift_broadcasts:
@@ -283,20 +266,37 @@ def drift_rows(model: AffineNoiseModel, ys: np.ndarray) -> np.ndarray:
     return np.stack([model.drift(y) for y in ys])
 
 
+def _sigma_rows(model: AffineNoiseModel, ys: np.ndarray) -> np.ndarray:
+    """The constant (d, d) sigma_matrix, else the (m, d, d) stack of sigma_fn(y_i)."""
+    if model.sigma_matrix is not None:
+        return model.sigma_matrix
+    return np.array([model.sigma_fn(y) for y in ys], dtype=np.float64).reshape(-1, model.dim, model.dim)
+
+
+def _sigma_dot(sig: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """sigma_i v_i for rows of vs, with sig from _sigma_rows."""
+    if sig.ndim == 2:
+        return vs @ sig.T
+    return np.matmul(sig, vs[:, :, None])[:, :, 0]
+
+
+def _sigma_t_dot(sig: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """sigma_i^T alpha_i for rows of alphas, or for one (d,) alpha shared by every row."""
+    if sig.ndim == 2:
+        return alphas @ sig
+    return np.matmul(alphas[..., None, :], sig)[..., 0, :]
+
+
 def _affine_rows(model: AffineNoiseModel, ys: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Increments drift(y_i) + sigma(y_i) z_i for paired rows of states and base draws."""
-    if model.sigma_matrix is not None:
-        return drift_rows(model, ys) + zs @ model.sigma_matrix.T
-    sigmas = np.stack([model.sigma_fn(y) for y in ys])
-    return drift_rows(model, ys) + np.matmul(sigmas, zs[:, :, None])[:, :, 0]
+    return drift_rows(model, ys) + _sigma_dot(_sigma_rows(model, ys), zs)
 
 
 def sample_rows(model: KernelModel, ys: np.ndarray, rng: Generator) -> np.ndarray:
     """One increment draw at each row of ys, shape (m, d) -> (m, d).
 
-    Affine models take a single base draw of shape (m, d) and evaluate
-    sigma per row only when it is a callable; other models call
-    model.sampler row by row, in row order.
+    Affine models take a single base draw of shape (m, d); other models
+    call model.sampler row by row, in row order.
     """
     if isinstance(model, AffineNoiseModel):
         return _affine_rows(model, ys, model.base.sample(rng, ys.shape))
@@ -304,17 +304,16 @@ def sample_rows(model: KernelModel, ys: np.ndarray, rng: Generator) -> np.ndarra
 
 
 def cgf_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """cgf(y_i, alpha_i) for paired rows, vectorized when the model allows.
+    """cgf(y_i, alpha_i) for paired rows, shape (m,).
 
     alphas may also be one (d,) vector shared by every row of ys.
     """
     ys = np.asarray(ys, dtype=np.float64)
     alphas = np.asarray(alphas, dtype=np.float64)
-    if supports_batch(model):
+    if isinstance(model, AffineNoiseModel):
         bs = drift_rows(model, ys)
-        if alphas.ndim == 1:
-            return bs @ alphas + model.base.logmgf(alphas @ model.sigma_matrix)
-        return np.einsum("ij,ij->i", bs, alphas) + model.base.logmgf(alphas @ model.sigma_matrix)
+        drift_term = bs @ alphas if alphas.ndim == 1 else np.einsum("ij,ij->i", bs, alphas)
+        return drift_term + model.base.logmgf(_sigma_t_dot(_sigma_rows(model, ys), alphas))
     return np.array([model.cgf(y, al) for y, al in zip(ys, np.broadcast_to(alphas, ys.shape))])
 
 
@@ -322,9 +321,9 @@ def cgf_grad_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray) -> np.
     """cgf_grad(y_i, alpha_i) for paired rows, shape (m, d)."""
     ys = np.asarray(ys, dtype=np.float64)
     alphas = np.asarray(alphas, dtype=np.float64)
-    if supports_batch(model):
-        s = model.sigma_matrix
-        return drift_rows(model, ys) + model.base.logmgf_grad(alphas @ s) @ s.T
+    if isinstance(model, AffineNoiseModel):
+        sig = _sigma_rows(model, ys)
+        return drift_rows(model, ys) + _sigma_dot(sig, model.base.logmgf_grad(_sigma_t_dot(sig, alphas)))
     return np.array([model.cgf_grad(y, al) for y, al in zip(ys, alphas)], dtype=np.float64).reshape(alphas.shape)
 
 
@@ -344,9 +343,9 @@ def cgf_hess_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray, fd_ste
             e[j] = fd_step
             h[:, :, j] = (cgf_grad_rows(model, ys, alphas + e) - cgf_grad_rows(model, ys, alphas - e)) / (2.0 * fd_step)
         return 0.5 * (h + h.transpose(0, 2, 1))
-    if supports_batch(model):
-        s = model.sigma_matrix
-        return s @ model.base.logmgf_hess(alphas @ s) @ s.T
+    if isinstance(model, AffineNoiseModel):
+        sig = _sigma_rows(model, ys)
+        return sig @ model.base.logmgf_hess(_sigma_t_dot(sig, alphas)) @ np.swapaxes(sig, -1, -2)
     return np.array([model.cgf_hess(y, al) for y, al in zip(ys, alphas)], dtype=np.float64).reshape(m, d, d)
 
 

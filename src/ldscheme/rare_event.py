@@ -27,7 +27,7 @@ blocks.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -107,18 +107,7 @@ class EstimateReport:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "event": self.event,
-            "n": self.n,
-            "samples": self.samples,
-            "p_hat": self.p_hat,
-            "stderr": self.stderr,
-            "empirical_rate": self.empirical_rate,
-            "predicted_rate": self.predicted_rate,
-            "method": self.method,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -131,14 +120,7 @@ class MartingaleCheck:
     variation: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "n": self.n,
-            "a": self.a,
-            "variation": self.variation,
-        }
+        return asdict(self)
 
 
 def _chunk_sizes(samples: int) -> List[int]:
@@ -415,16 +397,7 @@ class RateReport:
     minimize_converged: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "event": self.event,
-            "n_grid": self.n_grid,
-            "estimates": [r.to_json_dict() for r in self.estimates],
-            "predicted_rate": self.predicted_rate,
-            "rel_gaps": self.rel_gaps,
-            "trend_violations": self.trend_violations,
-            "minimize_converged": self.minimize_converged,
-        }
+        return asdict(self)
 
 
 def verify_rate(
@@ -503,16 +476,7 @@ class OdeReport:
     censored: List[int]
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "epsilon": self.epsilon,
-            "n_grid": self.n_grid,
-            "rows": self.rows,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "monotone_ok": self.monotone_ok,
-            "censored": self.censored,
-        }
+        return asdict(self)
 
 
 def verify_ode_convergence(

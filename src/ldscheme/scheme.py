@@ -89,23 +89,12 @@ class Trajectory:
 
 
 def eval_path(traj: Trajectory, t: float) -> np.ndarray:
-    """Evaluate the path at t in [0, 1]; knot times reproduce knots exactly."""
-    if t < 0.0 or t > 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    n = traj.n
-    kf = t * n
-    k = min(int(np.floor(kf)), n - 1)
-    theta = kf - k
-    # snap to the lattice so t = k/n returns the knot bit for bit
-    if theta < _SNAP:
-        return traj.knots[k].copy()
-    if theta > 1.0 - _SNAP:
-        return traj.knots[k + 1].copy()
-    return (1.0 - theta) * traj.knots[k] + theta * traj.knots[k + 1]
+    """Evaluate the path at t in [0, 1]: eval_path_many on one time."""
+    return eval_path_many(traj, np.array([t]))[0]
 
 
 def eval_path_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
-    """Vectorized eval_path over an array of times, shape (m,) -> (m, d)."""
+    """Evaluate the path at times in [0, 1], shape (m,) -> (m, d); knot times reproduce knots exactly."""
     ts = np.asarray(ts, dtype=np.float64)
     if np.any(ts < 0.0) or np.any(ts > 1.0):
         raise ValueError("all times must lie in [0, 1]")
@@ -113,6 +102,7 @@ def eval_path_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
     kf = ts * n
     k = np.minimum(np.floor(kf).astype(np.int64), n - 1)
     theta = kf - k
+    # snap to the lattice so t = k/n returns the knot bit for bit
     theta = np.where(theta < _SNAP, 0.0, theta)
     theta = np.where(theta > 1.0 - _SNAP, 1.0, theta)
     return (1.0 - theta)[:, None] * traj.knots[k] + theta[:, None] * traj.knots[k + 1]

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.random import default_rng
 
 from ldscheme import kernel
+from ldscheme.conjugate import fenchel_rows
 from ldscheme.kernel import (
     KernelModel,
     ModelConfigError,
@@ -18,7 +21,6 @@ from ldscheme.kernel import (
     model_from_config,
     perturbation_amplitude,
     preset_model,
-    supports_batch,
     zero_drift,
 )
 
@@ -103,11 +105,10 @@ def test_affine_cgf_matrix_sigma():
     assert np.allclose(m.cgf_hess(np.zeros(2), alpha), s @ s.T, atol=1e-13)
 
 
-def test_state_dependent_sigma_disables_batch():
+def test_state_dependent_sigma_cgf_closed_form():
     m = affine_model(
         1, zero_drift(), lambda y: np.array([[1.0 + y[0] ** 2]]), gaussian_base(), summary="var"
     )
-    assert not supports_batch(m)
     assert cgf(m, np.array([2.0]), np.array([0.1])) == pytest.approx(0.5 * (5.0 * 0.1) ** 2, abs=1e-13)
 
 
@@ -140,8 +141,8 @@ def test_cgf_rows_matches_pointwise():
         rows = kernel.cgf_rows(m, ys, alphas)
         shared = kernel.cgf_rows(m, ys, alphas[0])
         for i in range(8):
-            assert rows[i] == pytest.approx(cgf(m, ys[i], alphas[i]), abs=1e-12)
-            assert shared[i] == pytest.approx(cgf(m, ys[i], alphas[0]), abs=1e-12)
+            assert rows[i] == pytest.approx(_affine_cgf(m, ys[i], alphas[i]), abs=1e-12)
+            assert shared[i] == pytest.approx(_affine_cgf(m, ys[i], alphas[0]), abs=1e-12)
 
 
 def test_logmgf_hess_broadcasts_over_batch():
@@ -155,8 +156,13 @@ def test_logmgf_hess_broadcasts_over_batch():
         assert np.array_equal(stacked, np.diagonal(stacked, axis1=1, axis2=2)[:, :, None] * np.eye(3))
 
 
+def _affine_cgf(m, y, alpha):
+    """b(y).alpha + logmgf(sigma(y)^T alpha), written out from the model's parts."""
+    return m.drift(y) @ alpha + m.base.logmgf(m.sigma_fn(y).T @ alpha)
+
+
 def _callable_sigma_model():
-    # state-dependent sigma: not batch-capable, so the row helpers loop
+    # state-dependent sigma: the row helpers stack sigma_fn(y_i) over the rows
     return affine_model(
         2,
         linear_drift(np.array([[-1.0, 0.5], [0.0, -1.0]])),
@@ -168,18 +174,53 @@ def _callable_sigma_model():
 
 @pytest.mark.parametrize("name", sorted(kernel.PRESETS) + ["callable-sigma"])
 def test_cgf_grad_and_hess_rows_match_pointwise(name):
+    # reference: b + sigma grad_logmgf(sigma^T alpha) and sigma hess_logmgf sigma^T, row by row
     m = _callable_sigma_model() if name == "callable-sigma" else preset_model(name)
-    assert supports_batch(m) == (name != "callable-sigma")
     rng = default_rng(17)
     ys = rng.uniform(-1.0, 1.0, size=(9, m.dim))
     alphas = rng.normal(scale=2.0, size=(9, m.dim))
+    values = kernel.cgf_rows(m, ys, alphas)
+    shared = kernel.cgf_rows(m, ys, alphas[0])
     grads = kernel.cgf_grad_rows(m, ys, alphas)
     hessians = kernel.cgf_hess_rows(m, ys, alphas)
     assert grads.shape == (9, m.dim)
     assert hessians.shape == (9, m.dim, m.dim)
     for i in range(9):
-        assert np.allclose(grads[i], m.cgf_grad(ys[i], alphas[i]), rtol=1e-13, atol=1e-14)
-        assert np.allclose(hessians[i], m.cgf_hess(ys[i], alphas[i]), rtol=1e-13, atol=1e-14)
+        b, s = m.drift(ys[i]), m.sigma_fn(ys[i])
+        u = s.T @ alphas[i]
+        assert values[i] == pytest.approx(_affine_cgf(m, ys[i], alphas[i]), rel=1e-13, abs=1e-14)
+        assert shared[i] == pytest.approx(_affine_cgf(m, ys[i], alphas[0]), rel=1e-13, abs=1e-14)
+        assert np.allclose(grads[i], b + s @ m.base.logmgf_grad(u), rtol=1e-13, atol=1e-14)
+        assert np.allclose(hessians[i], s @ m.base.logmgf_hess(u) @ s.T, rtol=1e-13, atol=1e-14)
+        assert np.array_equal(m.cgf_grad(ys[i], alphas[i]), grads[i])
+        assert np.array_equal(m.cgf_hess(ys[i], alphas[i]), hessians[i])
+
+
+def test_affine_row_helpers_make_no_callback_calls():
+    src = _callable_sigma_model()
+    calls = {"cgf": 0, "cgf_grad": 0, "cgf_hess": 0, "sampler": 0}
+
+    def counted(name):
+        fn = getattr(src, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    m = dataclasses.replace(src, **{name: counted(name) for name in calls})
+    rng = default_rng(37)
+    ys = rng.uniform(-1.0, 1.0, size=(7, 2))
+    alphas = rng.normal(size=(7, 2))
+    zs = kernel.cgf_grad_rows(src, ys, 0.5 * alphas)
+    for helper in (kernel.cgf_rows, kernel.cgf_grad_rows, kernel.cgf_hess_rows):
+        assert np.array_equal(helper(m, ys, alphas), helper(src, ys, alphas))
+    assert np.array_equal(kernel.cgf_rows(m, ys, alphas[0]), kernel.cgf_rows(src, ys, alphas[0]))
+    got, ref = fenchel_rows(m, ys, zs), fenchel_rows(src, ys, zs)
+    assert np.array_equal(got.value, ref.value)
+    assert np.array_equal(got.argmax, ref.argmax)
+    assert calls == {"cgf": 0, "cgf_grad": 0, "cgf_hess": 0, "sampler": 0}
 
 
 def test_cgf_hess_rows_finite_difference_fallback():
@@ -198,7 +239,6 @@ def test_cgf_hess_rows_finite_difference_fallback():
 def test_preset_summary_is_its_name():
     m = preset_model("gaussian-ou")
     assert m.summary == "gaussian-ou"
-    assert supports_batch(m)
 
 
 def test_sample_rows_seeded():
@@ -235,7 +275,6 @@ def test_presets_registry():
         m = preset_model(name)
         assert m.dim == 1
         assert m.summary == name
-        assert supports_batch(m)
     with pytest.raises(ModelConfigError):
         preset_model("missing")
 

@@ -178,6 +178,17 @@ def test_martingale_check_loop_fallback():
     assert abs(chk.mean - 1.0) < 4 * chk.stderr
 
 
+def test_martingale_check_callable_sigma_matches_preset():
+    # a callable sigma goes through the same vectorized cumulant rows as a constant one
+    ou = affine_model(1, linear_drift([[-1.0]]), lambda y: np.eye(1), gaussian_base(), summary="ou-callable-sigma",
+                      drift_broadcasts=True)
+    lam = DualMeasure.point_mass(1.0, 0.5)
+    ref = martingale_check(preset_model("gaussian-ou"), [1.0], 20, 0.0, lam, 1_000, seed=5)
+    chk = martingale_check(ou, [1.0], 20, 0.0, lam, 1_000, seed=5)
+    assert chk.mean == ref.mean
+    assert chk.stderr == ref.stderr
+
+
 def test_martingale_check_variation_cap():
     m = preset_model("gaussian-ou")
     lam = DualMeasure.point_mass(1.0, 5.0)

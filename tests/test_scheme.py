@@ -76,6 +76,9 @@ def test_eval_path_many_matches_scalar():
     many = eval_path_many(traj, ts)
     for i, t in enumerate(ts):
         assert np.allclose(many[i], eval_path(traj, t), atol=1e-15)
+    for t in (-0.1, 1.1):
+        with pytest.raises(ValueError):
+            eval_path(traj, t)
 
 
 @settings(max_examples=50, deadline=None)
