@@ -22,13 +22,10 @@ central differences of cgf_rows over all nodes at once.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
-from scipy import optimize
-from scipy.linalg import null_space
 
 from .errors import InfeasibleProblemError, SimulationBlowup
 from . import conjugate as conj_mod
@@ -49,9 +46,12 @@ class TerminalPoint:
     tolerance: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "point", np.atleast_1d(np.asarray(self.point, dtype=np.float64)))
-        if self.tolerance < 0.0:
-            raise ValueError("tolerance must be >= 0")
+        point = np.atleast_1d(np.asarray(self.point, dtype=np.float64))
+        if not np.all(np.isfinite(point)):
+            raise ValueError("point must be finite")
+        object.__setattr__(self, "point", point)
+        if not 0.0 <= self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,8 @@ class TerminalHalfspace:
 
     def __post_init__(self):
         xi = np.atleast_1d(np.asarray(self.normal, dtype=np.float64))
+        if not (np.all(np.isfinite(xi)) and np.isfinite(self.level)):
+            raise ValueError("normal and level must be finite")
         nrm = float(np.linalg.norm(xi))
         if nrm <= 0.0:
             raise ValueError("normal must be nonzero")
@@ -89,7 +91,6 @@ class MinimizeSettings:
     max_iter: int = 500
     grad_tol: float = 1e-6
     y_fd_step: float = 1e-5
-    log_path: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -272,6 +273,9 @@ def minimize_action(problem: ActionProblem) -> MinimizeResult:
     coordinates (0 on the row for iteration 0).  An uncertified stop adds
     scipy's stop message to `warnings`.
     """
+    from scipy import optimize
+    from scipy.linalg import null_space
+
     model, x, terminal = problem.model, problem.x, problem.terminal
     m, a, settings = problem.m, problem.a, problem.settings
     d = model.dim
@@ -358,10 +362,4 @@ def minimize_action(problem: ActionProblem) -> MinimizeResult:
 
     value = np.inf if last["divergent"] else last["f"]
     final = ActionValue(value, last["seg"], True, last["divergent"], last["warn"])
-    if settings.log_path:
-        with open(settings.log_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "value", "grad_norm", "step"])
-            for row in log:
-                writer.writerow([row[0]] + [repr(float(val)) for val in row[1:]])
     return MinimizeResult(Trajectory(knots_of(last["v"])), final, converged, grad_norm, it, warnings, log)

@@ -17,8 +17,7 @@ perturbed_fenchel are the one-row case.
 
 Smoothing the cumulant with a Gaussian term (amplitude a > 0) makes the
 conjugate finite everywhere with the explicit quadratic ceiling
-(|z| + D)^2 / (2 a^2), D any bound on the increment mean norm; see
-perturbed_conjugate_bound.
+(|z| + D)^2 / (2 a^2), D any bound on the increment mean norm.
 """
 
 from __future__ import annotations
@@ -27,11 +26,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import SingularSigmaError, TiltUnreachableError
+from .errors import TiltUnreachableError
 from . import kernel
-from .kernel import AffineNoiseModel, KernelModel, perturbation_amplitude
+from .kernel import KernelModel, perturbation_amplitude
 
 CONVERGED = "converged"
 DIVERGENT = "divergent"
@@ -274,50 +272,6 @@ def perturbed_fenchel(model: KernelModel, a, y, z, settings: ConjugateSettings =
     return fenchel_rows(model, y[None], z[None], a=a, settings=settings, x0=x0).row(0)
 
 
-def perturbed_conjugate_bound(a, z, mean_norm_bound: float) -> float:
-    """Quadratic ceiling (|z| + D)^2 / (2 a^2) for the smoothed conjugate."""
-    amp = perturbation_amplitude(a)
-    if amp <= 0.0:
-        raise ValueError("the quadratic ceiling requires a > 0")
-    r = float(np.linalg.norm(z)) + float(mean_norm_bound)
-    return r * r / (2.0 * amp * amp)
-
-
-def mean_norm_bound(model: KernelModel, states, headroom: float = 1.1) -> float:
-    """Bound on |increment mean| over the supplied states, with headroom."""
-    ys = kernel._as_rows(np.atleast_2d(np.asarray(states, dtype=np.float64)), model.dim, "states")
-    means = kernel.cgf_grad_rows(model, ys, np.zeros_like(ys))
-    return headroom * float(np.max(np.linalg.norm(means, axis=1)))
-
-
-def fenchel_closed_form_affine(model: AffineNoiseModel, y, z) -> float:
-    """Closed-form conjugate for affine models with invertible sigma(y).
-
-    Equals base_conjugate(sigma(y)^{-1} (z - drift(y))); raises
-    SingularSigmaError when sigma(y) cannot be inverted, in which case the
-    numeric fenchel solver is the way to go.
-    """
-    if not isinstance(model, AffineNoiseModel):
-        raise TypeError("closed form requires an affine model")
-    if model.base.conjugate is None:
-        raise ValueError(f"base law {model.base.kind!r} has no closed-form conjugate")
-    y = kernel._as_vector(y, model.dim, "y")
-    z = kernel._as_vector(z, model.dim, "z")
-    s = np.asarray(model.sigma_fn(y), dtype=np.float64)
-    rhs = z - np.asarray(model.drift(y), dtype=np.float64)
-    try:
-        v = np.linalg.solve(s, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSigmaError(
-            "sigma(y) is singular; no closed form here, use the numeric fenchel solver"
-        ) from exc
-    if not np.all(np.isfinite(v)):
-        raise SingularSigmaError(
-            "sigma(y) is numerically singular; use the numeric fenchel solver"
-        )
-    return float(model.base.conjugate(v))
-
-
 def dominating_point_halfspace(model: KernelModel, y, xi, c, settings: ConjugateSettings = None) -> DominatingPointResult:
     """Cheapest boundary point of {<z, xi> >= c} under the local cost at y.
 
@@ -331,6 +285,8 @@ def dominating_point_halfspace(model: KernelModel, y, xi, c, settings: Conjugate
     lie strictly outside the half-space; raises TiltUnreachableError when no
     tilt below the bracket cap reaches level c.
     """
+    from scipy.optimize import brentq
+
     settings = settings or DEFAULT_SETTINGS
     y = kernel._as_vector(y, model.dim, "y")
     xi = kernel._as_vector(xi, model.dim, "xi")

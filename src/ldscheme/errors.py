@@ -17,10 +17,6 @@ class SimulationBlowup(NumericalFailure):
         super().__init__(message or f"non-finite state at step {step}")
 
 
-class SingularSigmaError(NumericalFailure):
-    """The diffusion factor is singular where a closed form needs its inverse."""
-
-
 class TiltUnreachableError(NumericalFailure):
     """No tilt parameter below the search cap reaches the requested level."""
 

@@ -29,7 +29,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.random import Generator
-from scipy.special import expit
 
 
 class ModelConfigError(ValueError):
@@ -106,10 +105,15 @@ def bernoulli_base(p: float) -> BaseNoise:
         a = np.asarray(a, dtype=np.float64)
         return np.sum(np.logaddexp(log_q, log_p + a), axis=-1)
 
+    # scipy loads on the first cumulant evaluation, not when the law is built
     def grad(a):
+        from scipy.special import expit
+
         return expit(np.asarray(a, dtype=np.float64) + logit_p)
 
     def hess(a):
+        from scipy.special import expit
+
         u = np.asarray(a, dtype=np.float64) + logit_p
         # expit(u) * expit(-u) stays accurate when u is large of either sign
         return (expit(u) * expit(-u))[..., None] * np.eye(u.shape[-1])

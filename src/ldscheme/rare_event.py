@@ -27,7 +27,7 @@ blocks.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -36,7 +36,7 @@ from numpy.random import default_rng
 from .errors import TiltUnreachableError
 from . import conjugate as conj_mod
 from . import kernel
-from .action import ActionProblem, MinimizeSettings, TerminalHalfspace, limit_ode, minimize_action
+from .action import ActionProblem, TerminalHalfspace, limit_ode, minimize_action
 from .kernel import AffineNoiseModel, KernelModel, perturbation_amplitude
 from .scheme import DualMeasure, Trajectory, _euler_steps, eval_path_many
 
@@ -55,9 +55,12 @@ class BallEvent:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=np.float64)))
-        if self.radius <= 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        center = np.atleast_1d(np.asarray(self.center, dtype=np.float64))
+        if not np.all(np.isfinite(center)):
+            raise ValueError("center must be finite")
+        object.__setattr__(self, "center", center)
+        if not 0.0 < self.radius < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
     def record(self) -> dict:
         return {
@@ -79,8 +82,8 @@ class PathDeviationEvent:
     reference: Optional[Trajectory] = None
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     def record(self) -> dict:
         return {
@@ -121,6 +124,17 @@ class MartingaleCheck:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
+
+
+def _require_two_samples(samples: int) -> None:
+    """The weighted estimators report a ddof=1 standard error, which needs two samples."""
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2 for a standard error, got {samples}")
+
+
+def _mean_stderr(vals: np.ndarray) -> Tuple[float, float]:
+    """Sample mean and its ddof=1 standard error."""
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
 
 
 def _chunk_sizes(samples: int) -> List[int]:
@@ -292,9 +306,7 @@ def _tilted_rows(model, x, n, event: TerminalHalfspace, alphas, rng, size) -> np
 def _tilted_estimate(model, x, n, event, samples, seed, workers, plan) -> EstimateReport:
     alphas = _tilt_sequence(model, plan.trajectory, n)
     worker = lambda rng, size: _tilted_rows(model, x, n, event, alphas, rng, size)
-    vals = np.concatenate(_map_chunks(worker, samples, workers, seed))
-    p = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(samples))
+    p, stderr = _mean_stderr(np.concatenate(_map_chunks(worker, samples, workers, seed)))
     rate = float(-np.log(p) / n) if p > 0.0 else None
     return EstimateReport(
         model=model.summary,
@@ -330,6 +342,7 @@ def tilted_mc_probability(
     if not isinstance(event, TerminalHalfspace):
         raise ValueError("tilted estimation only covers terminal half-space events")
     _require_tiltable(model)
+    _require_two_samples(samples)
     x = kernel._as_vector(x, model.dim, "x")
     plan = _tilt_plan(model, x, event, minimize_knots)
     return _tilted_estimate(model, x, n, event, samples, (seed,), workers, plan)
@@ -368,6 +381,7 @@ def martingale_check(
     """
     amp = perturbation_amplitude(a)
     x = kernel._as_vector(x, model.dim, "x")
+    _require_two_samples(samples)
     variation = lam.variation()
     if variation > max_variation:
         raise ValueError(
@@ -376,9 +390,7 @@ def martingale_check(
         )
     alphas = lam.basis_integrals(n) / n
     worker = lambda rng, size: _martingale_rows(model, x, n, amp, alphas, rng, size)
-    vals = np.concatenate(_map_chunks(worker, samples, workers, (seed,)))
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+    mean, stderr = _mean_stderr(np.concatenate(_map_chunks(worker, samples, workers, (seed,))))
     return MartingaleCheck(mean=mean, stderr=stderr, samples=samples, n=n, a=amp, variation=variation)
 
 
@@ -420,6 +432,7 @@ def verify_rate(
     if not isinstance(event, TerminalHalfspace):
         raise ValueError("rate verification targets terminal half-space events")
     _require_tiltable(model)
+    _require_two_samples(samples)
     x = kernel._as_vector(x, model.dim, "x")
     if len(n_grid) < 1:
         raise ValueError("n_grid must be nonempty")

@@ -41,8 +41,8 @@ state is not finite, so every caller fails the same way.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -88,15 +88,10 @@ class Trajectory:
         return np.arange(self.n + 1) / self.n
 
 
-def eval_path(traj: Trajectory, t: float) -> np.ndarray:
-    """Evaluate the path at t in [0, 1]: eval_path_many on one time."""
-    return eval_path_many(traj, np.array([t]))[0]
-
-
 def eval_path_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
     """Evaluate the path at times in [0, 1], shape (m,) -> (m, d); knot times reproduce knots exactly."""
     ts = np.asarray(ts, dtype=np.float64)
-    if np.any(ts < 0.0) or np.any(ts > 1.0):
+    if not np.all((ts >= 0.0) & (ts <= 1.0)):  # NaN fails both comparisons
         raise ValueError("all times must lie in [0, 1]")
     n = traj.n
     kf = ts * n
@@ -113,31 +108,6 @@ def resample(traj: Trajectory, n: int) -> Trajectory:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return Trajectory(eval_path_many(traj, np.arange(n + 1) / n))
-
-
-def modulus(traj: Trajectory, delta: float) -> float:
-    """Sup of |f(t) - f(s)| over |t - s| <= delta.
-
-    For a piecewise-linear path the sup is attained either at a pair of
-    knots or at a pair (knot, knot +- delta), so the scan below is exact.
-    """
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    n, knots = traj.n, traj.knots
-    m_max = min(n, int(np.floor(delta * n + 1e-9)))
-    worst = 0.0
-    for m in range(1, m_max + 1):
-        d = knots[m:] - knots[:-m]
-        worst = max(worst, float(np.max(np.linalg.norm(d, axis=1))))
-    times = traj.times
-    for shifted in (times + delta, times - delta):
-        mask = (shifted >= 0.0) & (shifted <= 1.0)
-        if not np.any(mask):
-            continue
-        vals = eval_path_many(traj, shifted[mask])
-        d = vals - knots[mask]
-        worst = max(worst, float(np.max(np.linalg.norm(d, axis=1))))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -191,12 +161,6 @@ class DualMeasure:
     def variation(self) -> float:
         return float(np.sum(np.linalg.norm(self.weights, axis=1))) if len(self.times) else 0.0
 
-    def tail(self, s: float) -> np.ndarray:
-        """lam([s, 1]), closed at s."""
-        if not len(self.times):
-            return np.zeros(self.dim)
-        return self.weights[self.times >= s].sum(axis=0)
-
     def scaled(self, factor: float) -> "DualMeasure":
         return DualMeasure(self.times.copy(), factor * self.weights)
 
@@ -207,15 +171,6 @@ class DualMeasure:
         i = np.arange(1, n + 1)[:, None]
         phi = np.clip(n * self.times[None, :] - (i - 1), 0.0, 1.0)
         return phi @ self.weights
-
-    def to_records(self):
-        return [{"t": float(t), "weight": [float(v) for v in w]} for t, w in zip(self.times, self.weights)]
-
-    @classmethod
-    def from_records(cls, records, dim: int) -> "DualMeasure":
-        if not records:
-            return cls.zero(dim)
-        return cls.from_atoms([(r["t"], r["weight"]) for r in records])
 
 
 @dataclass(frozen=True)
@@ -233,14 +188,6 @@ class SchemeRun:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         object.__setattr__(self, "a", perturbation_amplitude(self.a))
-
-
-def dual_pairing(traj: Trajectory, lam: DualMeasure) -> float:
-    """<path, lam> = sum_j <path(t_j), alpha_j>."""
-    if not len(lam.times):
-        return 0.0
-    vals = eval_path_many(traj, lam.times)
-    return float(np.sum(vals * lam.weights))
 
 
 def _check_finite(states: np.ndarray, k: int) -> None:

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -192,6 +190,22 @@ def test_minimize_infeasible_target_raises():
         minimize_action(ActionProblem(model=m, x=[0.0], terminal=TerminalPoint([2.0]), m=9))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TerminalHalfspace([1.0], np.nan),
+        lambda: TerminalHalfspace([np.nan], 1.0),
+        lambda: TerminalPoint([np.nan]),
+        lambda: TerminalPoint([1.0], tolerance=np.nan),
+        lambda: TerminalPoint([1.0], tolerance=np.inf),
+    ],
+    ids=["level", "normal", "point", "tolerance-nan", "tolerance-inf"],
+)
+def test_terminal_constraints_reject_non_finite(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_minimize_gradient_consistency():
     # assembled gradient vs finite differences of the total cost
     from ldscheme.action import _quadrature_pass
@@ -224,20 +238,18 @@ def test_minimize_smoothing_lowers_value():
     _assert_certificate(r1)
 
 
-def test_minimize_writes_log(tmp_path):
+def test_minimize_writes_log():
     m = preset_model("gaussian-ou")
-    log_file = tmp_path / "log.csv"
-    settings = MinimizeSettings(log_path=str(log_file))
-    res = minimize_action(
-        ActionProblem(model=m, x=[1.0], terminal=TerminalPoint([0.8]), m=9, settings=settings)
-    )
+    res = minimize_action(ActionProblem(model=m, x=[1.0], terminal=TerminalPoint([0.8]), m=9))
     assert res.converged
     _assert_certificate(res)
-    with open(log_file) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["iter", "value", "grad_norm", "step"]
-    assert len(rows) == len(res.log) + 1
-    values = [float(r[1]) for r in rows[1:]]
+    # rows are (iter, value, grad_norm, step), one per accepted iterate
+    assert len(res.log) == res.iterations + 1
+    assert [row[0] for row in res.log] == list(range(len(res.log)))
+    assert all(len(row) == 4 for row in res.log)
+    assert res.log[0][3] == 0.0
+    assert res.log[-1][2] == res.grad_norm
+    values = [row[1] for row in res.log]
     assert values == sorted(values, reverse=True)
 
 

@@ -242,6 +242,51 @@ def test_estimate_tilted_rejects_smoothing_and_ball(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "event",
+    [
+        {"kind": "terminal-halfspace", "normal": [1.0], "level": float("nan")},
+        {"kind": "terminal-ball", "center": [0.0], "radius": float("nan")},
+        {"kind": "sup-distance-from-path", "epsilon": float("nan")},
+    ],
+    ids=["halfspace", "ball", "path"],
+)
+def test_estimate_non_finite_event_is_config_error(tmp_path, capsys, event):
+    # json reads NaN; a NaN parameter used to give p_hat 0 and exit 0
+    cfg = {"model": FREE, "x": [0.0], "n": 10, "event": event, "samples": 100, "seed": 1}
+    code, out = _run(tmp_path, "estimate", cfg)
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "estimate_report.json").exists()
+
+
+def test_minimize_non_finite_terminal_is_config_error(tmp_path):
+    # a NaN level used to minimize to converged=True
+    terminal = {"kind": "halfspace", "normal": [1.0], "level": float("nan")}
+    code, out = _run(tmp_path, "minimize", {"model": OU, "x": [0.0], "m": 9, "terminal": terminal})
+    assert code == 2
+    assert not (out / "minimize_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("estimate", {"n": 20, "method": "tilted"}),
+        ("verify-rate", {"n_grid": [10, 20]}),
+        ("verify-martingale", {"n": 20, "measure": {"atoms": [{"t": 1.0, "weight": [0.5]}]}}),
+    ],
+    ids=["tilted", "rate", "martingale"],
+)
+def test_weighted_estimators_with_one_sample_exit_2(tmp_path, capsys, command, extra):
+    halfspace = {"kind": "terminal-halfspace", "normal": [1.0], "level": 1.0}
+    cfg = {"model": FREE, "x": [0.0], "samples": 1, "seed": 0, **extra}
+    if command != "verify-martingale":
+        cfg["event"] = halfspace
+    code, _ = _run(tmp_path, command, cfg)
+    assert code == 2
+    assert "samples must be >= 2" in capsys.readouterr().err
+
+
 def test_estimate_workers_byte_identical(tmp_path):
     cfg = {
         "model": OU,
@@ -396,3 +441,19 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy loads on first use, so importing the package and the CLI stays cheap
+    import os
+    import subprocess
+    import sys
+
+    import ldscheme
+
+    src = os.path.dirname(os.path.dirname(ldscheme.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ldscheme, ldscheme.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -50,6 +50,46 @@ def test_event_normalization():
         PathDeviationEvent(0.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TerminalHalfspace([1.0], np.nan),
+        lambda: TerminalHalfspace([np.inf], 1.0),
+        lambda: BallEvent([np.nan], 1.0),
+        lambda: BallEvent([0.0], np.nan),
+        lambda: BallEvent([0.0], np.inf),
+        lambda: PathDeviationEvent(np.nan),
+        lambda: PathDeviationEvent(np.inf),
+    ],
+    ids=["level", "normal", "center", "radius-nan", "radius-inf", "epsilon-nan", "epsilon-inf"],
+)
+def test_events_reject_non_finite_parameters(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda m, lam: tilted_mc_probability(m, [0.0], 20, TerminalHalfspace([1.0], 1.0), 1, seed=0),
+        lambda m, lam: verify_rate(m, [0.0], TerminalHalfspace([1.0], 1.0), [10, 20], 1, seed=0),
+        lambda m, lam: martingale_check(m, [0.0], 20, 0.0, lam, 1, seed=0),
+    ],
+    ids=["tilted", "rate", "martingale"],
+)
+def test_weighted_estimators_need_two_samples(run, monkeypatch):
+    # the check runs before anything is simulated or minimized
+    import ldscheme.rare_event as rare_event
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("simulated before validating samples")
+
+    monkeypatch.setattr(rare_event, "_map_chunks", forbidden)
+    monkeypatch.setattr(rare_event, "_tilt_plan", forbidden)
+    with pytest.raises(ValueError, match="samples must be >= 2"):
+        run(preset_model("gaussian-free"), DualMeasure.point_mass(1.0, 0.5))
+
+
 def test_chunk_sizes():
     assert _chunk_sizes(5) == [5]
     assert _chunk_sizes(CHUNK_SIZE) == [CHUNK_SIZE]

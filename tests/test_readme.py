@@ -1,18 +1,37 @@
-"""The README's library quick start runs as written against the current API."""
+"""The README's library quick start and CLI examples run as written against the current API."""
 
 import re
 from pathlib import Path
 
+from ldscheme.cli import main
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _quick_start_block() -> str:
+def _section(title: str) -> str:
     text = README.read_text(encoding="utf-8")
-    section = text.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
-    match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    return text.split(f"## {title}", 1)[1].split("\n## ", 1)[0]
+
+
+def _quick_start_block() -> str:
+    match = re.search(r"```python\n(.*?)```", _section("Library quick start"), re.DOTALL)
     assert match, "no python block under '## Library quick start'"
     return match.group(1)
 
 
 def test_readme_quick_start_runs():
     exec(compile(_quick_start_block(), str(README), "exec"), {"__name__": "readme_quick_start"})
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    section = _section("Command line")
+    sim = re.search(r"with `sim\.json`:\n\n```json\n(.*?)```", section, re.DOTALL)
+    rate = re.search(r"cat > rate\.json <<'JSON'\n(.*?\n)JSON\n", section, re.DOTALL)
+    commands = re.findall(r"^python -m ldscheme (.+)$", section, re.MULTILINE)
+    assert sim and rate, "the sim.json or rate.json example is missing under '## Command line'"
+    assert [c.split()[0] for c in commands] == ["simulate", "verify-rate"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sim.json").write_text(sim.group(1))
+    (tmp_path / "rate.json").write_text(rate.group(1))
+    for command in commands:
+        assert main(command.split()) == 0, command

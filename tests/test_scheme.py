@@ -11,12 +11,9 @@ from ldscheme.scheme import (
     Trajectory,
     _euler_steps,
     coupled_perturbation_gaps,
-    dual_pairing,
-    eval_path,
     eval_path_many,
     gauss_legendre_01,
     load_trajectory,
-    modulus,
     phi_limit,
     phi_n,
     resample,
@@ -60,13 +57,13 @@ def test_eval_path_reproduces_every_knot():
     for n in [1, 2, 3, 7, 29, 40, 49, 58]:
         traj = Trajectory(rng.normal(size=(n + 1, 2)))
         for k in range(n + 1):
-            assert np.array_equal(eval_path(traj, k / n), traj.knots[k]), (n, k)
+            assert np.array_equal(eval_path_many(traj, [k / n])[0], traj.knots[k]), (n, k)
 
 
 def test_eval_path_interpolates():
     traj = Trajectory(np.array([[0.0], [1.0], [0.0]]))
-    assert eval_path(traj, 0.25)[0] == pytest.approx(0.5)
-    assert eval_path(traj, 0.75)[0] == pytest.approx(0.5)
+    assert eval_path_many(traj, [0.25])[0][0] == pytest.approx(0.5)
+    assert eval_path_many(traj, [0.75])[0][0] == pytest.approx(0.5)
 
 
 def test_eval_path_many_matches_scalar():
@@ -75,17 +72,17 @@ def test_eval_path_many_matches_scalar():
     ts = rng.uniform(0, 1, size=40)
     many = eval_path_many(traj, ts)
     for i, t in enumerate(ts):
-        assert np.allclose(many[i], eval_path(traj, t), atol=1e-15)
-    for t in (-0.1, 1.1):
+        assert np.allclose(many[i], eval_path_many(traj, [t])[0], atol=1e-15)
+    for t in (-0.1, 1.1, np.nan):
         with pytest.raises(ValueError):
-            eval_path(traj, t)
+            eval_path_many(traj, [t])
 
 
 @settings(max_examples=50, deadline=None)
 @given(t=st.floats(0, 1), seed=st.integers(0, 10_000))
 def test_eval_path_stays_in_hull(t, seed):
     traj = Trajectory(default_rng(seed).normal(size=(6, 1)))
-    v = eval_path(traj, t)[0]
+    v = eval_path_many(traj, [t])[0][0]
     assert traj.knots.min() - 1e-12 <= v <= traj.knots.max() + 1e-12
 
 
@@ -101,29 +98,12 @@ def test_resample_nested_lattice_exact():
     assert np.allclose(eval_path_many(fine, ts), eval_path_many(coarse, ts), atol=1e-12)
 
 
-def test_modulus_piecewise_linear_exact():
-    traj = Trajectory(np.array([[0.0], [1.0], [0.0], [2.0], [2.0]]))
-    delta = 0.25
-    dense = np.linspace(0, 1, 2001)
-    vals = eval_path_many(traj, dense)[:, 0]
-    brute = 0.0
-    for i, s in enumerate(dense):
-        mask = np.abs(dense - s) <= delta + 1e-12
-        brute = max(brute, np.max(np.abs(vals[mask] - vals[i])))
-    assert modulus(traj, delta) == pytest.approx(brute, abs=1e-9)
-
-
 def test_dual_measure_basics():
     lam = DualMeasure.from_atoms([(1.0, [2.0]), (0.25, [-1.0])])
     assert np.allclose(lam.times, [0.25, 1.0])
     assert np.allclose(lam.total_mass(), [1.0])
     assert lam.variation() == pytest.approx(3.0)
-    assert np.allclose(lam.tail(0.25), [1.0])
-    assert np.allclose(lam.tail(0.250001), [2.0])
     assert np.allclose(lam.scaled(2.0).weights, 2.0 * lam.weights)
-    rt = DualMeasure.from_records(lam.to_records(), 1)
-    assert np.allclose(rt.times, lam.times)
-    assert np.allclose(rt.weights, lam.weights)
 
 
 def test_dual_measure_validation():
@@ -221,10 +201,15 @@ def test_simulate_blowup_raises_with_step():
     assert exc.value.step >= 1
 
 
+def _pair(traj, lam):
+    """<path, lam> = sum_j <path(t_j), alpha_j>."""
+    return float(np.sum(eval_path_many(traj, lam.times) * lam.weights))
+
+
 def test_dual_pairing_point_masses():
     traj = Trajectory(np.array([[0.0], [2.0]]))
     lam = DualMeasure.from_atoms([(0.5, [3.0]), (1.0, [1.0])])
-    assert dual_pairing(traj, lam) == pytest.approx(3.0 * 1.0 + 1.0 * 2.0)
+    assert _pair(traj, lam) == pytest.approx(3.0 * 1.0 + 1.0 * 2.0)
 
 
 def test_phi_n_free_gaussian_closed_form():
@@ -246,7 +231,7 @@ def test_phi_n_martingale_exponent_deterministic_model():
     det = affine_model(1, linear_drift(np.array([[-1.0]])), 0.0, gaussian_base(), summary="det")
     traj = simulate(SchemeRun(model=det, x=[1.0], n=17, a=0.0, seed=0))
     lam = DualMeasure.from_atoms([(0.3, [0.4]), (1.0, [-0.9])])
-    assert dual_pairing(traj, lam) - phi_n(det, [1.0], 0.0, traj, lam) == pytest.approx(0.0, abs=1e-10)
+    assert _pair(traj, lam) - phi_n(det, [1.0], 0.0, traj, lam) == pytest.approx(0.0, abs=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
@@ -259,7 +244,7 @@ def test_phi_n_martingale_exponent_property(ts, ws, seed):
     det = affine_model(1, linear_drift(np.array([[-0.7]])), 0.0, gaussian_base(), summary="det")
     lam = DualMeasure.from_atoms([(t, [w]) for t, w in zip(ts, ws)])
     traj = simulate(SchemeRun(model=det, x=[0.8], n=9, a=0.0, seed=seed))
-    assert dual_pairing(traj, lam) - phi_n(det, [0.8], 0.0, traj, lam) == pytest.approx(0.0, abs=1e-10)
+    assert _pair(traj, lam) - phi_n(det, [0.8], 0.0, traj, lam) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_phi_limit_free_gaussian_terminal_atom():
