@@ -77,6 +77,12 @@ def _as_float(v, path):
     return float(v)
 
 
+def _as_finite(v, path):
+    if not np.isfinite(_as_float(v, path)):
+        raise ConfigError(f"{path}: expected a finite number, got {v!r}")
+    return float(v)
+
+
 def _as_str(v, path):
     if not isinstance(v, str):
         raise ConfigError(f"{path}: expected a string, got {v!r}")
@@ -385,8 +391,8 @@ def _cmd_verify_martingale(cfg, out, workers):
     lam = _measure_from(c, model.dim)
     samples = c.take("samples", _as_int)
     seed = c.take("seed", _as_int)
-    max_variation = c.take("max_variation", _as_float, 2.0)
-    tolerance_stderr = c.take("tolerance_stderr", _as_float, 4.0)
+    max_variation = c.take("max_variation", _as_finite, 2.0)
+    tolerance_stderr = c.take("tolerance_stderr", _as_finite, 4.0)
     c.close()
     _write_json(os.path.join(out, "resolved_config.json"), {"command": "verify-martingale", **c.resolved})
     check = martingale_check(
@@ -412,7 +418,7 @@ def _cmd_verify_rate(cfg, out, workers):
     samples = c.take("samples", _as_int)
     seed = c.take("seed", _as_int)
     minimize_knots = c.take("minimize_knots", _as_int, 21)
-    max_rel_gap = c.take("max_rel_gap", _as_float, 0.15)
+    max_rel_gap = c.take("max_rel_gap", _as_finite, 0.15)
     c.close()
     if not isinstance(event, TerminalHalfspace):
         raise ConfigError("config.event.kind: rate verification needs 'terminal-halfspace'")
@@ -451,7 +457,7 @@ def _cmd_verify_ode(cfg, out, workers):
     n_grid = c.take("n_grid", _as_int_list)
     samples = c.take("samples", _as_int)
     seed = c.take("seed", _as_int)
-    max_slope = c.take("max_slope", _as_float, -0.05)
+    max_slope = c.take("max_slope", _as_finite, -0.05)
     c.close()
     _write_json(os.path.join(out, "resolved_config.json"), {"command": "verify-ode", **c.resolved})
     report = verify_ode_convergence(model, x, epsilon, n_grid, samples, seed, workers=workers)

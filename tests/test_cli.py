@@ -287,6 +287,40 @@ def test_weighted_estimators_with_one_sample_exit_2(tmp_path, capsys, command, e
     assert "samples must be >= 2" in capsys.readouterr().err
 
 
+_MARTINGALE = {"model": OU, "x": [1.0], "n": 10, "measure": {"atoms": [{"t": 1.0, "weight": [0.5]}]}}
+_HEAVY = {**_MARTINGALE, "measure": {"atoms": [{"t": 1.0, "weight": [5.0]}]}}
+_RATE = {
+    "model": FREE,
+    "x": [0.0],
+    "event": {"kind": "terminal-halfspace", "normal": [1.0], "level": 1.0},
+    "n_grid": [10],
+}
+_ODE = {"model": OU, "x": [1.0], "epsilon": 0.35, "n_grid": [10, 20]}
+
+
+@pytest.mark.parametrize(
+    "command, base, key, value",
+    [
+        # a NaN or infinite cap used to be skipped: the measure of variation
+        # 5.0 exceeds the default cap 2.0 but was simulated anyway (exit 0)
+        ("verify-martingale", _HEAVY, "max_variation", float("nan")),
+        ("verify-martingale", _HEAVY, "max_variation", float("inf")),
+        # a NaN gate used to fail every run with exit 1
+        ("verify-martingale", _MARTINGALE, "tolerance_stderr", float("nan")),
+        ("verify-rate", _RATE, "max_rel_gap", float("nan")),
+        ("verify-ode", _ODE, "max_slope", float("nan")),
+        # an infinite gate used to pass every run (exit 0)
+        ("verify-rate", _RATE, "max_rel_gap", float("inf")),
+    ],
+    ids=["variation-nan", "variation-inf", "tolerance-nan", "rel-gap-nan", "slope-nan", "rel-gap-inf"],
+)
+def test_verification_non_finite_cap_is_config_error(tmp_path, capsys, command, base, key, value):
+    code, out = _run(tmp_path, command, {**base, "samples": 200, "seed": 3, key: value})
+    assert code == 2
+    assert f"config.{key}: expected a finite number" in capsys.readouterr().err
+    assert not (out / "resolved_config.json").exists()
+
+
 def test_estimate_workers_byte_identical(tmp_path):
     cfg = {
         "model": OU,

@@ -145,6 +145,28 @@ def test_cgf_rows_matches_pointwise():
             assert shared[i] == pytest.approx(_affine_cgf(m, ys[i], alphas[0]), abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_row_products_match_matmul_bit_for_bit(d):
+    # the hot paths compute with np.dot; the @ formulas are the reference
+    rng = default_rng(40 + d)
+    rows = 20_000  # one replica chunk
+    a = rng.normal(size=(d, d))
+    v = rng.normal(size=d)
+    sig = rng.normal(size=(d, d)) + np.eye(d)
+    ys = rng.normal(size=(rows, d))
+    vs = rng.normal(size=(rows, d))
+    alphas = rng.normal(size=(rows, d))
+    assert np.array_equal(linear_drift(a, v)(ys), ys @ a.T + v)
+    assert np.array_equal(kernel._sigma_dot(sig, vs), vs @ sig.T)
+    assert np.array_equal(kernel._sigma_t_dot(sig, alphas), alphas @ sig)
+    assert np.array_equal(kernel._sigma_t_dot(sig, alphas[0]), alphas[0] @ sig)
+    m = affine_model(d, linear_drift(a, v), sig, gaussian_base(), drift_broadcasts=True)
+    bs = ys @ a.T + v
+    per_row = np.einsum("ij,ij->i", bs, alphas) + m.base.logmgf(alphas @ sig)
+    assert np.array_equal(kernel.cgf_rows(m, ys, alphas), per_row)
+    assert np.array_equal(kernel.cgf_rows(m, ys, alphas[0]), bs @ alphas[0] + m.base.logmgf(alphas[0] @ sig))
+
+
 def test_logmgf_hess_broadcasts_over_batch():
     rng = default_rng(5)
     alphas = rng.normal(size=(6, 3))

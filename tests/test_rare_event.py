@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
 from scipy.stats import norm
 
+from ldscheme import kernel
 from ldscheme.action import TerminalHalfspace
 from ldscheme.errors import SimulationBlowup
 from ldscheme.kernel import KernelModel, affine_model, gaussian_base, linear_drift, logistic_drift, preset_model
@@ -21,7 +24,7 @@ from ldscheme.rare_event import (
     verify_ode_convergence,
     verify_rate,
 )
-from ldscheme.scheme import DualMeasure, Trajectory
+from ldscheme.scheme import DualMeasure, Trajectory, _euler_steps
 
 
 def _plain(model):
@@ -238,6 +241,17 @@ def test_martingale_check_variation_cap():
     assert np.isfinite(chk.mean)
 
 
+@pytest.mark.parametrize("cap", [np.nan, np.inf])
+def test_martingale_check_rejects_non_finite_cap(cap, monkeypatch):
+    # a non-finite cap used to be skipped: variation > nan and variation > inf are False
+    import ldscheme.rare_event as rare_event
+
+    monkeypatch.setattr(rare_event, "_map_chunks", lambda *args: pytest.fail("simulated before the check"))
+    lam = DualMeasure.point_mass(1.0, 5.0)
+    with pytest.raises(ValueError, match="max_variation must be finite"):
+        martingale_check(preset_model("gaussian-ou"), [1.0], 10, 0.0, lam, 100, seed=0, max_variation=cap)
+
+
 def test_tilted_free_gaussian_matches_exact_oracle():
     m = preset_model("gaussian-free")
     n = 100
@@ -297,14 +311,67 @@ def test_tilted_ou_benchmark_unbiased():
 
 
 def test_tilted_estimate_without_broadcasting_drift_matches_preset():
-    # the tilted fold evaluates drift through kernel.drift_rows, which loops
-    # over rows when the drift does not broadcast; the estimate is unchanged
+    # the stepper evaluates drift through kernel.drift_rows, which loops over
+    # rows when the drift does not broadcast; the weight needs no drift, and
+    # the estimate is unchanged
     looped = affine_model(1, linear_drift([[-1.0]]), 1.0, gaussian_base(), summary="ou-loop", drift_broadcasts=False)
     ev = TerminalHalfspace([1.0], 0.8)
     ref = tilted_mc_probability(preset_model("gaussian-ou"), [0.0], 50, ev, 4_000, seed=7)
     rep = tilted_mc_probability(looped, [0.0], 50, ev, 4_000, seed=7)
     assert rep.p_hat == ref.p_hat
     assert rep.stderr == ref.stderr
+
+
+def _ou_2d():
+    """2-D linear drift with a constant, non-identity, non-symmetric sigma, so sigma^T alpha != alpha."""
+    sigma = [[1.0, 0.3], [-0.2, 0.7]]
+    return affine_model(2, linear_drift([[-1.0, 0.5], [0.2, -0.8]]), sigma, gaussian_base(), drift_broadcasts=True)
+
+
+@pytest.mark.parametrize("make", [lambda: preset_model("gaussian-ou"), _ou_2d], ids=["gaussian-ou", "ou-2d"])
+def test_tilted_weight_matches_drift_form_with_one_drift_call_per_step(make):
+    src = make()
+    calls = []
+
+    def counted(y):
+        calls.append(1)
+        return src.drift(y)
+
+    m = dataclasses.replace(src, drift=counted)
+    n, size, x = 40, 3_000, np.zeros(m.dim)
+    alphas = default_rng(81).normal(0.3, 0.4, size=(n, m.dim))
+    # every replica lands in this half-space, so the fold returns the bare weights
+    everywhere = TerminalHalfspace(np.ones(m.dim), -1e6)
+    vals = _tilted_rows(m, x, n, everywhere, alphas, default_rng(82), size)
+    # the stepper evaluates drift once per step and the fold adds no call (it used to add n)
+    assert len(calls) == n
+    assert np.all(vals > 0.0)
+    # replay the stepper and weigh with sum_k [cgf(X_{k-1}, alpha_k) - <F_k, alpha_k>]
+    thetas = alphas @ src.sigma_matrix
+    logw = np.zeros(size)
+    for k, prev, xi, _ in _euler_steps(src, x, n, 0.0, default_rng(82), size, shifts=thetas):
+        inc = src.drift(prev) + xi @ src.sigma_matrix.T
+        logw += kernel.cgf_rows(src, prev, alphas[k - 1]) - inc @ alphas[k - 1]
+    np.testing.assert_allclose(vals, np.exp(logw), rtol=1e-12)
+
+
+def test_seeded_outputs_pinned():
+    # values recorded before the stepper's row products moved to np.dot;
+    # a stepper change must not move any of them
+    walk = mc_probability(preset_model("bernoulli-walk"), [0.0], 40, 0.0, TerminalHalfspace([1.0], 0.4), 5_000, seed=91)
+    assert walk.p_hat * 5_000 == 543
+    ou = mc_probability(preset_model("gaussian-ou"), [0.0], 40, 0.3, TerminalHalfspace([1.0], 0.15), 5_000, seed=92)
+    assert ou.p_hat * 5_000 == 433
+    ode = verify_ode_convergence(preset_model("logistic"), [0.1], 0.25, [10, 20, 40], 2_000, seed=93)
+    assert [row["count"] for row in ode.rows] == [611, 241, 60]
+    lam = DualMeasure.from_atoms([(0.5, [0.6]), (1.0, [-0.4])])
+    # np.exp may differ in the last ulp across CPUs, hence rtol rather than equality
+    chk = martingale_check(preset_model("gaussian-ou"), [1.0], 30, 0.5, lam, 5_000, seed=94)
+    assert chk.mean == pytest.approx(1.0000683040154081, rel=1e-13)
+    assert chk.stderr == pytest.approx(0.0009201248452906681, rel=1e-13)
+    chk = martingale_check(preset_model("bernoulli-walk"), [0.0], 30, 0.0, lam, 5_000, seed=95)
+    assert chk.mean == pytest.approx(1.000407196362584, rel=1e-13)
+    assert chk.stderr == pytest.approx(0.00037519694842898, rel=1e-13)
 
 
 def test_tilted_rejects_event_covering_mean():
