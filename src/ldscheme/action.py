@@ -35,7 +35,7 @@ from .scheme import Trajectory, gauss_legendre_01
 
 BARRIER = 1e12
 
-_NODES, _WEIGHTS = gauss_legendre_01(5)
+_NODES, _WEIGHTS = gauss_legendre_01()
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,23 @@ TerminalSpec = Union[TerminalPoint, TerminalHalfspace]
 
 @dataclass(frozen=True)
 class MinimizeSettings:
+    """L-BFGS-B iteration cap, stationarity tolerance and y-step of the envelope gradient.
+
+    max_iter must be an integer >= 1; grad_tol and y_fd_step must be
+    finite and > 0.
+    """
+
     max_iter: int = 500
     grad_tol: float = 1e-6
     y_fd_step: float = 1e-5
+
+    def __post_init__(self):
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        for name in ("grad_tol", "y_fd_step"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -146,15 +160,16 @@ def straight_line(x, z, m: int) -> Trajectory:
     return Trajectory((1.0 - frac) * x + frac * z)
 
 
-def _quadrature_pass(model, a, knots, settings, need_grad):
-    """Segment costs, and optionally the knot gradient, from one batched solve.
+def _quadrature_pass(model, a, knots, y_fd_step: Optional[float] = None):
+    """Segment costs, and the knot gradient when y_fd_step is given, from one batched solve.
 
     All m_seg x 5 Gauss-Legendre nodes go through a single fenchel_rows
     call.  Returns (seg_values, grad, divergent, warnings): divergent lists
     the segments where some node's conjugate is +inf, warnings the
     (segment, node) pairs that ended as max-iterations ahead of the
-    segment's first divergent node, and grad is None unless requested and
-    every segment is finite.
+    segment's first divergent node, and grad is None unless y_fd_step is
+    given and every segment is finite.  y_fd_step is the central-difference
+    step in y of the envelope gradient.
     """
     m_seg = knots.shape[0] - 1
     d = knots.shape[1]
@@ -180,13 +195,13 @@ def _quadrature_pass(model, a, knots, settings, need_grad):
         acc += _WEIGHTS[q] * values[:, q]
     seg_values = dt * acc
     seg_values[divergent] = np.inf
-    if not need_grad or divergent:
+    if y_fd_step is None or divergent:
         return seg_values, None, divergent, warnings
 
     # envelope identities: d conj/dz = alpha*, d conj/dy = -grad_y cgf(y, alpha*),
     # the latter by central differences in y (the smoothing term has no y)
     astar = res.argmax
-    h = settings.y_fd_step
+    h = y_fd_step
     cy = np.empty((m_seg * n_q, d))
     for i in range(d):
         up, dn = ys.copy(), ys.copy()
@@ -203,7 +218,7 @@ def _quadrature_pass(model, a, knots, settings, need_grad):
     return seg_values, grad, divergent, warnings
 
 
-def action(model: KernelModel, x, a, f: Trajectory, settings: MinimizeSettings = None) -> ActionValue:
+def action(model: KernelModel, x, a, f: Trajectory) -> ActionValue:
     """Cost of the piecewise-linear path f from start x at smoothing level a.
 
     +inf with feasible_start=False when f(0) misses x beyond 1e-12; +inf
@@ -211,14 +226,13 @@ def action(model: KernelModel, x, a, f: Trajectory, settings: MinimizeSettings =
     Conjugate solves that end as max-iterations are reported as warnings,
     not silently treated as +inf.
     """
-    settings = settings or MinimizeSettings()
     amp = perturbation_amplitude(a)
     x = kernel._as_vector(x, model.dim, "x")
     if f.dim != model.dim:
         raise ValueError(f"path dim {f.dim} does not match model dim {model.dim}")
     if float(np.max(np.abs(f.knots[0] - x))) > 1e-12:
         return ActionValue(np.inf, np.empty(0), feasible_start=False)
-    seg, _, divergent, warnings = _quadrature_pass(model, amp, f.knots, settings, need_grad=False)
+    seg, _, divergent, warnings = _quadrature_pass(model, amp, f.knots)
     value = float(np.sum(seg)) if not divergent else np.inf
     return ActionValue(value, seg, True, divergent, warnings)
 
@@ -305,7 +319,7 @@ def minimize_action(problem: ActionProblem) -> MinimizeResult:
     def evaluate(v):
         """One quadrature pass at v, memoized so the callback reuses it."""
         if last.get("v") is None or not np.array_equal(last["v"], v):
-            seg, grad, divergent, warn = _quadrature_pass(model, a, knots_of(v), settings, need_grad=True)
+            seg, grad, divergent, warn = _quadrature_pass(model, a, knots_of(v), settings.y_fd_step)
             if divergent:
                 f, g = BARRIER, np.zeros(nfree)
             else:

@@ -74,13 +74,13 @@ def _as_int(v, path):
 def _as_float(v, path):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {v!r}")
-    return float(v)
-
-
-def _as_finite(v, path):
-    if not np.isfinite(_as_float(v, path)):
+    try:
+        value = float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        value = np.inf
+    if not np.isfinite(value):
         raise ConfigError(f"{path}: expected a finite number, got {v!r}")
-    return float(v)
+    return value
 
 
 def _as_str(v, path):
@@ -90,13 +90,11 @@ def _as_str(v, path):
 
 
 def _as_vector(v, path):
-    """A scalar or a flat list of numbers; returned in JSON form."""
+    """A finite number or a nonempty flat list of them; returned in JSON form."""
+    if isinstance(v, list) and v:
+        return [_as_float(u, f"{path}[{i}]") for i, u in enumerate(v)]
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
-    if isinstance(v, list) and v and all(
-        isinstance(u, (int, float)) and not isinstance(u, bool) for u in v
-    ):
-        return [float(u) for u in v]
+        return _as_float(v, path)
     raise ConfigError(f"{path}: expected a number or a list of numbers, got {v!r}")
 
 
@@ -219,7 +217,7 @@ def _terminal_from(c: _Conf):
     raise ConfigError(f"{t.path}.kind: unknown terminal kind {kind!r}")
 
 
-def _event_from(c: _Conf, dim: int):
+def _event_from(c: _Conf):
     e = c.sub("event")
     kind = e.take("kind", _as_str)
     if kind == "terminal-halfspace":
@@ -262,11 +260,9 @@ def _measure_from(c: _Conf, dim: int) -> DualMeasure:
 
 def _minimize_settings_from(c: _Conf) -> MinimizeSettings:
     s = c.sub("settings", default={})
-    settings = MinimizeSettings(
-        max_iter=s.take("max_iter", _as_int, 500),
-        grad_tol=s.take("grad_tol", _as_float, 1e-6),
-        y_fd_step=s.take("y_fd_step", _as_float, 1e-5),
-    )
+    default = MinimizeSettings()
+    casts = {"max_iter": _as_int, "grad_tol": _as_float, "y_fd_step": _as_float}
+    settings = MinimizeSettings(**{key: s.take(key, cast, getattr(default, key)) for key, cast in casts.items()})
     s.close()
     return settings
 
@@ -359,7 +355,7 @@ def _cmd_estimate(cfg, out, workers):
     x = c.take("x", _as_vector)
     n = c.take("n", _as_int)
     a = c.take("a", _as_float, 0.0)
-    event = _event_from(c, model.dim)
+    event = _event_from(c)
     samples = c.take("samples", _as_int)
     seed = c.take("seed", _as_int)
     method = c.take("method", _as_str, "naive")
@@ -391,8 +387,8 @@ def _cmd_verify_martingale(cfg, out, workers):
     lam = _measure_from(c, model.dim)
     samples = c.take("samples", _as_int)
     seed = c.take("seed", _as_int)
-    max_variation = c.take("max_variation", _as_finite, 2.0)
-    tolerance_stderr = c.take("tolerance_stderr", _as_finite, 4.0)
+    max_variation = c.take("max_variation", _as_float, 2.0)
+    tolerance_stderr = c.take("tolerance_stderr", _as_float, 4.0)
     c.close()
     _write_json(os.path.join(out, "resolved_config.json"), {"command": "verify-martingale", **c.resolved})
     check = martingale_check(
@@ -413,12 +409,12 @@ def _cmd_verify_rate(cfg, out, workers):
     c = _Conf(cfg, "config")
     model = _model_from(c)
     x = c.take("x", _as_vector)
-    event = _event_from(c, model.dim)
+    event = _event_from(c)
     n_grid = c.take("n_grid", _as_int_list)
     samples = c.take("samples", _as_int)
     seed = c.take("seed", _as_int)
     minimize_knots = c.take("minimize_knots", _as_int, 21)
-    max_rel_gap = c.take("max_rel_gap", _as_finite, 0.15)
+    max_rel_gap = c.take("max_rel_gap", _as_float, 0.15)
     c.close()
     if not isinstance(event, TerminalHalfspace):
         raise ConfigError("config.event.kind: rate verification needs 'terminal-halfspace'")
@@ -457,7 +453,7 @@ def _cmd_verify_ode(cfg, out, workers):
     n_grid = c.take("n_grid", _as_int_list)
     samples = c.take("samples", _as_int)
     seed = c.take("seed", _as_int)
-    max_slope = c.take("max_slope", _as_finite, -0.05)
+    max_slope = c.take("max_slope", _as_float, -0.05)
     c.close()
     _write_json(os.path.join(out, "resolved_config.json"), {"command": "verify-ode", **c.resolved})
     report = verify_ode_convergence(model, x, epsilon, n_grid, samples, seed, workers=workers)

@@ -15,6 +15,11 @@ max-iterations (neither certificate reached).  Rows share no solver state,
 so the rows solved alongside one cannot change its outcome; fenchel and
 perturbed_fenchel are the one-row case.
 
+Every solve runs one fixed configuration, the module constants
+GRAD_TOL_SCALE, MAX_ITER, NORM_CAP, MAX_STEP and WINDOW, starting from
+alpha = 0; dominating_point_halfspace brackets its tilt below BRACKET_CAP.
+Hessians of models without cgf_hess use kernel.HESS_FD_STEP.
+
 Smoothing the cumulant with a Gaussian term (amplitude a > 0) makes the
 conjugate finite everywhere with the explicit quadratic ceiling
 (|z| + D)^2 / (2 a^2), D any bound on the increment mean norm.
@@ -35,27 +40,19 @@ CONVERGED = "converged"
 DIVERGENT = "divergent"
 MAX_ITERATIONS = "max-iterations"
 
-
-@dataclass(frozen=True)
-class ConjugateSettings:
-    """Newton ascent controls.
-
-    Convergence is declared at gradient norm <= grad_tol_scale * (1 + |z|).
-    Iterates are capped at norm_cap; hitting the cap while the objective has
-    been strictly increasing over the trailing window classifies the problem
-    as divergent, otherwise the solve ends as max-iterations.
-    """
-
-    grad_tol_scale: float = 1e-10
-    max_iter: int = 200
-    norm_cap: float = 1e3
-    max_step: float = 100.0
-    window: int = 20
-    hess_fd_step: float = 1e-6
-    bracket_cap: float = 1e3
-
-
-DEFAULT_SETTINGS = ConjugateSettings()
+# Newton ascent controls.  Convergence is declared at gradient norm
+# <= GRAD_TOL_SCALE * (1 + |z|), after at most MAX_ITER iterations, with
+# steps capped at MAX_STEP.  Iterates are capped at norm NORM_CAP; hitting
+# the cap while the objective has been strictly increasing over the
+# trailing WINDOW iterations classifies the problem as divergent, otherwise
+# the solve ends as max-iterations.  dominating_point_halfspace brackets
+# its tilt below BRACKET_CAP.
+GRAD_TOL_SCALE = 1e-10
+MAX_ITER = 200
+NORM_CAP = 1e3
+MAX_STEP = 100.0
+WINDOW = 20
+BRACKET_CAP = 1e3
 
 
 @dataclass
@@ -133,18 +130,17 @@ def _dot_rows(u, v):
     return np.einsum("ij,ij->i", u, v)
 
 
-def fenchel_rows(model: KernelModel, ys, zs, a=0.0, settings: ConjugateSettings = None, x0=None) -> ConjugateRows:
+def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     """Conjugates of cgf_a(y_i, .) at z_i for every row, by one damped Newton ascent.
 
     Maximizes h_i(alpha) = <z_i, alpha> - cgf(y_i, alpha) - a^2 |alpha|^2 / 2
     on all rows at once: stacked Newton solves, steps capped at max_step,
     and Armijo backtracking run by row mask.  Each row keeps its own
     tolerance, best-so-far value, trailing-window divergence test and
-    status.  For d = 1 a row's result is bit for bit its one-row solve; for
-    d > 1 the stacked matrix products may round differently in the last
-    bit.  x0 is an optional start, one row or one per row.
+    status.  Every row starts at alpha = 0.  For d = 1 a row's result is bit
+    for bit its one-row solve; for d > 1 the stacked matrix products may
+    round differently in the last bit.
     """
-    settings = settings or DEFAULT_SETTINGS
     amp = perturbation_amplitude(a)
     aa = amp * amp
     ys = kernel._as_rows(ys, model.dim, "ys")
@@ -152,7 +148,7 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0, settings: ConjugateSettings 
     if ys.shape != zs.shape:
         raise ValueError(f"ys and zs must have the same shape, got {ys.shape} and {zs.shape}")
     n, d = zs.shape
-    tol = settings.grad_tol_scale * (1.0 + np.linalg.norm(zs, axis=1))
+    tol = GRAD_TOL_SCALE * (1.0 + np.linalg.norm(zs, axis=1))
 
     def objective(rows, alpha):
         return (_dot_rows(zs[rows], alpha) - kernel.cgf_rows(model, ys[rows], alpha)
@@ -162,20 +158,18 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0, settings: ConjugateSettings 
         return zs[rows] - kernel.cgf_grad_rows(model, ys[rows], alpha) - aa * alpha
 
     every = np.arange(n)
-    alpha = np.zeros((n, d)) if x0 is None else np.array(np.broadcast_to(np.asarray(x0, dtype=np.float64), (n, d)))
+    alpha = np.zeros((n, d))
     h = objective(every, alpha)
-    bad = ~np.isfinite(h)
-    alpha[bad] = 0.0
-    h[bad] = 0.0
+    h[~np.isfinite(h)] = 0.0
     best_val = np.where(h > 0.0, h, 0.0)
-    best_arg = np.where((h > 0.0)[:, None], alpha, 0.0)
+    best_arg = np.zeros((n, d))
     rising = np.zeros(n, dtype=np.int64)  # trailing run of strict increases of h
 
     out = ConjugateRows(
         value=best_val.copy(),
         argmax=best_arg.copy(),
         status=np.full(n, MAX_ITERATIONS),
-        iterations=np.full(n, settings.max_iter),
+        iterations=np.full(n, MAX_ITER),
         grad_norm=np.zeros(n),
     )
 
@@ -187,7 +181,7 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0, settings: ConjugateSettings 
         out.argmax[rows] = best_arg[rows] if argmax is None else argmax
 
     live = every
-    for it in range(1, settings.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if live.size == 0:
             break
         al = alpha[live]
@@ -199,7 +193,7 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0, settings: ConjugateSettings 
         if live.size == 0:
             break
 
-        hess = kernel.cgf_hess_rows(model, ys[live], al, settings.hess_fd_step)
+        hess = kernel.cgf_hess_rows(model, ys[live], al)
         if aa > 0.0:
             hess = hess + aa * np.eye(d)
         p = _ascent_directions(hess, grad)
@@ -208,9 +202,9 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0, settings: ConjugateSettings 
         # a Newton direction that overflowed (flat Hessian) becomes the
         # longest admissible gradient step
         blown = ~np.isfinite(pnorm)
-        p[blown] = grad[blown] * (settings.max_step / gnorm[blown])[:, None]
-        long_ = ~blown & (pnorm > settings.max_step)
-        p[long_] = p[long_] * (settings.max_step / pnorm[long_])[:, None]
+        p[blown] = grad[blown] * (MAX_STEP / gnorm[blown])[:, None]
+        long_ = ~blown & (pnorm > MAX_STEP)
+        p[long_] = p[long_] * (MAX_STEP / pnorm[long_])[:, None]
 
         # backtracking line search on the concave objectives, by row mask
         slope = _dot_rows(grad, p)
@@ -233,7 +227,7 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0, settings: ConjugateSettings 
             pending = pending[~ok]
             step *= 0.5
         # a stalled line search ends the row where it stands
-        finish(live[~accepted], MAX_ITERATIONS, settings.max_iter, gnorm[~accepted])
+        finish(live[~accepted], MAX_ITERATIONS, MAX_ITER, gnorm[~accepted])
         live, new_al, new_h, gnorm = live[accepted], new_al[accepted], new_h[accepted], gnorm[accepted]
 
         rising[live] = np.where(new_h > h[live], rising[live] + 1, 0)
@@ -243,36 +237,36 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0, settings: ConjugateSettings 
         best_val[live[better]] = new_h[better]
         best_arg[live[better]] = new_al[better]
         if amp == 0.0:
-            capped = np.linalg.norm(new_al, axis=1) > settings.norm_cap
+            capped = np.linalg.norm(new_al, axis=1) > NORM_CAP
             # divergent when h rose strictly over the whole trailing window
-            window = min(it + 1, settings.window + 1) - 1
+            window = min(it + 1, WINDOW + 1) - 1
             divergent = capped & (rising[live] >= window)
             finish(live[divergent], DIVERGENT, it, gnorm[divergent], np.inf, np.nan)
             finish(live[capped & ~divergent], MAX_ITERATIONS, it, gnorm[capped & ~divergent])
             live = live[~capped]
 
     if live.size:
-        finish(live, MAX_ITERATIONS, settings.max_iter, np.linalg.norm(gradient(live, alpha[live]), axis=1))
+        finish(live, MAX_ITERATIONS, MAX_ITER, np.linalg.norm(gradient(live, alpha[live]), axis=1))
     return out
 
 
-def fenchel(model: KernelModel, y, z, settings: ConjugateSettings = None, x0=None) -> ConjugateResult:
+def fenchel(model: KernelModel, y, z) -> ConjugateResult:
     """Conjugate of cgf(y, .) at z by Newton ascent: fenchel_rows on one row.
 
     Returns value >= 0 always (alpha = 0 is feasible with objective 0);
     converged results satisfy |z - cgf_grad(y, argmax)| <= tolerance.
     """
-    return perturbed_fenchel(model, 0.0, y, z, settings=settings, x0=x0)
+    return perturbed_fenchel(model, 0.0, y, z)
 
 
-def perturbed_fenchel(model: KernelModel, a, y, z, settings: ConjugateSettings = None, x0=None) -> ConjugateResult:
+def perturbed_fenchel(model: KernelModel, a, y, z) -> ConjugateResult:
     """Conjugate of the Gaussian-smoothed cumulant; finite for every z when a > 0."""
     y = kernel._as_vector(y, model.dim, "y")
     z = kernel._as_vector(z, model.dim, "z")
-    return fenchel_rows(model, y[None], z[None], a=a, settings=settings, x0=x0).row(0)
+    return fenchel_rows(model, y[None], z[None], a=a).row(0)
 
 
-def dominating_point_halfspace(model: KernelModel, y, xi, c, settings: ConjugateSettings = None) -> DominatingPointResult:
+def dominating_point_halfspace(model: KernelModel, y, xi, c) -> DominatingPointResult:
     """Cheapest boundary point of {<z, xi> >= c} under the local cost at y.
 
     Solves <cgf_grad(y, t xi), xi> = c for t >= 0 (monotone in t by
@@ -287,7 +281,6 @@ def dominating_point_halfspace(model: KernelModel, y, xi, c, settings: Conjugate
     """
     from scipy.optimize import brentq
 
-    settings = settings or DEFAULT_SETTINGS
     y = kernel._as_vector(y, model.dim, "y")
     xi = kernel._as_vector(xi, model.dim, "xi")
     norm = float(np.linalg.norm(xi))
@@ -309,9 +302,9 @@ def dominating_point_halfspace(model: KernelModel, y, xi, c, settings: Conjugate
     hi = 1.0
     while g(hi) < 0.0:
         hi *= 2.0
-        if hi > settings.bracket_cap:
+        if hi > BRACKET_CAP:
             raise TiltUnreachableError(
-                f"no tilt below {settings.bracket_cap:g} reaches level {c:g}; "
+                f"no tilt below {BRACKET_CAP:g} reaches level {c:g}; "
                 "the boundary value is unreachable by tilting"
             )
     t_star = brentq(g, 0.0, hi, xtol=1e-12, maxiter=200)

@@ -60,9 +60,6 @@ class BaseNoise:
     logmgf, logmgf_grad and logmgf_hess must broadcast over a leading batch
     axis, i.e. accept arrays of shape (..., d) and return shape (...),
     (..., d) and (..., d, d) respectively.
-    conjugate is the convex conjugate of logmgf when a closed form exists
-    (returns +inf outside the reachable mean set), else None.  mean(d)
-    returns E[Z] for the d-dimensional product law.
     """
 
     kind: str
@@ -70,8 +67,6 @@ class BaseNoise:
     logmgf_grad: Callable[[np.ndarray], np.ndarray]
     logmgf_hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
     sample: Callable[[Generator, tuple], np.ndarray] = None
-    mean: Callable[[int], np.ndarray] = None
-    conjugate: Optional[Callable[[np.ndarray], float]] = None
 
 
 def gaussian_base() -> BaseNoise:
@@ -82,8 +77,6 @@ def gaussian_base() -> BaseNoise:
         logmgf_grad=lambda a: np.asarray(a, dtype=np.float64),
         logmgf_hess=lambda a: np.broadcast_to(np.eye(np.shape(a)[-1]), np.shape(a) + np.shape(a)[-1:]).copy(),
         sample=lambda rng, size: rng.standard_normal(size),
-        mean=lambda d: np.zeros(d),
-        conjugate=lambda v: float(0.5 * np.dot(v, v)),
     )
 
 
@@ -92,8 +85,6 @@ def bernoulli_base(p: float) -> BaseNoise:
 
     logmgf(alpha) = sum_i log(1 - p + p e^{alpha_i}), evaluated through
     logaddexp so very large |alpha_i| neither overflows nor loses the tail.
-    The conjugate is the relative entropy of mean v against p, with the
-    boundary limits -log(1-p) at v=0 and -log(p) at v=1, +inf outside [0,1].
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"bernoulli parameter must lie in (0, 1), got {p}")
@@ -118,28 +109,12 @@ def bernoulli_base(p: float) -> BaseNoise:
         # expit(u) * expit(-u) stays accurate when u is large of either sign
         return (expit(u) * expit(-u))[..., None] * np.eye(u.shape[-1])
 
-    def conjugate(v):
-        v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-        total = 0.0
-        for vi in v:
-            if vi < 0.0 or vi > 1.0:
-                return np.inf
-            if vi == 0.0:
-                total += -log_q
-            elif vi == 1.0:
-                total += -log_p
-            else:
-                total += vi * np.log(vi / p) + (1.0 - vi) * np.log((1.0 - vi) / (1.0 - p))
-        return float(total)
-
     return BaseNoise(
         kind="bernoulli",
         logmgf=logmgf,
         logmgf_grad=grad,
         logmgf_hess=hess,
         sample=lambda rng, size: (rng.random(size) < p).astype(np.float64),
-        mean=lambda d: np.full(d, p),
-        conjugate=conjugate,
     )
 
 
@@ -333,11 +308,14 @@ def cgf_grad_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray) -> np.
     return np.array([model.cgf_grad(y, al) for y, al in zip(ys, alphas)], dtype=np.float64).reshape(alphas.shape)
 
 
-def cgf_hess_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray, fd_step: float = 1e-6) -> np.ndarray:
+HESS_FD_STEP = 1e-6
+
+
+def cgf_hess_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """Hessian in alpha of cgf(y_i, .) at alpha_i for paired rows, shape (m, d, d).
 
     Models without cgf_hess get symmetrized central differences of
-    cgf_grad with step fd_step.
+    cgf_grad with step HESS_FD_STEP.
     """
     ys = np.asarray(ys, dtype=np.float64)
     alphas = np.asarray(alphas, dtype=np.float64)
@@ -346,8 +324,8 @@ def cgf_hess_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray, fd_ste
         h = np.empty((m, d, d))
         for j in range(d):
             e = np.zeros(d)
-            e[j] = fd_step
-            h[:, :, j] = (cgf_grad_rows(model, ys, alphas + e) - cgf_grad_rows(model, ys, alphas - e)) / (2.0 * fd_step)
+            e[j] = HESS_FD_STEP
+            h[:, :, j] = (cgf_grad_rows(model, ys, alphas + e) - cgf_grad_rows(model, ys, alphas - e)) / (2.0 * HESS_FD_STEP)
         return 0.5 * (h + h.transpose(0, 2, 1))
     if isinstance(model, AffineNoiseModel):
         sig = _sigma_rows(model, ys)

@@ -127,6 +127,20 @@ class MartingaleCheck:
         return asdict(self)
 
 
+def _require_event_dim(event: EventSpec, dim: int) -> None:
+    """Reject an event whose normal, center or reference path is not in the model's dimension."""
+    if isinstance(event, TerminalHalfspace):
+        shape = event.normal.shape
+    elif isinstance(event, BallEvent):
+        shape = event.center.shape
+    elif event.reference is not None:
+        shape = (event.reference.dim,)
+    else:
+        return
+    if shape != (dim,):
+        raise ValueError(f"{event.record()['kind']} event has shape {shape}, the model dim is {dim}")
+
+
 def _require_two_samples(samples: int) -> None:
     """The weighted estimators report a ddof=1 standard error, which needs two samples."""
     if samples < 2:
@@ -227,6 +241,7 @@ def mc_probability(model: KernelModel, x, n: int, a, event: EventSpec, samples: 
     """
     amp = perturbation_amplitude(a)
     x = kernel._as_vector(x, model.dim, "x")
+    _require_event_dim(event, model.dim)
     worker = lambda rng, size: _hit_rows(model, x, n, amp, event, rng, size)
     hits = np.concatenate(_map_chunks(worker, samples, workers, (seed,)))
     p = float(np.mean(hits))
@@ -344,6 +359,7 @@ def tilted_mc_probability(
     _require_tiltable(model)
     _require_two_samples(samples)
     x = kernel._as_vector(x, model.dim, "x")
+    _require_event_dim(event, model.dim)
     plan = _tilt_plan(model, x, event, minimize_knots)
     return _tilted_estimate(model, x, n, event, samples, (seed,), workers, plan)
 
@@ -436,6 +452,7 @@ def verify_rate(
     _require_tiltable(model)
     _require_two_samples(samples)
     x = kernel._as_vector(x, model.dim, "x")
+    _require_event_dim(event, model.dim)
     if len(n_grid) < 1:
         raise ValueError("n_grid must be nonempty")
     plan = _tilt_plan(model, x, event, minimize_knots)

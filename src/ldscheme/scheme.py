@@ -55,9 +55,9 @@ from .kernel import KernelModel, perturbation_amplitude
 _SNAP = 1e-12
 
 
-def gauss_legendre_01(order: int = 5):
-    """Nodes and weights on [0, 1]; weights sum to 1."""
-    x, w = leggauss(order)
+def gauss_legendre_01():
+    """Order-5 Gauss-Legendre nodes and weights on [0, 1]; weights sum to 1."""
+    x, w = leggauss(5)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
@@ -219,13 +219,13 @@ def _euler_steps(model: KernelModel, x: np.ndarray, n: int, a: float, rng: Gener
         yield k, prev, inc if shifts is None else xi, state
 
 
-def simulate(run: SchemeRun, rng: Generator = None) -> Trajectory:
-    """Simulate one path of the scheme; bit-reproducible for a fixed seed.
+def simulate(run: SchemeRun) -> Trajectory:
+    """Simulate one path of the scheme from default_rng(run.seed); bit-reproducible.
 
     Raises SimulationBlowup with the offending step index if the state
     leaves the representable range.
     """
-    rng = rng if rng is not None else default_rng(run.seed)
+    rng = default_rng(run.seed)
     knots = np.empty((run.n + 1, run.model.dim))
     knots[0] = run.x
     for k, _, _, state in _euler_steps(run.model, run.x, run.n, run.a, rng, 1):
@@ -265,7 +265,7 @@ def phi_limit(model: KernelModel, x, a, f: Trajectory, lam: DualMeasure) -> floa
     if lam.dim != model.dim:
         raise ValueError(f"measure dim {lam.dim} does not match model dim {model.dim}")
     breaks = np.unique(np.concatenate([f.times, lam.times, [0.0, 1.0]]))
-    nodes, weights = gauss_legendre_01(5)
+    nodes, weights = gauss_legendre_01()
 
     ss, als, ws = [], [], []
     for u, v in zip(breaks[:-1], breaks[1:]):

@@ -15,8 +15,9 @@ from ldscheme.action import (
     straight_line,
 )
 from ldscheme.errors import InfeasibleProblemError, SimulationBlowup
-from ldscheme.kernel import affine_model, bernoulli_base, gaussian_base, linear_drift, preset_model, zero_drift
+from ldscheme.kernel import affine_model, gaussian_base, linear_drift, preset_model, zero_drift
 from ldscheme.scheme import Trajectory, eval_path_many
+from test_conjugate import _bernoulli_entropy
 
 
 def test_straight_line():
@@ -178,7 +179,7 @@ def test_minimize_halfspace_2d():
 def test_minimize_bernoulli_halfspace_entropy_rate():
     m = preset_model("bernoulli-walk")
     res = minimize_action(ActionProblem(model=m, x=[0.0], terminal=TerminalHalfspace([1.0], 0.6), m=13))
-    expect = bernoulli_base(0.3).conjugate(np.array([0.6]))
+    expect = _bernoulli_entropy(0.6, 0.3)
     assert res.converged
     _assert_certificate(res)
     assert res.action.value == pytest.approx(expect, rel=1e-4)
@@ -206,6 +207,26 @@ def test_terminal_constraints_reject_non_finite(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_iter", 0),
+        ("max_iter", 2.0),
+        ("max_iter", True),
+        # an infinite tolerance used to certify the straight line after 0 iterations
+        ("grad_tol", np.inf),
+        ("grad_tol", 0.0),
+        ("grad_tol", np.nan),
+        ("y_fd_step", 0.0),
+        ("y_fd_step", -1e-5),
+        ("y_fd_step", np.inf),
+    ],
+)
+def test_minimize_settings_validate_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        MinimizeSettings(**{field: value})
+
+
 def test_minimize_gradient_consistency():
     # assembled gradient vs finite differences of the total cost
     from ldscheme.action import _quadrature_pass
@@ -213,17 +234,16 @@ def test_minimize_gradient_consistency():
     m = preset_model("gaussian-ou")
     rng = default_rng(4)
     knots = straight_line([1.0], [0.5], 7).knots + 0.05 * rng.normal(size=(7, 1))
-    settings = MinimizeSettings()
-    seg, grad, divergent, _ = _quadrature_pass(m, 0.0, knots, settings, need_grad=True)
+    seg, grad, divergent, _ = _quadrature_pass(m, 0.0, knots, MinimizeSettings().y_fd_step)
     assert not divergent
     total = seg.sum()
     h = 1e-6
     for row in [2, 5]:
         bump = knots.copy()
         bump[row, 0] += h
-        up = _quadrature_pass(m, 0.0, bump, settings, need_grad=False)[0].sum()
+        up = _quadrature_pass(m, 0.0, bump)[0].sum()
         bump[row, 0] -= 2 * h
-        dn = _quadrature_pass(m, 0.0, bump, settings, need_grad=False)[0].sum()
+        dn = _quadrature_pass(m, 0.0, bump)[0].sum()
         fd = (up - dn) / (2 * h)
         assert grad[row, 0] == pytest.approx(fd, rel=5e-4, abs=1e-7)
 

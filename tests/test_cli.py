@@ -243,21 +243,26 @@ def test_estimate_tilted_rejects_smoothing_and_ball(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "event",
+    "event, key",
     [
-        {"kind": "terminal-halfspace", "normal": [1.0], "level": float("nan")},
-        {"kind": "terminal-ball", "center": [0.0], "radius": float("nan")},
-        {"kind": "sup-distance-from-path", "epsilon": float("nan")},
+        ({"kind": "terminal-halfspace", "normal": [1.0], "level": float("nan")}, "level"),
+        ({"kind": "terminal-halfspace", "normal": [1.0], "level": float("inf")}, "level"),
+        ({"kind": "terminal-halfspace", "normal": [float("inf")], "level": 1.0}, "normal[0]"),
+        ({"kind": "terminal-ball", "center": [0.0], "radius": float("nan")}, "radius"),
+        ({"kind": "terminal-ball", "center": [float("nan")], "radius": 1.0}, "center[0]"),
+        ({"kind": "sup-distance-from-path", "epsilon": float("nan")}, "epsilon"),
+        ({"kind": "sup-distance-from-path", "epsilon": float("inf")}, "epsilon"),
     ],
-    ids=["halfspace", "ball", "path"],
+    ids=["halfspace", "halfspace-level-inf", "halfspace-normal", "ball", "ball-center", "path", "path-inf"],
 )
-def test_estimate_non_finite_event_is_config_error(tmp_path, capsys, event):
-    # json reads NaN; a NaN parameter used to give p_hat 0 and exit 0
+def test_estimate_non_finite_event_is_config_error(tmp_path, capsys, event, key):
+    # json reads NaN; a NaN parameter used to give p_hat 0 and exit 0.  Every
+    # event parameter now fails when the config is read.
     cfg = {"model": FREE, "x": [0.0], "n": 10, "event": event, "samples": 100, "seed": 1}
     code, out = _run(tmp_path, "estimate", cfg)
     assert code == 2
-    assert "finite" in capsys.readouterr().err
-    assert not (out / "estimate_report.json").exists()
+    assert f"config.event.{key}: expected a finite number" in capsys.readouterr().err
+    assert not (out / "resolved_config.json").exists()
 
 
 def test_minimize_non_finite_terminal_is_config_error(tmp_path):
@@ -287,38 +292,93 @@ def test_weighted_estimators_with_one_sample_exit_2(tmp_path, capsys, command, e
     assert "samples must be >= 2" in capsys.readouterr().err
 
 
-_MARTINGALE = {"model": OU, "x": [1.0], "n": 10, "measure": {"atoms": [{"t": 1.0, "weight": [0.5]}]}}
+_MARTINGALE = {
+    "model": OU,
+    "x": [1.0],
+    "n": 10,
+    "measure": {"atoms": [{"t": 1.0, "weight": [0.5]}]},
+    "samples": 200,
+    "seed": 3,
+}
 _HEAVY = {**_MARTINGALE, "measure": {"atoms": [{"t": 1.0, "weight": [5.0]}]}}
 _RATE = {
     "model": FREE,
     "x": [0.0],
     "event": {"kind": "terminal-halfspace", "normal": [1.0], "level": 1.0},
     "n_grid": [10],
+    "samples": 200,
+    "seed": 3,
 }
-_ODE = {"model": OU, "x": [1.0], "epsilon": 0.35, "n_grid": [10, 20]}
+_ODE = {"model": OU, "x": [1.0], "epsilon": 0.35, "n_grid": [10, 20], "samples": 200, "seed": 3}
+_MINIMIZE = {"model": OU, "x": [0.0], "terminal": {"kind": "halfspace", "normal": [1.0], "level": 1.0}}
 
 
 @pytest.mark.parametrize(
-    "command, base, key, value",
+    "command, config, path",
     [
         # a NaN or infinite cap used to be skipped: the measure of variation
         # 5.0 exceeds the default cap 2.0 but was simulated anyway (exit 0)
-        ("verify-martingale", _HEAVY, "max_variation", float("nan")),
-        ("verify-martingale", _HEAVY, "max_variation", float("inf")),
+        ("verify-martingale", {**_HEAVY, "max_variation": float("nan")}, "max_variation"),
+        ("verify-martingale", {**_HEAVY, "max_variation": float("inf")}, "max_variation"),
         # a NaN gate used to fail every run with exit 1
-        ("verify-martingale", _MARTINGALE, "tolerance_stderr", float("nan")),
-        ("verify-rate", _RATE, "max_rel_gap", float("nan")),
-        ("verify-ode", _ODE, "max_slope", float("nan")),
+        ("verify-martingale", {**_MARTINGALE, "tolerance_stderr": float("nan")}, "tolerance_stderr"),
+        ("verify-rate", {**_RATE, "max_rel_gap": float("nan")}, "max_rel_gap"),
+        ("verify-ode", {**_ODE, "max_slope": float("nan")}, "max_slope"),
         # an infinite gate used to pass every run (exit 0)
-        ("verify-rate", _RATE, "max_rel_gap", float("inf")),
+        ("verify-rate", {**_RATE, "max_rel_gap": float("inf")}, "max_rel_gap"),
+        # the amplitude, an atom time and the minimizer settings fail when read too
+        ("verify-martingale", {**_MARTINGALE, "a": float("inf")}, "a"),
+        # an integer beyond the float range used to crash with an OverflowError
+        ("verify-martingale", {**_MARTINGALE, "a": 10**400}, "a"),
+        ("verify-martingale", {**_MARTINGALE, "measure": {"atoms": [{"t": float("nan"), "weight": [0.5]}]}},
+         "measure.atoms[0].t"),
+        # an infinite grad_tol used to certify the straight line after 0 iterations
+        ("minimize", {**_MINIMIZE, "settings": {"grad_tol": float("inf")}}, "settings.grad_tol"),
+        ("minimize", {**_MINIMIZE, "settings": {"y_fd_step": float("nan")}}, "settings.y_fd_step"),
     ],
-    ids=["variation-nan", "variation-inf", "tolerance-nan", "rel-gap-nan", "slope-nan", "rel-gap-inf"],
+    ids=["variation-nan", "variation-inf", "tolerance-nan", "rel-gap-nan", "slope-nan", "rel-gap-inf",
+         "a-inf", "a-overflow", "atom-t-nan", "grad-tol-inf", "y-fd-step-nan"],
 )
-def test_verification_non_finite_cap_is_config_error(tmp_path, capsys, command, base, key, value):
-    code, out = _run(tmp_path, command, {**base, "samples": 200, "seed": 3, key: value})
+def test_verification_non_finite_cap_is_config_error(tmp_path, capsys, command, config, path):
+    code, out = _run(tmp_path, command, config)
     assert code == 2
-    assert f"config.{key}: expected a finite number" in capsys.readouterr().err
+    assert f"config.{path}: expected a finite number" in capsys.readouterr().err
     assert not (out / "resolved_config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        # exited 0 with converged true after 0 iterations at the straight-line cost 1.1667
+        ("grad_tol", float("inf")),
+        # warned and then failed with "ys must be finite"
+        ("y_fd_step", 0),
+        # ran anyway and reported 1 iteration
+        ("max_iter", 0),
+    ],
+)
+def test_minimize_bad_settings_exit_2(tmp_path, capsys, key, value):
+    code, out = _run(tmp_path, "minimize", {**_MINIMIZE, "settings": {key: value}})
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "minimize_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        # exited 0 with p_hat 0.98375: the center broadcast against the (rows, 1) states
+        {"kind": "terminal-ball", "center": [0.0, 0.0], "radius": 0.5},
+        {"kind": "terminal-halfspace", "normal": [1.0, 0.0], "level": 1.0},
+    ],
+    ids=["ball", "halfspace"],
+)
+def test_estimate_event_of_wrong_dimension_exits_2(tmp_path, capsys, event):
+    cfg = {"model": OU, "x": [0.0], "n": 20, "event": event, "samples": 4000, "seed": 3}
+    code, out = _run(tmp_path, "estimate", cfg)
+    assert code == 2
+    assert "the model dim is 1" in capsys.readouterr().err
+    assert not (out / "estimate_report.json").exists()
 
 
 def test_estimate_workers_byte_identical(tmp_path):

@@ -93,6 +93,33 @@ def test_weighted_estimators_need_two_samples(run, monkeypatch):
         run(preset_model("gaussian-free"), DualMeasure.point_mass(1.0, 0.5))
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        # a 2-D center used to broadcast against the (rows, 1) states and give p_hat 0.98
+        lambda m: mc_probability(m, [0.0], 20, 0.0, BallEvent([0.0, 0.0], 0.5), 100, seed=0),
+        # a 2-D reference broadcast the same way in the path fold
+        lambda m: mc_probability(m, [0.0], 20, 0.0, PathDeviationEvent(0.5, Trajectory(np.zeros((3, 2)))), 100, seed=0),
+        # a 2-D normal ended in a numpy shape error
+        lambda m: mc_probability(m, [0.0], 20, 0.0, TerminalHalfspace([1.0, 0.0], 1.0), 100, seed=0),
+        lambda m: tilted_mc_probability(m, [0.0], 20, TerminalHalfspace([1.0, 0.0], 1.0), 100, seed=0),
+        lambda m: verify_rate(m, [0.0], TerminalHalfspace([1.0, 0.0], 1.0), [10, 20], 100, seed=0),
+    ],
+    ids=["ball", "path", "halfspace", "tilted", "rate"],
+)
+def test_estimators_reject_event_of_wrong_dimension(run, monkeypatch):
+    # the check runs before anything is simulated or minimized
+    import ldscheme.rare_event as rare_event
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("simulated before validating the event")
+
+    monkeypatch.setattr(rare_event, "_map_chunks", forbidden)
+    monkeypatch.setattr(rare_event, "_tilt_plan", forbidden)
+    with pytest.raises(ValueError, match=r"event has shape \(2,\), the model dim is 1"):
+        run(preset_model("gaussian-ou"))
+
+
 def test_chunk_sizes():
     assert _chunk_sizes(5) == [5]
     assert _chunk_sizes(CHUNK_SIZE) == [CHUNK_SIZE]

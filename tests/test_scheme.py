@@ -23,7 +23,7 @@ from ldscheme.scheme import (
 
 
 def test_gauss_legendre_weights():
-    nodes, weights = gauss_legendre_01(5)
+    nodes, weights = gauss_legendre_01()
     assert weights.sum() == pytest.approx(1.0, abs=1e-14)
     assert np.all((nodes > 0) & (nodes < 1))
     # order 5 integrates degree-9 polynomials exactly
@@ -178,8 +178,8 @@ def _stepper_knots(m, x, n, a, rows, rng):
 
 def test_euler_steps_one_row_matches_simulate():
     m = preset_model("gaussian-ou")
-    out = _stepper_knots(m, [1.0], 25, 0.5, 1, default_rng([6, 0]))
-    ref = simulate(SchemeRun(model=m, x=[1.0], n=25, a=0.5, seed=6), rng=default_rng([6, 0]))
+    out = _stepper_knots(m, [1.0], 25, 0.5, 1, default_rng(6))
+    ref = simulate(SchemeRun(model=m, x=[1.0], n=25, a=0.5, seed=6))
     assert np.array_equal(out[0], ref.knots)
     big = _stepper_knots(m, [1.0], 25, 0.5, 7, default_rng([6, 0]))
     assert big.shape == (7, 26, 1)
