@@ -34,6 +34,10 @@ from .kernel import KernelModel, perturbation_amplitude
 from .scheme import Trajectory, gauss_legendre_01
 
 BARRIER = 1e12
+# stationarity tolerance of the KKT residual, and the central-difference step
+# in y of the envelope gradient
+GRAD_TOL = 1e-6
+Y_FD_STEP = 1e-5
 
 _NODES, _WEIGHTS = gauss_legendre_01()
 
@@ -88,23 +92,13 @@ TerminalSpec = Union[TerminalPoint, TerminalHalfspace]
 
 @dataclass(frozen=True)
 class MinimizeSettings:
-    """L-BFGS-B iteration cap, stationarity tolerance and y-step of the envelope gradient.
-
-    max_iter must be an integer >= 1; grad_tol and y_fd_step must be
-    finite and > 0.
-    """
+    """L-BFGS-B iteration cap, an integer >= 1."""
 
     max_iter: int = 500
-    grad_tol: float = 1e-6
-    y_fd_step: float = 1e-5
 
     def __post_init__(self):
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        for name in ("grad_tol", "y_fd_step"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -160,15 +154,15 @@ def straight_line(x, z, m: int) -> Trajectory:
     return Trajectory((1.0 - frac) * x + frac * z)
 
 
-def _quadrature_pass(model, a, knots, y_fd_step: Optional[float] = None):
-    """Segment costs, and the knot gradient when y_fd_step is given, from one batched solve.
+def _quadrature_pass(model, a, knots, gradient: bool = False):
+    """Segment costs, and the knot gradient if asked for, from one batched solve.
 
     All m_seg x 5 Gauss-Legendre nodes go through a single fenchel_rows
     call.  Returns (seg_values, grad, divergent, warnings): divergent lists
     the segments where some node's conjugate is +inf, warnings the
     (segment, node) pairs that ended as max-iterations ahead of the
-    segment's first divergent node, and grad is None unless y_fd_step is
-    given and every segment is finite.  y_fd_step is the central-difference
+    segment's first divergent node, and grad is None unless gradient is
+    true and every segment is finite.  Y_FD_STEP is the central-difference
     step in y of the envelope gradient.
     """
     m_seg = knots.shape[0] - 1
@@ -195,13 +189,13 @@ def _quadrature_pass(model, a, knots, y_fd_step: Optional[float] = None):
         acc += _WEIGHTS[q] * values[:, q]
     seg_values = dt * acc
     seg_values[divergent] = np.inf
-    if y_fd_step is None or divergent:
+    if not gradient or divergent:
         return seg_values, None, divergent, warnings
 
     # envelope identities: d conj/dz = alpha*, d conj/dy = -grad_y cgf(y, alpha*),
     # the latter by central differences in y (the smoothing term has no y)
     astar = res.argmax
-    h = y_fd_step
+    h = Y_FD_STEP
     cy = np.empty((m_seg * n_q, d))
     for i in range(d):
         up, dn = ys.copy(), ys.copy()
@@ -282,7 +276,7 @@ def minimize_action(problem: ActionProblem) -> MinimizeResult:
     `converged` certifies stationarity: the 2-norm of the projected gradient
     (the KKT residual; the bound component is dropped while the terminal
     sits on the boundary and the gradient points outward) is at most
-    grad_tol at the returned knots.  Each log row is (iter, value,
+    GRAD_TOL at the returned knots.  Each log row is (iter, value,
     grad_norm, step), where step is the length of the accepted move in free
     coordinates (0 on the row for iteration 0).  An uncertified stop adds
     scipy's stop message to `warnings`.
@@ -319,7 +313,7 @@ def minimize_action(problem: ActionProblem) -> MinimizeResult:
     def evaluate(v):
         """One quadrature pass at v, memoized so the callback reuses it."""
         if last.get("v") is None or not np.array_equal(last["v"], v):
-            seg, grad, divergent, warn = _quadrature_pass(model, a, knots_of(v), settings.y_fd_step)
+            seg, grad, divergent, warn = _quadrature_pass(model, a, knots_of(v), gradient=True)
             if divergent:
                 f, g = BARRIER, np.zeros(nfree)
             else:
@@ -363,14 +357,14 @@ def minimize_action(problem: ActionProblem) -> MinimizeResult:
             options={
                 "maxiter": settings.max_iter,
                 "maxcor": nfree,
-                "gtol": settings.grad_tol / np.sqrt(nfree),
+                "gtol": GRAD_TOL / np.sqrt(nfree),
                 "ftol": 0.0,
             },
         )
         it, message = res.nit, res.message
         evaluate(res.x)
     grad_norm = residual()
-    converged = grad_norm <= settings.grad_tol
+    converged = grad_norm <= GRAD_TOL
     if not converged:
         warnings.append(f"stopped without a stationarity certificate: {message}")
 

@@ -30,6 +30,18 @@ import sys
 import numpy as np
 
 from . import kernel
+from .kernel import (
+    ModelConfigError,
+    _as_array,
+    _as_dict,
+    _as_float,
+    _as_int,
+    _as_int_list,
+    _as_list,
+    _as_numbers,
+    _as_str,
+    _Conf,
+)
 from .action import (
     ActionProblem,
     MinimizeSettings,
@@ -56,108 +68,6 @@ from .scheme import (
     save_trajectory,
     simulate,
 )
-
-
-class ConfigError(Exception):
-    pass
-
-
-_MISSING = object()
-
-
-def _as_int(v, path):
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}: expected an integer, got {v!r}")
-    return v
-
-
-def _as_float(v, path):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {v!r}")
-    try:
-        value = float(v)
-    except OverflowError:  # an integer literal beyond the float range
-        value = np.inf
-    if not np.isfinite(value):
-        raise ConfigError(f"{path}: expected a finite number, got {v!r}")
-    return value
-
-
-def _as_str(v, path):
-    if not isinstance(v, str):
-        raise ConfigError(f"{path}: expected a string, got {v!r}")
-    return v
-
-
-def _as_vector(v, path):
-    """A finite number or a nonempty flat list of them; returned in JSON form."""
-    if isinstance(v, list) and v:
-        return [_as_float(u, f"{path}[{i}]") for i, u in enumerate(v)]
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return _as_float(v, path)
-    raise ConfigError(f"{path}: expected a number or a list of numbers, got {v!r}")
-
-
-def _as_int_list(v, path):
-    if not (isinstance(v, list) and v and all(isinstance(u, int) and not isinstance(u, bool) for u in v)):
-        raise ConfigError(f"{path}: expected a nonempty list of integers, got {v!r}")
-    return list(v)
-
-
-def _as_list(v, path):
-    if not isinstance(v, list):
-        raise ConfigError(f"{path}: expected a list, got {v!r}")
-    return v
-
-
-def _as_dict(v, path):
-    if not isinstance(v, dict):
-        raise ConfigError(f"{path}: expected an object, got {v!r}")
-    return v
-
-
-class _Conf:
-    """Strict view of one JSON object: every key must be taken exactly once."""
-
-    def __init__(self, data, path):
-        self.data = _as_dict(data, path)
-        self.path = path
-        self.used = set()
-        self.resolved = {}
-
-    def take(self, key, cast, default=_MISSING):
-        self.used.add(key)
-        if key not in self.data:
-            if default is _MISSING:
-                raise ConfigError(f"missing required key '{self.path}.{key}'")
-            self.resolved[key] = default
-            return default
-        value = cast(self.data[key], f"{self.path}.{key}")
-        self.resolved[key] = value
-        return value
-
-    def take_raw(self, key):
-        self.used.add(key)
-        if key not in self.data:
-            raise ConfigError(f"missing required key '{self.path}.{key}'")
-        self.resolved[key] = self.data[key]
-        return self.data[key]
-
-    def sub(self, key, default=_MISSING):
-        self.used.add(key)
-        if key not in self.data:
-            if default is _MISSING:
-                raise ConfigError(f"missing required key '{self.path}.{key}'")
-            sub = _Conf(dict(default), f"{self.path}.{key}")
-        else:
-            sub = _Conf(self.data[key], f"{self.path}.{key}")
-        self.resolved[key] = sub.resolved
-        return sub
-
-    def close(self):
-        unknown = sorted(set(self.data) - self.used)
-        if unknown:
-            raise ConfigError(f"unknown key '{self.path}.{unknown[0]}'")
 
 
 def _jsonable(value):
@@ -196,37 +106,36 @@ def _write_csv(path, header, rows):
 
 
 def _model_from(c: _Conf):
-    raw = c.take_raw("model")
-    model = kernel.model_from_config(raw, path=f"{c.path}.model")
-    return model
+    # the raw record is echoed to resolved_config.json; model_from_config checks it
+    return kernel.model_from_config(c.take("model", _as_dict), path=f"{c.path}.model")
 
 
 def _terminal_from(c: _Conf):
     t = c.sub("terminal")
     kind = t.take("kind", _as_str)
     if kind == "point":
-        point = t.take("point", _as_vector)
+        point = t.take("point", _as_numbers)
         tol = t.take("tolerance", _as_float, 0.0)
         t.close()
         return TerminalPoint(point=point, tolerance=tol)
     if kind == "halfspace":
-        normal = t.take("normal", _as_vector)
+        normal = t.take("normal", _as_numbers)
         level = t.take("level", _as_float)
         t.close()
         return TerminalHalfspace(normal=normal, level=level)
-    raise ConfigError(f"{t.path}.kind: unknown terminal kind {kind!r}")
+    raise ModelConfigError(f"{t.path}.kind: unknown terminal kind {kind!r}")
 
 
 def _event_from(c: _Conf):
     e = c.sub("event")
     kind = e.take("kind", _as_str)
     if kind == "terminal-halfspace":
-        normal = e.take("normal", _as_vector)
+        normal = e.take("normal", _as_numbers)
         level = e.take("level", _as_float)
         e.close()
         return TerminalHalfspace(normal=normal, level=level)
     if kind == "terminal-ball":
-        center = e.take("center", _as_vector)
+        center = e.take("center", _as_numbers)
         radius = e.take("radius", _as_float)
         e.close()
         return BallEvent(center=center, radius=radius)
@@ -236,7 +145,7 @@ def _event_from(c: _Conf):
         e.close()
         ref = load_trajectory(ref_file) if ref_file else None
         return PathDeviationEvent(epsilon=epsilon, reference=ref)
-    raise ConfigError(f"{e.path}.kind: unknown event kind {kind!r}")
+    raise ModelConfigError(f"{e.path}.kind: unknown event kind {kind!r}")
 
 
 def _measure_from(c: _Conf, dim: int) -> DualMeasure:
@@ -248,21 +157,14 @@ def _measure_from(c: _Conf, dim: int) -> DualMeasure:
     pairs = []
     for j, rec in enumerate(atoms):
         a = _Conf(rec, f"{m.path}.atoms[{j}]")
-        t = a.take("t", _as_float)
-        w = a.take("weight", _as_vector)
+        pairs.append((a.take("t", _as_float), a.take("weight", _as_array((dim,)))))
         a.close()
-        wv = np.atleast_1d(np.asarray(w, dtype=np.float64))
-        if wv.shape != (dim,):
-            raise ConfigError(f"{m.path}.atoms[{j}].weight: expected {dim} components, got {wv.shape}")
-        pairs.append((t, wv))
     return DualMeasure.from_atoms(pairs)
 
 
 def _minimize_settings_from(c: _Conf) -> MinimizeSettings:
     s = c.sub("settings", default={})
-    default = MinimizeSettings()
-    casts = {"max_iter": _as_int, "grad_tol": _as_float, "y_fd_step": _as_float}
-    settings = MinimizeSettings(**{key: s.take(key, cast, getattr(default, key)) for key, cast in casts.items()})
+    settings = MinimizeSettings(max_iter=s.take("max_iter", _as_int, MinimizeSettings().max_iter))
     s.close()
     return settings
 
@@ -273,7 +175,7 @@ def _minimize_settings_from(c: _Conf) -> MinimizeSettings:
 def _cmd_simulate(cfg, out, workers):
     c = _Conf(cfg, "config")
     model = _model_from(c)
-    x = c.take("x", _as_vector)
+    x = c.take("x", _as_numbers)
     n = c.take("n", _as_int)
     a = c.take("a", _as_float, 0.0)
     seed = c.take("seed", _as_int)
@@ -287,13 +189,13 @@ def _cmd_simulate(cfg, out, workers):
 def _cmd_action(cfg, out, workers):
     c = _Conf(cfg, "config")
     model = _model_from(c)
-    x = c.take("x", _as_vector)
+    x = c.take("x", _as_numbers)
     a = c.take("a", _as_float, 0.0)
     traj_file = c.take("trajectory_file", _as_str, None)
     knots = c.take("knots", _as_list, None)
     c.close()
     if (traj_file is None) == (knots is None):
-        raise ConfigError("config: give exactly one of 'trajectory_file' and 'knots'")
+        raise ModelConfigError("config: give exactly one of 'trajectory_file' and 'knots'")
     _write_json(os.path.join(out, "resolved_config.json"), {"command": "action", **c.resolved})
     traj = load_trajectory(traj_file) if traj_file else Trajectory(np.asarray(knots, dtype=np.float64))
     val = action(model, x, a, traj)
@@ -315,7 +217,7 @@ def _cmd_action(cfg, out, workers):
 def _cmd_minimize(cfg, out, workers):
     c = _Conf(cfg, "config")
     model = _model_from(c)
-    x = c.take("x", _as_vector)
+    x = c.take("x", _as_numbers)
     a = c.take("a", _as_float, 0.0)
     m = c.take("m", _as_int, 21)
     terminal = _terminal_from(c)
@@ -352,28 +254,25 @@ def _cmd_minimize(cfg, out, workers):
 def _cmd_estimate(cfg, out, workers):
     c = _Conf(cfg, "config")
     model = _model_from(c)
-    x = c.take("x", _as_vector)
+    x = c.take("x", _as_numbers)
     n = c.take("n", _as_int)
     a = c.take("a", _as_float, 0.0)
     event = _event_from(c)
     samples = c.take("samples", _as_int)
     seed = c.take("seed", _as_int)
     method = c.take("method", _as_str, "naive")
-    minimize_knots = c.take("minimize_knots", _as_int, 21)
     c.close()
     if method not in ("naive", "tilted"):
-        raise ConfigError(f"config.method: expected 'naive' or 'tilted', got {method!r}")
+        raise ModelConfigError(f"config.method: expected 'naive' or 'tilted', got {method!r}")
     _write_json(os.path.join(out, "resolved_config.json"), {"command": "estimate", **c.resolved})
     if method == "naive":
         report = mc_probability(model, x, n, a, event, samples, seed, workers=workers)
     else:
         if a != 0.0:
-            raise ConfigError("config.a: the tilted estimator runs the unsmoothed scheme; set a to 0")
+            raise ModelConfigError("config.a: the tilted estimator runs the unsmoothed scheme; set a to 0")
         if not isinstance(event, TerminalHalfspace):
-            raise ConfigError("config.event.kind: the tilted estimator needs 'terminal-halfspace'")
-        report = tilted_mc_probability(
-            model, x, n, event, samples, seed, workers=workers, minimize_knots=minimize_knots
-        )
+            raise ModelConfigError("config.event.kind: the tilted estimator needs 'terminal-halfspace'")
+        report = tilted_mc_probability(model, x, n, event, samples, seed, workers=workers)
     _write_json(os.path.join(out, "estimate_report.json"), report.to_json_dict())
     return 0
 
@@ -381,7 +280,7 @@ def _cmd_estimate(cfg, out, workers):
 def _cmd_verify_martingale(cfg, out, workers):
     c = _Conf(cfg, "config")
     model = _model_from(c)
-    x = c.take("x", _as_vector)
+    x = c.take("x", _as_numbers)
     n = c.take("n", _as_int)
     a = c.take("a", _as_float, 0.0)
     lam = _measure_from(c, model.dim)
@@ -408,20 +307,17 @@ def _cmd_verify_martingale(cfg, out, workers):
 def _cmd_verify_rate(cfg, out, workers):
     c = _Conf(cfg, "config")
     model = _model_from(c)
-    x = c.take("x", _as_vector)
+    x = c.take("x", _as_numbers)
     event = _event_from(c)
     n_grid = c.take("n_grid", _as_int_list)
     samples = c.take("samples", _as_int)
     seed = c.take("seed", _as_int)
-    minimize_knots = c.take("minimize_knots", _as_int, 21)
     max_rel_gap = c.take("max_rel_gap", _as_float, 0.15)
     c.close()
     if not isinstance(event, TerminalHalfspace):
-        raise ConfigError("config.event.kind: rate verification needs 'terminal-halfspace'")
+        raise ModelConfigError("config.event.kind: rate verification needs 'terminal-halfspace'")
     _write_json(os.path.join(out, "resolved_config.json"), {"command": "verify-rate", **c.resolved})
-    report = verify_rate(
-        model, x, event, n_grid, samples, seed, workers=workers, minimize_knots=minimize_knots
-    )
+    report = verify_rate(model, x, event, n_grid, samples, seed, workers=workers)
     final_gap = next((g for g in reversed(report.rel_gaps) if g is not None), None)
     unexcused = [v for v in report.trend_violations if not v["excused"]]
     ok = (
@@ -448,7 +344,7 @@ def _cmd_verify_rate(cfg, out, workers):
 def _cmd_verify_ode(cfg, out, workers):
     c = _Conf(cfg, "config")
     model = _model_from(c)
-    x = c.take("x", _as_vector)
+    x = c.take("x", _as_numbers)
     epsilon = c.take("epsilon", _as_float)
     n_grid = c.take("n_grid", _as_int_list)
     samples = c.take("samples", _as_int)
@@ -509,8 +405,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
-        print(f"config error: {args.config} is not valid JSON: {exc}", file=sys.stderr)
+    except ValueError as exc:  # bad JSON, or an integer literal too long to convert
+        print(f"config error: cannot parse {args.config}: {exc}", file=sys.stderr)
         return 2
     if args.workers < 1:
         print("config error: --workers must be >= 1", file=sys.stderr)
@@ -519,7 +415,7 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command][0]
     try:
         return handler(cfg, args.out, args.workers)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Everything deriving from NumericalFailure maps to CLI exit code 3; config
-problems map to exit code 2 and are raised as ConfigError by the CLI layer.
+problems map to exit code 2 and are raised as kernel.ModelConfigError (a
+ValueError) by the one strict config reader.
 """
 
 

@@ -32,25 +32,28 @@ from numpy.random import Generator
 
 
 class ModelConfigError(ValueError):
-    """A declarative model config record failed validation."""
+    """A config record failed validation: a model record or a CLI config."""
+
+
+def _finite(x, name: str) -> np.ndarray:
+    v = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    return v
 
 
 def _as_vector(x, dim: int, name: str) -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if v.shape != (dim,):
         raise ValueError(f"{name} must have shape ({dim},), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite")
-    return v
+    return _finite(v, name)
 
 
 def _as_rows(x, dim: int, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 2 or v.shape[1] != dim:
         raise ValueError(f"{name} must have shape (N, {dim}), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite")
-    return v
+    return _finite(v, name)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -177,14 +180,14 @@ def affine_model(
     """Assemble an AffineNoiseModel from drift, diffusion, and base law.
 
     sigma may be a callable y -> (d, d) matrix, a constant (d, d) array,
-    or a scalar (interpreted as scalar * identity).
+    or a scalar (interpreted as scalar * identity); a constant must be finite.
     """
     if np.isscalar(sigma):
-        sigma_matrix = float(sigma) * np.eye(dim)
+        sigma_matrix = _finite(sigma, "constant sigma") * np.eye(dim)
     elif callable(sigma):
         sigma_matrix = None
     else:
-        sigma_matrix = np.asarray(sigma, dtype=np.float64)
+        sigma_matrix = _finite(sigma, "constant sigma")
         if sigma_matrix.shape != (dim, dim):
             raise ValueError(f"constant sigma must have shape ({dim}, {dim}), got {sigma_matrix.shape}")
 
@@ -341,14 +344,14 @@ def zero_drift():
 
 
 def constant_drift(v: np.ndarray):
-    v = np.asarray(v, dtype=np.float64)
+    v = _finite(v, "constant drift")
     return lambda y: np.broadcast_to(v, np.shape(y)).copy()
 
 
 def linear_drift(matrix: np.ndarray, offset=None):
     """y -> A y + v, the standard linear drift."""
-    a = np.asarray(matrix, dtype=np.float64)
-    v = np.zeros(a.shape[0]) if offset is None else np.asarray(offset, dtype=np.float64)
+    a = _finite(matrix, "drift matrix")
+    v = np.zeros(a.shape[0]) if offset is None else _finite(offset, "drift offset")
     return lambda y: np.dot(np.asarray(y, dtype=np.float64), a.T) + v
 
 
@@ -366,82 +369,168 @@ def logistic_drift():
 
 # ---------------------------------------------------------------------------
 # declarative configs and shipped presets
+#
+# One strict reader serves model records and every CLI config: each key of
+# a record is read exactly once through a cast that names its full path.
 
-def _strict_keys(record: dict, allowed: set, path: str):
-    unknown = set(record) - allowed
-    if unknown:
-        raise ModelConfigError(f"unknown key(s) {sorted(unknown)} at {path}; allowed: {sorted(allowed)}")
+_MISSING = object()
 
 
-def _drift_from_config(rec: dict, dim: int, path: str):
-    if not isinstance(rec, dict) or "kind" not in rec:
-        raise ModelConfigError(f"{path} must be an object with a 'kind' key")
-    kind = rec["kind"]
+def _as_int(v, path):
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ModelConfigError(f"{path}: expected an integer, got {v!r}")
+    return v
+
+
+def _as_float(v, path):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ModelConfigError(f"{path}: expected a number, got {v!r}")
+    try:
+        value = float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        value = np.inf
+    if not np.isfinite(value):
+        raise ModelConfigError(f"{path}: expected a finite number, got {v!r}")
+    return value
+
+
+def _as_str(v, path):
+    if not isinstance(v, str):
+        raise ModelConfigError(f"{path}: expected a string, got {v!r}")
+    return v
+
+
+def _as_numbers(v, path):
+    """A finite number or a nonempty flat list of them; returned in JSON form."""
+    if isinstance(v, list) and v:
+        return [_as_float(u, f"{path}[{i}]") for i, u in enumerate(v)]
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return _as_float(v, path)
+    raise ModelConfigError(f"{path}: expected a number or a list of numbers, got {v!r}")
+
+
+def _as_int_list(v, path):
+    if not (isinstance(v, list) and v and all(isinstance(u, int) and not isinstance(u, bool) for u in v)):
+        raise ModelConfigError(f"{path}: expected a nonempty list of integers, got {v!r}")
+    return list(v)
+
+
+def _as_list(v, path):
+    if not isinstance(v, list):
+        raise ModelConfigError(f"{path}: expected a list, got {v!r}")
+    return v
+
+
+def _as_dict(v, path):
+    if not isinstance(v, dict):
+        raise ModelConfigError(f"{path}: expected an object, got {v!r}")
+    return v
+
+
+def _as_array(shape: tuple):
+    """Cast to a float array of the given shape, every entry checked by _as_float.
+
+    A vector of length 1 may also be given as a bare number.
+    """
+
+    def entries(v, path, axes):
+        if not axes:
+            return _as_float(v, path)
+        if not (isinstance(v, list) and len(v) == axes[0]):
+            raise ModelConfigError(f"{path}: expected a list of length {axes[0]}, got {v!r}")
+        return [entries(u, f"{path}[{i}]", axes[1:]) for i, u in enumerate(v)]
+
+    def cast(v, path):
+        bare = shape == (1,) and not isinstance(v, list)
+        return np.array([_as_float(v, path)] if bare else entries(v, path, shape))
+
+    return cast
+
+
+class _Conf:
+    """Strict view of one JSON object: every key must be taken exactly once."""
+
+    def __init__(self, data, path):
+        self.data = _as_dict(data, path)
+        self.path = path
+        self.used = set()
+        self.resolved = {}
+
+    def take(self, key, cast, default=_MISSING):
+        self.used.add(key)
+        if key not in self.data:
+            if default is _MISSING:
+                raise ModelConfigError(f"missing required key '{self.path}.{key}'")
+            self.resolved[key] = default
+            return default
+        value = cast(self.data[key], f"{self.path}.{key}")
+        self.resolved[key] = value
+        return value
+
+    def sub(self, key, default=_MISSING):
+        self.used.add(key)
+        if key not in self.data:
+            if default is _MISSING:
+                raise ModelConfigError(f"missing required key '{self.path}.{key}'")
+            sub = _Conf(dict(default), f"{self.path}.{key}")
+        else:
+            sub = _Conf(self.data[key], f"{self.path}.{key}")
+        self.resolved[key] = sub.resolved
+        return sub
+
+    def close(self):
+        unknown = sorted(set(self.data) - self.used)
+        if unknown:
+            raise ModelConfigError(f"unknown key '{self.path}.{unknown[0]}'")
+
+
+def _drift_from(c: _Conf, dim: int):
+    kind = c.take("kind", _as_str)
     if kind == "zero":
-        _strict_keys(rec, {"kind"}, path)
-        return zero_drift(), "zero"
-    if kind == "constant":
-        _strict_keys(rec, {"kind", "value"}, path)
-        if "value" not in rec:
-            raise ModelConfigError(f"{path}.value is required for constant drift")
-        return constant_drift(_as_vector(rec["value"], dim, f"{path}.value")), "const"
-    if kind == "linear":
-        _strict_keys(rec, {"kind", "matrix", "offset"}, path)
-        if "matrix" not in rec:
-            raise ModelConfigError(f"{path}.matrix is required for linear drift")
-        a = np.asarray(rec["matrix"], dtype=np.float64)
-        if a.shape != (dim, dim):
-            raise ModelConfigError(f"{path}.matrix must be {dim}x{dim}, got {a.shape}")
-        off = rec.get("offset")
-        if off is not None:
-            off = _as_vector(off, dim, f"{path}.offset")
-        return linear_drift(a, off), "linear"
-    if kind == "logistic":
-        _strict_keys(rec, {"kind"}, path)
+        drift, tag = zero_drift(), "zero"
+    elif kind == "constant":
+        drift, tag = constant_drift(c.take("value", _as_array((dim,)))), "const"
+    elif kind == "linear":
+        matrix = c.take("matrix", _as_array((dim, dim)))
+        drift, tag = linear_drift(matrix, c.take("offset", _as_array((dim,)), None)), "linear"
+    elif kind == "logistic":
         if dim != 1:
-            raise ModelConfigError(f"{path}: logistic drift requires dim=1, got dim={dim}")
-        return logistic_drift(), "logistic"
-    raise ModelConfigError(f"{path}.kind must be one of zero|constant|linear|logistic, got {kind!r}")
+            raise ModelConfigError(f"{c.path}: logistic drift requires dim=1, got dim={dim}")
+        drift, tag = logistic_drift(), "logistic"
+    else:
+        raise ModelConfigError(f"{c.path}.kind must be one of zero|constant|linear|logistic, got {kind!r}")
+    c.close()
+    return drift, tag
 
 
-def _sigma_from_config(rec: dict, dim: int, path: str):
-    if not isinstance(rec, dict) or "kind" not in rec:
-        raise ModelConfigError(f"{path} must be an object with a 'kind' key")
-    kind = rec["kind"]
+def _sigma_from(c: _Conf, dim: int):
+    kind = c.take("kind", _as_str)
     if kind == "zero":
-        _strict_keys(rec, {"kind"}, path)
-        return np.zeros((dim, dim)), "zero"
-    if kind == "identity":
-        _strict_keys(rec, {"kind", "scale"}, path)
-        scale = float(rec.get("scale", 1.0))
-        return scale * np.eye(dim), f"{scale}*I"
-    if kind == "constant":
-        _strict_keys(rec, {"kind", "matrix"}, path)
-        if "matrix" not in rec:
-            raise ModelConfigError(f"{path}.matrix is required for constant sigma")
-        m = np.asarray(rec["matrix"], dtype=np.float64)
-        if m.shape != (dim, dim):
-            raise ModelConfigError(f"{path}.matrix must be {dim}x{dim}, got {m.shape}")
-        return m, "const"
-    raise ModelConfigError(f"{path}.kind must be one of zero|identity|constant, got {kind!r}")
+        sigma, tag = np.zeros((dim, dim)), "zero"
+    elif kind == "identity":
+        scale = c.take("scale", _as_float, 1.0)
+        sigma, tag = scale * np.eye(dim), f"{scale}*I"
+    elif kind == "constant":
+        sigma, tag = c.take("matrix", _as_array((dim, dim))), "const"
+    else:
+        raise ModelConfigError(f"{c.path}.kind must be one of zero|identity|constant, got {kind!r}")
+    c.close()
+    return sigma, tag
 
 
-def _base_from_config(rec: dict, path: str):
-    if not isinstance(rec, dict) or "kind" not in rec:
-        raise ModelConfigError(f"{path} must be an object with a 'kind' key")
-    kind = rec["kind"]
+def _base_from(c: _Conf):
+    kind = c.take("kind", _as_str)
     if kind == "gaussian":
-        _strict_keys(rec, {"kind"}, path)
-        return gaussian_base(), "gaussian"
-    if kind == "bernoulli":
-        _strict_keys(rec, {"kind", "p"}, path)
-        if "p" not in rec:
-            raise ModelConfigError(f"{path}.p is required for bernoulli base")
-        try:
-            return bernoulli_base(float(rec["p"])), f"bernoulli({rec['p']})"
-        except ValueError as exc:
-            raise ModelConfigError(f"{path}.p: {exc}") from exc
-    raise ModelConfigError(f"{path}.kind must be gaussian or bernoulli, got {kind!r}")
+        base, tag = gaussian_base(), "gaussian"
+    elif kind == "bernoulli":
+        p = c.take("p", _as_float)
+        if not 0.0 < p < 1.0:
+            raise ModelConfigError(f"{c.path}.p: expected a number in (0, 1), got {p!r}")
+        base, tag = bernoulli_base(p), f"bernoulli({p})"
+    else:
+        raise ModelConfigError(f"{c.path}.kind must be gaussian or bernoulli, got {kind!r}")
+    c.close()
+    return base, tag
 
 
 # All shipped presets keep a nondegenerate diffusion factor so that rate
@@ -479,32 +568,24 @@ def model_from_config(cfg: dict, path: str = "model") -> AffineNoiseModel:
     """Build an affine model from a declarative record.
 
     Either {"preset": name} or an explicit {"dim", "drift", "sigma", "base"}
-    record.  Unknown keys anywhere are errors.
+    record.  Unknown keys, missing keys and values of the wrong type
+    (numbers must be finite) raise ModelConfigError naming their path.
     """
-    if not isinstance(cfg, dict):
-        raise ModelConfigError(f"{path} must be an object")
-    if "preset" in cfg:
-        _strict_keys(cfg, {"preset"}, path)
-        name = cfg["preset"]
+    c = _Conf(cfg, path)
+    if "preset" in c.data:
+        name = c.take("preset", _as_str)
+        c.close()
         if name not in PRESETS:
             raise ModelConfigError(f"{path}.preset: unknown preset {name!r}; available: {sorted(PRESETS)}")
         model = model_from_config(PRESETS[name], path=f"{path}.preset[{name}]")
         return dataclasses.replace(model, summary=name)
-    _strict_keys(cfg, {"dim", "drift", "sigma", "base"}, path)
-    for key in ("dim", "drift", "sigma", "base"):
-        if key not in cfg:
-            raise ModelConfigError(f"{path}.{key} is required")
-    dim = cfg["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ModelConfigError(f"{path}.dim must be a positive integer, got {dim!r}")
-    try:
-        drift, drift_tag = _drift_from_config(cfg["drift"], dim, f"{path}.drift")
-        sigma, sigma_tag = _sigma_from_config(cfg["sigma"], dim, f"{path}.sigma")
-        base, base_tag = _base_from_config(cfg["base"], f"{path}.base")
-    except ValueError as exc:
-        if isinstance(exc, ModelConfigError):
-            raise
-        raise ModelConfigError(str(exc)) from exc
+    dim = c.take("dim", _as_int)
+    if dim < 1:
+        raise ModelConfigError(f"{path}.dim: expected a positive integer, got {dim!r}")
+    drift, drift_tag = _drift_from(c.sub("drift"), dim)
+    sigma, sigma_tag = _sigma_from(c.sub("sigma"), dim)
+    base, base_tag = _base_from(c.sub("base"))
+    c.close()
     summary = f"affine(d={dim}, drift={drift_tag}, sigma={sigma_tag}, base={base_tag})"
     return affine_model(dim, drift, sigma, base, summary=summary, drift_broadcasts=True)
 

@@ -42,6 +42,7 @@ from .kernel import AffineNoiseModel, KernelModel, perturbation_amplitude
 from .scheme import DualMeasure, Trajectory, _euler_steps, eval_path_many
 
 CHUNK_SIZE = 20_000
+MINIMIZE_KNOTS = 21  # knot count of the minimum-cost path that plans a tilt
 
 # The terminal event {<Y(1), normal> >= level} is the minimizer's half-space
 # constraint type; HalfspaceEvent names it for callers of this module.
@@ -271,7 +272,7 @@ def _require_tiltable(model: KernelModel):
         raise ValueError("tilted estimation requires a constant sigma")
 
 
-def _tilt_plan(model, x, event: TerminalHalfspace, minimize_knots: int):
+def _tilt_plan(model, x, event: TerminalHalfspace):
     """Minimum-cost path into the half-space and its cost (the predicted rate)."""
     flow = limit_ode(model, x, steps=256)
     drift_terminal = float(flow.knots[-1] @ event.normal)
@@ -280,15 +281,7 @@ def _tilt_plan(model, x, event: TerminalHalfspace, minimize_knots: int):
             f"event covers the mean flow terminal (<f(1), xi> = {drift_terminal:.6g} "
             f">= {event.level:.6g}); the event is not rare, use mc_probability"
         )
-    problem = ActionProblem(
-        model=model,
-        x=x,
-        terminal=event,
-        m=minimize_knots,
-        a=0.0,
-    )
-    res = minimize_action(problem)
-    return res
+    return minimize_action(ActionProblem(model=model, x=x, terminal=event, m=MINIMIZE_KNOTS, a=0.0))
 
 
 def _tilt_sequence(model, path: Trajectory, n: int) -> np.ndarray:
@@ -345,7 +338,6 @@ def tilted_mc_probability(
     samples: int,
     seed: int,
     workers: int = 1,
-    minimize_knots: int = 21,
 ) -> EstimateReport:
     """Importance-sampled estimate of a rare half-space terminal event.
 
@@ -360,7 +352,7 @@ def tilted_mc_probability(
     _require_two_samples(samples)
     x = kernel._as_vector(x, model.dim, "x")
     _require_event_dim(event, model.dim)
-    plan = _tilt_plan(model, x, event, minimize_knots)
+    plan = _tilt_plan(model, x, event)
     return _tilted_estimate(model, x, n, event, samples, (seed,), workers, plan)
 
 
@@ -438,7 +430,6 @@ def verify_rate(
     samples: int,
     seed: int,
     workers: int = 1,
-    minimize_knots: int = 21,
 ) -> RateReport:
     """Compare -log(p_n)/n against the minimized path cost across an n-grid.
 
@@ -455,7 +446,7 @@ def verify_rate(
     _require_event_dim(event, model.dim)
     if len(n_grid) < 1:
         raise ValueError("n_grid must be nonempty")
-    plan = _tilt_plan(model, x, event, minimize_knots)
+    plan = _tilt_plan(model, x, event)
     predicted = float(plan.action.value)
     estimates = []
     for idx, n in enumerate(n_grid):

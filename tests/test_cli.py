@@ -158,13 +158,12 @@ def test_minimize_point_settings_override(tmp_path):
             "x": [1.0],
             "m": 9,
             "terminal": {"kind": "point", "point": [0.0]},
-            "settings": {"max_iter": 200, "grad_tol": 1e-5},
+            "settings": {"max_iter": 200},
         },
     )
     assert code == 0
     resolved = json.loads((out / "resolved_config.json").read_text())
-    assert resolved["settings"]["max_iter"] == 200
-    assert resolved["settings"] == {"max_iter": 200, "grad_tol": pytest.approx(1e-5), "y_fd_step": pytest.approx(1e-5)}
+    assert resolved["settings"] == {"max_iter": 200}
 
 
 @pytest.mark.parametrize("key", ["armijo", "max_halvings"])
@@ -332,17 +331,53 @@ _MINIMIZE = {"model": OU, "x": [0.0], "terminal": {"kind": "halfspace", "normal"
         ("verify-martingale", {**_MARTINGALE, "a": 10**400}, "a"),
         ("verify-martingale", {**_MARTINGALE, "measure": {"atoms": [{"t": float("nan"), "weight": [0.5]}]}},
          "measure.atoms[0].t"),
-        # an infinite grad_tol used to certify the straight line after 0 iterations
-        ("minimize", {**_MINIMIZE, "settings": {"grad_tol": float("inf")}}, "settings.grad_tol"),
-        ("minimize", {**_MINIMIZE, "settings": {"y_fd_step": float("nan")}}, "settings.y_fd_step"),
     ],
     ids=["variation-nan", "variation-inf", "tolerance-nan", "rel-gap-nan", "slope-nan", "rel-gap-inf",
-         "a-inf", "a-overflow", "atom-t-nan", "grad-tol-inf", "y-fd-step-nan"],
+         "a-inf", "a-overflow", "atom-t-nan"],
 )
 def test_verification_non_finite_cap_is_config_error(tmp_path, capsys, command, config, path):
     code, out = _run(tmp_path, command, config)
     assert code == 2
     assert f"config.{path}: expected a finite number" in capsys.readouterr().err
+    assert not (out / "resolved_config.json").exists()
+
+
+def _explicit(drift=None, sigma=None, base=None, dim=1):
+    return {
+        "dim": dim,
+        "drift": drift or {"kind": "zero"},
+        "sigma": sigma or {"kind": "identity"},
+        "base": base or {"kind": "gaussian"},
+    }
+
+
+# an integer literal beyond Python's 4,300-digit limit for converting strings
+_HUGE = "1" + "0" * 4999
+
+
+@pytest.mark.parametrize(
+    "model, path",
+    [
+        # each record used to be read by a looser parser than the rest of the config
+        (_explicit(dim=True), "config.model.dim"),  # a traceback, exit 1
+        (_explicit(sigma={"kind": "identity", "scale": float("nan")}), "config.model.sigma.scale"),  # exit 3
+        (_explicit(sigma={"kind": "identity", "scale": True}), "config.model.sigma.scale"),  # accepted
+        (_explicit(sigma={"kind": "identity", "scale": "2"}), "config.model.sigma.scale"),  # accepted
+        (_explicit(base={"kind": "bernoulli", "p": "0.3"}), "config.model.base.p"),  # accepted
+        # warned, then exited 2 with "ys must be finite" after writing resolved_config.json
+        (_explicit(drift={"kind": "linear", "matrix": [[float("inf")]]}), "config.model.drift.matrix[0][0]"),
+        (_explicit(sigma={"kind": "constant", "matrix": [["1"]]}), "config.model.sigma.matrix[0][0]"),  # accepted
+        # the JSON reader refuses it, so the error names the file; a traceback, exit 1
+        (_explicit(dim=_HUGE), None),
+    ],
+    ids=["dim-true", "scale-nan", "scale-true", "scale-str", "p-str", "matrix-inf", "matrix-str", "huge-int"],
+)
+def test_bad_model_record_exits_2(tmp_path, capsys, model, path):
+    cfg = tmp_path / "simulate.json"
+    cfg.write_text(json.dumps({"model": model, "x": [1.0], "n": 4, "seed": 0}).replace(f'"{_HUGE}"', _HUGE))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert (f"{path}: expected" if path else str(cfg)) in capsys.readouterr().err
     assert not (out / "resolved_config.json").exists()
 
 

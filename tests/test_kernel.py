@@ -115,6 +115,23 @@ def test_drift_builders_broadcast():
     assert np.allclose(log, batch * (1.0 - batch))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        # a NaN sigma used to be accepted and blow up at the first simulated step
+        lambda: affine_model(1, zero_drift(), np.nan, gaussian_base()),
+        lambda: affine_model(2, zero_drift(), [[1.0, 0.0], [np.inf, 1.0]], gaussian_base()),
+        lambda: linear_drift([[-1.0, np.nan], [0.0, -1.0]]),
+        lambda: linear_drift([[-1.0]], offset=[np.inf]),
+        lambda: constant_drift([0.5, -np.inf]),
+    ],
+    ids=["affine-scalar-sigma", "affine-matrix-sigma", "linear-matrix", "linear-offset", "constant"],
+)
+def test_builders_reject_non_finite_constants(build):
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
+
+
 def test_cgf_rows_matches_pointwise():
     rng = default_rng(3)
     for name in ["gaussian-ou", "bernoulli-walk"]:

@@ -294,7 +294,7 @@ def test_tilted_free_gaussian_matches_exact_oracle():
 def test_tilted_weights_positive_and_finite():
     m = preset_model("gaussian-free")
     ev = TerminalHalfspace([1.0], 1.0)
-    plan = _tilt_plan(m, np.zeros(1), ev, 21)
+    plan = _tilt_plan(m, np.zeros(1), ev)
     alphas = _tilt_sequence(m, plan.trajectory, 50)
     # state-independent model: the tilt collapses to the dominating point
     assert np.allclose(alphas, 1.0, atol=1e-6)
