@@ -183,18 +183,16 @@ def _map_chunks(worker, samples: int, workers: int, rng_key) -> List[np.ndarray]
 # event folds: each runs one chunk of the scheme stepper (scheme._euler_steps)
 # and folds its per-step output into one value per replica
 
-def _resolve_reference(event: PathDeviationEvent, model, x, n: int) -> Trajectory:
-    if event.reference is not None:
-        return event.reference
-    return limit_ode(model, x, steps=n)
-
-
-def _deviation_grid(ref: Trajectory, n: int):
+def _deviation_grid(event: EventSpec, model, x, n: int):
     """Union of the scheme lattice and the reference knots, grouped by step.
 
     Returns (ref_on_lattice, per_step) where per_step[k] is a (fracs, refs)
-    pair for the off-lattice times inside ((k-1)/n, k/n].
+    pair for the off-lattice times inside ((k-1)/n, k/n], or None for a
+    terminal event.  The mean-flow reference is solved here, once per n.
     """
+    if not isinstance(event, PathDeviationEvent):
+        return None
+    ref = event.reference if event.reference is not None else limit_ode(model, x, steps=n)
     lattice = np.arange(n + 1) / n
     extra = np.setdiff1d(ref.times, lattice)
     ref_lattice = eval_path_many(ref, lattice)
@@ -210,17 +208,24 @@ def _deviation_grid(ref: Trajectory, n: int):
     return ref_lattice, per_step
 
 
-def _hit_rows(model, x, n, a, event, rng, size) -> np.ndarray:
-    """Event indicators for `size` replicas."""
+def _sq_norm(v: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm over the last axis: the sum np.linalg.norm takes the root of."""
+    return np.add.reduce(np.square(v), axis=-1)
+
+
+def _hit_rows(model, x, n, a, event, grid, rng, size) -> np.ndarray:
+    """Event indicators for `size` replicas; grid is _deviation_grid(event, model, x, n)."""
     steps = _euler_steps(model, x, n, a, rng, size)
-    if not isinstance(event, PathDeviationEvent):
+    if grid is None:
         for _, _, _, state in steps:  # terminal events read the last state only
             pass
         if isinstance(event, TerminalHalfspace):
             return np.dot(state, event.normal) >= event.level
         return np.linalg.norm(state - event.center, axis=1) <= event.radius
-    ref_lattice, per_step = _deviation_grid(_resolve_reference(event, model, x, n), n)
-    dev = np.linalg.norm(np.broadcast_to(x, (size, model.dim)) - ref_lattice[0], axis=1)
+    # fold squared deviations and take one root at the end: sqrt is monotone
+    # and correctly rounded, so the hits equal those of a per-step norm
+    ref_lattice, per_step = grid
+    dev2 = _sq_norm(np.broadcast_to(x, (size, model.dim)) - ref_lattice[0])
     for k, prev, _, state in steps:
         # a finite state too large to square has an inf deviation, which is a hit
         with np.errstate(over="ignore"):
@@ -228,9 +233,9 @@ def _hit_rows(model, x, n, a, event, rng, size) -> np.ndarray:
             if extras is not None:
                 fracs, refs = extras
                 vals = prev[:, None, :] + fracs[None, :, None] * (state - prev)[:, None, :]
-                dev = np.maximum(dev, np.linalg.norm(vals - refs[None, :, :], axis=2).max(axis=1))
-            dev = np.maximum(dev, np.linalg.norm(state - ref_lattice[k], axis=1))
-    return dev >= event.epsilon
+                dev2 = np.maximum(dev2, _sq_norm(vals - refs[None, :, :]).max(axis=1))
+            dev2 = np.maximum(dev2, _sq_norm(state - ref_lattice[k]))
+    return np.sqrt(dev2) >= event.epsilon
 
 
 def mc_probability(model: KernelModel, x, n: int, a, event: EventSpec, samples: int, seed: int, workers: int = 1) -> EstimateReport:
@@ -243,7 +248,8 @@ def mc_probability(model: KernelModel, x, n: int, a, event: EventSpec, samples: 
     amp = perturbation_amplitude(a)
     x = kernel._as_vector(x, model.dim, "x")
     _require_event_dim(event, model.dim)
-    worker = lambda rng, size: _hit_rows(model, x, n, amp, event, rng, size)
+    grid = _deviation_grid(event, model, x, n)
+    worker = lambda rng, size: _hit_rows(model, x, n, amp, event, grid, rng, size)
     hits = np.concatenate(_map_chunks(worker, samples, workers, (seed,)))
     p = float(np.mean(hits))
     stderr = float(np.sqrt(p * (1.0 - p) / samples))
@@ -524,7 +530,8 @@ def verify_ode_convergence(
     pts = []
     for idx, n in enumerate(n_grid):
         event = PathDeviationEvent(epsilon=epsilon)
-        worker = lambda rng, size: _hit_rows(model, x, n, 0.0, event, rng, size)
+        grid = _deviation_grid(event, model, x, n)
+        worker = lambda rng, size: _hit_rows(model, x, n, 0.0, event, grid, rng, size)
         hits = np.concatenate(_map_chunks(worker, samples, workers, (seed, idx)))
         count = int(np.sum(hits))
         q = count / samples

@@ -214,6 +214,33 @@ def test_path_deviation_checks_between_lattice_points():
     assert rep.p_hat == 1.0
 
 
+def test_path_deviation_too_large_to_square_is_a_hit():
+    # the fold keeps squared deviations; one that overflows to inf is still a hit
+    m = preset_model("gaussian-free")
+    ref = Trajectory(np.array([[0.0], [0.0], [1e200]]))
+    rep = mc_probability(m, [0.0], 2, 0.0, PathDeviationEvent(epsilon=1e300, reference=ref), 100, seed=5)
+    assert rep.p_hat == 1.0
+
+
+def test_mean_flow_reference_solved_once_per_n(monkeypatch):
+    from ldscheme import rare_event
+
+    calls, solve = [], rare_event.limit_ode
+
+    def counting_limit_ode(model, x, steps):
+        calls.append(steps)
+        return solve(model, x, steps=steps)
+
+    monkeypatch.setattr(rare_event, "limit_ode", counting_limit_ode)
+    monkeypatch.setattr(rare_event, "CHUNK_SIZE", 100)  # five chunks per n
+    m = preset_model("logistic")
+    verify_ode_convergence(m, [0.5], 0.3, [5, 10], 500, seed=1, workers=2)
+    assert calls == [5, 10]
+    calls.clear()
+    mc_probability(m, [0.5], 8, 0.0, PathDeviationEvent(epsilon=0.3), 500, seed=1)
+    assert calls == [8]
+
+
 def test_martingale_check_deterministic_exact():
     import ldscheme
 
