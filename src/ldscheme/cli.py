@@ -37,6 +37,7 @@ from .kernel import (
     _as_float,
     _as_int,
     _as_int_list,
+    _as_knots,
     _as_list,
     _as_numbers,
     _as_str,
@@ -192,12 +193,12 @@ def _cmd_action(cfg, out, workers):
     x = c.take("x", _as_numbers)
     a = c.take("a", _as_float, 0.0)
     traj_file = c.take("trajectory_file", _as_str, None)
-    knots = c.take("knots", _as_list, None)
+    knots = c.take("knots", _as_knots(model.dim), None)
     c.close()
     if (traj_file is None) == (knots is None):
         raise ModelConfigError("config: give exactly one of 'trajectory_file' and 'knots'")
     _write_json(os.path.join(out, "resolved_config.json"), {"command": "action", **c.resolved})
-    traj = load_trajectory(traj_file) if traj_file else Trajectory(np.asarray(knots, dtype=np.float64))
+    traj = load_trajectory(traj_file) if traj_file else Trajectory(knots)
     val = action(model, x, a, traj)
     report = {
         "value": val.value,

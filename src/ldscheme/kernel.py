@@ -447,6 +447,19 @@ def _as_array(shape: tuple):
     return cast
 
 
+def _as_knots(dim: int):
+    """Cast a path's knots to an (N, dim) array, N >= 2; a 1-D path may list bare numbers."""
+
+    def cast(v, path):
+        rows = _as_list(v, path)
+        if len(rows) < 2:
+            raise ModelConfigError(f"{path}: expected at least two knots, got {v!r}")
+        flat = dim == 1 and not any(isinstance(u, list) for u in rows)
+        return _as_array((len(rows),) if flat else (len(rows), dim))(rows, path)
+
+    return cast
+
+
 class _Conf:
     """Strict view of one JSON object: every key must be taken exactly once."""
 

@@ -197,19 +197,16 @@ def _deviation_grid(event: EventSpec, model, x, n: int):
     extra = np.setdiff1d(ref.times, lattice)
     ref_lattice = eval_path_many(ref, lattice)
     per_step: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * (n + 1)
-    if len(extra):
-        refs = eval_path_many(ref, extra)
-        steps = np.minimum(np.ceil(extra * n - 1e-12).astype(np.int64), n)
-        for k in range(1, n + 1):
-            mask = steps == k
-            if np.any(mask):
-                fracs = extra[mask] * n - (k - 1)
-                per_step[k] = (fracs, refs[mask])
+    refs = eval_path_many(ref, extra)
+    steps = np.minimum(np.ceil(extra * n - 1e-12).astype(np.int64), n)
+    for k in np.unique(steps):
+        mask = steps == k
+        per_step[k] = (extra[mask] * n - (k - 1), refs[mask])
     return ref_lattice, per_step
 
 
 def _sq_norm(v: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm over the last axis: the sum np.linalg.norm takes the root of."""
+    """Squared norm over the last axis; np.linalg.norm is its root, and sqrt is monotone."""
     return np.add.reduce(np.square(v), axis=-1)
 
 
@@ -222,8 +219,8 @@ def _hit_rows(model, x, n, a, event, grid, rng, size) -> np.ndarray:
         if isinstance(event, TerminalHalfspace):
             return np.dot(state, event.normal) >= event.level
         return np.linalg.norm(state - event.center, axis=1) <= event.radius
-    # fold squared deviations and take one root at the end: sqrt is monotone
-    # and correctly rounded, so the hits equal those of a per-step norm
+    # fold squared deviations, one root at the end: sqrt is correctly rounded,
+    # so every hit is that of a per-step norm, an overflow to inf included
     ref_lattice, per_step = grid
     dev2 = _sq_norm(np.broadcast_to(x, (size, model.dim)) - ref_lattice[0])
     for k, prev, _, state in steps:

@@ -29,13 +29,13 @@ approached at rate O(1/n) after rescaling lam by n (see scaling tests).
 
 Draw discipline: every simulation in the package runs one batched stepper
 over rows of replicas; a single path is its one-row case.  Each step draws
-the model increments for all rows first (kernel.sample_rows: one base draw
-for affine models, a row loop over model.sampler otherwise) and then the
-Gaussian smoothing draws for all rows, whether or not a = 0, so runs at
-different amplitudes couple pathwise under a shared seed.  Tilted runs
-draw the Gaussian base noise with a shifted mean and take no smoothing
-draw.  The stepper raises SimulationBlowup(k) at the first step k whose
-state is not finite, so every caller fails the same way.
+the model increments for all rows from the run's generator rng
+(kernel.sample_rows).  A run with a > 0 draws its Gaussian smoothing noise
+from the child stream rng.spawn(1)[0]; at a = 0 nothing is spawned or
+drawn.  So runs at every amplitude share the model draws of a seed and
+couple pathwise.  Tilted runs draw the Gaussian base noise with a shifted
+mean and take no smoothing draw.  The stepper raises SimulationBlowup(k)
+at the first step k whose state is not finite, so every caller fails alike.
 """
 
 from __future__ import annotations
@@ -199,18 +199,22 @@ def _euler_steps(model: KernelModel, x: np.ndarray, n: int, a: float, rng: Gener
     """Run `rows` replicas of the scheme from x; yield (k, prev, inc, state) per step.
 
     inc = F_k + a g_k is the full increment, so state = prev + inc / n.
-    Each step draws the model increments of all rows (kernel.sample_rows)
-    and then the smoothing Gaussians of all rows.  With shifts, an (n, d)
-    array, the run is tilted: it yields the Gaussian base draw xi_k, of mean
-    shifts[k - 1], in place of inc; sigma must be constant and no smoothing
-    draw is taken.  Raises SimulationBlowup(k) at the first non-finite step.
+    Each step draws the model increments of all rows from rng
+    (kernel.sample_rows); at a > 0 the smoothing Gaussians come from
+    rng.spawn(1)[0], spawned once per run.  With shifts, an (n, d) array,
+    the run is tilted: it yields the base draw xi_k, of mean shifts[k - 1],
+    in place of inc; sigma must be constant and nothing is spawned.
+    Raises SimulationBlowup(k) at the first non-finite step.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     state = np.broadcast_to(x, (rows, model.dim)).copy()
+    smooth = rng.spawn(1)[0] if a > 0.0 and shifts is None else None
     for k in range(1, n + 1):
         if shifts is None:
-            inc = kernel.sample_rows(model, state, rng) + a * rng.standard_normal(state.shape)
+            inc = kernel.sample_rows(model, state, rng)
+            if smooth is not None:
+                inc = inc + a * smooth.standard_normal(state.shape)
         else:
             xi = rng.standard_normal(state.shape) + shifts[k - 1]
             inc = kernel._affine_rows(model, state, xi)

@@ -95,6 +95,30 @@ def test_action_inline_knots(tmp_path):
     assert rep["reason"] is None
 
 
+def test_action_flat_knots_for_a_1d_model(tmp_path):
+    code, out = _run(tmp_path, "action", {"model": FREE, "x": [0.0], "knots": [0, 0.5, 1]})
+    assert code == 0
+    assert json.loads((out / "action_report.json").read_text())["value"] == pytest.approx(0.5, abs=1e-9)
+    assert json.loads((out / "resolved_config.json").read_text())["knots"] == [0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize(
+    "knots, path",
+    [
+        ([[0.0], ["0.5"], [True]], "config.knots[1][0]: expected a number"),  # accepted, exit 0
+        # wrote resolved_config.json, then failed with "ys must be finite"
+        ([[0.0], [float("nan")], [1.0]], "config.knots[1][0]: expected a finite number"),
+        ([[0.0], [0.5, 0.5], [1.0]], "config.knots[1]: expected a list of length 1"),  # numpy's "inhomogeneous shape"
+    ],
+    ids=["str-and-bool", "nan", "ragged"],
+)
+def test_action_bad_knots_exit_2(tmp_path, capsys, knots, path):
+    code, out = _run(tmp_path, "action", {"model": FREE, "x": [0.0], "knots": knots})
+    assert code == 2
+    assert path in capsys.readouterr().err
+    assert not (out / "resolved_config.json").exists()
+
+
 def test_action_infeasible_start_reports_inf(tmp_path):
     code, out = _run(
         tmp_path,

@@ -134,19 +134,22 @@ def test_simulate_seeded_and_shapes():
     assert t1.knots[0, 0] == 1.0
 
 
-def test_draw_discipline_interleaves_model_and_smoothing_noise():
-    # replay the stream by hand: each step draws the model increment first,
-    # then the smoothing gaussian, even when a = 0
+def test_draw_discipline_splits_model_and_smoothing_streams():
+    # replay the streams by hand: each step draws the model increment from the
+    # run's generator; at a > 0 the smoothing gaussian comes from its child
+    # rng.spawn(1)[0], and at a = 0 no child is spawned and nothing is drawn
     m = preset_model("gaussian-free")
     n, seed = 12, 99
     for a in [0.0, 0.5]:
-        rng = default_rng([seed, 0])
+        rng = default_rng(seed)
+        smooth = rng.spawn(1)[0]
         state = np.zeros(1)
         expect = [state.copy()]
         for _ in range(n):
-            z = m.base.sample(rng, 1)
-            g = rng.standard_normal(1)
-            state = state + (z + a * g) / n
+            inc = m.base.sample(rng, 1)
+            if a > 0.0:
+                inc = inc + a * smooth.standard_normal(1)
+            state = state + inc / n
             expect.append(state.copy())
         traj = simulate(SchemeRun(model=m, x=[0.0], n=n, a=a, seed=seed))
         assert np.array_equal(traj.knots, np.array(expect))
@@ -157,14 +160,39 @@ def test_smoothing_changes_path_but_shares_model_draws():
     t0 = simulate(SchemeRun(model=m, x=[0.0], n=20, a=0.0, seed=1))
     t1 = simulate(SchemeRun(model=m, x=[0.0], n=20, a=0.5, seed=1))
     assert not np.array_equal(t0.knots, t1.knots)
-    # shared draws mean the gap is the smoothing term alone: replay g
-    rng = default_rng([1, 0])
-    gs = []
-    for _ in range(20):
-        m.base.sample(rng, 1)
-        gs.append(rng.standard_normal(1))
+    # shared model draws mean the gap is the smoothing term alone: replay g
+    # from the smoothing stream
+    smooth = default_rng(1).spawn(1)[0]
+    gs = [smooth.standard_normal(1) for _ in range(20)]
     gap = t1.knots - t0.knots
     assert np.allclose(gap[1:], 0.5 / 20 * np.cumsum(gs, axis=0), atol=1e-15)
+
+
+def _model_draws_only(m, n, rows, seed):
+    """A generator that has made exactly the n model draws of a `rows`-row run from seed."""
+    rng = default_rng(seed)
+    for _ in range(n):
+        m.base.sample(rng, (rows, m.dim))
+    return rng
+
+
+@pytest.mark.parametrize("preset", ["gaussian-ou", "bernoulli-walk"])
+def test_zero_amplitude_run_draws_only_model_noise(preset):
+    m = preset_model(preset)
+    x = np.zeros(1)
+    for a, spawned in [(0.0, 0), (0.5, 1)]:
+        rng = default_rng(17)
+        for _ in _euler_steps(m, x, 10, a, rng, 3):
+            pass
+        # the run's generator made the model draws and nothing else; a > 0
+        # spawned one smoothing child, a = 0 none
+        assert rng.bit_generator.state == _model_draws_only(m, 10, 3, 17).bit_generator.state
+        assert rng.bit_generator.seed_seq.n_children_spawned == spawned
+    # a tilted run spawns no child either
+    rng = default_rng(17)
+    for _ in _euler_steps(preset_model("gaussian-ou"), x, 10, 0.5, rng, 3, shifts=np.ones((10, 1))):
+        pass
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
 
 def _stepper_knots(m, x, n, a, rows, rng):
@@ -176,22 +204,44 @@ def _stepper_knots(m, x, n, a, rows, rng):
     return np.stack(knots, axis=1)
 
 
+def _replay_ou(m, x, n, a, rows, seed):
+    """Knots of a `rows`-row OU run replayed from the model stream and the smoothing stream."""
+    rng = default_rng(seed)
+    smooth = rng.spawn(1)[0]
+    state = np.full((rows, 1), float(x))
+    knots = [state]
+    for _ in range(n):
+        f = m.drift(state) + m.base.sample(rng, state.shape) @ m.sigma_matrix.T
+        if a > 0.0:
+            f = f + a * smooth.standard_normal(state.shape)
+        state = state + f / n
+        knots.append(state)
+    return np.stack(knots, axis=1)
+
+
 def test_euler_steps_one_row_matches_simulate():
     m = preset_model("gaussian-ou")
     out = _stepper_knots(m, [1.0], 25, 0.5, 1, default_rng(6))
     ref = simulate(SchemeRun(model=m, x=[1.0], n=25, a=0.5, seed=6))
     assert np.array_equal(out[0], ref.knots)
-    big = _stepper_knots(m, [1.0], 25, 0.5, 7, default_rng([6, 0]))
+    assert np.array_equal(out, _replay_ou(m, 1.0, 25, 0.5, 1, 6))
+    big = _stepper_knots(m, [1.0], 25, 0.5, 7, default_rng(6))
     assert big.shape == (7, 26, 1)
-    again = _stepper_knots(m, [1.0], 25, 0.5, 7, default_rng([6, 0]))
+    again = _stepper_knots(m, [1.0], 25, 0.5, 7, default_rng(6))
     assert np.array_equal(big, again)
-    # replay by hand: each step draws the model noise of all rows, then the smoothing noise of all rows
-    rng = default_rng([6, 0])
-    state = np.ones((7, 1))
-    for k in range(1, 26):
-        f = m.drift(state) + m.base.sample(rng, state.shape) @ m.sigma_matrix.T
-        state = state + (f + 0.5 * rng.standard_normal(state.shape)) / 25
-        assert np.array_equal(big[:, k], state)
+    # replay by hand: each step draws the model noise of all rows from the
+    # run's generator and the smoothing noise of all rows from its child
+    assert np.array_equal(big, _replay_ou(m, 1.0, 25, 0.5, 7, 6))
+
+
+def test_runs_at_every_amplitude_share_every_model_draw():
+    # one seed, three amplitudes: every run takes the same model draws, and
+    # the smoothed runs the same smoothing draws, so each replays from the
+    # two streams of that one seed
+    m = preset_model("gaussian-ou")
+    for a in [0.0, 0.25, 0.5]:
+        out = _stepper_knots(m, [0.3], 15, a, 4, default_rng(31))
+        assert np.array_equal(out, _replay_ou(m, 0.3, 15, a, 4, 31))
 
 
 def test_simulate_blowup_raises_with_step():
