@@ -206,7 +206,7 @@ def _deviation_grid(event: EventSpec, model, x, n: int):
 
 
 def _sq_norm(v: np.ndarray) -> np.ndarray:
-    """Squared norm over the last axis; np.linalg.norm is its root, and sqrt is monotone."""
+    """Squared Euclidean norm over the last axis: the sum that np.linalg.norm takes the root of."""
     return np.add.reduce(np.square(v), axis=-1)
 
 
@@ -219,12 +219,13 @@ def _hit_rows(model, x, n, a, event, grid, rng, size) -> np.ndarray:
         if isinstance(event, TerminalHalfspace):
             return np.dot(state, event.normal) >= event.level
         return np.linalg.norm(state - event.center, axis=1) <= event.radius
-    # fold squared deviations, one root at the end: sqrt is correctly rounded,
-    # so every hit is that of a per-step norm, an overflow to inf included
+    # fold squared deviations, one root at the end: sqrt is monotone and
+    # correctly rounded, so every hit is that of a per-step norm; a finite
+    # state too large to square has an inf deviation, which is a hit
     ref_lattice, per_step = grid
-    dev2 = _sq_norm(np.broadcast_to(x, (size, model.dim)) - ref_lattice[0])
+    with np.errstate(over="ignore"):
+        dev2 = _sq_norm(np.broadcast_to(x, (size, model.dim)) - ref_lattice[0])
     for k, prev, _, state in steps:
-        # a finite state too large to square has an inf deviation, which is a hit
         with np.errstate(over="ignore"):
             extras = per_step[k]
             if extras is not None:

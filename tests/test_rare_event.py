@@ -214,11 +214,13 @@ def test_path_deviation_checks_between_lattice_points():
     assert rep.p_hat == 1.0
 
 
-def test_path_deviation_too_large_to_square_is_a_hit():
-    # the fold keeps squared deviations; one that overflows to inf is still a hit
+@pytest.mark.parametrize("x, far", [(0.0, [0.0, 0.0, 1e200]), (1e200, [0.0, 0.0, 0.0])], ids=["step", "start"])
+def test_path_deviation_too_large_to_square_is_a_hit(x, far):
+    # the fold keeps squared deviations; one that overflows to inf is a hit,
+    # at a step or at the start, and raises no overflow warning
     m = preset_model("gaussian-free")
-    ref = Trajectory(np.array([[0.0], [0.0], [1e200]]))
-    rep = mc_probability(m, [0.0], 2, 0.0, PathDeviationEvent(epsilon=1e300, reference=ref), 100, seed=5)
+    ref = Trajectory(np.array(far)[:, None])
+    rep = mc_probability(m, [x], 2, 0.0, PathDeviationEvent(epsilon=1e300, reference=ref), 100, seed=5)
     assert rep.p_hat == 1.0
 
 
