@@ -390,7 +390,7 @@ def _build_parser():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="path to the JSON config")
         sp.add_argument("--out", default=".", help="output directory (default: current)")
-        sp.add_argument("--workers", type=int, default=1, help="thread count for replica chunks")
+        sp.add_argument("--workers", type=int, default=1, help="threads running replica chunks at once; outputs do not depend on it")
     return parser
 
 

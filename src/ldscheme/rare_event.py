@@ -217,7 +217,7 @@ def _hit_rows(model, x, n, a, event, grid, rng, size) -> np.ndarray:
         for _, _, _, state in steps:  # terminal events read the last state only
             pass
         if isinstance(event, TerminalHalfspace):
-            return np.dot(state, event.normal) >= event.level
+            return kernel._rdot(state, event.normal) >= event.level
         return np.linalg.norm(state - event.center, axis=1) <= event.radius
     # fold squared deviations, one root at the end: sqrt is monotone and
     # correctly rounded, so every hit is that of a per-step norm; a finite
@@ -310,8 +310,8 @@ def _tilted_rows(model, x, n, event: TerminalHalfspace, alphas, rng, size) -> np
     logmgfs = model.base.logmgf(thetas)
     logw = np.zeros(size)
     for k, _, xi, state in _euler_steps(model, x, n, 0.0, rng, size, shifts=thetas):
-        logw += logmgfs[k - 1] - np.dot(xi, thetas[k - 1])
-    hits = np.dot(state, event.normal) >= event.level
+        logw += logmgfs[k - 1] - kernel._rdot(xi, thetas[k - 1])
+    hits = kernel._rdot(state, event.normal) >= event.level
     return np.exp(logw) * hits
 
 
@@ -370,7 +370,7 @@ def _martingale_rows(model, x, n, a, alphas, rng, size) -> np.ndarray:
     for k, prev, inc, _ in _euler_steps(model, x, n, a, rng, size):
         alpha = alphas[k - 1]
         price = kernel.cgf_rows(model, prev, alpha) + smoothing[k - 1]
-        acc += np.dot(inc, alpha) - price
+        acc += kernel._rdot(inc, alpha) - price
     return np.exp(acc)
 
 

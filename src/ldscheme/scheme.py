@@ -295,7 +295,11 @@ def coupled_perturbation_gaps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pathwise gap between smoothed and unsmoothed runs, with its certificate.
 
-    Both runs share the model draws Z_k and the smoothing draws g_k; the
+    The runs at a and at 0 are two stepper runs from default_rng(seed) in
+    lockstep, so they share every model draw Z_k; the smoothing draws g_k
+    are replayed from default_rng(seed).spawn(1)[0], which gives the
+    smoothed run's F_k(y_k) = inc_k - a g_k.  At realizations=1 the two
+    chains are simulate's paths at a and at 0 for the same seed.  The
     certificate
 
         bound = (a / n) * sum_j |g_j| * exp( (1/n) * sum_i H_i ),
@@ -307,35 +311,25 @@ def coupled_perturbation_gaps(
     from .kernel import AffineNoiseModel
 
     if not isinstance(model, AffineNoiseModel):
-        raise TypeError("pathwise coupling needs the affine structure to reuse draws")
+        raise TypeError("pathwise coupling needs the affine structure to share draws")
     amp = perturbation_amplitude(a)
     x = kernel._as_vector(x, model.dim, "x")
-    d = model.dim
-    rng = default_rng(seed)
     b = realizations
-    state_plain = np.broadcast_to(x, (b, d)).copy()
-    state_smooth = state_plain.copy()
+    plain = _euler_steps(model, x, n, 0.0, default_rng(seed), b)
+    smooth = _euler_steps(model, x, n, amp, default_rng(seed), b)
+    g_stream = default_rng(seed).spawn(1)[0]
     gaps = np.zeros(b)
     ratio_sum = np.zeros(b)
     g_norm_sum = np.zeros(b)
-    # The two chains must share each step's base draw, which _euler_steps
-    # cannot hand to a second chain, so this is the one other step loop.
-    for k in range(1, n + 1):
-        z = model.base.sample(rng, (b, d))
-        g = rng.standard_normal((b, d))
-        f_plain = kernel._affine_rows(model, state_plain, z)
-        f_smooth = kernel._affine_rows(model, state_smooth, z)
-        diff_state = np.linalg.norm(state_smooth - state_plain, axis=1)
-        diff_f = np.linalg.norm(f_smooth - f_plain, axis=1)
+    for (_, prev_p, f_p, state_p), (_, prev_s, inc_s, state_s) in zip(plain, smooth):
+        g = g_stream.standard_normal(state_s.shape)
+        diff_state = np.linalg.norm(prev_s - prev_p, axis=1)
+        diff_f = np.linalg.norm(inc_s - amp * g - f_p, axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
             h = np.where(diff_state > 0.0, diff_f / diff_state, 0.0)
         ratio_sum += h
         g_norm_sum += np.linalg.norm(g, axis=1)
-        state_plain = state_plain + f_plain / n
-        state_smooth = state_smooth + (f_smooth + amp * g) / n
-        _check_finite(state_plain, k)
-        _check_finite(state_smooth, k)
-        gaps = np.maximum(gaps, np.linalg.norm(state_smooth - state_plain, axis=1))
+        gaps = np.maximum(gaps, np.linalg.norm(state_s - state_p, axis=1))
     bounds = (amp / n) * g_norm_sum * np.exp(ratio_sum / n)
     return gaps, bounds
 

@@ -165,6 +165,10 @@ def test_row_products_match_matmul_bit_for_bit(d):
     per_row = np.einsum("ij,ij->i", bs, alphas) + m.base.logmgf(alphas @ sig)
     assert np.array_equal(kernel.cgf_rows(m, ys, alphas), per_row)
     assert np.array_equal(kernel.cgf_rows(m, ys, alphas[0]), bs @ alphas[0] + m.base.logmgf(alphas[0] @ sig))
+    # _rdot itself, against 1-D and 2-D w: a broadcast product at d = 1, np.dot above
+    assert np.array_equal(kernel._rdot(vs, v), vs @ v)
+    assert np.array_equal(kernel._rdot(vs, a), vs @ a)
+    assert np.array_equal(kernel._rdot(vs[0], a), vs[0] @ a)
 
 
 def test_logmgf_hess_broadcasts_over_batch():

@@ -445,6 +445,45 @@ def test_smoothed_mc_worker_invariance(monkeypatch):
     assert a.p_hat == b.p_hat
 
 
+def test_martingale_check_worker_invariance(monkeypatch):
+    # chunks draw from their own streams, so two concurrent workers give the
+    # one-worker mean and stderr bit for bit
+    from ldscheme import rare_event
+
+    monkeypatch.setattr(rare_event, "CHUNK_SIZE", 1_000)  # four chunks
+    m = preset_model("gaussian-ou")
+    lam = DualMeasure.point_mass(1.0, [0.8])
+    one = martingale_check(m, [0.5], 30, 0.5, lam, 3_500, seed=13, workers=1)
+    two = martingale_check(m, [0.5], 30, 0.5, lam, 3_500, seed=13, workers=2)
+    assert (one.mean, one.stderr) == (two.mean, two.stderr)
+
+
+def _no_blas(*args, **kwargs):
+    raise AssertionError("a d = 1 hot-path product entered BLAS")
+
+
+@pytest.mark.parametrize("preset", ["gaussian-ou", "bernoulli-walk"])
+def test_d1_hot_path_makes_no_blas_call(preset, monkeypatch):
+    # OpenBLAS's helper thread spins on the CPU a second chunk worker needs,
+    # so one chunk of every estimator must run without np.dot or np.matmul
+    from ldscheme import rare_event
+
+    m = preset_model(preset)
+    x = np.array([0.2])
+    n, size = 20, 1_000
+    half = TerminalHalfspace([1.0], 0.5)
+    dev = PathDeviationEvent(epsilon=0.3)
+    grid = rare_event._deviation_grid(dev, m, x, n)  # solves the mean flow, outside the chunk
+    alphas = np.linspace(0.01, 0.2, n)[:, None]
+    monkeypatch.setattr(np, "dot", _no_blas)
+    monkeypatch.setattr(np, "matmul", _no_blas)
+    assert rare_event._hit_rows(m, x, n, 0.5, half, None, default_rng(1), size).shape == (size,)
+    assert rare_event._hit_rows(m, x, n, 0.5, dev, grid, default_rng(2), size).shape == (size,)
+    assert _tilted_rows(m, x, n, half, alphas, default_rng(3), size).shape == (size,)
+    assert rare_event._martingale_rows(m, x, n, 0.5, alphas, default_rng(4), size).shape == (size,)
+    assert kernel.cgf_rows(m, np.full((size, 1), 0.2), alphas[-1]).shape == (size,)
+
+
 def test_tilted_rejects_event_covering_mean():
     m = preset_model("gaussian-ou")
     with pytest.raises(ValueError, match="not rare"):

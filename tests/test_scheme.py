@@ -327,6 +327,22 @@ def test_coupling_gap_bound_holds_per_realization():
     assert np.all(gaps > 0)
 
 
+@pytest.mark.parametrize("preset", ["gaussian-free", "gaussian-ou", "logistic", "bernoulli-walk"])
+def test_coupling_gap_is_simulates_gap(preset):
+    # the coupled chains are stepper runs from one seed at a and at 0, so at
+    # one realization the gap is the sup gap between simulate's two paths
+    m = preset_model(preset)
+    gaps, bounds = coupled_perturbation_gaps(m, [0.2], 10, 0.5, seed=3)
+    t_a = simulate(SchemeRun(model=m, x=[0.2], n=10, a=0.5, seed=3))
+    t_0 = simulate(SchemeRun(model=m, x=[0.2], n=10, a=0.0, seed=3))
+    assert gaps[0] == np.max(np.linalg.norm(t_a.knots - t_0.knots, axis=1))
+    if preset == "gaussian-free":
+        assert gaps[0] == pytest.approx(0.2545, abs=5e-5)
+    # and the certificate holds on every row of a many-row run
+    gaps, bounds = coupled_perturbation_gaps(m, [0.2], 50, 0.5, seed=3, realizations=200)
+    assert np.all(gaps <= bounds)
+
+
 def test_coupling_gap_linear_in_amplitude_for_linear_drift():
     m = preset_model("gaussian-ou")
     g1, _ = coupled_perturbation_gaps(m, [1.0], 40, 0.5, seed=9, realizations=50)
