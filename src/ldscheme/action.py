@@ -44,18 +44,15 @@ _NODES, _WEIGHTS = gauss_legendre_01()
 
 @dataclass(frozen=True)
 class TerminalPoint:
-    """Fixed endpoint constraint f(1) = point (tolerance is report metadata)."""
+    """Fixed endpoint constraint f(1) = point."""
 
     point: np.ndarray
-    tolerance: float = 0.0
 
     def __post_init__(self):
         point = np.atleast_1d(np.asarray(self.point, dtype=np.float64))
         if not np.all(np.isfinite(point)):
             raise ValueError("point must be finite")
         object.__setattr__(self, "point", point)
-        if not 0.0 <= self.tolerance < np.inf:
-            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -240,10 +237,10 @@ def limit_ode(model: KernelModel, x, steps: int) -> Trajectory:
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     x = kernel._as_vector(x, model.dim, "x")
-    zero = np.zeros(model.dim)
+    zero = np.zeros((1, model.dim))
 
     def field_(y):
-        return np.asarray(model.cgf_grad(y, zero), dtype=np.float64)
+        return np.asarray(model.cgf_grad(y[None], zero)[0], dtype=np.float64)
 
     h = 1.0 / steps
     knots = np.empty((steps + 1, model.dim))

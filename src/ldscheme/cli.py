@@ -116,9 +116,8 @@ def _terminal_from(c: _Conf):
     kind = t.take("kind", _as_str)
     if kind == "point":
         point = t.take("point", _as_numbers)
-        tol = t.take("tolerance", _as_float, 0.0)
         t.close()
-        return TerminalPoint(point=point, tolerance=tol)
+        return TerminalPoint(point=point)
     if kind == "halfspace":
         normal = t.take("normal", _as_numbers)
         level = t.take("level", _as_float)
@@ -233,7 +232,7 @@ def _cmd_minimize(cfg, out, workers):
         res.log,
     )
     terminal_rec = (
-        {"kind": "point", "point": list(terminal.point), "tolerance": terminal.tolerance}
+        {"kind": "point", "point": list(terminal.point)}
         if isinstance(terminal, TerminalPoint)
         else {"kind": "halfspace", "normal": list(terminal.normal), "level": terminal.level}
     )

@@ -123,17 +123,20 @@ def bernoulli_base(p: float) -> BaseNoise:
 
 @dataclass(frozen=True, kw_only=True)
 class KernelModel:
-    """An increment law: sampler plus cumulant generating data.
+    """An increment law: sampler plus cumulant generating data, evaluated on rows.
 
-    sampler(y, rng) draws one increment at state y.  cgf(y, alpha) and
-    cgf_grad(y, alpha) evaluate the log-mgf of the increment law at y and
-    its gradient in alpha.  cgf_hess is optional; solvers fall back to
-    finite differences of cgf_grad when it is absent.
+    Every callback takes an (m, d) array of states ys and answers for all m
+    rows in one call.  sampler(ys, rng) draws one increment per row, shape
+    (m, d).  cgf(ys, alphas) is the log-mgf of the increment law at y_i in
+    alpha_i, shape (m,); alphas is (m, d) or one (d,) alpha shared by every
+    row.  cgf_grad(ys, alphas) is its alpha-gradient, shape (m, d), for
+    (m, d) alphas.  cgf_hess(ys, alphas), shape (m, d, d), is optional;
+    solvers fall back to finite differences of cgf_grad when it is absent.
     """
 
     dim: int
     sampler: Callable[[np.ndarray, Generator], np.ndarray]
-    cgf: Callable[[np.ndarray, np.ndarray], float]
+    cgf: Callable[[np.ndarray, np.ndarray], np.ndarray]
     cgf_grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
     cgf_hess: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     summary: str = "custom"
@@ -145,13 +148,15 @@ class KernelModel:
 
 @dataclass(frozen=True, kw_only=True)
 class AffineNoiseModel(KernelModel):
-    """Affine increment law F(y) = drift(y) + sigma(y) Z.
+    """Affine increment law F(y) = drift(y) + sigma(y) Z, built by affine_model.
 
-    The row helpers evaluate the affine formula on all rows at once, and
-    the scalar callbacks are their one-row case.  sigma_matrix is set when
-    sigma is state independent; else sigma_fn is called once per row.
-    drift_broadcasts=True declares that drift accepts arrays of shape
-    (..., d), so it is called once for all rows rather than once per row.
+    Its callbacks are the affine formulas of the module docstring, evaluated
+    on all rows at once, and bound to the drift, sigma and base it was built
+    with: build a variant with affine_model, not dataclasses.replace of those
+    fields.  sigma_matrix is set when sigma is state independent; else
+    sigma_fn is called once per row.  drift_broadcasts=True declares that
+    drift accepts arrays of shape (..., d), so it is called once for all rows
+    rather than once per row.
     """
 
     drift: Callable[[np.ndarray], np.ndarray] = None
@@ -197,18 +202,22 @@ def affine_model(
         def sigma_fn(y, _s=sigma_matrix):
             return _s
 
-    # one-row cases of the row helpers; `model` is bound below
-    def cgf(y, alpha):
-        return float(cgf_rows(model, [y], alpha)[0])
+    # the row callbacks; `model` is bound below
+    def sampler(ys, rng):
+        return _affine_rows(model, ys, base.sample(rng, ys.shape))
 
-    def cgf_grad(y, alpha):
-        return cgf_grad_rows(model, [y], [alpha])[0]
+    def cgf(ys, alphas):
+        bs = drift_rows(model, ys)
+        drift_term = _rdot(bs, alphas) if alphas.ndim == 1 else np.einsum("ij,ij->i", bs, alphas)
+        return drift_term + base.logmgf(_sigma_t_dot(_sigma_rows(model, ys), alphas))
 
-    def cgf_hess(y, alpha):
-        return cgf_hess_rows(model, [y], [alpha])[0]
+    def cgf_grad(ys, alphas):
+        sig = _sigma_rows(model, ys)
+        return drift_rows(model, ys) + _sigma_dot(sig, base.logmgf_grad(_sigma_t_dot(sig, alphas)))
 
-    def sampler(y, rng):
-        return sample_rows(model, np.asarray([y], dtype=np.float64), rng)[0]
+    def cgf_hess(ys, alphas):
+        sig = _sigma_rows(model, ys)
+        return sig @ base.logmgf_hess(_sigma_t_dot(sig, alphas)) @ np.swapaxes(sig, -1, -2)
 
     model = AffineNoiseModel(
         dim=dim,
@@ -232,13 +241,13 @@ def affine_model(
 def cgf(model: KernelModel, y, alpha) -> float:
     y = _as_vector(y, model.dim, "y")
     alpha = _as_vector(alpha, model.dim, "alpha")
-    return float(model.cgf(y, alpha))
+    return float(model.cgf(y[None], alpha)[0])
 
 
 def cgf_grad(model: KernelModel, y, alpha) -> np.ndarray:
     y = _as_vector(y, model.dim, "y")
     alpha = _as_vector(alpha, model.dim, "alpha")
-    return np.asarray(model.cgf_grad(y, alpha), dtype=np.float64)
+    return np.asarray(model.cgf_grad(y[None], alpha[None])[0], dtype=np.float64)
 
 
 def drift_rows(model: AffineNoiseModel, ys: np.ndarray) -> np.ndarray:
@@ -287,14 +296,8 @@ def _affine_rows(model: AffineNoiseModel, ys: np.ndarray, zs: np.ndarray) -> np.
 
 
 def sample_rows(model: KernelModel, ys: np.ndarray, rng: Generator) -> np.ndarray:
-    """One increment draw at each row of ys, shape (m, d) -> (m, d).
-
-    Affine models take a single base draw of shape (m, d); other models
-    call model.sampler row by row, in row order.
-    """
-    if isinstance(model, AffineNoiseModel):
-        return _affine_rows(model, ys, model.base.sample(rng, ys.shape))
-    return np.array([model.sampler(y, rng) for y in ys], dtype=np.float64).reshape(ys.shape)
+    """One increment draw at each row of ys, shape (m, d) -> (m, d)."""
+    return model.sampler(np.asarray(ys, dtype=np.float64), rng)
 
 
 def cgf_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -302,23 +305,12 @@ def cgf_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray) -> np.ndarr
 
     alphas may also be one (d,) vector shared by every row of ys.
     """
-    ys = np.asarray(ys, dtype=np.float64)
-    alphas = np.asarray(alphas, dtype=np.float64)
-    if isinstance(model, AffineNoiseModel):
-        bs = drift_rows(model, ys)
-        drift_term = _rdot(bs, alphas) if alphas.ndim == 1 else np.einsum("ij,ij->i", bs, alphas)
-        return drift_term + model.base.logmgf(_sigma_t_dot(_sigma_rows(model, ys), alphas))
-    return np.array([model.cgf(y, al) for y, al in zip(ys, np.broadcast_to(alphas, ys.shape))])
+    return model.cgf(np.asarray(ys, dtype=np.float64), np.asarray(alphas, dtype=np.float64))
 
 
 def cgf_grad_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """cgf_grad(y_i, alpha_i) for paired rows, shape (m, d)."""
-    ys = np.asarray(ys, dtype=np.float64)
-    alphas = np.asarray(alphas, dtype=np.float64)
-    if isinstance(model, AffineNoiseModel):
-        sig = _sigma_rows(model, ys)
-        return drift_rows(model, ys) + _sigma_dot(sig, model.base.logmgf_grad(_sigma_t_dot(sig, alphas)))
-    return np.array([model.cgf_grad(y, al) for y, al in zip(ys, alphas)], dtype=np.float64).reshape(alphas.shape)
+    return model.cgf_grad(np.asarray(ys, dtype=np.float64), np.asarray(alphas, dtype=np.float64))
 
 
 HESS_FD_STEP = 1e-6
@@ -328,22 +320,20 @@ def cgf_hess_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray) -> np.
     """Hessian in alpha of cgf(y_i, .) at alpha_i for paired rows, shape (m, d, d).
 
     Models without cgf_hess get symmetrized central differences of
-    cgf_grad with step HESS_FD_STEP.
+    cgf_grad with step HESS_FD_STEP, all 2 d shifted copies of the rows
+    evaluated in one cgf_grad call.
     """
     ys = np.asarray(ys, dtype=np.float64)
     alphas = np.asarray(alphas, dtype=np.float64)
+    if model.cgf_hess is not None:
+        return model.cgf_hess(ys, alphas)
     m, d = alphas.shape
-    if model.cgf_hess is None:
-        h = np.empty((m, d, d))
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = HESS_FD_STEP
-            h[:, :, j] = (cgf_grad_rows(model, ys, alphas + e) - cgf_grad_rows(model, ys, alphas - e)) / (2.0 * HESS_FD_STEP)
-        return 0.5 * (h + h.transpose(0, 2, 1))
-    if isinstance(model, AffineNoiseModel):
-        sig = _sigma_rows(model, ys)
-        return sig @ model.base.logmgf_hess(_sigma_t_dot(sig, alphas)) @ np.swapaxes(sig, -1, -2)
-    return np.array([model.cgf_hess(y, al) for y, al in zip(ys, alphas)], dtype=np.float64).reshape(m, d, d)
+    steps = HESS_FD_STEP * np.eye(d)
+    shifted = alphas + np.stack([steps, -steps])[:, :, None, :]  # [sign, j, row] holds alpha_row +- h e_j
+    g = model.cgf_grad(np.broadcast_to(ys, shifted.shape).reshape(-1, d), shifted.reshape(-1, d))
+    g = g.reshape(shifted.shape)
+    h = ((g[0] - g[1]) / (2.0 * HESS_FD_STEP)).transpose(1, 2, 0)  # [row, i, j] = d grad_i / d alpha_j
+    return 0.5 * (h + h.transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,8 @@ def martingale_check(
     """
     amp = perturbation_amplitude(a)
     x = kernel._as_vector(x, model.dim, "x")
+    if lam.dim != model.dim:
+        raise ValueError(f"measure dim {lam.dim} does not match model dim {model.dim}")
     _require_two_samples(samples)
     if not np.isfinite(max_variation):
         raise ValueError(f"max_variation must be finite, got {max_variation}")

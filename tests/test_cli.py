@@ -188,6 +188,16 @@ def test_minimize_point_settings_override(tmp_path):
     assert code == 0
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert resolved["settings"] == {"max_iter": 200}
+    report = json.loads((out / "minimize_report.json").read_text())
+    assert report["terminal"] == {"kind": "point", "point": [0.0]}
+
+
+def test_minimize_point_tolerance_is_unknown_key(tmp_path, capsys):
+    # the key was report metadata that constrained nothing
+    terminal = {"kind": "point", "point": [0.0], "tolerance": 0.1}
+    code, _ = _run(tmp_path, "minimize", {"model": OU, "x": [1.0], "m": 9, "terminal": terminal})
+    assert code == 2
+    assert "unknown key 'config.terminal.tolerance'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["armijo", "max_halvings"])

@@ -1,11 +1,10 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.random import default_rng
 
-from ldscheme import kernel
+from ldscheme import kernel, rare_event
+from ldscheme.action import TerminalHalfspace
 from ldscheme.conjugate import fenchel_rows
 from ldscheme.kernel import (
     KernelModel,
@@ -23,6 +22,7 @@ from ldscheme.kernel import (
     preset_model,
     zero_drift,
 )
+from ldscheme.rare_event import mc_probability
 
 
 def test_gaussian_base_closed_forms():
@@ -73,7 +73,7 @@ def test_affine_cgf_orn_uhlenbeck():
     y, alpha = np.array([1.5]), np.array([0.4])
     assert cgf(m, y, alpha) == pytest.approx(-1.5 * 0.4 + 0.5 * 0.4**2, abs=1e-14)
     assert cgf_grad(m, y, alpha)[0] == pytest.approx(-1.5 + 0.4, abs=1e-14)
-    assert m.cgf_hess(y, alpha)[0, 0] == pytest.approx(1.0, abs=1e-14)
+    assert kernel.cgf_hess_rows(m, [y], [alpha])[0, 0, 0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_affine_cgf_matrix_sigma():
@@ -85,7 +85,7 @@ def test_affine_cgf_matrix_sigma():
     assert cgf(m, np.zeros(2), alpha) == pytest.approx(expect, abs=1e-13)
     grad_expect = b + s @ (s.T @ alpha)
     assert np.allclose(cgf_grad(m, np.zeros(2), alpha), grad_expect, atol=1e-13)
-    assert np.allclose(m.cgf_hess(np.zeros(2), alpha), s @ s.T, atol=1e-13)
+    assert np.allclose(kernel.cgf_hess_rows(m, [np.zeros(2)], [alpha])[0], s @ s.T, atol=1e-13)
 
 
 def test_state_dependent_sigma_cgf_closed_form():
@@ -218,35 +218,53 @@ def test_cgf_grad_and_hess_rows_match_pointwise(name):
         assert shared[i] == pytest.approx(_affine_cgf(m, ys[i], alphas[0]), rel=1e-13, abs=1e-14)
         assert np.allclose(grads[i], b + s @ m.base.logmgf_grad(u), rtol=1e-13, atol=1e-14)
         assert np.allclose(hessians[i], s @ m.base.logmgf_hess(u) @ s.T, rtol=1e-13, atol=1e-14)
-        assert np.array_equal(m.cgf_grad(ys[i], alphas[i]), grads[i])
-        assert np.array_equal(m.cgf_hess(ys[i], alphas[i]), hessians[i])
+        assert np.array_equal(cgf_grad(m, ys[i], alphas[i]), grads[i])
+        assert np.array_equal(kernel.cgf_hess_rows(m, ys[i : i + 1], alphas[i : i + 1])[0], hessians[i])
 
 
-def test_affine_row_helpers_make_no_callback_calls():
-    src = _callable_sigma_model()
-    calls = {"cgf": 0, "cgf_grad": 0, "cgf_hess": 0, "sampler": 0}
+def _row_ou(calls):
+    """Gaussian OU dY = -Y + dW written out as row callbacks, without cgf_hess; calls logs (name, arity)."""
 
-    def counted(name):
-        fn = getattr(src, name)
-
-        def wrapper(*args):
-            calls[name] += 1
+    def logged(name, fn):
+        def callback(*args, **kwargs):
+            assert not kwargs
+            calls.append((name, len(args)))
             return fn(*args)
 
-        return wrapper
+        return callback
 
-    m = dataclasses.replace(src, **{name: counted(name) for name in calls})
+    return KernelModel(
+        dim=1,
+        sampler=logged("sampler", lambda ys, rng: -ys + rng.standard_normal(ys.shape)),
+        cgf=logged("cgf", lambda ys, alphas: np.sum(-ys * alphas + 0.5 * alphas * alphas, axis=-1)),
+        cgf_grad=logged("cgf_grad", lambda ys, alphas: -ys + alphas),
+        summary="row-ou",
+    )
+
+
+def test_hand_written_row_model(monkeypatch):
+    calls = []
+    m = _row_ou(calls)
+    ou = preset_model("gaussian-ou")
     rng = default_rng(37)
-    ys = rng.uniform(-1.0, 1.0, size=(7, 2))
-    alphas = rng.normal(size=(7, 2))
-    zs = kernel.cgf_grad_rows(src, ys, 0.5 * alphas)
-    for helper in (kernel.cgf_rows, kernel.cgf_grad_rows, kernel.cgf_hess_rows):
-        assert np.array_equal(helper(m, ys, alphas), helper(src, ys, alphas))
-    assert np.array_equal(kernel.cgf_rows(m, ys, alphas[0]), kernel.cgf_rows(src, ys, alphas[0]))
-    got, ref = fenchel_rows(m, ys, zs), fenchel_rows(src, ys, zs)
-    assert np.array_equal(got.value, ref.value)
-    assert np.array_equal(got.argmax, ref.argmax)
-    assert calls == {"cgf": 0, "cgf_grad": 0, "cgf_hess": 0, "sampler": 0}
+    ys = rng.uniform(-1.0, 1.0, size=(7, 1))
+    alphas = rng.normal(size=(7, 1))
+    # each row helper calls its callback once, with positional arguments only
+    kernel.sample_rows(m, ys, default_rng(0))
+    kernel.cgf_rows(m, ys, alphas)
+    kernel.cgf_rows(m, ys, alphas[0])
+    kernel.cgf_grad_rows(m, ys, alphas)
+    assert np.allclose(kernel.cgf_hess_rows(m, ys, alphas), 1.0, atol=1e-8)
+    assert calls == [("sampler", 2), ("cgf", 2), ("cgf", 2), ("cgf_grad", 2), ("cgf_grad", 2)]
+    # the conjugate solve runs on the finite-difference Hessian and matches the preset
+    zs = rng.normal(size=(7, 1))
+    np.testing.assert_allclose(fenchel_rows(m, ys, zs).value, fenchel_rows(ou, ys, zs).value, rtol=0, atol=1e-7)
+    # four chunks, so two workers run concurrently; the draws match the preset's
+    monkeypatch.setattr(rare_event, "CHUNK_SIZE", 1_000)
+    ev = TerminalHalfspace([1.0], 0.2)
+    one = mc_probability(m, [0.0], 20, 0.0, ev, 4_000, seed=3, workers=1)
+    two = mc_probability(m, [0.0], 20, 0.0, ev, 4_000, seed=3, workers=2)
+    assert 0.0 < one.p_hat == two.p_hat == mc_probability(ou, [0.0], 20, 0.0, ev, 4_000, seed=3).p_hat
 
 
 def test_cgf_hess_rows_finite_difference_fallback():
@@ -281,18 +299,13 @@ def test_sample_rows_seeded():
 
 @pytest.mark.parametrize("name", ["gaussian-ou", "bernoulli-walk", "callable-sigma"])
 def test_sample_rows_match_pointwise(name):
-    # affine models: one (m, d) base draw, row i gets drift(y_i) + sigma(y_i) z_i;
-    # other models: model.sampler row by row on the same stream
+    # one (m, d) base draw, row i gets drift(y_i) + sigma(y_i) z_i
     m = _callable_sigma_model() if name == "callable-sigma" else preset_model(name)
     ys = default_rng(23).uniform(-1.0, 1.0, size=(6, m.dim))
     rows = kernel.sample_rows(m, ys, default_rng(29))
     zs = m.base.sample(default_rng(29), ys.shape)
     for i in range(6):
         assert np.allclose(rows[i], m.drift(ys[i]) + m.sigma_fn(ys[i]) @ zs[i], rtol=1e-13, atol=1e-14)
-    plain = KernelModel(dim=m.dim, sampler=m.sampler, cgf=m.cgf, cgf_grad=m.cgf_grad, summary="plain")
-    rng = default_rng(31)
-    expect = np.array([m.sampler(y, rng) for y in ys])
-    assert np.array_equal(kernel.sample_rows(plain, ys, default_rng(31)), expect)
 
 
 def test_presets_registry():

@@ -8,7 +8,7 @@ from scipy.stats import norm
 from ldscheme import kernel
 from ldscheme.action import TerminalHalfspace
 from ldscheme.errors import SimulationBlowup
-from ldscheme.kernel import KernelModel, affine_model, gaussian_base, linear_drift, logistic_drift, preset_model
+from ldscheme.kernel import affine_model, gaussian_base, linear_drift, logistic_drift, preset_model
 from ldscheme.rare_event import (
     BallEvent,
     CHUNK_SIZE,
@@ -25,18 +25,6 @@ from ldscheme.rare_event import (
     verify_rate,
 )
 from ldscheme.scheme import DualMeasure, Trajectory, _euler_steps
-
-
-def _plain(model):
-    """Strip the affine structure so the row helpers loop over model.sampler and model.cgf."""
-    return KernelModel(
-        dim=model.dim,
-        sampler=model.sampler,
-        cgf=model.cgf,
-        cgf_grad=model.cgf_grad,
-        cgf_hess=model.cgf_hess,
-        summary="plain-" + model.summary,
-    )
 
 
 def test_event_normalization():
@@ -163,16 +151,6 @@ def test_naive_mc_worker_invariance():
     assert a.p_hat == b.p_hat
 
 
-def test_naive_mc_loop_fallback_agrees_with_batch():
-    m = preset_model("gaussian-ou")
-    ev = TerminalHalfspace([1.0], 0.1)
-    fast = mc_probability(m, [0.0], 20, 0.0, ev, 4_000, seed=3)
-    slow = mc_probability(_plain(m), [0.0], 20, 0.0, ev, 4_000, seed=3)
-    # the row loop over model.sampler consumes the stream in the same order
-    # as the one (rows, d) base draw, so in d = 1 the estimates agree exactly
-    assert fast.p_hat == slow.p_hat
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("run", ["halfspace", "ball", "martingale", "ode"])
 def test_blowup_raises_on_every_path(run):
@@ -270,13 +248,6 @@ def test_martingale_check_bernoulli_base():
     assert abs(chk.mean - 1.0) < 4 * chk.stderr
 
 
-def test_martingale_check_loop_fallback():
-    m = _plain(preset_model("gaussian-ou"))
-    lam = DualMeasure.point_mass(1.0, 0.5)
-    chk = martingale_check(m, [1.0], 15, 0.0, lam, 3_000, seed=21)
-    assert abs(chk.mean - 1.0) < 4 * chk.stderr
-
-
 def test_martingale_check_callable_sigma_matches_preset():
     # a callable sigma goes through the same vectorized cumulant rows as a constant one
     ou = affine_model(1, linear_drift([[-1.0]]), lambda y: np.eye(1), gaussian_base(), summary="ou-callable-sigma",
@@ -306,6 +277,18 @@ def test_martingale_check_rejects_non_finite_cap(cap, monkeypatch):
     lam = DualMeasure.point_mass(1.0, 5.0)
     with pytest.raises(ValueError, match="max_variation must be finite"):
         martingale_check(preset_model("gaussian-ou"), [1.0], 10, 0.0, lam, 100, seed=0, max_variation=cap)
+
+
+@pytest.mark.parametrize("model_dim, measure_dim", [(1, 2), (2, 1)])
+def test_martingale_check_rejects_measure_of_another_dim(model_dim, measure_dim, monkeypatch):
+    # a mismatch used to fail inside the stepper, after the first draws
+    import ldscheme.rare_event as rare_event
+
+    monkeypatch.setattr(rare_event, "_map_chunks", lambda *args: pytest.fail("simulated before the check"))
+    m = affine_model(model_dim, linear_drift(-np.eye(model_dim)), 1.0, gaussian_base(), drift_broadcasts=True)
+    lam = DualMeasure.point_mass(1.0, np.full(measure_dim, 0.5))
+    with pytest.raises(ValueError, match=f"measure dim {measure_dim} does not match model dim {model_dim}"):
+        martingale_check(m, np.zeros(model_dim), 10, 0.0, lam, 100, seed=0)
 
 
 def test_tilted_free_gaussian_matches_exact_oracle():
