@@ -219,8 +219,7 @@ def action(model: KernelModel, x, a, f: Trajectory) -> ActionValue:
     """
     amp = perturbation_amplitude(a)
     x = kernel._as_vector(x, model.dim, "x")
-    if f.dim != model.dim:
-        raise ValueError(f"path dim {f.dim} does not match model dim {model.dim}")
+    kernel._require_dim("path", f.dim, model.dim)
     if float(np.max(np.abs(f.knots[0] - x))) > 1e-12:
         return ActionValue(np.inf, np.empty(0), feasible_start=False)
     seg, _, divergent, warnings = _quadrature_pass(model, amp, f.knots)

@@ -70,6 +70,11 @@ from .scheme import (
     simulate,
 )
 
+# Verdict gates of the verification suites, echoed in their reports.
+TOLERANCE_STDERR = 4.0  # verify-martingale: |mean - 1| <= TOLERANCE_STDERR * stderr
+MAX_REL_GAP = 0.15  # verify-rate: largest relative gap of the last finite rate
+MAX_ODE_SLOPE = -0.05  # verify-ode: largest fitted slope of log q_n against n
+
 
 def _jsonable(value):
     if isinstance(value, dict):
@@ -286,18 +291,14 @@ def _cmd_verify_martingale(cfg, out, workers):
     lam = _measure_from(c, model.dim)
     samples = c.take("samples", _as_int)
     seed = c.take("seed", _as_int)
-    max_variation = c.take("max_variation", _as_float, 2.0)
-    tolerance_stderr = c.take("tolerance_stderr", _as_float, 4.0)
     c.close()
     _write_json(os.path.join(out, "resolved_config.json"), {"command": "verify-martingale", **c.resolved})
-    check = martingale_check(
-        model, x, n, a, lam, samples, seed, workers=workers, max_variation=max_variation
-    )
-    ok = abs(check.mean - 1.0) <= tolerance_stderr * check.stderr + 1e-12
+    check = martingale_check(model, x, n, a, lam, samples, seed, workers=workers)
+    ok = abs(check.mean - 1.0) <= TOLERANCE_STDERR * check.stderr + 1e-12
     report = {
         **check.to_json_dict(),
         "model": model.summary,
-        "tolerance_stderr": tolerance_stderr,
+        "tolerance_stderr": TOLERANCE_STDERR,
         "pass": ok,
     }
     _write_json(os.path.join(out, "martingale_report.json"), report)
@@ -312,7 +313,6 @@ def _cmd_verify_rate(cfg, out, workers):
     n_grid = c.take("n_grid", _as_int_list)
     samples = c.take("samples", _as_int)
     seed = c.take("seed", _as_int)
-    max_rel_gap = c.take("max_rel_gap", _as_float, 0.15)
     c.close()
     if not isinstance(event, TerminalHalfspace):
         raise ModelConfigError("config.event.kind: rate verification needs 'terminal-halfspace'")
@@ -323,11 +323,11 @@ def _cmd_verify_rate(cfg, out, workers):
     ok = (
         report.minimize_converged
         and final_gap is not None
-        and final_gap <= max_rel_gap
+        and final_gap <= MAX_REL_GAP
         and not unexcused
         and len(report.trend_violations) <= 1
     )
-    payload = {**report.to_json_dict(), "max_rel_gap": max_rel_gap, "final_rel_gap": final_gap, "pass": ok}
+    payload = {**report.to_json_dict(), "max_rel_gap": MAX_REL_GAP, "final_rel_gap": final_gap, "pass": ok}
     _write_json(os.path.join(out, "rate_report.json"), payload)
     _write_csv(
         os.path.join(out, "rate_estimates.csv"),
@@ -349,16 +349,15 @@ def _cmd_verify_ode(cfg, out, workers):
     n_grid = c.take("n_grid", _as_int_list)
     samples = c.take("samples", _as_int)
     seed = c.take("seed", _as_int)
-    max_slope = c.take("max_slope", _as_float, -0.05)
     c.close()
     _write_json(os.path.join(out, "resolved_config.json"), {"command": "verify-ode", **c.resolved})
     report = verify_ode_convergence(model, x, epsilon, n_grid, samples, seed, workers=workers)
     ok = (
         report.slope is not None
-        and report.slope <= max_slope
+        and report.slope <= MAX_ODE_SLOPE
         and report.monotone_ok is not False
     )
-    payload = {**report.to_json_dict(), "max_slope": max_slope, "pass": ok}
+    payload = {**report.to_json_dict(), "max_slope": MAX_ODE_SLOPE, "pass": ok}
     _write_json(os.path.join(out, "ode_report.json"), payload)
     _write_csv(
         os.path.join(out, "ode_rows.csv"),

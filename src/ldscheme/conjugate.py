@@ -12,8 +12,8 @@ count and gradient norm, classified exactly as one of three outcomes:
 converged (finite value and an interior maximizer), divergent (the
 objective increases without bound, so the conjugate is +inf), and
 max-iterations (neither certificate reached).  Rows share no solver state,
-so the rows solved alongside one cannot change its outcome; fenchel and
-perturbed_fenchel are the one-row case.
+so the rows solved alongside one cannot change its outcome;
+perturbed_fenchel is the one-row case, and a = 0 gives the plain conjugate.
 
 Every solve runs one fixed configuration, the module constants
 GRAD_TOL_SCALE, MAX_ITER, NORM_CAP, MAX_STEP and WINDOW, starting from
@@ -250,17 +250,13 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     return out
 
 
-def fenchel(model: KernelModel, y, z) -> ConjugateResult:
-    """Conjugate of cgf(y, .) at z by Newton ascent: fenchel_rows on one row.
-
-    Returns value >= 0 always (alpha = 0 is feasible with objective 0);
-    converged results satisfy |z - cgf_grad(y, argmax)| <= tolerance.
-    """
-    return perturbed_fenchel(model, 0.0, y, z)
-
-
 def perturbed_fenchel(model: KernelModel, a, y, z) -> ConjugateResult:
-    """Conjugate of the Gaussian-smoothed cumulant; finite for every z when a > 0."""
+    """Conjugate of the Gaussian-smoothed cumulant at z: fenchel_rows on one row.
+
+    a = 0 gives the plain conjugate of cgf(y, .).  value >= 0 (alpha = 0 is
+    feasible), finite for every z when a > 0; converged results satisfy
+    |z - cgf_grad(y, argmax)| <= tolerance.
+    """
     y = kernel._as_vector(y, model.dim, "y")
     z = kernel._as_vector(z, model.dim, "z")
     return fenchel_rows(model, y[None], z[None], a=a).row(0)
@@ -272,7 +268,7 @@ def dominating_point_halfspace(model: KernelModel, y, xi, c) -> DominatingPointR
     Solves <cgf_grad(y, t xi), xi> = c for t >= 0 (monotone in t by
     convexity), then reports the tilted mean x0 = cgf_grad(y, t* xi), the
     tilt t* xi, and the cost level <x0, t* xi> - cgf(y, t* xi), which equals
-    fenchel(model, y, x0).value.
+    perturbed_fenchel(model, 0.0, y, x0).value.
 
     The normal is normalized to unit length (c rescaled accordingly), which
     leaves the half-space unchanged.  Requires the increment mean at y to

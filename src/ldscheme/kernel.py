@@ -49,6 +49,12 @@ def _as_vector(x, dim: int, name: str) -> np.ndarray:
     return _finite(v, name)
 
 
+def _require_dim(what: str, dim: int, model_dim: int) -> None:
+    """Reject a path or measure whose dimension is not the model's."""
+    if dim != model_dim:
+        raise ValueError(f"{what} dim {dim} does not match model dim {model_dim}")
+
+
 def _as_rows(x, dim: int, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 2 or v.shape[1] != dim:
@@ -68,8 +74,8 @@ class BaseNoise:
     kind: str
     logmgf: Callable[[np.ndarray], np.ndarray]
     logmgf_grad: Callable[[np.ndarray], np.ndarray]
-    logmgf_hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    sample: Callable[[Generator, tuple], np.ndarray] = None
+    logmgf_hess: Callable[[np.ndarray], np.ndarray]
+    sample: Callable[[Generator, tuple], np.ndarray]
 
 
 def gaussian_base() -> BaseNoise:
@@ -224,7 +230,7 @@ def affine_model(
         sampler=sampler,
         cgf=cgf,
         cgf_grad=cgf_grad,
-        cgf_hess=None if base.logmgf_hess is None else cgf_hess,
+        cgf_hess=cgf_hess,
         summary=summary,
         drift=drift,
         sigma_fn=sigma_fn,

@@ -43,6 +43,7 @@ from .scheme import DualMeasure, Trajectory, _euler_steps, eval_path_many
 
 CHUNK_SIZE = 20_000
 MINIMIZE_KNOTS = 21  # knot count of the minimum-cost path that plans a tilt
+MAX_VARIATION = 2.0  # martingale_check's cap on the total variation of its measure
 
 # The terminal event {<Y(1), normal> >= level} is the minimizer's half-space
 # constraint type; HalfspaceEvent names it for callers of this module.
@@ -383,26 +384,22 @@ def martingale_check(
     samples: int,
     seed: int,
     workers: int = 1,
-    max_variation: float = 2.0,
 ) -> MartingaleCheck:
     """Empirical mean and stderr of exp[<path, lam> - dual_functional_n].
 
     The population mean is exactly 1 for every model, resolution, smoothing
     level, and atomic lam.  Large measures make the integrand heavy tailed,
-    so the total variation of lam is capped (default 2.0, caller tunable).
+    so the total variation of lam is capped at MAX_VARIATION.
     """
     amp = perturbation_amplitude(a)
     x = kernel._as_vector(x, model.dim, "x")
-    if lam.dim != model.dim:
-        raise ValueError(f"measure dim {lam.dim} does not match model dim {model.dim}")
+    kernel._require_dim("measure", lam.dim, model.dim)
     _require_two_samples(samples)
-    if not np.isfinite(max_variation):
-        raise ValueError(f"max_variation must be finite, got {max_variation}")
     variation = lam.variation()
-    if variation > max_variation:
+    if variation > MAX_VARIATION:
         raise ValueError(
-            f"dual measure variation {variation:.3g} exceeds the cap {max_variation:.3g}; "
-            "raise max_variation knowingly if the heavy tail is acceptable"
+            f"dual measure variation {variation:.3g} exceeds the cap {MAX_VARIATION:.3g}; "
+            "scale the measure down"
         )
     alphas = lam.basis_integrals(n) / n
     worker = lambda rng, size: _martingale_rows(model, x, n, amp, alphas, rng, size)
@@ -525,11 +522,13 @@ def verify_ode_convergence(
     (None when fewer than two survive).
     """
     x = kernel._as_vector(x, model.dim, "x")
+    event = PathDeviationEvent(epsilon=epsilon)
+    if len(n_grid) < 1:
+        raise ValueError("n_grid must be nonempty")
     rows = []
     censored = []
     pts = []
     for idx, n in enumerate(n_grid):
-        event = PathDeviationEvent(epsilon=epsilon)
         grid = _deviation_grid(event, model, x, n)
         worker = lambda rng, size: _hit_rows(model, x, n, 0.0, event, grid, rng, size)
         hits = np.concatenate(_map_chunks(worker, samples, workers, (seed, idx)))

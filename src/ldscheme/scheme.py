@@ -245,8 +245,8 @@ def phi_n(model: KernelModel, x, a, traj: Trajectory, lam: DualMeasure) -> float
     """
     amp = perturbation_amplitude(a)
     x = kernel._as_vector(x, model.dim, "x")
-    if lam.dim != model.dim:
-        raise ValueError(f"measure dim {lam.dim} does not match model dim {model.dim}")
+    kernel._require_dim("path", traj.dim, model.dim)
+    kernel._require_dim("measure", lam.dim, model.dim)
     n = traj.n
     alphas = lam.basis_integrals(n) / n
     ys = traj.knots[:-1]
@@ -266,8 +266,8 @@ def phi_limit(model: KernelModel, x, a, f: Trajectory, lam: DualMeasure) -> floa
     """
     amp = perturbation_amplitude(a)
     x = kernel._as_vector(x, model.dim, "x")
-    if lam.dim != model.dim:
-        raise ValueError(f"measure dim {lam.dim} does not match model dim {model.dim}")
+    kernel._require_dim("path", f.dim, model.dim)
+    kernel._require_dim("measure", lam.dim, model.dim)
     breaks = np.unique(np.concatenate([f.times, lam.times, [0.0, 1.0]]))
     nodes, weights = gauss_legendre_01()
 

@@ -21,7 +21,7 @@ from ldscheme.action import (
     minimize_action,
     straight_line,
 )
-from ldscheme.conjugate import dominating_point_halfspace, fenchel
+from ldscheme.conjugate import dominating_point_halfspace, perturbed_fenchel
 from ldscheme.kernel import PRESETS, cgf, cgf_grad, preset_model
 from ldscheme.rare_event import (
     martingale_check,
@@ -83,13 +83,13 @@ def test_acceptance_3_conjugate_correctness():
     for _ in range(100):
         y = rng.uniform(-2.0, 2.0, size=1)
         z = rng.uniform(-3.0, 3.0, size=1)
-        got = fenchel(ou, y, z).value
+        got = perturbed_fenchel(ou, 0.0, y, z).value
         exact = 0.5 * float(z[0] + y[0]) ** 2
         worst_cf = max(worst_cf, abs(got - exact))
         assert abs(got - exact) <= 1e-6
 
         zb = rng.uniform(0.02, 0.98, size=1)
-        got_b = fenchel(bern, y, zb).value
+        got_b = perturbed_fenchel(bern, 0.0, y, zb).value
         p, q = 0.3, float(zb[0])
         exact_b = q * np.log(q / p) + (1 - q) * np.log((1 - q) / (1 - p))
         worst_cf = max(worst_cf, abs(got_b - exact_b))
@@ -101,7 +101,7 @@ def test_acceptance_3_conjugate_correctness():
         y = rng.uniform(-2.0, 2.0, size=1)
         z = rng.uniform(0.05, 0.95, size=1) if model is bern else rng.uniform(-3.0, 3.0, size=1)
         alpha = rng.uniform(-3.0, 3.0, size=1)
-        slack = fenchel(model, y, z).value + cgf(model, y, alpha) - float(z @ alpha)
+        slack = perturbed_fenchel(model, 0.0, y, z).value + cgf(model, y, alpha) - float(z @ alpha)
         worst_yf = min(worst_yf, slack)
         assert slack >= -1e-9
 

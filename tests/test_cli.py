@@ -333,7 +333,6 @@ _MARTINGALE = {
     "samples": 200,
     "seed": 3,
 }
-_HEAVY = {**_MARTINGALE, "measure": {"atoms": [{"t": 1.0, "weight": [5.0]}]}}
 _RATE = {
     "model": FREE,
     "x": [0.0],
@@ -349,31 +348,59 @@ _MINIMIZE = {"model": OU, "x": [0.0], "terminal": {"kind": "halfspace", "normal"
 @pytest.mark.parametrize(
     "command, config, path",
     [
-        # a NaN or infinite cap used to be skipped: the measure of variation
-        # 5.0 exceeds the default cap 2.0 but was simulated anyway (exit 0)
-        ("verify-martingale", {**_HEAVY, "max_variation": float("nan")}, "max_variation"),
-        ("verify-martingale", {**_HEAVY, "max_variation": float("inf")}, "max_variation"),
-        # a NaN gate used to fail every run with exit 1
-        ("verify-martingale", {**_MARTINGALE, "tolerance_stderr": float("nan")}, "tolerance_stderr"),
-        ("verify-rate", {**_RATE, "max_rel_gap": float("nan")}, "max_rel_gap"),
-        ("verify-ode", {**_ODE, "max_slope": float("nan")}, "max_slope"),
-        # an infinite gate used to pass every run (exit 0)
-        ("verify-rate", {**_RATE, "max_rel_gap": float("inf")}, "max_rel_gap"),
-        # the amplitude, an atom time and the minimizer settings fail when read too
+        # the amplitude and an atom time fail when read
         ("verify-martingale", {**_MARTINGALE, "a": float("inf")}, "a"),
         # an integer beyond the float range used to crash with an OverflowError
         ("verify-martingale", {**_MARTINGALE, "a": 10**400}, "a"),
         ("verify-martingale", {**_MARTINGALE, "measure": {"atoms": [{"t": float("nan"), "weight": [0.5]}]}},
          "measure.atoms[0].t"),
     ],
-    ids=["variation-nan", "variation-inf", "tolerance-nan", "rel-gap-nan", "slope-nan", "rel-gap-inf",
-         "a-inf", "a-overflow", "atom-t-nan"],
+    ids=["a-inf", "a-overflow", "atom-t-nan"],
 )
 def test_verification_non_finite_cap_is_config_error(tmp_path, capsys, command, config, path):
     code, out = _run(tmp_path, command, config)
     assert code == 2
     assert f"config.{path}: expected a finite number" in capsys.readouterr().err
     assert not (out / "resolved_config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("verify-martingale", _MARTINGALE, "max_variation"),
+        ("verify-martingale", _MARTINGALE, "tolerance_stderr"),
+        ("verify-rate", _RATE, "max_rel_gap"),
+        ("verify-ode", _ODE, "max_slope"),
+    ],
+    ids=["max_variation", "tolerance_stderr", "max_rel_gap", "max_slope"],
+)
+def test_verification_gate_key_is_unknown_key(tmp_path, capsys, command, config, key):
+    # the gates are fixed constants; giving one in a config is an error
+    code, out = _run(tmp_path, command, {**config, key: 1.0})
+    assert code == 2
+    assert f"unknown key 'config.{key}'" in capsys.readouterr().err
+    assert not (out / "resolved_config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, constant, value, report, key",
+    [
+        ("verify-martingale", _MARTINGALE, "TOLERANCE_STDERR", 0.5, "martingale_report.json", "tolerance_stderr"),
+        ("verify-rate", _RATE, "MAX_REL_GAP", 0.5, "rate_report.json", "max_rel_gap"),
+        ("verify-ode", _ODE, "MAX_ODE_SLOPE", -0.2, "ode_report.json", "max_slope"),
+    ],
+    ids=["martingale", "rate", "ode"],
+)
+def test_verification_verdict_reads_gate_constant(tmp_path, monkeypatch, command, config, constant, value, report, key):
+    import ldscheme.cli as cli
+
+    code, _ = _run(tmp_path, command, config, sub="fixed")
+    monkeypatch.setattr(cli, constant, value)
+    patched, out = _run(tmp_path, command, config, sub="patched")
+    assert {code, patched} == {0, 1}
+    rep = json.loads((out / report).read_text())
+    assert rep[key] == value
+    assert rep["pass"] is (patched == 0)
 
 
 def _explicit(drift=None, sigma=None, base=None, dim=1):

@@ -9,7 +9,6 @@ from ldscheme.conjugate import (
     DIVERGENT,
     MAX_ITERATIONS,
     dominating_point_halfspace,
-    fenchel,
     fenchel_rows,
     perturbed_fenchel,
 )
@@ -42,7 +41,7 @@ def test_gaussian_free_closed_form():
     rng = default_rng(1)
     for _ in range(25):
         z = rng.normal(scale=2.0, size=1)
-        r = fenchel(m, np.zeros(1), z)
+        r = perturbed_fenchel(m, 0.0, np.zeros(1), z)
         assert r.status == CONVERGED
         assert r.value == pytest.approx(0.5 * z[0] ** 2, abs=1e-9)
         assert r.argmax[0] == pytest.approx(z[0], abs=1e-7)
@@ -52,7 +51,7 @@ def test_ou_drift_shifts_the_conjugate():
     m = preset_model("gaussian-ou")
     y, z = np.array([1.5]), np.array([0.2])
     # increment mean is -y, unit variance: conj = (z + y)^2 / 2
-    r = fenchel(m, y, z)
+    r = perturbed_fenchel(m, 0.0, y, z)
     assert r.value == pytest.approx(0.5 * (0.2 + 1.5) ** 2, abs=1e-9)
 
 
@@ -60,14 +59,14 @@ def test_bernoulli_interior_matches_relative_entropy():
     m = preset_model("bernoulli-walk")
     # the support boundary z = 0 and z = 1 converges too (in 23 and 22 steps)
     for v in [0.0, 0.05, 0.3, 0.5, 0.9, 1.0]:
-        r = fenchel(m, np.zeros(1), np.array([v]))
+        r = perturbed_fenchel(m, 0.0, np.zeros(1), np.array([v]))
         assert r.status == CONVERGED
         assert r.value == pytest.approx(_bernoulli_entropy(v, 0.3), abs=1e-9)
 
 
 def test_bernoulli_outside_support_diverges():
     m = preset_model("bernoulli-walk")
-    r = fenchel(m, np.zeros(1), np.array([1.3]))
+    r = perturbed_fenchel(m, 0.0, np.zeros(1), np.array([1.3]))
     assert r.status == DIVERGENT
     assert r.value > 1e2
 
@@ -86,7 +85,7 @@ def test_closed_form_helper_matches_numeric():
         z = rng.normal(size=1)
         # gaussian-ou: drift -y, unit sigma
         direct = _gaussian_affine_conjugate(1.0, -y, z)
-        numeric = fenchel(m, y, z).value
+        numeric = perturbed_fenchel(m, 0.0, y, z).value
         assert numeric == pytest.approx(direct, abs=1e-8)
 
 
@@ -114,13 +113,14 @@ def test_finite_difference_hessian_fallback():
         dim=1, sampler=src.sampler, cgf=src.cgf, cgf_grad=src.cgf_grad, cgf_hess=None, summary="nohess"
     )
     y, z = np.array([0.8]), np.array([0.4])
-    assert fenchel(stripped, y, z).value == pytest.approx(fenchel(src, y, z).value, abs=1e-7)
+    expect = perturbed_fenchel(src, 0.0, y, z).value
+    assert perturbed_fenchel(stripped, 0.0, y, z).value == pytest.approx(expect, abs=1e-7)
 
 
 def test_max_iterations_returns_best_so_far(monkeypatch):
     monkeypatch.setattr(conjugate, "MAX_ITER", 1)
     m = preset_model("gaussian-free")
-    r = fenchel(m, np.zeros(1), np.array([3.0]))
+    r = perturbed_fenchel(m, 0.0, np.zeros(1), np.array([3.0]))
     assert r.status == MAX_ITERATIONS
     assert 0.0 <= r.value <= 0.5 * 9.0
     assert np.isfinite(r.value)
@@ -174,7 +174,7 @@ def test_dominating_point_unreachable_level():
 def test_young_fenchel_inequality(y, z, a, name):
     m = preset_model(name)
     yv = np.array([y])
-    conj = fenchel(m, yv, np.array([z])).value
+    conj = perturbed_fenchel(m, 0.0, yv, np.array([z])).value
     assert cgf(m, yv, np.array([a])) + conj >= a * z - 1e-9
 
 
@@ -185,7 +185,7 @@ def test_two_dimensional_anisotropic():
     rng = default_rng(11)
     for _ in range(10):
         z = rng.normal(size=2)
-        assert fenchel(m, np.zeros(2), z).value == pytest.approx(
+        assert perturbed_fenchel(m, 0.0, np.zeros(2), z).value == pytest.approx(
             _gaussian_affine_conjugate(s, b, z), abs=1e-7
         )
 
@@ -212,7 +212,7 @@ def test_fenchel_rows_rows_are_independent(monkeypatch, max_iter):
     ys = np.zeros_like(zs)
     rows = fenchel_rows(m, ys, zs)
     for i in range(len(zs)):
-        _assert_same_row(rows, i, fenchel(m, ys[i], zs[i]))
+        _assert_same_row(rows, i, perturbed_fenchel(m, 0.0, ys[i], zs[i]))
     expected = {200: {CONVERGED, DIVERGENT}, 15: {CONVERGED, DIVERGENT, MAX_ITERATIONS}, 1: {CONVERGED, MAX_ITERATIONS}}
     assert set(rows.status) == expected[max_iter]
     if max_iter == 200:

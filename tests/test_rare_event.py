@@ -259,24 +259,18 @@ def test_martingale_check_callable_sigma_matches_preset():
     assert chk.stderr == ref.stderr
 
 
-def test_martingale_check_variation_cap():
-    m = preset_model("gaussian-ou")
-    lam = DualMeasure.point_mass(1.0, 5.0)
-    with pytest.raises(ValueError, match="variation"):
-        martingale_check(m, [1.0], 10, 0.0, lam, 100, seed=0)
-    chk = martingale_check(m, [1.0], 10, 0.0, lam.scaled(0.1), 100, seed=0, max_variation=2.0)
-    assert np.isfinite(chk.mean)
-
-
-@pytest.mark.parametrize("cap", [np.nan, np.inf])
-def test_martingale_check_rejects_non_finite_cap(cap, monkeypatch):
-    # a non-finite cap used to be skipped: variation > nan and variation > inf are False
+def test_martingale_check_variation_cap(monkeypatch):
     import ldscheme.rare_event as rare_event
 
-    monkeypatch.setattr(rare_event, "_map_chunks", lambda *args: pytest.fail("simulated before the check"))
+    m = preset_model("gaussian-ou")
     lam = DualMeasure.point_mass(1.0, 5.0)
-    with pytest.raises(ValueError, match="max_variation must be finite"):
-        martingale_check(preset_model("gaussian-ou"), [1.0], 10, 0.0, lam, 100, seed=0, max_variation=cap)
+    with pytest.raises(ValueError, match="variation 5 exceeds the cap 2; scale the measure down"):
+        martingale_check(m, [1.0], 10, 0.0, lam, 100, seed=0)
+    chk = martingale_check(m, [1.0], 10, 0.0, lam.scaled(0.1), 100, seed=0)
+    assert np.isfinite(chk.mean)
+    monkeypatch.setattr(rare_event, "MAX_VARIATION", 0.4)
+    with pytest.raises(ValueError, match="exceeds the cap 0.4"):
+        martingale_check(m, [1.0], 10, 0.0, lam.scaled(0.1), 100, seed=0)
 
 
 @pytest.mark.parametrize("model_dim, measure_dim", [(1, 2), (2, 1)])
@@ -522,6 +516,23 @@ def test_verify_ode_all_censored():
     assert all(r["censored"] for r in rep.rows)
     assert rep.slope is None
     assert rep.monotone_ok is None
+
+
+@pytest.mark.parametrize(
+    "epsilon, n_grid, message",
+    [
+        # an empty grid used to return a report with no rows, epsilon=nan included
+        (np.nan, [], "epsilon must be positive and finite"),
+        (0.5, [], "n_grid must be nonempty"),
+    ],
+    ids=["nan-empty", "empty"],
+)
+def test_verify_ode_rejects_bad_epsilon_and_empty_grid(epsilon, n_grid, message, monkeypatch):
+    import ldscheme.rare_event as rare_event
+
+    monkeypatch.setattr(rare_event, "_map_chunks", lambda *args: pytest.fail("simulated before the check"))
+    with pytest.raises(ValueError, match=message):
+        verify_ode_convergence(preset_model("logistic"), [0.5], epsilon, n_grid, 100, seed=1)
 
 
 def test_verify_ode_deterministic_model_never_deviates():

@@ -319,6 +319,26 @@ def test_phi_limit_ou_against_closed_form():
     assert phi_limit(m, [1.0], 0.0, f, lam) == pytest.approx(expect, abs=1e-7)
 
 
+@pytest.mark.parametrize("fn", [phi_n, phi_limit], ids=["phi_n", "phi_limit"])
+@pytest.mark.parametrize(
+    "model_dim, path_dim, measure_dim, message",
+    [
+        # a 2-D path used to give the value of its first coordinate alone
+        (1, 2, 1, "path dim 2 does not match model dim 1"),
+        # a 1-D path used to fail in numpy with "shapes not aligned"
+        (2, 1, 2, "path dim 1 does not match model dim 2"),
+        (1, 1, 2, "measure dim 2 does not match model dim 1"),
+    ],
+    ids=["path-2-on-1", "path-1-on-2", "measure-2-on-1"],
+)
+def test_dual_functionals_reject_path_or_measure_of_another_dim(fn, model_dim, path_dim, measure_dim, message):
+    m = affine_model(model_dim, linear_drift(-np.eye(model_dim)), 1.0, gaussian_base(), drift_broadcasts=True)
+    traj = Trajectory(np.zeros((11, path_dim)))
+    lam = DualMeasure.point_mass(1.0, np.full(measure_dim, 0.5))
+    with pytest.raises(ValueError, match=message):
+        fn(m, np.ones(model_dim), 0.0, traj, lam)
+
+
 def test_coupling_gap_bound_holds_per_realization():
     m = preset_model("gaussian-ou")
     gaps, bounds = coupled_perturbation_gaps(m, [1.0], 50, 0.5, seed=3, realizations=200)
