@@ -346,21 +346,31 @@ _MINIMIZE = {"model": OU, "x": [0.0], "terminal": {"kind": "halfspace", "normal"
 
 
 @pytest.mark.parametrize(
-    "command, config, path",
+    "command, config, error",
     [
+        # a NaN or infinite gate is refused before anything runs: the gates
+        # are fixed constants, so a config giving one names an unknown key
+        ("verify-martingale", {**_MARTINGALE, "max_variation": float("nan")}, "unknown key 'config.max_variation'"),
+        ("verify-martingale", {**_MARTINGALE, "max_variation": float("inf")}, "unknown key 'config.max_variation'"),
+        ("verify-martingale", {**_MARTINGALE, "tolerance_stderr": float("nan")},
+         "unknown key 'config.tolerance_stderr'"),
+        ("verify-rate", {**_RATE, "max_rel_gap": float("nan")}, "unknown key 'config.max_rel_gap'"),
+        ("verify-ode", {**_ODE, "max_slope": float("nan")}, "unknown key 'config.max_slope'"),
+        ("verify-rate", {**_RATE, "max_rel_gap": float("inf")}, "unknown key 'config.max_rel_gap'"),
         # the amplitude and an atom time fail when read
-        ("verify-martingale", {**_MARTINGALE, "a": float("inf")}, "a"),
+        ("verify-martingale", {**_MARTINGALE, "a": float("inf")}, "config.a: expected a finite number"),
         # an integer beyond the float range used to crash with an OverflowError
-        ("verify-martingale", {**_MARTINGALE, "a": 10**400}, "a"),
+        ("verify-martingale", {**_MARTINGALE, "a": 10**400}, "config.a: expected a finite number"),
         ("verify-martingale", {**_MARTINGALE, "measure": {"atoms": [{"t": float("nan"), "weight": [0.5]}]}},
-         "measure.atoms[0].t"),
+         "config.measure.atoms[0].t: expected a finite number"),
     ],
-    ids=["a-inf", "a-overflow", "atom-t-nan"],
+    ids=["variation-nan", "variation-inf", "tolerance-nan", "rel-gap-nan", "slope-nan", "rel-gap-inf",
+         "a-inf", "a-overflow", "atom-t-nan"],
 )
-def test_verification_non_finite_cap_is_config_error(tmp_path, capsys, command, config, path):
+def test_verification_non_finite_cap_is_config_error(tmp_path, capsys, command, config, error):
     code, out = _run(tmp_path, command, config)
     assert code == 2
-    assert f"config.{path}: expected a finite number" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
     assert not (out / "resolved_config.json").exists()
 
 
