@@ -36,10 +36,10 @@ from .kernel import (
     _as_dict,
     _as_float,
     _as_int,
+    _as_int_from,
     _as_int_list,
     _as_knots,
     _as_list,
-    _as_numbers,
     _as_str,
     _Conf,
 )
@@ -116,31 +116,31 @@ def _model_from(c: _Conf):
     return kernel.model_from_config(c.take("model", _as_dict), path=f"{c.path}.model")
 
 
-def _terminal_from(c: _Conf):
+def _terminal_from(c: _Conf, dim: int):
     t = c.sub("terminal")
     kind = t.take("kind", _as_str)
     if kind == "point":
-        point = t.take("point", _as_numbers)
+        point = t.take("point", _as_array((dim,)))
         t.close()
         return TerminalPoint(point=point)
     if kind == "halfspace":
-        normal = t.take("normal", _as_numbers)
+        normal = t.take("normal", _as_array((dim,)))
         level = t.take("level", _as_float)
         t.close()
         return TerminalHalfspace(normal=normal, level=level)
     raise ModelConfigError(f"{t.path}.kind: unknown terminal kind {kind!r}")
 
 
-def _event_from(c: _Conf):
+def _event_from(c: _Conf, dim: int):
     e = c.sub("event")
     kind = e.take("kind", _as_str)
     if kind == "terminal-halfspace":
-        normal = e.take("normal", _as_numbers)
+        normal = e.take("normal", _as_array((dim,)))
         level = e.take("level", _as_float)
         e.close()
         return TerminalHalfspace(normal=normal, level=level)
     if kind == "terminal-ball":
-        center = e.take("center", _as_numbers)
+        center = e.take("center", _as_array((dim,)))
         radius = e.take("radius", _as_float)
         e.close()
         return BallEvent(center=center, radius=radius)
@@ -149,6 +149,8 @@ def _event_from(c: _Conf):
         ref_file = e.take("reference_file", _as_str, None)
         e.close()
         ref = load_trajectory(ref_file) if ref_file else None
+        if ref is not None and ref.dim != dim:
+            raise ModelConfigError(f"{e.path}.reference_file: expected a path of dim {dim}, got dim {ref.dim}")
         return PathDeviationEvent(epsilon=epsilon, reference=ref)
     raise ModelConfigError(f"{e.path}.kind: unknown event kind {kind!r}")
 
@@ -180,10 +182,10 @@ def _minimize_settings_from(c: _Conf) -> MinimizeSettings:
 def _cmd_simulate(cfg, out, workers):
     c = _Conf(cfg, "config")
     model = _model_from(c)
-    x = c.take("x", _as_numbers)
-    n = c.take("n", _as_int)
+    x = c.take("x", _as_array((model.dim,)))
+    n = c.take("n", _as_int_from(1))
     a = c.take("a", _as_float, 0.0)
-    seed = c.take("seed", _as_int)
+    seed = c.take("seed", _as_int_from(0))
     c.close()
     _write_json(os.path.join(out, "resolved_config.json"), {"command": "simulate", **c.resolved})
     traj = simulate(SchemeRun(model=model, x=x, n=n, a=a, seed=seed))
@@ -194,7 +196,7 @@ def _cmd_simulate(cfg, out, workers):
 def _cmd_action(cfg, out, workers):
     c = _Conf(cfg, "config")
     model = _model_from(c)
-    x = c.take("x", _as_numbers)
+    x = c.take("x", _as_array((model.dim,)))
     a = c.take("a", _as_float, 0.0)
     traj_file = c.take("trajectory_file", _as_str, None)
     knots = c.take("knots", _as_knots(model.dim), None)
@@ -222,10 +224,10 @@ def _cmd_action(cfg, out, workers):
 def _cmd_minimize(cfg, out, workers):
     c = _Conf(cfg, "config")
     model = _model_from(c)
-    x = c.take("x", _as_numbers)
+    x = c.take("x", _as_array((model.dim,)))
     a = c.take("a", _as_float, 0.0)
-    m = c.take("m", _as_int, 21)
-    terminal = _terminal_from(c)
+    m = c.take("m", _as_int_from(2), 21)
+    terminal = _terminal_from(c, model.dim)
     settings = _minimize_settings_from(c)
     c.close()
     _write_json(os.path.join(out, "resolved_config.json"), {"command": "minimize", **c.resolved})
@@ -259,24 +261,25 @@ def _cmd_minimize(cfg, out, workers):
 def _cmd_estimate(cfg, out, workers):
     c = _Conf(cfg, "config")
     model = _model_from(c)
-    x = c.take("x", _as_numbers)
-    n = c.take("n", _as_int)
+    x = c.take("x", _as_array((model.dim,)))
+    n = c.take("n", _as_int_from(1))
     a = c.take("a", _as_float, 0.0)
-    event = _event_from(c)
-    samples = c.take("samples", _as_int)
-    seed = c.take("seed", _as_int)
+    event = _event_from(c, model.dim)
     method = c.take("method", _as_str, "naive")
+    samples = c.take("samples", _as_int_from(2 if method == "tilted" else 1))  # a weighted estimate needs 2
+    seed = c.take("seed", _as_int_from(0))
     c.close()
     if method not in ("naive", "tilted"):
         raise ModelConfigError(f"config.method: expected 'naive' or 'tilted', got {method!r}")
-    _write_json(os.path.join(out, "resolved_config.json"), {"command": "estimate", **c.resolved})
-    if method == "naive":
-        report = mc_probability(model, x, n, a, event, samples, seed, workers=workers)
-    else:
+    if method == "tilted":
         if a != 0.0:
             raise ModelConfigError("config.a: the tilted estimator runs the unsmoothed scheme; set a to 0")
         if not isinstance(event, TerminalHalfspace):
             raise ModelConfigError("config.event.kind: the tilted estimator needs 'terminal-halfspace'")
+    _write_json(os.path.join(out, "resolved_config.json"), {"command": "estimate", **c.resolved})
+    if method == "naive":
+        report = mc_probability(model, x, n, a, event, samples, seed, workers=workers)
+    else:
         report = tilted_mc_probability(model, x, n, event, samples, seed, workers=workers)
     _write_json(os.path.join(out, "estimate_report.json"), report.to_json_dict())
     return 0
@@ -285,12 +288,12 @@ def _cmd_estimate(cfg, out, workers):
 def _cmd_verify_martingale(cfg, out, workers):
     c = _Conf(cfg, "config")
     model = _model_from(c)
-    x = c.take("x", _as_numbers)
-    n = c.take("n", _as_int)
+    x = c.take("x", _as_array((model.dim,)))
+    n = c.take("n", _as_int_from(1))
     a = c.take("a", _as_float, 0.0)
     lam = _measure_from(c, model.dim)
-    samples = c.take("samples", _as_int)
-    seed = c.take("seed", _as_int)
+    samples = c.take("samples", _as_int_from(2))
+    seed = c.take("seed", _as_int_from(0))
     c.close()
     _write_json(os.path.join(out, "resolved_config.json"), {"command": "verify-martingale", **c.resolved})
     check = martingale_check(model, x, n, a, lam, samples, seed, workers=workers)
@@ -308,11 +311,11 @@ def _cmd_verify_martingale(cfg, out, workers):
 def _cmd_verify_rate(cfg, out, workers):
     c = _Conf(cfg, "config")
     model = _model_from(c)
-    x = c.take("x", _as_numbers)
-    event = _event_from(c)
+    x = c.take("x", _as_array((model.dim,)))
+    event = _event_from(c, model.dim)
     n_grid = c.take("n_grid", _as_int_list)
-    samples = c.take("samples", _as_int)
-    seed = c.take("seed", _as_int)
+    samples = c.take("samples", _as_int_from(2))
+    seed = c.take("seed", _as_int_from(0))
     c.close()
     if not isinstance(event, TerminalHalfspace):
         raise ModelConfigError("config.event.kind: rate verification needs 'terminal-halfspace'")
@@ -344,11 +347,11 @@ def _cmd_verify_rate(cfg, out, workers):
 def _cmd_verify_ode(cfg, out, workers):
     c = _Conf(cfg, "config")
     model = _model_from(c)
-    x = c.take("x", _as_numbers)
+    x = c.take("x", _as_array((model.dim,)))
     epsilon = c.take("epsilon", _as_float)
     n_grid = c.take("n_grid", _as_int_list)
-    samples = c.take("samples", _as_int)
-    seed = c.take("seed", _as_int)
+    samples = c.take("samples", _as_int_from(1))
+    seed = c.take("seed", _as_int_from(0))
     c.close()
     _write_json(os.path.join(out, "resolved_config.json"), {"command": "verify-ode", **c.resolved})
     report = verify_ode_convergence(model, x, epsilon, n_grid, samples, seed, workers=workers)

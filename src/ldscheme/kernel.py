@@ -388,6 +388,18 @@ def _as_int(v, path):
     return v
 
 
+def _as_int_from(lo: int):
+    """Cast to an integer of at least lo."""
+
+    def cast(v, path):
+        value = _as_int(v, path)
+        if value < lo:
+            raise ModelConfigError(f"{path} must be >= {lo}, got {value!r}")
+        return value
+
+    return cast
+
+
 def _as_float(v, path):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ModelConfigError(f"{path}: expected a number, got {v!r}")
@@ -406,19 +418,11 @@ def _as_str(v, path):
     return v
 
 
-def _as_numbers(v, path):
-    """A finite number or a nonempty flat list of them; returned in JSON form."""
-    if isinstance(v, list) and v:
-        return [_as_float(u, f"{path}[{i}]") for i, u in enumerate(v)]
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return _as_float(v, path)
-    raise ModelConfigError(f"{path}: expected a number or a list of numbers, got {v!r}")
-
-
 def _as_int_list(v, path):
-    if not (isinstance(v, list) and v and all(isinstance(u, int) and not isinstance(u, bool) for u in v)):
+    """A nonempty list of integers >= 1, such as an n-grid."""
+    if not (isinstance(v, list) and v):
         raise ModelConfigError(f"{path}: expected a nonempty list of integers, got {v!r}")
-    return list(v)
+    return [_as_int_from(1)(u, f"{path}[{i}]") for i, u in enumerate(v)]
 
 
 def _as_list(v, path):
@@ -598,9 +602,7 @@ def model_from_config(cfg: dict, path: str = "model") -> AffineNoiseModel:
             raise ModelConfigError(f"{path}.preset: unknown preset {name!r}; available: {sorted(PRESETS)}")
         model = model_from_config(PRESETS[name], path=f"{path}.preset[{name}]")
         return dataclasses.replace(model, summary=name)
-    dim = c.take("dim", _as_int)
-    if dim < 1:
-        raise ModelConfigError(f"{path}.dim: expected a positive integer, got {dim!r}")
+    dim = c.take("dim", _as_int_from(1))
     drift, drift_tag = _drift_from(c.sub("drift"), dim)
     sigma, sigma_tag = _sigma_from(c.sub("sigma"), dim)
     base, base_tag = _base_from(c.sub("base"))

@@ -161,14 +161,13 @@ def _chunk_sizes(samples: int) -> List[int]:
     return [CHUNK_SIZE] * full + ([rest] if rest else [])
 
 
-def _map_chunks(worker, samples: int, workers: int, rng_key) -> List[np.ndarray]:
-    """Run worker(rng, size) over fixed-size chunks, in chunk order.
+def _map_chunks(worker, samples: int, workers: int, rng_key) -> np.ndarray:
+    """Run worker(rng, size) over fixed-size chunks and join the rows in chunk order.
 
     rng_key is the seed prefix; chunk c draws from default_rng([*rng_key, c]),
     so the result does not depend on the worker count.
     """
-    sizes = _chunk_sizes(samples)
-    jobs = [(c, size) for c, size in enumerate(sizes)]
+    jobs = list(enumerate(_chunk_sizes(samples)))
 
     def run(job):
         c, size = job
@@ -176,8 +175,17 @@ def _map_chunks(worker, samples: int, workers: int, rng_key) -> List[np.ndarray]
 
     if workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, jobs))
-    return [run(job) for job in jobs]
+            return np.concatenate(list(pool.map(run, jobs)))
+    return np.concatenate([run(job) for job in jobs])
+
+
+def _report(model, event: EventSpec, n, samples, seed, p, stderr, method, predicted=None) -> EstimateReport:
+    """EstimateReport of p_hat = p; empirical_rate = -log(p) / n is None when p is 0."""
+    rate = float(-np.log(p) / n) if p > 0.0 else None
+    return EstimateReport(
+        model=model.summary, event=event.record(), n=n, samples=samples, p_hat=p, stderr=stderr,
+        empirical_rate=rate, predicted_rate=predicted, method=method, seed=seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +245,13 @@ def _hit_rows(model, x, n, a, event, grid, rng, size) -> np.ndarray:
     return np.sqrt(dev2) >= event.epsilon
 
 
+def _hits(model, x, n, a, event, samples, workers, rng_key) -> np.ndarray:
+    """Event indicators of `samples` replicas, chunked under rng_key."""
+    grid = _deviation_grid(event, model, x, n)
+    worker = lambda rng, size: _hit_rows(model, x, n, a, event, grid, rng, size)
+    return _map_chunks(worker, samples, workers, rng_key)
+
+
 def mc_probability(model: KernelModel, x, n: int, a, event: EventSpec, samples: int, seed: int, workers: int = 1) -> EstimateReport:
     """Plain Monte Carlo estimate of the event probability.
 
@@ -247,24 +262,8 @@ def mc_probability(model: KernelModel, x, n: int, a, event: EventSpec, samples: 
     amp = perturbation_amplitude(a)
     x = kernel._as_vector(x, model.dim, "x")
     _require_event_dim(event, model.dim)
-    grid = _deviation_grid(event, model, x, n)
-    worker = lambda rng, size: _hit_rows(model, x, n, amp, event, grid, rng, size)
-    hits = np.concatenate(_map_chunks(worker, samples, workers, (seed,)))
-    p = float(np.mean(hits))
-    stderr = float(np.sqrt(p * (1.0 - p) / samples))
-    rate = float(-np.log(p) / n) if p > 0.0 else None
-    return EstimateReport(
-        model=model.summary,
-        event=event.record(),
-        n=n,
-        samples=samples,
-        p_hat=p,
-        stderr=stderr,
-        empirical_rate=rate,
-        predicted_rate=None,
-        method="naive",
-        seed=seed,
-    )
+    p = float(np.mean(_hits(model, x, n, amp, event, samples, workers, (seed,))))
+    return _report(model, event, n, samples, seed, p, float(np.sqrt(p * (1.0 - p) / samples)), "naive")
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +318,8 @@ def _tilted_rows(model, x, n, event: TerminalHalfspace, alphas, rng, size) -> np
 def _tilted_estimate(model, x, n, event, samples, seed, workers, plan) -> EstimateReport:
     alphas = _tilt_sequence(model, plan.trajectory, n)
     worker = lambda rng, size: _tilted_rows(model, x, n, event, alphas, rng, size)
-    p, stderr = _mean_stderr(np.concatenate(_map_chunks(worker, samples, workers, seed)))
-    rate = float(-np.log(p) / n) if p > 0.0 else None
-    return EstimateReport(
-        model=model.summary,
-        event=event.record(),
-        n=n,
-        samples=samples,
-        p_hat=p,
-        stderr=stderr,
-        empirical_rate=rate,
-        predicted_rate=float(plan.action.value),
-        method="tilted",
-        seed=seed[0],
-    )
+    p, stderr = _mean_stderr(_map_chunks(worker, samples, workers, seed))
+    return _report(model, event, n, samples, seed[0], p, stderr, "tilted", float(plan.action.value))
 
 
 def tilted_mc_probability(
@@ -403,7 +390,7 @@ def martingale_check(
         )
     alphas = lam.basis_integrals(n) / n
     worker = lambda rng, size: _martingale_rows(model, x, n, amp, alphas, rng, size)
-    mean, stderr = _mean_stderr(np.concatenate(_map_chunks(worker, samples, workers, (seed,))))
+    mean, stderr = _mean_stderr(_map_chunks(worker, samples, workers, (seed,)))
     return MartingaleCheck(mean=mean, stderr=stderr, samples=samples, n=n, a=amp, variation=variation)
 
 
@@ -526,28 +513,15 @@ def verify_ode_convergence(
     if len(n_grid) < 1:
         raise ValueError("n_grid must be nonempty")
     rows = []
-    censored = []
-    pts = []
     for idx, n in enumerate(n_grid):
-        grid = _deviation_grid(event, model, x, n)
-        worker = lambda rng, size: _hit_rows(model, x, n, 0.0, event, grid, rng, size)
-        hits = np.concatenate(_map_chunks(worker, samples, workers, (seed, idx)))
-        count = int(np.sum(hits))
-        q = count / samples
-        is_censored = count == 0
-        rows.append({"n": n, "samples": samples, "count": count, "q": q, "censored": is_censored})
-        if is_censored:
-            censored.append(n)
-        else:
-            pts.append((n, np.log(q)))
-    slope = intercept = None
-    if len(pts) >= 2:
-        ns = np.array([p[0] for p in pts], dtype=np.float64)
-        ls = np.array([p[1] for p in pts])
-        slope_, intercept_ = np.polyfit(ns, ls, 1)
-        slope, intercept = float(slope_), float(intercept_)
-    qs = [r["q"] for r in rows if not r["censored"]]
-    monotone_ok = all(b < a for a, b in zip(qs, qs[1:])) if len(qs) >= 2 else None
+        count = int(np.sum(_hits(model, x, n, 0.0, event, samples, workers, (seed, idx))))
+        rows.append({"n": n, "samples": samples, "count": count, "q": count / samples, "censored": count == 0})
+    kept = [r for r in rows if not r["censored"]]
+    slope = intercept = monotone_ok = None
+    if len(kept) >= 2:
+        qs = [r["q"] for r in kept]
+        slope, intercept = map(float, np.polyfit([float(r["n"]) for r in kept], np.log(qs), 1))
+        monotone_ok = all(b < a for a, b in zip(qs, qs[1:]))
     return OdeReport(
         model=model.summary,
         epsilon=float(epsilon),
@@ -556,5 +530,5 @@ def verify_ode_convergence(
         slope=slope,
         intercept=intercept,
         monotone_ok=monotone_ok,
-        censored=censored,
+        censored=[r["n"] for r in rows if r["censored"]],
     )

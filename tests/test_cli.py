@@ -260,19 +260,21 @@ def test_estimate_tilted_rejects_smoothing_and_ball(tmp_path):
         "seed": 0,
         "method": "tilted",
     }
-    code, _ = _run(
+    code, out = _run(
         tmp_path,
         "estimate",
         {**base, "a": 0.5, "event": {"kind": "terminal-halfspace", "normal": [1.0], "level": 1.0}},
     )
     assert code == 2
-    code, _ = _run(
+    assert not (out / "resolved_config.json").exists()
+    code, out = _run(
         tmp_path,
         "estimate",
         {**base, "event": {"kind": "terminal-ball", "center": [2.0], "radius": 0.1}},
         sub="out2",
     )
     assert code == 2
+    assert not (out / "resolved_config.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -471,34 +473,96 @@ def test_minimize_bad_settings_exit_2(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
-    "event",
+    "event, error",
     [
         # exited 0 with p_hat 0.98375: the center broadcast against the (rows, 1) states
-        {"kind": "terminal-ball", "center": [0.0, 0.0], "radius": 0.5},
-        {"kind": "terminal-halfspace", "normal": [1.0, 0.0], "level": 1.0},
+        ({"kind": "terminal-ball", "center": [0.0, 0.0], "radius": 0.5}, "config.event.center: expected a list of length 1"),
+        # these two wrote resolved_config.json, then failed in the library without the config path
+        ({"kind": "terminal-halfspace", "normal": [1.0, 0.0], "level": 1.0},
+         "config.event.normal: expected a list of length 1"),
+        ({"kind": "sup-distance-from-path", "epsilon": 0.5, "reference_file": "ref2.csv"},
+         "config.event.reference_file: expected a path of dim 1, got dim 2"),
     ],
-    ids=["ball", "halfspace"],
+    ids=["ball", "halfspace", "path"],
 )
-def test_estimate_event_of_wrong_dimension_exits_2(tmp_path, capsys, event):
+def test_estimate_event_of_wrong_dimension_exits_2(tmp_path, monkeypatch, capsys, event, error):
+    (tmp_path / "ref2.csv").write_text("t,x1,x2\n0.0,0.0,0.0\n1.0,1.0,1.0\n")
+    monkeypatch.chdir(tmp_path)
     cfg = {"model": OU, "x": [0.0], "n": 20, "event": event, "samples": 4000, "seed": 3}
     code, out = _run(tmp_path, "estimate", cfg)
     assert code == 2
-    assert "the model dim is 1" in capsys.readouterr().err
-    assert not (out / "estimate_report.json").exists()
+    assert error in capsys.readouterr().err
+    assert not (out / "resolved_config.json").exists()
 
 
-def test_estimate_workers_byte_identical(tmp_path):
-    cfg = {
-        "model": OU,
-        "x": [0.0],
-        "n": 25,
-        "event": {"kind": "terminal-halfspace", "normal": [1.0], "level": 0.2},
-        "samples": 30000,
-        "seed": 23,
-    }
-    _, out1 = _run(tmp_path, "estimate", cfg, sub="w1")
-    _, out2 = _run(tmp_path, "estimate", cfg, sub="w4", extra=("--workers", "4"))
-    assert (out1 / "estimate_report.json").read_bytes() == (out2 / "estimate_report.json").read_bytes()
+_ESTIMATE = {
+    "model": OU,
+    "x": [0.0],
+    "n": 20,
+    "event": {"kind": "terminal-halfspace", "normal": [1.0], "level": 1.0},
+    "samples": 200,
+    "seed": 3,
+}
+_SIMULATE = {"model": OU, "x": [1.0], "n": 4, "seed": 0}
+
+
+@pytest.mark.parametrize(
+    "command, config, error",
+    [
+        # each used to write resolved_config.json, then fail in the library
+        ("verify-ode", {**_ODE, "n_grid": [10, 0]}, "config.n_grid[1] must be >= 1, got 0"),  # "steps must be >= 1"
+        ("simulate", {**_SIMULATE, "seed": -1}, "config.seed must be >= 0, got -1"),  # numpy's "non-negative"
+        ("simulate", {**_SIMULATE, "n": 0}, "config.n must be >= 1, got 0"),
+        ("estimate", {**_ESTIMATE, "samples": 0}, "config.samples must be >= 1, got 0"),
+        ("estimate", {**_ESTIMATE, "method": "tilted", "samples": 1}, "config.samples must be >= 2, got 1"),
+        ("minimize", {**_MINIMIZE, "m": 1}, "config.m must be >= 2, got 1"),
+        ("verify-rate", {**_RATE, "samples": 1}, "config.samples must be >= 2, got 1"),
+        ("verify-martingale", {**_MARTINGALE, "samples": 1}, "config.samples must be >= 2, got 1"),
+        ("verify-martingale", {**_MARTINGALE, "x": [0.0, 1.0]}, "config.x: expected a list of length 1"),
+        ("minimize", {**_MINIMIZE, "terminal": {"kind": "point", "point": [1.0, 1.0]}},
+         "config.terminal.point: expected a list of length 1"),
+        ("simulate", {**_SIMULATE, "model": {**_explicit(), "dim": 0}}, "config.model.dim must be >= 1, got 0"),
+    ],
+    ids=["ode-n-grid", "seed", "n", "samples", "tilted-samples", "m", "rate-samples", "martingale-samples", "x-dim",
+         "point-dim", "model-dim"],
+)
+def test_config_out_of_range_exits_2_before_the_echo(tmp_path, capsys, command, config, error):
+    code, out = _run(tmp_path, command, config)
+    assert code == 2
+    assert error in capsys.readouterr().err
+    assert not (out / "resolved_config.json").exists()
+
+
+def test_bare_number_vector_echoes_as_a_list(tmp_path):
+    event = {"kind": "terminal-halfspace", "normal": 1, "level": 1.0}
+    code, out = _run(tmp_path, "estimate", {**_ESTIMATE, "x": 0.5, "event": event})
+    assert code == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["x"] == [0.5]
+    assert resolved["event"]["normal"] == [1.0]
+
+
+_WORKER_RUNS = {
+    # 30000 samples make two replica chunks and 40001 make three, so two workers run chunks concurrently
+    "estimate": (
+        {**_ESTIMATE, "n": 25, "event": {"kind": "terminal-halfspace", "normal": [1.0], "level": 0.2},
+         "samples": 30000, "seed": 23},
+        ["estimate_report.json"],
+    ),
+    "verify-ode": ({**_ODE, "n_grid": [5, 10], "samples": 40001}, ["ode_report.json", "ode_rows.csv"]),
+    "verify-rate": ({**_RATE, "n_grid": [10, 20], "samples": 40001}, ["rate_report.json", "rate_estimates.csv"]),
+    "verify-martingale": ({**_MARTINGALE, "samples": 40001}, ["martingale_report.json"]),
+}
+
+
+@pytest.mark.parametrize("command", list(_WORKER_RUNS))
+def test_workers_byte_identical(tmp_path, command):
+    config, outputs = _WORKER_RUNS[command]
+    code1, out1 = _run(tmp_path, command, config, sub="w1")
+    code2, out2 = _run(tmp_path, command, config, sub="w2", extra=("--workers", "2"))
+    assert code1 == code2
+    for name in ["resolved_config.json", *outputs]:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_verify_martingale_passes(tmp_path):

@@ -35,3 +35,14 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
     (tmp_path / "rate.json").write_text(rate.group(1))
     for command in commands:
         assert main(command.split()) == 0, command
+
+
+def test_readme_verify_ode_example_runs(tmp_path, monkeypatch):
+    section = _section("Scripts")
+    ode = re.search(r"cat > ode\.json <<'JSON'\n(.*?\n)JSON\n", section, re.DOTALL)
+    commands = re.findall(r"^python -m ldscheme (.+)$", section, re.MULTILINE)
+    assert ode, "the ode.json example is missing under '## Scripts'"
+    assert [c.split()[0] for c in commands] == ["verify-ode"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ode.json").write_text(ode.group(1))
+    assert main(commands[0].split()) == 0
