@@ -35,6 +35,7 @@ from .kernel import (
     _as_array,
     _as_dict,
     _as_float,
+    _as_float_from,
     _as_int,
     _as_int_from,
     _as_int_list,
@@ -116,6 +117,14 @@ def _model_from(c: _Conf):
     return kernel.model_from_config(c.take("model", _as_dict), path=f"{c.path}.model")
 
 
+def _trajectory_from(path: str, key: str) -> Trajectory:
+    """load_trajectory, with a missing, unreadable or malformed file reported as a config error naming key."""
+    try:
+        return load_trajectory(path)
+    except (OSError, ValueError) as exc:
+        raise ModelConfigError(f"{key}: cannot load {path!r}: {exc}") from exc
+
+
 def _terminal_from(c: _Conf, dim: int):
     t = c.sub("terminal")
     kind = t.take("kind", _as_str)
@@ -145,10 +154,10 @@ def _event_from(c: _Conf, dim: int):
         e.close()
         return BallEvent(center=center, radius=radius)
     if kind == "sup-distance-from-path":
-        epsilon = e.take("epsilon", _as_float)
+        epsilon = e.take("epsilon", _as_float_from(0, strict=True))
         ref_file = e.take("reference_file", _as_str, None)
         e.close()
-        ref = load_trajectory(ref_file) if ref_file else None
+        ref = _trajectory_from(ref_file, f"{e.path}.reference_file") if ref_file else None
         if ref is not None and ref.dim != dim:
             raise ModelConfigError(f"{e.path}.reference_file: expected a path of dim {dim}, got dim {ref.dim}")
         return PathDeviationEvent(epsilon=epsilon, reference=ref)
@@ -184,7 +193,7 @@ def _cmd_simulate(cfg, out, workers):
     model = _model_from(c)
     x = c.take("x", _as_array((model.dim,)))
     n = c.take("n", _as_int_from(1))
-    a = c.take("a", _as_float, 0.0)
+    a = c.take("a", _as_float_from(0), 0.0)
     seed = c.take("seed", _as_int_from(0))
     c.close()
     _write_json(os.path.join(out, "resolved_config.json"), {"command": "simulate", **c.resolved})
@@ -197,14 +206,14 @@ def _cmd_action(cfg, out, workers):
     c = _Conf(cfg, "config")
     model = _model_from(c)
     x = c.take("x", _as_array((model.dim,)))
-    a = c.take("a", _as_float, 0.0)
+    a = c.take("a", _as_float_from(0), 0.0)
     traj_file = c.take("trajectory_file", _as_str, None)
     knots = c.take("knots", _as_knots(model.dim), None)
     c.close()
     if (traj_file is None) == (knots is None):
         raise ModelConfigError("config: give exactly one of 'trajectory_file' and 'knots'")
+    traj = _trajectory_from(traj_file, "config.trajectory_file") if traj_file else Trajectory(knots)
     _write_json(os.path.join(out, "resolved_config.json"), {"command": "action", **c.resolved})
-    traj = load_trajectory(traj_file) if traj_file else Trajectory(knots)
     val = action(model, x, a, traj)
     report = {
         "value": val.value,
@@ -225,7 +234,7 @@ def _cmd_minimize(cfg, out, workers):
     c = _Conf(cfg, "config")
     model = _model_from(c)
     x = c.take("x", _as_array((model.dim,)))
-    a = c.take("a", _as_float, 0.0)
+    a = c.take("a", _as_float_from(0), 0.0)
     m = c.take("m", _as_int_from(2), 21)
     terminal = _terminal_from(c, model.dim)
     settings = _minimize_settings_from(c)
@@ -263,7 +272,7 @@ def _cmd_estimate(cfg, out, workers):
     model = _model_from(c)
     x = c.take("x", _as_array((model.dim,)))
     n = c.take("n", _as_int_from(1))
-    a = c.take("a", _as_float, 0.0)
+    a = c.take("a", _as_float_from(0), 0.0)
     event = _event_from(c, model.dim)
     method = c.take("method", _as_str, "naive")
     samples = c.take("samples", _as_int_from(2 if method == "tilted" else 1))  # a weighted estimate needs 2
@@ -290,7 +299,7 @@ def _cmd_verify_martingale(cfg, out, workers):
     model = _model_from(c)
     x = c.take("x", _as_array((model.dim,)))
     n = c.take("n", _as_int_from(1))
-    a = c.take("a", _as_float, 0.0)
+    a = c.take("a", _as_float_from(0), 0.0)
     lam = _measure_from(c, model.dim)
     samples = c.take("samples", _as_int_from(2))
     seed = c.take("seed", _as_int_from(0))
@@ -348,7 +357,7 @@ def _cmd_verify_ode(cfg, out, workers):
     c = _Conf(cfg, "config")
     model = _model_from(c)
     x = c.take("x", _as_array((model.dim,)))
-    epsilon = c.take("epsilon", _as_float)
+    epsilon = c.take("epsilon", _as_float_from(0, strict=True))
     n_grid = c.take("n_grid", _as_int_list)
     samples = c.take("samples", _as_int_from(1))
     seed = c.take("seed", _as_int_from(0))

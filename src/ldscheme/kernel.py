@@ -159,10 +159,11 @@ class AffineNoiseModel(KernelModel):
     Its callbacks are the affine formulas of the module docstring, evaluated
     on all rows at once, and bound to the drift, sigma and base it was built
     with: build a variant with affine_model, not dataclasses.replace of those
-    fields.  sigma_matrix is set when sigma is state independent; else
-    sigma_fn is called once per row.  drift_broadcasts=True declares that
-    drift accepts arrays of shape (..., d), so it is called once for all rows
-    rather than once per row.
+    fields.  sigma_matrix is set when sigma is a constant.  drift_broadcasts
+    declares that drift and a callable sigma take the (m, d) array of all
+    rows: drift returns exactly (m, d), and sigma_fn (m, d, d), or (d, d) if
+    it does not depend on the state; any other shape is a ValueError.  Each
+    is then called once for all rows; without the declaration, once per row.
     """
 
     drift: Callable[[np.ndarray], np.ndarray] = None
@@ -192,6 +193,9 @@ def affine_model(
 
     sigma may be a callable y -> (d, d) matrix, a constant (d, d) array,
     or a scalar (interpreted as scalar * identity); a constant must be finite.
+    drift_broadcasts=True declares that drift and a callable sigma accept
+    the (m, d) array of all rows, returning (m, d) and (m, d, d) or (d, d);
+    see AffineNoiseModel.
     """
     if np.isscalar(sigma):
         sigma_matrix = _finite(sigma, "constant sigma") * np.eye(dim)
@@ -259,15 +263,29 @@ def cgf_grad(model: KernelModel, y, alpha) -> np.ndarray:
 def drift_rows(model: AffineNoiseModel, ys: np.ndarray) -> np.ndarray:
     """drift evaluated on rows of ys, shape (m, d) -> (m, d)."""
     if model.drift_broadcasts:
-        return np.asarray(model.drift(ys), dtype=np.float64)
+        bs = np.asarray(model.drift(ys), dtype=np.float64)
+        if bs.shape != ys.shape:
+            raise ValueError(f"drift must return the shape of its rows, {ys.shape}, got {bs.shape}")
+        return bs
     return np.stack([model.drift(y) for y in ys])
 
 
 def _sigma_rows(model: AffineNoiseModel, ys: np.ndarray) -> np.ndarray:
-    """The constant (d, d) sigma_matrix, else the (m, d, d) stack of sigma_fn(y_i)."""
+    """The (d, d) sigma of every row, or the (m, d, d) stack of sigma(y_i).
+
+    A constant sigma is sigma_matrix.  Under drift_broadcasts, sigma_fn is
+    called once on all rows and may return (m, d, d) or, if it does not
+    depend on the state, (d, d); otherwise it is called once per row.
+    """
     if model.sigma_matrix is not None:
         return model.sigma_matrix
-    return np.array([model.sigma_fn(y) for y in ys], dtype=np.float64).reshape(-1, model.dim, model.dim)
+    m, d = len(ys), model.dim
+    if model.drift_broadcasts:
+        sig = np.asarray(model.sigma_fn(ys), dtype=np.float64)
+        if sig.shape != (m, d, d) and sig.shape != (d, d):
+            raise ValueError(f"sigma must return shape {(m, d, d)} or {(d, d)} on {ys.shape} rows, got {sig.shape}")
+        return sig
+    return np.array([model.sigma_fn(y) for y in ys], dtype=np.float64).reshape(-1, d, d)
 
 
 # Row products on the stepper's hot paths go through _rdot.  At an inner
@@ -410,6 +428,18 @@ def _as_float(v, path):
     if not np.isfinite(value):
         raise ModelConfigError(f"{path}: expected a finite number, got {v!r}")
     return value
+
+
+def _as_float_from(lo: float, strict: bool = False):
+    """Cast to a finite float of at least lo, or above lo when strict."""
+
+    def cast(v, path):
+        value = _as_float(v, path)
+        if value < lo or (strict and value == lo):
+            raise ModelConfigError(f"{path} must be {'>' if strict else '>='} {lo}, got {value!r}")
+        return value
+
+    return cast
 
 
 def _as_str(v, path):

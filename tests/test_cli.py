@@ -495,6 +495,28 @@ def test_estimate_event_of_wrong_dimension_exits_2(tmp_path, monkeypatch, capsys
     assert not (out / "resolved_config.json").exists()
 
 
+@pytest.mark.parametrize("what", ["missing", "directory"])
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("action", {"model": OU, "x": [0.0], "trajectory_file": "traj.csv"}, "config.trajectory_file"),
+        ("estimate", {"model": OU, "x": [0.0], "n": 20, "samples": 200, "seed": 3,
+                      "event": {"kind": "sup-distance-from-path", "epsilon": 0.5, "reference_file": "traj.csv"}},
+         "config.event.reference_file"),
+    ],
+    ids=["trajectory-file", "reference-file"],
+)
+def test_unloadable_file_is_config_error(tmp_path, monkeypatch, capsys, command, config, key, what):
+    # a missing file used to end in a FileNotFoundError traceback, after the echo for action
+    monkeypatch.chdir(tmp_path)
+    if what == "directory":
+        (tmp_path / "traj.csv").mkdir()
+    code, out = _run(tmp_path, command, config)
+    assert code == 2
+    assert f"config error: {key}: cannot load 'traj.csv'" in capsys.readouterr().err
+    assert not (out / "resolved_config.json").exists()
+
+
 _ESTIMATE = {
     "model": OU,
     "x": [0.0],
@@ -522,9 +544,19 @@ _SIMULATE = {"model": OU, "x": [1.0], "n": 4, "seed": 0}
         ("minimize", {**_MINIMIZE, "terminal": {"kind": "point", "point": [1.0, 1.0]}},
          "config.terminal.point: expected a list of length 1"),
         ("simulate", {**_SIMULATE, "model": {**_explicit(), "dim": 0}}, "config.model.dim must be >= 1, got 0"),
+        # the float ranges: each used to write resolved_config.json, then fail in the library without the key
+        ("simulate", {**_SIMULATE, "a": -1.0}, "config.a must be >= 0, got -1.0"),
+        ("action", {"model": OU, "x": [0.0], "knots": [0.0, 1.0], "a": -0.5}, "config.a must be >= 0, got -0.5"),
+        ("minimize", {**_MINIMIZE, "a": -1}, "config.a must be >= 0, got -1.0"),
+        ("estimate", {**_ESTIMATE, "a": -1.0}, "config.a must be >= 0, got -1.0"),
+        ("verify-martingale", {**_MARTINGALE, "a": -1.0}, "config.a must be >= 0, got -1.0"),
+        ("verify-ode", {**_ODE, "epsilon": 0.0}, "config.epsilon must be > 0, got 0.0"),
+        ("estimate", {**_ESTIMATE, "event": {"kind": "sup-distance-from-path", "epsilon": -0.5}},
+         "config.event.epsilon must be > 0, got -0.5"),
     ],
     ids=["ode-n-grid", "seed", "n", "samples", "tilted-samples", "m", "rate-samples", "martingale-samples", "x-dim",
-         "point-dim", "model-dim"],
+         "point-dim", "model-dim", "simulate-a", "action-a", "minimize-a", "estimate-a", "martingale-a",
+         "ode-epsilon", "path-epsilon"],
 )
 def test_config_out_of_range_exits_2_before_the_echo(tmp_path, capsys, command, config, error):
     code, out = _run(tmp_path, command, config)

@@ -188,7 +188,7 @@ def _affine_cgf(m, y, alpha):
 
 
 def _callable_sigma_model():
-    # state-dependent sigma: the row helpers stack sigma_fn(y_i) over the rows
+    # state-dependent sigma, not declared to broadcast: the row helpers stack sigma_fn(y_i) over the rows
     return affine_model(
         2,
         linear_drift(np.array([[-1.0, 0.5], [0.0, -1.0]])),
@@ -220,6 +220,65 @@ def test_cgf_grad_and_hess_rows_match_pointwise(name):
         assert np.allclose(hessians[i], s @ m.base.logmgf_hess(u) @ s.T, rtol=1e-13, atol=1e-14)
         assert np.array_equal(cgf_grad(m, ys[i], alphas[i]), grads[i])
         assert np.array_equal(kernel.cgf_hess_rows(m, ys[i : i + 1], alphas[i : i + 1])[0], hessians[i])
+
+
+def _wavy_sigma(y):
+    """sigma(y) = [[1 + 0.1 y_1^2, 0], [0.3, 1]] for one (2,) row or a stack of rows."""
+    s = np.broadcast_to(np.array([[0.0, 0.0], [0.3, 1.0]]), np.shape(y)[:-1] + (2, 2)).copy()
+    s[..., 0, 0] = 1.0 + 0.1 * np.square(y[..., 0])
+    return s
+
+
+def test_declared_state_dependent_sigma_matches_row_by_row():
+    # the same broadcasting sigma, called once on the row block or once per row
+    calls = []
+
+    def sigma(y):
+        calls.append(np.shape(y))
+        return _wavy_sigma(y)
+
+    drift, base = linear_drift(np.array([[-1.0, 0.5], [0.0, -1.0]])), bernoulli_base(0.4)
+    block = affine_model(2, drift, sigma, base, drift_broadcasts=True)
+    rows = affine_model(2, drift, sigma, base)
+    rng = default_rng(41)
+    ys = rng.uniform(-2.0, 2.0, size=(7, 2))
+    alphas = rng.normal(scale=2.0, size=(7, 2))
+    for helper, args in [
+        (kernel.cgf_rows, (ys, alphas)),
+        (kernel.cgf_rows, (ys, alphas[0])),
+        (kernel.cgf_grad_rows, (ys, alphas)),
+        (kernel.cgf_hess_rows, (ys, alphas)),
+    ]:
+        calls.clear()
+        got = helper(block, *args)
+        assert calls == [(7, 2)]
+        calls.clear()
+        want = helper(rows, *args)
+        assert calls == [(2,)] * 7
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+    draws = [kernel.sample_rows(m, ys, default_rng(5)) for m in (block, rows)]
+    np.testing.assert_allclose(draws[0], draws[1], rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "sigma, drift, error",
+    [
+        (lambda ys: np.ones(ys.shape), None,
+         r"sigma must return shape \(3, 2, 2\) or \(2, 2\) on \(3, 2\) rows, got \(3, 2\)"),
+        (lambda ys: _wavy_sigma(ys[:1]), None, r"sigma must return shape .* got \(1, 2, 2\)"),
+        (lambda ys: _wavy_sigma(ys[0]), lambda ys: -ys[0],
+         r"drift must return the shape of its rows, \(3, 2\), got \(2,\)"),
+    ],
+    ids=["sigma-rows", "sigma-first-row", "drift-first-row"],
+)
+def test_declared_callback_of_wrong_shape_raises(sigma, drift, error):
+    # broadcasting a first-row answer would give every row the first row's law
+    m = affine_model(2, drift or linear_drift(-np.eye(2)), sigma, gaussian_base(), drift_broadcasts=True)
+    ys = default_rng(43).uniform(-1.0, 1.0, size=(3, 2))
+    with pytest.raises(ValueError, match=error):
+        kernel.cgf_grad_rows(m, ys, ys)
+    with pytest.raises(ValueError, match=error):
+        kernel.sample_rows(m, ys, default_rng(0))
 
 
 def _row_ou(calls):

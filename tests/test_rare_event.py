@@ -259,6 +259,35 @@ def test_martingale_check_callable_sigma_matches_preset():
     assert chk.stderr == ref.stderr
 
 
+@pytest.mark.parametrize("shape", ["rows", "constant"])
+def test_declared_callable_sigma_is_called_once_per_step(shape, monkeypatch):
+    # under drift_broadcasts a callable sigma gets the whole (rows, d) block, and
+    # returns (rows, d, d) or, not depending on the state, (d, d)
+    import ldscheme.rare_event as rare_event
+
+    calls = []
+
+    def sigma(ys):
+        calls.append(ys.shape)
+        return np.ones((len(ys), 1, 1)) if shape == "rows" else np.eye(1)
+
+    ou = affine_model(1, linear_drift([[-1.0]]), sigma, gaussian_base(), drift_broadcasts=True)
+    ref = preset_model("gaussian-ou")
+    monkeypatch.setattr(rare_event, "CHUNK_SIZE", 1_000)  # four chunks
+    n, ev, lam = 20, TerminalHalfspace([1.0], 0.3), DualMeasure.point_mass(1.0, 0.5)
+    naive = mc_probability(ref, [0.0], n, 0.0, ev, 4_000, seed=3)
+    check = martingale_check(ref, [1.0], n, 0.0, lam, 4_000, seed=5)
+    for workers in (1, 2):
+        calls.clear()
+        rep = mc_probability(ou, [0.0], n, 0.0, ev, 4_000, seed=3, workers=workers)
+        assert calls == [(1_000, 1)] * (4 * n)  # the sampler's, once per step per chunk
+        assert (rep.p_hat, rep.stderr) == (naive.p_hat, naive.stderr)
+        calls.clear()
+        chk = martingale_check(ou, [1.0], n, 0.0, lam, 4_000, seed=5, workers=workers)
+        assert calls == [(1_000, 1)] * (2 * 4 * n)  # the sampler's and the cumulant's
+        assert (chk.mean, chk.stderr) == (check.mean, check.stderr)
+
+
 def test_martingale_check_variation_cap(monkeypatch):
     import ldscheme.rare_event as rare_event
 
