@@ -159,11 +159,11 @@ class AffineNoiseModel(KernelModel):
     Its callbacks are the affine formulas of the module docstring, evaluated
     on all rows at once, and bound to the drift, sigma and base it was built
     with: build a variant with affine_model, not dataclasses.replace of those
-    fields.  sigma_matrix is set when sigma is a constant.  drift_broadcasts
-    declares that drift and a callable sigma take the (m, d) array of all
-    rows: drift returns exactly (m, d), and sigma_fn (m, d, d), or (d, d) if
-    it does not depend on the state; any other shape is a ValueError.  Each
-    is then called once for all rows; without the declaration, once per row.
+    fields.  sigma_matrix is set when sigma is a constant, given as a matrix
+    or as a callable that never reads its state; else sigma_fn is called
+    once per row.  drift_broadcasts=True declares that drift accepts the
+    (m, d) array of all rows and returns exactly (m, d), so it is called once
+    for all rows rather than once per row; any other shape is a ValueError.
     """
 
     drift: Callable[[np.ndarray], np.ndarray] = None
@@ -171,6 +171,32 @@ class AffineNoiseModel(KernelModel):
     base: BaseNoise = None
     sigma_matrix: Optional[np.ndarray] = None
     drift_broadcasts: bool = False
+
+
+class _UnreadState:
+    """Stands in for a state and raises TypeError when numpy or Python reads it."""
+
+    def _read(self, *args, **kwargs):
+        raise TypeError("the state was read")
+
+    __getattr__ = __getitem__ = __iter__ = __len__ = __bool__ = __eq__ = __ne__ = _read
+    __array__ = __array_ufunc__ = __array_function__ = _read
+
+
+def _state_free_value(sigma_fn, dim: int) -> Optional[np.ndarray]:
+    """sigma_fn's value if it is a finite (dim, dim) matrix that does not depend on the state, else None.
+
+    It must come without reading a stand-in state, and equal sigma_fn at a
+    real row, so that no branch on the argument's type can tell them apart.
+    """
+    try:
+        value = np.asarray(sigma_fn(_UnreadState()), dtype=np.float64)
+        at_row = np.asarray(sigma_fn(np.zeros(dim)), dtype=np.float64)
+    except Exception:  # any failure on the stand-in only means not proven constant: sigma stays per row
+        return None
+    if value.shape == (dim, dim) and np.all(np.isfinite(value)) and np.array_equal(value, at_row):
+        return value
+    return None
 
 
 def perturbation_amplitude(a) -> float:
@@ -193,14 +219,15 @@ def affine_model(
 
     sigma may be a callable y -> (d, d) matrix, a constant (d, d) array,
     or a scalar (interpreted as scalar * identity); a constant must be finite.
-    drift_broadcasts=True declares that drift and a callable sigma accept
-    the (m, d) array of all rows, returning (m, d) and (m, d, d) or (d, d);
-    see AffineNoiseModel.
+    A callable sigma is called here on a stand-in state that raises when
+    read, and on a zero row: if both give the same finite (d, d) matrix, that
+    matrix is the constant sigma.  drift_broadcasts=True declares that drift
+    takes the (m, d) array of all rows; see AffineNoiseModel.
     """
     if np.isscalar(sigma):
         sigma_matrix = _finite(sigma, "constant sigma") * np.eye(dim)
     elif callable(sigma):
-        sigma_matrix = None
+        sigma_matrix = _state_free_value(sigma, dim)
     else:
         sigma_matrix = _finite(sigma, "constant sigma")
         if sigma_matrix.shape != (dim, dim):
@@ -271,21 +298,10 @@ def drift_rows(model: AffineNoiseModel, ys: np.ndarray) -> np.ndarray:
 
 
 def _sigma_rows(model: AffineNoiseModel, ys: np.ndarray) -> np.ndarray:
-    """The (d, d) sigma of every row, or the (m, d, d) stack of sigma(y_i).
-
-    A constant sigma is sigma_matrix.  Under drift_broadcasts, sigma_fn is
-    called once on all rows and may return (m, d, d) or, if it does not
-    depend on the state, (d, d); otherwise it is called once per row.
-    """
+    """The constant (d, d) sigma_matrix, else the (m, d, d) stack of sigma_fn(y_i)."""
     if model.sigma_matrix is not None:
         return model.sigma_matrix
-    m, d = len(ys), model.dim
-    if model.drift_broadcasts:
-        sig = np.asarray(model.sigma_fn(ys), dtype=np.float64)
-        if sig.shape != (m, d, d) and sig.shape != (d, d):
-            raise ValueError(f"sigma must return shape {(m, d, d)} or {(d, d)} on {ys.shape} rows, got {sig.shape}")
-        return sig
-    return np.array([model.sigma_fn(y) for y in ys], dtype=np.float64).reshape(-1, d, d)
+    return np.array([model.sigma_fn(y) for y in ys], dtype=np.float64).reshape(-1, model.dim, model.dim)
 
 
 # Row products on the stepper's hot paths go through _rdot.  At an inner

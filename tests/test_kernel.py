@@ -188,7 +188,7 @@ def _affine_cgf(m, y, alpha):
 
 
 def _callable_sigma_model():
-    # state-dependent sigma, not declared to broadcast: the row helpers stack sigma_fn(y_i) over the rows
+    # state-dependent sigma: the row helpers stack sigma_fn(y_i) over the rows
     return affine_model(
         2,
         linear_drift(np.array([[-1.0, 0.5], [0.0, -1.0]])),
@@ -222,58 +222,77 @@ def test_cgf_grad_and_hess_rows_match_pointwise(name):
         assert np.array_equal(kernel.cgf_hess_rows(m, ys[i : i + 1], alphas[i : i + 1])[0], hessians[i])
 
 
-def _wavy_sigma(y):
-    """sigma(y) = [[1 + 0.1 y_1^2, 0], [0.3, 1]] for one (2,) row or a stack of rows."""
-    s = np.broadcast_to(np.array([[0.0, 0.0], [0.3, 1.0]]), np.shape(y)[:-1] + (2, 2)).copy()
-    s[..., 0, 0] = 1.0 + 0.1 * np.square(y[..., 0])
-    return s
+STATE_SIGMAS = {
+    "wavy": lambda y: np.array([[1.0 + 0.1 * y[0] ** 2, 0.0], [0.3, 1.0]]),
+    "norm": lambda y: np.eye(2) * np.sqrt(1.0 + np.linalg.norm(y)),
+    "elementwise": lambda y: np.eye(2) * (1.0 + y),
+}
 
 
-def test_declared_state_dependent_sigma_matches_row_by_row():
-    # the same broadcasting sigma, called once on the row block or once per row
+@pytest.mark.parametrize("name", sorted(STATE_SIGMAS))
+def test_state_dependent_sigma_is_called_per_row_beside_a_broadcasting_drift(name):
+    # drift_broadcasts covers the drift alone: a sigma written for one (d,) row,
+    # which would answer for the first row or for all rows at once if handed
+    # the (m, d) block, is called on each row and gives each row its own law
     calls = []
 
     def sigma(y):
         calls.append(np.shape(y))
-        return _wavy_sigma(y)
+        return STATE_SIGMAS[name](y)
 
-    drift, base = linear_drift(np.array([[-1.0, 0.5], [0.0, -1.0]])), bernoulli_base(0.4)
-    block = affine_model(2, drift, sigma, base, drift_broadcasts=True)
-    rows = affine_model(2, drift, sigma, base)
+    m = affine_model(2, linear_drift(np.array([[-1.0, 0.5], [0.0, -1.0]])), sigma, bernoulli_base(0.4),
+                     drift_broadcasts=True)
+    assert m.sigma_matrix is None
     rng = default_rng(41)
-    ys = rng.uniform(-2.0, 2.0, size=(7, 2))
-    alphas = rng.normal(scale=2.0, size=(7, 2))
-    for helper, args in [
-        (kernel.cgf_rows, (ys, alphas)),
-        (kernel.cgf_rows, (ys, alphas[0])),
-        (kernel.cgf_grad_rows, (ys, alphas)),
-        (kernel.cgf_hess_rows, (ys, alphas)),
-    ]:
-        calls.clear()
-        got = helper(block, *args)
-        assert calls == [(7, 2)]
-        calls.clear()
-        want = helper(rows, *args)
-        assert calls == [(2,)] * 7
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
-    draws = [kernel.sample_rows(m, ys, default_rng(5)) for m in (block, rows)]
-    np.testing.assert_allclose(draws[0], draws[1], rtol=1e-13, atol=1e-14)
+    ys = rng.uniform(-2.0, 2.0, size=(2, 2))
+    alphas = rng.normal(scale=2.0, size=(2, 2))
+    calls.clear()
+    values, grads, hessians = (f(m, ys, alphas) for f in (kernel.cgf_rows, kernel.cgf_grad_rows, kernel.cgf_hess_rows))
+    draws = kernel.sample_rows(m, ys, default_rng(5))
+    assert calls == [(2,)] * 8
+    zs = m.base.sample(default_rng(5), ys.shape)
+    for i in range(2):
+        b, s = m.drift(ys[i]), STATE_SIGMAS[name](ys[i])
+        u = s.T @ alphas[i]
+        assert values[i] == pytest.approx(_affine_cgf(m, ys[i], alphas[i]), rel=1e-13, abs=1e-14)
+        assert np.allclose(grads[i], b + s @ m.base.logmgf_grad(u), rtol=1e-13, atol=1e-14)
+        assert np.allclose(hessians[i], s @ m.base.logmgf_hess(u) @ s.T, rtol=1e-13, atol=1e-14)
+        assert np.allclose(draws[i], b + s @ zs[i], rtol=1e-13, atol=1e-14)
 
 
 @pytest.mark.parametrize(
-    "sigma, drift, error",
+    "sigma, constant",
     [
-        (lambda ys: np.ones(ys.shape), None,
-         r"sigma must return shape \(3, 2, 2\) or \(2, 2\) on \(3, 2\) rows, got \(3, 2\)"),
-        (lambda ys: _wavy_sigma(ys[:1]), None, r"sigma must return shape .* got \(1, 2, 2\)"),
-        (lambda ys: _wavy_sigma(ys[0]), lambda ys: -ys[0],
-         r"drift must return the shape of its rows, \(3, 2\), got \(2,\)"),
+        (lambda y: np.eye(2), True),
+        (lambda y: [[1.0, 0.0], [0.3, 1.0]], True),
+        (STATE_SIGMAS["wavy"], False),
+        (STATE_SIGMAS["norm"], False),
+        (lambda y: np.eye(2) if isinstance(y, np.ndarray) else 2.0 * np.eye(2), False),
+        (lambda y: np.eye(3), False),
+        (lambda y: np.full((2, 2), np.inf), False),
     ],
-    ids=["sigma-rows", "sigma-first-row", "drift-first-row"],
+    ids=["eye", "list", "reads-entry", "reads-through-numpy", "branches-on-type", "wrong-shape", "not-finite"],
 )
-def test_declared_callback_of_wrong_shape_raises(sigma, drift, error):
-    # broadcasting a first-row answer would give every row the first row's law
-    m = affine_model(2, drift or linear_drift(-np.eye(2)), sigma, gaussian_base(), drift_broadcasts=True)
+def test_callable_sigma_is_constant_only_if_it_never_reads_its_state(sigma, constant):
+    # a constant is a finite (d, d) value, got without reading a stand-in state
+    # and equal to the value at a real row; anything else stays per row
+    m = affine_model(2, linear_drift(-np.eye(2)), sigma, gaussian_base(), drift_broadcasts=True)
+    assert (m.sigma_matrix is not None) is constant
+    if constant:
+        assert np.array_equal(m.sigma_matrix, np.asarray(sigma(np.zeros(2)), dtype=np.float64))
+
+
+@pytest.mark.parametrize(
+    "drift, error",
+    [
+        (lambda ys: -ys[0], r"drift must return the shape of its rows, \(3, 2\), got \(2,\)"),
+        (lambda ys: -ys.sum(axis=1), r"drift must return the shape of its rows, \(3, 2\), got \(3,\)"),
+    ],
+    ids=["first-row", "row-sums"],
+)
+def test_declared_drift_of_wrong_shape_raises(drift, error):
+    # broadcasting a first-row answer would give every row the first row's drift
+    m = affine_model(2, drift, np.eye(2), gaussian_base(), drift_broadcasts=True)
     ys = default_rng(43).uniform(-1.0, 1.0, size=(3, 2))
     with pytest.raises(ValueError, match=error):
         kernel.cgf_grad_rows(m, ys, ys)

@@ -259,19 +259,20 @@ def test_martingale_check_callable_sigma_matches_preset():
     assert chk.stderr == ref.stderr
 
 
-@pytest.mark.parametrize("shape", ["rows", "constant"])
-def test_declared_callable_sigma_is_called_once_per_step(shape, monkeypatch):
-    # under drift_broadcasts a callable sigma gets the whole (rows, d) block, and
-    # returns (rows, d, d) or, not depending on the state, (d, d)
+def test_state_free_callable_sigma_is_not_called_per_step(monkeypatch):
+    # a callable sigma that never reads its state is read once, when the model
+    # is built, and then runs on the constant-sigma path
     import ldscheme.rare_event as rare_event
 
     calls = []
 
-    def sigma(ys):
-        calls.append(ys.shape)
-        return np.ones((len(ys), 1, 1)) if shape == "rows" else np.eye(1)
+    def sigma(y):
+        calls.append(type(y).__name__)
+        return np.eye(1)
 
     ou = affine_model(1, linear_drift([[-1.0]]), sigma, gaussian_base(), drift_broadcasts=True)
+    assert calls == ["_UnreadState", "ndarray"]
+    assert np.array_equal(ou.sigma_matrix, np.eye(1))
     ref = preset_model("gaussian-ou")
     monkeypatch.setattr(rare_event, "CHUNK_SIZE", 1_000)  # four chunks
     n, ev, lam = 20, TerminalHalfspace([1.0], 0.3), DualMeasure.point_mass(1.0, 0.5)
@@ -280,12 +281,21 @@ def test_declared_callable_sigma_is_called_once_per_step(shape, monkeypatch):
     for workers in (1, 2):
         calls.clear()
         rep = mc_probability(ou, [0.0], n, 0.0, ev, 4_000, seed=3, workers=workers)
-        assert calls == [(1_000, 1)] * (4 * n)  # the sampler's, once per step per chunk
-        assert (rep.p_hat, rep.stderr) == (naive.p_hat, naive.stderr)
-        calls.clear()
         chk = martingale_check(ou, [1.0], n, 0.0, lam, 4_000, seed=5, workers=workers)
-        assert calls == [(1_000, 1)] * (2 * 4 * n)  # the sampler's and the cumulant's
+        assert calls == []
+        assert (rep.p_hat, rep.stderr) == (naive.p_hat, naive.stderr)
         assert (chk.mean, chk.stderr) == (check.mean, check.stderr)
+    tilt_ev = TerminalHalfspace([1.0], 0.8)
+    tilt = tilted_mc_probability(ou, [0.0], 50, tilt_ev, 1_000, seed=7)
+    tilt_ref = tilted_mc_probability(ref, [0.0], 50, tilt_ev, 1_000, seed=7)
+    assert (tilt.p_hat, tilt.stderr) == (tilt_ref.p_hat, tilt_ref.stderr)
+
+
+def test_tilted_rejects_state_dependent_sigma():
+    m = affine_model(1, linear_drift([[-1.0]]), lambda y: (1.0 + 0.1 * y[0] ** 2) * np.eye(1), gaussian_base(),
+                     drift_broadcasts=True)
+    with pytest.raises(ValueError, match="requires a constant sigma"):
+        tilted_mc_probability(m, [0.0], 20, TerminalHalfspace([1.0], 0.8), 100, seed=0)
 
 
 def test_martingale_check_variation_cap(monkeypatch):
