@@ -68,7 +68,9 @@ class BaseNoise:
 
     logmgf, logmgf_grad and logmgf_hess must broadcast over a leading batch
     axis, i.e. accept arrays of shape (..., d) and return shape (...),
-    (..., d) and (..., d, d) respectively.
+    (..., d) and (..., d, d) respectively.  sample(rng, size) returns a fresh
+    float64 array of shape size; an affine sampler overwrites it with the
+    increments.
     """
 
     kind: str
@@ -118,12 +120,16 @@ def bernoulli_base(p: float) -> BaseNoise:
         # expit(u) * expit(-u) stays accurate when u is large of either sign
         return (expit(u) * expit(-u))[..., None] * np.eye(u.shape[-1])
 
+    def sample(rng, size):
+        u = rng.random(size)
+        return np.less(u, p, out=u)  # exactly 1.0 where u < p, else 0.0, over the uniforms
+
     return BaseNoise(
         kind="bernoulli",
         logmgf=logmgf,
         logmgf_grad=grad,
         logmgf_hess=hess,
-        sample=lambda rng, size: (rng.random(size) < p).astype(np.float64),
+        sample=sample,
     )
 
 
@@ -241,7 +247,8 @@ def affine_model(
 
     # the row callbacks; `model` is bound below
     def sampler(ys, rng):
-        return _affine_rows(model, ys, base.sample(rng, ys.shape))
+        zs = base.sample(rng, ys.shape)
+        return _affine_rows(model, ys, zs, zs)
 
     def cgf(ys, alphas):
         bs = drift_rows(model, ys)
@@ -330,9 +337,19 @@ def _sigma_t_dot(sig: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return np.matmul(alphas[..., None, :], sig)[..., 0, :]
 
 
-def _affine_rows(model: AffineNoiseModel, ys: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Increments drift(y_i) + sigma(y_i) z_i for paired rows of states and base draws."""
-    return drift_rows(model, ys) + _sigma_dot(_sigma_rows(model, ys), zs)
+def _affine_rows(model: AffineNoiseModel, ys: np.ndarray, zs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Increments drift(y_i) + sigma(y_i) z_i for paired rows of states and base draws, into out.
+
+    out may be zs itself.  The drift's return is only read, never written:
+    a drift may return an array it keeps.
+    """
+    bs = drift_rows(model, ys)
+    sig = _sigma_rows(model, ys)
+    if sig.shape != (1, 1):
+        zs = _sigma_dot(sig, zs)
+    elif sig[0, 0] != 1.0:  # z * 1.0 is z bit for bit, so sigma = 1 skips the multiply
+        zs = np.multiply(zs, sig[0, 0], out=out)
+    return np.add(zs, bs, out=out)
 
 
 def sample_rows(model: KernelModel, ys: np.ndarray, rng: Generator) -> np.ndarray:
@@ -392,7 +409,13 @@ def linear_drift(matrix: np.ndarray, offset=None):
     """y -> A y + v, the standard linear drift."""
     a = _finite(matrix, "drift matrix")
     v = np.zeros(a.shape[0]) if offset is None else _finite(offset, "drift offset")
-    return lambda y: _rdot(np.asarray(y, dtype=np.float64), a.T) + v
+
+    def drift(y):
+        ay = _rdot(np.asarray(y, dtype=np.float64), a.T)
+        ay += v  # also at v = 0, which turns A y = -0.0 into +0.0
+        return ay
+
+    return drift
 
 
 def logistic_drift():
@@ -402,7 +425,9 @@ def logistic_drift():
         y = np.asarray(y, dtype=np.float64)
         # overflow to inf is fine here; the scheme's blowup guard reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            return y * (1.0 - y)
+            f = 1.0 - y
+            f *= y
+            return f
 
     return drift
 

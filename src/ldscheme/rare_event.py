@@ -215,8 +215,11 @@ def _deviation_grid(event: EventSpec, model, x, n: int):
 
 
 def _sq_norm(v: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm over the last axis: the sum that np.linalg.norm takes the root of."""
-    return np.add.reduce(np.square(v), axis=-1)
+    """Squared Euclidean norm over the last axis: the sum that np.linalg.norm takes the root of.
+
+    v is overwritten with its squares.
+    """
+    return np.add.reduce(np.square(v, out=v), axis=-1)
 
 
 def _hit_rows(model, x, n, a, event, grid, rng, size) -> np.ndarray:
@@ -240,8 +243,8 @@ def _hit_rows(model, x, n, a, event, grid, rng, size) -> np.ndarray:
             if extras is not None:
                 fracs, refs = extras
                 vals = prev[:, None, :] + fracs[None, :, None] * (state - prev)[:, None, :]
-                dev2 = np.maximum(dev2, _sq_norm(vals - refs[None, :, :]).max(axis=1))
-            dev2 = np.maximum(dev2, _sq_norm(state - ref_lattice[k]))
+                np.maximum(dev2, _sq_norm(vals - refs[None, :, :]).max(axis=1), out=dev2)
+            np.maximum(dev2, _sq_norm(state - ref_lattice[k]), out=dev2)
     return np.sqrt(dev2) >= event.epsilon
 
 
@@ -310,7 +313,8 @@ def _tilted_rows(model, x, n, event: TerminalHalfspace, alphas, rng, size) -> np
     logmgfs = model.base.logmgf(thetas)
     logw = np.zeros(size)
     for k, _, xi, state in _euler_steps(model, x, n, 0.0, rng, size, shifts=thetas):
-        logw += logmgfs[k - 1] - kernel._rdot(xi, thetas[k - 1])
+        pairing = kernel._rdot(xi, thetas[k - 1])
+        logw += np.subtract(logmgfs[k - 1], pairing, out=pairing)
     hits = kernel._rdot(state, event.normal) >= event.level
     return np.exp(logw) * hits
 
@@ -358,7 +362,8 @@ def _martingale_rows(model, x, n, a, alphas, rng, size) -> np.ndarray:
     for k, prev, inc, _ in _euler_steps(model, x, n, a, rng, size):
         alpha = alphas[k - 1]
         price = kernel.cgf_rows(model, prev, alpha) + smoothing[k - 1]
-        acc += kernel._rdot(inc, alpha) - price
+        pairing = kernel._rdot(inc, alpha)
+        acc += np.subtract(pairing, price, out=pairing)
     return np.exp(acc)
 
 

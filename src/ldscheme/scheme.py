@@ -191,7 +191,7 @@ class SchemeRun:
 
 
 def _check_finite(states: np.ndarray, k: int) -> None:
-    if not np.all(np.isfinite(states)):
+    if not np.isfinite(states).all():
         raise SimulationBlowup(k)
 
 
@@ -205,20 +205,28 @@ def _euler_steps(model: KernelModel, x: np.ndarray, n: int, a: float, rng: Gener
     the run is tilted: it yields the base draw xi_k, of mean shifts[k - 1],
     in place of inc; sigma must be constant and nothing is spawned.
     Raises SimulationBlowup(k) at the first non-finite step.
+
+    Every array yielded is new at its step and never written afterwards, so
+    a caller may keep prev, inc (or xi) and state across steps.  The other
+    row passes of a step write into one scratch array owned by this call.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     state = np.broadcast_to(x, (rows, model.dim)).copy()
     smooth = rng.spawn(1)[0] if a > 0.0 and shifts is None else None
+    scratch = np.empty_like(state)
     for k in range(1, n + 1):
         if shifts is None:
             inc = kernel.sample_rows(model, state, rng)
             if smooth is not None:
-                inc = inc + a * smooth.standard_normal(state.shape)
+                g = smooth.standard_normal(state.shape)
+                g *= a
+                inc = np.add(inc, g, out=g)
         else:
-            xi = rng.standard_normal(state.shape) + shifts[k - 1]
-            inc = kernel._affine_rows(model, state, xi)
-        prev, state = state, state + inc / n
+            xi = rng.standard_normal(state.shape)
+            xi += shifts[k - 1]
+            inc = kernel._affine_rows(model, state, xi, scratch)
+        prev, state = state, state + np.divide(inc, n, out=scratch)
         _check_finite(state, k)
         yield k, prev, inc if shifts is None else xi, state
 

@@ -171,6 +171,66 @@ def test_row_products_match_matmul_bit_for_bit(d):
     assert np.array_equal(kernel._rdot(vs[0], a), vs[0] @ a)
 
 
+@pytest.mark.parametrize("p", [0.3, 1e-3, 0.999])
+def test_bernoulli_draw_equals_the_comparison_cast(p):
+    # the sampler writes u < p over the uniforms; the fresh cast is the reference
+    for size in [(20_000, 1), (7, 3)]:
+        draw = bernoulli_base(p).sample(default_rng(61), size)
+        assert draw.dtype == np.float64
+        assert np.array_equal(draw, (default_rng(61).random(size) < p).astype(np.float64))
+
+
+def _kept_drift(drift):
+    """A drift that returns the same array object at every call, as a caller may."""
+    held = {}
+
+    def kept(ys):
+        held["bs"] = drift(ys)
+        return held["bs"]
+
+    return kept, held
+
+
+@pytest.mark.parametrize(
+    "sigma, drift",
+    [
+        ([[1.0]], linear_drift([[-1.0]])),
+        ([[0.5]], logistic_drift()),
+        ([[1.0, 0.3], [-0.2, 0.7]], linear_drift([[-1.0, 0.5], [0.2, -0.8]], offset=[0.1, -0.3])),
+    ],
+    ids=["sigma-one", "sigma-half", "sigma-2d"],
+)
+def test_affine_rows_equal_the_fresh_formula(sigma, drift):
+    # drift(ys) + zs @ sigma.T, allocated fresh, is the reference for the
+    # in-place increments of the sampler (out = zs) and of the tilted step
+    sig = np.asarray(sigma)
+    d = sig.shape[0]
+    kept, held = _kept_drift(drift)
+    m = affine_model(d, kept, sig, gaussian_base(), drift_broadcasts=True)
+    ys = default_rng(62).uniform(-1.0, 1.0, size=(20_000, d))
+    zs = m.base.sample(default_rng(63), ys.shape)
+    ref = drift(ys) + zs @ sig.T
+    assert np.array_equal(kernel.sample_rows(m, ys, default_rng(63)), ref)
+    assert np.array_equal(held["bs"], drift(ys))  # the drift's return is read, not written
+    out = np.empty_like(zs)
+    zs_copy = zs.copy()
+    assert kernel._affine_rows(m, ys, zs, out) is out
+    assert np.array_equal(out, ref)
+    assert np.array_equal(zs, zs_copy)
+    assert np.array_equal(held["bs"], drift(ys))
+
+
+def test_drift_builders_equal_their_formulas_bit_for_bit():
+    ys = np.concatenate([default_rng(64).normal(size=(1_000, 1)), [[0.0], [-0.0], [1e200], [-1e200]]])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(logistic_drift()(ys), ys * (1.0 - ys))
+    assert logistic_drift()(0.5) == 0.25
+    # A y + 0 at y = 0 is +0.0, not the -0.0 of A y alone
+    lin = linear_drift([[-1.0]])(ys)
+    assert np.array_equal(lin, ys @ np.array([[-1.0]]).T + 0.0)
+    assert not np.any(np.signbit(lin[-4:-2]))
+
+
 def test_logmgf_hess_broadcasts_over_batch():
     rng = default_rng(5)
     alphas = rng.normal(size=(6, 3))

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -472,6 +473,119 @@ def test_martingale_check_worker_invariance(monkeypatch):
     one = martingale_check(m, [0.5], 30, 0.5, lam, 3_500, seed=13, workers=1)
     two = martingale_check(m, [0.5], 30, 0.5, lam, 3_500, seed=13, workers=2)
     assert (one.mean, one.stderr) == (two.mean, two.stderr)
+
+
+def _fresh_tilted_rows(model, x, n, event, alphas, rng, size):
+    """The tilted fold with a fresh array per pass: the reference for _tilted_rows."""
+    thetas = kernel._sigma_t_dot(model.sigma_matrix, alphas)
+    logmgfs = model.base.logmgf(thetas)
+    logw = np.zeros(size)
+    for k, _, xi, state in _euler_steps(model, x, n, 0.0, rng, size, shifts=thetas):
+        logw += logmgfs[k - 1] - kernel._rdot(xi, thetas[k - 1])
+    return np.exp(logw) * (kernel._rdot(state, event.normal) >= event.level)
+
+
+def _fresh_martingale_rows(model, x, n, a, alphas, rng, size):
+    """The martingale fold with a fresh array per pass: the reference for _martingale_rows."""
+    smoothing = 0.5 * a * a * np.sum(alphas * alphas, axis=1)
+    acc = np.zeros(size)
+    for k, prev, inc, _ in _euler_steps(model, x, n, a, rng, size):
+        price = kernel.cgf_rows(model, prev, alphas[k - 1]) + smoothing[k - 1]
+        acc += kernel._rdot(inc, alphas[k - 1]) - price
+    return np.exp(acc)
+
+
+def _fresh_deviation_rows(model, x, n, a, event, grid, rng, size):
+    """The path-deviation fold with a fresh array per pass: the reference for _hit_rows."""
+    ref_lattice, per_step = grid
+    sq = lambda v: np.add.reduce(np.square(v), axis=-1)
+    with np.errstate(over="ignore"):
+        dev2 = sq(np.broadcast_to(x, (size, model.dim)) - ref_lattice[0])
+        for k, prev, _, state in _euler_steps(model, x, n, a, rng, size):
+            if per_step[k] is not None:
+                fracs, refs = per_step[k]
+                vals = prev[:, None, :] + fracs[None, :, None] * (state - prev)[:, None, :]
+                dev2 = np.maximum(dev2, sq(vals - refs[None, :, :]).max(axis=1))
+            dev2 = np.maximum(dev2, sq(state - ref_lattice[k]))
+    return np.sqrt(dev2) >= event.epsilon
+
+
+@pytest.mark.parametrize("make", [lambda: preset_model("gaussian-ou"), _ou_2d], ids=["gaussian-ou", "ou-2d"])
+def test_in_place_folds_equal_their_fresh_references(make):
+    from ldscheme import rare_event
+
+    m = make()
+    n, size, x = 30, 2_000, np.full(m.dim, 0.3)
+    alphas = default_rng(71).normal(0.2, 0.3, size=(n, m.dim))
+    half = TerminalHalfspace(np.ones(m.dim), 0.4)
+    assert np.array_equal(
+        _tilted_rows(m, x, n, half, alphas, default_rng(72), size),
+        _fresh_tilted_rows(m, x, n, half, alphas, default_rng(72), size),
+    )
+    for a in [0.0, 0.5]:
+        assert np.array_equal(
+            rare_event._martingale_rows(m, x, n, a, alphas, default_rng(73), size),
+            _fresh_martingale_rows(m, x, n, a, alphas, default_rng(73), size),
+        )
+    # the mean flow, and a reference on a finer grid, whose knots fall between lattice points
+    fine = Trajectory(np.sin(np.linspace(0.0, 3.0, 3 * n + 1))[:, None] * np.ones(m.dim))
+    for ev in [PathDeviationEvent(epsilon=0.25), PathDeviationEvent(epsilon=1.0, reference=fine)]:
+        grid = rare_event._deviation_grid(ev, m, x, n)
+        hits = rare_event._hit_rows(m, x, n, 0.5, ev, grid, default_rng(74), size)
+        assert 0 < hits.sum() < size
+        assert np.array_equal(hits, _fresh_deviation_rows(m, x, n, 0.5, ev, grid, default_rng(74), size))
+
+
+def test_in_place_folds_equal_their_fresh_references_on_the_walk():
+    from ldscheme import rare_event
+
+    m = preset_model("bernoulli-walk")
+    n, size, x = 30, 2_000, np.zeros(1)
+    alphas = default_rng(75).normal(0.2, 0.3, size=(n, 1))
+    assert np.array_equal(
+        rare_event._martingale_rows(m, x, n, 0.0, alphas, default_rng(76), size),
+        _fresh_martingale_rows(m, x, n, 0.0, alphas, default_rng(76), size),
+    )
+    ev = PathDeviationEvent(epsilon=0.1)
+    grid = rare_event._deviation_grid(ev, m, x, n)
+    assert np.array_equal(
+        rare_event._hit_rows(m, x, n, 0.0, ev, grid, default_rng(77), size),
+        _fresh_deviation_rows(m, x, n, 0.0, ev, grid, default_rng(77), size),
+    )
+
+
+_STRESS_RUNS = {
+    "naive-walk": lambda w: mc_probability(
+        preset_model("bernoulli-walk"), [0.0], 100, 0.0, TerminalHalfspace([1.0], 0.4), 16_000, seed=3, workers=w),
+    "naive-ou-smoothed": lambda w: mc_probability(
+        preset_model("gaussian-ou"), [0.0], 100, 0.4, TerminalHalfspace([1.0], 0.2), 16_000, seed=4, workers=w),
+    "ball": lambda w: mc_probability(
+        preset_model("gaussian-ou"), [0.5], 100, 0.0, BallEvent([0.0], 0.1), 16_000, seed=5, workers=w),
+    "ode-logistic": lambda w: verify_ode_convergence(
+        preset_model("logistic"), [0.1], 0.25, [50, 100], 16_000, seed=6, workers=w),
+    "rate": lambda w: verify_rate(
+        preset_model("gaussian-ou"), [0.0], TerminalHalfspace([1.0], 0.8), [50, 100], 16_000, seed=7, workers=w),
+    "martingale": lambda w: martingale_check(
+        preset_model("gaussian-ou"), [0.5], 100, 0.5, DualMeasure.point_mass(1.0, [0.8]), 16_000, seed=8, workers=w),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STRESS_RUNS))
+def test_chunk_scratch_is_private_to_each_thread(name, monkeypatch):
+    # every chunk's stepper owns its scratch array; four workers on threads
+    # that switch every microsecond must give the one-worker report exactly
+    from ldscheme import rare_event
+
+    monkeypatch.setattr(rare_event, "CHUNK_SIZE", 1_000)  # 16 chunks per run
+    run = _STRESS_RUNS[name]
+    one = run(1).to_json_dict()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        four = run(4).to_json_dict()
+    finally:
+        sys.setswitchinterval(interval)
+    assert four == one
 
 
 def _no_blas(*args, **kwargs):

@@ -243,6 +243,41 @@ def test_runs_at_every_amplitude_share_every_model_draw():
         assert np.array_equal(out, _replay_ou(m, 0.3, 15, a, 4, 31))
 
 
+def _ou_2d():
+    return affine_model(2, linear_drift([[-1.0, 0.5], [0.2, -0.8]]), [[1.0, 0.3], [-0.2, 0.7]], gaussian_base(),
+                        drift_broadcasts=True)
+
+
+@pytest.mark.parametrize(
+    "make, a, tilted",
+    [
+        (lambda: preset_model("bernoulli-walk"), 0.0, False),
+        (lambda: preset_model("logistic"), 0.0, False),
+        (lambda: preset_model("gaussian-ou"), 0.5, False),
+        (lambda: preset_model("gaussian-ou"), 0.0, True),
+        (_ou_2d, 0.5, False),
+        (_ou_2d, 0.0, True),
+    ],
+    ids=["plain", "plain-sigma-half", "smoothed", "tilted", "smoothed-2d", "tilted-2d"],
+)
+def test_yielded_arrays_are_never_written_after_their_step(make, a, tilted):
+    # simulate and _stepper_knots keep what the stepper yields, so no later
+    # step may write into an array it has handed out
+    m = make()
+    n, rows = 12, 50
+    shifts = default_rng(3).normal(size=(n, m.dim)) if tilted else None
+    kept = []
+    for k, prev, inc, state in _euler_steps(m, np.full(m.dim, 0.2), n, a, default_rng(4), rows, shifts=shifts):
+        if kept:
+            assert prev is kept[-1][0][2]  # this step starts from the last state yielded
+        arrays = (prev, inc, state)
+        kept.append((arrays, tuple(v.copy() for v in arrays)))
+    assert len(kept) == n
+    for arrays, copies in kept:
+        for v, c in zip(arrays, copies):
+            assert np.array_equal(v, c)
+
+
 def test_simulate_blowup_raises_with_step():
     m = preset_model("logistic")
     with pytest.raises(SimulationBlowup) as exc:
