@@ -68,9 +68,10 @@ class BaseNoise:
 
     logmgf, logmgf_grad and logmgf_hess must broadcast over a leading batch
     axis, i.e. accept arrays of shape (..., d) and return shape (...),
-    (..., d) and (..., d, d) respectively.  sample(rng, size) returns a fresh
-    float64 array of shape size; an affine sampler overwrites it with the
-    increments.
+    (..., d) and (..., d, d) respectively.  sample(rng, size) returns an
+    array of shape size that the caller may overwrite: an affine sampler
+    writes the increments into it, after casting it to float64 or copying it
+    if it is read-only.  An array that sample keeps is overwritten.
     """
 
     kind: str
@@ -247,7 +248,7 @@ def affine_model(
 
     # the row callbacks; `model` is bound below
     def sampler(ys, rng):
-        zs = base.sample(rng, ys.shape)
+        zs = np.require(base.sample(rng, ys.shape), np.float64, "W")
         return _affine_rows(model, ys, zs, zs)
 
     def cgf(ys, alphas):

@@ -7,6 +7,7 @@ from ldscheme import kernel, rare_event
 from ldscheme.action import TerminalHalfspace
 from ldscheme.conjugate import fenchel_rows
 from ldscheme.kernel import (
+    BaseNoise,
     KernelModel,
     ModelConfigError,
     affine_model,
@@ -218,6 +219,50 @@ def test_affine_rows_equal_the_fresh_formula(sigma, drift):
     assert np.array_equal(out, ref)
     assert np.array_equal(zs, zs_copy)
     assert np.array_equal(held["bs"], drift(ys))
+
+
+def _rademacher(rng, size):
+    return rng.integers(0, 2, size) * 2 - 1
+
+
+def _float32_normal(rng, size):
+    return rng.standard_normal(size, dtype=np.float32)
+
+
+def _read_only_normal(rng, size):
+    z = rng.standard_normal(size)
+    z.flags.writeable = False
+    return z
+
+
+@pytest.mark.parametrize("sample", [_rademacher, _float32_normal, _read_only_normal])
+@pytest.mark.parametrize("sigma", [[[1.0]], [[0.5]]], ids=["sigma-one", "sigma-half"])
+def test_custom_base_draws_are_cast_before_the_increments_are_written(sample, sigma):
+    # an integer, float32 or read-only draw gives the fresh float64
+    # drift(ys) + zs @ sigma.T, and a draw that is cast or copied is left as it was
+    drawn = []
+
+    def kept_sample(rng, size):
+        drawn.append(sample(rng, size))
+        return drawn[-1]
+
+    gauss = gaussian_base()
+    base = BaseNoise(
+        kind="custom",
+        logmgf=gauss.logmgf,
+        logmgf_grad=gauss.logmgf_grad,
+        logmgf_hess=gauss.logmgf_hess,
+        sample=kept_sample,
+    )
+    sig = np.asarray(sigma)
+    m = affine_model(1, linear_drift([[-1.0]]), sig, base)
+    ys = default_rng(65).uniform(-1.0, 1.0, size=(1_000, 1))
+    zs = sample(default_rng(66), ys.shape)
+    ref = linear_drift([[-1.0]])(ys) + zs.astype(np.float64) @ sig.T
+    inc = kernel.sample_rows(m, ys, default_rng(66))
+    assert inc.dtype == np.float64
+    assert np.array_equal(inc, ref)
+    assert np.array_equal(drawn[-1], zs)
 
 
 def test_drift_builders_equal_their_formulas_bit_for_bit():
