@@ -193,19 +193,20 @@ def _quadrature_pass(model, a, knots, gradient: bool = False):
     # the latter by central differences in y (the smoothing term has no y)
     astar = res.argmax
     h = Y_FD_STEP
-    cy = np.empty((m_seg * n_q, d))
+    # all 2 d shifted copies of the rows in one cgf_rows call: [sign, i, row] holds y_row +- h e_i
+    shifted = np.broadcast_to(ys, (2, d) + ys.shape).copy()
     for i in range(d):
-        up, dn = ys.copy(), ys.copy()
-        up[:, i] += h
-        dn[:, i] -= h
-        cy[:, i] = -(kernel.cgf_rows(model, up, astar) - kernel.cgf_rows(model, dn, astar)) / (2.0 * h)
-    cy = cy.reshape(m_seg, n_q, d)
+        shifted[0, i, :, i] += h
+        shifted[1, i, :, i] -= h
+    c = kernel.cgf_rows(model, shifted.reshape(-1, d), np.broadcast_to(astar, shifted.shape).reshape(-1, d)).reshape(2, d, -1)
+    cy = (-(c[0] - c[1]) / (2.0 * h)).T.reshape(m_seg, n_q, d)
     astar = astar.reshape(m_seg, n_q, d)
+    right_w, left_w = dt * _WEIGHTS * _NODES, dt * _WEIGHTS * (1.0 - _NODES)
     grad = np.zeros((m_seg + 1, d))
-    for q, (theta, w) in enumerate(zip(_NODES, _WEIGHTS)):
-        grad[1:] += dt * w * theta * cy[:, q] + w * astar[:, q]
-    for q, (theta, w) in enumerate(zip(_NODES, _WEIGHTS)):
-        grad[:-1] += dt * w * (1.0 - theta) * cy[:, q] - w * astar[:, q]
+    for q in range(n_q):
+        grad[1:] += right_w[q] * cy[:, q] + _WEIGHTS[q] * astar[:, q]
+    for q in range(n_q):
+        grad[:-1] += left_w[q] * cy[:, q] - _WEIGHTS[q] * astar[:, q]
     return seg_values, grad, divergent, warnings
 
 

@@ -140,6 +140,9 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     status.  Every row starts at alpha = 0.  For d = 1 a row's result is bit
     for bit its one-row solve; for d > 1 the stacked matrix products may
     round differently in the last bit.
+
+    The live rows' state is kept compacted, in row order, and the model's
+    callbacks get those arrays; a row is written to the result when it ends.
     """
     amp = perturbation_amplitude(a)
     aa = amp * amp
@@ -150,50 +153,50 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     n, d = zs.shape
     tol = GRAD_TOL_SCALE * (1.0 + np.linalg.norm(zs, axis=1))
 
-    def objective(rows, alpha):
-        return (_dot_rows(zs[rows], alpha) - kernel.cgf_rows(model, ys[rows], alpha)
-                - 0.5 * aa * _dot_rows(alpha, alpha))
+    def objective(y, z, alpha):
+        return _dot_rows(z, alpha) - kernel.cgf_rows(model, y, alpha) - 0.5 * aa * _dot_rows(alpha, alpha)
 
-    def gradient(rows, alpha):
-        return zs[rows] - kernel.cgf_grad_rows(model, ys[rows], alpha) - aa * alpha
+    def gradient(y, z, alpha):
+        return z - kernel.cgf_grad_rows(model, y, alpha) - aa * alpha
 
-    every = np.arange(n)
+    ys, zs = ys.copy(), zs.copy()  # the callbacks never see the caller's arrays
     alpha = np.zeros((n, d))
-    h = objective(every, alpha)
+    h = objective(ys, zs, alpha)
     h[~np.isfinite(h)] = 0.0
     best_val = np.where(h > 0.0, h, 0.0)
-    best_arg = np.zeros((n, d))
-    rising = np.zeros(n, dtype=np.int64)  # trailing run of strict increases of h
-
     out = ConjugateRows(
         value=best_val.copy(),
-        argmax=best_arg.copy(),
+        argmax=np.zeros((n, d)),
         status=np.full(n, MAX_ITERATIONS),
         iterations=np.full(n, MAX_ITER),
         grad_norm=np.zeros(n),
     )
 
-    def finish(rows, status, it, gnorm, value=None, argmax=None):
+    def finish(rows, status, it, gnorm, value, argmax):
         out.status[rows] = status
         out.iterations[rows] = it
         out.grad_norm[rows] = gnorm
-        out.value[rows] = best_val[rows] if value is None else value
-        out.argmax[rows] = best_arg[rows] if argmax is None else argmax
+        out.value[rows] = value
+        out.argmax[rows] = argmax
 
-    live = every
+    # live rows: result row, y, z, tolerance, alpha, h, trailing run of
+    # strict increases of h, best value and its alpha
+    live = [np.arange(n), ys, zs, tol, alpha, h, np.zeros(n, dtype=np.int64), best_val, np.zeros((n, d))]
     for it in range(1, MAX_ITER + 1):
-        if live.size == 0:
+        row, y, z, tl, al, hv, run, bv, ba = live
+        if row.size == 0:
             break
-        al = alpha[live]
-        grad = gradient(live, al)
+        grad = gradient(y, z, al)
         gnorm = np.linalg.norm(grad, axis=1)
-        done = gnorm <= tol[live]
-        finish(live[done], CONVERGED, it, gnorm[done], h[live[done]], al[done])
-        live, al, grad, gnorm = live[~done], al[~done], grad[~done], gnorm[~done]
-        if live.size == 0:
-            break
+        done = gnorm <= tl
+        if done.any():
+            finish(row[done], CONVERGED, it, gnorm[done], hv[done], al[done])
+            live, grad, gnorm = [v[~done] for v in live], grad[~done], gnorm[~done]
+            row, y, z, tl, al, hv, run, bv, ba = live
+            if row.size == 0:
+                break
 
-        hess = kernel.cgf_hess_rows(model, ys[live], al)
+        hess = kernel.cgf_hess_rows(model, y, al)
         if aa > 0.0:
             hess = hess + aa * np.eye(d)
         p = _ascent_directions(hess, grad)
@@ -206,47 +209,58 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
         long_ = ~blown & (pnorm > MAX_STEP)
         p[long_] = p[long_] * (MAX_STEP / pnorm[long_])[:, None]
 
-        # backtracking line search on the concave objectives, by row mask
+        # backtracking line search on the concave objectives, by row mask;
+        # pending rows: index into the live rows, y, z, alpha, p, h, slope
         slope = _dot_rows(grad, p)
-        accepted = np.zeros(live.size, dtype=bool)
-        new_al = al.copy()
-        new_h = h[live]
-        pending = np.arange(live.size)
+        accepted = np.zeros(row.size, dtype=bool)
+        new_al, new_h = al.copy(), hv.copy()
+        pending = [np.arange(row.size), y, z, al, p, hv, slope]
         step = 1.0
         for _ in range(40):
-            cand = al[pending] + step * p[pending]
-            moved = np.any(cand != al[pending], axis=1)
-            pending, cand = pending[moved], cand[moved]
-            if pending.size == 0:
+            at, py, pz, pa, pp, ph, ps = pending
+            cand = pa + step * pp
+            moved = np.any(cand != pa, axis=1)
+            if not moved.all():
+                pending, cand = [v[moved] for v in pending], cand[moved]
+                at, py, pz, pa, pp, ph, ps = pending
+            if at.size == 0:
                 break
-            h_cand = objective(live[pending], cand)
-            ok = np.isfinite(h_cand) & (h_cand >= h[live[pending]] + 1e-4 * step * slope[pending])
-            accepted[pending[ok]] = True
-            new_al[pending[ok]] = cand[ok]
-            new_h[pending[ok]] = h_cand[ok]
-            pending = pending[~ok]
+            h_cand = objective(py, pz, cand)
+            ok = np.isfinite(h_cand) & (h_cand >= ph + 1e-4 * step * ps)
+            if at.size == row.size and ok.all():  # every row takes this step
+                accepted, new_al, new_h = ok, cand, h_cand
+                break
+            accepted[at[ok]] = True
+            new_al[at[ok]] = cand[ok]
+            new_h[at[ok]] = h_cand[ok]
+            pending = [v[~ok] for v in pending]
             step *= 0.5
         # a stalled line search ends the row where it stands
-        finish(live[~accepted], MAX_ITERATIONS, MAX_ITER, gnorm[~accepted])
-        live, new_al, new_h, gnorm = live[accepted], new_al[accepted], new_h[accepted], gnorm[accepted]
+        if not accepted.all():
+            stalled = ~accepted
+            finish(row[stalled], MAX_ITERATIONS, MAX_ITER, gnorm[stalled], bv[stalled], ba[stalled])
+            live, new_al, new_h, gnorm = [v[accepted] for v in live], new_al[accepted], new_h[accepted], gnorm[accepted]
+            row, y, z, tl, al, hv, run, bv, ba = live
 
-        rising[live] = np.where(new_h > h[live], rising[live] + 1, 0)
-        alpha[live] = new_al
-        h[live] = new_h
-        better = new_h > best_val[live]
-        best_val[live[better]] = new_h[better]
-        best_arg[live[better]] = new_al[better]
-        if amp == 0.0:
+        run = np.where(new_h > hv, run + 1, 0)
+        better = new_h > bv
+        bv = np.where(better, new_h, bv)
+        ba = np.where(better[:, None], new_al, ba)
+        live = [row, y, z, tl, new_al, new_h, run, bv, ba]
+        # |alpha| <= d max_i |alpha_i|, so no row is capped while that bound stays at NORM_CAP / 2
+        if amp == 0.0 and d * np.abs(new_al).max(initial=0.0) > 0.5 * NORM_CAP:
             capped = np.linalg.norm(new_al, axis=1) > NORM_CAP
             # divergent when h rose strictly over the whole trailing window
             window = min(it + 1, WINDOW + 1) - 1
-            divergent = capped & (rising[live] >= window)
-            finish(live[divergent], DIVERGENT, it, gnorm[divergent], np.inf, np.nan)
-            finish(live[capped & ~divergent], MAX_ITERATIONS, it, gnorm[capped & ~divergent])
-            live = live[~capped]
+            divergent = capped & (run >= window)
+            stuck = capped & ~divergent
+            finish(row[divergent], DIVERGENT, it, gnorm[divergent], np.inf, np.nan)
+            finish(row[stuck], MAX_ITERATIONS, it, gnorm[stuck], bv[stuck], ba[stuck])
+            live = [v[~capped] for v in live]
 
-    if live.size:
-        finish(live, MAX_ITERATIONS, MAX_ITER, np.linalg.norm(gradient(live, alpha[live]), axis=1))
+    row, y, z, _, al, _, _, bv, ba = live
+    if row.size:
+        finish(row, MAX_ITERATIONS, MAX_ITER, np.linalg.norm(gradient(y, z, al), axis=1), bv, ba)
     return out
 
 

@@ -145,6 +145,8 @@ class KernelModel:
     row.  cgf_grad(ys, alphas) is its alpha-gradient, shape (m, d), for
     (m, d) alphas.  cgf_hess(ys, alphas), shape (m, d, d), is optional;
     solvers fall back to finite differences of cgf_grad when it is absent.
+    Callbacks must not write into their arguments: a solver may pass the
+    same arrays to later calls.
     """
 
     dim: int
@@ -344,7 +346,8 @@ def _affine_rows(model: AffineNoiseModel, ys: np.ndarray, zs: np.ndarray, out: n
     out may be zs itself.  The drift's return is only read, never written:
     a drift may return an array it keeps.
     """
-    bs = drift_rows(model, ys)
+    # x + 0.0 turns -0.0 into +0.0 as adding a zero row does, without making one
+    bs = 0.0 if model.drift is _zero_rows else drift_rows(model, ys)
     sig = _sigma_rows(model, ys)
     if sig.shape != (1, 1):
         zs = _sigma_dot(sig, zs)
@@ -397,8 +400,13 @@ def cgf_hess_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 # drift builders (all broadcast over a leading batch axis)
 
+def _zero_rows(y):
+    return np.zeros_like(np.asarray(y, dtype=np.float64))
+
+
 def zero_drift():
-    return lambda y: np.zeros_like(np.asarray(y, dtype=np.float64))
+    """y -> 0; an affine step adds the scalar 0.0 in place of its rows."""
+    return _zero_rows
 
 
 def constant_drift(v: np.ndarray):

@@ -221,6 +221,27 @@ def test_affine_rows_equal_the_fresh_formula(sigma, drift):
     assert np.array_equal(held["bs"], drift(ys))
 
 
+@pytest.mark.parametrize("broadcasts", [True, False], ids=["broadcasting", "per-row"])
+@pytest.mark.parametrize("sigma", [[[1.0]], [[0.5]], [[1.0, 0.3], [-0.2, 0.7]]], ids=["sigma-one", "sigma-half", "sigma-2d"])
+def test_zero_drift_step_adds_zero_without_drift_rows(sigma, broadcasts, monkeypatch):
+    # the step adds 0.0 in place of the drift's zero rows: the same bits, -0.0 turned to +0.0 included
+    sig = np.asarray(sigma)
+    d = sig.shape[0]
+    m = affine_model(d, zero_drift(), sig, gaussian_base(), drift_broadcasts=broadcasts)
+    ys = default_rng(67).uniform(-1.0, 1.0, size=(1_000, d))
+    zs = default_rng(68).standard_normal(ys.shape)
+    zs[::3] = -0.0
+    ref = np.zeros_like(ys) + zs @ sig.T
+    assert np.array_equal(kernel.drift_rows(m, ys), np.zeros_like(ys))
+    assert kernel.cgf_grad_rows(m, ys, zs).shape == ys.shape
+    monkeypatch.setattr(kernel, "drift_rows", None)  # the step must not evaluate the drift
+    out = kernel._affine_rows(m, ys, zs.copy(), np.empty_like(zs))
+    assert np.array_equal(out, ref) and np.array_equal(np.signbit(out), np.signbit(ref))
+    assert not np.signbit(out[::3]).any()
+    draw = m.base.sample(default_rng(68), ys.shape)
+    assert np.array_equal(kernel.sample_rows(m, ys, default_rng(68)), np.zeros_like(ys) + draw @ sig.T)
+
+
 def _rademacher(rng, size):
     return rng.integers(0, 2, size) * 2 - 1
 
