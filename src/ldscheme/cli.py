@@ -64,7 +64,6 @@ from .rare_event import (
 )
 from .scheme import (
     DualMeasure,
-    SchemeRun,
     Trajectory,
     load_trajectory,
     save_trajectory,
@@ -197,7 +196,7 @@ def _cmd_simulate(cfg, out, workers):
     seed = c.take("seed", _as_int_from(0))
     c.close()
     _write_json(os.path.join(out, "resolved_config.json"), {"command": "simulate", **c.resolved})
-    traj = simulate(SchemeRun(model=model, x=x, n=n, a=a, seed=seed))
+    traj = simulate(model, x, n, a, seed)
     save_trajectory(traj, os.path.join(out, "trajectory.csv"))
     return 0
 

@@ -238,7 +238,7 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
         # a stalled line search ends the row where it stands
         if not accepted.all():
             stalled = ~accepted
-            finish(row[stalled], MAX_ITERATIONS, MAX_ITER, gnorm[stalled], bv[stalled], ba[stalled])
+            finish(row[stalled], MAX_ITERATIONS, it, gnorm[stalled], bv[stalled], ba[stalled])
             live, new_al, new_h, gnorm = [v[accepted] for v in live], new_al[accepted], new_h[accepted], gnorm[accepted]
             row, y, z, tl, al, hv, run, bv, ba = live
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 from numpy.random import Generator
@@ -168,17 +168,17 @@ class AffineNoiseModel(KernelModel):
     Its callbacks are the affine formulas of the module docstring, evaluated
     on all rows at once, and bound to the drift, sigma and base it was built
     with: build a variant with affine_model, not dataclasses.replace of those
-    fields.  sigma_matrix is set when sigma is a constant, given as a matrix
-    or as a callable that never reads its state; else sigma_fn is called
-    once per row.  drift_broadcasts=True declares that drift accepts the
-    (m, d) array of all rows and returns exactly (m, d), so it is called once
-    for all rows rather than once per row; any other shape is a ValueError.
+    fields.  sigma is the constant (d, d) matrix when sigma was given as a
+    matrix or as a callable that never reads its state; else it is that
+    callable, called once per row.  drift_broadcasts=True declares that
+    drift accepts the (m, d) array of all rows and returns exactly (m, d),
+    so it is called once for all rows rather than once per row; any other
+    shape is a ValueError.
     """
 
     drift: Callable[[np.ndarray], np.ndarray] = None
-    sigma_fn: Callable[[np.ndarray], np.ndarray] = None
+    sigma: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]] = None
     base: BaseNoise = None
-    sigma_matrix: Optional[np.ndarray] = None
     drift_broadcasts: bool = False
 
 
@@ -192,20 +192,20 @@ class _UnreadState:
     __array__ = __array_ufunc__ = __array_function__ = _read
 
 
-def _state_free_value(sigma_fn, dim: int) -> Optional[np.ndarray]:
-    """sigma_fn's value if it is a finite (dim, dim) matrix that does not depend on the state, else None.
+def _state_free_value(sigma, dim: int):
+    """sigma's value if it is a finite (dim, dim) matrix that does not depend on the state, else sigma.
 
-    It must come without reading a stand-in state, and equal sigma_fn at a
+    It must come without reading a stand-in state, and equal sigma at a
     real row, so that no branch on the argument's type can tell them apart.
     """
     try:
-        value = np.asarray(sigma_fn(_UnreadState()), dtype=np.float64)
-        at_row = np.asarray(sigma_fn(np.zeros(dim)), dtype=np.float64)
+        value = np.asarray(sigma(_UnreadState()), dtype=np.float64)
+        at_row = np.asarray(sigma(np.zeros(dim)), dtype=np.float64)
     except Exception:  # any failure on the stand-in only means not proven constant: sigma stays per row
-        return None
+        return sigma
     if value.shape == (dim, dim) and np.all(np.isfinite(value)) and np.array_equal(value, at_row):
         return value
-    return None
+    return sigma
 
 
 def perturbation_amplitude(a) -> float:
@@ -234,19 +234,13 @@ def affine_model(
     takes the (m, d) array of all rows; see AffineNoiseModel.
     """
     if np.isscalar(sigma):
-        sigma_matrix = _finite(sigma, "constant sigma") * np.eye(dim)
+        sigma = _finite(sigma, "constant sigma") * np.eye(dim)
     elif callable(sigma):
-        sigma_matrix = _state_free_value(sigma, dim)
+        sigma = _state_free_value(sigma, dim)
     else:
-        sigma_matrix = _finite(sigma, "constant sigma")
-        if sigma_matrix.shape != (dim, dim):
-            raise ValueError(f"constant sigma must have shape ({dim}, {dim}), got {sigma_matrix.shape}")
-
-    if sigma_matrix is None:
-        sigma_fn = sigma
-    else:
-        def sigma_fn(y, _s=sigma_matrix):
-            return _s
+        sigma = _finite(sigma, "constant sigma")
+        if sigma.shape != (dim, dim):
+            raise ValueError(f"constant sigma must have shape ({dim}, {dim}), got {sigma.shape}")
 
     # the row callbacks; `model` is bound below
     def sampler(ys, rng):
@@ -274,9 +268,8 @@ def affine_model(
         cgf_hess=cgf_hess,
         summary=summary,
         drift=drift,
-        sigma_fn=sigma_fn,
+        sigma=sigma,
         base=base,
-        sigma_matrix=sigma_matrix,
         drift_broadcasts=drift_broadcasts,
     )
     return model
@@ -308,10 +301,10 @@ def drift_rows(model: AffineNoiseModel, ys: np.ndarray) -> np.ndarray:
 
 
 def _sigma_rows(model: AffineNoiseModel, ys: np.ndarray) -> np.ndarray:
-    """The constant (d, d) sigma_matrix, else the (m, d, d) stack of sigma_fn(y_i)."""
-    if model.sigma_matrix is not None:
-        return model.sigma_matrix
-    return np.array([model.sigma_fn(y) for y in ys], dtype=np.float64).reshape(-1, model.dim, model.dim)
+    """The constant (d, d) sigma, else the (m, d, d) stack of sigma(y_i)."""
+    if not callable(model.sigma):
+        return model.sigma
+    return np.array([model.sigma(y) for y in ys], dtype=np.float64).reshape(-1, model.dim, model.dim)
 
 
 # Row products on the stepper's hot paths go through _rdot.  At an inner

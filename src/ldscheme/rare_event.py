@@ -38,8 +38,8 @@ from .errors import TiltUnreachableError
 from . import conjugate as conj_mod
 from . import kernel
 from .action import ActionProblem, TerminalHalfspace, limit_ode, minimize_action
-from .kernel import AffineNoiseModel, KernelModel, perturbation_amplitude
-from .scheme import DualMeasure, Trajectory, _euler_steps, eval_path_many
+from .kernel import AffineNoiseModel, KernelModel
+from .scheme import DualMeasure, Trajectory, _euler_steps, _run_args, eval_path_many
 
 CHUNK_SIZE = 20_000
 MINIMIZE_KNOTS = 21  # knot count of the minimum-cost path that plans a tilt
@@ -264,8 +264,7 @@ def mc_probability(model: KernelModel, x, n: int, a, event: EventSpec, samples: 
     sqrt(p (1 - p) / samples); empirical_rate = -log(p_hat) / n is None
     when no hit was observed.
     """
-    amp = perturbation_amplitude(a)
-    x = kernel._as_vector(x, model.dim, "x")
+    x, amp, (n,) = _run_args(model, x, [n], a)
     _require_event_dim(event, model.dim)
     p = float(np.mean(_hits(model, x, n, amp, event, samples, workers, (seed,))))
     return _report(model, event, n, samples, seed, p, float(np.sqrt(p * (1.0 - p) / samples)), "naive")
@@ -277,7 +276,7 @@ def mc_probability(model: KernelModel, x, n: int, a, event: EventSpec, samples: 
 def _require_tiltable(model: KernelModel):
     if not (isinstance(model, AffineNoiseModel) and model.base.kind == "gaussian"):
         raise ValueError("tilted estimation requires an affine model with Gaussian base noise")
-    if model.sigma_matrix is None:
+    if callable(model.sigma):
         raise ValueError("tilted estimation requires a constant sigma")
 
 
@@ -311,7 +310,7 @@ def _tilt_sequence(model, path: Trajectory, n: int) -> np.ndarray:
 
 def _tilted_rows(model, x, n, event: TerminalHalfspace, alphas, rng, size) -> np.ndarray:
     """Weighted indicators w * 1_A for `size` tilted replicas."""
-    thetas = kernel._sigma_t_dot(model.sigma_matrix, alphas)  # row k holds sigma^T alpha_k
+    thetas = kernel._sigma_t_dot(model.sigma, alphas)  # row k holds sigma^T alpha_k
     logmgfs = model.base.logmgf(thetas)
     logw = np.zeros(size)
     for k, _, xi, state in _euler_steps(model, x, n, 0.0, rng, size, shifts=thetas):
@@ -344,11 +343,11 @@ def tilted_mc_probability(
     estimate is unbiased whatever the tilt quality.  Requires a Gaussian
     base and an event whose half-space excludes the mean flow terminal.
     """
+    x, _, (n,) = _run_args(model, x, [n])
     if not isinstance(event, TerminalHalfspace):
         raise ValueError("tilted estimation only covers terminal half-space events")
     _require_tiltable(model)
     _require_two_samples(samples)
-    x = kernel._as_vector(x, model.dim, "x")
     _require_event_dim(event, model.dim)
     plan = _tilt_plan(model, x, event)
     return _tilted_estimate(model, x, n, event, samples, (seed,), workers, plan)
@@ -385,8 +384,7 @@ def martingale_check(
     level, and atomic lam.  Large measures make the integrand heavy tailed,
     so the total variation of lam is capped at MAX_VARIATION.
     """
-    amp = perturbation_amplitude(a)
-    x = kernel._as_vector(x, model.dim, "x")
+    x, amp, (n,) = _run_args(model, x, [n], a)
     kernel._require_dim("measure", lam.dim, model.dim)
     _require_two_samples(samples)
     variation = lam.variation()
@@ -435,11 +433,11 @@ def verify_rate(
     increase is recorded as a violation, excused when it sits within two
     combined standard errors of the rates involved.
     """
+    x, _, n_grid = _run_args(model, x, n_grid)
     if not isinstance(event, TerminalHalfspace):
         raise ValueError("rate verification targets terminal half-space events")
     _require_tiltable(model)
     _require_two_samples(samples)
-    x = kernel._as_vector(x, model.dim, "x")
     _require_event_dim(event, model.dim)
     if len(n_grid) < 1:
         raise ValueError("n_grid must be nonempty")
@@ -475,7 +473,7 @@ def verify_rate(
     return RateReport(
         model=model.summary,
         event=event.record(),
-        n_grid=list(n_grid),
+        n_grid=n_grid,
         estimates=estimates,
         predicted_rate=predicted,
         rel_gaps=rel_gaps,
@@ -515,7 +513,7 @@ def verify_ode_convergence(
     least-squares slope of log q_n against n over the surviving points
     (None when fewer than two survive).
     """
-    x = kernel._as_vector(x, model.dim, "x")
+    x, _, n_grid = _run_args(model, x, n_grid)
     event = PathDeviationEvent(epsilon=epsilon)
     if len(n_grid) < 1:
         raise ValueError("n_grid must be nonempty")
@@ -532,7 +530,7 @@ def verify_ode_convergence(
     return OdeReport(
         model=model.summary,
         epsilon=float(epsilon),
-        n_grid=list(n_grid),
+        n_grid=n_grid,
         rows=rows,
         slope=slope,
         intercept=intercept,

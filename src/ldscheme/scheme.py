@@ -173,21 +173,19 @@ class DualMeasure:
         return phi @ self.weights
 
 
-@dataclass(frozen=True)
-class SchemeRun:
-    """One fully specified simulation: model, start, resolution, smoothing, seed."""
+def _run_args(model: KernelModel, x, n_grid, a=0.0) -> tuple[np.ndarray, float, list[int]]:
+    """The checked arguments of a run: x, every n of n_grid, and a.
 
-    model: KernelModel
-    x: np.ndarray
-    n: int
-    a: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", kernel._as_vector(self.x, self.model.dim, "x"))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        object.__setattr__(self, "a", perturbation_amplitude(self.a))
+    x must be a finite vector of the model's dimension, each n an integer
+    >= 1 (a numpy integer included, a bool not), and a finite and >= 0.
+    Every run entry point calls this first, so a bad argument fails before
+    any model callback, plan, reference solve or draw.
+    """
+    x = kernel._as_vector(x, model.dim, "x")
+    for n in n_grid:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    return x, perturbation_amplitude(a), [int(n) for n in n_grid]
 
 
 def _check_finite(states: np.ndarray, k: int) -> None:
@@ -209,9 +207,8 @@ def _euler_steps(model: KernelModel, x: np.ndarray, n: int, a: float, rng: Gener
     Every array yielded is new at its step and never written afterwards, so
     a caller may keep prev, inc (or xi) and state across steps.  The other
     row passes of a step write into one scratch array owned by this call.
+    Callers check n with _run_args first.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     state = np.broadcast_to(x, (rows, model.dim)).copy()
     smooth = rng.spawn(1)[0] if a > 0.0 and shifts is None else None
     scratch = np.empty_like(state)
@@ -231,16 +228,16 @@ def _euler_steps(model: KernelModel, x: np.ndarray, n: int, a: float, rng: Gener
         yield k, prev, inc if shifts is None else xi, state
 
 
-def simulate(run: SchemeRun) -> Trajectory:
-    """Simulate one path of the scheme from default_rng(run.seed); bit-reproducible.
+def simulate(model: KernelModel, x, n: int, a, seed: int) -> Trajectory:
+    """Simulate one path of the scheme from default_rng(seed); bit-reproducible.
 
     Raises SimulationBlowup with the offending step index if the state
     leaves the representable range.
     """
-    rng = default_rng(run.seed)
-    knots = np.empty((run.n + 1, run.model.dim))
-    knots[0] = run.x
-    for k, _, _, state in _euler_steps(run.model, run.x, run.n, run.a, rng, 1):
+    x, amp, (n,) = _run_args(model, x, [n], a)
+    knots = np.empty((n + 1, model.dim))
+    knots[0] = x
+    for k, _, _, state in _euler_steps(model, x, n, amp, default_rng(seed), 1):
         knots[k] = state[0]
     return Trajectory(knots)
 
@@ -318,10 +315,9 @@ def coupled_perturbation_gaps(
     """
     from .kernel import AffineNoiseModel
 
+    x, amp, (n,) = _run_args(model, x, [n], a)
     if not isinstance(model, AffineNoiseModel):
         raise TypeError("pathwise coupling needs the affine structure to share draws")
-    amp = perturbation_amplitude(a)
-    x = kernel._as_vector(x, model.dim, "x")
     b = realizations
     plain = _euler_steps(model, x, n, 0.0, default_rng(seed), b)
     smooth = _euler_steps(model, x, n, amp, default_rng(seed), b)

@@ -308,13 +308,18 @@ def test_logmgf_hess_broadcasts_over_batch():
         assert np.array_equal(stacked, np.diagonal(stacked, axis1=1, axis2=2)[:, :, None] * np.eye(3))
 
 
+def _sigma_at(m, y):
+    """sigma(y) of an affine model: its constant matrix, or its callable at the row y."""
+    return m.sigma(y) if callable(m.sigma) else m.sigma
+
+
 def _affine_cgf(m, y, alpha):
     """b(y).alpha + logmgf(sigma(y)^T alpha), written out from the model's parts."""
-    return m.drift(y) @ alpha + m.base.logmgf(m.sigma_fn(y).T @ alpha)
+    return m.drift(y) @ alpha + m.base.logmgf(_sigma_at(m, y).T @ alpha)
 
 
 def _callable_sigma_model():
-    # state-dependent sigma: the row helpers stack sigma_fn(y_i) over the rows
+    # state-dependent sigma: the row helpers stack sigma(y_i) over the rows
     return affine_model(
         2,
         linear_drift(np.array([[-1.0, 0.5], [0.0, -1.0]])),
@@ -338,7 +343,7 @@ def test_cgf_grad_and_hess_rows_match_pointwise(name):
     assert grads.shape == (9, m.dim)
     assert hessians.shape == (9, m.dim, m.dim)
     for i in range(9):
-        b, s = m.drift(ys[i]), m.sigma_fn(ys[i])
+        b, s = m.drift(ys[i]), _sigma_at(m, ys[i])
         u = s.T @ alphas[i]
         assert values[i] == pytest.approx(_affine_cgf(m, ys[i], alphas[i]), rel=1e-13, abs=1e-14)
         assert shared[i] == pytest.approx(_affine_cgf(m, ys[i], alphas[0]), rel=1e-13, abs=1e-14)
@@ -368,7 +373,7 @@ def test_state_dependent_sigma_is_called_per_row_beside_a_broadcasting_drift(nam
 
     m = affine_model(2, linear_drift(np.array([[-1.0, 0.5], [0.0, -1.0]])), sigma, bernoulli_base(0.4),
                      drift_broadcasts=True)
-    assert m.sigma_matrix is None
+    assert m.sigma is sigma
     rng = default_rng(41)
     ys = rng.uniform(-2.0, 2.0, size=(2, 2))
     alphas = rng.normal(scale=2.0, size=(2, 2))
@@ -403,9 +408,9 @@ def test_callable_sigma_is_constant_only_if_it_never_reads_its_state(sigma, cons
     # a constant is a finite (d, d) value, got without reading a stand-in state
     # and equal to the value at a real row; anything else stays per row
     m = affine_model(2, linear_drift(-np.eye(2)), sigma, gaussian_base(), drift_broadcasts=True)
-    assert (m.sigma_matrix is not None) is constant
+    assert (m.sigma is not sigma) is constant
     if constant:
-        assert np.array_equal(m.sigma_matrix, np.asarray(sigma(np.zeros(2)), dtype=np.float64))
+        assert np.array_equal(m.sigma, np.asarray(sigma(np.zeros(2)), dtype=np.float64))
 
 
 @pytest.mark.parametrize(
@@ -509,7 +514,7 @@ def test_sample_rows_match_pointwise(name):
     rows = kernel.sample_rows(m, ys, default_rng(29))
     zs = m.base.sample(default_rng(29), ys.shape)
     for i in range(6):
-        assert np.allclose(rows[i], m.drift(ys[i]) + m.sigma_fn(ys[i]) @ zs[i], rtol=1e-13, atol=1e-14)
+        assert np.allclose(rows[i], m.drift(ys[i]) + _sigma_at(m, ys[i]) @ zs[i], rtol=1e-13, atol=1e-14)
 
 
 def test_presets_registry():

@@ -25,7 +25,7 @@ from ldscheme.rare_event import (
     verify_ode_convergence,
     verify_rate,
 )
-from ldscheme.scheme import DualMeasure, Trajectory, _euler_steps
+from ldscheme.scheme import DualMeasure, Trajectory, _euler_steps, coupled_perturbation_gaps, simulate
 
 
 def test_event_normalization():
@@ -273,7 +273,7 @@ def test_state_free_callable_sigma_is_not_called_per_step(monkeypatch):
 
     ou = affine_model(1, linear_drift([[-1.0]]), sigma, gaussian_base(), drift_broadcasts=True)
     assert calls == ["_UnreadState", "ndarray"]
-    assert np.array_equal(ou.sigma_matrix, np.eye(1))
+    assert np.array_equal(ou.sigma, np.eye(1))
     ref = preset_model("gaussian-ou")
     monkeypatch.setattr(rare_event, "CHUNK_SIZE", 1_000)  # four chunks
     n, ev, lam = 20, TerminalHalfspace([1.0], 0.3), DualMeasure.point_mass(1.0, 0.5)
@@ -352,8 +352,8 @@ def test_tilted_weights_positive_and_finite():
     rng = default_rng(0)
     state, logw = np.zeros((2_000, 1)), np.zeros(2_000)
     for alpha in alphas:
-        shift = alpha @ m.sigma_matrix
-        f = m.drift(state) + (rng.standard_normal(state.shape) + shift) @ m.sigma_matrix.T
+        shift = alpha @ m.sigma
+        f = m.drift(state) + (rng.standard_normal(state.shape) + shift) @ m.sigma.T
         logw += (m.drift(state) @ alpha + 0.5 * np.sum(shift * shift)) - f @ alpha
         state = state + f / 50
     assert np.array_equal(vals, np.exp(logw) * (state[:, 0] >= 1.0))
@@ -420,10 +420,10 @@ def test_tilted_weight_matches_drift_form_with_one_drift_call_per_step(make):
     assert len(calls) == n
     assert np.all(vals > 0.0)
     # replay the stepper and weigh with sum_k [cgf(X_{k-1}, alpha_k) - <F_k, alpha_k>]
-    thetas = alphas @ src.sigma_matrix
+    thetas = alphas @ src.sigma
     logw = np.zeros(size)
     for k, prev, xi, _ in _euler_steps(src, x, n, 0.0, default_rng(82), size, shifts=thetas):
-        inc = src.drift(prev) + xi @ src.sigma_matrix.T
+        inc = src.drift(prev) + xi @ src.sigma.T
         logw += kernel.cgf_rows(src, prev, alphas[k - 1]) - inc @ alphas[k - 1]
     np.testing.assert_allclose(vals, np.exp(logw), rtol=1e-12)
 
@@ -477,7 +477,7 @@ def test_martingale_check_worker_invariance(monkeypatch):
 
 def _fresh_tilted_rows(model, x, n, event, alphas, rng, size):
     """The tilted fold with a fresh array per pass: the reference for _tilted_rows."""
-    thetas = kernel._sigma_t_dot(model.sigma_matrix, alphas)
+    thetas = kernel._sigma_t_dot(model.sigma, alphas)
     logmgfs = model.base.logmgf(thetas)
     logw = np.zeros(size)
     for k, _, xi, state in _euler_steps(model, x, n, 0.0, rng, size, shifts=thetas):
@@ -711,3 +711,66 @@ def test_verify_ode_deterministic_model_never_deviates():
     # epsilon above the Euler discretization error of the mean flow
     rep = verify_ode_convergence(det, [1.0], 0.1, [10, 20], 300, seed=73)
     assert all(r["count"] == 0 for r in rep.rows)
+
+
+# every run entry point, called with one resolution n (or, where it takes a
+# grid, with the grid of n values)
+_HALF = TerminalHalfspace([1.0], 0.8)
+_RUNS = {
+    "simulate": lambda m, n: simulate(m, [0.0], n, 0.0, 1),
+    "coupled_perturbation_gaps": lambda m, n: coupled_perturbation_gaps(m, [0.0], n, 0.5, 1),
+    "mc_probability": lambda m, n: mc_probability(m, [0.0], n, 0.0, _HALF, 50, seed=1),
+    "mc_probability-deviation": lambda m, n: mc_probability(m, [0.0], n, 0.0, PathDeviationEvent(0.5), 50, seed=1),
+    "tilted_mc_probability": lambda m, n: tilted_mc_probability(m, [0.0], n, _HALF, 50, seed=1),
+    "martingale_check": lambda m, n: martingale_check(m, [0.0], n, 0.0, DualMeasure.point_mass(1.0, 0.5), 50, seed=1),
+}
+_GRID_RUNS = {
+    "verify_rate": lambda m, grid: verify_rate(m, [0.0], _HALF, grid, 50, seed=1),
+    "verify_ode_convergence": lambda m, grid: verify_ode_convergence(m, [0.0], 0.5, grid, 50, seed=1),
+}
+_BAD_N = {"zero": 0, "negative": -3, "float": 2.5, "bool": True}
+
+
+def _refusing_ou():
+    """gaussian-ou whose callbacks fail the test when anything calls them."""
+
+    def refuse(*args):
+        raise AssertionError("a model callback ran before the run arguments were checked")
+
+    return dataclasses.replace(preset_model("gaussian-ou"), sampler=refuse, cgf=refuse, cgf_grad=refuse, cgf_hess=refuse)
+
+
+def _bad_runs():
+    for name, run in _RUNS.items():
+        for label, n in _BAD_N.items():
+            yield pytest.param(run, n, id=f"{name}-{label}")
+    for name, run in _GRID_RUNS.items():
+        for label, n in _BAD_N.items():
+            yield pytest.param(run, [n], id=f"{name}-{label}")
+        yield pytest.param(run, [10, 0], id=f"{name}-grid-10-0")
+
+
+@pytest.mark.parametrize("run, n", _bad_runs())
+def test_every_run_entry_point_rejects_a_bad_n_before_any_callback(run, n):
+    # the refusing callbacks raise AssertionError, so a ValueError shows that
+    # n was checked before any callback, minimization, limit_ode or draw
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got "):
+        run(_refusing_ou(), n)
+
+
+def _same_result(u, v):
+    if isinstance(u, Trajectory):
+        return np.array_equal(u.knots, v.knots)
+    if isinstance(u, tuple):
+        return all(np.array_equal(p, q) for p, q in zip(u, v))
+    return u == v
+
+
+@pytest.mark.parametrize("name", sorted(_RUNS) + sorted(_GRID_RUNS))
+def test_every_run_entry_point_takes_a_numpy_integer_n(name):
+    m = preset_model("gaussian-ou")
+    if name in _RUNS:
+        got, want = _RUNS[name](m, np.int64(5)), _RUNS[name](m, 5)
+    else:
+        got, want = _GRID_RUNS[name](m, [np.int64(5)]), _GRID_RUNS[name](m, [5])
+    assert _same_result(got, want)

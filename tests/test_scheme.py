@@ -7,7 +7,6 @@ from ldscheme.errors import SimulationBlowup
 from ldscheme.kernel import affine_model, gaussian_base, linear_drift, preset_model, zero_drift
 from ldscheme.scheme import (
     DualMeasure,
-    SchemeRun,
     Trajectory,
     _euler_steps,
     coupled_perturbation_gaps,
@@ -127,8 +126,7 @@ def test_basis_integrals_against_direct_sum():
 
 def test_simulate_seeded_and_shapes():
     m = preset_model("gaussian-ou")
-    run = SchemeRun(model=m, x=[1.0], n=30, a=0.25, seed=4)
-    t1, t2 = simulate(run), simulate(run)
+    t1, t2 = simulate(m, [1.0], 30, 0.25, 4), simulate(m, [1.0], 30, 0.25, 4)
     assert np.array_equal(t1.knots, t2.knots)
     assert t1.knots.shape == (31, 1)
     assert t1.knots[0, 0] == 1.0
@@ -151,14 +149,14 @@ def test_draw_discipline_splits_model_and_smoothing_streams():
                 inc = inc + a * smooth.standard_normal(1)
             state = state + inc / n
             expect.append(state.copy())
-        traj = simulate(SchemeRun(model=m, x=[0.0], n=n, a=a, seed=seed))
+        traj = simulate(m, [0.0], n, a, seed)
         assert np.array_equal(traj.knots, np.array(expect))
 
 
 def test_smoothing_changes_path_but_shares_model_draws():
     m = preset_model("gaussian-free")
-    t0 = simulate(SchemeRun(model=m, x=[0.0], n=20, a=0.0, seed=1))
-    t1 = simulate(SchemeRun(model=m, x=[0.0], n=20, a=0.5, seed=1))
+    t0 = simulate(m, [0.0], 20, 0.0, 1)
+    t1 = simulate(m, [0.0], 20, 0.5, 1)
     assert not np.array_equal(t0.knots, t1.knots)
     # shared model draws mean the gap is the smoothing term alone: replay g
     # from the smoothing stream
@@ -211,7 +209,7 @@ def _replay_ou(m, x, n, a, rows, seed):
     state = np.full((rows, 1), float(x))
     knots = [state]
     for _ in range(n):
-        f = m.drift(state) + m.base.sample(rng, state.shape) @ m.sigma_matrix.T
+        f = m.drift(state) + m.base.sample(rng, state.shape) @ m.sigma.T
         if a > 0.0:
             f = f + a * smooth.standard_normal(state.shape)
         state = state + f / n
@@ -222,7 +220,7 @@ def _replay_ou(m, x, n, a, rows, seed):
 def test_euler_steps_one_row_matches_simulate():
     m = preset_model("gaussian-ou")
     out = _stepper_knots(m, [1.0], 25, 0.5, 1, default_rng(6))
-    ref = simulate(SchemeRun(model=m, x=[1.0], n=25, a=0.5, seed=6))
+    ref = simulate(m, [1.0], 25, 0.5, 6)
     assert np.array_equal(out[0], ref.knots)
     big = _stepper_knots(m, [1.0], 25, 0.5, 7, default_rng(6))
     assert big.shape == (7, 26, 1)
@@ -281,7 +279,7 @@ def test_yielded_arrays_are_never_written_after_their_step(make, a, tilted):
 def test_simulate_blowup_raises_with_step():
     m = preset_model("logistic")
     with pytest.raises(SimulationBlowup) as exc:
-        simulate(SchemeRun(model=m, x=[1e8], n=12, a=0.0, seed=0))
+        simulate(m, [1e8], 12, 0.0, 0)
     assert exc.value.step >= 1
 
 
@@ -313,7 +311,7 @@ def test_phi_n_free_gaussian_closed_form():
 def test_phi_n_martingale_exponent_deterministic_model():
     # sigma = 0: exp(<Y, lam> - phi_n) = 1 for every path the scheme can make
     det = affine_model(1, linear_drift(np.array([[-1.0]])), 0.0, gaussian_base(), summary="det")
-    traj = simulate(SchemeRun(model=det, x=[1.0], n=17, a=0.0, seed=0))
+    traj = simulate(det, [1.0], 17, 0.0, 0)
     lam = DualMeasure.from_atoms([(0.3, [0.4]), (1.0, [-0.9])])
     assert _pair(traj, lam) - phi_n(det, [1.0], 0.0, traj, lam) == pytest.approx(0.0, abs=1e-10)
 
@@ -327,7 +325,7 @@ def test_phi_n_martingale_exponent_deterministic_model():
 def test_phi_n_martingale_exponent_property(ts, ws, seed):
     det = affine_model(1, linear_drift(np.array([[-0.7]])), 0.0, gaussian_base(), summary="det")
     lam = DualMeasure.from_atoms([(t, [w]) for t, w in zip(ts, ws)])
-    traj = simulate(SchemeRun(model=det, x=[0.8], n=9, a=0.0, seed=seed))
+    traj = simulate(det, [0.8], 9, 0.0, seed)
     assert _pair(traj, lam) - phi_n(det, [0.8], 0.0, traj, lam) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -388,8 +386,8 @@ def test_coupling_gap_is_simulates_gap(preset):
     # one realization the gap is the sup gap between simulate's two paths
     m = preset_model(preset)
     gaps, bounds = coupled_perturbation_gaps(m, [0.2], 10, 0.5, seed=3)
-    t_a = simulate(SchemeRun(model=m, x=[0.2], n=10, a=0.5, seed=3))
-    t_0 = simulate(SchemeRun(model=m, x=[0.2], n=10, a=0.0, seed=3))
+    t_a = simulate(m, [0.2], 10, 0.5, 3)
+    t_0 = simulate(m, [0.2], 10, 0.0, 3)
     assert gaps[0] == np.max(np.linalg.norm(t_a.knots - t_0.knots, axis=1))
     if preset == "gaussian-free":
         assert gaps[0] == pytest.approx(0.2545, abs=5e-5)
@@ -441,3 +439,12 @@ def test_load_rejects_bad_files(tmp_path):
     p2.write_text("t,x1\n0.0,1.0\n0.3,2.0\n1.0,3.0\n")
     with pytest.raises(ValueError):
         load_trajectory(p2)
+
+
+def test_package_exports_each_name_once():
+    import ldscheme
+
+    names = ldscheme.__all__
+    assert len(names) == len(set(names)) == 58
+    assert [name for name in names if not hasattr(ldscheme, name)] == []
+    assert "SchemeRun" not in names and not hasattr(ldscheme, "SchemeRun")
