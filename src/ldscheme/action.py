@@ -94,8 +94,7 @@ class MinimizeSettings:
     max_iter: int = 500
 
     def __post_init__(self):
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        kernel._as_count(self.max_iter, "max_iter", 1)
 
 
 @dataclass(frozen=True)
@@ -109,8 +108,7 @@ class ActionProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "x", kernel._as_vector(self.x, self.model.dim, "x"))
-        if self.m < 2:
-            raise ValueError(f"knot count m must be >= 2, got {self.m}")
+        object.__setattr__(self, "m", kernel._as_count(self.m, "m", 2))
         object.__setattr__(self, "a", perturbation_amplitude(self.a))
 
 
@@ -173,17 +171,20 @@ def _quadrature_pass(model, a, knots, gradient: bool = False):
     zs = np.repeat(slopes, n_q, axis=0)
     res = conj_mod.fenchel_rows(model, ys, zs, a=a)
 
-    status = res.status.reshape(m_seg, n_q)
-    values = res.value.reshape(m_seg, n_q)
-    is_div = status == conj_mod.DIVERGENT
-    first_div = np.where(is_div.any(axis=1), is_div.argmax(axis=1), n_q)
-    late = np.arange(n_q)[None, :] >= first_div[:, None]
-    divergent = [int(k) for k in np.flatnonzero(first_div < n_q)]
-    warnings = [(int(k), int(q)) for k, q in zip(*np.nonzero((status == conj_mod.MAX_ITERATIONS) & ~late))]
+    divergent, warnings = [], []
+    if (res.status != conj_mod.CONVERGED).any():
+        status = res.status.reshape(m_seg, n_q)
+        is_div = status == conj_mod.DIVERGENT
+        first_div = np.where(is_div.any(axis=1), is_div.argmax(axis=1), n_q)
+        late = np.arange(n_q)[None, :] >= first_div[:, None]
+        divergent = [int(k) for k in np.flatnonzero(first_div < n_q)]
+        warnings = [(int(k), int(q)) for k, q in zip(*np.nonzero((status == conj_mod.MAX_ITERATIONS) & ~late))]
 
+    # sum the nodes column by column, in node order: a numpy reduction would pick its own order
+    weighted = res.value.reshape(m_seg, n_q) * _WEIGHTS
     acc = np.zeros(m_seg)
     for q in range(n_q):
-        acc += _WEIGHTS[q] * values[:, q]
+        acc += weighted[:, q]
     seg_values = dt * acc
     seg_values[divergent] = np.inf
     if not gradient or divergent:
@@ -202,11 +203,16 @@ def _quadrature_pass(model, a, knots, gradient: bool = False):
     cy = (-(c[0] - c[1]) / (2.0 * h)).T.reshape(m_seg, n_q, d)
     astar = astar.reshape(m_seg, n_q, d)
     right_w, left_w = dt * _WEIGHTS * _NODES, dt * _WEIGHTS * (1.0 - _NODES)
+    # each node's terms for the knots at the right and left ends of its segment
+    right_t = right_w[:, None] * cy
+    right_t += _WEIGHTS[:, None] * astar
+    left_t = left_w[:, None] * cy
+    left_t -= _WEIGHTS[:, None] * astar
     grad = np.zeros((m_seg + 1, d))
     for q in range(n_q):
-        grad[1:] += right_w[q] * cy[:, q] + _WEIGHTS[q] * astar[:, q]
+        grad[1:] += right_t[:, q]
     for q in range(n_q):
-        grad[:-1] += left_w[q] * cy[:, q] - _WEIGHTS[q] * astar[:, q]
+        grad[:-1] += left_t[:, q]
     return seg_values, grad, divergent, warnings
 
 
@@ -234,8 +240,7 @@ def limit_ode(model: KernelModel, x, steps: int) -> Trajectory:
     Takes `steps` uniform RK steps and returns the sampled polygon with
     steps + 1 knots.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    steps = kernel._as_count(steps, "steps", 1)
     x = kernel._as_vector(x, model.dim, "x")
     zero = np.zeros((1, model.dim))
 

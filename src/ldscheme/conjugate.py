@@ -154,7 +154,12 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     tol = GRAD_TOL_SCALE * (1.0 + np.linalg.norm(zs, axis=1))
 
     def objective(y, z, alpha):
-        return _dot_rows(z, alpha) - kernel.cgf_rows(model, y, alpha) - 0.5 * aa * _dot_rows(alpha, alpha)
+        h = _dot_rows(z, alpha) - kernel.cgf_rows(model, y, alpha)
+        # at a = 0 the smoothing term is +0.0 (|alpha| stays below NORM_CAP + MAX_STEP),
+        # and subtracting +0.0 changes no value, -0.0 included
+        if aa > 0.0:
+            h = h - 0.5 * aa * _dot_rows(alpha, alpha)
+        return h
 
     def gradient(y, z, alpha):
         return z - kernel.cgf_grad_rows(model, y, alpha) - aa * alpha
@@ -189,12 +194,14 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
         grad = gradient(y, z, al)
         gnorm = np.linalg.norm(grad, axis=1)
         done = gnorm <= tl
+        if done.all():  # no row is left to compact
+            finish(row, CONVERGED, it, gnorm, hv, al)
+            live = [v[:0] for v in live]
+            break
         if done.any():
             finish(row[done], CONVERGED, it, gnorm[done], hv[done], al[done])
             live, grad, gnorm = [v[~done] for v in live], grad[~done], gnorm[~done]
             row, y, z, tl, al, hv, run, bv, ba = live
-            if row.size == 0:
-                break
 
         hess = kernel.cgf_hess_rows(model, y, al)
         if aa > 0.0:
@@ -205,9 +212,11 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
         # a Newton direction that overflowed (flat Hessian) becomes the
         # longest admissible gradient step
         blown = ~np.isfinite(pnorm)
-        p[blown] = grad[blown] * (MAX_STEP / gnorm[blown])[:, None]
+        if blown.any():
+            p[blown] = grad[blown] * (MAX_STEP / gnorm[blown])[:, None]
         long_ = ~blown & (pnorm > MAX_STEP)
-        p[long_] = p[long_] * (MAX_STEP / pnorm[long_])[:, None]
+        if long_.any():
+            p[long_] = p[long_] * (MAX_STEP / pnorm[long_])[:, None]
 
         # backtracking line search on the concave objectives, by row mask;
         # pending rows: index into the live rows, y, z, alpha, p, h, slope

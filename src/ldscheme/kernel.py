@@ -49,6 +49,13 @@ def _as_vector(x, dim: int, name: str) -> np.ndarray:
     return _finite(v, name)
 
 
+def _as_count(value, name: str, least: int) -> int:
+    """value as an int, if it is an integer >= least; a numpy integer is accepted, a bool or a float is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _require_dim(what: str, dim: int, model_dim: int) -> None:
     """Reject a path or measure whose dimension is not the model's."""
     if dim != model_dim:
@@ -83,11 +90,20 @@ class BaseNoise:
 
 def gaussian_base() -> BaseNoise:
     """Standard normal product law: logmgf(alpha) = |alpha|^2 / 2."""
+
+    def hess(a):
+        # one identity per row, written as every (d + 1)-th entry of the flat rows
+        shape = np.shape(a)
+        d = shape[-1]
+        out = np.zeros(shape + (d,))
+        out.reshape(shape[:-1] + (d * d,))[..., :: d + 1] = 1.0
+        return out
+
     return BaseNoise(
         kind="gaussian",
         logmgf=lambda a: 0.5 * np.sum(np.square(a), axis=-1),
         logmgf_grad=lambda a: np.asarray(a, dtype=np.float64),
-        logmgf_hess=lambda a: np.broadcast_to(np.eye(np.shape(a)[-1]), np.shape(a) + np.shape(a)[-1:]).copy(),
+        logmgf_hess=hess,
         sample=lambda rng, size: rng.standard_normal(size),
     )
 

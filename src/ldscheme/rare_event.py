@@ -143,14 +143,8 @@ def _require_event_dim(event: EventSpec, dim: int) -> None:
         raise ValueError(f"{event.record()['kind']} event has shape {shape}, the model dim is {dim}")
 
 
-def _require_two_samples(samples: int) -> None:
-    """The weighted estimators report a ddof=1 standard error, which needs two samples."""
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2 for a standard error, got {samples}")
-
-
 def _mean_stderr(vals: np.ndarray) -> Tuple[float, float]:
-    """Sample mean and its ddof=1 standard error."""
+    """Sample mean and its ddof=1 standard error; the weighted estimators check samples >= 2 for it."""
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
 
 
@@ -265,6 +259,8 @@ def mc_probability(model: KernelModel, x, n: int, a, event: EventSpec, samples: 
     when no hit was observed.
     """
     x, amp, (n,) = _run_args(model, x, [n], a)
+    samples = kernel._as_count(samples, "samples", 1)
+    workers = kernel._as_count(workers, "workers", 1)
     _require_event_dim(event, model.dim)
     p = float(np.mean(_hits(model, x, n, amp, event, samples, workers, (seed,))))
     return _report(model, event, n, samples, seed, p, float(np.sqrt(p * (1.0 - p) / samples)), "naive")
@@ -344,10 +340,11 @@ def tilted_mc_probability(
     base and an event whose half-space excludes the mean flow terminal.
     """
     x, _, (n,) = _run_args(model, x, [n])
+    samples = kernel._as_count(samples, "samples", 2)
+    workers = kernel._as_count(workers, "workers", 1)
     if not isinstance(event, TerminalHalfspace):
         raise ValueError("tilted estimation only covers terminal half-space events")
     _require_tiltable(model)
-    _require_two_samples(samples)
     _require_event_dim(event, model.dim)
     plan = _tilt_plan(model, x, event)
     return _tilted_estimate(model, x, n, event, samples, (seed,), workers, plan)
@@ -385,8 +382,9 @@ def martingale_check(
     so the total variation of lam is capped at MAX_VARIATION.
     """
     x, amp, (n,) = _run_args(model, x, [n], a)
+    samples = kernel._as_count(samples, "samples", 2)
+    workers = kernel._as_count(workers, "workers", 1)
     kernel._require_dim("measure", lam.dim, model.dim)
-    _require_two_samples(samples)
     variation = lam.variation()
     if variation > MAX_VARIATION:
         raise ValueError(
@@ -434,10 +432,11 @@ def verify_rate(
     combined standard errors of the rates involved.
     """
     x, _, n_grid = _run_args(model, x, n_grid)
+    samples = kernel._as_count(samples, "samples", 2)
+    workers = kernel._as_count(workers, "workers", 1)
     if not isinstance(event, TerminalHalfspace):
         raise ValueError("rate verification targets terminal half-space events")
     _require_tiltable(model)
-    _require_two_samples(samples)
     _require_event_dim(event, model.dim)
     if len(n_grid) < 1:
         raise ValueError("n_grid must be nonempty")
@@ -514,6 +513,8 @@ def verify_ode_convergence(
     (None when fewer than two survive).
     """
     x, _, n_grid = _run_args(model, x, n_grid)
+    samples = kernel._as_count(samples, "samples", 1)
+    workers = kernel._as_count(workers, "workers", 1)
     event = PathDeviationEvent(epsilon=epsilon)
     if len(n_grid) < 1:
         raise ValueError("n_grid must be nonempty")

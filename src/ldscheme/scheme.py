@@ -182,10 +182,8 @@ def _run_args(model: KernelModel, x, n_grid, a=0.0) -> tuple[np.ndarray, float, 
     any model callback, plan, reference solve or draw.
     """
     x = kernel._as_vector(x, model.dim, "x")
-    for n in n_grid:
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    return x, perturbation_amplitude(a), [int(n) for n in n_grid]
+    n_grid = [kernel._as_count(n, "n", 1) for n in n_grid]
+    return x, perturbation_amplitude(a), n_grid
 
 
 def _check_finite(states: np.ndarray, k: int) -> None:
@@ -316,9 +314,9 @@ def coupled_perturbation_gaps(
     from .kernel import AffineNoiseModel
 
     x, amp, (n,) = _run_args(model, x, [n], a)
+    b = kernel._as_count(realizations, "realizations", 1)
     if not isinstance(model, AffineNoiseModel):
         raise TypeError("pathwise coupling needs the affine structure to share draws")
-    b = realizations
     plain = _euler_steps(model, x, n, 0.0, default_rng(seed), b)
     smooth = _euler_steps(model, x, n, amp, default_rng(seed), b)
     g_stream = default_rng(seed).spawn(1)[0]

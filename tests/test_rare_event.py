@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import re
 import sys
 
 import numpy as np
@@ -7,7 +9,7 @@ from numpy.random import default_rng
 from scipy.stats import norm
 
 from ldscheme import kernel
-from ldscheme.action import TerminalHalfspace
+from ldscheme.action import ActionProblem, TerminalHalfspace, limit_ode, minimize_action
 from ldscheme.errors import SimulationBlowup
 from ldscheme.kernel import affine_model, gaussian_base, linear_drift, logistic_drift, preset_model
 from ldscheme.rare_event import (
@@ -78,7 +80,7 @@ def test_weighted_estimators_need_two_samples(run, monkeypatch):
 
     monkeypatch.setattr(rare_event, "_map_chunks", forbidden)
     monkeypatch.setattr(rare_event, "_tilt_plan", forbidden)
-    with pytest.raises(ValueError, match="samples must be >= 2"):
+    with pytest.raises(ValueError, match="samples must be an integer >= 2"):
         run(preset_model("gaussian-free"), DualMeasure.point_mass(1.0, 0.5))
 
 
@@ -774,3 +776,80 @@ def test_every_run_entry_point_takes_a_numpy_integer_n(name):
     else:
         got, want = _GRID_RUNS[name](m, [np.int64(5)]), _GRID_RUNS[name](m, [5])
     assert _same_result(got, want)
+
+
+# every estimator, called with `samples` replicas on `workers` threads, and the
+# least sample count it takes (two where it reports a ddof=1 standard error)
+_ESTIMATORS = {
+    "mc_probability": (1, lambda m, s, w: mc_probability(m, [0.0], 10, 0.0, _HALF, s, seed=1, workers=w)),
+    "mc_probability-deviation": (
+        1, lambda m, s, w: mc_probability(m, [0.0], 10, 0.0, PathDeviationEvent(0.5), s, seed=1, workers=w)),
+    "tilted_mc_probability": (2, lambda m, s, w: tilted_mc_probability(m, [0.0], 10, _HALF, s, seed=1, workers=w)),
+    "martingale_check": (
+        2, lambda m, s, w: martingale_check(m, [0.0], 10, 0.0, DualMeasure.point_mass(1.0, 0.5), s, seed=1, workers=w)),
+    "verify_rate": (2, lambda m, s, w: verify_rate(m, [0.0], _HALF, [10], s, seed=1, workers=w)),
+    "verify_ode_convergence": (1, lambda m, s, w: verify_ode_convergence(m, [0.0], 0.5, [10], s, seed=1, workers=w)),
+}
+_BAD_COUNTS = {"bool": True, "float": 2.5, "zero": 0, "negative": -1}
+
+
+def _bad_replica_args():
+    for name, (least, run) in _ESTIMATORS.items():
+        bad = dict(_BAD_COUNTS, **({"one": 1} if least == 2 else {}))
+        for label, v in bad.items():
+            yield pytest.param(lambda m, run=run, v=v: run(m, v, 1), "samples", least, v, id=f"{name}-samples-{label}")
+        for label, v in _BAD_COUNTS.items():
+            yield pytest.param(lambda m, run=run, v=v: run(m, 50, v), "workers", 1, v, id=f"{name}-workers-{label}")
+
+
+@pytest.mark.parametrize("call, arg, least, value", _bad_replica_args())
+def test_every_estimator_rejects_bad_samples_and_workers_before_any_callback(call, arg, least, value):
+    # the refusing callbacks raise AssertionError, so a ValueError shows that the
+    # argument was checked before any callback, minimization, limit_ode or draw
+    with pytest.raises(ValueError, match=rf"^{arg} must be an integer >= {least}, got {re.escape(repr(value))}$"):
+        call(_refusing_ou())
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+def test_every_estimator_takes_numpy_integer_samples_and_workers(name):
+    run = _ESTIMATORS[name][1]
+    m = preset_model("gaussian-ou")
+    got, want = run(m, np.int64(50), np.int64(1)), run(m, 50, 1)
+    # json.dumps refuses a numpy integer, so the report must hold plain ints
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+# the other integer arguments: the knot count of a path minimization, the
+# steps of the mean flow and the realizations of a coupling
+_COUNTS = {
+    "m": (2, lambda m, v: ActionProblem(model=m, x=[0.0], terminal=_HALF, m=v)),
+    "steps": (1, lambda m, v: limit_ode(m, [0.0], v)),
+    "realizations": (1, lambda m, v: coupled_perturbation_gaps(m, [0.0], 10, 0.5, 1, realizations=v)),
+}
+
+
+def _bad_counts():
+    for arg, (least, call) in _COUNTS.items():
+        bad = dict(_BAD_COUNTS, **({"one": 1} if least == 2 else {}))
+        for label, v in bad.items():
+            yield pytest.param(call, arg, least, v, id=f"{arg}-{label}")
+
+
+@pytest.mark.parametrize("call, arg, least, value", _bad_counts())
+def test_integer_arguments_reject_bools_floats_and_small_values_before_any_callback(call, arg, least, value):
+    with pytest.raises(ValueError, match=rf"^{arg} must be an integer >= {least}, got {re.escape(repr(value))}$"):
+        call(_refusing_ou(), value)
+
+
+@pytest.mark.parametrize("arg", sorted(_COUNTS))
+def test_integer_arguments_take_a_numpy_integer(arg):
+    m = preset_model("gaussian-ou")
+    call = _COUNTS[arg][1]
+    got, want = call(m, np.int64(5)), call(m, 5)
+    if arg == "m":
+        assert type(got.m) is int and got == want
+        got, want = minimize_action(got), minimize_action(want)
+        assert np.array_equal(got.trajectory.knots, want.trajectory.knots)
+        assert (got.action.value, got.iterations, got.log) == (want.action.value, want.iterations, want.log)
+    else:
+        assert _same_result(got, want)
