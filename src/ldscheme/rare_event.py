@@ -258,9 +258,7 @@ def mc_probability(model: KernelModel, x, n: int, a, event: EventSpec, samples: 
     sqrt(p (1 - p) / samples); empirical_rate = -log(p_hat) / n is None
     when no hit was observed.
     """
-    x, amp, (n,) = _run_args(model, x, [n], a)
-    samples = kernel._as_count(samples, "samples", 1)
-    workers = kernel._as_count(workers, "workers", 1)
+    x, amp, (n,), seed, samples, workers = _run_args(model, x, [n], a, seed, samples, workers)
     _require_event_dim(event, model.dim)
     p = float(np.mean(_hits(model, x, n, amp, event, samples, workers, (seed,))))
     return _report(model, event, n, samples, seed, p, float(np.sqrt(p * (1.0 - p) / samples)), "naive")
@@ -269,15 +267,18 @@ def mc_probability(model: KernelModel, x, n: int, a, event: EventSpec, samples: 
 # ---------------------------------------------------------------------------
 # tilted estimation
 
-def _require_tiltable(model: KernelModel):
+def _tilt_plan(model, x, event: TerminalHalfspace):
+    """Minimum-cost path into the half-space and its cost (the predicted rate).
+
+    The event and the model are checked first, before the mean flow is solved.
+    """
+    if not isinstance(event, TerminalHalfspace):
+        raise ValueError("tilted estimation only covers terminal half-space events")
     if not (isinstance(model, AffineNoiseModel) and model.base.kind == "gaussian"):
         raise ValueError("tilted estimation requires an affine model with Gaussian base noise")
     if callable(model.sigma):
         raise ValueError("tilted estimation requires a constant sigma")
-
-
-def _tilt_plan(model, x, event: TerminalHalfspace):
-    """Minimum-cost path into the half-space and its cost (the predicted rate)."""
+    _require_event_dim(event, model.dim)
     flow = limit_ode(model, x, steps=256)
     drift_terminal = float(flow.knots[-1] @ event.normal)
     if drift_terminal >= event.level:
@@ -339,13 +340,7 @@ def tilted_mc_probability(
     estimate is unbiased whatever the tilt quality.  Requires a Gaussian
     base and an event whose half-space excludes the mean flow terminal.
     """
-    x, _, (n,) = _run_args(model, x, [n])
-    samples = kernel._as_count(samples, "samples", 2)
-    workers = kernel._as_count(workers, "workers", 1)
-    if not isinstance(event, TerminalHalfspace):
-        raise ValueError("tilted estimation only covers terminal half-space events")
-    _require_tiltable(model)
-    _require_event_dim(event, model.dim)
+    x, _, (n,), seed, samples, workers = _run_args(model, x, [n], 0.0, seed, samples, workers, min_samples=2)
     plan = _tilt_plan(model, x, event)
     return _tilted_estimate(model, x, n, event, samples, (seed,), workers, plan)
 
@@ -381,9 +376,7 @@ def martingale_check(
     level, and atomic lam.  Large measures make the integrand heavy tailed,
     so the total variation of lam is capped at MAX_VARIATION.
     """
-    x, amp, (n,) = _run_args(model, x, [n], a)
-    samples = kernel._as_count(samples, "samples", 2)
-    workers = kernel._as_count(workers, "workers", 1)
+    x, amp, (n,), seed, samples, workers = _run_args(model, x, [n], a, seed, samples, workers, min_samples=2)
     kernel._require_dim("measure", lam.dim, model.dim)
     variation = lam.variation()
     if variation > MAX_VARIATION:
@@ -431,15 +424,7 @@ def verify_rate(
     increase is recorded as a violation, excused when it sits within two
     combined standard errors of the rates involved.
     """
-    x, _, n_grid = _run_args(model, x, n_grid)
-    samples = kernel._as_count(samples, "samples", 2)
-    workers = kernel._as_count(workers, "workers", 1)
-    if not isinstance(event, TerminalHalfspace):
-        raise ValueError("rate verification targets terminal half-space events")
-    _require_tiltable(model)
-    _require_event_dim(event, model.dim)
-    if len(n_grid) < 1:
-        raise ValueError("n_grid must be nonempty")
+    x, _, n_grid, seed, samples, workers = _run_args(model, x, n_grid, 0.0, seed, samples, workers, min_samples=2)
     plan = _tilt_plan(model, x, event)
     predicted = float(plan.action.value)
     estimates = []
@@ -512,12 +497,8 @@ def verify_ode_convergence(
     least-squares slope of log q_n against n over the surviving points
     (None when fewer than two survive).
     """
-    x, _, n_grid = _run_args(model, x, n_grid)
-    samples = kernel._as_count(samples, "samples", 1)
-    workers = kernel._as_count(workers, "workers", 1)
+    x, _, n_grid, seed, samples, workers = _run_args(model, x, n_grid, 0.0, seed, samples, workers)
     event = PathDeviationEvent(epsilon=epsilon)
-    if len(n_grid) < 1:
-        raise ValueError("n_grid must be nonempty")
     rows = []
     for idx, n in enumerate(n_grid):
         count = int(np.sum(_hits(model, x, n, 0.0, event, samples, workers, (seed, idx))))

@@ -173,17 +173,23 @@ class DualMeasure:
         return phi @ self.weights
 
 
-def _run_args(model: KernelModel, x, n_grid, a=0.0) -> tuple[np.ndarray, float, list[int]]:
-    """The checked arguments of a run: x, every n of n_grid, and a.
+def _run_args(model: KernelModel, x, n_grid, a, seed, samples=1, workers=1, min_samples=1):
+    """The checked arguments of a run: (x, a, n_grid, seed, samples, workers).
 
-    x must be a finite vector of the model's dimension, each n an integer
-    >= 1 (a numpy integer included, a bool not), and a finite and >= 0.
-    Every run entry point calls this first, so a bad argument fails before
-    any model callback, plan, reference solve or draw.
+    x must be a finite vector of the model's dimension, n_grid a nonempty
+    list of integers n >= 1, a finite and >= 0, seed an integer >= 0,
+    samples an integer >= min_samples (2 where a ddof=1 standard error is
+    reported) and workers an integer >= 1.  A numpy integer is returned as
+    a plain int; a bool or a float is refused.  Every run entry point calls
+    this first, so a bad argument fails before any model callback, plan,
+    reference solve or draw.
     """
     x = kernel._as_vector(x, model.dim, "x")
     n_grid = [kernel._as_count(n, "n", 1) for n in n_grid]
-    return x, perturbation_amplitude(a), n_grid
+    if not n_grid:
+        raise ValueError("n_grid must be nonempty")
+    return (x, perturbation_amplitude(a), n_grid, kernel._as_count(seed, "seed", 0),
+            kernel._as_count(samples, "samples", min_samples), kernel._as_count(workers, "workers", 1))
 
 
 def _check_finite(states: np.ndarray, k: int) -> None:
@@ -232,7 +238,7 @@ def simulate(model: KernelModel, x, n: int, a, seed: int) -> Trajectory:
     Raises SimulationBlowup with the offending step index if the state
     leaves the representable range.
     """
-    x, amp, (n,) = _run_args(model, x, [n], a)
+    x, amp, (n,), seed, _, _ = _run_args(model, x, [n], a, seed)
     knots = np.empty((n + 1, model.dim))
     knots[0] = x
     for k, _, _, state in _euler_steps(model, x, n, amp, default_rng(seed), 1):
@@ -313,7 +319,7 @@ def coupled_perturbation_gaps(
     """
     from .kernel import AffineNoiseModel
 
-    x, amp, (n,) = _run_args(model, x, [n], a)
+    x, amp, (n,), seed, _, _ = _run_args(model, x, [n], a, seed)
     b = kernel._as_count(realizations, "realizations", 1)
     if not isinstance(model, AffineNoiseModel):
         raise TypeError("pathwise coupling needs the affine structure to share draws")

@@ -106,7 +106,9 @@ def test_estimators_reject_event_of_wrong_dimension(run, monkeypatch):
         raise AssertionError("simulated before validating the event")
 
     monkeypatch.setattr(rare_event, "_map_chunks", forbidden)
-    monkeypatch.setattr(rare_event, "_tilt_plan", forbidden)
+    # the tilted estimators check the event inside _tilt_plan, ahead of its mean flow
+    monkeypatch.setattr(rare_event, "limit_ode", forbidden)
+    monkeypatch.setattr(rare_event, "minimize_action", forbidden)
     with pytest.raises(ValueError, match=r"event has shape \(2,\), the model dim is 1"):
         run(preset_model("gaussian-ou"))
 
@@ -690,11 +692,13 @@ def test_verify_ode_all_censored():
 @pytest.mark.parametrize(
     "epsilon, n_grid, message",
     [
-        # an empty grid used to return a report with no rows, epsilon=nan included
-        (np.nan, [], "epsilon must be positive and finite"),
+        # an empty grid used to return a report with no rows, epsilon=nan included;
+        # the grid is a run argument, so it is checked before epsilon
+        (np.nan, [], "n_grid must be nonempty"),
         (0.5, [], "n_grid must be nonempty"),
+        (np.nan, [10], "epsilon must be positive and finite"),
     ],
-    ids=["nan-empty", "empty"],
+    ids=["nan-empty", "empty", "nan"],
 )
 def test_verify_ode_rejects_bad_epsilon_and_empty_grid(epsilon, n_grid, message, monkeypatch):
     import ldscheme.rare_event as rare_event
@@ -778,17 +782,21 @@ def test_every_run_entry_point_takes_a_numpy_integer_n(name):
     assert _same_result(got, want)
 
 
-# every estimator, called with `samples` replicas on `workers` threads, and the
-# least sample count it takes (two where it reports a ddof=1 standard error)
+# every estimator, called with `samples` replicas on `workers` threads from
+# `seed`, and the least sample count it takes (two where it reports a ddof=1
+# standard error)
 _ESTIMATORS = {
-    "mc_probability": (1, lambda m, s, w: mc_probability(m, [0.0], 10, 0.0, _HALF, s, seed=1, workers=w)),
+    "mc_probability": (
+        1, lambda m, s, w, seed=1: mc_probability(m, [0.0], 10, 0.0, _HALF, s, seed=seed, workers=w)),
     "mc_probability-deviation": (
-        1, lambda m, s, w: mc_probability(m, [0.0], 10, 0.0, PathDeviationEvent(0.5), s, seed=1, workers=w)),
-    "tilted_mc_probability": (2, lambda m, s, w: tilted_mc_probability(m, [0.0], 10, _HALF, s, seed=1, workers=w)),
-    "martingale_check": (
-        2, lambda m, s, w: martingale_check(m, [0.0], 10, 0.0, DualMeasure.point_mass(1.0, 0.5), s, seed=1, workers=w)),
-    "verify_rate": (2, lambda m, s, w: verify_rate(m, [0.0], _HALF, [10], s, seed=1, workers=w)),
-    "verify_ode_convergence": (1, lambda m, s, w: verify_ode_convergence(m, [0.0], 0.5, [10], s, seed=1, workers=w)),
+        1, lambda m, s, w, seed=1: mc_probability(m, [0.0], 10, 0.0, PathDeviationEvent(0.5), s, seed=seed, workers=w)),
+    "tilted_mc_probability": (
+        2, lambda m, s, w, seed=1: tilted_mc_probability(m, [0.0], 10, _HALF, s, seed=seed, workers=w)),
+    "martingale_check": (2, lambda m, s, w, seed=1: martingale_check(
+        m, [0.0], 10, 0.0, DualMeasure.point_mass(1.0, 0.5), s, seed=seed, workers=w)),
+    "verify_rate": (2, lambda m, s, w, seed=1: verify_rate(m, [0.0], _HALF, [10], s, seed=seed, workers=w)),
+    "verify_ode_convergence": (
+        1, lambda m, s, w, seed=1: verify_ode_convergence(m, [0.0], 0.5, [10], s, seed=seed, workers=w)),
 }
 _BAD_COUNTS = {"bool": True, "float": 2.5, "zero": 0, "negative": -1}
 
@@ -819,20 +827,25 @@ def test_every_estimator_takes_numpy_integer_samples_and_workers(name):
     assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
 
-# the other integer arguments: the knot count of a path minimization, the
-# steps of the mean flow and the realizations of a coupling
+# the other integer arguments, each keyed by its case: the knot count of a path
+# minimization, the steps of the mean flow, the realizations of a coupling and
+# the seed of every run entry point
 _COUNTS = {
-    "m": (2, lambda m, v: ActionProblem(model=m, x=[0.0], terminal=_HALF, m=v)),
-    "steps": (1, lambda m, v: limit_ode(m, [0.0], v)),
-    "realizations": (1, lambda m, v: coupled_perturbation_gaps(m, [0.0], 10, 0.5, 1, realizations=v)),
+    "m": ("m", 2, lambda m, v: ActionProblem(model=m, x=[0.0], terminal=_HALF, m=v)),
+    "steps": ("steps", 1, lambda m, v: limit_ode(m, [0.0], v)),
+    "realizations": ("realizations", 1, lambda m, v: coupled_perturbation_gaps(m, [0.0], 10, 0.5, 1, realizations=v)),
+    "seed-simulate": ("seed", 0, lambda m, v: simulate(m, [0.0], 10, 0.0, v)),
+    "seed-coupled_perturbation_gaps": ("seed", 0, lambda m, v: coupled_perturbation_gaps(m, [0.0], 10, 0.5, v)),
+    **{f"seed-{name}": ("seed", 0, lambda m, v, run=run: run(m, 50, 1, v)) for name, (_, run) in _ESTIMATORS.items()},
 }
 
 
 def _bad_counts():
-    for arg, (least, call) in _COUNTS.items():
-        bad = dict(_BAD_COUNTS, **({"one": 1} if least == 2 else {}))
+    for case, (arg, least, call) in _COUNTS.items():
+        # a bool, a float, and each integer below least
+        bad = {label: v for label, v in dict(_BAD_COUNTS, one=1).items() if type(v) is not int or v < least}
         for label, v in bad.items():
-            yield pytest.param(call, arg, least, v, id=f"{arg}-{label}")
+            yield pytest.param(call, arg, least, v, id=f"{case}-{label}")
 
 
 @pytest.mark.parametrize("call, arg, least, value", _bad_counts())
@@ -841,12 +854,15 @@ def test_integer_arguments_reject_bools_floats_and_small_values_before_any_callb
         call(_refusing_ou(), value)
 
 
-@pytest.mark.parametrize("arg", sorted(_COUNTS))
-def test_integer_arguments_take_a_numpy_integer(arg):
+@pytest.mark.parametrize("case", sorted(_COUNTS))
+def test_integer_arguments_take_a_numpy_integer(case):
     m = preset_model("gaussian-ou")
-    call = _COUNTS[arg][1]
+    call = _COUNTS[case][2]
     got, want = call(m, np.int64(5)), call(m, 5)
-    if arg == "m":
+    if hasattr(got, "to_json_dict"):
+        # json.dumps refuses a numpy integer, so the report must hold plain ints
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    if case == "m":
         assert type(got.m) is int and got == want
         got, want = minimize_action(got), minimize_action(want)
         assert np.array_equal(got.trajectory.knots, want.trajectory.knots)

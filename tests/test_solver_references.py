@@ -8,7 +8,10 @@ coordinate of the y-gradient and classified every node's status on every
 call.  Both rewrites keep every floating-point operation with its operands
 and order, so every field must match bit for bit: the floats are compared as
 their raw bytes, which tells -0.0 from 0.0 (the NaN argmax rows of divergent
-rows are the same np.nan on both sides).
+rows are the same np.nan on both sides).  The ou-signed-zero-gradient case
+ends rows at raw gradient entries of -0.0, which the gradient's a = 0 term
+- aa * alpha turns into +0.0; its outputs must match the reference's bytes
+with that term kept on both sides.
 """
 
 import numpy as np
@@ -233,6 +236,9 @@ def _batches():
     for d in (2, 3):
         cases[f"linear-{d}d"] = (_linear_model(d, d), rng.normal(size=(50, d)), 1.5 * rng.normal(size=(50, d)), 0.0)
     cases["linear-3d-a-0.3"] = (_linear_model(3, 3), rng.normal(size=(50, 3)), 1.5 * rng.normal(size=(50, 3)), 0.3)
+    # the maximizer is exactly the drift -y, where z - cgf_grad is -0.0
+    signed_ys = np.array([[-0.5], [-0.25], [-1.0], [-3.0], [0.0], [0.5]])
+    cases["ou-signed-zero-gradient"] = (ou, signed_ys, np.full_like(signed_ys, -0.0), 0.0)
     return cases
 
 
@@ -251,6 +257,12 @@ def test_compacted_solve_equals_the_row_mask_reference(case, max_iter, monkeypat
         assert got.status.tolist() == [CONVERGED, MAX_ITERATIONS, CONVERGED, MAX_ITERATIONS, MAX_ITERATIONS]
         assert got.iterations.tolist() == [2, 1, 2, 2, 2]
         assert got.argmax[3, 0] == pytest.approx(-1.5)
+    if case == "ou-signed-zero-gradient":
+        # every row ends with a raw gradient of -0.0; where the argmax is negative the
+        # gradient's term - aa * alpha = -(-0.0) turns it into +0.0
+        g = zs - kernel.cgf_grad_rows(model, ys, got.argmax)
+        assert np.signbit(g).all() and (got.argmax < 0.0).sum() == 4
+        assert np.array_equal(np.signbit(g - 0.0 * got.argmax), got.argmax >= 0.0)
 
 
 def _paths():
