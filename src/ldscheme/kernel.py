@@ -184,18 +184,16 @@ class AffineNoiseModel(KernelModel):
     Its callbacks are the affine formulas of the module docstring, evaluated
     on all rows at once, and bound to the drift, sigma and base it was built
     with: build a variant with affine_model, not dataclasses.replace of those
-    fields.  sigma is the constant (d, d) matrix when sigma was given as a
-    matrix or as a callable that never reads its state; else it is that
-    callable, called once per row.  drift_broadcasts=True declares that
-    drift accepts the (m, d) array of all rows and returns exactly (m, d),
-    so it is called once for all rows rather than once per row; any other
-    shape is a ValueError.
+    fields.  drift maps the (m, d) rows to exactly (m, d).  sigma is the
+    constant (d, d) matrix when sigma was given as a matrix or as a callable
+    that never reads its state; else it is that callable, which maps the rows
+    to exactly (m, d, d).  Each is called once per evaluation; any other
+    shape, a (d, d) sigma included, is a ValueError naming the callback.
     """
 
     drift: Callable[[np.ndarray], np.ndarray] = None
     sigma: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]] = None
     base: BaseNoise = None
-    drift_broadcasts: bool = False
 
 
 class _UnreadState:
@@ -211,13 +209,13 @@ class _UnreadState:
 def _state_free_value(sigma, dim: int):
     """sigma's value if it is a finite (dim, dim) matrix that does not depend on the state, else sigma.
 
-    It must come without reading a stand-in state, and equal sigma at a
+    It must come without reading a stand-in state, and equal sigma on a
     real row, so that no branch on the argument's type can tell them apart.
     """
     try:
         value = np.asarray(sigma(_UnreadState()), dtype=np.float64)
-        at_row = np.asarray(sigma(np.zeros(dim)), dtype=np.float64)
-    except Exception:  # any failure on the stand-in only means not proven constant: sigma stays per row
+        at_row = np.asarray(sigma(np.zeros((1, dim))), dtype=np.float64)
+    except Exception:  # any failure on the stand-in only means not proven constant: sigma stays a callable
         return sigma
     if value.shape == (dim, dim) and np.all(np.isfinite(value)) and np.array_equal(value, at_row):
         return value
@@ -238,17 +236,20 @@ def affine_model(
     sigma,
     base: BaseNoise,
     summary: str = "affine",
-    drift_broadcasts: bool = False,
+    *,
+    drift_broadcasts: bool = True,
 ) -> AffineNoiseModel:
     """Assemble an AffineNoiseModel from drift, diffusion, and base law.
 
-    sigma may be a callable y -> (d, d) matrix, a constant (d, d) array,
-    or a scalar (interpreted as scalar * identity); a constant must be finite.
-    A callable sigma is called here on a stand-in state that raises when
-    read, and on a zero row: if both give the same finite (d, d) matrix, that
-    matrix is the constant sigma.  drift_broadcasts=True declares that drift
-    takes the (m, d) array of all rows; see AffineNoiseModel.
+    drift maps (m, d) rows to (m, d); sigma may be a callable that maps them
+    to (m, d, d), a constant (d, d) array, or a scalar (scalar * identity);
+    a constant must be finite.  A callable sigma is called here on a stand-in
+    state that raises when read, and on one zero row: if both give the same
+    finite (d, d) matrix, that matrix is the constant sigma.
+    drift_broadcasts accepts only True, since drift always takes the rows.
     """
+    if drift_broadcasts is not True:
+        raise ValueError(f"drift_broadcasts must be True, got {drift_broadcasts!r}: drift always takes the rows")
     if np.isscalar(sigma):
         sigma = _finite(sigma, "constant sigma") * np.eye(dim)
     elif callable(sigma):
@@ -286,7 +287,6 @@ def affine_model(
         drift=drift,
         sigma=sigma,
         base=base,
-        drift_broadcasts=drift_broadcasts,
     )
     return model
 
@@ -306,21 +306,24 @@ def cgf_grad(model: KernelModel, y, alpha) -> np.ndarray:
     return np.asarray(model.cgf_grad(y[None], alpha[None])[0], dtype=np.float64)
 
 
+def _block(name: str, value, shape: tuple) -> np.ndarray:
+    """A callback's value on the rows as float64, which must have exactly the given shape."""
+    value = np.asarray(value, dtype=np.float64)
+    if value.shape != shape:
+        raise ValueError(f"{name} must return shape {shape} on its rows, got {value.shape}")
+    return value
+
+
 def drift_rows(model: AffineNoiseModel, ys: np.ndarray) -> np.ndarray:
-    """drift evaluated on rows of ys, shape (m, d) -> (m, d)."""
-    if model.drift_broadcasts:
-        bs = np.asarray(model.drift(ys), dtype=np.float64)
-        if bs.shape != ys.shape:
-            raise ValueError(f"drift must return the shape of its rows, {ys.shape}, got {bs.shape}")
-        return bs
-    return np.stack([model.drift(y) for y in ys])
+    """drift evaluated on rows of ys in one call, shape (m, d) -> (m, d)."""
+    return _block("drift", model.drift(ys), ys.shape)
 
 
 def _sigma_rows(model: AffineNoiseModel, ys: np.ndarray) -> np.ndarray:
-    """The constant (d, d) sigma, else the (m, d, d) stack of sigma(y_i)."""
+    """The constant (d, d) sigma, else the callable's (m, d, d) value on rows of ys, never a broadcast (d, d)."""
     if not callable(model.sigma):
         return model.sigma
-    return np.array([model.sigma(y) for y in ys], dtype=np.float64).reshape(-1, model.dim, model.dim)
+    return _block("sigma", model.sigma(ys), ys.shape + ys.shape[-1:])
 
 
 # Row products on the stepper's hot paths go through _rdot.  At an inner
@@ -697,7 +700,7 @@ def model_from_config(cfg: dict, path: str = "model") -> AffineNoiseModel:
     base, base_tag = _base_from(c.sub("base"))
     c.close()
     summary = f"affine(d={dim}, drift={drift_tag}, sigma={sigma_tag}, base={base_tag})"
-    return affine_model(dim, drift, sigma, base, summary=summary, drift_broadcasts=True)
+    return affine_model(dim, drift, sigma, base, summary=summary)
 
 
 def preset_model(name: str) -> AffineNoiseModel:

@@ -50,7 +50,7 @@ from numpy.random import Generator, default_rng
 
 from .errors import SimulationBlowup
 from . import kernel
-from .kernel import KernelModel, perturbation_amplitude
+from .kernel import AffineNoiseModel, KernelModel, perturbation_amplitude
 
 _SNAP = 1e-12
 
@@ -105,8 +105,7 @@ def eval_path_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
 
 def resample(traj: Trajectory, n: int) -> Trajectory:
     """Re-knot the path on the uniform n-lattice (exact when grids nest)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = kernel._as_count(n, "n", 1)
     return Trajectory(eval_path_many(traj, np.arange(n + 1) / n))
 
 
@@ -317,8 +316,6 @@ def coupled_perturbation_gaps(
     dominates the realized sup-norm gap realization by realization.  Returns
     arrays of shape (realizations,).
     """
-    from .kernel import AffineNoiseModel
-
     x, amp, (n,), seed, _, _ = _run_args(model, x, [n], a, seed)
     b = kernel._as_count(realizations, "realizations", 1)
     if not isinstance(model, AffineNoiseModel):

@@ -286,7 +286,7 @@ def _gramian(a):
 
 
 def _linear_2d_model():
-    return affine_model(2, linear_drift(A_2D), np.eye(2), gaussian_base(), summary="linear-2d", drift_broadcasts=True)
+    return affine_model(2, linear_drift(A_2D), np.eye(2), gaussian_base(), summary="linear-2d")
 
 
 def test_minimize_point_2d_gramian_oracle():
@@ -347,7 +347,7 @@ def test_minimize_gramian_oracle(drift, kind):
     a_mat = np.array(drift)
     d = len(a_mat)
     q = _gramian(a_mat)
-    model = affine_model(d, linear_drift(a_mat), np.eye(d), gaussian_base(), summary=f"linear-{d}d", drift_broadcasts=True)
+    model = affine_model(d, linear_drift(a_mat), np.eye(d), gaussian_base(), summary=f"linear-{d}d")
     if kind == "point":
         z = np.array([0.8, -0.5, 0.3])[:d]
         terminal, exact = TerminalPoint(z), 0.5 * z @ np.linalg.solve(q, z)

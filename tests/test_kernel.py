@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,7 +93,7 @@ def test_affine_cgf_matrix_sigma():
 
 def test_state_dependent_sigma_cgf_closed_form():
     m = affine_model(
-        1, zero_drift(), lambda y: np.array([[1.0 + y[0] ** 2]]), gaussian_base(), summary="var"
+        1, zero_drift(), lambda ys: (1.0 + ys**2)[:, :, None], gaussian_base(), summary="var"
     )
     assert cgf(m, np.array([2.0]), np.array([0.1])) == pytest.approx(0.5 * (5.0 * 0.1) ** 2, abs=1e-13)
 
@@ -161,7 +163,7 @@ def test_row_products_match_matmul_bit_for_bit(d):
     assert np.array_equal(kernel._sigma_dot(sig, vs), vs @ sig.T)
     assert np.array_equal(kernel._sigma_t_dot(sig, alphas), alphas @ sig)
     assert np.array_equal(kernel._sigma_t_dot(sig, alphas[0]), alphas[0] @ sig)
-    m = affine_model(d, linear_drift(a, v), sig, gaussian_base(), drift_broadcasts=True)
+    m = affine_model(d, linear_drift(a, v), sig, gaussian_base())
     bs = ys @ a.T + v
     per_row = np.einsum("ij,ij->i", bs, alphas) + m.base.logmgf(alphas @ sig)
     assert np.array_equal(kernel.cgf_rows(m, ys, alphas), per_row)
@@ -207,7 +209,7 @@ def test_affine_rows_equal_the_fresh_formula(sigma, drift):
     sig = np.asarray(sigma)
     d = sig.shape[0]
     kept, held = _kept_drift(drift)
-    m = affine_model(d, kept, sig, gaussian_base(), drift_broadcasts=True)
+    m = affine_model(d, kept, sig, gaussian_base())
     ys = default_rng(62).uniform(-1.0, 1.0, size=(20_000, d))
     zs = m.base.sample(default_rng(63), ys.shape)
     ref = drift(ys) + zs @ sig.T
@@ -221,13 +223,12 @@ def test_affine_rows_equal_the_fresh_formula(sigma, drift):
     assert np.array_equal(held["bs"], drift(ys))
 
 
-@pytest.mark.parametrize("broadcasts", [True, False], ids=["broadcasting", "per-row"])
 @pytest.mark.parametrize("sigma", [[[1.0]], [[0.5]], [[1.0, 0.3], [-0.2, 0.7]]], ids=["sigma-one", "sigma-half", "sigma-2d"])
-def test_zero_drift_step_adds_zero_without_drift_rows(sigma, broadcasts, monkeypatch):
+def test_zero_drift_step_adds_zero_without_drift_rows(sigma, monkeypatch):
     # the step adds 0.0 in place of the drift's zero rows: the same bits, -0.0 turned to +0.0 included
     sig = np.asarray(sigma)
     d = sig.shape[0]
-    m = affine_model(d, zero_drift(), sig, gaussian_base(), drift_broadcasts=broadcasts)
+    m = affine_model(d, zero_drift(), sig, gaussian_base())
     ys = default_rng(67).uniform(-1.0, 1.0, size=(1_000, d))
     zs = default_rng(68).standard_normal(ys.shape)
     zs[::3] = -0.0
@@ -308,22 +309,34 @@ def test_logmgf_hess_broadcasts_over_batch():
         assert np.array_equal(stacked, np.diagonal(stacked, axis1=1, axis2=2)[:, :, None] * np.eye(3))
 
 
+def _drift_at(m, y):
+    """drift(y) of an affine model at the row y, from a call on the one-row block."""
+    return m.drift(y[None])[0]
+
+
 def _sigma_at(m, y):
-    """sigma(y) of an affine model: its constant matrix, or its callable at the row y."""
-    return m.sigma(y) if callable(m.sigma) else m.sigma
+    """sigma(y) of an affine model: its constant matrix, or its callable on the one-row block."""
+    return m.sigma(y[None])[0] if callable(m.sigma) else m.sigma
 
 
 def _affine_cgf(m, y, alpha):
     """b(y).alpha + logmgf(sigma(y)^T alpha), written out from the model's parts."""
-    return m.drift(y) @ alpha + m.base.logmgf(_sigma_at(m, y).T @ alpha)
+    return _drift_at(m, y) @ alpha + m.base.logmgf(_sigma_at(m, y).T @ alpha)
+
+
+def _wavy_rows(ys):
+    """sigma(y) = [[1 + 0.1 y_0^2, 0], [0.3, 1]] for each row y of ys, shape (m, 2, 2)."""
+    sig = np.broadcast_to([[1.0, 0.0], [0.3, 1.0]], (len(ys), 2, 2)).copy()
+    sig[:, 0, 0] += 0.1 * ys[:, 0] ** 2
+    return sig
 
 
 def _callable_sigma_model():
-    # state-dependent sigma: the row helpers stack sigma(y_i) over the rows
+    # state-dependent sigma, called once on all the rows
     return affine_model(
         2,
         linear_drift(np.array([[-1.0, 0.5], [0.0, -1.0]])),
-        lambda y: np.array([[1.0 + 0.1 * y[0] ** 2, 0.0], [0.3, 1.0]]),
+        _wavy_rows,
         bernoulli_base(0.4),
         summary="callable-sigma",
     )
@@ -343,7 +356,7 @@ def test_cgf_grad_and_hess_rows_match_pointwise(name):
     assert grads.shape == (9, m.dim)
     assert hessians.shape == (9, m.dim, m.dim)
     for i in range(9):
-        b, s = m.drift(ys[i]), _sigma_at(m, ys[i])
+        b, s = _drift_at(m, ys[i]), _sigma_at(m, ys[i])
         u = s.T @ alphas[i]
         assert values[i] == pytest.approx(_affine_cgf(m, ys[i], alphas[i]), rel=1e-13, abs=1e-14)
         assert shared[i] == pytest.approx(_affine_cgf(m, ys[i], alphas[0]), rel=1e-13, abs=1e-14)
@@ -353,7 +366,14 @@ def test_cgf_grad_and_hess_rows_match_pointwise(name):
         assert np.array_equal(kernel.cgf_hess_rows(m, ys[i : i + 1], alphas[i : i + 1])[0], hessians[i])
 
 
+# state-reading sigmas written for the (m, d) rows, and the same sigmas written
+# for one (d,) row, which the tests use only as row-by-row references
 STATE_SIGMAS = {
+    "wavy": _wavy_rows,
+    "norm": lambda ys: np.sqrt(1.0 + np.linalg.norm(ys, axis=1))[:, None, None] * np.eye(2),
+    "elementwise": lambda ys: np.eye(2) * (1.0 + ys)[:, None, :],
+}
+ROW_SIGMAS = {
     "wavy": lambda y: np.array([[1.0 + 0.1 * y[0] ** 2, 0.0], [0.3, 1.0]]),
     "norm": lambda y: np.eye(2) * np.sqrt(1.0 + np.linalg.norm(y)),
     "elementwise": lambda y: np.eye(2) * (1.0 + y),
@@ -361,29 +381,36 @@ STATE_SIGMAS = {
 
 
 @pytest.mark.parametrize("name", sorted(STATE_SIGMAS))
-def test_state_dependent_sigma_is_called_per_row_beside_a_broadcasting_drift(name):
-    # drift_broadcasts covers the drift alone: a sigma written for one (d,) row,
-    # which would answer for the first row or for all rows at once if handed
-    # the (m, d) block, is called on each row and gives each row its own law
+def test_state_dependent_sigma_is_called_once_on_the_rows(name):
+    # each row helper calls a state-reading sigma once, on all the rows, and
+    # each row gets its own law: the one-row formula's, evaluated row by row
     calls = []
 
-    def sigma(y):
-        calls.append(np.shape(y))
-        return STATE_SIGMAS[name](y)
+    def sigma(ys):
+        calls.append(np.shape(ys))
+        return STATE_SIGMAS[name](ys)
 
-    m = affine_model(2, linear_drift(np.array([[-1.0, 0.5], [0.0, -1.0]])), sigma, bernoulli_base(0.4),
-                     drift_broadcasts=True)
+    m = affine_model(2, linear_drift(np.array([[-1.0, 0.5], [0.0, -1.0]])), sigma, bernoulli_base(0.4))
     assert m.sigma is sigma
     rng = default_rng(41)
-    ys = rng.uniform(-2.0, 2.0, size=(2, 2))
-    alphas = rng.normal(scale=2.0, size=(2, 2))
+    ys = rng.uniform(-2.0, 2.0, size=(3, 2))
+    alphas = rng.normal(scale=2.0, size=(3, 2))
     calls.clear()
     values, grads, hessians = (f(m, ys, alphas) for f in (kernel.cgf_rows, kernel.cgf_grad_rows, kernel.cgf_hess_rows))
     draws = kernel.sample_rows(m, ys, default_rng(5))
-    assert calls == [(2,)] * 8
+    assert calls == [(3, 2)] * 4
     zs = m.base.sample(default_rng(5), ys.shape)
-    for i in range(2):
-        b, s = m.drift(ys[i]), STATE_SIGMAS[name](ys[i])
+    sigmas = kernel._sigma_rows(m, ys)
+    for i in range(3):
+        b, s = _drift_at(m, ys[i]), ROW_SIGMAS[name](ys[i])
+        if name == "norm":
+            # np.linalg.norm of one row takes a dot product, which may fuse its
+            # multiply-add; along axis 1 it squares and then adds.  So the two
+            # may differ in the last bit: on numpy 2.4.6 on x86-64 the block's
+            # second row is one ulp (2.2e-16) above the row formula's on its diagonal
+            assert np.allclose(sigmas[i], s, rtol=2 * np.finfo(np.float64).eps, atol=0.0)
+        else:
+            assert np.array_equal(sigmas[i], s)
         u = s.T @ alphas[i]
         assert values[i] == pytest.approx(_affine_cgf(m, ys[i], alphas[i]), rel=1e-13, abs=1e-14)
         assert np.allclose(grads[i], b + s @ m.base.logmgf_grad(u), rtol=1e-13, atol=1e-14)
@@ -407,28 +434,60 @@ def test_state_dependent_sigma_is_called_per_row_beside_a_broadcasting_drift(nam
 def test_callable_sigma_is_constant_only_if_it_never_reads_its_state(sigma, constant):
     # a constant is a finite (d, d) value, got without reading a stand-in state
     # and equal to the value at a real row; anything else stays per row
-    m = affine_model(2, linear_drift(-np.eye(2)), sigma, gaussian_base(), drift_broadcasts=True)
+    m = affine_model(2, linear_drift(-np.eye(2)), sigma, gaussian_base())
     assert (m.sigma is not sigma) is constant
     if constant:
         assert np.array_equal(m.sigma, np.asarray(sigma(np.zeros(2)), dtype=np.float64))
 
 
 @pytest.mark.parametrize(
-    "drift, error",
+    "drift, shape",
     [
-        (lambda ys: -ys[0], r"drift must return the shape of its rows, \(3, 2\), got \(2,\)"),
-        (lambda ys: -ys.sum(axis=1), r"drift must return the shape of its rows, \(3, 2\), got \(3,\)"),
+        (lambda ys: -ys[0], "(2,)"),
+        (lambda ys: -ys.sum(axis=1), "(3,)"),
+        (lambda ys: np.concatenate([ys, ys[:, :1]], axis=1), "(3, 3)"),
     ],
-    ids=["first-row", "row-sums"],
+    ids=["first-row", "row-sums", "extra-column"],
 )
-def test_declared_drift_of_wrong_shape_raises(drift, error):
+def test_drift_of_wrong_shape_raises(drift, shape):
     # broadcasting a first-row answer would give every row the first row's drift
-    m = affine_model(2, drift, np.eye(2), gaussian_base(), drift_broadcasts=True)
+    m = affine_model(2, drift, np.eye(2), gaussian_base())
     ys = default_rng(43).uniform(-1.0, 1.0, size=(3, 2))
+    error = re.escape(f"drift must return shape (3, 2) on its rows, got {shape}")
     with pytest.raises(ValueError, match=error):
         kernel.cgf_grad_rows(m, ys, ys)
     with pytest.raises(ValueError, match=error):
         kernel.sample_rows(m, ys, default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "sigma, shape",
+    [
+        (lambda ys: np.eye(2) * (1.0 + 0.1 * ys[0, 0] ** 2), "(2, 2)"),
+        (lambda ys: 1.0 + ys**2, "(3, 2)"),
+        (lambda ys: np.ones((len(ys), 2, 3)) * (1.0 + ys[:, :1, None] ** 2), "(3, 2, 3)"),
+    ],
+    ids=["one-matrix", "rows", "extra-column"],
+)
+def test_state_reading_sigma_of_wrong_shape_raises(sigma, shape):
+    # a sigma written for one row returns (d, d) on the rows; broadcasting it
+    # would give every row the first row's sigma
+    m = affine_model(2, linear_drift(-np.eye(2)), sigma, gaussian_base())
+    assert m.sigma is sigma
+    ys = default_rng(44).uniform(-1.0, 1.0, size=(3, 2))
+    error = re.escape(f"sigma must return shape (3, 2, 2) on its rows, got {shape}")
+    for row_helper in (kernel.cgf_rows, kernel.cgf_grad_rows, kernel.cgf_hess_rows):
+        with pytest.raises(ValueError, match=error):
+            row_helper(m, ys, ys)
+    with pytest.raises(ValueError, match=error):
+        kernel.sample_rows(m, ys, default_rng(0))
+
+
+@pytest.mark.parametrize("value", [False, 0, None, "yes"])
+def test_affine_model_takes_drift_broadcasts_only_as_true(value):
+    with pytest.raises(ValueError, match=re.escape(f"drift_broadcasts must be True, got {value!r}")):
+        affine_model(1, linear_drift([[-1.0]]), 1.0, gaussian_base(), drift_broadcasts=value)
+    affine_model(1, linear_drift([[-1.0]]), 1.0, gaussian_base(), drift_broadcasts=True)  # the one accepted value
 
 
 def _row_ou(calls):
@@ -514,7 +573,7 @@ def test_sample_rows_match_pointwise(name):
     rows = kernel.sample_rows(m, ys, default_rng(29))
     zs = m.base.sample(default_rng(29), ys.shape)
     for i in range(6):
-        assert np.allclose(rows[i], m.drift(ys[i]) + _sigma_at(m, ys[i]) @ zs[i], rtol=1e-13, atol=1e-14)
+        assert np.allclose(rows[i], _drift_at(m, ys[i]) + _sigma_at(m, ys[i]) @ zs[i], rtol=1e-13, atol=1e-14)
 
 
 def test_presets_registry():

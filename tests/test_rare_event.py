@@ -27,7 +27,7 @@ from ldscheme.rare_event import (
     verify_ode_convergence,
     verify_rate,
 )
-from ldscheme.scheme import DualMeasure, Trajectory, _euler_steps, coupled_perturbation_gaps, simulate
+from ldscheme.scheme import DualMeasure, Trajectory, _euler_steps, coupled_perturbation_gaps, resample, simulate
 
 
 def test_event_normalization():
@@ -162,7 +162,7 @@ def test_blowup_raises_on_every_path(run):
     # from x = -5 the logistic scheme leaves the finite range at step 14 of
     # n = 15; non-finite states must raise, never count as misses or NaN means
     m = preset_model("logistic")
-    noisy = affine_model(1, logistic_drift(), 20.0, gaussian_base(), summary="noisy", drift_broadcasts=True)
+    noisy = affine_model(1, logistic_drift(), 20.0, gaussian_base(), summary="noisy")
     calls = {
         "halfspace": lambda: mc_probability(m, [-5.0], 15, 0.0, TerminalHalfspace([1.0], 0.5), 2_000, seed=0),
         "ball": lambda: mc_probability(m, [-5.0], 15, 0.0, BallEvent([0.0], 1.0), 2_000, seed=0),
@@ -255,8 +255,7 @@ def test_martingale_check_bernoulli_base():
 
 def test_martingale_check_callable_sigma_matches_preset():
     # a callable sigma goes through the same vectorized cumulant rows as a constant one
-    ou = affine_model(1, linear_drift([[-1.0]]), lambda y: np.eye(1), gaussian_base(), summary="ou-callable-sigma",
-                      drift_broadcasts=True)
+    ou = affine_model(1, linear_drift([[-1.0]]), lambda y: np.eye(1), gaussian_base(), summary="ou-callable-sigma")
     lam = DualMeasure.point_mass(1.0, 0.5)
     ref = martingale_check(preset_model("gaussian-ou"), [1.0], 20, 0.0, lam, 1_000, seed=5)
     chk = martingale_check(ou, [1.0], 20, 0.0, lam, 1_000, seed=5)
@@ -275,7 +274,7 @@ def test_state_free_callable_sigma_is_not_called_per_step(monkeypatch):
         calls.append(type(y).__name__)
         return np.eye(1)
 
-    ou = affine_model(1, linear_drift([[-1.0]]), sigma, gaussian_base(), drift_broadcasts=True)
+    ou = affine_model(1, linear_drift([[-1.0]]), sigma, gaussian_base())
     assert calls == ["_UnreadState", "ndarray"]
     assert np.array_equal(ou.sigma, np.eye(1))
     ref = preset_model("gaussian-ou")
@@ -297,8 +296,7 @@ def test_state_free_callable_sigma_is_not_called_per_step(monkeypatch):
 
 
 def test_tilted_rejects_state_dependent_sigma():
-    m = affine_model(1, linear_drift([[-1.0]]), lambda y: (1.0 + 0.1 * y[0] ** 2) * np.eye(1), gaussian_base(),
-                     drift_broadcasts=True)
+    m = affine_model(1, linear_drift([[-1.0]]), lambda ys: (1.0 + 0.1 * ys[:, :, None] ** 2), gaussian_base())
     with pytest.raises(ValueError, match="requires a constant sigma"):
         tilted_mc_probability(m, [0.0], 20, TerminalHalfspace([1.0], 0.8), 100, seed=0)
 
@@ -323,7 +321,7 @@ def test_martingale_check_rejects_measure_of_another_dim(model_dim, measure_dim,
     import ldscheme.rare_event as rare_event
 
     monkeypatch.setattr(rare_event, "_map_chunks", lambda *args: pytest.fail("simulated before the check"))
-    m = affine_model(model_dim, linear_drift(-np.eye(model_dim)), 1.0, gaussian_base(), drift_broadcasts=True)
+    m = affine_model(model_dim, linear_drift(-np.eye(model_dim)), 1.0, gaussian_base())
     lam = DualMeasure.point_mass(1.0, np.full(measure_dim, 0.5))
     with pytest.raises(ValueError, match=f"measure dim {measure_dim} does not match model dim {model_dim}"):
         martingale_check(m, np.zeros(model_dim), 10, 0.0, lam, 100, seed=0)
@@ -387,14 +385,13 @@ def test_tilted_ou_benchmark_unbiased():
     assert abs(naive.p_hat - tilt.p_hat) < 4 * joint
 
 
-def test_tilted_estimate_without_broadcasting_drift_matches_preset():
-    # the stepper evaluates drift through kernel.drift_rows, which loops over
-    # rows when the drift does not broadcast; the weight needs no drift, and
-    # the estimate is unchanged
-    looped = affine_model(1, linear_drift([[-1.0]]), 1.0, gaussian_base(), summary="ou-loop", drift_broadcasts=False)
+def test_tilted_estimate_with_a_hand_written_row_drift_matches_preset():
+    # the stepper evaluates drift through kernel.drift_rows, one call on all
+    # rows; a drift written out for the rows gives the preset's estimate
+    rows = affine_model(1, lambda ys: -ys, 1.0, gaussian_base(), summary="ou-rows")
     ev = TerminalHalfspace([1.0], 0.8)
     ref = tilted_mc_probability(preset_model("gaussian-ou"), [0.0], 50, ev, 4_000, seed=7)
-    rep = tilted_mc_probability(looped, [0.0], 50, ev, 4_000, seed=7)
+    rep = tilted_mc_probability(rows, [0.0], 50, ev, 4_000, seed=7)
     assert rep.p_hat == ref.p_hat
     assert rep.stderr == ref.stderr
 
@@ -402,7 +399,7 @@ def test_tilted_estimate_without_broadcasting_drift_matches_preset():
 def _ou_2d():
     """2-D linear drift with a constant, non-identity, non-symmetric sigma, so sigma^T alpha != alpha."""
     sigma = [[1.0, 0.3], [-0.2, 0.7]]
-    return affine_model(2, linear_drift([[-1.0, 0.5], [0.2, -0.8]]), sigma, gaussian_base(), drift_broadcasts=True)
+    return affine_model(2, linear_drift([[-1.0, 0.5], [0.2, -0.8]]), sigma, gaussian_base())
 
 
 @pytest.mark.parametrize("make", [lambda: preset_model("gaussian-ou"), _ou_2d], ids=["gaussian-ou", "ou-2d"])
@@ -828,10 +825,11 @@ def test_every_estimator_takes_numpy_integer_samples_and_workers(name):
 
 
 # the other integer arguments, each keyed by its case: the knot count of a path
-# minimization, the steps of the mean flow, the realizations of a coupling and
-# the seed of every run entry point
+# minimization, the steps of the mean flow, the realizations of a coupling, the
+# lattice of a resampled path and the seed of every run entry point
 _COUNTS = {
     "m": ("m", 2, lambda m, v: ActionProblem(model=m, x=[0.0], terminal=_HALF, m=v)),
+    "resample": ("n", 1, lambda m, v: resample(Trajectory(np.array([[0.0], [0.5], [0.25]])), v)),
     "steps": ("steps", 1, lambda m, v: limit_ode(m, [0.0], v)),
     "realizations": ("realizations", 1, lambda m, v: coupled_perturbation_gaps(m, [0.0], 10, 0.5, 1, realizations=v)),
     "seed-simulate": ("seed", 0, lambda m, v: simulate(m, [0.0], 10, 0.0, v)),

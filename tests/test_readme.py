@@ -13,14 +13,16 @@ def _section(title: str) -> str:
     return text.split(f"## {title}", 1)[1].split("\n## ", 1)[0]
 
 
-def _quick_start_block() -> str:
-    match = re.search(r"```python\n(.*?)```", _section("Library quick start"), re.DOTALL)
-    assert match, "no python block under '## Library quick start'"
-    return match.group(1)
+def _quick_start_blocks() -> list:
+    blocks = re.findall(r"```python\n(.*?)```", _section("Library quick start"), re.DOTALL)
+    assert blocks, "no python block under '## Library quick start'"
+    return blocks
 
 
 def test_readme_quick_start_runs():
-    exec(compile(_quick_start_block(), str(README), "exec"), {"__name__": "readme_quick_start"})
+    # the quick start and the custom-model example, each in a fresh namespace
+    for block in _quick_start_blocks():
+        exec(compile(block, str(README), "exec"), {"__name__": "readme_quick_start"})
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch):

@@ -242,8 +242,7 @@ def test_runs_at_every_amplitude_share_every_model_draw():
 
 
 def _ou_2d():
-    return affine_model(2, linear_drift([[-1.0, 0.5], [0.2, -0.8]]), [[1.0, 0.3], [-0.2, 0.7]], gaussian_base(),
-                        drift_broadcasts=True)
+    return affine_model(2, linear_drift([[-1.0, 0.5], [0.2, -0.8]]), [[1.0, 0.3], [-0.2, 0.7]], gaussian_base())
 
 
 @pytest.mark.parametrize(
@@ -365,7 +364,7 @@ def test_phi_limit_ou_against_closed_form():
     ids=["path-2-on-1", "path-1-on-2", "measure-2-on-1"],
 )
 def test_dual_functionals_reject_path_or_measure_of_another_dim(fn, model_dim, path_dim, measure_dim, message):
-    m = affine_model(model_dim, linear_drift(-np.eye(model_dim)), 1.0, gaussian_base(), drift_broadcasts=True)
+    m = affine_model(model_dim, linear_drift(-np.eye(model_dim)), 1.0, gaussian_base())
     traj = Trajectory(np.zeros((11, path_dim)))
     lam = DualMeasure.point_mass(1.0, np.full(measure_dim, 0.5))
     with pytest.raises(ValueError, match=message):

@@ -60,8 +60,7 @@ A2 = [[-1.0, 0.5], [0.0, -1.0]]  # the 2-D drift matrix of the benchmark's minim
 
 
 def _linear_2d():
-    return affine_model(2, linear_drift(np.array(A2)), np.eye(2), gaussian_base(), summary="linear-2d",
-                         drift_broadcasts=True)
+    return affine_model(2, linear_drift(np.array(A2)), np.eye(2), gaussian_base(), summary="linear-2d")
 
 
 # model name -> (model, start x, half-space level, ball radius, deviation epsilon),

@@ -177,8 +177,7 @@ def _linear_model(d, seed):
     rng = default_rng(seed)
     matrix = -np.eye(d) + 0.3 * rng.standard_normal((d, d))
     sigma = np.eye(d) + 0.2 * rng.standard_normal((d, d))
-    return affine_model(d, linear_drift(matrix, 0.1 * rng.standard_normal(d)), sigma, gaussian_base(),
-                        drift_broadcasts=True)
+    return affine_model(d, linear_drift(matrix, 0.1 * rng.standard_normal(d)), sigma, gaussian_base())
 
 
 def _stalling_model():
