@@ -4,6 +4,12 @@ tests/seeded_outputs.json records, for each case below, every number the
 run returns: floats as float.hex, arrays as their shape and a sha256 of
 their float64 bytes.  A change that moves any output by one ulp fails here.
 
+Hit counts and means absorb a last-bit change in the states, so for every
+chunked case the record also holds, per chunk, the sha256 of the final
+Euler state and of the per-replica array that the event fold returns
+(rare_event._euler_steps and rare_event._map_chunks, wrapped while the case
+runs).
+
 The chunked estimators run 40,001 samples, three chunks of CHUNK_SIZE, at
 workers 1 and 2; both worker counts must give the one recorded output.
 
@@ -22,10 +28,12 @@ A change that moves a number rewrites the record in the same commit and
 says which cases moved, and why.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import platform
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +61,7 @@ from ldscheme import (
     verify_ode_convergence,
     verify_rate,
 )
+from ldscheme import rare_event
 
 RECORD_PATH = Path(__file__).with_name("seeded_outputs.json")
 SAMPLES = 40_001  # three chunks of rare_event.CHUNK_SIZE
@@ -186,6 +195,56 @@ def _bytes(value):
     raise TypeError(f"no byte record for {type(value).__name__}")
 
 
+@contextlib.contextmanager
+def _fold_bytes():
+    """Record the bytes of each chunk's final Euler state and of its fold's per-replica array.
+
+    Yields a list that gets one entry per rare_event._map_chunks call, in
+    call order: the chunks in chunk order, each as {"states": [...], "fold": ...},
+    with one final state per stepper run of the chunk.
+    """
+    calls = []
+    local = threading.local()
+    steps, map_chunks = rare_event._euler_steps, rare_event._map_chunks
+
+    def euler_steps(*args, **kwargs):
+        state = None
+        for step in steps(*args, **kwargs):
+            state = step[3]
+            yield step
+        local.states.append(_bytes(state))  # the stepper never writes a state it has yielded
+
+    def mapped(worker, samples, workers, rng_key):
+        chunks = {}
+
+        def recorded(rng, size):
+            c = rng.bit_generator.seed_seq.entropy[-1]  # chunk c draws from default_rng([*rng_key, c])
+            local.states = []
+            fold = worker(rng, size)
+            chunks[c] = {"states": local.states, "fold": _bytes(fold)}
+            return fold
+
+        out = map_chunks(recorded, samples, workers, rng_key)
+        calls.append([chunks[c] for c in sorted(chunks)])
+        return out
+
+    rare_event._euler_steps, rare_event._map_chunks = euler_steps, mapped
+    try:
+        yield calls
+    finally:
+        rare_event._euler_steps, rare_event._map_chunks = steps, map_chunks
+
+
+def _run(case, workers):
+    """The case's output record and, for a chunked case, its fold record."""
+    run, chunked = CASES[case]
+    if not chunked:
+        return _bytes(run(workers)), None
+    with _fold_bytes() as folds:
+        output = _bytes(run(workers))
+    return output, folds
+
+
 def _leaves(record, path=""):
     """path -> leaf of a _bytes record, arrays as their shape and sha256."""
     if isinstance(record, dict) and set(record) != {"shape", "sha256"}:
@@ -243,6 +302,7 @@ def test_comparison_in_force():
 
 def test_record_covers_every_case():
     assert sorted(RECORD["cases"]) == sorted(CASES)
+    assert sorted(RECORD["folds"]) == sorted(c for c, (_, chunked) in CASES.items() if chunked)
 
 
 @pytest.mark.parametrize("case, workers", [(c, w) for c, (_, chunked) in CASES.items() for w in ((1, 2) if chunked else (1,))])
@@ -250,13 +310,20 @@ def test_seeded_output_bytes(case, workers):
     differences = _differences()
     if differences:
         pytest.skip("bytes not compared, the environment differs: " + "; ".join(differences))
-    run, _ = CASES[case]
-    moved = _moved(_bytes(run(workers)), RECORD["cases"][case])
+    output, folds = _run(case, workers)
+    moved = _moved(output, RECORD["cases"][case])
+    if folds is not None:
+        moved += [f"folds{p}" for p in _moved(folds, RECORD["folds"][case])]
     assert not moved, f"{case} at workers {workers}: moved at {moved}"
 
 
 if __name__ == "__main__":
-    record = {"environment": _environment(), "cases": {c: _bytes(run(1)) for c, (run, _) in CASES.items()}}
+    runs = {c: _run(c, 1) for c in CASES}
+    record = {
+        "environment": _environment(),
+        "cases": {c: output for c, (output, _) in runs.items()},
+        "folds": {c: folds for c, (_, folds) in runs.items() if folds is not None},
+    }
     with open(RECORD_PATH, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
