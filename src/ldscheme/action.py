@@ -40,6 +40,7 @@ GRAD_TOL = 1e-6
 Y_FD_STEP = 1e-5
 
 _NODES, _WEIGHTS = gauss_legendre_01()
+_LEFT_NODES = 1.0 - _NODES  # each node's weight on its segment's left knot
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,7 @@ def _quadrature_pass(model, a, knots, gradient: bool = False):
     left, right = knots[:-1], knots[1:]
     slopes = (right - left) / dt
     # row k * n_q + q holds node q of segment k
-    ys = ((1.0 - _NODES)[None, :, None] * left[:, None, :] + _NODES[None, :, None] * right[:, None, :]).reshape(-1, d)
+    ys = (_LEFT_NODES[:, None] * left[:, None, :] + _NODES[:, None] * right[:, None, :]).reshape(-1, d)
     zs = np.repeat(slopes, n_q, axis=0)
     res = conj_mod.fenchel_rows(model, ys, zs, a=a)
 
@@ -186,7 +187,8 @@ def _quadrature_pass(model, a, knots, gradient: bool = False):
     for q in range(n_q):
         acc += weighted[:, q]
     seg_values = dt * acc
-    seg_values[divergent] = np.inf
+    if divergent:
+        seg_values[divergent] = np.inf
     if not gradient or divergent:
         return seg_values, None, divergent, warnings
 
@@ -195,19 +197,21 @@ def _quadrature_pass(model, a, knots, gradient: bool = False):
     astar = res.argmax
     h = Y_FD_STEP
     # all 2 d shifted copies of the rows in one cgf_rows call: [sign, i, row] holds y_row +- h e_i
-    shifted = np.broadcast_to(ys, (2, d) + ys.shape).copy()
+    shifted = np.empty((2, d) + ys.shape)
+    shifted[...] = ys
     for i in range(d):
         shifted[0, i, :, i] += h
         shifted[1, i, :, i] -= h
-    c = kernel.cgf_rows(model, shifted.reshape(-1, d), np.broadcast_to(astar, shifted.shape).reshape(-1, d)).reshape(2, d, -1)
+    c = kernel.cgf_rows(model, shifted.reshape(-1, d), np.tile(astar, (2 * d, 1))).reshape(2, d, -1)
     cy = (-(c[0] - c[1]) / (2.0 * h)).T.reshape(m_seg, n_q, d)
     astar = astar.reshape(m_seg, n_q, d)
-    right_w, left_w = dt * _WEIGHTS * _NODES, dt * _WEIGHTS * (1.0 - _NODES)
+    right_w, left_w = dt * _WEIGHTS * _NODES, dt * _WEIGHTS * _LEFT_NODES
     # each node's terms for the knots at the right and left ends of its segment
+    dz = _WEIGHTS[:, None] * astar
     right_t = right_w[:, None] * cy
-    right_t += _WEIGHTS[:, None] * astar
+    right_t += dz
     left_t = left_w[:, None] * cy
-    left_t -= _WEIGHTS[:, None] * astar
+    left_t -= dz
     grad = np.zeros((m_seg + 1, d))
     for q in range(n_q):
         grad[1:] += right_t[:, q]

@@ -108,7 +108,7 @@ def _solve_ascent(hess, grad):
             p = np.linalg.solve(hess + ridge * np.eye(d), grad)
         except np.linalg.LinAlgError:
             p = None
-        if p is not None and np.all(np.isfinite(p)) and float(p @ grad) > 0.0:
+        if p is not None and np.isfinite(p).all() and float(p @ grad) > 0.0:
             return p
         ridge = scale * 1e-8 if ridge == 0.0 else ridge * 100.0
     return grad.copy()
@@ -120,14 +120,20 @@ def _ascent_directions(hess, grad):
         p = np.linalg.solve(hess, grad[..., None])[..., 0]
     except np.linalg.LinAlgError:  # some row is singular: redo every row on its own
         p = np.full_like(grad, np.nan)
-    ok = np.all(np.isfinite(p), axis=1) & (_dot_rows(p, grad) > 0.0)
-    for i in np.flatnonzero(~ok):
-        p[i] = _solve_ascent(hess[i], grad[i])
+    ok = np.isfinite(p).all(axis=1) & (_dot_rows(p, grad) > 0.0)
+    if not ok.all():
+        for i in np.flatnonzero(~ok):
+            p[i] = _solve_ascent(hess[i], grad[i])
     return p
 
 
 def _dot_rows(u, v):
     return np.einsum("ij,ij->i", u, v)
+
+
+def _row_norms(v):
+    """np.linalg.norm(v, axis=1) for real rows, bit for bit: the code it runs, without its checks."""
+    return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
 def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
@@ -151,7 +157,7 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     if ys.shape != zs.shape:
         raise ValueError(f"ys and zs must have the same shape, got {ys.shape} and {zs.shape}")
     n, d = zs.shape
-    tol = GRAD_TOL_SCALE * (1.0 + np.linalg.norm(zs, axis=1))
+    tol = GRAD_TOL_SCALE * (1.0 + _row_norms(zs))
 
     def objective(y, z, alpha):
         h = _dot_rows(z, alpha) - kernel.cgf_rows(model, y, alpha)
@@ -167,7 +173,9 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     ys, zs = ys.copy(), zs.copy()  # the callbacks never see the caller's arrays
     alpha = np.zeros((n, d))
     h = objective(ys, zs, alpha)
-    h[~np.isfinite(h)] = 0.0
+    finite = np.isfinite(h)
+    if not finite.all():
+        h[~finite] = 0.0
     best_val = np.where(h > 0.0, h, 0.0)
     out = ConjugateRows(
         value=best_val.copy(),
@@ -192,12 +200,11 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
         if row.size == 0:
             break
         grad = gradient(y, z, al)
-        gnorm = np.linalg.norm(grad, axis=1)
+        gnorm = _row_norms(grad)
         done = gnorm <= tl
         if done.all():  # no row is left to compact
             finish(row, CONVERGED, it, gnorm, hv, al)
-            live = [v[:0] for v in live]
-            break
+            return out
         if done.any():
             finish(row[done], CONVERGED, it, gnorm[done], hv[done], al[done])
             live, grad, gnorm = [v[~done] for v in live], grad[~done], gnorm[~done]
@@ -208,27 +215,29 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
             hess = hess + aa * np.eye(d)
         p = _ascent_directions(hess, grad)
         with np.errstate(over="ignore"):
-            pnorm = np.linalg.norm(p, axis=1)
+            pnorm = _row_norms(p)
         # a Newton direction that overflowed (flat Hessian) becomes the
-        # longest admissible gradient step
-        blown = ~np.isfinite(pnorm)
-        if blown.any():
-            p[blown] = grad[blown] * (MAX_STEP / gnorm[blown])[:, None]
-        long_ = ~blown & (pnorm > MAX_STEP)
-        if long_.any():
-            p[long_] = p[long_] * (MAX_STEP / pnorm[long_])[:, None]
+        # longest admissible gradient step; a NaN or inf norm fails the test
+        if not (pnorm <= MAX_STEP).all():
+            blown = ~np.isfinite(pnorm)
+            if blown.any():
+                p[blown] = grad[blown] * (MAX_STEP / gnorm[blown])[:, None]
+            long_ = ~blown & (pnorm > MAX_STEP)
+            if long_.any():
+                p[long_] = p[long_] * (MAX_STEP / pnorm[long_])[:, None]
 
         # backtracking line search on the concave objectives, by row mask;
-        # pending rows: index into the live rows, y, z, alpha, p, h, slope
+        # pending rows: index into the live rows, y, z, alpha, p, h, slope.
+        # The accepted mask and the new alpha and h are made when some row
+        # needs a shorter step, as copies of the row's start.
         slope = _dot_rows(grad, p)
-        accepted = np.zeros(row.size, dtype=bool)
-        new_al, new_h = al.copy(), hv.copy()
+        accepted = None
         pending = [np.arange(row.size), y, z, al, p, hv, slope]
         step = 1.0
         for _ in range(40):
             at, py, pz, pa, pp, ph, ps = pending
             cand = pa + step * pp
-            moved = np.any(cand != pa, axis=1)
+            moved = (cand != pa).any(axis=1)
             if not moved.all():
                 pending, cand = [v[moved] for v in pending], cand[moved]
                 at, py, pz, pa, pp, ph, ps = pending
@@ -239,11 +248,15 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
             if at.size == row.size and ok.all():  # every row takes this step
                 accepted, new_al, new_h = ok, cand, h_cand
                 break
+            if accepted is None:
+                accepted, new_al, new_h = np.zeros(row.size, dtype=bool), al.copy(), hv.copy()
             accepted[at[ok]] = True
             new_al[at[ok]] = cand[ok]
             new_h[at[ok]] = h_cand[ok]
             pending = [v[~ok] for v in pending]
             step *= 0.5
+        if accepted is None:  # no row moved at the full step
+            accepted, new_al, new_h = np.zeros(row.size, dtype=bool), al, hv
         # a stalled line search ends the row where it stands
         if not accepted.all():
             stalled = ~accepted
@@ -258,7 +271,7 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
         live = [row, y, z, tl, new_al, new_h, run, bv, ba]
         # |alpha| <= d max_i |alpha_i|, so no row is capped while that bound stays at NORM_CAP / 2
         if amp == 0.0 and d * np.abs(new_al).max(initial=0.0) > 0.5 * NORM_CAP:
-            capped = np.linalg.norm(new_al, axis=1) > NORM_CAP
+            capped = _row_norms(new_al) > NORM_CAP
             # divergent when h rose strictly over the whole trailing window
             window = min(it + 1, WINDOW + 1) - 1
             divergent = capped & (run >= window)
@@ -269,7 +282,7 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
 
     row, y, z, _, al, _, _, bv, ba = live
     if row.size:
-        finish(row, MAX_ITERATIONS, MAX_ITER, np.linalg.norm(gradient(y, z, al), axis=1), bv, ba)
+        finish(row, MAX_ITERATIONS, MAX_ITER, _row_norms(gradient(y, z, al)), bv, ba)
     return out
 
 

@@ -37,7 +37,7 @@ class ModelConfigError(ValueError):
 
 def _finite(x, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite")
     return v
 
@@ -101,7 +101,7 @@ def gaussian_base() -> BaseNoise:
 
     return BaseNoise(
         kind="gaussian",
-        logmgf=lambda a: 0.5 * np.sum(np.square(a), axis=-1),
+        logmgf=lambda a: 0.5 * np.add.reduce(np.square(a), axis=-1),
         logmgf_grad=lambda a: np.asarray(a, dtype=np.float64),
         logmgf_hess=hess,
         sample=lambda rng, size: rng.standard_normal(size),
@@ -183,17 +183,29 @@ class AffineNoiseModel(KernelModel):
 
     Its callbacks are the affine formulas of the module docstring, evaluated
     on all rows at once, and bound to the drift, sigma and base it was built
-    with: build a variant with affine_model, not dataclasses.replace of those
-    fields.  drift maps the (m, d) rows to exactly (m, d).  sigma is the
-    constant (d, d) matrix when sigma was given as a matrix or as a callable
-    that never reads its state; else it is that callable, which maps the rows
-    to exactly (m, d, d).  Each is called once per evaluation; any other
-    shape, a (d, d) sigma included, is a ValueError naming the callback.
+    with, which the model records.  Build a variant with affine_model: a
+    dataclasses.replace of drift, sigma or base raises ValueError, while one
+    of summary or of the callbacks keeps working.  drift maps the (m, d) rows
+    to exactly (m, d).  sigma is the constant (d, d) matrix when sigma was
+    given as a matrix or as a callable that never reads its state; else it
+    is that callable, which maps the rows to exactly (m, d, d).  Each is
+    called once per evaluation; any other shape, a (d, d) sigma included, is
+    a ValueError naming the callback.
     """
 
     drift: Callable[[np.ndarray], np.ndarray] = None
     sigma: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]] = None
     base: BaseNoise = None
+    _law: tuple = dataclasses.field(default=None, repr=False, compare=False)  # (drift, sigma, base) of the callbacks
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self._law is None:
+            raise ValueError("an AffineNoiseModel is built by affine_model")
+        moved = [name for name, built in zip(("drift", "sigma", "base"), self._law) if getattr(self, name) is not built]
+        if moved:
+            raise ValueError(f"{', '.join(moved)} differs from the law the callbacks were built from; "
+                             "build the model with affine_model")
 
 
 class _UnreadState:
@@ -269,13 +281,19 @@ def affine_model(
         drift_term = _rdot(bs, alphas) if alphas.ndim == 1 else np.einsum("ij,ij->i", bs, alphas)
         return drift_term + base.logmgf(_sigma_t_dot(_sigma_rows(model, ys), alphas))
 
+    # a constant sigma's transpose, contiguous, as the right factor of the sigma products
+    sigma_t = None if callable(sigma) else np.ascontiguousarray(sigma.T)
+
     def cgf_grad(ys, alphas):
         sig = _sigma_rows(model, ys)
-        return drift_rows(model, ys) + _sigma_dot(sig, base.logmgf_grad(_sigma_t_dot(sig, alphas)))
+        bs = drift_rows(model, ys)
+        g = base.logmgf_grad(_sigma_t_dot(sig, alphas))
+        return bs + (_sigma_dot(sig, g) if sigma_t is None else _rdot(g, sigma_t))
 
     def cgf_hess(ys, alphas):
         sig = _sigma_rows(model, ys)
-        return sig @ base.logmgf_hess(_sigma_t_dot(sig, alphas)) @ np.swapaxes(sig, -1, -2)
+        right = np.swapaxes(sig, -1, -2) if sigma_t is None else sigma_t
+        return sig @ base.logmgf_hess(_sigma_t_dot(sig, alphas)) @ right
 
     model = AffineNoiseModel(
         dim=dim,
@@ -287,6 +305,7 @@ def affine_model(
         drift=drift,
         sigma=sigma,
         base=base,
+        _law=(drift, sigma, base),
     )
     return model
 
@@ -430,9 +449,10 @@ def linear_drift(matrix: np.ndarray, offset=None):
     """y -> A y + v, the standard linear drift."""
     a = _finite(matrix, "drift matrix")
     v = np.zeros(a.shape[0]) if offset is None else _finite(offset, "drift offset")
+    a_t = np.ascontiguousarray(a.T)
 
     def drift(y):
-        ay = _rdot(np.asarray(y, dtype=np.float64), a.T)
+        ay = _rdot(np.asarray(y, dtype=np.float64), a_t)
         ay += v  # also at v = 0, which turns A y = -0.0 into +0.0
         return ay
 

@@ -359,3 +359,34 @@ def test_minimize_gramian_oracle(drift, kind):
     assert res.converged
     _assert_certificate(res)
     assert res.action.value == pytest.approx(exact, rel=2e-4)
+
+
+def test_gradient_pass_callback_counts(monkeypatch):
+    # one gradient pass on the benchmark's 2-D linear model at m = 21: one
+    # batched solve of two Newton iterations (cgf at alpha = 0 and at the
+    # accepted step, cgf_grad at each iterate, one Hessian) and one cgf call
+    # for the envelope gradient; a trim that adds a model evaluation fails here
+    import dataclasses
+
+    from ldscheme import conjugate
+    from ldscheme.action import _quadrature_pass
+
+    calls = {"fenchel_rows": 0, "cgf": 0, "cgf_grad": 0, "cgf_hess": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    src = affine_model(2, linear_drift(np.array([[-1.0, 0.5], [0.0, -1.0]])), np.eye(2), gaussian_base())
+    m = dataclasses.replace(src, **{k: counted(k, getattr(src, k)) for k in ("cgf", "cgf_grad", "cgf_hess")})
+    monkeypatch.setattr(conjugate, "fenchel_rows", counted("fenchel_rows", conjugate.fenchel_rows))
+    knots = straight_line([0.0, 0.0], [0.6, 0.4], 21).knots
+    knots[1:-1] += 0.02 * np.sin(np.arange(19 * 2)).reshape(19, 2)  # a bent path, as the minimizer's iterates
+    for path in (straight_line([0.0, 0.0], [0.6, 0.4], 21).knots, knots):
+        calls.update(dict.fromkeys(calls, 0))
+        seg, grad, divergent, warnings = _quadrature_pass(m, 0.0, path, gradient=True)
+        assert grad is not None and not divergent and not warnings
+        assert calls == {"fenchel_rows": 1, "cgf": 3, "cgf_grad": 2, "cgf_hess": 1}

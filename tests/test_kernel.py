@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -148,7 +149,7 @@ def test_cgf_rows_matches_pointwise():
             assert shared[i] == pytest.approx(_affine_cgf(m, ys[i], alphas[0]), abs=1e-12)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
 def test_row_products_match_matmul_bit_for_bit(d):
     # the hot paths compute with np.dot; the @ formulas are the reference
     rng = default_rng(40 + d)
@@ -172,6 +173,25 @@ def test_row_products_match_matmul_bit_for_bit(d):
     assert np.array_equal(kernel._rdot(vs, v), vs @ v)
     assert np.array_equal(kernel._rdot(vs, a), vs @ a)
     assert np.array_equal(kernel._rdot(vs[0], a), vs[0] @ a)
+
+
+@pytest.mark.parametrize("base", [gaussian_base(), bernoulli_base(0.3)], ids=["gaussian", "bernoulli"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+def test_cgf_grad_and_hess_rows_match_matmul_bit_for_bit(d, base):
+    # a constant sigma's products take its contiguous transpose, built with the
+    # model; the @ formulas on the transposed views are the reference
+    rng = default_rng(60 + d)
+    a = rng.normal(size=(d, d))
+    v = rng.normal(size=d)
+    sig = rng.normal(size=(d, d)) + np.eye(d)
+    m = affine_model(d, linear_drift(a, v), sig, base)
+    for rows in [100, 400, 20_000]:  # a quadrature pass, its shifted copies, one replica chunk
+        ys = rng.normal(size=(rows, d))
+        alphas = rng.normal(size=(rows, d))
+        thetas = alphas @ sig
+        grad = ys @ a.T + v + base.logmgf_grad(thetas) @ sig.T
+        assert np.array_equal(kernel.cgf_grad_rows(m, ys, alphas), grad)
+        assert np.array_equal(kernel.cgf_hess_rows(m, ys, alphas), sig @ base.logmgf_hess(thetas) @ sig.T)
 
 
 @pytest.mark.parametrize("p", [0.3, 1e-3, 0.999])
@@ -551,6 +571,34 @@ def test_cgf_hess_rows_finite_difference_fallback():
 def test_preset_summary_is_its_name():
     m = preset_model("gaussian-ou")
     assert m.summary == "gaussian-ou"
+
+
+@pytest.mark.parametrize("field, value", [("drift", zero_drift()), ("sigma", np.eye(1)), ("base", gaussian_base())])
+def test_replacing_the_law_of_an_affine_model_raises(field, value):
+    # the callbacks stay bound to the law they were built from, a constant
+    # sigma's transpose included, so a replaced drift, sigma or base would be ignored
+    with pytest.raises(ValueError, match=f"{field} differs .* build the model with affine_model"):
+        dataclasses.replace(preset_model("gaussian-ou"), **{field: value})
+
+
+def test_replacing_summary_or_callbacks_keeps_working():
+    m = preset_model("gaussian-ou")
+    assert dataclasses.replace(m, summary="renamed").summary == "renamed"
+    calls = []
+
+    def counted(ys, alphas):
+        calls.append(1)
+        return m.cgf(ys, alphas)
+
+    assert cgf(dataclasses.replace(m, cgf=counted), [0.3], [0.7]) == cgf(m, [0.3], [0.7])
+    assert calls == [1]
+
+
+def test_affine_noise_model_is_built_by_affine_model():
+    m = preset_model("gaussian-ou")
+    with pytest.raises(ValueError, match="built by affine_model"):
+        kernel.AffineNoiseModel(dim=1, sampler=m.sampler, cgf=m.cgf, cgf_grad=m.cgf_grad,
+                                drift=m.drift, sigma=m.sigma, base=m.base)
 
 
 def test_sample_rows_seeded():

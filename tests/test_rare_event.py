@@ -411,7 +411,7 @@ def test_tilted_weight_matches_drift_form_with_one_drift_call_per_step(make):
         calls.append(1)
         return src.drift(y)
 
-    m = dataclasses.replace(src, drift=counted)
+    m = affine_model(src.dim, counted, src.sigma, src.base)
     n, size, x = 40, 3_000, np.zeros(m.dim)
     alphas = default_rng(81).normal(0.3, 0.4, size=(n, m.dim))
     # every replica lands in this half-space, so the fold returns the bare weights
