@@ -383,9 +383,10 @@ def test_gradient_pass_callback_counts(monkeypatch):
     src = affine_model(2, linear_drift(np.array([[-1.0, 0.5], [0.0, -1.0]])), np.eye(2), gaussian_base())
     m = dataclasses.replace(src, **{k: counted(k, getattr(src, k)) for k in ("cgf", "cgf_grad", "cgf_hess")})
     monkeypatch.setattr(conjugate, "fenchel_rows", counted("fenchel_rows", conjugate.fenchel_rows))
-    knots = straight_line([0.0, 0.0], [0.6, 0.4], 21).knots
-    knots[1:-1] += 0.02 * np.sin(np.arange(19 * 2)).reshape(19, 2)  # a bent path, as the minimizer's iterates
-    for path in (straight_line([0.0, 0.0], [0.6, 0.4], 21).knots, knots):
+    line = straight_line([0.0, 0.0], [0.6, 0.4], 21).knots
+    bent = line.copy()
+    bent[1:-1] += 0.02 * np.sin(np.arange(19 * 2)).reshape(19, 2)  # as the minimizer's iterates
+    for path in (line, bent):
         calls.update(dict.fromkeys(calls, 0))
         seg, grad, divergent, warnings = _quadrature_pass(m, 0.0, path, gradient=True)
         assert grad is not None and not divergent and not warnings
