@@ -17,7 +17,7 @@ the terminal knot in a frame whose first axis is the normal, so that the
 constraint is one bound) to scipy's L-BFGS-B.  Gradients come from the
 envelope identities: d conj/d z at the maximizer alpha* is alpha* itself,
 and d conj/d y is -grad_y cgf_a(y, alpha*), taken in the same pass as
-central differences of cgf_rows over all nodes at once.
+central differences of the model's cgf over all nodes at once.
 """
 
 from __future__ import annotations
@@ -196,13 +196,13 @@ def _quadrature_pass(model, a, knots, gradient: bool = False):
     # the latter by central differences in y (the smoothing term has no y)
     astar = res.argmax
     h = Y_FD_STEP
-    # all 2 d shifted copies of the rows in one cgf_rows call: [sign, i, row] holds y_row +- h e_i
+    # all 2 d shifted copies of the rows in one cgf call: [sign, i, row] holds y_row +- h e_i
     shifted = np.empty((2, d) + ys.shape)
     shifted[...] = ys
     for i in range(d):
         shifted[0, i, :, i] += h
         shifted[1, i, :, i] -= h
-    c = kernel.cgf_rows(model, shifted.reshape(-1, d), np.tile(astar, (2 * d, 1))).reshape(2, d, -1)
+    c = model.cgf(shifted.reshape(-1, d), np.tile(astar, (2 * d, 1))).reshape(2, d, -1)
     cy = (-(c[0] - c[1]) / (2.0 * h)).T.reshape(m_seg, n_q, d)
     astar = astar.reshape(m_seg, n_q, d)
     right_w, left_w = dt * _WEIGHTS * _NODES, dt * _WEIGHTS * _LEFT_NODES

@@ -36,7 +36,6 @@ from .kernel import (
     _as_dict,
     _as_float,
     _as_float_from,
-    _as_int,
     _as_int_from,
     _as_int_list,
     _as_knots,
@@ -179,7 +178,7 @@ def _measure_from(c: _Conf, dim: int) -> DualMeasure:
 
 def _minimize_settings_from(c: _Conf) -> MinimizeSettings:
     s = c.sub("settings", default={})
-    settings = MinimizeSettings(max_iter=s.take("max_iter", _as_int, MinimizeSettings().max_iter))
+    settings = MinimizeSettings(max_iter=s.take("max_iter", _as_int_from(1), MinimizeSettings().max_iter))
     s.close()
     return settings
 

@@ -160,7 +160,7 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     tol = GRAD_TOL_SCALE * (1.0 + _row_norms(zs))
 
     def objective(y, z, alpha):
-        h = _dot_rows(z, alpha) - kernel.cgf_rows(model, y, alpha)
+        h = _dot_rows(z, alpha) - model.cgf(y, alpha)
         # at a = 0 the smoothing term is +0.0 (|alpha| stays below NORM_CAP + MAX_STEP),
         # and subtracting +0.0 changes no value, -0.0 included
         if aa > 0.0:
@@ -168,7 +168,7 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
         return h
 
     def gradient(y, z, alpha):
-        return z - kernel.cgf_grad_rows(model, y, alpha) - aa * alpha
+        return z - model.cgf_grad(y, alpha) - aa * alpha
 
     ys, zs = ys.copy(), zs.copy()  # the callbacks never see the caller's arrays
     alpha = np.zeros((n, d))

@@ -387,24 +387,6 @@ def _affine_rows(model: AffineNoiseModel, ys: np.ndarray, zs: np.ndarray, out: n
     return np.add(zs, bs, out=out)
 
 
-def sample_rows(model: KernelModel, ys: np.ndarray, rng: Generator) -> np.ndarray:
-    """One increment draw at each row of ys, shape (m, d) -> (m, d)."""
-    return model.sampler(np.asarray(ys, dtype=np.float64), rng)
-
-
-def cgf_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """cgf(y_i, alpha_i) for paired rows, shape (m,).
-
-    alphas may also be one (d,) vector shared by every row of ys.
-    """
-    return model.cgf(np.asarray(ys, dtype=np.float64), np.asarray(alphas, dtype=np.float64))
-
-
-def cgf_grad_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """cgf_grad(y_i, alpha_i) for paired rows, shape (m, d)."""
-    return model.cgf_grad(np.asarray(ys, dtype=np.float64), np.asarray(alphas, dtype=np.float64))
-
-
 HESS_FD_STEP = 1e-6
 
 
@@ -413,10 +395,8 @@ def cgf_hess_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray) -> np.
 
     Models without cgf_hess get symmetrized central differences of
     cgf_grad with step HESS_FD_STEP, all 2 d shifted copies of the rows
-    evaluated in one cgf_grad call.
+    evaluated in one cgf_grad call.  ys and alphas are float64 rows.
     """
-    ys = np.asarray(ys, dtype=np.float64)
-    alphas = np.asarray(alphas, dtype=np.float64)
     if model.cgf_hess is not None:
         return model.cgf_hess(ys, alphas)
     m, d = alphas.shape
@@ -482,20 +462,15 @@ def logistic_drift():
 _MISSING = object()
 
 
-def _as_int(v, path):
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ModelConfigError(f"{path}: expected an integer, got {v!r}")
-    return v
-
-
 def _as_int_from(lo: int):
     """Cast to an integer of at least lo."""
 
     def cast(v, path):
-        value = _as_int(v, path)
-        if value < lo:
-            raise ModelConfigError(f"{path} must be >= {lo}, got {value!r}")
-        return value
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ModelConfigError(f"{path}: expected an integer, got {v!r}")
+        if v < lo:
+            raise ModelConfigError(f"{path} must be >= {lo}, got {v!r}")
+        return v
 
     return cast
 

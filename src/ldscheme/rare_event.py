@@ -354,7 +354,7 @@ def _martingale_rows(model, x, n, a, alphas, rng, size) -> np.ndarray:
     acc = np.zeros(size)
     for k, prev, inc, _ in _euler_steps(model, x, n, a, rng, size):
         alpha = alphas[k - 1]
-        price = kernel.cgf_rows(model, prev, alpha) + smoothing[k - 1]
+        price = model.cgf(prev, alpha) + smoothing[k - 1]
         pairing = kernel._rdot(inc, alpha)
         acc += np.subtract(pairing, price, out=pairing)
     return np.exp(acc)

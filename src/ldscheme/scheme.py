@@ -30,7 +30,7 @@ approached at rate O(1/n) after rescaling lam by n (see scaling tests).
 Draw discipline: every simulation in the package runs one batched stepper
 over rows of replicas; a single path is its one-row case.  Each step draws
 the model increments for all rows from the run's generator rng
-(kernel.sample_rows).  A run with a > 0 draws its Gaussian smoothing noise
+(model.sampler).  A run with a > 0 draws its Gaussian smoothing noise
 from the child stream rng.spawn(1)[0]; at a = 0 nothing is spawned or
 drawn.  So runs at every amplitude share the model draws of a seed and
 couple pathwise.  Tilted runs draw the Gaussian base noise with a shifted
@@ -155,18 +155,16 @@ class DualMeasure:
 
     def total_mass(self) -> np.ndarray:
         """lam([0, 1]), the vector sum of all atom weights."""
-        return self.weights.sum(axis=0) if len(self.times) else np.zeros(self.dim)
+        return self.weights.sum(axis=0)
 
     def variation(self) -> float:
-        return float(np.sum(np.linalg.norm(self.weights, axis=1))) if len(self.times) else 0.0
+        return float(np.sum(np.linalg.norm(self.weights, axis=1)))
 
     def scaled(self, factor: float) -> "DualMeasure":
         return DualMeasure(self.times.copy(), factor * self.weights)
 
     def basis_integrals(self, n: int) -> np.ndarray:
         """Row i-1 holds int phi_{n,i} d lam = sum_j alpha_j phi_{n,i}(t_j)."""
-        if not len(self.times):
-            return np.zeros((n, self.dim))
         i = np.arange(1, n + 1)[:, None]
         phi = np.clip(n * self.times[None, :] - (i - 1), 0.0, 1.0)
         return phi @ self.weights
@@ -191,17 +189,12 @@ def _run_args(model: KernelModel, x, n_grid, a, seed, samples=1, workers=1, min_
             kernel._as_count(samples, "samples", min_samples), kernel._as_count(workers, "workers", 1))
 
 
-def _check_finite(states: np.ndarray, k: int) -> None:
-    if not np.isfinite(states).all():
-        raise SimulationBlowup(k)
-
-
 def _euler_steps(model: KernelModel, x: np.ndarray, n: int, a: float, rng: Generator, rows: int, shifts=None):
     """Run `rows` replicas of the scheme from x; yield (k, prev, inc, state) per step.
 
     inc = F_k + a g_k is the full increment, so state = prev + inc / n.
     Each step draws the model increments of all rows from rng
-    (kernel.sample_rows); at a > 0 the smoothing Gaussians come from
+    (model.sampler); at a > 0 the smoothing Gaussians come from
     rng.spawn(1)[0], spawned once per run.  With shifts, an (n, d) array,
     the run is tilted: it yields the base draw xi_k, of mean shifts[k - 1],
     in place of inc; sigma must be constant and nothing is spawned.
@@ -217,7 +210,7 @@ def _euler_steps(model: KernelModel, x: np.ndarray, n: int, a: float, rng: Gener
     scratch = np.empty_like(state)
     for k in range(1, n + 1):
         if shifts is None:
-            inc = kernel.sample_rows(model, state, rng)
+            inc = model.sampler(state, rng)
             if smooth is not None:
                 g = smooth.standard_normal(state.shape)
                 g *= a
@@ -227,7 +220,8 @@ def _euler_steps(model: KernelModel, x: np.ndarray, n: int, a: float, rng: Gener
             xi += shifts[k - 1]
             inc = kernel._affine_rows(model, state, xi, scratch)
         prev, state = state, state + np.divide(inc, n, out=scratch)
-        _check_finite(state, k)
+        if not np.isfinite(state).all():
+            raise SimulationBlowup(k)
         yield k, prev, inc if shifts is None else xi, state
 
 
@@ -259,7 +253,7 @@ def phi_n(model: KernelModel, x, a, traj: Trajectory, lam: DualMeasure) -> float
     alphas = lam.basis_integrals(n) / n
     ys = traj.knots[:-1]
     total = float(x @ lam.total_mass())
-    total += float(np.sum(kernel.cgf_rows(model, ys, alphas)))
+    total += float(np.sum(model.cgf(ys, alphas)))
     if amp > 0.0:
         total += 0.5 * amp * amp * float(np.sum(alphas * alphas))
     return total
@@ -281,9 +275,7 @@ def phi_limit(model: KernelModel, x, a, f: Trajectory, lam: DualMeasure) -> floa
 
     ss, als, ws = [], [], []
     for u, v in zip(breaks[:-1], breaks[1:]):
-        if v <= u:
-            continue
-        tail = lam.weights[lam.times > u].sum(axis=0) if len(lam.times) else np.zeros(lam.dim)
+        tail = lam.weights[lam.times > u].sum(axis=0)
         for q, w in zip(nodes, weights):
             ss.append(u + q * (v - u))
             als.append(tail)
@@ -292,7 +284,7 @@ def phi_limit(model: KernelModel, x, a, f: Trajectory, lam: DualMeasure) -> floa
     als = np.asarray(als)
     ws = np.asarray(ws)
     ys = eval_path_many(f, ss)
-    vals = kernel.cgf_rows(model, ys, als)
+    vals = model.cgf(ys, als)
     if amp > 0.0:
         vals = vals + 0.5 * amp * amp * np.sum(als * als, axis=1)
     return float(x @ lam.total_mass()) + float(ws @ vals)

@@ -17,7 +17,7 @@ from ldscheme.action import (
 )
 from ldscheme.errors import InfeasibleProblemError, SimulationBlowup
 from ldscheme.kernel import affine_model, gaussian_base, linear_drift, preset_model, zero_drift
-from ldscheme.scheme import Trajectory, eval_path_many
+from ldscheme.scheme import Trajectory
 from test_conjugate import _bernoulli_entropy
 
 

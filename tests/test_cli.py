@@ -461,15 +461,15 @@ def test_bad_model_record_exits_2(tmp_path, capsys, model, path):
         ("grad_tol", float("inf")),
         # warned and then failed with "ys must be finite"
         ("y_fd_step", 0),
-        # ran anyway and reported 1 iteration
+        # ran anyway and reported 1 iteration; later failed in MinimizeSettings without the config path
         ("max_iter", 0),
     ],
 )
 def test_minimize_bad_settings_exit_2(tmp_path, capsys, key, value):
     code, out = _run(tmp_path, "minimize", {**_MINIMIZE, "settings": {key: value}})
     assert code == 2
-    assert key in capsys.readouterr().err
-    assert not (out / "minimize_report.json").exists()
+    assert f"config.settings.{key}" in capsys.readouterr().err
+    assert not (out / "resolved_config.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,6 @@ from ldscheme.kernel import (
     constant_drift,
     gaussian_base,
     preset_model,
-    zero_drift,
 )
 
 

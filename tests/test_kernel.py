@@ -77,7 +77,7 @@ def test_affine_cgf_orn_uhlenbeck():
     y, alpha = np.array([1.5]), np.array([0.4])
     assert cgf(m, y, alpha) == pytest.approx(-1.5 * 0.4 + 0.5 * 0.4**2, abs=1e-14)
     assert cgf_grad(m, y, alpha)[0] == pytest.approx(-1.5 + 0.4, abs=1e-14)
-    assert kernel.cgf_hess_rows(m, [y], [alpha])[0, 0, 0] == pytest.approx(1.0, abs=1e-14)
+    assert kernel.cgf_hess_rows(m, y[None], alpha[None])[0, 0, 0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_affine_cgf_matrix_sigma():
@@ -142,8 +142,8 @@ def test_cgf_rows_matches_pointwise():
         m = preset_model(name)
         ys = rng.normal(size=(8, 1))
         alphas = rng.normal(size=(8, 1))
-        rows = kernel.cgf_rows(m, ys, alphas)
-        shared = kernel.cgf_rows(m, ys, alphas[0])
+        rows = m.cgf(ys, alphas)
+        shared = m.cgf(ys, alphas[0])
         for i in range(8):
             assert rows[i] == pytest.approx(_affine_cgf(m, ys[i], alphas[i]), abs=1e-12)
             assert shared[i] == pytest.approx(_affine_cgf(m, ys[i], alphas[0]), abs=1e-12)
@@ -167,8 +167,8 @@ def test_row_products_match_matmul_bit_for_bit(d):
     m = affine_model(d, linear_drift(a, v), sig, gaussian_base())
     bs = ys @ a.T + v
     per_row = np.einsum("ij,ij->i", bs, alphas) + m.base.logmgf(alphas @ sig)
-    assert np.array_equal(kernel.cgf_rows(m, ys, alphas), per_row)
-    assert np.array_equal(kernel.cgf_rows(m, ys, alphas[0]), bs @ alphas[0] + m.base.logmgf(alphas[0] @ sig))
+    assert np.array_equal(m.cgf(ys, alphas), per_row)
+    assert np.array_equal(m.cgf(ys, alphas[0]), bs @ alphas[0] + m.base.logmgf(alphas[0] @ sig))
     # _rdot itself, against 1-D and 2-D w: a broadcast product at d = 1, np.dot above
     assert np.array_equal(kernel._rdot(vs, v), vs @ v)
     assert np.array_equal(kernel._rdot(vs, a), vs @ a)
@@ -190,7 +190,7 @@ def test_cgf_grad_and_hess_rows_match_matmul_bit_for_bit(d, base):
         alphas = rng.normal(size=(rows, d))
         thetas = alphas @ sig
         grad = ys @ a.T + v + base.logmgf_grad(thetas) @ sig.T
-        assert np.array_equal(kernel.cgf_grad_rows(m, ys, alphas), grad)
+        assert np.array_equal(m.cgf_grad(ys, alphas), grad)
         assert np.array_equal(kernel.cgf_hess_rows(m, ys, alphas), sig @ base.logmgf_hess(thetas) @ sig.T)
 
 
@@ -233,7 +233,7 @@ def test_affine_rows_equal_the_fresh_formula(sigma, drift):
     ys = default_rng(62).uniform(-1.0, 1.0, size=(20_000, d))
     zs = m.base.sample(default_rng(63), ys.shape)
     ref = drift(ys) + zs @ sig.T
-    assert np.array_equal(kernel.sample_rows(m, ys, default_rng(63)), ref)
+    assert np.array_equal(m.sampler(ys, default_rng(63)), ref)
     assert np.array_equal(held["bs"], drift(ys))  # the drift's return is read, not written
     out = np.empty_like(zs)
     zs_copy = zs.copy()
@@ -254,13 +254,13 @@ def test_zero_drift_step_adds_zero_without_drift_rows(sigma, monkeypatch):
     zs[::3] = -0.0
     ref = np.zeros_like(ys) + zs @ sig.T
     assert np.array_equal(kernel.drift_rows(m, ys), np.zeros_like(ys))
-    assert kernel.cgf_grad_rows(m, ys, zs).shape == ys.shape
+    assert m.cgf_grad(ys, zs).shape == ys.shape
     monkeypatch.setattr(kernel, "drift_rows", None)  # the step must not evaluate the drift
     out = kernel._affine_rows(m, ys, zs.copy(), np.empty_like(zs))
     assert np.array_equal(out, ref) and np.array_equal(np.signbit(out), np.signbit(ref))
     assert not np.signbit(out[::3]).any()
     draw = m.base.sample(default_rng(68), ys.shape)
-    assert np.array_equal(kernel.sample_rows(m, ys, default_rng(68)), np.zeros_like(ys) + draw @ sig.T)
+    assert np.array_equal(m.sampler(ys, default_rng(68)), np.zeros_like(ys) + draw @ sig.T)
 
 
 def _rademacher(rng, size):
@@ -301,7 +301,7 @@ def test_custom_base_draws_are_cast_before_the_increments_are_written(sample, si
     ys = default_rng(65).uniform(-1.0, 1.0, size=(1_000, 1))
     zs = sample(default_rng(66), ys.shape)
     ref = linear_drift([[-1.0]])(ys) + zs.astype(np.float64) @ sig.T
-    inc = kernel.sample_rows(m, ys, default_rng(66))
+    inc = m.sampler(ys, default_rng(66))
     assert inc.dtype == np.float64
     assert np.array_equal(inc, ref)
     assert np.array_equal(drawn[-1], zs)
@@ -369,9 +369,9 @@ def test_cgf_grad_and_hess_rows_match_pointwise(name):
     rng = default_rng(17)
     ys = rng.uniform(-1.0, 1.0, size=(9, m.dim))
     alphas = rng.normal(scale=2.0, size=(9, m.dim))
-    values = kernel.cgf_rows(m, ys, alphas)
-    shared = kernel.cgf_rows(m, ys, alphas[0])
-    grads = kernel.cgf_grad_rows(m, ys, alphas)
+    values = m.cgf(ys, alphas)
+    shared = m.cgf(ys, alphas[0])
+    grads = m.cgf_grad(ys, alphas)
     hessians = kernel.cgf_hess_rows(m, ys, alphas)
     assert grads.shape == (9, m.dim)
     assert hessians.shape == (9, m.dim, m.dim)
@@ -402,7 +402,7 @@ ROW_SIGMAS = {
 
 @pytest.mark.parametrize("name", sorted(STATE_SIGMAS))
 def test_state_dependent_sigma_is_called_once_on_the_rows(name):
-    # each row helper calls a state-reading sigma once, on all the rows, and
+    # each callback, and cgf_hess_rows, calls a state-reading sigma once, on all the rows, and
     # each row gets its own law: the one-row formula's, evaluated row by row
     calls = []
 
@@ -416,8 +416,8 @@ def test_state_dependent_sigma_is_called_once_on_the_rows(name):
     ys = rng.uniform(-2.0, 2.0, size=(3, 2))
     alphas = rng.normal(scale=2.0, size=(3, 2))
     calls.clear()
-    values, grads, hessians = (f(m, ys, alphas) for f in (kernel.cgf_rows, kernel.cgf_grad_rows, kernel.cgf_hess_rows))
-    draws = kernel.sample_rows(m, ys, default_rng(5))
+    values, grads, hessians = m.cgf(ys, alphas), m.cgf_grad(ys, alphas), kernel.cgf_hess_rows(m, ys, alphas)
+    draws = m.sampler(ys, default_rng(5))
     assert calls == [(3, 2)] * 4
     zs = m.base.sample(default_rng(5), ys.shape)
     sigmas = kernel._sigma_rows(m, ys)
@@ -475,9 +475,9 @@ def test_drift_of_wrong_shape_raises(drift, shape):
     ys = default_rng(43).uniform(-1.0, 1.0, size=(3, 2))
     error = re.escape(f"drift must return shape (3, 2) on its rows, got {shape}")
     with pytest.raises(ValueError, match=error):
-        kernel.cgf_grad_rows(m, ys, ys)
+        m.cgf_grad(ys, ys)
     with pytest.raises(ValueError, match=error):
-        kernel.sample_rows(m, ys, default_rng(0))
+        m.sampler(ys, default_rng(0))
 
 
 @pytest.mark.parametrize(
@@ -496,11 +496,11 @@ def test_state_reading_sigma_of_wrong_shape_raises(sigma, shape):
     assert m.sigma is sigma
     ys = default_rng(44).uniform(-1.0, 1.0, size=(3, 2))
     error = re.escape(f"sigma must return shape (3, 2, 2) on its rows, got {shape}")
-    for row_helper in (kernel.cgf_rows, kernel.cgf_grad_rows, kernel.cgf_hess_rows):
+    for evaluate in (m.cgf, m.cgf_grad, lambda ys, alphas: kernel.cgf_hess_rows(m, ys, alphas)):
         with pytest.raises(ValueError, match=error):
-            row_helper(m, ys, ys)
+            evaluate(ys, ys)
     with pytest.raises(ValueError, match=error):
-        kernel.sample_rows(m, ys, default_rng(0))
+        m.sampler(ys, default_rng(0))
 
 
 @pytest.mark.parametrize("value", [False, 0, None, "yes"])
@@ -537,11 +537,12 @@ def test_hand_written_row_model(monkeypatch):
     rng = default_rng(37)
     ys = rng.uniform(-1.0, 1.0, size=(7, 1))
     alphas = rng.normal(size=(7, 1))
-    # each row helper calls its callback once, with positional arguments only
-    kernel.sample_rows(m, ys, default_rng(0))
-    kernel.cgf_rows(m, ys, alphas)
-    kernel.cgf_rows(m, ys, alphas[0])
-    kernel.cgf_grad_rows(m, ys, alphas)
+    # each call is logged once; cgf_hess_rows falls back to one cgf_grad call on the
+    # shifted rows, and every solver below passes positional arguments only, as logged asserts
+    m.sampler(ys, default_rng(0))
+    m.cgf(ys, alphas)
+    m.cgf(ys, alphas[0])
+    m.cgf_grad(ys, alphas)
     assert np.allclose(kernel.cgf_hess_rows(m, ys, alphas), 1.0, atol=1e-8)
     assert calls == [("sampler", 2), ("cgf", 2), ("cgf", 2), ("cgf_grad", 2), ("cgf_grad", 2)]
     # the conjugate solve runs on the finite-difference Hessian and matches the preset
@@ -604,12 +605,12 @@ def test_affine_noise_model_is_built_by_affine_model():
 def test_sample_rows_seeded():
     m = preset_model("gaussian-ou")
     ys = np.array([[1.0], [2.0]])
-    d1 = kernel.sample_rows(m, ys, default_rng(9))
-    d2 = kernel.sample_rows(m, ys, default_rng(9))
+    d1 = m.sampler(ys, default_rng(9))
+    d2 = m.sampler(ys, default_rng(9))
     assert d1.shape == (2, 1)
     assert np.array_equal(d1, d2)
     # increment = drift + noise, so its mean at y sits near -y
-    draws = kernel.sample_rows(m, np.full((4000, 1), 2.0), default_rng(0))
+    draws = m.sampler(np.full((4000, 1), 2.0), default_rng(0))
     assert abs(draws.mean() + 2.0) < 0.06
 
 
@@ -618,7 +619,7 @@ def test_sample_rows_match_pointwise(name):
     # one (m, d) base draw, row i gets drift(y_i) + sigma(y_i) z_i
     m = _callable_sigma_model() if name == "callable-sigma" else preset_model(name)
     ys = default_rng(23).uniform(-1.0, 1.0, size=(6, m.dim))
-    rows = kernel.sample_rows(m, ys, default_rng(29))
+    rows = m.sampler(ys, default_rng(29))
     zs = m.base.sample(default_rng(29), ys.shape)
     for i in range(6):
         assert np.allclose(rows[i], _drift_at(m, ys[i]) + _sigma_at(m, ys[i]) @ zs[i], rtol=1e-13, atol=1e-14)

@@ -339,6 +339,45 @@ def test_tilted_free_gaussian_matches_exact_oracle():
     assert rep.predicted_rate == pytest.approx(0.5, abs=1e-9)
 
 
+# a linear-Gaussian model at d = 2: dY = A Y dt + dW, sigma = I
+A_2D = np.array([[-1.0, 0.5], [0.0, -1.0]])
+
+
+def _var_tail(x, n, event):
+    """P{<X_n, normal> >= level} for the Euler chain of A_2D, exactly.
+
+    The chain X_k = M X_{k-1} + Z_k / n, M = I + A/n, is a Gaussian vector
+    autoregression: <X_n, normal> is normal with mean <M^n x, normal> and
+    variance normal^T (sum_{j<n} M^j (M^j)^T / n^2) normal.
+    """
+    step = np.eye(2) + A_2D / n
+    power, cov = np.eye(2), np.zeros((2, 2))
+    for _ in range(n):
+        cov += power @ power.T / n**2
+        power = step @ power
+    mean = event.normal @ power @ x
+    return norm.sf((event.level - mean) / np.sqrt(event.normal @ cov @ event.normal))
+
+
+def test_tilted_d2_linear_gaussian_matches_exact_oracle():
+    m = affine_model(2, linear_drift(A_2D), np.eye(2), gaussian_base())
+    event = TerminalHalfspace([1.0, 1.0], 1.0)
+    exact = _var_tail(np.zeros(2), 50, event)
+    assert exact == pytest.approx(2.3060e-12, rel=1e-4)
+    rep = tilted_mc_probability(m, [0.0, 0.0], 50, event, 20_000, seed=1)
+    assert rep.stderr < 0.05 * rep.p_hat
+    assert abs(rep.p_hat - exact) <= 4 * rep.stderr
+
+
+def test_naive_d2_linear_gaussian_matches_exact_oracle():
+    m = affine_model(2, linear_drift(A_2D), np.eye(2), gaussian_base())
+    event = TerminalHalfspace([1.0, 1.0], 0.3)
+    exact = _var_tail(np.zeros(2), 50, event)
+    assert exact == pytest.approx(1.8988e-2, rel=1e-4)
+    rep = mc_probability(m, [0.0, 0.0], 50, 0.0, event, 20_000, seed=1)
+    assert abs(rep.p_hat - exact) <= 4 * rep.stderr
+
+
 def test_tilted_weights_positive_and_finite():
     m = preset_model("gaussian-free")
     ev = TerminalHalfspace([1.0], 1.0)
@@ -425,7 +464,7 @@ def test_tilted_weight_matches_drift_form_with_one_drift_call_per_step(make):
     logw = np.zeros(size)
     for k, prev, xi, _ in _euler_steps(src, x, n, 0.0, default_rng(82), size, shifts=thetas):
         inc = src.drift(prev) + xi @ src.sigma.T
-        logw += kernel.cgf_rows(src, prev, alphas[k - 1]) - inc @ alphas[k - 1]
+        logw += src.cgf(prev, alphas[k - 1]) - inc @ alphas[k - 1]
     np.testing.assert_allclose(vals, np.exp(logw), rtol=1e-12)
 
 
@@ -491,7 +530,7 @@ def _fresh_martingale_rows(model, x, n, a, alphas, rng, size):
     smoothing = 0.5 * a * a * np.sum(alphas * alphas, axis=1)
     acc = np.zeros(size)
     for k, prev, inc, _ in _euler_steps(model, x, n, a, rng, size):
-        price = kernel.cgf_rows(model, prev, alphas[k - 1]) + smoothing[k - 1]
+        price = model.cgf(prev, alphas[k - 1]) + smoothing[k - 1]
         acc += kernel._rdot(inc, alphas[k - 1]) - price
     return np.exp(acc)
 
@@ -626,7 +665,7 @@ def test_d1_hot_path_makes_no_blas_call(preset, monkeypatch):
     assert rare_event._hit_rows(m, x, n, 0.5, dev, grid, default_rng(2), size).shape == (size,)
     assert _tilted_rows(m, x, n, half, alphas, default_rng(3), size).shape == (size,)
     assert rare_event._martingale_rows(m, x, n, 0.5, alphas, default_rng(4), size).shape == (size,)
-    assert kernel.cgf_rows(m, np.full((size, 1), 0.2), alphas[-1]).shape == (size,)
+    assert m.cgf(np.full((size, 1), 0.2), alphas[-1]).shape == (size,)
 
 
 def test_tilted_rejects_event_covering_mean():

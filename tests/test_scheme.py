@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.random import default_rng
 
 from ldscheme.errors import SimulationBlowup
-from ldscheme.kernel import affine_model, gaussian_base, linear_drift, preset_model, zero_drift
+from ldscheme.kernel import affine_model, gaussian_base, linear_drift, preset_model
 from ldscheme.scheme import (
     DualMeasure,
     Trajectory,
@@ -103,6 +103,9 @@ def test_dual_measure_basics():
     assert np.allclose(lam.total_mass(), [1.0])
     assert lam.variation() == pytest.approx(3.0)
     assert np.allclose(lam.scaled(2.0).weights, 2.0 * lam.weights)
+    for d in (1, 2, 3):  # the empty measure integrates every tent to +0.0
+        zero = DualMeasure.zero(d).basis_integrals(5)
+        assert zero.shape == (5, d) and np.array_equal(zero, np.zeros((5, d))) and not np.signbit(zero).any()
 
 
 def test_dual_measure_validation():
@@ -113,6 +116,8 @@ def test_dual_measure_validation():
     z = DualMeasure.zero(3)
     assert z.variation() == 0.0
     assert np.allclose(z.total_mass(), np.zeros(3))
+    ou, path = preset_model("gaussian-ou"), Trajectory(np.linspace(1.0, 0.2, 5))
+    assert phi_n(ou, [1.0], 0.0, path, DualMeasure.zero(1)) == 0.0 == phi_limit(ou, [1.0], 0.0, path, DualMeasure.zero(1))
 
 
 def test_basis_integrals_against_direct_sum():

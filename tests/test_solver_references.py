@@ -3,7 +3,7 @@
 _masked_fenchel_rows and _looped_quadrature_pass are the earlier forms of
 conjugate.fenchel_rows and action._quadrature_pass: the solve re-indexed
 every live row from the full arrays on each iteration and wrote each status
-mask into the result, and the pass took one pair of cgf_rows calls per
+mask into the result, and the pass took one pair of model.cgf calls per
 coordinate of the y-gradient and classified every node's status on every
 call.  Both rewrites keep every floating-point operation with its operands
 and order, so every field must match bit for bit: the floats are compared as
@@ -34,11 +34,11 @@ def _masked_fenchel_rows(model, ys, zs, a=0.0):
     _dot_rows = conjugate._dot_rows
 
     def objective(rows, alpha):
-        return (_dot_rows(zs[rows], alpha) - kernel.cgf_rows(model, ys[rows], alpha)
+        return (_dot_rows(zs[rows], alpha) - model.cgf(ys[rows], alpha)
                 - 0.5 * aa * _dot_rows(alpha, alpha))
 
     def gradient(rows, alpha):
-        return zs[rows] - kernel.cgf_grad_rows(model, ys[rows], alpha) - aa * alpha
+        return zs[rows] - model.cgf_grad(ys[rows], alpha) - aa * alpha
 
     every = np.arange(n)
     alpha = np.zeros((n, d))
@@ -162,7 +162,7 @@ def _looped_quadrature_pass(model, a, knots, gradient=False):
         up, dn = ys.copy(), ys.copy()
         up[:, i] += h
         dn[:, i] -= h
-        cy[:, i] = -(kernel.cgf_rows(model, up, astar) - kernel.cgf_rows(model, dn, astar)) / (2.0 * h)
+        cy[:, i] = -(model.cgf(up, astar) - model.cgf(dn, astar)) / (2.0 * h)
     cy = cy.reshape(m_seg, n_q, d)
     astar = astar.reshape(m_seg, n_q, d)
     grad = np.zeros((m_seg + 1, d))
@@ -259,7 +259,7 @@ def test_compacted_solve_equals_the_row_mask_reference(case, max_iter, monkeypat
     if case == "ou-signed-zero-gradient":
         # every row ends with a raw gradient of -0.0; where the argmax is negative the
         # gradient's term - aa * alpha = -(-0.0) turns it into +0.0
-        g = zs - kernel.cgf_grad_rows(model, ys, got.argmax)
+        g = zs - model.cgf_grad(ys, got.argmax)
         assert np.signbit(g).all() and (got.argmax < 0.0).sum() == 4
         assert np.array_equal(np.signbit(g - 0.0 * got.argmax), got.argmax >= 0.0)
 
