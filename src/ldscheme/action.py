@@ -50,10 +50,7 @@ class TerminalPoint:
     point: np.ndarray
 
     def __post_init__(self):
-        point = np.atleast_1d(np.asarray(self.point, dtype=np.float64))
-        if not np.all(np.isfinite(point)):
-            raise ValueError("point must be finite")
-        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "point", kernel._finite(np.atleast_1d(self.point), "point"))
 
 
 @dataclass(frozen=True)
@@ -67,14 +64,13 @@ class TerminalHalfspace:
     level: float
 
     def __post_init__(self):
-        xi = np.atleast_1d(np.asarray(self.normal, dtype=np.float64))
-        if not (np.all(np.isfinite(xi)) and np.isfinite(self.level)):
-            raise ValueError("normal and level must be finite")
+        xi = kernel._finite(np.atleast_1d(self.normal), "normal")
+        level = kernel._as_real(self.level, "level")
         nrm = float(np.linalg.norm(xi))
         if nrm <= 0.0:
             raise ValueError("normal must be nonzero")
         object.__setattr__(self, "normal", xi / nrm)
-        object.__setattr__(self, "level", float(self.level) / nrm)
+        object.__setattr__(self, "level", level / nrm)
 
     def record(self) -> dict:
         """The half-space as the terminal event of an estimate report."""

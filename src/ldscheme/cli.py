@@ -34,12 +34,12 @@ from .kernel import (
     ModelConfigError,
     _as_array,
     _as_dict,
-    _as_float,
     _as_float_from,
     _as_int_from,
     _as_int_list,
     _as_knots,
     _as_list,
+    _as_real,
     _as_str,
     _Conf,
 )
@@ -110,9 +110,10 @@ def _write_csv(path, header, rows):
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _model_from(c: _Conf):
-    # the raw record is echoed to resolved_config.json; model_from_config checks it
-    return kernel.model_from_config(c.take("model", _as_dict), path=f"{c.path}.model")
+def _echo(c: _Conf, command: str, out: str) -> None:
+    """Refuse the config's unknown keys, then write it to out as resolved_config.json, defaults included."""
+    c.close()
+    _write_json(os.path.join(out, "resolved_config.json"), {"command": command, **c.resolved})
 
 
 def _trajectory_from(path: str, key: str) -> Trajectory:
@@ -123,6 +124,13 @@ def _trajectory_from(path: str, key: str) -> Trajectory:
         raise ModelConfigError(f"{key}: cannot load {path!r}: {exc}") from exc
 
 
+def _halfspace_from(h: _Conf, dim: int) -> TerminalHalfspace:
+    normal = h.take("normal", _as_array((dim,)))
+    level = h.take("level", _as_real)
+    h.close()
+    return TerminalHalfspace(normal=normal, level=level)
+
+
 def _terminal_from(c: _Conf, dim: int):
     t = c.sub("terminal")
     kind = t.take("kind", _as_str)
@@ -131,10 +139,7 @@ def _terminal_from(c: _Conf, dim: int):
         t.close()
         return TerminalPoint(point=point)
     if kind == "halfspace":
-        normal = t.take("normal", _as_array((dim,)))
-        level = t.take("level", _as_float)
-        t.close()
-        return TerminalHalfspace(normal=normal, level=level)
+        return _halfspace_from(t, dim)
     raise ModelConfigError(f"{t.path}.kind: unknown terminal kind {kind!r}")
 
 
@@ -142,13 +147,10 @@ def _event_from(c: _Conf, dim: int):
     e = c.sub("event")
     kind = e.take("kind", _as_str)
     if kind == "terminal-halfspace":
-        normal = e.take("normal", _as_array((dim,)))
-        level = e.take("level", _as_float)
-        e.close()
-        return TerminalHalfspace(normal=normal, level=level)
+        return _halfspace_from(e, dim)
     if kind == "terminal-ball":
         center = e.take("center", _as_array((dim,)))
-        radius = e.take("radius", _as_float)
+        radius = e.take("radius", _as_real)
         e.close()
         return BallEvent(center=center, radius=radius)
     if kind == "sup-distance-from-path":
@@ -171,7 +173,7 @@ def _measure_from(c: _Conf, dim: int) -> DualMeasure:
     pairs = []
     for j, rec in enumerate(atoms):
         a = _Conf(rec, f"{m.path}.atoms[{j}]")
-        pairs.append((a.take("t", _as_float), a.take("weight", _as_array((dim,)))))
+        pairs.append((a.take("t", _as_real), a.take("weight", _as_array((dim,)))))
         a.close()
     return DualMeasure.from_atoms(pairs)
 
@@ -186,32 +188,24 @@ def _minimize_settings_from(c: _Conf) -> MinimizeSettings:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_simulate(cfg, out, workers):
-    c = _Conf(cfg, "config")
-    model = _model_from(c)
-    x = c.take("x", _as_array((model.dim,)))
+def _cmd_simulate(c, model, x, out, workers):
     n = c.take("n", _as_int_from(1))
     a = c.take("a", _as_float_from(0), 0.0)
     seed = c.take("seed", _as_int_from(0))
-    c.close()
-    _write_json(os.path.join(out, "resolved_config.json"), {"command": "simulate", **c.resolved})
+    _echo(c, "simulate", out)
     traj = simulate(model, x, n, a, seed)
     save_trajectory(traj, os.path.join(out, "trajectory.csv"))
     return 0
 
 
-def _cmd_action(cfg, out, workers):
-    c = _Conf(cfg, "config")
-    model = _model_from(c)
-    x = c.take("x", _as_array((model.dim,)))
+def _cmd_action(c, model, x, out, workers):
     a = c.take("a", _as_float_from(0), 0.0)
     traj_file = c.take("trajectory_file", _as_str, None)
     knots = c.take("knots", _as_knots(model.dim), None)
-    c.close()
     if (traj_file is None) == (knots is None):
         raise ModelConfigError("config: give exactly one of 'trajectory_file' and 'knots'")
     traj = _trajectory_from(traj_file, "config.trajectory_file") if traj_file else Trajectory(knots)
-    _write_json(os.path.join(out, "resolved_config.json"), {"command": "action", **c.resolved})
+    _echo(c, "action", out)
     val = action(model, x, a, traj)
     report = {
         "value": val.value,
@@ -228,16 +222,12 @@ def _cmd_action(cfg, out, workers):
     return 0
 
 
-def _cmd_minimize(cfg, out, workers):
-    c = _Conf(cfg, "config")
-    model = _model_from(c)
-    x = c.take("x", _as_array((model.dim,)))
+def _cmd_minimize(c, model, x, out, workers):
     a = c.take("a", _as_float_from(0), 0.0)
     m = c.take("m", _as_int_from(2), 21)
     terminal = _terminal_from(c, model.dim)
     settings = _minimize_settings_from(c)
-    c.close()
-    _write_json(os.path.join(out, "resolved_config.json"), {"command": "minimize", **c.resolved})
+    _echo(c, "minimize", out)
     res = minimize_action(ActionProblem(model=model, x=x, terminal=terminal, m=m, a=a, settings=settings))
     save_trajectory(res.trajectory, os.path.join(out, "minimized_trajectory.csv"))
     _write_csv(
@@ -265,17 +255,13 @@ def _cmd_minimize(cfg, out, workers):
     return 0
 
 
-def _cmd_estimate(cfg, out, workers):
-    c = _Conf(cfg, "config")
-    model = _model_from(c)
-    x = c.take("x", _as_array((model.dim,)))
+def _cmd_estimate(c, model, x, out, workers):
     n = c.take("n", _as_int_from(1))
     a = c.take("a", _as_float_from(0), 0.0)
     event = _event_from(c, model.dim)
     method = c.take("method", _as_str, "naive")
     samples = c.take("samples", _as_int_from(2 if method == "tilted" else 1))  # a weighted estimate needs 2
     seed = c.take("seed", _as_int_from(0))
-    c.close()
     if method not in ("naive", "tilted"):
         raise ModelConfigError(f"config.method: expected 'naive' or 'tilted', got {method!r}")
     if method == "tilted":
@@ -283,7 +269,7 @@ def _cmd_estimate(cfg, out, workers):
             raise ModelConfigError("config.a: the tilted estimator runs the unsmoothed scheme; set a to 0")
         if not isinstance(event, TerminalHalfspace):
             raise ModelConfigError("config.event.kind: the tilted estimator needs 'terminal-halfspace'")
-    _write_json(os.path.join(out, "resolved_config.json"), {"command": "estimate", **c.resolved})
+    _echo(c, "estimate", out)
     if method == "naive":
         report = mc_probability(model, x, n, a, event, samples, seed, workers=workers)
     else:
@@ -292,17 +278,13 @@ def _cmd_estimate(cfg, out, workers):
     return 0
 
 
-def _cmd_verify_martingale(cfg, out, workers):
-    c = _Conf(cfg, "config")
-    model = _model_from(c)
-    x = c.take("x", _as_array((model.dim,)))
+def _cmd_verify_martingale(c, model, x, out, workers):
     n = c.take("n", _as_int_from(1))
     a = c.take("a", _as_float_from(0), 0.0)
     lam = _measure_from(c, model.dim)
     samples = c.take("samples", _as_int_from(2))
     seed = c.take("seed", _as_int_from(0))
-    c.close()
-    _write_json(os.path.join(out, "resolved_config.json"), {"command": "verify-martingale", **c.resolved})
+    _echo(c, "verify-martingale", out)
     check = martingale_check(model, x, n, a, lam, samples, seed, workers=workers)
     ok = abs(check.mean - 1.0) <= TOLERANCE_STDERR * check.stderr + 1e-12
     report = {
@@ -315,18 +297,14 @@ def _cmd_verify_martingale(cfg, out, workers):
     return 0 if ok else 1
 
 
-def _cmd_verify_rate(cfg, out, workers):
-    c = _Conf(cfg, "config")
-    model = _model_from(c)
-    x = c.take("x", _as_array((model.dim,)))
+def _cmd_verify_rate(c, model, x, out, workers):
     event = _event_from(c, model.dim)
     n_grid = c.take("n_grid", _as_int_list)
     samples = c.take("samples", _as_int_from(2))
     seed = c.take("seed", _as_int_from(0))
-    c.close()
     if not isinstance(event, TerminalHalfspace):
         raise ModelConfigError("config.event.kind: rate verification needs 'terminal-halfspace'")
-    _write_json(os.path.join(out, "resolved_config.json"), {"command": "verify-rate", **c.resolved})
+    _echo(c, "verify-rate", out)
     report = verify_rate(model, x, event, n_grid, samples, seed, workers=workers)
     final_gap = next((g for g in reversed(report.rel_gaps) if g is not None), None)
     unexcused = [v for v in report.trend_violations if not v["excused"]]
@@ -351,16 +329,12 @@ def _cmd_verify_rate(cfg, out, workers):
     return 0 if ok else 1
 
 
-def _cmd_verify_ode(cfg, out, workers):
-    c = _Conf(cfg, "config")
-    model = _model_from(c)
-    x = c.take("x", _as_array((model.dim,)))
+def _cmd_verify_ode(c, model, x, out, workers):
     epsilon = c.take("epsilon", _as_float_from(0, strict=True))
     n_grid = c.take("n_grid", _as_int_list)
     samples = c.take("samples", _as_int_from(1))
     seed = c.take("seed", _as_int_from(0))
-    c.close()
-    _write_json(os.path.join(out, "resolved_config.json"), {"command": "verify-ode", **c.resolved})
+    _echo(c, "verify-ode", out)
     report = verify_ode_convergence(model, x, epsilon, n_grid, samples, seed, workers=workers)
     ok = (
         report.slope is not None
@@ -423,7 +397,11 @@ def main(argv=None) -> int:
     os.makedirs(args.out, exist_ok=True)
     handler = _COMMANDS[args.command][0]
     try:
-        return handler(cfg, args.out, args.workers)
+        c = _Conf(cfg, "config")
+        # the raw model record is echoed to resolved_config.json; model_from_config checks it
+        model = kernel.model_from_config(c.take("model", _as_dict), path="config.model")
+        x = c.take("x", _as_array((model.dim,)))
+        return handler(c, model, x, args.out, args.workers)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -315,11 +315,12 @@ def dominating_point_halfspace(model: KernelModel, y, xi, c) -> DominatingPointR
 
     y = kernel._as_vector(y, model.dim, "y")
     xi = kernel._as_vector(xi, model.dim, "xi")
+    c = kernel._as_real(c, "c")
     norm = float(np.linalg.norm(xi))
     if norm <= 0.0:
         raise ValueError("xi must be nonzero")
     xi = xi / norm
-    c = float(c) / norm
+    c = c / norm
 
     mean = kernel.cgf_grad(model, y, np.zeros(model.dim))
     if float(mean @ xi) >= c:

@@ -56,6 +56,24 @@ def _as_count(value, name: str, least: int) -> int:
     return int(value)
 
 
+def _as_real(value, name: str, least=None, strict: bool = False) -> float:
+    """value as a finite float; given least, it must be >= least, or > least when strict.
+
+    A number or a numpy scalar is accepted; a bool, a string or any other object is not.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an integer beyond the float range
+        real = np.inf
+    if not np.isfinite(real):
+        raise ValueError(f"{name}: expected a finite number, got {value!r}")
+    if least is not None and (real < least or (strict and real == least)):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {least}, got {real!r}")
+    return real
+
+
 def _require_dim(what: str, dim: int, model_dim: int) -> None:
     """Reject a path or measure whose dimension is not the model's."""
     if dim != model_dim:
@@ -173,8 +191,7 @@ class KernelModel:
     summary: str = "custom"
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        object.__setattr__(self, "dim", _as_count(self.dim, "dim", 1))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -236,10 +253,7 @@ def _state_free_value(sigma, dim: int):
 
 def perturbation_amplitude(a) -> float:
     """Validate the smoothing amplitude a >= 0 and return it as a float."""
-    a = float(a)
-    if not np.isfinite(a) or a < 0.0:
-        raise ValueError(f"perturbation amplitude must be finite and >= 0, got {a}")
-    return a
+    return _as_real(a, "a", 0)
 
 
 def affine_model(
@@ -464,39 +478,12 @@ _MISSING = object()
 
 def _as_int_from(lo: int):
     """Cast to an integer of at least lo."""
-
-    def cast(v, path):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ModelConfigError(f"{path}: expected an integer, got {v!r}")
-        if v < lo:
-            raise ModelConfigError(f"{path} must be >= {lo}, got {v!r}")
-        return v
-
-    return cast
-
-
-def _as_float(v, path):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ModelConfigError(f"{path}: expected a number, got {v!r}")
-    try:
-        value = float(v)
-    except OverflowError:  # an integer literal beyond the float range
-        value = np.inf
-    if not np.isfinite(value):
-        raise ModelConfigError(f"{path}: expected a finite number, got {v!r}")
-    return value
+    return lambda v, path: _as_count(v, path, lo)
 
 
 def _as_float_from(lo: float, strict: bool = False):
     """Cast to a finite float of at least lo, or above lo when strict."""
-
-    def cast(v, path):
-        value = _as_float(v, path)
-        if value < lo or (strict and value == lo):
-            raise ModelConfigError(f"{path} must be {'>' if strict else '>='} {lo}, got {value!r}")
-        return value
-
-    return cast
+    return lambda v, path: _as_real(v, path, lo, strict)
 
 
 def _as_str(v, path):
@@ -509,7 +496,7 @@ def _as_int_list(v, path):
     """A nonempty list of integers >= 1, such as an n-grid."""
     if not (isinstance(v, list) and v):
         raise ModelConfigError(f"{path}: expected a nonempty list of integers, got {v!r}")
-    return [_as_int_from(1)(u, f"{path}[{i}]") for i, u in enumerate(v)]
+    return [_as_count(u, f"{path}[{i}]", 1) for i, u in enumerate(v)]
 
 
 def _as_list(v, path):
@@ -525,21 +512,21 @@ def _as_dict(v, path):
 
 
 def _as_array(shape: tuple):
-    """Cast to a float array of the given shape, every entry checked by _as_float.
+    """Cast to a float array of the given shape, every entry checked by _as_real.
 
     A vector of length 1 may also be given as a bare number.
     """
 
     def entries(v, path, axes):
         if not axes:
-            return _as_float(v, path)
+            return _as_real(v, path)
         if not (isinstance(v, list) and len(v) == axes[0]):
             raise ModelConfigError(f"{path}: expected a list of length {axes[0]}, got {v!r}")
         return [entries(u, f"{path}[{i}]", axes[1:]) for i, u in enumerate(v)]
 
     def cast(v, path):
         bare = shape == (1,) and not isinstance(v, list)
-        return np.array([_as_float(v, path)] if bare else entries(v, path, shape))
+        return np.array([_as_real(v, path)] if bare else entries(v, path, shape))
 
     return cast
 
@@ -558,7 +545,12 @@ def _as_knots(dim: int):
 
 
 class _Conf:
-    """Strict view of one JSON object: every key must be taken exactly once."""
+    """Strict view of one JSON object: every key must be taken exactly once.
+
+    A cast gets the value and the key's full path, and refuses a bad value
+    with a ValueError naming that path, as the library's argument checks do
+    with an argument's name; take re-raises it as a ModelConfigError.
+    """
 
     def __init__(self, data, path):
         self.data = _as_dict(data, path)
@@ -573,7 +565,10 @@ class _Conf:
                 raise ModelConfigError(f"missing required key '{self.path}.{key}'")
             self.resolved[key] = default
             return default
-        value = cast(self.data[key], f"{self.path}.{key}")
+        try:
+            value = cast(self.data[key], f"{self.path}.{key}")
+        except ValueError as exc:
+            raise ModelConfigError(str(exc)) from exc
         self.resolved[key] = value
         return value
 
@@ -618,7 +613,7 @@ def _sigma_from(c: _Conf, dim: int):
     if kind == "zero":
         sigma, tag = np.zeros((dim, dim)), "zero"
     elif kind == "identity":
-        scale = c.take("scale", _as_float, 1.0)
+        scale = c.take("scale", _as_real, 1.0)
         sigma, tag = scale * np.eye(dim), f"{scale}*I"
     elif kind == "constant":
         sigma, tag = c.take("matrix", _as_array((dim, dim))), "const"
@@ -633,7 +628,7 @@ def _base_from(c: _Conf):
     if kind == "gaussian":
         base, tag = gaussian_base(), "gaussian"
     elif kind == "bernoulli":
-        p = c.take("p", _as_float)
+        p = c.take("p", _as_real)
         if not 0.0 < p < 1.0:
             raise ModelConfigError(f"{c.path}.p: expected a number in (0, 1), got {p!r}")
         base, tag = bernoulli_base(p), f"bernoulli({p})"

@@ -58,12 +58,8 @@ class BallEvent:
     radius: float
 
     def __post_init__(self):
-        center = np.atleast_1d(np.asarray(self.center, dtype=np.float64))
-        if not np.all(np.isfinite(center)):
-            raise ValueError("center must be finite")
-        object.__setattr__(self, "center", center)
-        if not 0.0 < self.radius < np.inf:
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        object.__setattr__(self, "center", kernel._finite(np.atleast_1d(self.center), "center"))
+        object.__setattr__(self, "radius", kernel._as_real(self.radius, "radius", 0, strict=True))
 
     def record(self) -> dict:
         return {
@@ -85,8 +81,7 @@ class PathDeviationEvent:
     reference: Optional[Trajectory] = None
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        object.__setattr__(self, "epsilon", kernel._as_real(self.epsilon, "epsilon", 0, strict=True))
 
     def record(self) -> dict:
         return {
@@ -149,9 +144,7 @@ def _mean_stderr(vals: np.ndarray) -> Tuple[float, float]:
 
 
 def _chunk_sizes(samples: int) -> List[int]:
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    full, rest = divmod(samples, CHUNK_SIZE)
+    full, rest = divmod(kernel._as_count(samples, "samples", 1), CHUNK_SIZE)
     return [CHUNK_SIZE] * full + ([rest] if rest else [])
 
 

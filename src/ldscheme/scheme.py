@@ -68,7 +68,7 @@ class Trajectory:
     knots: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.knots, dtype=np.float64)
+        k = kernel._finite(self.knots, "knots")
         if k.ndim == 1:
             k = k[:, None]
         if k.ndim != 2 or k.shape[0] < 2:
@@ -117,16 +117,14 @@ class DualMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        t = np.atleast_1d(np.asarray(self.times, dtype=np.float64))
-        w = np.asarray(self.weights, dtype=np.float64)
+        t = kernel._finite(np.atleast_1d(self.times), "atom times")
+        w = kernel._finite(self.weights, "atom weights")
         if w.ndim == 1:
             w = w[:, None] if len(t) == len(w) else w[None, :]
         if t.ndim != 1 or w.shape[0] != t.shape[0]:
             raise ValueError(f"times {t.shape} and weights {w.shape} do not align")
         if len(t) and (t.min() < 0.0 or t.max() > 1.0):
             raise ValueError("atom times must lie in [0, 1]")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(w))):
-            raise ValueError("atoms must be finite")
         order = np.argsort(t, kind="stable")
         object.__setattr__(self, "times", t[order])
         object.__setattr__(self, "weights", w[order])

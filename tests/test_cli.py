@@ -324,7 +324,7 @@ def test_weighted_estimators_with_one_sample_exit_2(tmp_path, capsys, command, e
         cfg["event"] = halfspace
     code, _ = _run(tmp_path, command, cfg)
     assert code == 2
-    assert "samples must be >= 2" in capsys.readouterr().err
+    assert "config.samples must be an integer >= 2, got 1" in capsys.readouterr().err
 
 
 _MARTINGALE = {
@@ -429,28 +429,28 @@ _HUGE = "1" + "0" * 4999
 
 
 @pytest.mark.parametrize(
-    "model, path",
+    "model, error",
     [
         # each record used to be read by a looser parser than the rest of the config
-        (_explicit(dim=True), "config.model.dim"),  # a traceback, exit 1
-        (_explicit(sigma={"kind": "identity", "scale": float("nan")}), "config.model.sigma.scale"),  # exit 3
-        (_explicit(sigma={"kind": "identity", "scale": True}), "config.model.sigma.scale"),  # accepted
-        (_explicit(sigma={"kind": "identity", "scale": "2"}), "config.model.sigma.scale"),  # accepted
-        (_explicit(base={"kind": "bernoulli", "p": "0.3"}), "config.model.base.p"),  # accepted
+        (_explicit(dim=True), "config.model.dim must be an integer >= 1, got True"),  # a traceback, exit 1
+        (_explicit(sigma={"kind": "identity", "scale": float("nan")}), "config.model.sigma.scale: expected"),  # exit 3
+        (_explicit(sigma={"kind": "identity", "scale": True}), "config.model.sigma.scale: expected"),  # accepted
+        (_explicit(sigma={"kind": "identity", "scale": "2"}), "config.model.sigma.scale: expected"),  # accepted
+        (_explicit(base={"kind": "bernoulli", "p": "0.3"}), "config.model.base.p: expected"),  # accepted
         # warned, then exited 2 with "ys must be finite" after writing resolved_config.json
-        (_explicit(drift={"kind": "linear", "matrix": [[float("inf")]]}), "config.model.drift.matrix[0][0]"),
-        (_explicit(sigma={"kind": "constant", "matrix": [["1"]]}), "config.model.sigma.matrix[0][0]"),  # accepted
+        (_explicit(drift={"kind": "linear", "matrix": [[float("inf")]]}), "config.model.drift.matrix[0][0]: expected"),
+        (_explicit(sigma={"kind": "constant", "matrix": [["1"]]}), "config.model.sigma.matrix[0][0]: expected"),  # accepted
         # the JSON reader refuses it, so the error names the file; a traceback, exit 1
         (_explicit(dim=_HUGE), None),
     ],
     ids=["dim-true", "scale-nan", "scale-true", "scale-str", "p-str", "matrix-inf", "matrix-str", "huge-int"],
 )
-def test_bad_model_record_exits_2(tmp_path, capsys, model, path):
+def test_bad_model_record_exits_2(tmp_path, capsys, model, error):
     cfg = tmp_path / "simulate.json"
     cfg.write_text(json.dumps({"model": model, "x": [1.0], "n": 4, "seed": 0}).replace(f'"{_HUGE}"', _HUGE))
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-    assert (f"{path}: expected" if path else str(cfg)) in capsys.readouterr().err
+    assert (error or str(cfg)) in capsys.readouterr().err
     assert not (out / "resolved_config.json").exists()
 
 
@@ -517,6 +517,36 @@ def test_unloadable_file_is_config_error(tmp_path, monkeypatch, capsys, command,
     assert not (out / "resolved_config.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        # wrote resolved_config.json, then exited 2 with "ys must be finite" and no key
+        ("action", {"model": OU, "x": [0.0], "trajectory_file": "traj.csv"}, "config.trajectory_file"),
+        # exited 0 with p_hat 0.0 and a RuntimeWarning
+        ("estimate", {"model": OU, "x": [0.0], "n": 20, "samples": 200, "seed": 3,
+                      "event": {"kind": "sup-distance-from-path", "epsilon": 0.5, "reference_file": "traj.csv"}},
+         "config.event.reference_file"),
+    ],
+    ids=["trajectory-file", "reference-file"],
+)
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_knot_in_a_file_is_config_error(tmp_path, monkeypatch, capsys, command, config, key, bad):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "traj.csv").write_text(f"t,x1\n0.0,0.0\n0.5,{bad}\n1.0,1.0\n")
+    code, out = _run(tmp_path, command, config)
+    assert code == 2
+    assert f"config error: {key}: cannot load 'traj.csv': knots must be finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_zero_workers_exits_2_before_any_output(tmp_path, capsys):
+    cfg = _write(tmp_path / "simulate.json", {"model": OU, "x": [1.0], "n": 4, "seed": 0})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "0"]) == 2
+    assert "config error: --workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _ESTIMATE = {
     "model": OU,
     "x": [0.0],
@@ -532,18 +562,18 @@ _SIMULATE = {"model": OU, "x": [1.0], "n": 4, "seed": 0}
     "command, config, error",
     [
         # each used to write resolved_config.json, then fail in the library
-        ("verify-ode", {**_ODE, "n_grid": [10, 0]}, "config.n_grid[1] must be >= 1, got 0"),  # "steps must be >= 1"
-        ("simulate", {**_SIMULATE, "seed": -1}, "config.seed must be >= 0, got -1"),  # numpy's "non-negative"
-        ("simulate", {**_SIMULATE, "n": 0}, "config.n must be >= 1, got 0"),
-        ("estimate", {**_ESTIMATE, "samples": 0}, "config.samples must be >= 1, got 0"),
-        ("estimate", {**_ESTIMATE, "method": "tilted", "samples": 1}, "config.samples must be >= 2, got 1"),
-        ("minimize", {**_MINIMIZE, "m": 1}, "config.m must be >= 2, got 1"),
-        ("verify-rate", {**_RATE, "samples": 1}, "config.samples must be >= 2, got 1"),
-        ("verify-martingale", {**_MARTINGALE, "samples": 1}, "config.samples must be >= 2, got 1"),
+        ("verify-ode", {**_ODE, "n_grid": [10, 0]}, "config.n_grid[1] must be an integer >= 1, got 0"),  # "steps must be >= 1"
+        ("simulate", {**_SIMULATE, "seed": -1}, "config.seed must be an integer >= 0, got -1"),  # numpy's "non-negative"
+        ("simulate", {**_SIMULATE, "n": 0}, "config.n must be an integer >= 1, got 0"),
+        ("estimate", {**_ESTIMATE, "samples": 0}, "config.samples must be an integer >= 1, got 0"),
+        ("estimate", {**_ESTIMATE, "method": "tilted", "samples": 1}, "config.samples must be an integer >= 2, got 1"),
+        ("minimize", {**_MINIMIZE, "m": 1}, "config.m must be an integer >= 2, got 1"),
+        ("verify-rate", {**_RATE, "samples": 1}, "config.samples must be an integer >= 2, got 1"),
+        ("verify-martingale", {**_MARTINGALE, "samples": 1}, "config.samples must be an integer >= 2, got 1"),
         ("verify-martingale", {**_MARTINGALE, "x": [0.0, 1.0]}, "config.x: expected a list of length 1"),
         ("minimize", {**_MINIMIZE, "terminal": {"kind": "point", "point": [1.0, 1.0]}},
          "config.terminal.point: expected a list of length 1"),
-        ("simulate", {**_SIMULATE, "model": {**_explicit(), "dim": 0}}, "config.model.dim must be >= 1, got 0"),
+        ("simulate", {**_SIMULATE, "model": {**_explicit(), "dim": 0}}, "config.model.dim must be an integer >= 1, got 0"),
         # the float ranges: each used to write resolved_config.json, then fail in the library without the key
         ("simulate", {**_SIMULATE, "a": -1.0}, "config.a must be >= 0, got -1.0"),
         ("action", {"model": OU, "x": [0.0], "knots": [0.0, 1.0], "a": -0.5}, "config.a must be >= 0, got -0.5"),
@@ -637,6 +667,27 @@ def test_verify_rate_passes_and_writes_tables(tmp_path):
     lines = (out / "rate_estimates.csv").read_text().strip().splitlines()
     assert lines[0] == "n,samples,p_hat,stderr,empirical_rate,predicted_rate"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize(
+    "table, code",
+    [
+        ({10: (0.05, 0.02), 20: (0.08, 0.02)}, 0),  # one excused violation
+        ({10: (0.05, 0.001), 20: (0.08, 0.001)}, 1),  # one unexcused violation
+        ({10: (0.05, 0.02), 20: (0.08, 0.02), 40: (0.11, 0.02)}, 1),  # two excused violations
+        ({10: (0.05, 0.02), 20: None}, 0),  # the last finite gap decides
+        ({10: None, 20: None}, 1),  # no finite gap at all
+    ],
+    ids=["excused", "unexcused", "two-violations", "censored-last", "all-censored"],
+)
+def test_verify_rate_verdict_reads_the_trend_and_the_last_finite_gap(tmp_path, crafted_rates, table, code):
+    crafted_rates(table)
+    got, out = _run(tmp_path, "verify-rate", {**_RATE, "n_grid": sorted(table)})
+    assert got == code
+    rep = json.loads((out / "rate_report.json").read_text())
+    assert rep["pass"] is (code == 0)
+    finite = [entry[0] for entry in table.values() if entry is not None]
+    assert rep["final_rel_gap"] == (pytest.approx(finite[-1]) if finite else None)
 
 
 def test_verify_rate_event_covering_mean_is_config_error(tmp_path):

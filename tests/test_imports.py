@@ -1,10 +1,12 @@
-"""Every module imports only names it uses.
+"""Every module imports only names it uses, and every private helper is used.
 
-A deletion can leave an import behind that nothing reads.  This check walks
-the syntax tree of each module under src/ldscheme, tests and scripts with
-the standard library's ast, so it needs no lint tool.  A name counts as used
-when the module reads it anywhere, or lists it in __all__ (the package's
-re-exports).
+A deletion can leave an import or a helper behind that nothing reads.  These
+checks walk the syntax tree of each module under src/ldscheme, tests and
+scripts (and perfbench, for the second) with the standard library's ast, so
+they need no lint tool.  An import counts as used when the module reads it
+anywhere, or lists it in __all__ (the package's re-exports).  A private
+top-level name of the package counts as used when some module reads it, by
+name or as an attribute.
 """
 
 import ast
@@ -16,6 +18,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(
     path for folder in ("src/ldscheme", "tests", "scripts") for path in (ROOT / folder).glob("*.py")
 )
+PACKAGE = sorted((ROOT / "src/ldscheme").glob("*.py"))
+READERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _imported(tree):
@@ -53,3 +57,42 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_module_imports_only_names_it_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private_definitions(tree):
+    """(name, line) for every private, non-dunder name the module body binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [(node.name, node.lineno)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            found = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [(t.id, node.lineno) for t in found if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, line) for name, line in targets if name.startswith("_") and not name.startswith("__"))
+
+
+def _reads(tree):
+    """Every name the module reads, bare or as an attribute."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def unused_private_names(source: str, read: set) -> list:
+    """The private top-level names of source that neither source nor the names in read include."""
+    tree = ast.parse(source)
+    read = read | _reads(tree)
+    return [f"line {line}: {name}" for name, line in _private_definitions(tree) if name not in read]
+
+
+def test_the_check_finds_an_unused_private_name():
+    source = "def _dead(): pass\ndef _helper(): pass\n_A = _helper()\n_B: int = 1\nclass _C: pass\n__all__ = []\n"
+    read = _reads(ast.parse("from m import _C\nprint(_C(), m._B)\n"))
+    assert unused_private_names(source, read) == ["line 1: _dead", "line 3: _A"]
+
+
+def test_every_private_name_of_the_package_is_used():
+    read = set().union(*(_reads(ast.parse(path.read_text())) for path in READERS))
+    dead = {str(path.relative_to(ROOT)): unused_private_names(path.read_text(), read) for path in PACKAGE}
+    assert {path: names for path, names in dead.items() if names} == {}

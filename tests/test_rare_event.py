@@ -8,7 +8,7 @@ import pytest
 from numpy.random import default_rng
 from scipy.stats import norm
 
-from ldscheme import kernel
+from ldscheme import conjugate as conj_mod, kernel
 from ldscheme.action import ActionProblem, TerminalHalfspace, limit_ode, minimize_action
 from ldscheme.errors import SimulationBlowup
 from ldscheme.kernel import affine_model, gaussian_base, linear_drift, logistic_drift, preset_model
@@ -732,7 +732,7 @@ def test_verify_ode_all_censored():
         # the grid is a run argument, so it is checked before epsilon
         (np.nan, [], "n_grid must be nonempty"),
         (0.5, [], "n_grid must be nonempty"),
-        (np.nan, [10], "epsilon must be positive and finite"),
+        (np.nan, [10], "epsilon: expected a finite number, got nan"),
     ],
     ids=["nan-empty", "empty", "nan"],
 )
@@ -906,3 +906,62 @@ def test_integer_arguments_take_a_numpy_integer(case):
         assert (got.action.value, got.iterations, got.log) == (want.action.value, want.iterations, want.log)
     else:
         assert _same_result(got, want)
+
+
+# the real arguments, each keyed by its case: the smoothing amplitude of the
+# stepper, of an estimator, of a path minimization and of the conjugate solve,
+# the level of a half-space (as an event and as a dominating-point target),
+# and the ball radius and path-deviation epsilon; each call returns what
+# shows its result bit for bit
+_REALS = {
+    "a-simulate": ("a", lambda m, v: simulate(m, [0.0], 10, v, 1).knots.tobytes()),
+    "a-mc_probability": ("a", lambda m, v: json.dumps(
+        mc_probability(m, [0.0], 10, v, _HALF, 50, seed=1).to_json_dict())),
+    "a-martingale_check": ("a", lambda m, v: json.dumps(
+        martingale_check(m, [0.0], 10, v, DualMeasure.point_mass(1.0, 0.5), 50, seed=1).to_json_dict())),
+    "a-ActionProblem": ("a", lambda m, v: repr(ActionProblem(model=m, x=[0.0], terminal=_HALF, a=v).a)),
+    "a-fenchel_rows": ("a", lambda m, v: conj_mod.fenchel_rows(m, [[0.0]], [[0.5]], v).argmax.tobytes()),
+    "level": ("level", lambda m, v: repr(TerminalHalfspace([2.0], v))),
+    "c-dominating_point_halfspace": ("c", lambda m, v: repr(conj_mod.dominating_point_halfspace(m, [0.0], [2.0], v))),
+    "radius": ("radius", lambda m, v: repr(BallEvent([0.0], v))),
+    "epsilon": ("epsilon", lambda m, v: repr(PathDeviationEvent(v))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REALS))
+@pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "str"])
+def test_real_arguments_reject_bools_and_strings_before_any_callback(case, value):
+    # a = True used to run at a = 1 and a = "0.5" at 0.5; the events stored a
+    # bool, and a string level raised TypeError
+    arg, call = _REALS[case]
+    with pytest.raises(ValueError, match=rf"^{arg}: expected a number, got {re.escape(repr(value))}$"):
+        call(_refusing_ou(), value)
+
+
+@pytest.mark.parametrize("case", sorted(_REALS))
+@pytest.mark.parametrize("value", [np.float64(0.5), np.int64(1)], ids=["float64", "int64"])
+def test_real_arguments_take_a_numpy_scalar(case, value):
+    # the value is stored as a plain float, so the reprs match too
+    call = _REALS[case][1]
+    m = preset_model("gaussian-ou")
+    assert call(m, value) == call(m, value.item())
+
+
+def test_verify_rate_censors_an_estimate_without_hits(crafted_rates):
+    crafted_rates({10: (0.05, 0.01), 20: None, 40: (0.03, 0.01)})
+    rep = verify_rate(preset_model("gaussian-free"), [0.0], TerminalHalfspace([1.0], 1.0), [10, 20, 40], 50, seed=1)
+    assert rep.estimates[1].p_hat == 0.0 and rep.estimates[1].empirical_rate is None
+    assert rep.rel_gaps == [pytest.approx(0.05), None, pytest.approx(0.03)]
+    # a pair with a censored n is not compared, so neither pair counts
+    assert rep.trend_violations == []
+
+
+@pytest.mark.parametrize("rate_se, excused", [(0.0107, True), (0.0105, False)], ids=["excused", "unexcused"])
+def test_verify_rate_excuses_a_gap_increase_within_two_combined_stderrs(crafted_rates, rate_se, excused):
+    # the absolute gap grows by 0.03 predicted rates, against two combined
+    # standard errors of 2 sqrt(2) rate_se = 0.0303 or 0.0297 predicted rates
+    crafted_rates({10: (0.05, rate_se), 20: (0.08, rate_se)})
+    rep = verify_rate(preset_model("gaussian-free"), [0.0], TerminalHalfspace([1.0], 1.0), [10, 20], 50, seed=1)
+    assert rep.trend_violations == [
+        {"n_prev": 10, "n_next": 20, "gap_increase": pytest.approx(0.03 * rep.predicted_rate), "excused": excused}
+    ]

@@ -38,6 +38,22 @@ def test_trajectory_validation():
         Trajectory(np.array([1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trajectory_rejects_non_finite_knots(bad):
+    # a NaN or inf knot used to be stored, and surfaced later as "ys must be
+    # finite" in a cost or as a silent p_hat 0 in a path-deviation estimate
+    with pytest.raises(ValueError, match="^knots must be finite$"):
+        Trajectory([[0.0], [bad], [1.0]])
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_load_rejects_a_non_finite_knot(tmp_path, bad):
+    p = tmp_path / "traj.csv"
+    p.write_text(f"t,x1\n0.0,0.0\n0.5,{bad}\n1.0,1.0\n")
+    with pytest.raises(ValueError, match="^knots must be finite$"):
+        load_trajectory(p)
+
+
 def test_basis_phi_ramp():
     # a unit atom at t reads off phi_{n,i}(t) in row i-1: ramp i covers
     # ((i-1)/n, i/n] and saturates afterwards
@@ -342,6 +358,26 @@ def test_phi_limit_free_gaussian_terminal_atom():
     # interior atom: the tail vanishes past it
     lam_half = DualMeasure.point_mass(0.5, 0.8)
     assert phi_limit(m, [0.5], 0.0, f, lam_half) == pytest.approx(0.5 * 0.8 + 0.16, abs=1e-12)
+
+
+_OU_2D = affine_model(2, linear_drift(np.array([[-1.0, 0.5], [0.0, -2.0]])), [[1.0, 0.0], [0.3, 0.8]], gaussian_base())
+
+
+@pytest.mark.parametrize(
+    "model, weight",
+    [(preset_model("gaussian-ou"), [0.6]), (preset_model("bernoulli-walk"), [-1.3]), (_OU_2D, [0.6, -0.8])],
+    ids=["ou", "bernoulli", "ou-2d"],
+)
+@pytest.mark.parametrize("t", [0.3, 1.0])
+def test_phi_limit_smoothing_term_of_a_point_mass(model, weight, t):
+    # the tail lam([s, 1]) is w for s < t and 0 after, so the smoothing term
+    # a^2 |lam([s, 1])|^2 / 2 integrates to a^2 |w|^2 t / 2
+    knots = np.array([[0.2], [0.9], [-0.4], [0.5]])
+    f = Trajectory(np.repeat(knots, model.dim, axis=1))
+    lam = DualMeasure.point_mass(t, weight)
+    x, a = f.knots[0], 0.7
+    smoothing = phi_limit(model, x, a, f, lam) - phi_limit(model, x, 0.0, f, lam)
+    assert smoothing == pytest.approx(0.5 * a * a * np.sum(np.square(weight)) * t, rel=1e-13)
 
 
 def test_phi_limit_ou_against_closed_form():
