@@ -91,7 +91,7 @@ class MinimizeSettings:
     max_iter: int = 500
 
     def __post_init__(self):
-        kernel._as_count(self.max_iter, "max_iter", 1)
+        object.__setattr__(self, "max_iter", kernel._as_count(self.max_iter, "max_iter", 1))
 
 
 @dataclass(frozen=True)

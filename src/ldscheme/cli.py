@@ -111,8 +111,9 @@ def _write_csv(path, header, rows):
 
 
 def _echo(c: _Conf, command: str, out: str) -> None:
-    """Refuse the config's unknown keys, then write it to out as resolved_config.json, defaults included."""
+    """Refuse the config's unknown keys, then make out and write resolved_config.json there, defaults included."""
     c.close()
+    os.makedirs(out, exist_ok=True)
     _write_json(os.path.join(out, "resolved_config.json"), {"command": command, **c.resolved})
 
 
@@ -394,7 +395,6 @@ def main(argv=None) -> int:
     if args.workers < 1:
         print("config error: --workers must be >= 1", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
     handler = _COMMANDS[args.command][0]
     try:
         c = _Conf(cfg, "config")

@@ -120,20 +120,11 @@ def _ascent_directions(hess, grad):
         p = np.linalg.solve(hess, grad[..., None])[..., 0]
     except np.linalg.LinAlgError:  # some row is singular: redo every row on its own
         p = np.full_like(grad, np.nan)
-    ok = np.isfinite(p).all(axis=1) & (_dot_rows(p, grad) > 0.0)
+    ok = np.isfinite(p).all(axis=1) & (kernel._dot_rows(p, grad) > 0.0)
     if not ok.all():
         for i in np.flatnonzero(~ok):
             p[i] = _solve_ascent(hess[i], grad[i])
     return p
-
-
-def _dot_rows(u, v):
-    return np.einsum("ij,ij->i", u, v)
-
-
-def _row_norms(v):
-    """np.linalg.norm(v, axis=1) for real rows, bit for bit: the code it runs, without its checks."""
-    return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
 def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
@@ -157,14 +148,14 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     if ys.shape != zs.shape:
         raise ValueError(f"ys and zs must have the same shape, got {ys.shape} and {zs.shape}")
     n, d = zs.shape
-    tol = GRAD_TOL_SCALE * (1.0 + _row_norms(zs))
+    tol = GRAD_TOL_SCALE * (1.0 + kernel._row_norms(zs))
 
     def objective(y, z, alpha):
-        h = _dot_rows(z, alpha) - model.cgf(y, alpha)
+        h = kernel._dot_rows(z, alpha) - model.cgf(y, alpha)
         # at a = 0 the smoothing term is +0.0 (|alpha| stays below NORM_CAP + MAX_STEP),
         # and subtracting +0.0 changes no value, -0.0 included
         if aa > 0.0:
-            h = h - 0.5 * aa * _dot_rows(alpha, alpha)
+            h = h - 0.5 * aa * kernel._dot_rows(alpha, alpha)
         return h
 
     def gradient(y, z, alpha):
@@ -200,7 +191,7 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
         if row.size == 0:
             break
         grad = gradient(y, z, al)
-        gnorm = _row_norms(grad)
+        gnorm = kernel._row_norms(grad)
         done = gnorm <= tl
         if done.all():  # no row is left to compact
             finish(row, CONVERGED, it, gnorm, hv, al)
@@ -215,7 +206,7 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
             hess = hess + aa * np.eye(d)
         p = _ascent_directions(hess, grad)
         with np.errstate(over="ignore"):
-            pnorm = _row_norms(p)
+            pnorm = kernel._row_norms(p)
         # a Newton direction that overflowed (flat Hessian) becomes the
         # longest admissible gradient step; a NaN or inf norm fails the test
         if not (pnorm <= MAX_STEP).all():
@@ -230,7 +221,7 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
         # pending rows: index into the live rows, y, z, alpha, p, h, slope.
         # The accepted mask and the new alpha and h are made when some row
         # needs a shorter step, as copies of the row's start.
-        slope = _dot_rows(grad, p)
+        slope = kernel._dot_rows(grad, p)
         accepted = None
         pending = [np.arange(row.size), y, z, al, p, hv, slope]
         step = 1.0
@@ -271,7 +262,7 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
         live = [row, y, z, tl, new_al, new_h, run, bv, ba]
         # |alpha| <= d max_i |alpha_i|, so no row is capped while that bound stays at NORM_CAP / 2
         if amp == 0.0 and d * np.abs(new_al).max(initial=0.0) > 0.5 * NORM_CAP:
-            capped = _row_norms(new_al) > NORM_CAP
+            capped = kernel._row_norms(new_al) > NORM_CAP
             # divergent when h rose strictly over the whole trailing window
             window = min(it + 1, WINDOW + 1) - 1
             divergent = capped & (run >= window)
@@ -282,7 +273,7 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
 
     row, y, z, _, al, _, _, bv, ba = live
     if row.size:
-        finish(row, MAX_ITERATIONS, MAX_ITER, _row_norms(gradient(y, z, al)), bv, ba)
+        finish(row, MAX_ITERATIONS, MAX_ITER, kernel._row_norms(gradient(y, z, al)), bv, ba)
     return out
 
 

@@ -74,6 +74,14 @@ def _as_real(value, name: str, least=None, strict: bool = False) -> float:
     return real
 
 
+def _as_probability(value, name: str) -> float:
+    """value as a float strictly between 0 and 1, read by _as_real."""
+    p = _as_real(value, name)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {p!r}")
+    return p
+
+
 def _require_dim(what: str, dim: int, model_dim: int) -> None:
     """Reject a path or measure whose dimension is not the model's."""
     if dim != model_dim:
@@ -119,7 +127,7 @@ def gaussian_base() -> BaseNoise:
 
     return BaseNoise(
         kind="gaussian",
-        logmgf=lambda a: 0.5 * np.add.reduce(np.square(a), axis=-1),
+        logmgf=lambda a: 0.5 * _sq_norm(a),
         logmgf_grad=lambda a: np.asarray(a, dtype=np.float64),
         logmgf_hess=hess,
         sample=lambda rng, size: rng.standard_normal(size),
@@ -132,8 +140,7 @@ def bernoulli_base(p: float) -> BaseNoise:
     logmgf(alpha) = sum_i log(1 - p + p e^{alpha_i}), evaluated through
     logaddexp so very large |alpha_i| neither overflows nor loses the tail.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"bernoulli parameter must lie in (0, 1), got {p}")
+    p = _as_probability(p, "p")
     log_p = np.log(p)
     log_q = np.log1p(-p)
     logit_p = log_p - log_q
@@ -292,7 +299,7 @@ def affine_model(
 
     def cgf(ys, alphas):
         bs = drift_rows(model, ys)
-        drift_term = _rdot(bs, alphas) if alphas.ndim == 1 else np.einsum("ij,ij->i", bs, alphas)
+        drift_term = _rdot(bs, alphas) if alphas.ndim == 1 else _dot_rows(bs, alphas)
         return drift_term + base.logmgf(_sigma_t_dot(_sigma_rows(model, ys), alphas))
 
     # a constant sigma's transpose, contiguous, as the right factor of the sigma products
@@ -369,6 +376,24 @@ def _rdot(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     if w.shape[0] == 1:
         return v[..., 0] * w[0] if w.ndim == 1 else v[..., :1] * w[0]
     return np.dot(v, w)
+
+
+def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", u, v)
+
+
+def _sq_norm(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """|v|^2 over the last axis, bit for bit np.add.reduce(np.square(v), axis=-1): the package's one row sum of squares.
+
+    The squares go to out, which no callback passes; at d = 1 the result is their view, skipping the reduction's loop.
+    """
+    sq = np.square(v, out=out)
+    return sq[..., 0] if sq.shape[-1] == 1 else np.add.reduce(sq, axis=-1)
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=-1) for real rows, bit for bit: the code it runs, without its checks."""
+    return np.sqrt(_sq_norm(v))
 
 
 def _sigma_dot(sig: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -573,13 +598,8 @@ class _Conf:
         return value
 
     def sub(self, key, default=_MISSING):
-        self.used.add(key)
-        if key not in self.data:
-            if default is _MISSING:
-                raise ModelConfigError(f"missing required key '{self.path}.{key}'")
-            sub = _Conf(dict(default), f"{self.path}.{key}")
-        else:
-            sub = _Conf(self.data[key], f"{self.path}.{key}")
+        """The record at key, or the default record, as a _Conf whose resolved values this one echoes."""
+        sub = _Conf(self.take(key, lambda v, path: v, default), f"{self.path}.{key}")
         self.resolved[key] = sub.resolved
         return sub
 
@@ -628,9 +648,7 @@ def _base_from(c: _Conf):
     if kind == "gaussian":
         base, tag = gaussian_base(), "gaussian"
     elif kind == "bernoulli":
-        p = c.take("p", _as_real)
-        if not 0.0 < p < 1.0:
-            raise ModelConfigError(f"{c.path}.p: expected a number in (0, 1), got {p!r}")
+        p = c.take("p", _as_probability)
         base, tag = bernoulli_base(p), f"bernoulli({p})"
     else:
         raise ModelConfigError(f"{c.path}.kind must be gaussian or bernoulli, got {kind!r}")

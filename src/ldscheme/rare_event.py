@@ -201,16 +201,6 @@ def _deviation_grid(event: EventSpec, model, x, n: int):
     return ref_lattice, per_step
 
 
-def _sq_norm(v: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm over the last axis: the sum that np.linalg.norm takes the root of.
-
-    v is overwritten with its squares; at d = 1 the result is a view of v,
-    which skips np.add.reduce's slow loop per row.
-    """
-    sq = np.square(v, out=v)
-    return sq[..., 0] if sq.shape[-1] == 1 else np.add.reduce(sq, axis=-1)
-
-
 def _hit_rows(model, x, n, a, event, grid, rng, size) -> np.ndarray:
     """Event indicators for `size` replicas; grid is _deviation_grid(event, model, x, n)."""
     steps = _euler_steps(model, x, n, a, rng, size)
@@ -224,16 +214,17 @@ def _hit_rows(model, x, n, a, event, grid, rng, size) -> np.ndarray:
     # correctly rounded, so every hit is that of a per-step norm; a finite
     # state too large to square has an inf deviation, which is a hit
     ref_lattice, per_step = grid
+    sq_norm = lambda dev: kernel._sq_norm(dev, out=dev)  # each deviation is a temporary
     with np.errstate(over="ignore"):
-        dev2 = _sq_norm(np.broadcast_to(x, (size, model.dim)) - ref_lattice[0])
+        dev2 = sq_norm(np.broadcast_to(x, (size, model.dim)) - ref_lattice[0])
     for k, prev, _, state in steps:
         with np.errstate(over="ignore"):
             extras = per_step[k]
             if extras is not None:
                 fracs, refs = extras
                 vals = prev[:, None, :] + fracs[None, :, None] * (state - prev)[:, None, :]
-                np.maximum(dev2, _sq_norm(vals - refs[None, :, :]).max(axis=1), out=dev2)
-            np.maximum(dev2, _sq_norm(state - ref_lattice[k]), out=dev2)
+                np.maximum(dev2, sq_norm(vals - refs[None, :, :]).max(axis=1), out=dev2)
+            np.maximum(dev2, sq_norm(state - ref_lattice[k]), out=dev2)
     return np.sqrt(dev2) >= event.epsilon
 
 
@@ -343,7 +334,7 @@ def tilted_mc_probability(
 
 def _martingale_rows(model, x, n, a, alphas, rng, size) -> np.ndarray:
     """exp of sum_k [<F_k + a g_k, alpha_k> - cgf_a(X_{k-1}, alpha_k)] for `size` replicas."""
-    smoothing = 0.5 * a * a * np.sum(alphas * alphas, axis=1)
+    smoothing = 0.5 * a * a * kernel._sq_norm(alphas)
     acc = np.zeros(size)
     for k, prev, inc, _ in _euler_steps(model, x, n, a, rng, size):
         alpha = alphas[k - 1]

@@ -284,7 +284,7 @@ def phi_limit(model: KernelModel, x, a, f: Trajectory, lam: DualMeasure) -> floa
     ys = eval_path_many(f, ss)
     vals = model.cgf(ys, als)
     if amp > 0.0:
-        vals = vals + 0.5 * amp * amp * np.sum(als * als, axis=1)
+        vals = vals + 0.5 * amp * amp * kernel._sq_norm(als)
     return float(x @ lam.total_mass()) + float(ws @ vals)
 
 

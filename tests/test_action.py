@@ -334,6 +334,20 @@ def test_minimize_max_iter_stop_is_not_converged():
     assert any("ITERATIONS REACHED LIMIT" in w for w in res.warnings)
 
 
+def test_minimize_settings_store_a_numpy_integer_as_an_int():
+    settings = MinimizeSettings(max_iter=np.int64(5))
+    assert type(settings.max_iter) is int and settings.max_iter == 5
+
+    def run(settings):
+        terminal = TerminalHalfspace([1.0, 1.0], 1.0)
+        return minimize_action(ActionProblem(model=_linear_2d_model(), x=[0.0, 0.0], terminal=terminal, m=21, settings=settings))
+
+    got, want = run(settings), run(MinimizeSettings(max_iter=5))
+    assert got.iterations == want.iterations == 5
+    assert got.trajectory.knots.tobytes() == want.trajectory.knots.tobytes()
+    assert (got.action.value, got.grad_norm, got.log) == (want.action.value, want.grad_norm, want.log)
+
+
 GRAMIAN_DRIFTS = [
     [[-1.0]],
     [[-1.0, 0.5], [0.0, -1.0]],

@@ -14,7 +14,6 @@ def _write(path, obj):
 def _run(tmp_path, name, config, sub="out", extra=()):
     cfg = _write(tmp_path / f"{name}.json", config)
     out = tmp_path / sub
-    out.mkdir(exist_ok=True)
     code = main([name, "--config", cfg, "--out", str(out), *extra])
     return code, out
 
@@ -437,13 +436,14 @@ _HUGE = "1" + "0" * 4999
         (_explicit(sigma={"kind": "identity", "scale": True}), "config.model.sigma.scale: expected"),  # accepted
         (_explicit(sigma={"kind": "identity", "scale": "2"}), "config.model.sigma.scale: expected"),  # accepted
         (_explicit(base={"kind": "bernoulli", "p": "0.3"}), "config.model.base.p: expected"),  # accepted
+        (_explicit(base={"kind": "bernoulli", "p": 1.0}), "config.model.base.p must lie in (0, 1), got 1.0"),
         # warned, then exited 2 with "ys must be finite" after writing resolved_config.json
         (_explicit(drift={"kind": "linear", "matrix": [[float("inf")]]}), "config.model.drift.matrix[0][0]: expected"),
         (_explicit(sigma={"kind": "constant", "matrix": [["1"]]}), "config.model.sigma.matrix[0][0]: expected"),  # accepted
         # the JSON reader refuses it, so the error names the file; a traceback, exit 1
         (_explicit(dim=_HUGE), None),
     ],
-    ids=["dim-true", "scale-nan", "scale-true", "scale-str", "p-str", "matrix-inf", "matrix-str", "huge-int"],
+    ids=["dim-true", "scale-nan", "scale-true", "scale-str", "p-str", "p-one", "matrix-inf", "matrix-str", "huge-int"],
 )
 def test_bad_model_record_exits_2(tmp_path, capsys, model, error):
     cfg = tmp_path / "simulate.json"
@@ -451,7 +451,7 @@ def test_bad_model_record_exits_2(tmp_path, capsys, model, error):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert (error or str(cfg)) in capsys.readouterr().err
-    assert not (out / "resolved_config.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -536,7 +536,7 @@ def test_non_finite_knot_in_a_file_is_config_error(tmp_path, monkeypatch, capsys
     code, out = _run(tmp_path, command, config)
     assert code == 2
     assert f"config error: {key}: cannot load 'traj.csv': knots must be finite" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_zero_workers_exits_2_before_any_output(tmp_path, capsys):
@@ -583,16 +583,17 @@ _SIMULATE = {"model": OU, "x": [1.0], "n": 4, "seed": 0}
         ("verify-ode", {**_ODE, "epsilon": 0.0}, "config.epsilon must be > 0, got 0.0"),
         ("estimate", {**_ESTIMATE, "event": {"kind": "sup-distance-from-path", "epsilon": -0.5}},
          "config.event.epsilon must be > 0, got -0.5"),
+        ("estimate", {**_ESTIMATE, "method": "bogus"}, "config.method: expected 'naive' or 'tilted', got 'bogus'"),
     ],
     ids=["ode-n-grid", "seed", "n", "samples", "tilted-samples", "m", "rate-samples", "martingale-samples", "x-dim",
          "point-dim", "model-dim", "simulate-a", "action-a", "minimize-a", "estimate-a", "martingale-a",
-         "ode-epsilon", "path-epsilon"],
+         "ode-epsilon", "path-epsilon", "estimate-method"],
 )
 def test_config_out_of_range_exits_2_before_the_echo(tmp_path, capsys, command, config, error):
     code, out = _run(tmp_path, command, config)
     assert code == 2
     assert error in capsys.readouterr().err
-    assert not (out / "resolved_config.json").exists()
+    assert not out.exists()  # --out is made only for an accepted config
 
 
 def test_bare_number_vector_echoes_as_a_list(tmp_path):

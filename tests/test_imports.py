@@ -1,4 +1,4 @@
-"""Every module imports only names it uses, and every private helper is used.
+"""Every module imports only names it uses, every private helper is used, and only kernel reduces rows.
 
 A deletion can leave an import or a helper behind that nothing reads.  These
 checks walk the syntax tree of each module under src/ldscheme, tests and
@@ -6,7 +6,9 @@ scripts (and perfbench, for the second) with the standard library's ast, so
 they need no lint tool.  An import counts as used when the module reads it
 anywhere, or lists it in __all__ (the package's re-exports).  A private
 top-level name of the package counts as used when some module reads it, by
-name or as an attribute.
+name or as an attribute.  The row sums of squares and row dots that price a
+step live in kernel alone, so that one function decides their summation
+order: no other module of the package calls np.add.reduce or np.einsum.
 """
 
 import ast
@@ -96,3 +98,29 @@ def test_every_private_name_of_the_package_is_used():
     read = set().union(*(_reads(ast.parse(path.read_text())) for path in READERS))
     dead = {str(path.relative_to(ROOT)): unused_private_names(path.read_text(), read) for path in PACKAGE}
     assert {path: names for path, names in dead.items() if names} == {}
+
+
+def row_reductions(source: str) -> list:
+    """The calls of source to np.add.reduce or np.einsum, under any module alias."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func).split(".")
+            if name[-1] == "einsum" or name[-2:] == ["add", "reduce"]:
+                found.append(f"line {node.lineno}: {'.'.join(name)}")
+    return found
+
+
+def test_the_check_finds_a_row_reduction():
+    source = (
+        "s = np.add.reduce(v * v, axis=1)\n"
+        "d = numpy.einsum('ij,ij->i', u, v)\n"
+        "t = np.sum(v) + np.add(u, v)\n"
+        "f = np.add.reduce\n"
+    )
+    assert row_reductions(source) == ["line 1: np.add.reduce", "line 2: numpy.einsum"]
+
+
+def test_only_kernel_reduces_rows():
+    found = {str(path.relative_to(ROOT)): row_reductions(path.read_text()) for path in PACKAGE if path.name != "kernel.py"}
+    assert {path: calls for path, calls in found.items() if calls} == {}

@@ -66,10 +66,89 @@ def test_bernoulli_base_large_alpha_stable():
     assert np.isfinite(base.logmgf(np.array([-900.0])))
 
 
-def test_bernoulli_base_rejects_degenerate_p():
-    for p in [0.0, 1.0, -0.2, 1.5]:
-        with pytest.raises(ValueError):
-            bernoulli_base(p)
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        (0.0, "p must lie in (0, 1), got 0.0"),
+        (1.0, "p must lie in (0, 1), got 1.0"),
+        (-0.2, "p must lie in (0, 1), got -0.2"),
+        (1.5, "p must lie in (0, 1), got 1.5"),
+        (0, "p must lie in (0, 1), got 0.0"),
+        (1, "p must lie in (0, 1), got 1.0"),
+        ("0.3", "p: expected a number, got '0.3'"),  # a TypeError from the comparison
+        (True, "p: expected a number, got True"),
+    ],
+)
+def test_bernoulli_base_rejects_a_bad_p(p, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bernoulli_base(p)
+
+
+def _special_rows(d):
+    """Random rows, and rows holding zeros of both signs, subnormals, huge values, infinities and NaN."""
+    rng = default_rng(70 + d)
+    specials = [0.0, -0.0, 5e-324, -2.5e-310, 1e200, -1e200, np.inf, -np.inf, np.nan]
+    rows = [rng.normal(size=d) for _ in range(50)]
+    for value in specials:
+        for col in range(d):
+            row = rng.normal(size=d)
+            row[col] = value
+            rows.append(row)
+        rows.append(np.full(d, value))
+    return np.array(rows)
+
+
+def _scaled_rows(d):
+    """4,000 rows scaled from 1e-160 to 1e170, so that some squares underflow and some overflow."""
+    rng = default_rng(80 + d)
+    return rng.standard_normal((4_000, d)) * 10.0 ** rng.uniform(-160.0, 170.0, (4_000, 1))
+
+
+def _squares_in_place(v):
+    w = v.copy()
+    return kernel._sq_norm(w, out=w)
+
+
+# each kernel row reduction, beside the numpy spelling whose bytes it must give
+_ROW_REDUCTIONS = {
+    "sq-norm": (kernel._sq_norm, lambda v: np.add.reduce(np.square(v), axis=-1)),
+    "sq-norm-in-place": (_squares_in_place, lambda v: np.add.reduce(np.square(v), axis=-1)),
+    "row-norms": (kernel._row_norms, lambda v: np.linalg.norm(v, axis=-1)),
+}
+
+
+@pytest.mark.parametrize("rows", ["special", "scaled", "scaled-3d"])
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("reduction", list(_ROW_REDUCTIONS))
+def test_row_reductions_equal_their_numpy_spelling_byte_for_byte(reduction, d, rows):
+    # the d = 1 view of the squares must equal the reduction too, overflowing squares included
+    helper, spelling = _ROW_REDUCTIONS[reduction]
+    v = _special_rows(d) if rows == "special" else _scaled_rows(d)
+    if rows == "scaled-3d":
+        v = v.reshape(40, 100, d)
+    before = v.copy()
+    with np.errstate(over="ignore", under="ignore"):
+        got, want = helper(v), spelling(v)
+    if rows == "scaled":
+        assert np.isinf(want).any() and np.isfinite(want).any()
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))  # the bits, NaN and -0.0 included
+    np.testing.assert_array_equal(v.view(np.int64), before.view(np.int64))  # only an explicit out is written
+
+
+@pytest.mark.parametrize("shape", ["rows", "one-alpha"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_gaussian_logmgf_is_the_earlier_reduction_byte_for_byte(d, shape):
+    logmgf = gaussian_base().logmgf
+    earlier = lambda a: 0.5 * np.add.reduce(np.square(a), axis=-1)
+    v = np.concatenate([_special_rows(d), _scaled_rows(d)])
+    before = v.copy()
+    with np.errstate(over="ignore", under="ignore"):
+        for alpha in [v] if shape == "rows" else v[::97]:
+            got, want = logmgf(alpha), earlier(alpha)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            np.testing.assert_array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+    np.testing.assert_array_equal(v.view(np.int64), before.view(np.int64))
 
 
 def test_affine_cgf_orn_uhlenbeck():

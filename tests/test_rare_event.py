@@ -576,20 +576,6 @@ def test_in_place_folds_equal_their_fresh_references(make):
         assert np.array_equal(hits, _fresh_deviation_rows(m, x, n, 0.5, ev, grid, default_rng(74), size))
 
 
-@pytest.mark.parametrize("d", [1, 3])
-def test_sq_norm_equals_the_numpy_reduction(d):
-    # the d = 1 view must equal the reduction, overflowing squares included
-    from ldscheme import rare_event
-
-    rng = default_rng(80 + d)
-    v = rng.standard_normal((4_000, d)) * 10.0 ** rng.uniform(-160.0, 170.0, (4_000, 1))
-    with np.errstate(over="ignore", under="ignore"):
-        ref = np.add.reduce(np.square(v), axis=-1)
-        assert np.isinf(ref).any() and np.isfinite(ref).any()
-        assert np.array_equal(rare_event._sq_norm(v.copy()), ref)
-        assert np.array_equal(rare_event._sq_norm(v.reshape(40, 100, d).copy()), ref.reshape(40, 100))
-
-
 def test_in_place_folds_equal_their_fresh_references_on_the_walk():
     from ldscheme import rare_event
 

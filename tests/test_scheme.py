@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.random import default_rng
 
+from ldscheme import kernel
 from ldscheme.errors import SimulationBlowup
 from ldscheme.kernel import affine_model, gaussian_base, linear_drift, preset_model
 from ldscheme.scheme import (
@@ -378,6 +379,19 @@ def test_phi_limit_smoothing_term_of_a_point_mass(model, weight, t):
     x, a = f.knots[0], 0.7
     smoothing = phi_limit(model, x, a, f, lam) - phi_limit(model, x, 0.0, f, lam)
     assert smoothing == pytest.approx(0.5 * a * a * np.sum(np.square(weight)) * t, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "model", [preset_model("gaussian-ou"), preset_model("bernoulli-walk"), _OU_2D], ids=["ou", "bernoulli", "ou-2d"]
+)
+def test_phi_limit_smoothing_has_the_bytes_of_the_earlier_row_sum(monkeypatch, model):
+    knots = np.array([[0.2], [0.9], [-0.4], [0.5]])
+    f = Trajectory(np.repeat(knots, model.dim, axis=1))
+    lam = DualMeasure([0.3, 0.8], np.array([[0.6, -1.1], [-0.7, 0.4]])[:, : model.dim])
+    got = phi_limit(model, f.knots[0], 0.5, f, lam)
+    # the row sums of squares as phi_limit and the Gaussian log-mgf spelled them before _sq_norm, on (m, d) rows
+    monkeypatch.setattr(kernel, "_sq_norm", lambda v: np.sum(v * v, axis=1))
+    assert got.hex() == phi_limit(model, f.knots[0], 0.5, f, lam).hex()
 
 
 def test_phi_limit_ou_against_closed_form():

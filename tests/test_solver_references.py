@@ -31,7 +31,7 @@ def _masked_fenchel_rows(model, ys, zs, a=0.0):
     zs = kernel._as_rows(zs, model.dim, "zs")
     n, d = zs.shape
     tol = conjugate.GRAD_TOL_SCALE * (1.0 + np.linalg.norm(zs, axis=1))
-    _dot_rows = conjugate._dot_rows
+    _dot_rows = kernel._dot_rows
 
     def objective(rows, alpha):
         return (_dot_rows(zs[rows], alpha) - model.cgf(ys[rows], alpha)
