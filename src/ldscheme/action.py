@@ -72,6 +72,10 @@ class TerminalHalfspace:
         object.__setattr__(self, "normal", xi / nrm)
         object.__setattr__(self, "level", level / nrm)
 
+    def hits(self, states: np.ndarray) -> np.ndarray:
+        """Whether each (m, d) row of states lies in the half-space, shape (m,)."""
+        return kernel._rdot(states, self.normal) >= self.level
+
     def record(self) -> dict:
         """The half-space as the terminal event of an estimate report."""
         return {

@@ -113,7 +113,10 @@ def _write_csv(path, header, rows):
 def _echo(c: _Conf, command: str, out: str) -> None:
     """Refuse the config's unknown keys, then make out and write resolved_config.json there, defaults included."""
     c.close()
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # out names a file, or cannot be made
+        raise ModelConfigError(f"--out: cannot make directory {out!r}: {exc}") from exc
     _write_json(os.path.join(out, "resolved_config.json"), {"command": command, **c.resolved})
 
 

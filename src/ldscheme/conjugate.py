@@ -313,7 +313,10 @@ def dominating_point_halfspace(model: KernelModel, y, xi, c) -> DominatingPointR
     xi = xi / norm
     c = c / norm
 
-    mean = kernel.cgf_grad(model, y, np.zeros(model.dim))
+    def grad(alpha):  # the model's cgf_grad at y and one (d,) alpha
+        return np.asarray(model.cgf_grad(y[None], alpha[None])[0], dtype=np.float64)
+
+    mean = grad(np.zeros(model.dim))
     if float(mean @ xi) >= c:
         raise ValueError(
             f"half-space covers the increment mean (<mean, xi> = {float(mean @ xi):.6g} >= {c:.6g}); "
@@ -321,7 +324,7 @@ def dominating_point_halfspace(model: KernelModel, y, xi, c) -> DominatingPointR
         )
 
     def g(t):
-        return float(kernel.cgf_grad(model, y, t * xi) @ xi) - c
+        return float(grad(t * xi) @ xi) - c
 
     hi = 1.0
     while g(hi) < 0.0:
@@ -333,6 +336,6 @@ def dominating_point_halfspace(model: KernelModel, y, xi, c) -> DominatingPointR
             )
     t_star = brentq(g, 0.0, hi, xtol=1e-12, maxiter=200)
     tilt = t_star * xi
-    point = kernel.cgf_grad(model, y, tilt)
-    level = float(point @ tilt) - kernel.cgf(model, y, tilt)
+    point = grad(tilt)
+    level = float(point @ tilt) - float(model.cgf(y[None], tilt)[0])
     return DominatingPointResult(point=point, multiplier=tilt, level=level, t=float(t_star))

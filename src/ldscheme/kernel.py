@@ -332,19 +332,7 @@ def affine_model(
 
 
 # ---------------------------------------------------------------------------
-# module-level operations (validated entry points)
-
-def cgf(model: KernelModel, y, alpha) -> float:
-    y = _as_vector(y, model.dim, "y")
-    alpha = _as_vector(alpha, model.dim, "alpha")
-    return float(model.cgf(y[None], alpha)[0])
-
-
-def cgf_grad(model: KernelModel, y, alpha) -> np.ndarray:
-    y = _as_vector(y, model.dim, "y")
-    alpha = _as_vector(alpha, model.dim, "alpha")
-    return np.asarray(model.cgf_grad(y[None], alpha[None])[0], dtype=np.float64)
-
+# row operations of the affine callbacks and the solvers
 
 def _block(name: str, value, shape: tuple) -> np.ndarray:
     """A callback's value on the rows as float64, which must have exactly the given shape."""

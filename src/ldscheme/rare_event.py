@@ -27,7 +27,6 @@ blocks.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple, Union
 
@@ -60,6 +59,10 @@ class BallEvent:
     def __post_init__(self):
         object.__setattr__(self, "center", kernel._finite(np.atleast_1d(self.center), "center"))
         object.__setattr__(self, "radius", kernel._as_real(self.radius, "radius", 0, strict=True))
+
+    def hits(self, states: np.ndarray) -> np.ndarray:
+        """Whether each (m, d) row of states lies in the closed ball, shape (m,)."""
+        return kernel._row_norms(states - self.center) <= self.radius
 
     def record(self) -> dict:
         return {
@@ -94,8 +97,15 @@ class PathDeviationEvent:
 EventSpec = Union[TerminalHalfspace, BallEvent, PathDeviationEvent]
 
 
+class _Report:
+    """A report of the estimators, written to JSON as its fields."""
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
+
 @dataclass
-class EstimateReport:
+class EstimateReport(_Report):
     model: str
     event: dict
     n: int
@@ -107,21 +117,15 @@ class EstimateReport:
     method: str
     seed: int
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
-class MartingaleCheck:
+class MartingaleCheck(_Report):
     mean: float
     stderr: float
     samples: int
     n: int
     a: float
     variation: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _require_event_dim(event: EventSpec, dim: int) -> None:
@@ -161,6 +165,8 @@ def _map_chunks(worker, samples: int, workers: int, rng_key) -> np.ndarray:
         return worker(default_rng(list(rng_key) + [c]), size)
 
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loaded by the runs that use a pool
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return np.concatenate(list(pool.map(run, jobs)))
     return np.concatenate([run(job) for job in jobs])
@@ -207,9 +213,7 @@ def _hit_rows(model, x, n, a, event, grid, rng, size) -> np.ndarray:
     if grid is None:
         for _, _, _, state in steps:  # terminal events read the last state only
             pass
-        if isinstance(event, TerminalHalfspace):
-            return kernel._rdot(state, event.normal) >= event.level
-        return np.linalg.norm(state - event.center, axis=1) <= event.radius
+        return event.hits(state)
     # fold squared deviations, one root at the end: sqrt is monotone and
     # correctly rounded, so every hit is that of a per-step norm; a finite
     # state too large to square has an inf deviation, which is a hit
@@ -297,8 +301,7 @@ def _tilted_rows(model, x, n, event: TerminalHalfspace, alphas, rng, size) -> np
     for k, _, xi, state in _euler_steps(model, x, n, 0.0, rng, size, shifts=thetas):
         pairing = kernel._rdot(xi, thetas[k - 1])
         logw += np.subtract(logmgfs[k - 1], pairing, out=pairing)
-    hits = kernel._rdot(state, event.normal) >= event.level
-    return np.exp(logw) * hits
+    return np.exp(logw) * event.hits(state)
 
 
 def _tilted_estimate(model, x, n, event, samples, seed, workers, plan) -> EstimateReport:
@@ -378,7 +381,7 @@ def martingale_check(
 # verification suites
 
 @dataclass
-class RateReport:
+class RateReport(_Report):
     model: str
     event: dict
     n_grid: List[int]
@@ -387,9 +390,6 @@ class RateReport:
     rel_gaps: List[Optional[float]]
     trend_violations: List[dict]
     minimize_converged: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def verify_rate(
@@ -451,7 +451,7 @@ def verify_rate(
 
 
 @dataclass
-class OdeReport:
+class OdeReport(_Report):
     model: str
     epsilon: float
     n_grid: List[int]
@@ -460,9 +460,6 @@ class OdeReport:
     intercept: Optional[float]
     monotone_ok: Optional[bool]
     censored: List[int]
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def verify_ode_convergence(

@@ -33,9 +33,10 @@ the model increments for all rows from the run's generator rng
 (model.sampler).  A run with a > 0 draws its Gaussian smoothing noise
 from the child stream rng.spawn(1)[0]; at a = 0 nothing is spawned or
 drawn.  So runs at every amplitude share the model draws of a seed and
-couple pathwise.  Tilted runs draw the Gaussian base noise with a shifted
-mean and take no smoothing draw.  The stepper raises SimulationBlowup(k)
-at the first step k whose state is not finite, so every caller fails alike.
+couple pathwise.  Tilted runs draw the base noise (model.base.sample),
+shift its mean and take no smoothing draw.  The stepper raises
+SimulationBlowup(k) at the first step k whose state is not finite, so
+every caller fails alike.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ class DualMeasure:
         return self.weights.sum(axis=0)
 
     def variation(self) -> float:
-        return float(np.sum(np.linalg.norm(self.weights, axis=1)))
+        return float(np.sum(kernel._row_norms(self.weights)))
 
     def scaled(self, factor: float) -> "DualMeasure":
         return DualMeasure(self.times.copy(), factor * self.weights)
@@ -194,8 +195,10 @@ def _euler_steps(model: KernelModel, x: np.ndarray, n: int, a: float, rng: Gener
     Each step draws the model increments of all rows from rng
     (model.sampler); at a > 0 the smoothing Gaussians come from
     rng.spawn(1)[0], spawned once per run.  With shifts, an (n, d) array,
-    the run is tilted: it yields the base draw xi_k, of mean shifts[k - 1],
-    in place of inc; sigma must be constant and nothing is spawned.
+    the run is tilted: it yields the base draw xi_k (model.base.sample)
+    plus shifts[k - 1] in place of inc; sigma must be constant and nothing
+    is spawned.  That is the tilted law of a Gaussian base only, which the
+    tilted estimator's plan requires.
     Raises SimulationBlowup(k) at the first non-finite step.
 
     Every array yielded is new at its step and never written afterwards, so
@@ -214,7 +217,7 @@ def _euler_steps(model: KernelModel, x: np.ndarray, n: int, a: float, rng: Gener
                 g *= a
                 inc = np.add(inc, g, out=g)
         else:
-            xi = rng.standard_normal(state.shape)
+            xi = np.require(model.base.sample(rng, state.shape), np.float64, "W")
             xi += shifts[k - 1]
             inc = kernel._affine_rows(model, state, xi, scratch)
         prev, state = state, state + np.divide(inc, n, out=scratch)
@@ -318,13 +321,13 @@ def coupled_perturbation_gaps(
     g_norm_sum = np.zeros(b)
     for (_, prev_p, f_p, state_p), (_, prev_s, inc_s, state_s) in zip(plain, smooth):
         g = g_stream.standard_normal(state_s.shape)
-        diff_state = np.linalg.norm(prev_s - prev_p, axis=1)
-        diff_f = np.linalg.norm(inc_s - amp * g - f_p, axis=1)
+        diff_state = kernel._row_norms(prev_s - prev_p)
+        diff_f = kernel._row_norms(inc_s - amp * g - f_p)
         with np.errstate(invalid="ignore", divide="ignore"):
             h = np.where(diff_state > 0.0, diff_f / diff_state, 0.0)
         ratio_sum += h
-        g_norm_sum += np.linalg.norm(g, axis=1)
-        gaps = np.maximum(gaps, np.linalg.norm(state_s - state_p, axis=1))
+        g_norm_sum += kernel._row_norms(g)
+        gaps = np.maximum(gaps, kernel._row_norms(state_s - state_p))
     bounds = (amp / n) * g_norm_sum * np.exp(ratio_sum / n)
     return gaps, bounds
 

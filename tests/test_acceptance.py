@@ -22,7 +22,7 @@ from ldscheme.action import (
     straight_line,
 )
 from ldscheme.conjugate import dominating_point_halfspace, perturbed_fenchel
-from ldscheme.kernel import PRESETS, cgf, cgf_grad, preset_model
+from ldscheme.kernel import PRESETS, preset_model
 from ldscheme.rare_event import (
     martingale_check,
     tilted_mc_probability,
@@ -36,6 +36,18 @@ from ldscheme.scheme import (
     phi_n,
     resample,
 )
+
+
+def _one_cgf(model, y, alpha) -> float:
+    """The model's cgf at one state y and one (d,) alpha, through its row callback."""
+    y, alpha = np.asarray(y, dtype=np.float64), np.asarray(alpha, dtype=np.float64)
+    return float(model.cgf(y[None], alpha)[0])
+
+
+def _one_cgf_grad(model, y, alpha) -> np.ndarray:
+    """The model's cgf_grad at one state y and one (d,) alpha, shape (d,), through its row callback."""
+    y, alpha = np.asarray(y, dtype=np.float64), np.asarray(alpha, dtype=np.float64)
+    return np.asarray(model.cgf_grad(y[None], alpha[None])[0], dtype=np.float64)
 
 
 def test_acceptance_1_martingale_identity():
@@ -101,7 +113,7 @@ def test_acceptance_3_conjugate_correctness():
         y = rng.uniform(-2.0, 2.0, size=1)
         z = rng.uniform(0.05, 0.95, size=1) if model is bern else rng.uniform(-3.0, 3.0, size=1)
         alpha = rng.uniform(-3.0, 3.0, size=1)
-        slack = perturbed_fenchel(model, 0.0, y, z).value + cgf(model, y, alpha) - float(z @ alpha)
+        slack = perturbed_fenchel(model, 0.0, y, z).value + _one_cgf(model, y, alpha) - float(z @ alpha)
         worst_yf = min(worst_yf, slack)
         assert slack >= -1e-9
 
@@ -111,8 +123,8 @@ def test_acceptance_3_conjugate_correctness():
         model = ou if rng.random() < 0.5 else bern
         y = rng.uniform(-2.0, 2.0, size=1)
         alpha = rng.uniform(-2.0, 2.0, size=1)
-        g = cgf_grad(model, y, alpha)[0]
-        fd = (cgf(model, y, alpha + h) - cgf(model, y, alpha - h)) / (2 * h)
+        g = _one_cgf_grad(model, y, alpha)[0]
+        fd = (_one_cgf(model, y, alpha + h) - _one_cgf(model, y, alpha - h)) / (2 * h)
         rel = abs(g - fd) / max(1.0, abs(fd))
         worst_fd = max(worst_fd, rel)
         assert rel <= 1e-5

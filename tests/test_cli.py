@@ -558,6 +558,18 @@ _ESTIMATE = {
 _SIMULATE = {"model": OU, "x": [1.0], "n": 4, "seed": 0}
 
 
+@pytest.mark.parametrize("sub", ["taken", "taken/out"], ids=["file", "under-a-file"])
+def test_out_naming_a_file_exits_2_and_writes_nothing(tmp_path, capsys, sub):
+    # os.makedirs used to raise FileExistsError (NotADirectoryError under a file) with a traceback and exit 1
+    (tmp_path / "taken").write_text("kept")
+    code, _ = _run(tmp_path, "simulate", _SIMULATE, sub=sub)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --out: cannot make directory '{tmp_path / sub}'") and "Traceback" not in err
+    assert (tmp_path / "taken").read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["simulate.json", "taken"]
+
+
 @pytest.mark.parametrize(
     "command, config, error",
     [

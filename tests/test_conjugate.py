@@ -16,11 +16,16 @@ from ldscheme.errors import TiltUnreachableError
 from ldscheme.kernel import (
     KernelModel,
     affine_model,
-    cgf,
     constant_drift,
     gaussian_base,
     preset_model,
 )
+
+
+def _one_cgf(model, y, alpha) -> float:
+    """The model's cgf at one state y and one (d,) alpha, through its row callback."""
+    y, alpha = np.asarray(y, dtype=np.float64), np.asarray(alpha, dtype=np.float64)
+    return float(model.cgf(y[None], alpha)[0])
 
 
 def _bernoulli_entropy(v, p):
@@ -174,7 +179,7 @@ def test_young_fenchel_inequality(y, z, a, name):
     m = preset_model(name)
     yv = np.array([y])
     conj = perturbed_fenchel(m, 0.0, yv, np.array([z])).value
-    assert cgf(m, yv, np.array([a])) + conj >= a * z - 1e-9
+    assert _one_cgf(m, yv, np.array([a])) + conj >= a * z - 1e-9
 
 
 def test_two_dimensional_anisotropic():

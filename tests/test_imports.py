@@ -6,9 +6,11 @@ scripts (and perfbench, for the second) with the standard library's ast, so
 they need no lint tool.  An import counts as used when the module reads it
 anywhere, or lists it in __all__ (the package's re-exports).  A private
 top-level name of the package counts as used when some module reads it, by
-name or as an attribute.  The row sums of squares and row dots that price a
-step live in kernel alone, so that one function decides their summation
-order: no other module of the package calls np.add.reduce or np.einsum.
+name or as an attribute.  The row sums of squares, row norms and row dots
+that price a step live in kernel alone, so that one function decides their
+summation order: no other module of the package calls np.add.reduce,
+np.einsum or np.linalg.norm along an axis.  A plain vector norm, with no
+axis, goes through a BLAS dot and keeps its own bits.
 """
 
 import ast
@@ -101,12 +103,13 @@ def test_every_private_name_of_the_package_is_used():
 
 
 def row_reductions(source: str) -> list:
-    """The calls of source to np.add.reduce or np.einsum, under any module alias."""
+    """The calls of source to np.add.reduce, np.einsum, or np.linalg.norm along an axis, under any module alias."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             name = ast.unparse(node.func).split(".")
-            if name[-1] == "einsum" or name[-2:] == ["add", "reduce"]:
+            along_axis = len(node.args) > 2 or any(kw.arg == "axis" for kw in node.keywords)
+            if name[-1] == "einsum" or name[-2:] == ["add", "reduce"] or (name[-2:] == ["linalg", "norm"] and along_axis):
                 found.append(f"line {node.lineno}: {'.'.join(name)}")
     return found
 
@@ -117,8 +120,13 @@ def test_the_check_finds_a_row_reduction():
         "d = numpy.einsum('ij,ij->i', u, v)\n"
         "t = np.sum(v) + np.add(u, v)\n"
         "f = np.add.reduce\n"
+        "r = np.linalg.norm(v, axis=1)\n"
+        "q = numpy.linalg.norm(v, None, -1)\n"
+        "n = np.linalg.norm(v) + np.linalg.norm(v, 2)\n"
     )
-    assert row_reductions(source) == ["line 1: np.add.reduce", "line 2: numpy.einsum"]
+    assert row_reductions(source) == [
+        "line 1: np.add.reduce", "line 2: numpy.einsum", "line 5: np.linalg.norm", "line 6: numpy.linalg.norm"
+    ]
 
 
 def test_only_kernel_reduces_rows():

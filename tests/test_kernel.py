@@ -15,8 +15,6 @@ from ldscheme.kernel import (
     ModelConfigError,
     affine_model,
     bernoulli_base,
-    cgf,
-    cgf_grad,
     constant_drift,
     gaussian_base,
     linear_drift,
@@ -27,6 +25,18 @@ from ldscheme.kernel import (
     zero_drift,
 )
 from ldscheme.rare_event import mc_probability
+
+
+def _one_cgf(model, y, alpha) -> float:
+    """The model's cgf at one state y and one (d,) alpha, through its row callback."""
+    y, alpha = np.asarray(y, dtype=np.float64), np.asarray(alpha, dtype=np.float64)
+    return float(model.cgf(y[None], alpha)[0])
+
+
+def _one_cgf_grad(model, y, alpha) -> np.ndarray:
+    """The model's cgf_grad at one state y and one (d,) alpha, shape (d,), through its row callback."""
+    y, alpha = np.asarray(y, dtype=np.float64), np.asarray(alpha, dtype=np.float64)
+    return np.asarray(model.cgf_grad(y[None], alpha[None])[0], dtype=np.float64)
 
 
 def test_gaussian_base_closed_forms():
@@ -154,8 +164,8 @@ def test_gaussian_logmgf_is_the_earlier_reduction_byte_for_byte(d, shape):
 def test_affine_cgf_orn_uhlenbeck():
     m = preset_model("gaussian-ou")
     y, alpha = np.array([1.5]), np.array([0.4])
-    assert cgf(m, y, alpha) == pytest.approx(-1.5 * 0.4 + 0.5 * 0.4**2, abs=1e-14)
-    assert cgf_grad(m, y, alpha)[0] == pytest.approx(-1.5 + 0.4, abs=1e-14)
+    assert _one_cgf(m, y, alpha) == pytest.approx(-1.5 * 0.4 + 0.5 * 0.4**2, abs=1e-14)
+    assert _one_cgf_grad(m, y, alpha)[0] == pytest.approx(-1.5 + 0.4, abs=1e-14)
     assert kernel.cgf_hess_rows(m, y[None], alpha[None])[0, 0, 0] == pytest.approx(1.0, abs=1e-14)
 
 
@@ -165,9 +175,9 @@ def test_affine_cgf_matrix_sigma():
     m = affine_model(2, constant_drift(b), s, gaussian_base(), summary="aniso")
     alpha = np.array([0.7, -0.4])
     expect = b @ alpha + 0.5 * np.sum((s.T @ alpha) ** 2)
-    assert cgf(m, np.zeros(2), alpha) == pytest.approx(expect, abs=1e-13)
+    assert _one_cgf(m, np.zeros(2), alpha) == pytest.approx(expect, abs=1e-13)
     grad_expect = b + s @ (s.T @ alpha)
-    assert np.allclose(cgf_grad(m, np.zeros(2), alpha), grad_expect, atol=1e-13)
+    assert np.allclose(_one_cgf_grad(m, np.zeros(2), alpha), grad_expect, atol=1e-13)
     assert np.allclose(kernel.cgf_hess_rows(m, [np.zeros(2)], [alpha])[0], s @ s.T, atol=1e-13)
 
 
@@ -175,7 +185,7 @@ def test_state_dependent_sigma_cgf_closed_form():
     m = affine_model(
         1, zero_drift(), lambda ys: (1.0 + ys**2)[:, :, None], gaussian_base(), summary="var"
     )
-    assert cgf(m, np.array([2.0]), np.array([0.1])) == pytest.approx(0.5 * (5.0 * 0.1) ** 2, abs=1e-13)
+    assert _one_cgf(m, np.array([2.0]), np.array([0.1])) == pytest.approx(0.5 * (5.0 * 0.1) ** 2, abs=1e-13)
 
 
 def test_perturbation_amplitude_validation():
@@ -461,7 +471,7 @@ def test_cgf_grad_and_hess_rows_match_pointwise(name):
         assert shared[i] == pytest.approx(_affine_cgf(m, ys[i], alphas[0]), rel=1e-13, abs=1e-14)
         assert np.allclose(grads[i], b + s @ m.base.logmgf_grad(u), rtol=1e-13, atol=1e-14)
         assert np.allclose(hessians[i], s @ m.base.logmgf_hess(u) @ s.T, rtol=1e-13, atol=1e-14)
-        assert np.array_equal(cgf_grad(m, ys[i], alphas[i]), grads[i])
+        assert np.array_equal(_one_cgf_grad(m, ys[i], alphas[i]), grads[i])
         assert np.array_equal(kernel.cgf_hess_rows(m, ys[i : i + 1], alphas[i : i + 1])[0], hessians[i])
 
 
@@ -670,7 +680,7 @@ def test_replacing_summary_or_callbacks_keeps_working():
         calls.append(1)
         return m.cgf(ys, alphas)
 
-    assert cgf(dataclasses.replace(m, cgf=counted), [0.3], [0.7]) == cgf(m, [0.3], [0.7])
+    assert _one_cgf(dataclasses.replace(m, cgf=counted), [0.3], [0.7]) == _one_cgf(m, [0.3], [0.7])
     assert calls == [1]
 
 
@@ -725,8 +735,8 @@ def test_model_from_config_preset_and_explicit_agree():
         }
     )
     y, alpha = np.array([0.7]), np.array([-0.3])
-    assert cgf(mp, y, alpha) == pytest.approx(cgf(me, y, alpha), abs=1e-14)
-    assert np.allclose(cgf_grad(mp, y, alpha), cgf_grad(me, y, alpha))
+    assert _one_cgf(mp, y, alpha) == pytest.approx(_one_cgf(me, y, alpha), abs=1e-14)
+    assert np.allclose(_one_cgf_grad(mp, y, alpha), _one_cgf_grad(me, y, alpha))
 
 
 def test_model_from_config_error_paths():
@@ -756,8 +766,8 @@ def test_model_from_config_error_paths():
 def test_cgf_convex_in_alpha(a1, a2, y, name):
     m = preset_model(name)
     yv = np.array([y])
-    mid = cgf(m, yv, np.array([(a1 + a2) / 2.0]))
-    avg = 0.5 * (cgf(m, yv, np.array([a1])) + cgf(m, yv, np.array([a2])))
+    mid = _one_cgf(m, yv, np.array([(a1 + a2) / 2.0]))
+    avg = 0.5 * (_one_cgf(m, yv, np.array([a1])) + _one_cgf(m, yv, np.array([a2])))
     assert mid <= avg + 1e-9
 
 
@@ -767,5 +777,5 @@ def test_cgf_grad_matches_finite_difference(y, a):
     m = preset_model("gaussian-ou")
     yv, al = np.array([y]), np.array([a])
     h = 1e-6
-    fd = (cgf(m, yv, al + h) - cgf(m, yv, al - h)) / (2 * h)
-    assert cgf_grad(m, yv, al)[0] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+    fd = (_one_cgf(m, yv, al + h) - _one_cgf(m, yv, al - h)) / (2 * h)
+    assert _one_cgf_grad(m, yv, al)[0] == pytest.approx(fd, rel=1e-5, abs=1e-7)

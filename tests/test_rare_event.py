@@ -15,8 +15,12 @@ from ldscheme.kernel import affine_model, gaussian_base, linear_drift, logistic_
 from ldscheme.rare_event import (
     BallEvent,
     CHUNK_SIZE,
+    EstimateReport,
     HalfspaceEvent,
+    MartingaleCheck,
+    OdeReport,
     PathDeviationEvent,
+    RateReport,
     _chunk_sizes,
     _tilt_plan,
     _tilt_sequence,
@@ -60,6 +64,81 @@ def test_event_normalization():
 def test_events_reject_non_finite_parameters(make):
     with pytest.raises(ValueError, match="finite"):
         make()
+
+
+_FLOAT_EDGES = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 0.4, -0.4, 0.5, 1.0, 3.0, 4.0, 5.0, 1e150, -1e150, 1e300]
+
+
+def _edge_rows(d):
+    """Every d-tuple of the edge values, and 300 random rows."""
+    grid = np.stack(np.meshgrid(*[_FLOAT_EDGES] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    return np.concatenate([grid, default_rng(d).normal(scale=2.0, size=(300, d))])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("level", [0.4, 0.0, -0.0, -1.0])
+def test_halfspace_hits_are_the_earlier_comparison_byte_for_byte(d, level):
+    states = _edge_rows(d)
+    for normal in (np.eye(d)[-1], default_rng(7).normal(size=d)):
+        event = TerminalHalfspace(normal, level)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = event.hits(states)
+            want = kernel._rdot(states, event.normal) >= event.level
+        assert got.dtype == bool and got.shape == (len(states),)
+        np.testing.assert_array_equal(got, want)
+    event = TerminalHalfspace(np.eye(d)[-1] * 2.0, 2.0 * level)  # unit normal e_d, level unchanged
+    # a row on the level hits, and so does a signed zero against a zero level; the next float below misses
+    on = np.zeros((3, d))
+    on[:, -1] = [event.level, np.nextafter(event.level, -np.inf), np.nextafter(event.level, np.inf)]
+    assert event.hits(on).tolist() == [True, False, True]
+    if level == 0.0:
+        assert event.hits(np.full((2, d), [[0.0], [-0.0]])).tolist() == [True, True]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("center", [0.0, -0.0, 1.0])
+def test_ball_hits_are_the_earlier_norm_byte_for_byte(d, center):
+    event = BallEvent(np.full(d, center), 5.0)
+    states = _edge_rows(d)
+    with np.errstate(over="ignore"):
+        got = event.hits(states)
+        want = np.linalg.norm(states - event.center, axis=1) <= event.radius
+    assert got.dtype == bool and got.shape == (len(states),)
+    np.testing.assert_array_equal(got, want)
+    # rows on the radius hit, as |(3, 4)| = 5 exactly; the next float beyond it misses
+    on = np.full((2, d), center)
+    if d == 1:
+        on[:, 0] += [5.0, -5.0]
+    else:
+        on[0, :2] += [3.0, 4.0]
+        on[1, :2] += [-4.0, 3.0]
+    assert event.hits(on).all()
+    beyond = np.full((1, d), center)
+    beyond[0, 0] = np.nextafter(center + 5.0, np.inf)
+    assert not event.hits(beyond).any()
+    # signed zeros at the center are a distance of 0
+    assert event.hits(np.array([[0.0], [-0.0]]) * np.ones(d) + center).all()
+
+
+def test_both_folds_take_the_terminal_events_one_hit_test(monkeypatch):
+    calls = []
+    real = TerminalHalfspace.hits
+
+    def counted(self, states):
+        calls.append(len(states))
+        return real(self, states)
+
+    monkeypatch.setattr(TerminalHalfspace, "hits", counted)
+    m = preset_model("gaussian-free")
+    mc_probability(m, [0.0], 10, 0.0, TerminalHalfspace([1.0], 0.5), 30, seed=1)
+    tilted_mc_probability(m, [0.0], 10, TerminalHalfspace([1.0], 1.0), 20, seed=1)
+    assert calls == [30, 20]
+
+
+def test_the_four_reports_share_one_json_rule():
+    assert {cls.to_json_dict for cls in (EstimateReport, MartingaleCheck, RateReport, OdeReport)} == {
+        EstimateReport.to_json_dict
+    }
 
 
 @pytest.mark.parametrize(
@@ -664,6 +743,23 @@ def test_tilted_rejects_non_gaussian_base():
     m = preset_model("bernoulli-walk")
     with pytest.raises(ValueError, match="Gaussian"):
         tilted_mc_probability(m, [0.0], 20, TerminalHalfspace([1.0], 0.6), 100, seed=0)
+
+
+def test_tilted_steps_draw_through_the_base_law():
+    # a Gaussian base built by hand, whose sampler counts its calls, gives the preset's bytes
+    calls = []
+
+    def sample(rng, size):
+        calls.append(size)
+        return rng.standard_normal(size)
+
+    base = dataclasses.replace(gaussian_base(), sample=sample)
+    m = affine_model(1, linear_drift([[-1.0]]), 1.0, base)
+    ev = TerminalHalfspace([1.0], 0.8)
+    got = tilted_mc_probability(m, [0.0], 25, ev, 300, seed=9)
+    want = tilted_mc_probability(preset_model("gaussian-ou"), [0.0], 25, ev, 300, seed=9)
+    assert (got.p_hat, got.stderr) == (want.p_hat, want.stderr)
+    assert calls == [(300, 1)] * 25
 
 
 def test_verify_rate_structure_and_trend():

@@ -499,6 +499,7 @@ def test_package_exports_each_name_once():
     import ldscheme
 
     names = ldscheme.__all__
-    assert len(names) == len(set(names)) == 58
+    assert len(names) == len(set(names)) == 56
     assert [name for name in names if not hasattr(ldscheme, name)] == []
     assert "SchemeRun" not in names and not hasattr(ldscheme, "SchemeRun")
+    assert not {"cgf", "cgf_grad"} & set(names) and not hasattr(ldscheme.kernel, "cgf")
