@@ -66,9 +66,7 @@ class TerminalHalfspace:
     def __post_init__(self):
         xi = kernel._finite(np.atleast_1d(self.normal), "normal")
         level = kernel._as_real(self.level, "level")
-        nrm = float(np.linalg.norm(xi))
-        if nrm <= 0.0:
-            raise ValueError("normal must be nonzero")
+        nrm = kernel._normal_norm(xi, "normal")
         object.__setattr__(self, "normal", xi / nrm)
         object.__setattr__(self, "level", level / nrm)
 

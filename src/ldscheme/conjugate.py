@@ -54,6 +54,8 @@ MAX_STEP = 100.0
 WINDOW = 20
 BRACKET_CAP = 1e3
 
+_STATUS_DTYPE = np.asarray([CONVERGED, DIVERGENT, MAX_ITERATIONS]).dtype
+
 
 @dataclass
 class ConjugateResult:
@@ -127,6 +129,23 @@ def _ascent_directions(hess, grad):
     return p
 
 
+def _unfilled_rows(n: int, d: int) -> ConjugateRows:
+    """A ConjugateRows for n rows whose entries the solve writes as the rows end."""
+    return ConjugateRows(
+        value=np.empty(n),
+        argmax=np.empty((n, d)),
+        status=np.empty(n, dtype=_STATUS_DTYPE),
+        iterations=np.empty(n, dtype=int),
+        grad_norm=np.empty(n),
+    )
+
+
+def _advance(run, best, best_at, h_before, h, alpha):
+    """The trailing run of strict increases and the best value and its alpha, after the step from h_before to h."""
+    better = h > best
+    return np.where(h > h_before, run + 1, 0), np.where(better, h, best), np.where(better[:, None], alpha, best_at)
+
+
 def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     """Conjugates of cgf_a(y_i, .) at z_i for every row, by one damped Newton ascent.
 
@@ -138,8 +157,18 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     for bit its one-row solve; for d > 1 the stacked matrix products may
     round differently in the last bit.
 
+    A row with |z_i| beyond about 1.3e154 ends divergent (value +inf, a NaN
+    argmax, 0 iterations and gradient norm +inf) before the first step: its
+    tolerance overflows, and an infinite tolerance would certify any
+    gradient.
+
     The live rows' state is kept compacted, in row order, and the model's
-    callbacks get those arrays; a row is written to the result when it ends.
+    callbacks get those arrays.  When every row ends converged at the same
+    gradient test, the live arrays are the result; otherwise each row is
+    written to the result when it ends.  The best-so-far value and alpha and
+    the trailing run are brought up to date only for the rows still live
+    after the next gradient test, and before the norm-cap and MAX_ITER
+    classifications, which read them.
     """
     amp = perturbation_amplitude(a)
     aa = amp * amp
@@ -148,7 +177,8 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     if ys.shape != zs.shape:
         raise ValueError(f"ys and zs must have the same shape, got {ys.shape} and {zs.shape}")
     n, d = zs.shape
-    tol = GRAD_TOL_SCALE * (1.0 + kernel._row_norms(zs))
+    with np.errstate(over="ignore"):
+        tol = GRAD_TOL_SCALE * (1.0 + kernel._row_norms(zs))
 
     def objective(y, z, alpha):
         h = kernel._dot_rows(z, alpha) - model.cgf(y, alpha)
@@ -161,45 +191,56 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     def gradient(y, z, alpha):
         return z - model.cgf_grad(y, alpha) - aa * alpha
 
-    ys, zs = ys.copy(), zs.copy()  # the callbacks never see the caller's arrays
-    alpha = np.zeros((n, d))
-    h = objective(ys, zs, alpha)
-    finite = np.isfinite(h)
-    if not finite.all():
-        h[~finite] = 0.0
-    best_val = np.where(h > 0.0, h, 0.0)
-    out = ConjugateRows(
-        value=best_val.copy(),
-        argmax=np.zeros((n, d)),
-        status=np.full(n, MAX_ITERATIONS),
-        iterations=np.full(n, MAX_ITER),
-        grad_norm=np.zeros(n),
-    )
+    out = None
 
     def finish(rows, status, it, gnorm, value, argmax):
+        nonlocal out
+        if out is None:
+            out = _unfilled_rows(n, d)
         out.status[rows] = status
         out.iterations[rows] = it
         out.grad_norm[rows] = gnorm
         out.value[rows] = value
         out.argmax[rows] = argmax
 
+    row = np.arange(n)
+    ys, zs = ys.copy(), zs.copy()  # the callbacks never see the caller's arrays
+    if not np.isfinite(tol).all():
+        huge = ~np.isfinite(tol)
+        finish(row[huge], DIVERGENT, 0, np.inf, np.inf, np.nan)
+        row, ys, zs, tol = row[~huge], ys[~huge], zs[~huge], tol[~huge]
+    alpha = np.zeros(zs.shape)
+    h = objective(ys, zs, alpha)
+    finite = np.isfinite(h)
+    if not finite.all():
+        h[~finite] = 0.0
+
     # live rows: result row, y, z, tolerance, alpha, h, trailing run of
-    # strict increases of h, best value and its alpha
-    live = [np.arange(n), ys, zs, tol, alpha, h, np.zeros(n, dtype=np.int64), best_val, np.zeros((n, d))]
+    # strict increases of h, best value and its alpha, and h before the
+    # last step; stale says that the run and the best value and alpha wait
+    # for _advance over that step
+    live = [row, ys, zs, tol, alpha, h, np.zeros(row.size, dtype=np.int64), np.where(h > 0.0, h, 0.0), np.zeros(zs.shape), h]
+    stale = False
     for it in range(1, MAX_ITER + 1):
-        row, y, z, tl, al, hv, run, bv, ba = live
+        row, y, z, tl, al, hv, run, bv, ba, h0 = live
         if row.size == 0:
             break
         grad = gradient(y, z, al)
         gnorm = kernel._row_norms(grad)
         done = gnorm <= tl
         if done.all():  # no row is left to compact
+            if out is None:  # every row ends here, in row order
+                status = np.full(n, CONVERGED, dtype=_STATUS_DTYPE)
+                return ConjugateRows(value=hv, argmax=al, status=status, iterations=np.full(n, it), grad_norm=gnorm)
             finish(row, CONVERGED, it, gnorm, hv, al)
             return out
         if done.any():
             finish(row[done], CONVERGED, it, gnorm[done], hv[done], al[done])
             live, grad, gnorm = [v[~done] for v in live], grad[~done], gnorm[~done]
-            row, y, z, tl, al, hv, run, bv, ba = live
+            row, y, z, tl, al, hv, run, bv, ba, h0 = live
+        if stale:
+            run, bv, ba = _advance(run, bv, ba, h0, hv, al)
+            stale = False
 
         hess = kernel.cgf_hess_rows(model, y, al)
         if aa > 0.0:
@@ -248,21 +289,20 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
             step *= 0.5
         if accepted is None:  # no row moved at the full step
             accepted, new_al, new_h = np.zeros(row.size, dtype=bool), al, hv
+        live = [row, y, z, tl, new_al, new_h, run, bv, ba, hv]
+        stale = True
         # a stalled line search ends the row where it stands
         if not accepted.all():
             stalled = ~accepted
             finish(row[stalled], MAX_ITERATIONS, it, gnorm[stalled], bv[stalled], ba[stalled])
-            live, new_al, new_h, gnorm = [v[accepted] for v in live], new_al[accepted], new_h[accepted], gnorm[accepted]
-            row, y, z, tl, al, hv, run, bv, ba = live
-
-        run = np.where(new_h > hv, run + 1, 0)
-        better = new_h > bv
-        bv = np.where(better, new_h, bv)
-        ba = np.where(better[:, None], new_al, ba)
-        live = [row, y, z, tl, new_al, new_h, run, bv, ba]
+            live, gnorm = [v[accepted] for v in live], gnorm[accepted]
+        row, y, z, tl, al, hv, run, bv, ba, h0 = live
         # |alpha| <= d max_i |alpha_i|, so no row is capped while that bound stays at NORM_CAP / 2
-        if amp == 0.0 and d * np.abs(new_al).max(initial=0.0) > 0.5 * NORM_CAP:
-            capped = kernel._row_norms(new_al) > NORM_CAP
+        if amp == 0.0 and d * np.abs(al).max(initial=0.0) > 0.5 * NORM_CAP:
+            run, bv, ba = _advance(run, bv, ba, h0, hv, al)
+            stale = False
+            live = [row, y, z, tl, al, hv, run, bv, ba, h0]
+            capped = kernel._row_norms(al) > NORM_CAP
             # divergent when h rose strictly over the whole trailing window
             window = min(it + 1, WINDOW + 1) - 1
             divergent = capped & (run >= window)
@@ -271,10 +311,12 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
             finish(row[stuck], MAX_ITERATIONS, it, gnorm[stuck], bv[stuck], ba[stuck])
             live = [v[~capped] for v in live]
 
-    row, y, z, _, al, _, _, bv, ba = live
+    row, y, z, _, al, hv, run, bv, ba, h0 = live
     if row.size:
+        if stale:
+            _, bv, ba = _advance(run, bv, ba, h0, hv, al)
         finish(row, MAX_ITERATIONS, MAX_ITER, kernel._row_norms(gradient(y, z, al)), bv, ba)
-    return out
+    return out if out is not None else _unfilled_rows(0, d)
 
 
 def perturbed_fenchel(model: KernelModel, a, y, z) -> ConjugateResult:
@@ -307,9 +349,7 @@ def dominating_point_halfspace(model: KernelModel, y, xi, c) -> DominatingPointR
     y = kernel._as_vector(y, model.dim, "y")
     xi = kernel._as_vector(xi, model.dim, "xi")
     c = kernel._as_real(c, "c")
-    norm = float(np.linalg.norm(xi))
-    if norm <= 0.0:
-        raise ValueError("xi must be nonzero")
+    norm = kernel._normal_norm(xi, "xi")
     xi = xi / norm
     c = c / norm
 

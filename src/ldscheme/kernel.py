@@ -49,6 +49,15 @@ def _as_vector(x, dim: int, name: str) -> np.ndarray:
     return _finite(v, name)
 
 
+def _normal_norm(xi: np.ndarray, name: str) -> float:
+    """The Euclidean norm of a half-space normal; refused when it is 0 or overflows (past about 1.3e154)."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(xi))
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"{name} must have a finite nonzero norm, got {norm!r}")
+    return norm
+
+
 def _as_count(value, name: str, least: int) -> int:
     """value as an int, if it is an integer >= least; a numpy integer is accepted, a bool or a float is not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
@@ -374,9 +383,19 @@ def _sq_norm(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """|v|^2 over the last axis, bit for bit np.add.reduce(np.square(v), axis=-1): the package's one row sum of squares.
 
     The squares go to out, which no callback passes; at d = 1 the result is their view, skipping the reduction's loop.
+    For 2 <= d <= 7 the reduction adds the columns left to right, and so does a column sum, which skips the
+    reduction's per-row loop; from d = 8 numpy sums pairwise, in another order.
     """
     sq = np.square(v, out=out)
-    return sq[..., 0] if sq.shape[-1] == 1 else np.add.reduce(sq, axis=-1)
+    d = sq.shape[-1]
+    if d == 1:
+        return sq[..., 0]
+    if d > 7:
+        return np.add.reduce(sq, axis=-1)
+    total = sq[..., 0] + sq[..., 1]
+    for j in range(2, d):
+        total += sq[..., j]
+    return total
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:

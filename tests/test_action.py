@@ -58,6 +58,14 @@ def test_action_divergent_segment():
     assert "divergent segment" in val.reason
 
 
+def test_action_slope_past_the_tolerance_range_is_divergent():
+    # the conjugate solve's tolerance overflowed at this slope and certified alpha = 0: cost 0.0
+    val = action(preset_model("gaussian-ou"), [0.0], 0.0, Trajectory(np.array([[0.0], [1e300]])))
+    assert val.value == np.inf
+    assert val.divergent_segments == [0]
+    assert val.reason == "divergent segment 0"
+
+
 def test_action_smoothing_makes_divergent_path_finite():
     m = preset_model("bernoulli-walk")
     f = straight_line([0.0], [2.0], 6)

@@ -131,6 +131,16 @@ def test_action_infeasible_start_reports_inf(tmp_path):
     assert "initial condition" in rep["reason"]
 
 
+def test_action_slope_past_the_tolerance_range_reports_inf(tmp_path):
+    # reported value 0.0 and finite true: the conjugate solve's tolerance overflowed at slope 1e300
+    code, out = _run(tmp_path, "action", {"model": OU, "x": [0.0], "knots": [0.0, 1e300]})
+    assert code == 0
+    rep = json.loads((out / "action_report.json").read_text())
+    assert rep["value"] == "inf"
+    assert not rep["finite"]
+    assert rep["reason"] == "divergent segment 0"
+
+
 def test_action_from_trajectory_file(tmp_path):
     _, sim_out = _run(tmp_path, "simulate", {"model": OU, "x": [1.0], "n": 10, "seed": 3}, sub="sim")
     code, out = _run(
@@ -596,10 +606,13 @@ def test_out_naming_a_file_exits_2_and_writes_nothing(tmp_path, capsys, sub):
         ("estimate", {**_ESTIMATE, "event": {"kind": "sup-distance-from-path", "epsilon": -0.5}},
          "config.event.epsilon must be > 0, got -0.5"),
         ("estimate", {**_ESTIMATE, "method": "bogus"}, "config.method: expected 'naive' or 'tilted', got 'bogus'"),
+        # exited 0 with p_hat 1.0 and stderr 0.0: the normal's norm overflowed, so every state hit
+        ("estimate", {**_ESTIMATE, "event": {"kind": "terminal-halfspace", "normal": [1e200], "level": 1.0}},
+         "normal must have a finite nonzero norm, got inf"),
     ],
     ids=["ode-n-grid", "seed", "n", "samples", "tilted-samples", "m", "rate-samples", "martingale-samples", "x-dim",
          "point-dim", "model-dim", "simulate-a", "action-a", "minimize-a", "estimate-a", "martingale-a",
-         "ode-epsilon", "path-epsilon", "estimate-method"],
+         "ode-epsilon", "path-epsilon", "estimate-method", "halfspace-normal-norm"],
 )
 def test_config_out_of_range_exits_2_before_the_echo(tmp_path, capsys, command, config, error):
     code, out = _run(tmp_path, command, config)

@@ -18,6 +18,7 @@ from ldscheme.kernel import (
     affine_model,
     constant_drift,
     gaussian_base,
+    linear_drift,
     preset_model,
 )
 
@@ -161,6 +162,14 @@ def test_dominating_point_rejects_nonrare_halfspace():
         dominating_point_halfspace(m, np.array([1.0]), np.array([1.0]), -2.0)
 
 
+@pytest.mark.parametrize("xi", [[1e200], [1e300, 1e300], [1e-200]], ids=["overflow-1d", "overflow-2d", "underflow-1d"])
+def test_dominating_point_refuses_a_normal_without_a_finite_nonzero_norm(xi):
+    # np.linalg.norm overflowed to inf past about 1.3e154, and xi / inf is the zero normal
+    model = preset_model("gaussian-free") if len(xi) == 1 else _gaussian_2d()
+    with pytest.raises(ValueError, match=r"^xi must have a finite nonzero norm, got (inf|0\.0)$"):
+        dominating_point_halfspace(model, np.zeros(len(xi)), np.array(xi), 1.0)
+
+
 def test_dominating_point_unreachable_level():
     m = preset_model("bernoulli-walk")
     # increments live in [0, 1]; their mean cannot pass 1
@@ -195,13 +204,16 @@ def test_two_dimensional_anisotropic():
 
 
 def _assert_same_row(rows, i, single):
+    # at d = 1 a row is bit for bit its one-row solve, the best-so-far value and alpha of a
+    # max-iterations row included
     assert rows.status[i] == single.status
     assert rows.iterations[i] == single.iterations
     if single.status == DIVERGENT:
         assert rows.value[i] == np.inf
         assert np.all(np.isnan(rows.argmax[i]))
     else:
-        assert rows.value[i] == pytest.approx(single.value, rel=1e-12, abs=1e-15)
+        assert rows.value[i].tobytes() == np.float64(single.value).tobytes()
+        assert rows.argmax[i].tobytes() == single.argmax.tobytes()
 
 
 @pytest.mark.parametrize("max_iter", [200, 15, 1])
@@ -268,3 +280,52 @@ def test_line_search_that_moves_no_row_ends_it_as_max_iterations():
     assert rows.iterations.tolist() == [2, 2]
     assert rows.argmax.tolist() == [[1.0], [1.0]]
     assert np.array_equal(rows.value, zs[:, 0] + c)
+
+
+def _gaussian_2d():
+    return affine_model(2, linear_drift(np.array([[-1.0, 0.3], [0.2, -0.5]])), np.array([[1.0, 0.2], [0.0, 0.8]]), gaussian_base())
+
+
+_DTYPES = {"value": np.float64, "argmax": np.float64, "status": np.dtype("<U14"), "iterations": np.dtype(int), "grad_norm": np.float64}
+
+
+@pytest.mark.parametrize("ending", ["no-rows", "together", "apart"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_fenchel_rows_result_has_the_same_dtypes_however_it_is_assembled(d, ending):
+    # every row converging at the same test returns the live arrays; rows ending at
+    # different tests are written into a result one by one; no rows give an empty result
+    model = preset_model("gaussian-ou") if d == 1 else _gaussian_2d()
+    zs = default_rng(d).normal(size=(6, d))
+    if ending == "no-rows":
+        zs = zs[:0]
+    elif ending == "apart":
+        zs[2] = model.cgf_grad(np.zeros((1, d)), np.zeros((1, d)))[0]  # the mean: converged at alpha = 0
+    rows = fenchel_rows(model, np.zeros_like(zs), zs)
+    for name, dtype in _DTYPES.items():
+        assert getattr(rows, name).dtype == dtype, name
+    assert rows.argmax.shape == zs.shape and rows.status.shape == rows.value.shape == (len(zs),)
+    expected = {"no-rows": [], "together": [2] * 6, "apart": [2, 2, 1, 2, 2, 2]}[ending]
+    assert rows.iterations.tolist() == expected
+    assert set(rows.status) <= {CONVERGED}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_fenchel_rows_row_whose_tolerance_overflows_ends_divergent(d):
+    # past |z| ~ 1.3e154 the tolerance GRAD_TOL_SCALE * (1 + |z|) is inf: the row used to end
+    # converged at alpha = 0 with value 0, while a row at |z| = 1e150 ends divergent at the norm cap
+    model = preset_model("gaussian-ou") if d == 1 else _gaussian_2d()
+    zs = default_rng(20 + d).normal(size=(6, d))
+    zs[1], zs[3], zs[4] = 1e300, 1e155, 0.0
+    zs[4, 0] = 1e150
+    ys = default_rng(30 + d).normal(size=(6, d))
+    rows = fenchel_rows(model, ys, zs)
+    overflowed = [1, 3]
+    assert rows.status[overflowed].tolist() == [DIVERGENT, DIVERGENT]
+    assert rows.iterations[overflowed].tolist() == [0, 0]
+    assert np.all(rows.value[overflowed] == np.inf) and np.all(np.isnan(rows.argmax[overflowed]))
+    assert rows.status[4] == DIVERGENT and rows.iterations[4] > 0
+    # the other rows are the bytes they have when solved without the overflowed rows
+    keep = [0, 2, 4, 5]
+    alone = fenchel_rows(model, ys[keep], zs[keep])
+    for name in _DTYPES:
+        assert getattr(alone, name).tobytes() == getattr(rows, name)[keep].tobytes(), name

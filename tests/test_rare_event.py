@@ -48,6 +48,18 @@ def test_event_normalization():
         PathDeviationEvent(0.0)
 
 
+@pytest.mark.parametrize("normal", [[1e200], [1e300, 1e300], [1e-200]], ids=["overflow-1d", "overflow-2d", "underflow-1d"])
+def test_halfspace_normal_without_a_finite_nonzero_norm_is_refused(normal):
+    # np.linalg.norm overflowed to inf past about 1.3e154: the normal became 0, the level 0, and every state hit
+    with pytest.raises(ValueError, match=r"^normal must have a finite nonzero norm, got (inf|0\.0)$"):
+        TerminalHalfspace(normal, 1.0)
+
+
+def test_halfspace_normal_below_the_overflow_is_normalized():
+    ev = TerminalHalfspace([1e150, 0.0], 1.0)
+    assert ev.normal.tolist() == [1.0, 0.0] and ev.level == 1e-150
+
+
 @pytest.mark.parametrize(
     "make",
     [
