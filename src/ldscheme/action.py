@@ -58,6 +58,7 @@ class TerminalHalfspace:
     """Endpoint constraint <f(1), normal> >= level, with unit normal.
 
     Also the terminal event {<Y(1), normal> >= level} of the estimators.
+    A normal whose norm is 0 or overflows (past about 1.3e154) is refused.
     """
 
     normal: np.ndarray

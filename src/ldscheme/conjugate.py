@@ -219,7 +219,8 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     # strict increases of h, best value and its alpha, and h before the
     # last step; stale says that the run and the best value and alpha wait
     # for _advance over that step
-    live = [row, ys, zs, tol, alpha, h, np.zeros(row.size, dtype=np.int64), np.where(h > 0.0, h, 0.0), np.zeros(zs.shape), h]
+    best_val = np.where(h > 0.0, h, 0.0)
+    live = [row, ys, zs, tol, alpha, h, np.zeros(row.size, dtype=np.int64), best_val, np.zeros(zs.shape), h]
     stale = False
     for it in range(1, MAX_ITER + 1):
         row, y, z, tl, al, hv, run, bv, ba, h0 = live
@@ -340,9 +341,10 @@ def dominating_point_halfspace(model: KernelModel, y, xi, c) -> DominatingPointR
     perturbed_fenchel(model, 0.0, y, x0).value.
 
     The normal is normalized to unit length (c rescaled accordingly), which
-    leaves the half-space unchanged.  Requires the increment mean at y to
-    lie strictly outside the half-space; raises TiltUnreachableError when no
-    tilt below the bracket cap reaches level c.
+    leaves the half-space unchanged; a normal whose norm is 0 or overflows
+    is refused.  Requires the increment mean at y to lie strictly outside
+    the half-space; raises TiltUnreachableError when no tilt below the
+    bracket cap reaches level c.
     """
     from scipy.optimize import brentq
 

@@ -383,8 +383,8 @@ def _sq_norm(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """|v|^2 over the last axis, bit for bit np.add.reduce(np.square(v), axis=-1): the package's one row sum of squares.
 
     The squares go to out, which no callback passes; at d = 1 the result is their view, skipping the reduction's loop.
-    For 2 <= d <= 7 the reduction adds the columns left to right, and so does a column sum, which skips the
-    reduction's per-row loop; from d = 8 numpy sums pairwise, in another order.
+    For 2 <= d <= 7 numpy's reduction adds the squares left to right, as a column sum does without the reduction's
+    per-row loop; from d = 8 it sums pairwise, in another order.  tests/test_kernel.py checks both byte for byte.
     """
     sq = np.square(v, out=out)
     d = sq.shape[-1]
