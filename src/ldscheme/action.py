@@ -58,7 +58,9 @@ class TerminalHalfspace:
     """Endpoint constraint <f(1), normal> >= level, with unit normal.
 
     Also the terminal event {<Y(1), normal> >= level} of the estimators.
-    A normal whose norm is 0 or overflows (past about 1.3e154) is refused.
+    A normal whose plain norm over- or underflows is normalized by a
+    rescaled norm (kernel._unit_halfspace); a zero normal, or one whose norm
+    or rescaled level is past the float range, is refused.
     """
 
     normal: np.ndarray
@@ -67,9 +69,9 @@ class TerminalHalfspace:
     def __post_init__(self):
         xi = kernel._finite(np.atleast_1d(self.normal), "normal")
         level = kernel._as_real(self.level, "level")
-        nrm = kernel._normal_norm(xi, "normal")
-        object.__setattr__(self, "normal", xi / nrm)
-        object.__setattr__(self, "level", level / nrm)
+        xi, level = kernel._unit_halfspace(xi, level, "normal", "level")
+        object.__setattr__(self, "normal", xi)
+        object.__setattr__(self, "level", level)
 
     def hits(self, states: np.ndarray) -> np.ndarray:
         """Whether each (m, d) row of states lies in the half-space, shape (m,)."""

@@ -132,7 +132,10 @@ def _halfspace_from(h: _Conf, dim: int) -> TerminalHalfspace:
     normal = h.take("normal", _as_array((dim,)))
     level = h.take("level", _as_real)
     h.close()
-    return TerminalHalfspace(normal=normal, level=level)
+    try:
+        return TerminalHalfspace(normal=normal, level=level)
+    except ValueError as exc:  # a normal or level past the float range once normalized
+        raise ModelConfigError(f"{h.path}.{exc}") from exc
 
 
 def _terminal_from(c: _Conf, dim: int):

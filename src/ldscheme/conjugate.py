@@ -140,12 +140,6 @@ def _unfilled_rows(n: int, d: int) -> ConjugateRows:
     )
 
 
-def _advance(run, best, best_at, h_before, h, alpha):
-    """The trailing run of strict increases and the best value and its alpha, after the step from h_before to h."""
-    better = h > best
-    return np.where(h > h_before, run + 1, 0), np.where(better, h, best), np.where(better[:, None], alpha, best_at)
-
-
 def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     """Conjugates of cgf_a(y_i, .) at z_i for every row, by one damped Newton ascent.
 
@@ -160,15 +154,13 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     A row with |z_i| beyond about 1.3e154 ends divergent (value +inf, a NaN
     argmax, 0 iterations and gradient norm +inf) before the first step: its
     tolerance overflows, and an infinite tolerance would certify any
-    gradient.
+    gradient.  Divergent there means out of the solve's range, not a
+    conjugate shown to be +inf.
 
     The live rows' state is kept compacted, in row order, and the model's
     callbacks get those arrays.  When every row ends converged at the same
     gradient test, the live arrays are the result; otherwise each row is
-    written to the result when it ends.  The best-so-far value and alpha and
-    the trailing run are brought up to date only for the rows still live
-    after the next gradient test, and before the norm-cap and MAX_ITER
-    classifications, which read them.
+    written to the result when it ends.
     """
     amp = perturbation_amplitude(a)
     aa = amp * amp
@@ -216,14 +208,11 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
         h[~finite] = 0.0
 
     # live rows: result row, y, z, tolerance, alpha, h, trailing run of
-    # strict increases of h, best value and its alpha, and h before the
-    # last step; stale says that the run and the best value and alpha wait
-    # for _advance over that step
+    # strict increases of h, best value and its alpha
     best_val = np.where(h > 0.0, h, 0.0)
-    live = [row, ys, zs, tol, alpha, h, np.zeros(row.size, dtype=np.int64), best_val, np.zeros(zs.shape), h]
-    stale = False
+    live = [row, ys, zs, tol, alpha, h, np.zeros(row.size, dtype=np.int64), best_val, np.zeros(zs.shape)]
     for it in range(1, MAX_ITER + 1):
-        row, y, z, tl, al, hv, run, bv, ba, h0 = live
+        row, y, z, tl, al, hv, run, bv, ba = live
         if row.size == 0:
             break
         grad = gradient(y, z, al)
@@ -238,10 +227,7 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
         if done.any():
             finish(row[done], CONVERGED, it, gnorm[done], hv[done], al[done])
             live, grad, gnorm = [v[~done] for v in live], grad[~done], gnorm[~done]
-            row, y, z, tl, al, hv, run, bv, ba, h0 = live
-        if stale:
-            run, bv, ba = _advance(run, bv, ba, h0, hv, al)
-            stale = False
+            row, y, z, tl, al, hv, run, bv, ba = live
 
         hess = kernel.cgf_hess_rows(model, y, al)
         if aa > 0.0:
@@ -290,20 +276,21 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
             step *= 0.5
         if accepted is None:  # no row moved at the full step
             accepted, new_al, new_h = np.zeros(row.size, dtype=bool), al, hv
-        live = [row, y, z, tl, new_al, new_h, run, bv, ba, hv]
-        stale = True
         # a stalled line search ends the row where it stands
         if not accepted.all():
             stalled = ~accepted
             finish(row[stalled], MAX_ITERATIONS, it, gnorm[stalled], bv[stalled], ba[stalled])
-            live, gnorm = [v[accepted] for v in live], gnorm[accepted]
-        row, y, z, tl, al, hv, run, bv, ba, h0 = live
+            live, new_al, new_h, gnorm = [v[accepted] for v in live], new_al[accepted], new_h[accepted], gnorm[accepted]
+            row, y, z, tl, al, hv, run, bv, ba = live
+
+        run = np.where(new_h > hv, run + 1, 0)
+        better = new_h > bv
+        bv = np.where(better, new_h, bv)
+        ba = np.where(better[:, None], new_al, ba)
+        live = [row, y, z, tl, new_al, new_h, run, bv, ba]
         # |alpha| <= d max_i |alpha_i|, so no row is capped while that bound stays at NORM_CAP / 2
-        if amp == 0.0 and d * np.abs(al).max(initial=0.0) > 0.5 * NORM_CAP:
-            run, bv, ba = _advance(run, bv, ba, h0, hv, al)
-            stale = False
-            live = [row, y, z, tl, al, hv, run, bv, ba, h0]
-            capped = kernel._row_norms(al) > NORM_CAP
+        if amp == 0.0 and d * np.abs(new_al).max(initial=0.0) > 0.5 * NORM_CAP:
+            capped = kernel._row_norms(new_al) > NORM_CAP
             # divergent when h rose strictly over the whole trailing window
             window = min(it + 1, WINDOW + 1) - 1
             divergent = capped & (run >= window)
@@ -312,10 +299,8 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
             finish(row[stuck], MAX_ITERATIONS, it, gnorm[stuck], bv[stuck], ba[stuck])
             live = [v[~capped] for v in live]
 
-    row, y, z, _, al, hv, run, bv, ba, h0 = live
+    row, y, z, _, al, _, _, bv, ba = live
     if row.size:
-        if stale:
-            _, bv, ba = _advance(run, bv, ba, h0, hv, al)
         finish(row, MAX_ITERATIONS, MAX_ITER, kernel._row_norms(gradient(y, z, al)), bv, ba)
     return out if out is not None else _unfilled_rows(0, d)
 
@@ -341,19 +326,17 @@ def dominating_point_halfspace(model: KernelModel, y, xi, c) -> DominatingPointR
     perturbed_fenchel(model, 0.0, y, x0).value.
 
     The normal is normalized to unit length (c rescaled accordingly), which
-    leaves the half-space unchanged; a normal whose norm is 0 or overflows
-    is refused.  Requires the increment mean at y to lie strictly outside
-    the half-space; raises TiltUnreachableError when no tilt below the
-    bracket cap reaches level c.
+    leaves the half-space unchanged; a zero normal, or one whose norm or
+    rescaled c is past the float range, is refused.  Requires the increment
+    mean at y to lie strictly outside the half-space; raises
+    TiltUnreachableError when no tilt below the bracket cap reaches level c.
     """
     from scipy.optimize import brentq
 
     y = kernel._as_vector(y, model.dim, "y")
     xi = kernel._as_vector(xi, model.dim, "xi")
     c = kernel._as_real(c, "c")
-    norm = kernel._normal_norm(xi, "xi")
-    xi = xi / norm
-    c = c / norm
+    xi, c = kernel._unit_halfspace(xi, c, "xi", "c")
 
     def grad(alpha):  # the model's cgf_grad at y and one (d,) alpha
         return np.asarray(model.cgf_grad(y[None], alpha[None])[0], dtype=np.float64)

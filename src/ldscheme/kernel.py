@@ -49,13 +49,24 @@ def _as_vector(x, dim: int, name: str) -> np.ndarray:
     return _finite(v, name)
 
 
-def _normal_norm(xi: np.ndarray, name: str) -> float:
-    """The Euclidean norm of a half-space normal; refused when it is 0 or overflows (past about 1.3e154)."""
+def _unit_halfspace(xi: np.ndarray, level: float, name: str, level_name: str) -> tuple:
+    """(xi / |xi|, level / |xi|): the half-space {<x, xi> >= level} with a unit normal.
+
+    When the plain norm over- or underflows (past about 1.3e154 or below about 1e-154) it is recomputed as
+    s |xi / s| with s = max |xi_i|, so such normals are normalized, not refused.  A zero normal, a norm past the
+    float range and a level whose rescaling overflows are refused.
+    """
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(xi))
     if not 0.0 < norm < np.inf:
+        s = float(np.abs(xi).max())
+        norm = s * float(np.linalg.norm(xi / s)) if s > 0.0 else 0.0
+    if not 0.0 < norm < np.inf:
         raise ValueError(f"{name} must have a finite nonzero norm, got {norm!r}")
-    return norm
+    unit_level = level / norm
+    if not np.isfinite(unit_level):
+        raise ValueError(f"{level_name} / |{name}| must be finite, got {level!r} / {norm!r}")
+    return xi / norm, unit_level
 
 
 def _as_count(value, name: str, least: int) -> int:
@@ -383,19 +394,16 @@ def _sq_norm(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """|v|^2 over the last axis, bit for bit np.add.reduce(np.square(v), axis=-1): the package's one row sum of squares.
 
     The squares go to out, which no callback passes; at d = 1 the result is their view, skipping the reduction's loop.
-    For 2 <= d <= 7 numpy's reduction adds the squares left to right, as a column sum does without the reduction's
-    per-row loop; from d = 8 it sums pairwise, in another order.  tests/test_kernel.py checks both byte for byte.
+    At d = 2 the reduction is the one addition of the two columns, done without the reduction's per-row loop
+    (tests/test_kernel.py checks it byte for byte); the 2-D path-cost passes call it seven times each.
     """
     sq = np.square(v, out=out)
     d = sq.shape[-1]
     if d == 1:
         return sq[..., 0]
-    if d > 7:
-        return np.add.reduce(sq, axis=-1)
-    total = sq[..., 0] + sq[..., 1]
-    for j in range(2, d):
-        total += sq[..., j]
-    return total
+    if d == 2:
+        return sq[..., 0] + sq[..., 1]
+    return np.add.reduce(sq, axis=-1)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:

@@ -606,19 +606,31 @@ def test_out_naming_a_file_exits_2_and_writes_nothing(tmp_path, capsys, sub):
         ("estimate", {**_ESTIMATE, "event": {"kind": "sup-distance-from-path", "epsilon": -0.5}},
          "config.event.epsilon must be > 0, got -0.5"),
         ("estimate", {**_ESTIMATE, "method": "bogus"}, "config.method: expected 'naive' or 'tilted', got 'bogus'"),
-        # exited 0 with p_hat 1.0 and stderr 0.0: the normal's norm overflowed, so every state hit
-        ("estimate", {**_ESTIMATE, "event": {"kind": "terminal-halfspace", "normal": [1e200], "level": 1.0}},
-         "normal must have a finite nonzero norm, got inf"),
+        ("estimate", {**_ESTIMATE, "event": {"kind": "terminal-halfspace", "normal": [0.0], "level": 1.0}},
+         "config.event.normal must have a finite nonzero norm, got 0.0"),
+        ("estimate", {**_ESTIMATE, "event": {"kind": "terminal-halfspace", "normal": [1e-300], "level": 1e10}},
+         "config.event.level / |normal| must be finite, got 10000000000.0 / 1e-300"),
     ],
     ids=["ode-n-grid", "seed", "n", "samples", "tilted-samples", "m", "rate-samples", "martingale-samples", "x-dim",
          "point-dim", "model-dim", "simulate-a", "action-a", "minimize-a", "estimate-a", "martingale-a",
-         "ode-epsilon", "path-epsilon", "estimate-method", "halfspace-normal-norm"],
+         "ode-epsilon", "path-epsilon", "estimate-method", "halfspace-zero-normal", "halfspace-level-overflow"],
 )
 def test_config_out_of_range_exits_2_before_the_echo(tmp_path, capsys, command, config, error):
     code, out = _run(tmp_path, command, config)
     assert code == 2
     assert error in capsys.readouterr().err
     assert not out.exists()  # --out is made only for an accepted config
+
+
+def test_estimate_normal_past_the_plain_norms_range_reports_as_its_unit_normal(tmp_path):
+    # exited 0 with p_hat 1.0 and stderr 0.0: the normal's norm overflowed, so every state hit
+    huge = {"kind": "terminal-halfspace", "normal": [1e200], "level": 1e200}
+    code, out = _run(tmp_path, "estimate", {**_ESTIMATE, "event": huge}, sub="huge")
+    assert code == 0
+    _, unit = _run(tmp_path, "estimate", _ESTIMATE, sub="unit")
+    rep = json.loads((out / "estimate_report.json").read_text())
+    assert rep == json.loads((unit / "estimate_report.json").read_text())
+    assert rep["p_hat"] < 1.0
 
 
 def test_bare_number_vector_echoes_as_a_list(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,12 +164,31 @@ def test_dominating_point_rejects_nonrare_halfspace():
         dominating_point_halfspace(m, np.array([1.0]), np.array([1.0]), -2.0)
 
 
-@pytest.mark.parametrize("xi", [[1e200], [1e300, 1e300], [1e-200]], ids=["overflow-1d", "overflow-2d", "underflow-1d"])
-def test_dominating_point_refuses_a_normal_without_a_finite_nonzero_norm(xi):
-    # np.linalg.norm overflowed to inf past about 1.3e154, and xi / inf is the zero normal
+@pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["overflow", "underflow"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_dominating_point_normalizes_a_normal_past_the_plain_norms_range(d, scale):
+    # np.linalg.norm overflowed to inf past about 1.3e154, and xi / inf was the zero normal
+    model = preset_model("gaussian-free") if d == 1 else _gaussian_2d()
+    xi = np.array([1.0, 0.5])[:d]
+    unit = dominating_point_halfspace(model, np.zeros(d), xi, 2.0)
+    scaled = dominating_point_halfspace(model, np.zeros(d), scale * xi, scale * 2.0)
+    assert scaled.level == pytest.approx(unit.level, rel=1e-12)
+    assert np.allclose(scaled.point, unit.point, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "xi, c, error",
+    [
+        ([0.0], 1.0, "xi must have a finite nonzero norm, got 0.0"),
+        ([1.5e308, 1.5e308], 1.0, "xi must have a finite nonzero norm, got inf"),
+        ([1e-300], 1e10, "c / |xi| must be finite, got 10000000000.0 / 1e-300"),
+    ],
+    ids=["zero", "norm-overflow", "level-overflow"],
+)
+def test_dominating_point_refuses_a_halfspace_past_the_float_range(xi, c, error):
     model = preset_model("gaussian-free") if len(xi) == 1 else _gaussian_2d()
-    with pytest.raises(ValueError, match=r"^xi must have a finite nonzero norm, got (inf|0\.0)$"):
-        dominating_point_halfspace(model, np.zeros(len(xi)), np.array(xi), 1.0)
+    with pytest.raises(ValueError, match="^" + re.escape(error) + "$"):
+        dominating_point_halfspace(model, np.zeros(len(xi)), np.array(xi), c)
 
 
 def test_dominating_point_unreachable_level():

@@ -48,11 +48,30 @@ def test_event_normalization():
         PathDeviationEvent(0.0)
 
 
-@pytest.mark.parametrize("normal", [[1e200], [1e300, 1e300], [1e-200]], ids=["overflow-1d", "overflow-2d", "underflow-1d"])
-def test_halfspace_normal_without_a_finite_nonzero_norm_is_refused(normal):
+@pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["overflow", "underflow"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_halfspace_normal_past_the_plain_norms_range_is_normalized(d, scale):
     # np.linalg.norm overflowed to inf past about 1.3e154: the normal became 0, the level 0, and every state hit
-    with pytest.raises(ValueError, match=r"^normal must have a finite nonzero norm, got (inf|0\.0)$"):
-        TerminalHalfspace(normal, 1.0)
+    normal = np.array([3.0, 4.0])[:d]
+    unit = TerminalHalfspace(normal, 2.0)
+    ev = TerminalHalfspace(scale * normal, scale * 2.0)
+    assert np.allclose(ev.normal, unit.normal, rtol=1e-15, atol=0.0)
+    assert ev.level == pytest.approx(unit.level, rel=1e-15)
+    assert not ev.hits(np.zeros((1, d)))[0]
+
+
+@pytest.mark.parametrize(
+    "normal, level, error",
+    [
+        ([0.0], 1.0, "normal must have a finite nonzero norm, got 0.0"),
+        ([1.5e308, 1.5e308], 1.0, "normal must have a finite nonzero norm, got inf"),
+        ([1e-300], 1e10, "level / |normal| must be finite, got 10000000000.0 / 1e-300"),
+    ],
+    ids=["zero", "norm-overflow", "level-overflow"],
+)
+def test_halfspace_past_the_float_range_is_refused(normal, level, error):
+    with pytest.raises(ValueError, match="^" + re.escape(error) + "$"):
+        TerminalHalfspace(normal, level)
 
 
 def test_halfspace_normal_below_the_overflow_is_normalized():
