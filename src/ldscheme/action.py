@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InfeasibleProblemError, SimulationBlowup
 from . import conjugate as conj_mod
 from . import kernel
-from .kernel import KernelModel, perturbation_amplitude
+from .kernel import KernelModel
 from .scheme import Trajectory, gauss_legendre_01
 
 BARRIER = 1e12
@@ -50,7 +50,11 @@ class TerminalPoint:
     point: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "point", kernel._finite(np.atleast_1d(self.point), "point"))
+        object.__setattr__(self, "point", kernel._as_vector(self.point, None, "point"))
+
+    @property
+    def dim(self) -> int:
+        return self.point.shape[0]
 
 
 @dataclass(frozen=True)
@@ -67,11 +71,15 @@ class TerminalHalfspace:
     level: float
 
     def __post_init__(self):
-        xi = kernel._finite(np.atleast_1d(self.normal), "normal")
+        xi = kernel._as_vector(self.normal, None, "normal")
         level = kernel._as_real(self.level, "level")
         xi, level = kernel._unit_halfspace(xi, level, "normal", "level")
         object.__setattr__(self, "normal", xi)
         object.__setattr__(self, "level", level)
+
+    @property
+    def dim(self) -> int:
+        return self.normal.shape[0]
 
     def hits(self, states: np.ndarray) -> np.ndarray:
         """Whether each (m, d) row of states lies in the half-space, shape (m,)."""
@@ -110,8 +118,9 @@ class ActionProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "x", kernel._as_vector(self.x, self.model.dim, "x"))
+        kernel._require_kind("terminal", self.terminal, (TerminalPoint, TerminalHalfspace), self.model.dim)
         object.__setattr__(self, "m", kernel._as_count(self.m, "m", 2))
-        object.__setattr__(self, "a", perturbation_amplitude(self.a))
+        object.__setattr__(self, "a", kernel._as_real(self.a, "a", 0))
 
 
 @dataclass
@@ -229,7 +238,7 @@ def action(model: KernelModel, x, a, f: Trajectory) -> ActionValue:
     Conjugate solves that end as max-iterations are reported as warnings,
     not silently treated as +inf.
     """
-    amp = perturbation_amplitude(a)
+    amp = kernel._as_real(a, "a", 0)
     x = kernel._as_vector(x, model.dim, "x")
     kernel._require_dim("path", f.dim, model.dim)
     if float(np.max(np.abs(f.knots[0] - x))) > 1e-12:
@@ -297,8 +306,7 @@ def minimize_action(problem: ActionProblem) -> MinimizeResult:
     n_int = (m - 2) * d
 
     if isinstance(terminal, TerminalPoint):
-        target = kernel._as_vector(terminal.point, d, "terminal.point")
-        frame = None
+        target, frame = terminal.point, None
         v0 = straight_line(x, target, m).knots[1:-1].ravel()
     else:
         xi, c = terminal.normal, terminal.level

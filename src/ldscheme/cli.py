@@ -120,10 +120,12 @@ def _echo(c: _Conf, command: str, out: str) -> None:
     _write_json(os.path.join(out, "resolved_config.json"), {"command": command, **c.resolved})
 
 
-def _trajectory_from(path: str, key: str) -> Trajectory:
-    """load_trajectory, with a missing, unreadable or malformed file reported as a config error naming key."""
+def _trajectory_from(path: str, key: str, dim: int) -> Trajectory:
+    """load_trajectory, with a missing, unreadable or malformed file, or a path not of dim, a config error naming key."""
     try:
-        return load_trajectory(path)
+        traj = load_trajectory(path)
+        kernel._require_dim("path", traj.dim, dim)
+        return traj
     except (OSError, ValueError) as exc:
         raise ModelConfigError(f"{key}: cannot load {path!r}: {exc}") from exc
 
@@ -157,16 +159,14 @@ def _event_from(c: _Conf, dim: int):
         return _halfspace_from(e, dim)
     if kind == "terminal-ball":
         center = e.take("center", _as_array((dim,)))
-        radius = e.take("radius", _as_real)
+        radius = e.take("radius", _as_float_from(0, strict=True))
         e.close()
         return BallEvent(center=center, radius=radius)
     if kind == "sup-distance-from-path":
         epsilon = e.take("epsilon", _as_float_from(0, strict=True))
         ref_file = e.take("reference_file", _as_str, None)
         e.close()
-        ref = _trajectory_from(ref_file, f"{e.path}.reference_file") if ref_file else None
-        if ref is not None and ref.dim != dim:
-            raise ModelConfigError(f"{e.path}.reference_file: expected a path of dim {dim}, got dim {ref.dim}")
+        ref = _trajectory_from(ref_file, f"{e.path}.reference_file", dim) if ref_file else None
         return PathDeviationEvent(epsilon=epsilon, reference=ref)
     raise ModelConfigError(f"{e.path}.kind: unknown event kind {kind!r}")
 
@@ -211,7 +211,7 @@ def _cmd_action(c, model, x, out, workers):
     knots = c.take("knots", _as_knots(model.dim), None)
     if (traj_file is None) == (knots is None):
         raise ModelConfigError("config: give exactly one of 'trajectory_file' and 'knots'")
-    traj = _trajectory_from(traj_file, "config.trajectory_file") if traj_file else Trajectory(knots)
+    traj = _trajectory_from(traj_file, "config.trajectory_file", model.dim) if traj_file else Trajectory(knots)
     _echo(c, "action", out)
     val = action(model, x, a, traj)
     report = {
@@ -242,11 +242,10 @@ def _cmd_minimize(c, model, x, out, workers):
         ["iter", "value", "grad_norm", "step"],
         res.log,
     )
-    terminal_rec = (
-        {"kind": "point", "point": list(terminal.point)}
-        if isinstance(terminal, TerminalPoint)
-        else {"kind": "halfspace", "normal": list(terminal.normal), "level": terminal.level}
-    )
+    if isinstance(terminal, TerminalPoint):
+        terminal_rec = {"kind": "point", "point": list(terminal.point)}
+    else:
+        terminal_rec = {"kind": "halfspace", "normal": list(terminal.normal), "level": terminal.level}
     report = {
         "value": res.action.value,
         "converged": res.converged,

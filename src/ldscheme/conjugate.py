@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import TiltUnreachableError
 from . import kernel
-from .kernel import KernelModel, perturbation_amplitude
+from .kernel import KernelModel
 
 CONVERGED = "converged"
 DIVERGENT = "divergent"
@@ -162,7 +162,7 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     gradient test, the live arrays are the result; otherwise each row is
     written to the result when it ends.
     """
-    amp = perturbation_amplitude(a)
+    amp = kernel._as_real(a, "a", 0)
     aa = amp * amp
     ys = kernel._as_rows(ys, model.dim, "ys")
     zs = kernel._as_rows(zs, model.dim, "zs")

@@ -42,10 +42,11 @@ def _finite(x, name: str) -> np.ndarray:
     return v
 
 
-def _as_vector(x, dim: int, name: str) -> np.ndarray:
+def _as_vector(x, dim: Optional[int], name: str) -> np.ndarray:
+    """x as a finite float64 vector of length dim, or of any length when dim is None; a scalar is a 1-vector."""
     v = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if v.shape != (dim,):
-        raise ValueError(f"{name} must have shape ({dim},), got {v.shape}")
+    if v.ndim != 1 or (dim is not None and v.shape[0] != dim):
+        raise ValueError(f"{name} must have shape ({'d' if dim is None else dim},), got {v.shape}")
     return _finite(v, name)
 
 
@@ -102,10 +103,17 @@ def _as_probability(value, name: str) -> float:
     return p
 
 
-def _require_dim(what: str, dim: int, model_dim: int) -> None:
-    """Reject a path or measure whose dimension is not the model's."""
-    if dim != model_dim:
+def _require_dim(what: str, dim: Optional[int], model_dim: int) -> None:
+    """Reject a path, measure, terminal or event whose dimension is not the model's; None (no dimension) passes."""
+    if dim is not None and dim != model_dim:
         raise ValueError(f"{what} dim {dim} does not match model dim {model_dim}")
+
+
+def _require_kind(what: str, value, kinds: tuple, model_dim: int) -> None:
+    """Reject a terminal or event that is not one of kinds, or whose dim is not the model's."""
+    if not isinstance(value, kinds):
+        raise ValueError(f"{what} must be a {' or '.join(k.__name__ for k in kinds)}, got {type(value).__name__}")
+    _require_dim(what, value.dim, model_dim)
 
 
 def _as_rows(x, dim: int, name: str) -> np.ndarray:
@@ -276,11 +284,6 @@ def _state_free_value(sigma, dim: int):
     if value.shape == (dim, dim) and np.all(np.isfinite(value)) and np.array_equal(value, at_row):
         return value
     return sigma
-
-
-def perturbation_amplitude(a) -> float:
-    """Validate the smoothing amplitude a >= 0 and return it as a float."""
-    return _as_real(a, "a", 0)
 
 
 def affine_model(

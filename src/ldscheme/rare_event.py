@@ -57,8 +57,12 @@ class BallEvent:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", kernel._finite(np.atleast_1d(self.center), "center"))
+        object.__setattr__(self, "center", kernel._as_vector(self.center, None, "center"))
         object.__setattr__(self, "radius", kernel._as_real(self.radius, "radius", 0, strict=True))
+
+    @property
+    def dim(self) -> int:
+        return self.center.shape[0]
 
     def hits(self, states: np.ndarray) -> np.ndarray:
         """Whether each (m, d) row of states lies in the closed ball, shape (m,)."""
@@ -77,7 +81,7 @@ class PathDeviationEvent:
     """Path event {sup_t |Y(t) - ref(t)| >= epsilon}.
 
     reference = None means the mean flow from the run's start, integrated
-    at the run's own resolution.
+    at the run's own resolution; such an event has no dim of its own.
     """
 
     epsilon: float
@@ -85,6 +89,10 @@ class PathDeviationEvent:
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", kernel._as_real(self.epsilon, "epsilon", 0, strict=True))
+
+    @property
+    def dim(self) -> Optional[int]:
+        return None if self.reference is None else self.reference.dim
 
     def record(self) -> dict:
         return {
@@ -126,20 +134,6 @@ class MartingaleCheck(_Report):
     n: int
     a: float
     variation: float
-
-
-def _require_event_dim(event: EventSpec, dim: int) -> None:
-    """Reject an event whose normal, center or reference path is not in the model's dimension."""
-    if isinstance(event, TerminalHalfspace):
-        shape = event.normal.shape
-    elif isinstance(event, BallEvent):
-        shape = event.center.shape
-    elif event.reference is not None:
-        shape = (event.reference.dim,)
-    else:
-        return
-    if shape != (dim,):
-        raise ValueError(f"{event.record()['kind']} event has shape {shape}, the model dim is {dim}")
 
 
 def _mean_stderr(vals: np.ndarray) -> Tuple[float, float]:
@@ -247,7 +241,7 @@ def mc_probability(model: KernelModel, x, n: int, a, event: EventSpec, samples: 
     when no hit was observed.
     """
     x, amp, (n,), seed, samples, workers = _run_args(model, x, [n], a, seed, samples, workers)
-    _require_event_dim(event, model.dim)
+    kernel._require_kind("event", event, (TerminalHalfspace, BallEvent, PathDeviationEvent), model.dim)
     p = float(np.mean(_hits(model, x, n, amp, event, samples, workers, (seed,))))
     return _report(model, event, n, samples, seed, p, float(np.sqrt(p * (1.0 - p) / samples)), "naive")
 
@@ -260,13 +254,11 @@ def _tilt_plan(model, x, event: TerminalHalfspace):
 
     The event and the model are checked first, before the mean flow is solved.
     """
-    if not isinstance(event, TerminalHalfspace):
-        raise ValueError("tilted estimation only covers terminal half-space events")
+    kernel._require_kind("event", event, (TerminalHalfspace,), model.dim)
     if not (isinstance(model, AffineNoiseModel) and model.base.kind == "gaussian"):
         raise ValueError("tilted estimation requires an affine model with Gaussian base noise")
     if callable(model.sigma):
         raise ValueError("tilted estimation requires a constant sigma")
-    _require_event_dim(event, model.dim)
     flow = limit_ode(model, x, steps=256)
     drift_terminal = float(flow.knots[-1] @ event.normal)
     if drift_terminal >= event.level:

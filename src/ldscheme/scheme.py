@@ -51,7 +51,7 @@ from numpy.random import Generator, default_rng
 
 from .errors import SimulationBlowup
 from . import kernel
-from .kernel import AffineNoiseModel, KernelModel, perturbation_amplitude
+from .kernel import AffineNoiseModel, KernelModel
 
 _SNAP = 1e-12
 
@@ -184,7 +184,7 @@ def _run_args(model: KernelModel, x, n_grid, a, seed, samples=1, workers=1, min_
     n_grid = [kernel._as_count(n, "n", 1) for n in n_grid]
     if not n_grid:
         raise ValueError("n_grid must be nonempty")
-    return (x, perturbation_amplitude(a), n_grid, kernel._as_count(seed, "seed", 0),
+    return (x, kernel._as_real(a, "a", 0), n_grid, kernel._as_count(seed, "seed", 0),
             kernel._as_count(samples, "samples", min_samples), kernel._as_count(workers, "workers", 1))
 
 
@@ -192,14 +192,14 @@ def _euler_steps(model: KernelModel, x: np.ndarray, n: int, a: float, rng: Gener
     """Run `rows` replicas of the scheme from x; yield (k, prev, inc, state) per step.
 
     inc = F_k + a g_k is the full increment, so state = prev + inc / n.
-    Each step draws the model increments of all rows from rng
-    (model.sampler); at a > 0 the smoothing Gaussians come from
-    rng.spawn(1)[0], spawned once per run.  With shifts, an (n, d) array,
-    the run is tilted: it yields the base draw xi_k (model.base.sample)
-    plus shifts[k - 1] in place of inc; sigma must be constant and nothing
-    is spawned.  That is the tilted law of a Gaussian base only, which the
-    tilted estimator's plan requires.
-    Raises SimulationBlowup(k) at the first non-finite step.
+    Each step draws the model increments of all rows from rng (model.sampler,
+    whose draw must be exactly (rows, d)); at a > 0 the smoothing Gaussians
+    come from rng.spawn(1)[0], spawned once per run.  With shifts, an (n, d)
+    array, the run is tilted: it yields the base draw xi_k (model.base.sample)
+    plus shifts[k - 1] in place of inc; sigma must be constant and nothing is
+    spawned.  That is the tilted law of a Gaussian base only, which the tilted
+    estimator's plan requires.  Raises SimulationBlowup(k) at the first
+    non-finite step.
 
     Every array yielded is new at its step and never written afterwards, so
     a caller may keep prev, inc (or xi) and state across steps.  The other
@@ -211,7 +211,7 @@ def _euler_steps(model: KernelModel, x: np.ndarray, n: int, a: float, rng: Gener
     scratch = np.empty_like(state)
     for k in range(1, n + 1):
         if shifts is None:
-            inc = model.sampler(state, rng)
+            inc = kernel._block("sampler", model.sampler(state, rng), state.shape)
             if smooth is not None:
                 g = smooth.standard_normal(state.shape)
                 g *= a
@@ -246,7 +246,7 @@ def phi_n(model: KernelModel, x, a, traj: Trajectory, lam: DualMeasure) -> float
     <x, lam([0,1])> + sum_i cgf_a(knots[i-1], beta_i / n) with beta_i the
     tent-basis integrals of lam.
     """
-    amp = perturbation_amplitude(a)
+    amp = kernel._as_real(a, "a", 0)
     x = kernel._as_vector(x, model.dim, "x")
     kernel._require_dim("path", traj.dim, model.dim)
     kernel._require_dim("measure", lam.dim, model.dim)
@@ -267,7 +267,7 @@ def phi_limit(model: KernelModel, x, a, f: Trajectory, lam: DualMeasure) -> floa
     integral is assembled piecewise with order-5 Gauss-Legendre quadrature
     between consecutive breakpoints (knots of f plus atom times).
     """
-    amp = perturbation_amplitude(a)
+    amp = kernel._as_real(a, "a", 0)
     x = kernel._as_vector(x, model.dim, "x")
     kernel._require_dim("path", f.dim, model.dim)
     kernel._require_dim("measure", lam.dim, model.dim)

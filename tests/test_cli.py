@@ -491,7 +491,7 @@ def test_minimize_bad_settings_exit_2(tmp_path, capsys, key, value):
         ({"kind": "terminal-halfspace", "normal": [1.0, 0.0], "level": 1.0},
          "config.event.normal: expected a list of length 1"),
         ({"kind": "sup-distance-from-path", "epsilon": 0.5, "reference_file": "ref2.csv"},
-         "config.event.reference_file: expected a path of dim 1, got dim 2"),
+         "config.event.reference_file: cannot load 'ref2.csv': path dim 2 does not match model dim 1"),
     ],
     ids=["ball", "halfspace", "path"],
 )
@@ -503,6 +503,17 @@ def test_estimate_event_of_wrong_dimension_exits_2(tmp_path, monkeypatch, capsys
     assert code == 2
     assert error in capsys.readouterr().err
     assert not (out / "resolved_config.json").exists()
+
+
+def test_action_trajectory_file_of_wrong_dimension_exits_2(tmp_path, monkeypatch, capsys):
+    # wrote resolved_config.json, then exited 2 with "path dim 2 does not match model dim 1", naming no key
+    (tmp_path / "traj2.csv").write_text("t,x1,x2\n0.0,0.0,0.0\n1.0,1.0,1.0\n")
+    monkeypatch.chdir(tmp_path)
+    code, out = _run(tmp_path, "action", {"model": OU, "x": [0.0], "trajectory_file": "traj2.csv"})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: config.trajectory_file: cannot load 'traj2.csv': path dim 2 does not match model dim 1" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("what", ["missing", "directory"])
@@ -605,6 +616,9 @@ def test_out_naming_a_file_exits_2_and_writes_nothing(tmp_path, capsys, sub):
         ("verify-ode", {**_ODE, "epsilon": 0.0}, "config.epsilon must be > 0, got 0.0"),
         ("estimate", {**_ESTIMATE, "event": {"kind": "sup-distance-from-path", "epsilon": -0.5}},
          "config.event.epsilon must be > 0, got -0.5"),
+        # exited 2 with "radius must be > 0, got -1.0", which named no key
+        ("estimate", {**_ESTIMATE, "event": {"kind": "terminal-ball", "center": [0.0], "radius": -1.0}},
+         "config.event.radius must be > 0, got -1.0"),
         ("estimate", {**_ESTIMATE, "method": "bogus"}, "config.method: expected 'naive' or 'tilted', got 'bogus'"),
         ("estimate", {**_ESTIMATE, "event": {"kind": "terminal-halfspace", "normal": [0.0], "level": 1.0}},
          "config.event.normal must have a finite nonzero norm, got 0.0"),
@@ -613,7 +627,7 @@ def test_out_naming_a_file_exits_2_and_writes_nothing(tmp_path, capsys, sub):
     ],
     ids=["ode-n-grid", "seed", "n", "samples", "tilted-samples", "m", "rate-samples", "martingale-samples", "x-dim",
          "point-dim", "model-dim", "simulate-a", "action-a", "minimize-a", "estimate-a", "martingale-a",
-         "ode-epsilon", "path-epsilon", "estimate-method", "halfspace-zero-normal", "halfspace-level-overflow"],
+         "ode-epsilon", "path-epsilon", "ball-radius", "estimate-method", "halfspace-zero-normal", "halfspace-level-overflow"],
 )
 def test_config_out_of_range_exits_2_before_the_echo(tmp_path, capsys, command, config, error):
     code, out = _run(tmp_path, command, config)

@@ -198,6 +198,30 @@ def test_dominating_point_unreachable_level():
         dominating_point_halfspace(m, np.zeros(1), np.array([1.0]), 1.5)
 
 
+@pytest.mark.parametrize("a", [0.0, 0.25])
+def test_fenchel_rows_takes_a_as_a_float(a):
+    # the unit Gaussian smoothed at a has cgf_a(alpha) = (1 + a^2) alpha^2 / 2, so conj_a(z) = z^2 / (2 (1 + a^2))
+    m = preset_model("gaussian-free")
+    res = fenchel_rows(m, [[0.0]], [[0.5]], a=a)
+    assert res.status[0] == CONVERGED
+    assert res.value[0] == pytest.approx(0.125 / (1.0 + a * a), rel=1e-12)
+    assert res.value.tobytes() == fenchel_rows(m, [[0.0]], [[0.5]], a=np.float64(a)).value.tobytes()
+
+
+@pytest.mark.parametrize(
+    "a, error",
+    [(-0.1, "a must be >= 0, got -0.1"), (np.inf, "a: expected a finite number, got inf")],
+    ids=["negative", "inf"],
+)
+def test_fenchel_rows_refuses_a_negative_or_infinite_a_before_any_callback(a, error):
+    def refuse(*args):
+        raise AssertionError("a model callback ran before a was checked")
+
+    m = KernelModel(dim=1, sampler=refuse, cgf=refuse, cgf_grad=refuse, cgf_hess=refuse)
+    with pytest.raises(ValueError, match="^" + re.escape(error) + "$"):
+        fenchel_rows(m, [[0.0]], [[0.5]], a=a)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     y=st.floats(-2, 2),

@@ -20,7 +20,6 @@ from ldscheme.kernel import (
     linear_drift,
     logistic_drift,
     model_from_config,
-    perturbation_amplitude,
     preset_model,
     zero_drift,
 )
@@ -186,15 +185,6 @@ def test_state_dependent_sigma_cgf_closed_form():
         1, zero_drift(), lambda ys: (1.0 + ys**2)[:, :, None], gaussian_base(), summary="var"
     )
     assert _one_cgf(m, np.array([2.0]), np.array([0.1])) == pytest.approx(0.5 * (5.0 * 0.1) ** 2, abs=1e-13)
-
-
-def test_perturbation_amplitude_validation():
-    assert perturbation_amplitude(0.0) == 0.0
-    assert perturbation_amplitude(0.25) == 0.25
-    with pytest.raises(ValueError):
-        perturbation_amplitude(-0.1)
-    with pytest.raises(ValueError):
-        perturbation_amplitude(np.inf)
 
 
 def test_drift_builders_broadcast():

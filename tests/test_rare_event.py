@@ -9,7 +9,7 @@ from numpy.random import default_rng
 from scipy.stats import norm
 
 from ldscheme import conjugate as conj_mod, kernel
-from ldscheme.action import ActionProblem, TerminalHalfspace, limit_ode, minimize_action
+from ldscheme.action import ActionProblem, TerminalHalfspace, TerminalPoint, limit_ode, minimize_action
 from ldscheme.errors import SimulationBlowup
 from ldscheme.kernel import affine_model, gaussian_base, linear_drift, logistic_drift, preset_model
 from ldscheme.rare_event import (
@@ -194,21 +194,28 @@ def test_weighted_estimators_need_two_samples(run, monkeypatch):
         run(preset_model("gaussian-free"), DualMeasure.point_mass(1.0, 0.5))
 
 
+_WRONG_DIM = r"^event dim 2 does not match model dim 1$"
+
+
 @pytest.mark.parametrize(
-    "run",
+    "run, error",
     [
         # a 2-D center used to broadcast against the (rows, 1) states and give p_hat 0.98
-        lambda m: mc_probability(m, [0.0], 20, 0.0, BallEvent([0.0, 0.0], 0.5), 100, seed=0),
+        (lambda m: mc_probability(m, [0.0], 20, 0.0, BallEvent([0.0, 0.0], 0.5), 100, seed=0), _WRONG_DIM),
         # a 2-D reference broadcast the same way in the path fold
-        lambda m: mc_probability(m, [0.0], 20, 0.0, PathDeviationEvent(0.5, Trajectory(np.zeros((3, 2)))), 100, seed=0),
+        (lambda m: mc_probability(m, [0.0], 20, 0.0, PathDeviationEvent(0.5, Trajectory(np.zeros((3, 2)))), 100, seed=0),
+         _WRONG_DIM),
         # a 2-D normal ended in a numpy shape error
-        lambda m: mc_probability(m, [0.0], 20, 0.0, TerminalHalfspace([1.0, 0.0], 1.0), 100, seed=0),
-        lambda m: tilted_mc_probability(m, [0.0], 20, TerminalHalfspace([1.0, 0.0], 1.0), 100, seed=0),
-        lambda m: verify_rate(m, [0.0], TerminalHalfspace([1.0, 0.0], 1.0), [10, 20], 100, seed=0),
+        (lambda m: mc_probability(m, [0.0], 20, 0.0, TerminalHalfspace([1.0, 0.0], 1.0), 100, seed=0), _WRONG_DIM),
+        (lambda m: tilted_mc_probability(m, [0.0], 20, TerminalHalfspace([1.0, 0.0], 1.0), 100, seed=0), _WRONG_DIM),
+        (lambda m: verify_rate(m, [0.0], TerminalHalfspace([1.0, 0.0], 1.0), [10, 20], 100, seed=0), _WRONG_DIM),
+        # a terminal point ended in "AttributeError: 'TerminalPoint' object has no attribute 'reference'"
+        (lambda m: mc_probability(m, [0.0], 20, 0.0, TerminalPoint([1.0]), 100, seed=0),
+         r"^event must be a TerminalHalfspace or BallEvent or PathDeviationEvent, got TerminalPoint$"),
     ],
-    ids=["ball", "path", "halfspace", "tilted", "rate"],
+    ids=["ball", "path", "halfspace", "tilted", "rate", "point-kind"],
 )
-def test_estimators_reject_event_of_wrong_dimension(run, monkeypatch):
+def test_estimators_reject_event_of_wrong_dimension(run, error, monkeypatch):
     # the check runs before anything is simulated or minimized
     import ldscheme.rare_event as rare_event
 
@@ -219,8 +226,8 @@ def test_estimators_reject_event_of_wrong_dimension(run, monkeypatch):
     # the tilted estimators check the event inside _tilt_plan, ahead of its mean flow
     monkeypatch.setattr(rare_event, "limit_ode", forbidden)
     monkeypatch.setattr(rare_event, "minimize_action", forbidden)
-    with pytest.raises(ValueError, match=r"event has shape \(2,\), the model dim is 1"):
-        run(preset_model("gaussian-ou"))
+    with pytest.raises(ValueError, match=error):
+        run(_refusing_ou())
 
 
 def test_chunk_sizes():
@@ -886,13 +893,20 @@ _GRID_RUNS = {
 _BAD_N = {"zero": 0, "negative": -3, "float": 2.5, "bool": True}
 
 
-def _refusing_ou():
-    """gaussian-ou whose callbacks fail the test when anything calls them."""
+def _refusing(model):
+    """model with callbacks that fail the test when anything calls them."""
 
     def refuse(*args):
         raise AssertionError("a model callback ran before the run arguments were checked")
 
-    return dataclasses.replace(preset_model("gaussian-ou"), sampler=refuse, cgf=refuse, cgf_grad=refuse, cgf_hess=refuse)
+    return dataclasses.replace(model, sampler=refuse, cgf=refuse, cgf_grad=refuse, cgf_hess=refuse)
+
+
+def _refusing_ou(dim=1):
+    """gaussian-ou, or its dim-dimensional analogue, whose callbacks fail the test when anything calls them."""
+    if dim == 1:
+        return _refusing(preset_model("gaussian-ou"))
+    return _refusing(affine_model(dim, linear_drift(-np.eye(dim)), 1.0, gaussian_base()))
 
 
 def _bad_runs():
@@ -911,6 +925,42 @@ def test_every_run_entry_point_rejects_a_bad_n_before_any_callback(run, n):
     # n was checked before any callback, minimization, limit_ode or draw
     with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got "):
         run(_refusing_ou(), n)
+
+
+def test_terminals_and_events_state_their_dim():
+    assert TerminalPoint([1.0, 2.0]).dim == TerminalHalfspace([1.0, 2.0], 1.0).dim == BallEvent([0.0, 0.0], 1.0).dim == 2
+    assert PathDeviationEvent(0.5, Trajectory(np.zeros((3, 2)))).dim == 2
+    # the mean-flow reference has no dimension of its own, so it suits every model
+    assert PathDeviationEvent(0.5).dim is None
+
+
+@pytest.mark.parametrize("model_dim", [1, 2])
+@pytest.mark.parametrize(
+    "make", [lambda d: TerminalHalfspace(np.ones(d), 1.0), lambda d: TerminalPoint(np.ones(d))], ids=["halfspace", "point"]
+)
+def test_action_problem_rejects_a_terminal_of_another_dim_before_any_callback(make, model_dim):
+    # a half-space of another dim used to end minimize_action in numpy's "matmul: Input operand 1 has a mismatch ..."
+    other = 3 - model_dim
+    with pytest.raises(ValueError, match=rf"^terminal dim {other} does not match model dim {model_dim}$"):
+        ActionProblem(model=_refusing_ou(model_dim), x=np.zeros(model_dim), terminal=make(other))
+
+
+def test_action_problem_rejects_an_event_that_is_not_a_terminal_before_any_callback():
+    # minimize_action raised "AttributeError: 'BallEvent' object has no attribute 'normal'"
+    with pytest.raises(ValueError, match=r"^terminal must be a TerminalPoint or TerminalHalfspace, got BallEvent$"):
+        ActionProblem(model=_refusing_ou(), x=[0.0], terminal=BallEvent([1.0], 0.5))
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [(lambda v: TerminalHalfspace(v, 1.0), "normal"), (lambda v: BallEvent(v, 0.5), "center"),
+     (TerminalPoint, "point")],
+    ids=["normal", "center", "point"],
+)
+def test_a_matrix_is_refused_as_a_normal_center_or_point(make, name):
+    # TerminalHalfspace([[1.0, 0.0]], 1.0) was accepted, and a 2-D minimize on it failed inside np.column_stack
+    with pytest.raises(ValueError, match=rf"^{name} must have shape \(d,\), got \(1, 2\)$"):
+        make([[1.0, 0.0]])
 
 
 def _same_result(u, v):

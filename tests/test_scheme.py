@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from numpy.random import default_rng
 
 from ldscheme import kernel
 from ldscheme.errors import SimulationBlowup
-from ldscheme.kernel import affine_model, gaussian_base, linear_drift, preset_model
+from ldscheme.kernel import KernelModel, affine_model, gaussian_base, linear_drift, preset_model
 from ldscheme.scheme import (
     DualMeasure,
     Trajectory,
@@ -213,6 +215,21 @@ def test_zero_amplitude_run_draws_only_model_noise(preset):
     for _ in _euler_steps(preset_model("gaussian-ou"), x, 10, 0.5, rng, 3, shifts=np.ones((10, 1))):
         pass
     assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+
+@pytest.mark.parametrize(
+    "draw, shape",
+    [(lambda ys, rng: rng.standard_normal((1, 1)), (1, 1)), (lambda ys, rng: rng.standard_normal(), ())],
+    ids=["one-row", "scalar"],
+)
+@pytest.mark.parametrize("a", [0.0, 0.5])
+def test_stepper_refuses_a_sampler_draw_of_another_shape(draw, shape, a):
+    # one (1, d) row used to be given to every replica: mc_probability on such a copy of gaussian-free
+    # read p_hat 0.0 and stderr 0.0 where the preset reads 0.0569 (n = 10, level 0.5, 20,000 samples, seed 1)
+    free = preset_model("gaussian-free")
+    m = KernelModel(dim=1, sampler=draw, cgf=free.cgf, cgf_grad=free.cgf_grad)
+    with pytest.raises(ValueError, match=rf"^sampler must return shape \(100, 1\) on its rows, got {re.escape(str(shape))}$"):
+        next(_euler_steps(m, np.zeros(1), 10, a, default_rng(1), 100))
 
 
 def _stepper_knots(m, x, n, a, rows, rng):
@@ -499,7 +516,8 @@ def test_package_exports_each_name_once():
     import ldscheme
 
     names = ldscheme.__all__
-    assert len(names) == len(set(names)) == 56
+    assert len(names) == len(set(names)) == 55
     assert [name for name in names if not hasattr(ldscheme, name)] == []
     assert "SchemeRun" not in names and not hasattr(ldscheme, "SchemeRun")
+    assert "perturbation_amplitude" not in names and not hasattr(ldscheme.kernel, "perturbation_amplitude")
     assert not {"cgf", "cgf_grad"} & set(names) and not hasattr(ldscheme.kernel, "cgf")

@@ -25,7 +25,7 @@ from ldscheme.kernel import KernelModel, affine_model, gaussian_base, linear_dri
 
 
 def _masked_fenchel_rows(model, ys, zs, a=0.0):
-    amp = kernel.perturbation_amplitude(a)
+    amp = kernel._as_real(a, "a", 0)
     aa = amp * amp
     ys = kernel._as_rows(ys, model.dim, "ys")
     zs = kernel._as_rows(zs, model.dim, "zs")
