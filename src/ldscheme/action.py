@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InfeasibleProblemError, SimulationBlowup
 from . import conjugate as conj_mod
 from . import kernel
-from .kernel import KernelModel
+from .kernel import AffineNoiseModel, KernelModel
 from .scheme import Trajectory, gauss_legendre_01
 
 BARRIER = 1e12
@@ -183,20 +183,19 @@ def _quadrature_pass(model, a, knots, gradient: bool = False):
     res = conj_mod.fenchel_rows(model, ys, zs, a=a)
 
     divergent, warnings = [], []
-    if (res.status != conj_mod.CONVERGED).any():
+    if res.status.any():  # some node did not converge (code 0)
         status = res.status.reshape(m_seg, n_q)
-        is_div = status == conj_mod.DIVERGENT
+        is_div = status == conj_mod._DIVERGENT_CODE
         first_div = np.where(is_div.any(axis=1), is_div.argmax(axis=1), n_q)
         late = np.arange(n_q)[None, :] >= first_div[:, None]
         divergent = [int(k) for k in np.flatnonzero(first_div < n_q)]
-        warnings = [(int(k), int(q)) for k, q in zip(*np.nonzero((status == conj_mod.MAX_ITERATIONS) & ~late))]
+        warnings = [(int(k), int(q)) for k, q in zip(*np.nonzero((status == conj_mod._MAX_ITERATIONS_CODE) & ~late))]
 
-    # sum the nodes column by column, in node order: a numpy reduction would pick its own order
-    weighted = res.value.reshape(m_seg, n_q) * _WEIGHTS
-    acc = np.zeros(m_seg)
-    for q in range(n_q):
-        acc += weighted[:, q]
-    seg_values = dt * acc
+    # sum the nodes in node order, from +0.0: a running sum (np.add.accumulate) is sequential by definition,
+    # where a numpy reduction may sum pairwise
+    weighted = np.zeros((m_seg, n_q + 1))
+    np.multiply(res.value.reshape(m_seg, n_q), _WEIGHTS, out=weighted[:, 1:])
+    seg_values = dt * np.add.accumulate(weighted, axis=1)[:, -1]
     if divergent:
         seg_values[divergent] = np.inf
     if not gradient or divergent:
@@ -212,21 +211,21 @@ def _quadrature_pass(model, a, knots, gradient: bool = False):
     for i in range(d):
         shifted[0, i, :, i] += h
         shifted[1, i, :, i] -= h
-    c = model.cgf(shifted.reshape(-1, d), np.tile(astar, (2 * d, 1))).reshape(2, d, -1)
+    c = model.cgf(shifted.reshape(-1, d), np.concatenate((astar,) * (2 * d))).reshape(2, d, -1)
     cy = (-(c[0] - c[1]) / (2.0 * h)).T.reshape(m_seg, n_q, d)
     astar = astar.reshape(m_seg, n_q, d)
     right_w, left_w = dt * _WEIGHTS * _NODES, dt * _WEIGHTS * _LEFT_NODES
-    # each node's terms for the knots at the right and left ends of its segment
+    # each knot's terms in summation order, after a +0.0: the right-end terms of the segment on its left,
+    # then the left-end terms of the segment on its right.  A knot without such a segment has +0.0 terms
+    # there, which change no sum that starts from +0.0
+    terms = np.zeros((m_seg + 1, 2 * n_q + 1, d))
+    right_t, left_t = terms[1:, 1 : n_q + 1], terms[:-1, n_q + 1 :]
     dz = _WEIGHTS[:, None] * astar
-    right_t = right_w[:, None] * cy
+    np.multiply(right_w[:, None], cy, out=right_t)
     right_t += dz
-    left_t = left_w[:, None] * cy
+    np.multiply(left_w[:, None], cy, out=left_t)
     left_t -= dz
-    grad = np.zeros((m_seg + 1, d))
-    for q in range(n_q):
-        grad[1:] += right_t[:, q]
-    for q in range(n_q):
-        grad[:-1] += left_t[:, q]
+    grad = np.add.accumulate(terms, axis=1)[:, -1]
     return seg_values, grad, divergent, warnings
 
 
@@ -252,14 +251,24 @@ def limit_ode(model: KernelModel, x, steps: int) -> Trajectory:
     """Mean flow f' = cgf_grad(f, 0) by classical Runge-Kutta, f(0) = x.
 
     Takes `steps` uniform RK steps and returns the sampled polygon with
-    steps + 1 knots.
+    steps + 1 knots.  For an affine model with a constant sigma the field is
+    drift(f) + sigma grad_logmgf(0), its cgf_grad(f, 0) bit for bit, with the
+    noise mean computed once by the calls cgf_grad makes.
     """
     steps = kernel._as_count(steps, "steps", 1)
     x = kernel._as_vector(x, model.dim, "x")
     zero = np.zeros((1, model.dim))
 
-    def field_(y):
-        return np.asarray(model.cgf_grad(y[None], zero)[0], dtype=np.float64)
+    if isinstance(model, AffineNoiseModel) and not callable(model.sigma):
+        sig = model.sigma
+        grad0 = model.base.logmgf_grad(kernel._sigma_t_dot(sig, zero))
+        noise_mean = kernel._rdot(grad0, np.ascontiguousarray(sig.T))[0]
+
+        def field_(y):
+            return kernel.drift_rows(model, y[None])[0] + noise_mean
+    else:
+        def field_(y):
+            return np.asarray(model.cgf_grad(y[None], zero)[0], dtype=np.float64)
 
     h = 1.0 / steps
     knots = np.empty((steps + 1, model.dim))

@@ -39,6 +39,9 @@ from .kernel import KernelModel
 CONVERGED = "converged"
 DIVERGENT = "divergent"
 MAX_ITERATIONS = "max-iterations"
+STATUSES = (CONVERGED, DIVERGENT, MAX_ITERATIONS)
+# ConjugateRows.status holds each row's outcome as an int8 index into STATUSES
+_CONVERGED_CODE, _DIVERGENT_CODE, _MAX_ITERATIONS_CODE = range(len(STATUSES))
 
 # Newton ascent controls.  Convergence is declared at gradient norm
 # <= GRAD_TOL_SCALE * (1 + |z|), after at most MAX_ITER iterations, with
@@ -54,8 +57,6 @@ MAX_STEP = 100.0
 WINDOW = 20
 BRACKET_CAP = 1e3
 
-_STATUS_DTYPE = np.asarray([CONVERGED, DIVERGENT, MAX_ITERATIONS]).dtype
-
 
 @dataclass
 class ConjugateResult:
@@ -70,8 +71,10 @@ class ConjugateResult:
 class ConjugateRows:
     """Per-row results of fenchel_rows, as arrays over the N rows.
 
-    status holds CONVERGED, DIVERGENT or MAX_ITERATIONS for each row;
-    divergent rows have value +inf and a NaN argmax row.
+    status holds each row's outcome as an int8 code, its index in STATUSES:
+    0 converged, 1 divergent, 2 max-iterations, so np.bincount(status,
+    minlength=3) counts them.  Divergent rows have value +inf and a NaN
+    argmax row.  row(i) gives the outcome by name.
     """
 
     value: np.ndarray
@@ -81,7 +84,7 @@ class ConjugateRows:
     grad_norm: np.ndarray
 
     def row(self, i: int) -> ConjugateResult:
-        status = str(self.status[i])
+        status = STATUSES[self.status[i]]
         argmax = None if status == DIVERGENT else self.argmax[i].copy()
         return ConjugateResult(float(self.value[i]), argmax, status, int(self.iterations[i]), float(self.grad_norm[i]))
 
@@ -117,16 +120,18 @@ def _solve_ascent(hess, grad):
 
 
 def _ascent_directions(hess, grad):
-    """Stacked Newton directions; rows whose plain solve fails get _solve_ascent."""
+    """Stacked Newton directions and their slopes <grad, p>; rows whose plain solve fails get _solve_ascent."""
     try:
         p = np.linalg.solve(hess, grad[..., None])[..., 0]
     except np.linalg.LinAlgError:  # some row is singular: redo every row on its own
         p = np.full_like(grad, np.nan)
-    ok = np.isfinite(p).all(axis=1) & (kernel._dot_rows(p, grad) > 0.0)
+    slope = kernel._dot_rows(grad, p)
+    ok = np.isfinite(p).all(axis=1) & (slope > 0.0)
     if not ok.all():
         for i in np.flatnonzero(~ok):
             p[i] = _solve_ascent(hess[i], grad[i])
-    return p
+        slope = kernel._dot_rows(grad, p)
+    return p, slope
 
 
 def _unfilled_rows(n: int, d: int) -> ConjugateRows:
@@ -134,7 +139,7 @@ def _unfilled_rows(n: int, d: int) -> ConjugateRows:
     return ConjugateRows(
         value=np.empty(n),
         argmax=np.empty((n, d)),
-        status=np.empty(n, dtype=_STATUS_DTYPE),
+        status=np.empty(n, dtype=np.int8),
         iterations=np.empty(n, dtype=int),
         grad_norm=np.empty(n),
     )
@@ -158,9 +163,13 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     conjugate shown to be +inf.
 
     The live rows' state is kept compacted, in row order, and the model's
-    callbacks get those arrays.  When every row ends converged at the same
-    gradient test, the live arrays are the result; otherwise each row is
-    written to the result when it ends.
+    callbacks get those arrays.  The first cgf value and the first cgf_grad
+    value of the call, and every cgf_hess value, must have the shapes (m,),
+    (m, d) and (m, d, d) of their m rows: any other shape, a scalar
+    included, is a ValueError naming the callback.  When every row ends
+    converged at the same gradient test, the live arrays are the result,
+    with status np.zeros(N, np.int8); otherwise each row is written to the
+    result when it ends.
     """
     amp = kernel._as_real(a, "a", 0)
     aa = amp * amp
@@ -172,16 +181,22 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     with np.errstate(over="ignore"):
         tol = GRAD_TOL_SCALE * (1.0 + kernel._row_norms(zs))
 
-    def objective(y, z, alpha):
-        h = kernel._dot_rows(z, alpha) - model.cgf(y, alpha)
+    def objective(y, z, alpha, first=False):
+        c = model.cgf(y, alpha)
+        if first:  # the first value of each callback is checked for its (m,) shape
+            c = kernel._block("cgf", c, y.shape[:1])
+        h = kernel._dot_rows(z, alpha) - c
         # at a = 0 the smoothing term is +0.0 (|alpha| stays below NORM_CAP + MAX_STEP),
         # and subtracting +0.0 changes no value, -0.0 included
         if aa > 0.0:
             h = h - 0.5 * aa * kernel._dot_rows(alpha, alpha)
         return h
 
-    def gradient(y, z, alpha):
-        return z - model.cgf_grad(y, alpha) - aa * alpha
+    def gradient(y, z, alpha, first=False):
+        g = model.cgf_grad(y, alpha)
+        if first:
+            g = kernel._block("cgf_grad", g, y.shape)
+        return z - g - aa * alpha
 
     out = None
 
@@ -199,10 +214,10 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     ys, zs = ys.copy(), zs.copy()  # the callbacks never see the caller's arrays
     if not np.isfinite(tol).all():
         huge = ~np.isfinite(tol)
-        finish(row[huge], DIVERGENT, 0, np.inf, np.inf, np.nan)
+        finish(row[huge], _DIVERGENT_CODE, 0, np.inf, np.inf, np.nan)
         row, ys, zs, tol = row[~huge], ys[~huge], zs[~huge], tol[~huge]
     alpha = np.zeros(zs.shape)
-    h = objective(ys, zs, alpha)
+    h = objective(ys, zs, alpha, first=True)
     finite = np.isfinite(h)
     if not finite.all():
         h[~finite] = 0.0
@@ -215,24 +230,24 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
         row, y, z, tl, al, hv, run, bv, ba = live
         if row.size == 0:
             break
-        grad = gradient(y, z, al)
+        grad = gradient(y, z, al, first=it == 1)
         gnorm = kernel._row_norms(grad)
         done = gnorm <= tl
         if done.all():  # no row is left to compact
             if out is None:  # every row ends here, in row order
-                status = np.full(n, CONVERGED, dtype=_STATUS_DTYPE)
+                status = np.zeros(n, np.int8)
                 return ConjugateRows(value=hv, argmax=al, status=status, iterations=np.full(n, it), grad_norm=gnorm)
-            finish(row, CONVERGED, it, gnorm, hv, al)
+            finish(row, _CONVERGED_CODE, it, gnorm, hv, al)
             return out
         if done.any():
-            finish(row[done], CONVERGED, it, gnorm[done], hv[done], al[done])
+            finish(row[done], _CONVERGED_CODE, it, gnorm[done], hv[done], al[done])
             live, grad, gnorm = [v[~done] for v in live], grad[~done], gnorm[~done]
             row, y, z, tl, al, hv, run, bv, ba = live
 
         hess = kernel.cgf_hess_rows(model, y, al)
         if aa > 0.0:
             hess = hess + aa * np.eye(d)
-        p = _ascent_directions(hess, grad)
+        p, slope = _ascent_directions(hess, grad)
         with np.errstate(over="ignore"):
             pnorm = kernel._row_norms(p)
         # a Newton direction that overflowed (flat Hessian) becomes the
@@ -244,12 +259,12 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
             long_ = ~blown & (pnorm > MAX_STEP)
             if long_.any():
                 p[long_] = p[long_] * (MAX_STEP / pnorm[long_])[:, None]
+            slope = kernel._dot_rows(grad, p)
 
         # backtracking line search on the concave objectives, by row mask;
         # pending rows: index into the live rows, y, z, alpha, p, h, slope.
         # The accepted mask and the new alpha and h are made when some row
         # needs a shorter step, as copies of the row's start.
-        slope = kernel._dot_rows(grad, p)
         accepted = None
         pending = [np.arange(row.size), y, z, al, p, hv, slope]
         step = 1.0
@@ -279,7 +294,7 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
         # a stalled line search ends the row where it stands
         if not accepted.all():
             stalled = ~accepted
-            finish(row[stalled], MAX_ITERATIONS, it, gnorm[stalled], bv[stalled], ba[stalled])
+            finish(row[stalled], _MAX_ITERATIONS_CODE, it, gnorm[stalled], bv[stalled], ba[stalled])
             live, new_al, new_h, gnorm = [v[accepted] for v in live], new_al[accepted], new_h[accepted], gnorm[accepted]
             row, y, z, tl, al, hv, run, bv, ba = live
 
@@ -295,13 +310,13 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
             window = min(it + 1, WINDOW + 1) - 1
             divergent = capped & (run >= window)
             stuck = capped & ~divergent
-            finish(row[divergent], DIVERGENT, it, gnorm[divergent], np.inf, np.nan)
-            finish(row[stuck], MAX_ITERATIONS, it, gnorm[stuck], bv[stuck], ba[stuck])
+            finish(row[divergent], _DIVERGENT_CODE, it, gnorm[divergent], np.inf, np.nan)
+            finish(row[stuck], _MAX_ITERATIONS_CODE, it, gnorm[stuck], bv[stuck], ba[stuck])
             live = [v[~capped] for v in live]
 
     row, y, z, _, al, _, _, bv, ba = live
     if row.size:
-        finish(row, MAX_ITERATIONS, MAX_ITER, kernel._row_norms(gradient(y, z, al)), bv, ba)
+        finish(row, _MAX_ITERATIONS_CODE, MAX_ITER, kernel._row_norms(gradient(y, z, al)), bv, ba)
     return out if out is not None else _unfilled_rows(0, d)
 
 

@@ -132,7 +132,9 @@ class BaseNoise:
     (..., d) and (..., d, d) respectively.  sample(rng, size) returns an
     array of shape size that the caller may overwrite: an affine sampler
     writes the increments into it, after casting it to float64 or copying it
-    if it is read-only.  An array that sample keeps is overwritten.
+    if it is read-only.  An array that sample keeps is overwritten.  kind
+    "gaussian" declares the standard normal law, whose curvature is the
+    identity at every alpha: affine_model and the tilted estimator rely on it.
     """
 
     kind: str
@@ -334,7 +336,22 @@ def affine_model(
         g = base.logmgf_grad(_sigma_t_dot(sig, alphas))
         return bs + (_sigma_dot(sig, g) if sigma_t is None else _rdot(g, sigma_t))
 
+    # with a constant sigma and a Gaussian base the Hessian is sigma sigma^T on every row: it is built once,
+    # by the general expression below on one row, so that its bytes are each row's.  A read-only stack of it
+    # for the last row count is kept, contiguous because np.linalg.solve takes longer on a broadcast view
+    curvature = None
+    if sigma_t is not None and base.kind == "gaussian":
+        curvature = (sigma @ base.logmgf_hess(np.zeros((1, dim))) @ sigma_t)[0]
+    held = [np.empty((0, dim, dim))]
+
     def cgf_hess(ys, alphas):
+        if curvature is not None:
+            stack, shape = held[0], np.shape(alphas)[:-1] + curvature.shape
+            if stack.shape != shape:
+                stack = np.ascontiguousarray(np.broadcast_to(curvature, shape))
+                stack.flags.writeable = False
+                held[0] = stack
+            return stack
         sig = _sigma_rows(model, ys)
         right = np.swapaxes(sig, -1, -2) if sigma_t is None else sigma_t
         return sig @ base.logmgf_hess(_sigma_t_dot(sig, alphas)) @ right
@@ -452,15 +469,17 @@ def cgf_hess_rows(model: KernelModel, ys: np.ndarray, alphas: np.ndarray) -> np.
 
     Models without cgf_hess get symmetrized central differences of
     cgf_grad with step HESS_FD_STEP, all 2 d shifted copies of the rows
-    evaluated in one cgf_grad call.  ys and alphas are float64 rows.
+    evaluated in one cgf_grad call.  ys and alphas are float64 rows.  A
+    callback value of any other shape is a ValueError naming it; the value
+    may be read-only.
     """
+    m, d = np.shape(alphas)
     if model.cgf_hess is not None:
-        return model.cgf_hess(ys, alphas)
-    m, d = alphas.shape
+        return _block("cgf_hess", model.cgf_hess(ys, alphas), (m, d, d))
     steps = HESS_FD_STEP * np.eye(d)
     shifted = alphas + np.stack([steps, -steps])[:, :, None, :]  # [sign, j, row] holds alpha_row +- h e_j
     g = model.cgf_grad(np.broadcast_to(ys, shifted.shape).reshape(-1, d), shifted.reshape(-1, d))
-    g = g.reshape(shifted.shape)
+    g = _block("cgf_grad", g, (2 * d * m, d)).reshape(shifted.shape)
     h = ((g[0] - g[1]) / (2.0 * HESS_FD_STEP)).transpose(1, 2, 0)  # [row, i, j] = d grad_i / d alpha_j
     return 0.5 * (h + h.transpose(0, 2, 1))
 

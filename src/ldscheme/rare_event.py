@@ -276,11 +276,11 @@ def _tilt_sequence(model, path: Trajectory, n: int) -> np.ndarray:
     seg = np.minimum(np.floor(ts * m_seg).astype(np.int64), m_seg - 1)
     slopes = (path.knots[seg + 1] - path.knots[seg]) * m_seg
     res = conj_mod.fenchel_rows(model, eval_path_many(path, ts), slopes)
-    failed = np.flatnonzero(res.status != conj_mod.CONVERGED)
+    failed = np.flatnonzero(res.status)  # code 0 is converged
     if failed.size:
         k = int(failed[0])
         raise TiltUnreachableError(
-            f"tilt solve along the minimizing path failed at step {k + 1} (status {res.status[k]})"
+            f"tilt solve along the minimizing path failed at step {k + 1} (status {conj_mod.STATUSES[res.status[k]]})"
         )
     return res.argmax
 

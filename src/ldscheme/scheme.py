@@ -112,7 +112,12 @@ def resample(traj: Trajectory, n: int) -> Trajectory:
 
 @dataclass(frozen=True)
 class DualMeasure:
-    """Atomic vector measure sum_j alpha_j delta_{t_j} on [0, 1]."""
+    """Atomic vector measure sum_j alpha_j delta_{t_j} on [0, 1].
+
+    weights is (len(times), d), or 1-D: one scalar weight per atom when it
+    is as long as times, else the d-vector of a single atom.  Any other
+    shape is a ValueError naming the atom weights.
+    """
 
     times: np.ndarray
     weights: np.ndarray
@@ -122,6 +127,8 @@ class DualMeasure:
         w = kernel._finite(self.weights, "atom weights")
         if w.ndim == 1:
             w = w[:, None] if len(t) == len(w) else w[None, :]
+        if w.ndim != 2:
+            raise ValueError(f"atom weights must be 1-D or have shape ({len(t)}, d), got {w.shape}")
         if t.ndim != 1 or w.shape[0] != t.shape[0]:
             raise ValueError(f"times {t.shape} and weights {w.shape} do not align")
         if len(t) and (t.min() < 0.0 or t.max() > 1.0):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -16,7 +18,7 @@ from ldscheme.action import (
     straight_line,
 )
 from ldscheme.errors import InfeasibleProblemError, SimulationBlowup
-from ldscheme.kernel import affine_model, gaussian_base, linear_drift, preset_model, zero_drift
+from ldscheme.kernel import PRESETS, KernelModel, affine_model, gaussian_base, linear_drift, preset_model, zero_drift
 from ldscheme.scheme import Trajectory
 from test_conjugate import _bernoulli_entropy
 
@@ -119,6 +121,37 @@ def test_limit_ode_blowup():
     m = preset_model("logistic")
     with pytest.raises(SimulationBlowup):
         limit_ode(m, [1e8], steps=16)
+
+
+def _counting_cgf_grad(model, calls):
+    """model with its cgf_grad counting its calls in calls."""
+
+    def cgf_grad(ys, alphas):
+        calls.append(len(ys))
+        return model.cgf_grad(ys, alphas)
+
+    return dataclasses.replace(model, cgf_grad=cgf_grad)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + ["linear-2d"])
+def test_limit_ode_constant_sigma_field_is_the_cgf_grad_field_byte_for_byte(name):
+    # a constant-sigma affine model takes drift + sigma grad_logmgf(0) with the noise mean computed
+    # once; a plain KernelModel with the same callbacks takes cgf_grad(f, 0) on every stage
+    m = _linear_2d_model() if name == "linear-2d" else preset_model(name)
+    plain = KernelModel(dim=m.dim, sampler=m.sampler, cgf=m.cgf, cgf_grad=m.cgf_grad, cgf_hess=m.cgf_hess)
+    x = np.linspace(0.3, -0.2, m.dim)
+    calls = []
+    fast = limit_ode(_counting_cgf_grad(m, calls), x, steps=64)
+    assert calls == []
+    assert fast.knots.tobytes() == limit_ode(plain, x, steps=64).knots.tobytes()
+
+
+def test_limit_ode_state_reading_sigma_keeps_cgf_grad():
+    m = affine_model(1, linear_drift([[-1.0]]), lambda ys: (1.0 + 0.1 * np.tanh(ys))[:, :, None], gaussian_base())
+    calls = []
+    f = limit_ode(_counting_cgf_grad(m, calls), [0.5], steps=8)
+    assert calls == [1] * 32
+    assert np.allclose(f.knots[:, 0], 0.5 * np.exp(-f.times), atol=1e-6)
 
 
 def _assert_certificate(res):

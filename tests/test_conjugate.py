@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.random import default_rng
 
-from ldscheme import conjugate
+from ldscheme import conjugate, kernel
 from ldscheme.conjugate import (
     CONVERGED,
     DIVERGENT,
     MAX_ITERATIONS,
+    STATUSES,
     dominating_point_halfspace,
     fenchel_rows,
     perturbed_fenchel,
@@ -23,12 +25,18 @@ from ldscheme.kernel import (
     linear_drift,
     preset_model,
 )
+from test_rare_event import _ou_2d
 
 
 def _one_cgf(model, y, alpha) -> float:
     """The model's cgf at one state y and one (d,) alpha, through its row callback."""
     y, alpha = np.asarray(y, dtype=np.float64), np.asarray(alpha, dtype=np.float64)
     return float(model.cgf(y[None], alpha)[0])
+
+
+def _names(status):
+    """The outcome names of an array of status codes, as a list."""
+    return [STATUSES[c] for c in status]
 
 
 def _bernoulli_entropy(v, p):
@@ -203,7 +211,7 @@ def test_fenchel_rows_takes_a_as_a_float(a):
     # the unit Gaussian smoothed at a has cgf_a(alpha) = (1 + a^2) alpha^2 / 2, so conj_a(z) = z^2 / (2 (1 + a^2))
     m = preset_model("gaussian-free")
     res = fenchel_rows(m, [[0.0]], [[0.5]], a=a)
-    assert res.status[0] == CONVERGED
+    assert STATUSES[res.status[0]] == CONVERGED
     assert res.value[0] == pytest.approx(0.125 / (1.0 + a * a), rel=1e-12)
     assert res.value.tobytes() == fenchel_rows(m, [[0.0]], [[0.5]], a=np.float64(a)).value.tobytes()
 
@@ -251,7 +259,7 @@ def test_two_dimensional_anisotropic():
 def _assert_same_row(rows, i, single):
     # at d = 1 a row is bit for bit its one-row solve, the best-so-far value and alpha of a
     # max-iterations row included
-    assert rows.status[i] == single.status
+    assert STATUSES[rows.status[i]] == single.status
     assert rows.iterations[i] == single.iterations
     if single.status == DIVERGENT:
         assert rows.value[i] == np.inf
@@ -275,7 +283,7 @@ def test_fenchel_rows_rows_are_independent(monkeypatch, max_iter):
     for i in range(len(zs)):
         _assert_same_row(rows, i, perturbed_fenchel(m, 0.0, ys[i], zs[i]))
     expected = {200: {CONVERGED, DIVERGENT}, 15: {CONVERGED, DIVERGENT, MAX_ITERATIONS}, 1: {CONVERGED, MAX_ITERATIONS}}
-    assert set(rows.status) == expected[max_iter]
+    assert set(_names(rows.status)) == expected[max_iter]
     if max_iter == 200:
         # pinned iteration counts: changing any solver constant moves them
         assert rows.iterations.tolist() == [1, 12, 7, 5, 22, 23, 12, 5, 10]
@@ -294,7 +302,7 @@ def test_fenchel_rows_smoothed_rows_match_single_solves():
     rows = fenchel_rows(m, ys, zs, a=0.5)
     for i in range(3):
         _assert_same_row(rows, i, perturbed_fenchel(m, 0.5, ys[i], zs[i]))
-    assert np.all(rows.status == CONVERGED)
+    assert set(_names(rows.status)) == {CONVERGED}
 
 
 def test_fenchel_rows_rejects_bad_shapes():
@@ -321,7 +329,7 @@ def test_line_search_that_moves_no_row_ends_it_as_max_iterations():
     )
     zs = np.array([[1.0], [2.0]])
     rows = fenchel_rows(m, np.zeros_like(zs), zs)
-    assert rows.status.tolist() == [MAX_ITERATIONS, MAX_ITERATIONS]
+    assert _names(rows.status) == [MAX_ITERATIONS, MAX_ITERATIONS]
     assert rows.iterations.tolist() == [2, 2]
     assert rows.argmax.tolist() == [[1.0], [1.0]]
     assert np.array_equal(rows.value, zs[:, 0] + c)
@@ -331,7 +339,7 @@ def _gaussian_2d():
     return affine_model(2, linear_drift(np.array([[-1.0, 0.3], [0.2, -0.5]])), np.array([[1.0, 0.2], [0.0, 0.8]]), gaussian_base())
 
 
-_DTYPES = {"value": np.float64, "argmax": np.float64, "status": np.dtype("<U14"), "iterations": np.dtype(int), "grad_norm": np.float64}
+_DTYPES = {"value": np.float64, "argmax": np.float64, "status": np.dtype(np.int8), "iterations": np.dtype(int), "grad_norm": np.float64}
 
 
 @pytest.mark.parametrize("ending", ["no-rows", "together", "apart"])
@@ -351,7 +359,7 @@ def test_fenchel_rows_result_has_the_same_dtypes_however_it_is_assembled(d, endi
     assert rows.argmax.shape == zs.shape and rows.status.shape == rows.value.shape == (len(zs),)
     expected = {"no-rows": [], "together": [2] * 6, "apart": [2, 2, 1, 2, 2, 2]}[ending]
     assert rows.iterations.tolist() == expected
-    assert set(rows.status) <= {CONVERGED}
+    assert set(_names(rows.status)) <= {CONVERGED}
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -365,12 +373,101 @@ def test_fenchel_rows_row_whose_tolerance_overflows_ends_divergent(d):
     ys = default_rng(30 + d).normal(size=(6, d))
     rows = fenchel_rows(model, ys, zs)
     overflowed = [1, 3]
-    assert rows.status[overflowed].tolist() == [DIVERGENT, DIVERGENT]
+    assert _names(rows.status[overflowed]) == [DIVERGENT, DIVERGENT]
     assert rows.iterations[overflowed].tolist() == [0, 0]
     assert np.all(rows.value[overflowed] == np.inf) and np.all(np.isnan(rows.argmax[overflowed]))
-    assert rows.status[4] == DIVERGENT and rows.iterations[4] > 0
+    assert STATUSES[rows.status[4]] == DIVERGENT and rows.iterations[4] > 0
     # the other rows are the bytes they have when solved without the overflowed rows
     keep = [0, 2, 4, 5]
     alone = fenchel_rows(model, ys[keep], zs[keep])
     for name in _DTYPES:
         assert getattr(alone, name).tobytes() == getattr(rows, name)[keep].tobytes(), name
+
+
+def _ou_sigma_03():
+    return affine_model(1, linear_drift([[-1.0]]), 0.3, gaussian_base())
+
+
+_FIELDS = ("value", "argmax", "status", "iterations", "grad_norm")
+
+
+def _assert_same_bytes(got, want):
+    for name in _FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3])
+@pytest.mark.parametrize("make", [_ou_sigma_03, _ou_2d], ids=["ou-sigma-0.3", "ou-2d"])
+def test_fenchel_rows_rows_are_byte_independent_of_their_batch_for_a_non_unit_sigma(make, a):
+    # every row shares one sigma sigma^T; each row's solve keeps its bytes alone, in a
+    # reversed batch and in a batch of every third row
+    m = make()
+    rng = default_rng(41)
+    ys, zs = rng.normal(size=(40, m.dim)), 2.0 * rng.normal(size=(40, m.dim))
+    rows = fenchel_rows(m, ys, zs, a=a)
+    for i in range(len(zs)):
+        one = fenchel_rows(m, ys[i : i + 1], zs[i : i + 1], a=a)
+        for name in _FIELDS:
+            assert getattr(one, name).tobytes() == getattr(rows, name)[i : i + 1].tobytes(), (i, name)
+    reversed_ = fenchel_rows(m, ys[::-1], zs[::-1], a=a)
+    for name in _FIELDS:
+        assert getattr(reversed_, name)[::-1].tobytes() == getattr(rows, name).tobytes(), name
+    third = fenchel_rows(m, ys[::3], zs[::3], a=a)
+    for name in _FIELDS:
+        assert getattr(third, name).tobytes() == getattr(rows, name)[::3].tobytes(), name
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3])
+@pytest.mark.parametrize(
+    "make",
+    [_ou_sigma_03, _ou_2d, lambda: affine_model(2, linear_drift(-np.eye(2)), np.eye(2), gaussian_base())],
+    ids=["ou-sigma-0.3", "ou-2d", "linear-2d-identity"],
+)
+def test_cached_and_generic_curvature_give_the_same_fenchel_rows_bytes(make, a):
+    # the generic cgf_hess evaluates sigma hess_logmgf(sigma^T alpha) sigma^T on every call
+    m = make()
+    sigma, base = m.sigma, m.base
+    sigma_t = np.ascontiguousarray(sigma.T)
+    generic = dataclasses.replace(
+        m, cgf_hess=lambda ys, alphas: sigma @ base.logmgf_hess(kernel._sigma_t_dot(sigma, alphas)) @ sigma_t
+    )
+    rng = default_rng(43)
+    ys, zs = rng.normal(size=(105, m.dim)), 3.0 * rng.normal(size=(105, m.dim))
+    _assert_same_bytes(fenchel_rows(m, ys, zs, a=a), fenchel_rows(generic, ys, zs, a=a))
+
+
+def _gaussian_free_copy(**callbacks):
+    """A hand-written copy of gaussian-free with some callbacks replaced."""
+    free = preset_model("gaussian-free")
+    fields = dict(dim=1, sampler=free.sampler, cgf=free.cgf, cgf_grad=free.cgf_grad, cgf_hess=free.cgf_hess)
+    return KernelModel(**{**fields, **callbacks})
+
+
+@pytest.mark.parametrize(
+    "callbacks, name",
+    [
+        (dict(cgf=lambda ys, alphas: 0.5 * float(alphas[0, 0]) ** 2), "cgf"),
+        (dict(cgf=lambda ys, alphas: 0.5 * alphas**2), "cgf"),
+        (dict(cgf_grad=lambda ys, alphas: alphas[0]), "cgf_grad"),
+        (dict(cgf_hess=lambda ys, alphas: np.ones((1, 1))), "cgf_hess"),
+    ],
+    ids=["scalar-cgf", "column-cgf", "one-row-grad", "one-hess"],
+)
+def test_fenchel_rows_refuses_callback_values_of_another_shape(callbacks, name):
+    # a scalar cgf used to be broadcast to every row: [0.5, 1.5] where gaussian-free gives [0.5, 2.0]
+    ys, zs = np.zeros((2, 1)), np.array([[1.0], [2.0]])
+    assert fenchel_rows(_gaussian_free_copy(), ys, zs).value.tolist() == [0.5, 2.0]
+    with pytest.raises(ValueError, match=rf"^{name} must return shape"):
+        fenchel_rows(_gaussian_free_copy(**callbacks), ys, zs)
+
+
+def test_status_counts_are_a_bincount_of_the_codes(monkeypatch):
+    # bernoulli-walk rows that converge, diverge and (with 15 iterations) run out of iterations
+    monkeypatch.setattr(conjugate, "MAX_ITER", 15)
+    m = preset_model("bernoulli-walk")
+    zs = np.array([0.3, 1.5, 0.05, 0.6, 1.0, 0.0, -0.5, 0.9, 0.999])[:, None]
+    rows = fenchel_rows(m, np.zeros_like(zs), zs)
+    assert rows.status.dtype == np.int8
+    names = [rows.row(i).status for i in range(len(zs))]
+    counts = np.bincount(rows.status, minlength=len(STATUSES))
+    assert counts.tolist() == [names.count(s) for s in STATUSES] == [5, 2, 2]

@@ -1,4 +1,4 @@
-"""Every module imports only names it uses, every private helper is used, and only kernel reduces rows.
+"""Every module imports only names it uses, every private helper is used, only kernel reduces rows, and only conjugate solves.
 
 A deletion can leave an import or a helper behind that nothing reads.  These
 checks walk the syntax tree of each module under src/ldscheme, tests and
@@ -10,7 +10,10 @@ name or as an attribute.  The row sums of squares, row norms and row dots
 that price a step live in kernel alone, so that one function decides their
 summation order: no other module of the package calls np.add.reduce,
 np.einsum or np.linalg.norm along an axis.  A plain vector norm, with no
-axis, goes through a BLAS dot and keeps its own bits.
+axis, goes through a BLAS dot and keeps its own bits.  Likewise the Newton
+step's linear solve lives in conjugate alone, so that one module decides its
+rounding: no other module of the package names np.linalg.solve or
+np.linalg.inv (or scipy.linalg's), by attribute or by import.
 """
 
 import ast
@@ -132,3 +135,35 @@ def test_the_check_finds_a_row_reduction():
 def test_only_kernel_reduces_rows():
     found = {str(path.relative_to(ROOT)): row_reductions(path.read_text()) for path in PACKAGE if path.name != "kernel.py"}
     assert {path: calls for path, calls in found.items() if calls} == {}
+
+
+def linear_solves(source: str) -> list:
+    """The references of source to linalg.solve or linalg.inv, under any module alias, and their imports by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("solve", "inv"):
+            if ast.unparse(node.value).split(".")[-1] == "linalg":
+                found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "linalg":
+            found.extend((node.lineno, f"{node.module}.{a.name}") for a in node.names if a.name in ("solve", "inv"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_check_finds_a_linear_solve():
+    source = (
+        "p = np.linalg.solve(h, g)\n"
+        "q = numpy.linalg.inv(h) @ g\n"
+        "from scipy.linalg import null_space, solve\n"
+        "f = np.linalg.solve\n"
+        "n = np.linalg.norm(g) + sp.linalg.lu_factor(h)[0]\n"
+        "e = np.linalg.LinAlgError\n"
+    )
+    assert linear_solves(source) == [
+        "line 1: np.linalg.solve", "line 2: numpy.linalg.inv", "line 3: scipy.linalg.solve", "line 4: np.linalg.solve"
+    ]
+
+
+def test_only_conjugate_solves_linear_systems():
+    found = {str(path.relative_to(ROOT)): linear_solves(path.read_text()) for path in PACKAGE if path.name != "conjugate.py"}
+    assert {path: refs for path, refs in found.items() if refs} == {}
+    assert linear_solves((ROOT / "src/ldscheme/conjugate.py").read_text())  # the solve the rule keeps in one place

@@ -648,6 +648,49 @@ def test_cgf_hess_rows_finite_difference_fallback():
     assert np.allclose(fd, kernel.cgf_hess_rows(src, ys, alphas), atol=1e-8)
 
 
+def _signed_zero_sigma():
+    sigma = default_rng(71).normal(size=(3, 3))
+    sigma[1, 2] = -0.0
+    return sigma
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [np.eye(1), np.array([[1.0, 0.3], [-0.2, 0.7]]), _signed_zero_sigma()],
+    ids=["identity-1d", "ou-2d", "signed-zero-3d"],
+)
+def test_constant_gaussian_curvature_is_the_per_call_stack_byte_for_byte(sigma):
+    # a constant sigma with a Gaussian base builds sigma sigma^T once; each row of the
+    # read-only view has the bytes of the general expression evaluated on all the rows
+    d = sigma.shape[0]
+    m = affine_model(d, linear_drift(-np.eye(d)), sigma, gaussian_base())
+    sigma_t = np.ascontiguousarray(m.sigma.T)
+    rng = default_rng(72)
+    for rows in [1, 5, 105, 2_000]:
+        ys, alphas = rng.normal(size=(rows, d)), rng.normal(size=(rows, d))
+        hess = kernel.cgf_hess_rows(m, ys, alphas)
+        stack = m.sigma @ m.base.logmgf_hess(kernel._sigma_t_dot(m.sigma, alphas)) @ sigma_t
+        assert hess.shape == stack.shape == (rows, d, d)
+        assert np.ascontiguousarray(hess).tobytes() == stack.tobytes()
+        assert not hess.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            hess[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("value", ["hess", "grad"])
+def test_cgf_hess_rows_refuses_a_callback_value_of_another_shape(value):
+    # one (d, d) Hessian for all rows, or one (d,) gradient for all the shifted rows of the
+    # finite-difference Hessian, is a ValueError naming the callback
+    ou = preset_model("gaussian-ou")
+    if value == "hess":
+        m = KernelModel(dim=1, sampler=ou.sampler, cgf=ou.cgf, cgf_grad=ou.cgf_grad,
+                        cgf_hess=lambda ys, alphas: np.ones((1, 1)))
+    else:
+        m = KernelModel(dim=1, sampler=ou.sampler, cgf=ou.cgf, cgf_grad=lambda ys, alphas: -ys[0] + alphas[0])
+    with pytest.raises(ValueError, match=rf"cgf_{value} must return shape \({'3, 1, 1' if value == 'hess' else '6, 1'}\)"):
+        kernel.cgf_hess_rows(m, np.zeros((3, 1)), np.zeros((3, 1)))
+
+
 def test_preset_summary_is_its_name():
     m = preset_model("gaussian-ou")
     assert m.summary == "gaussian-ou"

@@ -139,6 +139,23 @@ def test_dual_measure_validation():
     assert phi_n(ou, [1.0], 0.0, path, DualMeasure.zero(1)) == 0.0 == phi_limit(ou, [1.0], 0.0, path, DualMeasure.zero(1))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DualMeasure.point_mass(1.0, [[0.5, 0.5]]),
+        lambda: DualMeasure(np.array([0.5]), np.zeros((1, 1, 2))),
+        lambda: DualMeasure(np.array([0.5]), 1.0),
+        lambda: DualMeasure.from_atoms([(0.5, [[1.0, 2.0]])]),
+    ],
+    ids=["point-mass-of-a-row", "three-axes", "scalar", "atom-of-a-row"],
+)
+def test_dual_measure_refuses_weights_of_other_shapes(build):
+    # a (1, 1, 2) weight array used to read dim 1, pass martingale_check's dimension check on
+    # gaussian-ou and fail inside numpy once the run had started
+    with pytest.raises(ValueError, match=r"atom weights must be 1-D or have shape \(1, d\)"):
+        build()
+
+
 def test_basis_integrals_against_direct_sum():
     lam = DualMeasure.from_atoms([(0.3, [1.0]), (0.8, [-2.0]), (1.0, [0.5])])
     n = 5

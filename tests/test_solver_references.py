@@ -4,12 +4,13 @@ _masked_fenchel_rows and _looped_quadrature_pass are the earlier forms of
 conjugate.fenchel_rows and action._quadrature_pass: the solve re-indexed
 every live row from the full arrays on each iteration and wrote each status
 mask into the result, and the pass took one pair of model.cgf calls per
-coordinate of the y-gradient and classified every node's status on every
-call.  Both rewrites keep every floating-point operation with its operands
-and order, so every field must match bit for bit: the floats are compared as
-their raw bytes, which tells -0.0 from 0.0 (the NaN argmax rows of divergent
-rows are the same np.nan on both sides).  The ou-signed-zero-gradient case
-ends rows at raw gradient entries of -0.0, which the gradient's a = 0 term
+coordinate of the y-gradient, classified every node's status on every call
+and summed the nodes and each knot's gradient terms with += loops.  Both
+rewrites keep every floating-point operation with its operands and order,
+so every field must match bit for bit: the floats are compared as their raw
+bytes, which tells -0.0 from 0.0 (the NaN argmax rows of divergent rows are
+the same np.nan on both sides).  The ou-signed-zero-gradient case ends rows
+at raw gradient entries of -0.0, which the gradient's a = 0 term
 - aa * alpha turns into +0.0; its outputs must match the reference's bytes
 with that term kept on both sides.
 """
@@ -20,7 +21,7 @@ from numpy.random import default_rng
 
 from ldscheme import conjugate, kernel
 from ldscheme.action import _NODES, _WEIGHTS, Y_FD_STEP, _quadrature_pass
-from ldscheme.conjugate import CONVERGED, DIVERGENT, MAX_ITERATIONS, ConjugateRows, fenchel_rows
+from ldscheme.conjugate import CONVERGED, DIVERGENT, MAX_ITERATIONS, STATUSES, ConjugateRows, fenchel_rows
 from ldscheme.kernel import KernelModel, affine_model, gaussian_base, linear_drift, preset_model
 
 
@@ -50,13 +51,13 @@ def _masked_fenchel_rows(model, ys, zs, a=0.0):
     out = ConjugateRows(
         value=best_val.copy(),
         argmax=best_arg.copy(),
-        status=np.full(n, MAX_ITERATIONS),
+        status=np.full(n, STATUSES.index(MAX_ITERATIONS), dtype=np.int8),
         iterations=np.full(n, conjugate.MAX_ITER),
         grad_norm=np.zeros(n),
     )
 
     def finish(rows, status, it, gnorm, value=None, argmax=None):
-        out.status[rows] = status
+        out.status[rows] = STATUSES.index(status)
         out.iterations[rows] = it
         out.grad_norm[rows] = gnorm
         out.value[rows] = best_val[rows] if value is None else value
@@ -78,7 +79,7 @@ def _masked_fenchel_rows(model, ys, zs, a=0.0):
         hess = kernel.cgf_hess_rows(model, ys[live], al)
         if aa > 0.0:
             hess = hess + aa * np.eye(d)
-        p = conjugate._ascent_directions(hess, grad)
+        p, _ = conjugate._ascent_directions(hess, grad)
         with np.errstate(over="ignore"):
             pnorm = np.linalg.norm(p, axis=1)
         blown = ~np.isfinite(pnorm)
@@ -139,7 +140,7 @@ def _looped_quadrature_pass(model, a, knots, gradient=False):
     zs = np.repeat(slopes, n_q, axis=0)
     res = _masked_fenchel_rows(model, ys, zs, a=a)
 
-    status = res.status.reshape(m_seg, n_q)
+    status = _names(res.status).reshape(m_seg, n_q)
     values = res.value.reshape(m_seg, n_q)
     is_div = status == DIVERGENT
     first_div = np.where(is_div.any(axis=1), is_div.argmax(axis=1), n_q)
@@ -173,6 +174,11 @@ def _looped_quadrature_pass(model, a, knots, gradient=False):
     return seg_values, grad, divergent, warnings
 
 
+def _names(status):
+    """The outcome names of an array of status codes."""
+    return np.asarray(STATUSES)[status]
+
+
 def _linear_model(d, seed):
     rng = default_rng(seed)
     matrix = -np.eye(d) + 0.3 * rng.standard_normal((d, d))
@@ -194,6 +200,23 @@ def _stalling_model():
         cgf=lambda ys, alphas: 0.5 * np.sum(np.square(alphas), axis=-1),
         cgf_grad=lambda ys, alphas: alphas + ys,
         summary="stalls",
+    )
+
+
+def _misreported_hessian_model():
+    """cgf alpha^2 whose reported Hessian is -2 on rows with y > 0, and 2 elsewhere.
+
+    On those rows the Newton direction descends, so the per-row fallback takes the
+    gradient step; its full step lands where h equals its start, which the Armijo test
+    with the fallback's own slope refuses, so the row halves its step once.
+    """
+    return KernelModel(
+        dim=1,
+        sampler=lambda ys, rng: rng.standard_normal(ys.shape),
+        cgf=lambda ys, alphas: np.sum(np.square(alphas), axis=-1),
+        cgf_grad=lambda ys, alphas: 2.0 * alphas,
+        cgf_hess=lambda ys, alphas: np.where(ys[:, :, None] > 0.0, -2.0, 2.0),
+        summary="misreported-hessian",
     )
 
 
@@ -230,6 +253,7 @@ def _batches():
         "walk-in-and-out-of-support": (preset_model("bernoulli-walk"), walk_ys, walk_zs, 0.0),
         "walk-a-0.3": (preset_model("bernoulli-walk"), walk_ys, walk_zs, 0.3),
         "ou-a-0.3": (ou, ys1, zs1, 0.3),
+        "misreported-hessian": (_misreported_hessian_model(), np.array([[0.0], [1.0], [1.0], [0.0]]), np.array([[0.5], [1.0], [0.5], [1.0]]), 0.0),
         "stalls": (_stalling_model(), np.array([[0.0], [2.0], [0.0], [5.0], [-1.0]]), np.array([[0.5], [0.5], [1.0], [-1.0], [0.2]]), 0.0),
     }
     for d in (2, 3):
@@ -250,10 +274,10 @@ def test_compacted_solve_equals_the_row_mask_reference(case, max_iter, monkeypat
     _assert_rows_equal(got, _masked_fenchel_rows(model, ys, zs, a=a))
     if case == "walk-in-and-out-of-support":
         expected = {200: {CONVERGED, DIVERGENT}, 15: {CONVERGED, DIVERGENT, MAX_ITERATIONS}, 1: {CONVERGED, MAX_ITERATIONS}}
-        assert set(got.status) == expected[max_iter]
+        assert set(_names(got.status)) == expected[max_iter]
     if case == "stalls" and max_iter == 200:
         # row 1 stalls on its first line search, rows 3 and 4 on their second
-        assert got.status.tolist() == [CONVERGED, MAX_ITERATIONS, CONVERGED, MAX_ITERATIONS, MAX_ITERATIONS]
+        assert _names(got.status).tolist() == [CONVERGED, MAX_ITERATIONS, CONVERGED, MAX_ITERATIONS, MAX_ITERATIONS]
         assert got.iterations.tolist() == [2, 1, 2, 2, 2]
         assert got.argmax[3, 0] == pytest.approx(-1.5)
     if case == "ou-signed-zero-gradient":
@@ -274,6 +298,8 @@ def _paths():
     return {
         "ou-1d": (ou, 0.0, np.cumsum(rng.normal(scale=0.3, size=(12, 1)), axis=0)),
         "ou-1d-a-0.3": (ou, 0.3, np.cumsum(rng.normal(scale=0.3, size=(12, 1)), axis=0)),
+        # a path at rest in -0.0: zero slopes, zero maximizers and signed-zero gradient terms
+        "ou-1d-at-rest": (ou, 0.0, np.full((6, 1), -0.0)),
         "walk-1d": (walk, 0.0, walk_knots),
         "walk-1d-divergent": (walk, 0.0, steep),
         "linear-2d": (_linear_model(2, 2), 0.0, np.cumsum(rng.normal(scale=0.3, size=(11, 2)), axis=0)),
@@ -309,5 +335,5 @@ def test_stacked_pass_equals_the_per_coordinate_reference(case, gradient, max_it
     assert bool(warnings) == (max_iter == 3 and case.startswith("walk"))
     # the walk cases with a node left unconverged classify the statuses; every other case skips that
     (status,) = solved
-    unconverged = bool((status != CONVERGED).any())
+    unconverged = bool((_names(status) != CONVERGED).any())
     assert unconverged == (case == "walk-1d-divergent" or (max_iter == 3 and case.startswith("walk")))
