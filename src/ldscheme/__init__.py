@@ -5,7 +5,13 @@ driven by state-dependent increment laws, evaluates the path cost that
 governs their exponential decay rates, minimizes that cost under terminal
 constraints, and estimates rare-event probabilities by plain and tilted
 Monte Carlo.
+
+Importing the package loads numpy and the model, solver and path modules.
+The estimators (ldscheme.rare_event and the names it exports here), like
+numpy.random, scipy and csv, load on first use.
 """
+
+import importlib
 
 from .errors import (
     InfeasibleProblemError,
@@ -61,20 +67,6 @@ from .action import (
     minimize_action,
     straight_line,
 )
-from .rare_event import (
-    BallEvent,
-    EstimateReport,
-    MartingaleCheck,
-    OdeReport,
-    PathDeviationEvent,
-    RateReport,
-    martingale_check,
-    mc_probability,
-    tilted_mc_probability,
-    verify_ode_convergence,
-    verify_rate,
-)
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -134,3 +126,21 @@ __all__ = [
     "verify_rate",
     "zero_drift",
 ]
+
+# The estimators' names resolve through rare_event on every access, so a name
+# rebound there (a tracer, a monkeypatch) is what ldscheme.<name> returns.
+_ESTIMATORS = frozenset({
+    "BallEvent", "EstimateReport", "MartingaleCheck", "OdeReport", "PathDeviationEvent", "RateReport",
+    "martingale_check", "mc_probability", "tilted_mc_probability", "verify_ode_convergence", "verify_rate",
+})
+
+
+def __getattr__(name):
+    if name == "rare_event" or name in _ESTIMATORS:
+        module = importlib.import_module(".rare_event", __name__)
+        return module if name == "rare_event" else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

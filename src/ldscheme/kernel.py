@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
-from numpy.random import Generator
+
+if TYPE_CHECKING:  # numpy.random loads on first use, not at import
+    from numpy.random import Generator
 
 
 class ModelConfigError(ValueError):

@@ -41,25 +41,31 @@ every caller fails alike.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from numpy.random import Generator, default_rng
 
 from .errors import SimulationBlowup
 from . import kernel
 from .kernel import AffineNoiseModel, KernelModel
 
+if TYPE_CHECKING:  # numpy.random loads on first use, not at import
+    from numpy.random import Generator
+
 _SNAP = 1e-12
 
 
 def gauss_legendre_01():
-    """Order-5 Gauss-Legendre nodes and weights on [0, 1]; weights sum to 1."""
-    x, w = leggauss(5)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """Order-5 Gauss-Legendre nodes and weights on [0, 1]; weights sum to 1.
+
+    The literals are the exact values of 0.5 * (leggauss(5)[0] + 1.0) and
+    0.5 * leggauss(5)[1], so importing the package loads no numpy.polynomial.
+    """
+    nodes = np.array([0.04691007703066802, 0.23076534494715845, 0.5, 0.7692346550528415, 0.9530899229693319])
+    weights = np.array([0.11846344252809464, 0.23931433524968315, 0.28444444444444433, 0.23931433524968315,
+                        0.11846344252809464])
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -242,7 +248,7 @@ def simulate(model: KernelModel, x, n: int, a, seed: int) -> Trajectory:
     x, amp, (n,), seed, _, _ = _run_args(model, x, [n], a, seed)
     knots = np.empty((n + 1, model.dim))
     knots[0] = x
-    for k, _, _, state in _euler_steps(model, x, n, amp, default_rng(seed), 1):
+    for k, _, _, state in _euler_steps(model, x, n, amp, np.random.default_rng(seed), 1):
         knots[k] = state[0]
     return Trajectory(knots)
 
@@ -320,9 +326,9 @@ def coupled_perturbation_gaps(
     b = kernel._as_count(realizations, "realizations", 1)
     if not isinstance(model, AffineNoiseModel):
         raise TypeError("pathwise coupling needs the affine structure to share draws")
-    plain = _euler_steps(model, x, n, 0.0, default_rng(seed), b)
-    smooth = _euler_steps(model, x, n, amp, default_rng(seed), b)
-    g_stream = default_rng(seed).spawn(1)[0]
+    plain = _euler_steps(model, x, n, 0.0, np.random.default_rng(seed), b)
+    smooth = _euler_steps(model, x, n, amp, np.random.default_rng(seed), b)
+    g_stream = np.random.default_rng(seed).spawn(1)[0]
     gaps = np.zeros(b)
     ratio_sum = np.zeros(b)
     g_norm_sum = np.zeros(b)
@@ -343,6 +349,8 @@ def coupled_perturbation_gaps(
 # trajectory serialization: CSV with header t,x1,...,xd
 
 def save_trajectory(traj: Trajectory, path) -> None:
+    import csv
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"x{i + 1}" for i in range(traj.dim)])
@@ -351,6 +359,8 @@ def save_trajectory(traj: Trajectory, path) -> None:
 
 
 def load_trajectory(path) -> Trajectory:
+    import csv
+
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -362,6 +372,6 @@ def load_trajectory(path) -> Trajectory:
     data = np.asarray(rows, dtype=np.float64)
     times, knots = data[:, 0], data[:, 1:]
     n = len(times) - 1
-    if np.max(np.abs(times - np.arange(n + 1) / n)) > 1e-9:
+    if not np.all(np.abs(times - np.arange(n + 1) / n) <= 1e-9):  # a NaN time fails too
         raise ValueError(f"{path}: knot times must form the uniform lattice k/n")
     return Trajectory(knots)

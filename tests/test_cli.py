@@ -550,13 +550,22 @@ def test_unloadable_file_is_config_error(tmp_path, monkeypatch, capsys, command,
     ],
     ids=["trajectory-file", "reference-file"],
 )
-@pytest.mark.parametrize("bad", ["nan", "inf"])
-def test_non_finite_knot_in_a_file_is_config_error(tmp_path, monkeypatch, capsys, command, config, key, bad):
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ("0.0,0.0\n0.5,nan\n1.0,1.0\n", "knots must be finite"),
+        ("0.0,0.0\n0.5,inf\n1.0,1.0\n", "knots must be finite"),
+        # loaded as if the time lay on the lattice k/n
+        ("nan,0.0\n0.5,0.5\n1.0,1.0\n", "traj.csv: knot times must form the uniform lattice k/n"),
+    ],
+    ids=["nan", "inf", "nan-time"],
+)
+def test_non_finite_knot_in_a_file_is_config_error(tmp_path, monkeypatch, capsys, command, config, key, rows, error):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "traj.csv").write_text(f"t,x1\n0.0,0.0\n0.5,{bad}\n1.0,1.0\n")
+    (tmp_path / "traj.csv").write_text("t,x1\n" + rows)
     code, out = _run(tmp_path, command, config)
     assert code == 2
-    assert f"config error: {key}: cannot load 'traj.csv': knots must be finite" in capsys.readouterr().err
+    assert f"config error: {key}: cannot load 'traj.csv': {error}" in capsys.readouterr().err
     assert not out.exists()
 
 

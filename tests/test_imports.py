@@ -1,4 +1,4 @@
-"""Every module imports only names it uses, every private helper is used, only kernel reduces rows, and only conjugate solves.
+"""Every module imports only names it uses, every private helper is used, only kernel reduces rows, only conjugate solves, and a cold import loads only what building a model needs.
 
 A deletion can leave an import or a helper behind that nothing reads.  These
 checks walk the syntax tree of each module under src/ldscheme, tests and
@@ -13,11 +13,16 @@ np.einsum or np.linalg.norm along an axis.  A plain vector norm, with no
 axis, goes through a BLAS dot and keeps its own bits.  Likewise the Newton
 step's linear solve lives in conjugate alone, so that one module decides its
 rounding: no other module of the package names np.linalg.solve or
-np.linalg.inv (or scipy.linalg's), by attribute or by import.
+np.linalg.inv (or scipy.linalg's), by attribute or by import.  Last, a fresh
+interpreter imports the package and builds two models without loading the
+estimators, numpy.random, numpy.polynomial or csv.
 """
 
 import ast
+import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -167,3 +172,48 @@ def test_only_conjugate_solves_linear_systems():
     found = {str(path.relative_to(ROOT)): linear_solves(path.read_text()) for path in PACKAGE if path.name != "conjugate.py"}
     assert {path: refs for path, refs in found.items() if refs} == {}
     assert linear_solves((ROOT / "src/ldscheme/conjugate.py").read_text())  # the solve the rule keeps in one place
+
+
+_COLD_IMPORT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+lazy = {"ldscheme.rare_event", "csv", "numpy.random", "numpy.polynomial"} - set(sys.modules)
+import ldscheme
+ldscheme.preset_model("gaussian-ou")
+ldscheme.affine_model(1, ldscheme.linear_drift(np.array([[-1.0]])), lambda y: np.eye(1), ldscheme.gaussian_base())
+loaded = sorted(lazy & set(sys.modules))
+names = {}
+exec("from ldscheme import *", names)
+import json
+print(json.dumps({
+    "loaded": loaded,
+    "unresolved": [name for name in ldscheme.__all__ if getattr(ldscheme, name, None) is None],
+    "star": sorted(set(names) - {"__builtins__"}),
+    "undir": sorted(set(ldscheme.__all__) - set(dir(ldscheme))),
+    "all": sorted(ldscheme.__all__),
+    "same": ldscheme.mc_probability is ldscheme.rare_event.mc_probability,
+}))
+"""
+
+
+def test_a_cold_import_loads_only_what_building_a_model_needs():
+    # a bare numpy import may load numpy.random and numpy.polynomial itself (numpy < 2 does)
+    run = subprocess.run([sys.executable, "-c", _COLD_IMPORT, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True)
+    report = json.loads(run.stdout)
+    assert report["loaded"] == []
+    assert report["unresolved"] == [] and report["undir"] == []
+    assert report["star"] == report["all"] and len(report["all"]) == 55
+    assert report["same"]
+
+
+def test_an_estimator_name_follows_its_rebinding_in_rare_event(monkeypatch):
+    import ldscheme
+    from ldscheme import rare_event
+
+    assert ldscheme.verify_rate is rare_event.verify_rate  # a first access keeps no copy in the package
+    marker = object()
+    monkeypatch.setattr(rare_event, "verify_rate", marker)
+    assert ldscheme.verify_rate is marker
+    assert "verify_rate" not in vars(ldscheme)

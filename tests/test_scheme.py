@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
 from numpy.random import default_rng
 
 from ldscheme import kernel
@@ -32,6 +33,18 @@ def test_gauss_legendre_weights():
     assert weights @ nodes**9 == pytest.approx(0.1, abs=1e-14)
 
 
+def test_gauss_legendre_literals_are_numpys_rule_byte_for_byte():
+    x, w = leggauss(5)
+    nodes, weights = gauss_legendre_01()
+    assert nodes.dtype == weights.dtype == np.float64
+    assert nodes.tobytes() == (0.5 * (x + 1.0)).tobytes()
+    assert weights.tobytes() == (0.5 * w).tobytes()
+    # every call returns fresh arrays, so a caller that writes to one changes no later call
+    nodes[:] = weights[:] = 0.0
+    again = gauss_legendre_01()
+    assert again[0].tobytes() == (0.5 * (x + 1.0)).tobytes() and again[1].tobytes() == (0.5 * w).tobytes()
+
+
 def test_trajectory_validation():
     t = Trajectory([0.0, 0.5, 1.0])
     assert t.knots.shape == (3, 1)
@@ -49,11 +62,22 @@ def test_trajectory_rejects_non_finite_knots(bad):
         Trajectory([[0.0], [bad], [1.0]])
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
-def test_load_rejects_a_non_finite_knot(tmp_path, bad):
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ("0.0,0.0\n0.5,nan\n1.0,1.0\n", "knots must be finite"),
+        ("0.0,0.0\n0.5,inf\n1.0,1.0\n", "knots must be finite"),
+        # a NaN time used to pass the lattice check (a NaN gap compares False) and load as k/n
+        ("nan,0.0\n0.5,0.5\n1.0,1.0\n", "{path}: knot times must form the uniform lattice k/n"),
+        ("0.0,0.0\nnan,0.5\n1.0,1.0\n", "{path}: knot times must form the uniform lattice k/n"),
+        ("0.0,0.0\n0.5,0.5\ninf,1.0\n", "{path}: knot times must form the uniform lattice k/n"),
+    ],
+    ids=["nan", "inf", "nan-time-first", "nan-time-inner", "inf-time"],
+)
+def test_load_rejects_a_non_finite_knot(tmp_path, rows, error):
     p = tmp_path / "traj.csv"
-    p.write_text(f"t,x1\n0.0,0.0\n0.5,{bad}\n1.0,1.0\n")
-    with pytest.raises(ValueError, match="^knots must be finite$"):
+    p.write_text("t,x1\n" + rows)
+    with pytest.raises(ValueError, match=f"^{re.escape(error.format(path=p))}$"):
         load_trajectory(p)
 
 
