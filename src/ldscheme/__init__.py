@@ -37,8 +37,6 @@ from .kernel import (
 )
 from .conjugate import (
     ConjugateResult,
-    DominatingPointResult,
-    dominating_point_halfspace,
     fenchel_rows,
     perturbed_fenchel,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "BallEvent",
     "BaseNoise",
     "ConjugateResult",
-    "DominatingPointResult",
     "DualMeasure",
     "EstimateReport",
     "InfeasibleProblemError",
@@ -100,7 +97,6 @@ __all__ = [
     "bernoulli_base",
     "constant_drift",
     "coupled_perturbation_gaps",
-    "dominating_point_halfspace",
     "eval_path_many",
     "fenchel_rows",
     "gauss_legendre_01",

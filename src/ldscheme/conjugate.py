@@ -17,7 +17,7 @@ perturbed_fenchel is the one-row case, and a = 0 gives the plain conjugate.
 
 Every solve runs one fixed configuration, the module constants
 GRAD_TOL_SCALE, MAX_ITER, NORM_CAP, MAX_STEP and WINDOW, starting from
-alpha = 0; dominating_point_halfspace brackets its tilt below BRACKET_CAP.
+alpha = 0.
 Hessians of models without cgf_hess use kernel.HESS_FD_STEP.
 
 Smoothing the cumulant with a Gaussian term (amplitude a > 0) makes the
@@ -32,7 +32,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import TiltUnreachableError
 from . import kernel
 from .kernel import KernelModel
 
@@ -48,14 +47,12 @@ _CONVERGED_CODE, _DIVERGENT_CODE, _MAX_ITERATIONS_CODE = range(len(STATUSES))
 # steps capped at MAX_STEP.  Iterates are capped at norm NORM_CAP; hitting
 # the cap while the objective has been strictly increasing over the
 # trailing WINDOW iterations classifies the problem as divergent, otherwise
-# the solve ends as max-iterations.  dominating_point_halfspace brackets
-# its tilt below BRACKET_CAP.
+# the solve ends as max-iterations.
 GRAD_TOL_SCALE = 1e-10
 MAX_ITER = 200
 NORM_CAP = 1e3
 MAX_STEP = 100.0
 WINDOW = 20
-BRACKET_CAP = 1e3
 
 
 @dataclass
@@ -87,20 +84,6 @@ class ConjugateRows:
         status = STATUSES[self.status[i]]
         argmax = None if status == DIVERGENT else self.argmax[i].copy()
         return ConjugateResult(float(self.value[i]), argmax, status, int(self.iterations[i]), float(self.grad_norm[i]))
-
-
-@dataclass
-class DominatingPointResult:
-    """Boundary point and tilt for a half-space target.
-
-    point is the tilted mean on the boundary, multiplier the tilt vector
-    along the outward normal, and level the conjugate cost at point.
-    """
-
-    point: np.ndarray
-    multiplier: np.ndarray
-    level: float
-    t: float
 
 
 def _solve_ascent(hess, grad):
@@ -330,52 +313,3 @@ def perturbed_fenchel(model: KernelModel, a, y, z) -> ConjugateResult:
     y = kernel._as_vector(y, model.dim, "y")
     z = kernel._as_vector(z, model.dim, "z")
     return fenchel_rows(model, y[None], z[None], a=a).row(0)
-
-
-def dominating_point_halfspace(model: KernelModel, y, xi, c) -> DominatingPointResult:
-    """Cheapest boundary point of {<z, xi> >= c} under the local cost at y.
-
-    Solves <cgf_grad(y, t xi), xi> = c for t >= 0 (monotone in t by
-    convexity), then reports the tilted mean x0 = cgf_grad(y, t* xi), the
-    tilt t* xi, and the cost level <x0, t* xi> - cgf(y, t* xi), which equals
-    perturbed_fenchel(model, 0.0, y, x0).value.
-
-    The normal is normalized to unit length (c rescaled accordingly), which
-    leaves the half-space unchanged; a zero normal, or one whose norm or
-    rescaled c is past the float range, is refused.  Requires the increment
-    mean at y to lie strictly outside the half-space; raises
-    TiltUnreachableError when no tilt below the bracket cap reaches level c.
-    """
-    from scipy.optimize import brentq
-
-    y = kernel._as_vector(y, model.dim, "y")
-    xi = kernel._as_vector(xi, model.dim, "xi")
-    c = kernel._as_real(c, "c")
-    xi, c = kernel._unit_halfspace(xi, c, "xi", "c")
-
-    def grad(alpha):  # the model's cgf_grad at y and one (d,) alpha
-        return np.asarray(model.cgf_grad(y[None], alpha[None])[0], dtype=np.float64)
-
-    mean = grad(np.zeros(model.dim))
-    if float(mean @ xi) >= c:
-        raise ValueError(
-            f"half-space covers the increment mean (<mean, xi> = {float(mean @ xi):.6g} >= {c:.6g}); "
-            "the target is not rare from this state"
-        )
-
-    def g(t):
-        return float(grad(t * xi) @ xi) - c
-
-    hi = 1.0
-    while g(hi) < 0.0:
-        hi *= 2.0
-        if hi > BRACKET_CAP:
-            raise TiltUnreachableError(
-                f"no tilt below {BRACKET_CAP:g} reaches level {c:g}; "
-                "the boundary value is unreachable by tilting"
-            )
-    t_star = brentq(g, 0.0, hi, xtol=1e-12, maxiter=200)
-    tilt = t_star * xi
-    point = grad(tilt)
-    level = float(point @ tilt) - float(model.cgf(y[None], tilt)[0])
-    return DominatingPointResult(point=point, multiplier=tilt, level=level, t=float(t_star))

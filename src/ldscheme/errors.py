@@ -19,7 +19,7 @@ class SimulationBlowup(NumericalFailure):
 
 
 class TiltUnreachableError(NumericalFailure):
-    """No tilt parameter below the search cap reaches the requested level."""
+    """The tilt solve along a minimizing path failed: no tilt reaches a step's slope."""
 
 
 class InfeasibleProblemError(NumericalFailure):

@@ -366,7 +366,15 @@ def load_trajectory(path) -> Trajectory:
         header = next(reader, None)
         if not header or header[0] != "t" or len(header) < 2:
             raise ValueError(f"{path}: expected header t,x1,...,xd, got {header}")
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in filter(None, reader):
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: expected {len(header)} fields, as in the header, got {len(row)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least two knot rows")
     data = np.asarray(rows, dtype=np.float64)

@@ -21,7 +21,7 @@ from ldscheme.action import (
     minimize_action,
     straight_line,
 )
-from ldscheme.conjugate import dominating_point_halfspace, perturbed_fenchel
+from ldscheme.conjugate import perturbed_fenchel
 from ldscheme.kernel import PRESETS, preset_model
 from ldscheme.rare_event import (
     martingale_check,
@@ -156,7 +156,7 @@ def test_acceptance_4_cramer_benchmark():
 
 def test_acceptance_5_minimum_action():
     # terminal point z=1 on the driftless model: straight line, cost 1/2;
-    # half-space c=2: cost 2, matching the dominating-point level.
+    # half-space c=2: cost c^2/2 = 2, the level of the straight line to z=2.
     model = preset_model("gaussian-free")
     res = minimize_action(ActionProblem(model=model, x=[0.0], terminal=TerminalPoint([1.0]), m=21))
     assert res.converged
@@ -173,11 +173,11 @@ def test_acceptance_5_minimum_action():
     assert half.converged
     assert half.grad_norm <= GRAD_TOL
     assert half.action.value == pytest.approx(2.0, abs=1e-2)
-    dom = dominating_point_halfspace(model, np.zeros(1), np.array([1.0]), 2.0)
-    assert abs(half.action.value - dom.level) <= 1e-4
+    level = 0.5 * 2.0**2
+    assert abs(half.action.value - level) <= 1e-4
     print(
         f"acceptance 5: point value {res.action.value:.6f} (0.5 +/- 1e-3), sup dev {dev:.1e} (gate 1e-3); "
-        f"half-space value {half.action.value:.6f} (2 +/- 1e-2), |value - level| {abs(half.action.value - dom.level):.1e} (gate 1e-4)"
+        f"half-space value {half.action.value:.6f} (2 +/- 1e-2), |value - level| {abs(half.action.value - level):.1e} (gate 1e-4)"
     )
 
 

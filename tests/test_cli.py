@@ -516,6 +516,17 @@ def test_action_trajectory_file_of_wrong_dimension_exits_2(tmp_path, monkeypatch
     assert not out.exists()
 
 
+def test_action_trajectory_file_whose_rows_miss_a_header_coordinate_exits_2(tmp_path, monkeypatch, capsys):
+    # loaded as a 1-D path although the header names two coordinates
+    (tmp_path / "traj.csv").write_text("t,x1,x2\n0.0,0.0\n0.5,0.5\n1.0,1.0\n")
+    monkeypatch.chdir(tmp_path)
+    code, out = _run(tmp_path, "action", {"model": OU, "x": [0.0], "trajectory_file": "traj.csv"})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: config.trajectory_file: cannot load 'traj.csv': traj.csv, line 2: expected 3 fields" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("what", ["missing", "directory"])
 @pytest.mark.parametrize(
     "command, config, key",

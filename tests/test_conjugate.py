@@ -12,11 +12,9 @@ from ldscheme.conjugate import (
     DIVERGENT,
     MAX_ITERATIONS,
     STATUSES,
-    dominating_point_halfspace,
     fenchel_rows,
     perturbed_fenchel,
 )
-from ldscheme.errors import TiltUnreachableError
 from ldscheme.kernel import (
     KernelModel,
     affine_model,
@@ -139,71 +137,6 @@ def test_max_iterations_returns_best_so_far(monkeypatch):
     assert r.status == MAX_ITERATIONS
     assert 0.0 <= r.value <= 0.5 * 9.0
     assert np.isfinite(r.value)
-
-
-def test_dominating_point_free_gaussian():
-    m = preset_model("gaussian-free")
-    r = dominating_point_halfspace(m, np.zeros(1), np.array([1.0]), 2.0)
-    assert r.point[0] == pytest.approx(2.0, abs=1e-9)
-    assert r.t == pytest.approx(2.0, abs=1e-9)
-    assert r.level == pytest.approx(2.0, abs=1e-9)
-    assert np.allclose(r.multiplier, [2.0], atol=1e-9)
-
-
-def test_dominating_point_scale_invariance():
-    m = preset_model("gaussian-free")
-    a = dominating_point_halfspace(m, np.zeros(1), np.array([1.0]), 2.0)
-    b = dominating_point_halfspace(m, np.zeros(1), np.array([5.0]), 10.0)
-    assert b.level == pytest.approx(a.level, abs=1e-9)
-    assert b.point[0] == pytest.approx(a.point[0], abs=1e-9)
-
-
-def test_dominating_point_bernoulli_entropy_level():
-    m = preset_model("bernoulli-walk")
-    r = dominating_point_halfspace(m, np.zeros(1), np.array([1.0]), 0.6)
-    assert r.point[0] == pytest.approx(0.6, abs=1e-8)
-    assert r.level == pytest.approx(_bernoulli_entropy(0.6, 0.3), abs=1e-8)
-
-
-def test_dominating_point_rejects_nonrare_halfspace():
-    m = preset_model("gaussian-ou")
-    # increment mean at y=1 is -1, already beyond level -2
-    with pytest.raises(ValueError):
-        dominating_point_halfspace(m, np.array([1.0]), np.array([1.0]), -2.0)
-
-
-@pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["overflow", "underflow"])
-@pytest.mark.parametrize("d", [1, 2])
-def test_dominating_point_normalizes_a_normal_past_the_plain_norms_range(d, scale):
-    # np.linalg.norm overflowed to inf past about 1.3e154, and xi / inf was the zero normal
-    model = preset_model("gaussian-free") if d == 1 else _gaussian_2d()
-    xi = np.array([1.0, 0.5])[:d]
-    unit = dominating_point_halfspace(model, np.zeros(d), xi, 2.0)
-    scaled = dominating_point_halfspace(model, np.zeros(d), scale * xi, scale * 2.0)
-    assert scaled.level == pytest.approx(unit.level, rel=1e-12)
-    assert np.allclose(scaled.point, unit.point, rtol=1e-12, atol=0.0)
-
-
-@pytest.mark.parametrize(
-    "xi, c, error",
-    [
-        ([0.0], 1.0, "xi must have a finite nonzero norm, got 0.0"),
-        ([1.5e308, 1.5e308], 1.0, "xi must have a finite nonzero norm, got inf"),
-        ([1e-300], 1e10, "c / |xi| must be finite, got 10000000000.0 / 1e-300"),
-    ],
-    ids=["zero", "norm-overflow", "level-overflow"],
-)
-def test_dominating_point_refuses_a_halfspace_past_the_float_range(xi, c, error):
-    model = preset_model("gaussian-free") if len(xi) == 1 else _gaussian_2d()
-    with pytest.raises(ValueError, match="^" + re.escape(error) + "$"):
-        dominating_point_halfspace(model, np.zeros(len(xi)), np.array(xi), c)
-
-
-def test_dominating_point_unreachable_level():
-    m = preset_model("bernoulli-walk")
-    # increments live in [0, 1]; their mean cannot pass 1
-    with pytest.raises(TiltUnreachableError):
-        dominating_point_halfspace(m, np.zeros(1), np.array([1.0]), 1.5)
 
 
 @pytest.mark.parametrize("a", [0.0, 0.25])

@@ -9,8 +9,8 @@ from numpy.random import default_rng
 from scipy.stats import norm
 
 from ldscheme import conjugate as conj_mod, kernel
-from ldscheme.action import ActionProblem, TerminalHalfspace, TerminalPoint, limit_ode, minimize_action
-from ldscheme.errors import SimulationBlowup
+from ldscheme.action import ActionProblem, TerminalHalfspace, TerminalPoint, limit_ode, minimize_action, straight_line
+from ldscheme.errors import SimulationBlowup, TiltUnreachableError
 from ldscheme.kernel import affine_model, gaussian_base, linear_drift, logistic_drift, preset_model
 from ldscheme.rare_event import (
     BallEvent,
@@ -515,6 +515,12 @@ def test_tilted_weights_positive_and_finite():
         logw += (m.drift(state) @ alpha + 0.5 * np.sum(shift * shift)) - f @ alpha
         state = state + f / 50
     assert np.array_equal(vals, np.exp(logw) * (state[:, 0] >= 1.0))
+
+
+def test_tilt_sequence_refuses_a_path_no_tilt_follows():
+    # Bernoulli increments live in [0, 1], so slope 1.5 has no tilted mean: the solve diverges
+    with pytest.raises(TiltUnreachableError, match=r"^tilt solve along the minimizing path failed at step 1 \(status divergent\)$"):
+        _tilt_sequence(preset_model("bernoulli-walk"), straight_line([0.0], [1.5], 5), 10)
 
 
 def test_tilted_agrees_with_naive_on_moderate_event():
@@ -1073,9 +1079,8 @@ def test_integer_arguments_take_a_numpy_integer(case):
 
 # the real arguments, each keyed by its case: the smoothing amplitude of the
 # stepper, of an estimator, of a path minimization and of the conjugate solve,
-# the level of a half-space (as an event and as a dominating-point target),
-# and the ball radius and path-deviation epsilon; each call returns what
-# shows its result bit for bit
+# the level of a half-space event, and the ball radius and path-deviation
+# epsilon; each call returns what shows its result bit for bit
 _REALS = {
     "a-simulate": ("a", lambda m, v: simulate(m, [0.0], 10, v, 1).knots.tobytes()),
     "a-mc_probability": ("a", lambda m, v: json.dumps(
@@ -1085,7 +1090,6 @@ _REALS = {
     "a-ActionProblem": ("a", lambda m, v: repr(ActionProblem(model=m, x=[0.0], terminal=_HALF, a=v).a)),
     "a-fenchel_rows": ("a", lambda m, v: conj_mod.fenchel_rows(m, [[0.0]], [[0.5]], v).argmax.tobytes()),
     "level": ("level", lambda m, v: repr(TerminalHalfspace([2.0], v))),
-    "c-dominating_point_halfspace": ("c", lambda m, v: repr(conj_mod.dominating_point_halfspace(m, [0.0], [2.0], v))),
     "radius": ("radius", lambda m, v: repr(BallEvent([0.0], v))),
     "epsilon": ("epsilon", lambda m, v: repr(PathDeviationEvent(v))),
 }

@@ -81,6 +81,25 @@ def test_load_rejects_a_non_finite_knot(tmp_path, rows, error):
         load_trajectory(p)
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        # loaded as a (3, 1) path under a header of two coordinates
+        ("t,x1,x2\n0.0,0.0\n0.5,0.5\n1.0,1.0\n", "line 2: expected 3 fields, as in the header, got 2"),
+        # numpy's "inhomogeneous shape" message, naming neither the file nor the row
+        ("t,x1\n0.0,0.0\n0.5\n1.0,1.0\n", "line 3: expected 2 fields, as in the header, got 1"),
+        # float's message alone; the blank line 3 counts toward the line number
+        ("t,x1\n0.0,0.0\n\n0.5,abc\n1.0,1.0\n", "line 4: could not convert string to float: 'abc'"),
+    ],
+    ids=["header-dimension", "ragged-row", "non-numeric"],
+)
+def test_load_names_the_file_and_line_of_a_malformed_row(tmp_path, text, error):
+    p = tmp_path / "traj.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{p}, {error}')}$"):
+        load_trajectory(p)
+
+
 def test_basis_phi_ramp():
     # a unit atom at t reads off phi_{n,i}(t) in row i-1: ramp i covers
     # ((i-1)/n, i/n] and saturates afterwards
@@ -557,7 +576,7 @@ def test_package_exports_each_name_once():
     import ldscheme
 
     names = ldscheme.__all__
-    assert len(names) == len(set(names)) == 55
+    assert len(names) == len(set(names)) == 53
     assert [name for name in names if not hasattr(ldscheme, name)] == []
     assert "SchemeRun" not in names and not hasattr(ldscheme, "SchemeRun")
     assert "perturbation_amplitude" not in names and not hasattr(ldscheme.kernel, "perturbation_amplitude")
