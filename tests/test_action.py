@@ -187,6 +187,15 @@ def test_minimize_halfspace_free_gaussian():
     assert res.trajectory.knots[-1, 0] == pytest.approx(2.0, abs=1e-8)
 
 
+def test_minimize_halfspace_scale_invariance():
+    # <y, 5> >= 10 is the half-space <y, 1> >= 2, so it has the same minimizer
+    m = preset_model("gaussian-free")
+    unit = minimize_action(ActionProblem(model=m, x=[0.0], terminal=TerminalHalfspace([1.0], 2.0), m=15))
+    scaled = minimize_action(ActionProblem(model=m, x=[0.0], terminal=TerminalHalfspace([5.0], 10.0), m=15))
+    assert scaled.action.value == pytest.approx(unit.action.value, abs=1e-12)
+    assert np.allclose(scaled.trajectory.knots, unit.trajectory.knots, rtol=0.0, atol=1e-12)
+
+
 def test_minimize_halfspace_ou():
     m = preset_model("gaussian-ou")
     res = minimize_action(ActionProblem(model=m, x=[0.0], terminal=TerminalHalfspace([1.0], 0.8), m=21))

@@ -9,7 +9,15 @@ from numpy.random import default_rng
 from scipy.stats import norm
 
 from ldscheme import conjugate as conj_mod, kernel
-from ldscheme.action import ActionProblem, TerminalHalfspace, TerminalPoint, limit_ode, minimize_action, straight_line
+from ldscheme.action import (
+    ActionProblem,
+    TerminalHalfspace,
+    TerminalPoint,
+    action,
+    limit_ode,
+    minimize_action,
+    straight_line,
+)
 from ldscheme.errors import SimulationBlowup, TiltUnreachableError
 from ldscheme.kernel import affine_model, gaussian_base, linear_drift, logistic_drift, preset_model
 from ldscheme.rare_event import (
@@ -31,7 +39,16 @@ from ldscheme.rare_event import (
     verify_ode_convergence,
     verify_rate,
 )
-from ldscheme.scheme import DualMeasure, Trajectory, _euler_steps, coupled_perturbation_gaps, resample, simulate
+from ldscheme.scheme import (
+    DualMeasure,
+    Trajectory,
+    _euler_steps,
+    coupled_perturbation_gaps,
+    phi_limit,
+    phi_n,
+    resample,
+    simulate,
+)
 
 
 def test_event_normalization():
@@ -884,6 +901,7 @@ def test_verify_ode_deterministic_model_never_deviates():
 # every run entry point, called with one resolution n (or, where it takes a
 # grid, with the grid of n values)
 _HALF = TerminalHalfspace([1.0], 0.8)
+_ATOM = DualMeasure.point_mass(1.0, 0.5)
 _RUNS = {
     "simulate": lambda m, n: simulate(m, [0.0], n, 0.0, 1),
     "coupled_perturbation_gaps": lambda m, n: coupled_perturbation_gaps(m, [0.0], n, 0.5, 1),
@@ -1078,8 +1096,8 @@ def test_integer_arguments_take_a_numpy_integer(case):
 
 
 # the real arguments, each keyed by its case: the smoothing amplitude of the
-# stepper, of an estimator, of a path minimization and of the conjugate solve,
-# the level of a half-space event, and the ball radius and path-deviation
+# stepper, of an estimator, of a path minimization, of the path cost, of the
+# discrete and limit dual functionals and of the conjugate solve, the level of a half-space event, and the ball radius and path-deviation
 # epsilon; each call returns what shows its result bit for bit
 _REALS = {
     "a-simulate": ("a", lambda m, v: simulate(m, [0.0], 10, v, 1).knots.tobytes()),
@@ -1088,6 +1106,9 @@ _REALS = {
     "a-martingale_check": ("a", lambda m, v: json.dumps(
         martingale_check(m, [0.0], 10, v, DualMeasure.point_mass(1.0, 0.5), 50, seed=1).to_json_dict())),
     "a-ActionProblem": ("a", lambda m, v: repr(ActionProblem(model=m, x=[0.0], terminal=_HALF, a=v).a)),
+    "a-action": ("a", lambda m, v: action(m, [0.0], v, straight_line([0.0], [0.8], 4)).segments.tobytes()),
+    "a-phi_n": ("a", lambda m, v: repr(phi_n(m, [0.0], v, straight_line([0.0], [0.8], 4), _ATOM))),
+    "a-phi_limit": ("a", lambda m, v: repr(phi_limit(m, [0.0], v, straight_line([0.0], [0.8], 4), _ATOM))),
     "a-fenchel_rows": ("a", lambda m, v: conj_mod.fenchel_rows(m, [[0.0]], [[0.5]], v).argmax.tobytes()),
     "level": ("level", lambda m, v: repr(TerminalHalfspace([2.0], v))),
     "radius": ("radius", lambda m, v: repr(BallEvent([0.0], v))),
