@@ -22,6 +22,7 @@ central differences of the model's cgf over all nodes at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
@@ -151,6 +152,11 @@ class MinimizeResult:
     iterations: int
     warnings: List[str]
     log: List[Tuple[int, float, float, float]]
+
+
+def _vector_norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a float vector, bit for bit: the dot and square root it runs, without its checks."""
+    return math.sqrt(v.dot(v))
 
 
 def straight_line(x, z, m: int) -> Trajectory:
@@ -335,13 +341,13 @@ def minimize_action(problem: ActionProblem) -> MinimizeResult:
     last = {}
 
     def evaluate(v):
-        """One quadrature pass at v, memoized so the callback reuses it."""
-        if last.get("v") is None or not np.array_equal(last["v"], v):
+        """One quadrature pass at v, memoized so that fun, jac and the callback share it."""
+        if "v" not in last or not (last["v"] == v).all():
             seg, grad, divergent, warn = _quadrature_pass(model, a, knots_of(v), gradient=True)
             if divergent:
                 f, g = BARRIER, np.zeros(nfree)
             else:
-                f = float(np.sum(seg))
+                f = float(seg.sum())
                 g = grad[1:-1].ravel() if frame is None else np.concatenate([grad[1:-1].ravel(), frame.T @ grad[-1]])
             last.update(v=v.copy(), f=f, g=g, seg=seg, divergent=divergent, warn=warn)
         return last
@@ -351,7 +357,7 @@ def minimize_action(problem: ActionProblem) -> MinimizeResult:
         pg = last["g"].copy()
         if frame is not None and last["v"][n_int] - c <= 1e-9 * (1.0 + abs(c)) and pg[n_int] > 0.0:
             pg[n_int] = 0.0
-        return float(np.linalg.norm(pg))
+        return _vector_norm(pg)
 
     warnings: List[str] = []
     log: List[Tuple[int, float, float, float]] = []
@@ -361,7 +367,7 @@ def minimize_action(problem: ActionProblem) -> MinimizeResult:
         warn = evaluate(v)["warn"]
         if warn:
             warnings.append(f"conjugate solver hit max-iterations at {len(warn)} node(s)")
-        log.append((len(log), last["f"], residual(), float(np.linalg.norm(v - accepted[-1]))))
+        log.append((len(log), last["f"], residual(), _vector_norm(v - accepted[-1])))
         accepted.append(last["v"])
 
     if evaluate(v0)["divergent"]:
@@ -372,9 +378,9 @@ def minimize_action(problem: ActionProblem) -> MinimizeResult:
     it, message = 0, "no free coordinates"
     if nfree:
         res = optimize.minimize(
-            lambda v: (evaluate(v)["f"], last["g"].copy()),
+            lambda v: evaluate(v)["f"],
             v0,
-            jac=True,
+            jac=lambda v: evaluate(v)["g"],
             method="L-BFGS-B",
             bounds=None if frame is None else [(c, None) if i == n_int else (None, None) for i in range(nfree)],
             callback=record,

@@ -455,3 +455,16 @@ def test_gradient_pass_callback_counts(monkeypatch):
         seg, grad, divergent, warnings = _quadrature_pass(m, 0.0, path, gradient=True)
         assert grad is not None and not divergent and not warnings
         assert calls == {"fenchel_rows": 1, "cgf": 3, "cgf_grad": 2, "cgf_hess": 1}
+
+
+def test_vector_norm_is_numpys_norm_bit_for_bit():
+    # the minimizer's residual and log steps use it in place of np.linalg.norm
+    from ldscheme.action import _vector_norm
+
+    rng = default_rng(8)
+    vectors = [np.empty(0), np.array([-0.0]), np.array([3.0, -4.0]), np.array([1e200, 1e200]), np.array([1e-200, 3e-200])]
+    vectors += [rng.standard_normal(k) * 10.0 ** rng.integers(-5, 5) for k in (1, 2, 7, 38, 40)]
+    for v in vectors:
+        with np.errstate(over="ignore"):  # [1e200, 1e200] overflows to inf on both sides
+            got, want = _vector_norm(v), float(np.linalg.norm(v))
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
