@@ -17,7 +17,9 @@ the terminal knot in a frame whose first axis is the normal, so that the
 constraint is one bound) to scipy's L-BFGS-B.  Gradients come from the
 envelope identities: d conj/d z at the maximizer alpha* is alpha* itself,
 and d conj/d y is -grad_y cgf_a(y, alpha*), taken in the same pass as
-central differences of the model's cgf over all nodes at once.
+central differences over all nodes at once: of the model's cgf, or, for an
+affine model with a constant sigma, whose logmgf(sigma^T alpha) term has no
+y, of <drift(y), alpha*> alone.
 """
 
 from __future__ import annotations
@@ -175,7 +177,10 @@ def _quadrature_pass(model, a, knots, gradient: bool = False):
     (segment, node) pairs that ended as max-iterations ahead of the
     segment's first divergent node, and grad is None unless gradient is
     true and every segment is finite.  Y_FD_STEP is the central-difference
-    step in y of the envelope gradient.
+    step in y of the envelope gradient.  That difference is one call of the
+    model's cgf on the 2 d shifted copies of the rows, or, for an affine
+    model with a constant sigma, one call of its drift: the cgf's logmgf term
+    has no y, and differencing it only adds its rounding.
     """
     m_seg = knots.shape[0] - 1
     d = knots.shape[1]
@@ -211,14 +216,20 @@ def _quadrature_pass(model, a, knots, gradient: bool = False):
     # the latter by central differences in y (the smoothing term has no y)
     astar = res.argmax
     h = Y_FD_STEP
-    # all 2 d shifted copies of the rows in one cgf call: [sign, i, row] holds y_row +- h e_i
+    # all 2 d shifted copies of the rows in one call: [sign, i, row] holds y_row +- h e_i
     shifted = np.empty((2, d) + ys.shape)
     shifted[...] = ys
     for i in range(d):
         shifted[0, i, :, i] += h
         shifted[1, i, :, i] -= h
-    c = model.cgf(shifted.reshape(-1, d), np.concatenate((astar,) * (2 * d))).reshape(2, d, -1)
-    cy = (-(c[0] - c[1]) / (2.0 * h)).T.reshape(m_seg, n_q, d)
+    if isinstance(model, AffineNoiseModel) and not callable(model.sigma):
+        # <drift(y + h e_i) - drift(y - h e_i), alpha*>
+        b = kernel.drift_rows(model, shifted.reshape(-1, d)).reshape(2, -1, d)
+        dc = kernel._dot_rows(b[0] - b[1], np.concatenate((astar,) * d)).reshape(d, -1)
+    else:
+        c = model.cgf(shifted.reshape(-1, d), np.concatenate((astar,) * (2 * d))).reshape(2, d, -1)
+        dc = c[0] - c[1]
+    cy = (-dc / (2.0 * h)).T.reshape(m_seg, n_q, d)
     astar = astar.reshape(m_seg, n_q, d)
     right_w, left_w = dt * _WEIGHTS * _NODES, dt * _WEIGHTS * _LEFT_NODES
     # each knot's terms in summation order, after a +0.0: the right-end terms of the segment on its left,

@@ -241,12 +241,14 @@ class AffineNoiseModel(KernelModel):
     on all rows at once, and bound to the drift, sigma and base it was built
     with, which the model records.  Build a variant with affine_model: a
     dataclasses.replace of drift, sigma or base raises ValueError, while one
-    of summary or of the callbacks keeps working.  drift maps the (m, d) rows
-    to exactly (m, d).  sigma is the constant (d, d) matrix when sigma was
-    given as a matrix or as a callable that never reads its state; else it
-    is that callable, which maps the rows to exactly (m, d, d).  Each is
-    called once per evaluation; any other shape, a (d, d) sigma included, is
-    a ValueError naming the callback.
+    of summary or of the callbacks keeps working.  With a constant sigma a
+    replaced cgf does not reach limit_ode, the tilted estimator's plan or
+    the path cost's envelope gradient, which read drift, sigma and base
+    directly.  drift maps the (m, d) rows to exactly (m, d).  sigma is the
+    constant (d, d) matrix when sigma was given as a matrix or as a callable
+    that never reads its state; else it is that callable, which maps the rows
+    to exactly (m, d, d).  Each is called once per evaluation; any other
+    shape, a (d, d) sigma included, is a ValueError naming the callback.
     """
 
     drift: Callable[[np.ndarray], np.ndarray] = None

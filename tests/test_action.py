@@ -428,14 +428,15 @@ def test_minimize_gramian_oracle(drift, kind):
 def test_gradient_pass_callback_counts(monkeypatch):
     # one gradient pass on the benchmark's 2-D linear model at m = 21: one
     # batched solve of two Newton iterations (cgf at alpha = 0 and at the
-    # accepted step, cgf_grad at each iterate, one Hessian) and one cgf call
-    # for the envelope gradient; a trim that adds a model evaluation fails here
-    import dataclasses
-
+    # accepted step, cgf_grad at each iterate, one Hessian) and, with its
+    # constant sigma, one drift call for the envelope gradient; each cgf and
+    # cgf_grad call makes one drift call of its own.  A trim that adds a model
+    # evaluation fails here.  With a sigma that reads its state the envelope
+    # gradient stays one whole cgf call.
     from ldscheme import conjugate
     from ldscheme.action import _quadrature_pass
 
-    calls = {"fenchel_rows": 0, "cgf": 0, "cgf_grad": 0, "cgf_hess": 0}
+    calls = {"fenchel_rows": 0, "cgf": 0, "cgf_grad": 0, "cgf_hess": 0, "drift": 0}
 
     def counted(name, fn):
         def wrapped(*args, **kwargs):
@@ -444,17 +445,59 @@ def test_gradient_pass_callback_counts(monkeypatch):
 
         return wrapped
 
-    src = affine_model(2, linear_drift(np.array([[-1.0, 0.5], [0.0, -1.0]])), np.eye(2), gaussian_base())
-    m = dataclasses.replace(src, **{k: counted(k, getattr(src, k)) for k in ("cgf", "cgf_grad", "cgf_hess")})
+    def state_sigma(ys):
+        return (1.0 + 0.1 * np.tanh(ys[:, 0]))[:, None, None] * np.eye(2)
+
+    drift = counted("drift", linear_drift(np.array([[-1.0, 0.5], [0.0, -1.0]])))
     monkeypatch.setattr(conjugate, "fenchel_rows", counted("fenchel_rows", conjugate.fenchel_rows))
     line = straight_line([0.0, 0.0], [0.6, 0.4], 21).knots
     bent = line.copy()
     bent[1:-1] += 0.02 * np.sin(np.arange(19 * 2)).reshape(19, 2)  # as the minimizer's iterates
-    for path in (line, bent):
-        calls.update(dict.fromkeys(calls, 0))
-        seg, grad, divergent, warnings = _quadrature_pass(m, 0.0, path, gradient=True)
-        assert grad is not None and not divergent and not warnings
-        assert calls == {"fenchel_rows": 1, "cgf": 3, "cgf_grad": 2, "cgf_hess": 1}
+    expected = [
+        (np.eye(2), {"fenchel_rows": 1, "cgf": 2, "cgf_grad": 2, "cgf_hess": 1, "drift": 5}),
+        (state_sigma, {"fenchel_rows": 1, "cgf": 3, "cgf_grad": 2, "cgf_hess": 1, "drift": 5}),
+    ]
+    for sigma, want in expected:
+        src = affine_model(2, drift, sigma, gaussian_base())
+        m = dataclasses.replace(src, **{k: counted(k, getattr(src, k)) for k in ("cgf", "cgf_grad", "cgf_hess")})
+        for path in (line, bent):
+            calls.update(dict.fromkeys(calls, 0))
+            seg, grad, divergent, warnings = _quadrature_pass(m, 0.0, path, gradient=True)
+            assert grad is not None and not divergent and not warnings
+            assert calls == want
+
+
+@pytest.mark.parametrize("s", [1.0, 10.0, 100.0])
+def test_envelope_gradient_of_a_constant_sigma_differences_the_drift_alone(s):
+    # on y -> A y with sigma = s I the y-gradient of cgf(y, alpha*) is exactly A^T alpha*.  The pass's
+    # drift-only difference must land nearer the knot gradient built from it than the whole-cgf difference
+    # that a plain KernelModel with the same callbacks takes, whose logmgf terms cancel only up to rounding
+    from ldscheme import conjugate
+    from ldscheme.action import _LEFT_NODES, _NODES, _WEIGHTS, _quadrature_pass
+
+    a2 = np.array([[-1.0, 0.5], [0.0, -1.0]])
+    model = affine_model(2, linear_drift(a2), s * np.eye(2), gaussian_base())
+    plain = KernelModel(dim=2, sampler=model.sampler, cgf=model.cgf, cgf_grad=model.cgf_grad, cgf_hess=model.cgf_hess)
+    knots = straight_line([0.0, 0.0], [0.6, 0.4], 21).knots
+    knots[1:-1] += 0.3 * np.sin(np.arange(19 * 2)).reshape(19, 2)  # a zigzag: slopes far above the states
+    m_seg, dt = 20, 1.0 / 20
+    ys = (_LEFT_NODES[:, None] * knots[:-1, None, :] + _NODES[:, None] * knots[1:, None, :]).reshape(-1, 2)
+    zs = np.repeat(np.diff(knots, axis=0) / dt, len(_NODES), axis=0)
+    astar = conjugate.fenchel_rows(model, ys, zs).argmax.reshape(m_seg, len(_NODES), 2)
+    cy = -astar @ a2  # rows of -A^T alpha*
+    # the exact knot gradient, summed in the pass's order
+    exact = np.zeros((m_seg + 1, 2))
+    for q, (theta, w) in enumerate(zip(_NODES, _WEIGHTS)):
+        exact[1:] += dt * w * theta * cy[:, q] + w * astar[:, q]
+    for q, (theta, w) in enumerate(zip(_NODES, _WEIGHTS)):
+        exact[:-1] += dt * w * (1.0 - theta) * cy[:, q] - w * astar[:, q]
+    errors = []
+    for m in (model, plain):
+        seg, grad, divergent, warnings = _quadrature_pass(m, 0.0, knots, gradient=True)
+        assert not divergent and not warnings
+        errors.append(float(np.max(np.abs(grad - exact)) / np.max(np.abs(exact))))
+    drift_only, whole = errors
+    assert drift_only < whole and drift_only < 1e-13, errors
 
 
 def test_vector_norm_is_numpys_norm_bit_for_bit():

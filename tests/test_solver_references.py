@@ -4,7 +4,8 @@ _masked_fenchel_rows and _looped_quadrature_pass are the earlier forms of
 conjugate.fenchel_rows and action._quadrature_pass: the solve re-indexed
 every live row from the full arrays on each iteration and wrote each status
 mask into the result, and the pass took one pair of model.cgf calls per
-coordinate of the y-gradient, classified every node's status on every call
+coordinate of the y-gradient (of drift calls, for an affine model with a
+constant sigma), classified every node's status on every call
 and summed the nodes and each knot's gradient terms with += loops.  Both
 rewrites keep every floating-point operation with its operands and order,
 so every field must match bit for bit: the floats are compared as their raw
@@ -22,7 +23,7 @@ from numpy.random import default_rng
 from ldscheme import conjugate, kernel
 from ldscheme.action import _NODES, _WEIGHTS, Y_FD_STEP, _quadrature_pass
 from ldscheme.conjugate import CONVERGED, DIVERGENT, MAX_ITERATIONS, STATUSES, ConjugateRows, fenchel_rows
-from ldscheme.kernel import KernelModel, affine_model, gaussian_base, linear_drift, preset_model
+from ldscheme.kernel import AffineNoiseModel, KernelModel, affine_model, gaussian_base, linear_drift, preset_model
 
 
 def _masked_fenchel_rows(model, ys, zs, a=0.0):
@@ -163,7 +164,11 @@ def _looped_quadrature_pass(model, a, knots, gradient=False):
         up, dn = ys.copy(), ys.copy()
         up[:, i] += h
         dn[:, i] -= h
-        cy[:, i] = -(model.cgf(up, astar) - model.cgf(dn, astar)) / (2.0 * h)
+        if isinstance(model, AffineNoiseModel) and not callable(model.sigma):
+            diff = kernel._dot_rows(kernel.drift_rows(model, up) - kernel.drift_rows(model, dn), astar)
+        else:
+            diff = model.cgf(up, astar) - model.cgf(dn, astar)
+        cy[:, i] = -diff / (2.0 * h)
     cy = cy.reshape(m_seg, n_q, d)
     astar = astar.reshape(m_seg, n_q, d)
     grad = np.zeros((m_seg + 1, d))
@@ -184,6 +189,20 @@ def _linear_model(d, seed):
     matrix = -np.eye(d) + 0.3 * rng.standard_normal((d, d))
     sigma = np.eye(d) + 0.2 * rng.standard_normal((d, d))
     return affine_model(d, linear_drift(matrix, 0.1 * rng.standard_normal(d)), sigma, gaussian_base())
+
+
+def _state_sigma_model():
+    """The 2-D linear model with sigma (1 + 0.1 tanh y_0) I, which reads its state."""
+    def sigma(ys):
+        return (1.0 + 0.1 * np.tanh(ys[:, 0]))[:, None, None] * np.eye(2)
+
+    return affine_model(2, linear_drift(np.array([[-1.0, 0.5], [0.0, -1.0]])), sigma, gaussian_base())
+
+
+def _plain_ou_model():
+    """gaussian-ou's callbacks in a plain KernelModel, which has no drift to difference alone."""
+    ou = preset_model("gaussian-ou")
+    return KernelModel(dim=1, sampler=ou.sampler, cgf=ou.cgf, cgf_grad=ou.cgf_grad, cgf_hess=ou.cgf_hess, summary="ou-plain")
 
 
 def _stalling_model():
@@ -304,6 +323,9 @@ def _paths():
         "walk-1d-divergent": (walk, 0.0, steep),
         "linear-2d": (_linear_model(2, 2), 0.0, np.cumsum(rng.normal(scale=0.3, size=(11, 2)), axis=0)),
         "linear-3d": (_linear_model(3, 3), 0.0, np.cumsum(rng.normal(scale=0.3, size=(9, 3)), axis=0)),
+        # a sigma that reads its state and a plain KernelModel keep the whole-cgf difference
+        "state-sigma-2d": (_state_sigma_model(), 0.0, np.cumsum(rng.normal(scale=0.3, size=(11, 2)), axis=0)),
+        "ou-plain-1d": (_plain_ou_model(), 0.0, np.cumsum(rng.normal(scale=0.3, size=(12, 1)), axis=0)),
     }
 
 
