@@ -53,7 +53,7 @@ class TerminalPoint:
     point: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "point", kernel._as_vector(self.point, None, "point"))
+        object.__setattr__(self, "point", kernel._as_reals(self.point, "point", (None,)))
 
     @property
     def dim(self) -> int:
@@ -74,7 +74,7 @@ class TerminalHalfspace:
     level: float
 
     def __post_init__(self):
-        xi = kernel._as_vector(self.normal, None, "normal")
+        xi = kernel._as_reals(self.normal, "normal", (None,))
         level = kernel._as_real(self.level, "level")
         xi, level = kernel._unit_halfspace(xi, level, "normal", "level")
         object.__setattr__(self, "normal", xi)
@@ -120,7 +120,7 @@ class ActionProblem:
     settings: MinimizeSettings = field(default_factory=MinimizeSettings)
 
     def __post_init__(self):
-        object.__setattr__(self, "x", kernel._as_vector(self.x, self.model.dim, "x"))
+        object.__setattr__(self, "x", kernel._as_reals(self.x, "x", (self.model.dim,)))
         kernel._require_kind("terminal", self.terminal, (TerminalPoint, TerminalHalfspace), self.model.dim)
         object.__setattr__(self, "m", kernel._as_count(self.m, "m", 2))
         object.__setattr__(self, "a", kernel._as_real(self.a, "a", 0))
@@ -162,9 +162,10 @@ def _vector_norm(v: np.ndarray) -> float:
 
 
 def straight_line(x, z, m: int) -> Trajectory:
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    frac = np.linspace(0.0, 1.0, m)[:, None]
+    """The path of m >= 2 uniform knots from x to z, two vectors of one length (a number is a 1-vector)."""
+    x = kernel._as_reals(x, "x", (None,))
+    z = kernel._as_reals(z, "z", x.shape)
+    frac = np.linspace(0.0, 1.0, kernel._as_count(m, "m", 2))[:, None]
     return Trajectory((1.0 - frac) * x + frac * z)
 
 
@@ -255,7 +256,7 @@ def action(model: KernelModel, x, a, f: Trajectory) -> ActionValue:
     not silently treated as +inf.
     """
     amp = kernel._as_real(a, "a", 0)
-    x = kernel._as_vector(x, model.dim, "x")
+    x = kernel._as_reals(x, "x", (model.dim,))
     kernel._require_dim("path", f.dim, model.dim)
     if float(np.max(np.abs(f.knots[0] - x))) > 1e-12:
         return ActionValue(np.inf, np.empty(0), feasible_start=False)
@@ -273,7 +274,7 @@ def limit_ode(model: KernelModel, x, steps: int) -> Trajectory:
     noise mean computed once by the calls cgf_grad makes.
     """
     steps = kernel._as_count(steps, "steps", 1)
-    x = kernel._as_vector(x, model.dim, "x")
+    x = kernel._as_reals(x, "x", (model.dim,))
     zero = np.zeros((1, model.dim))
 
     if isinstance(model, AffineNoiseModel) and not callable(model.sigma):
@@ -285,7 +286,7 @@ def limit_ode(model: KernelModel, x, steps: int) -> Trajectory:
             return kernel.drift_rows(model, y[None])[0] + noise_mean
     else:
         def field_(y):
-            return np.asarray(model.cgf_grad(y[None], zero)[0], dtype=np.float64)
+            return kernel._block("cgf_grad", model.cgf_grad(y[None], zero), zero.shape)[0]
 
     h = 1.0 / steps
     knots = np.empty((steps + 1, model.dim))

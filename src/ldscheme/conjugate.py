@@ -156,10 +156,8 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     """
     amp = kernel._as_real(a, "a", 0)
     aa = amp * amp
-    ys = kernel._as_rows(ys, model.dim, "ys")
-    zs = kernel._as_rows(zs, model.dim, "zs")
-    if ys.shape != zs.shape:
-        raise ValueError(f"ys and zs must have the same shape, got {ys.shape} and {zs.shape}")
+    ys = kernel._as_reals(ys, "ys", (None, model.dim))
+    zs = kernel._as_reals(zs, "zs", ys.shape)
     n, d = zs.shape
     with np.errstate(over="ignore"):
         tol = GRAD_TOL_SCALE * (1.0 + kernel._row_norms(zs))
@@ -310,6 +308,6 @@ def perturbed_fenchel(model: KernelModel, a, y, z) -> ConjugateResult:
     feasible), finite for every z when a > 0; converged results satisfy
     |z - cgf_grad(y, argmax)| <= tolerance.
     """
-    y = kernel._as_vector(y, model.dim, "y")
-    z = kernel._as_vector(z, model.dim, "z")
+    y = kernel._as_reals(y, "y", (model.dim,))
+    z = kernel._as_reals(z, "z", (model.dim,))
     return fenchel_rows(model, y[None], z[None], a=a).row(0)

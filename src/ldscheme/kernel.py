@@ -37,21 +37,6 @@ class ModelConfigError(ValueError):
     """A config record failed validation: a model record or a CLI config."""
 
 
-def _finite(x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} must be finite")
-    return v
-
-
-def _as_vector(x, dim: Optional[int], name: str) -> np.ndarray:
-    """x as a finite float64 vector of length dim, or of any length when dim is None; a scalar is a 1-vector."""
-    v = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if v.ndim != 1 or (dim is not None and v.shape[0] != dim):
-        raise ValueError(f"{name} must have shape ({'d' if dim is None else dim},), got {v.shape}")
-    return _finite(v, name)
-
-
 def _unit_halfspace(xi: np.ndarray, level: float, name: str, level_name: str) -> tuple:
     """(xi / |xi|, level / |xi|): the half-space {<x, xi> >= level} with a unit normal.
 
@@ -97,6 +82,33 @@ def _as_real(value, name: str, least=None, strict: bool = False) -> float:
     return real
 
 
+def _as_reals(value, name: str, shape: Union[tuple, Callable[[int], tuple]]) -> np.ndarray:
+    """value as a finite float64 array of shape, where None matches any length; a number is a 1-vector for a (k,) shape.
+
+    Entries of a numpy integer or float dtype are accepted, and a float64 array of that shape is returned uncopied.
+    Bools, strings, other objects and a ragged nesting are refused, as _as_real refuses such scalars.  Every
+    ValueError names the argument; a free last axis is shown as d (coordinates), a free leading one as N (rows).
+    For an argument of either of two shapes, shape is a function of the array's number of axes.
+    """
+    try:
+        v = np.asarray(value)
+    except ValueError:  # a ragged nesting of sequences
+        raise ValueError(f"{name}: expected an array of numbers, got a ragged nesting") from None
+    if v.dtype.kind not in "iuf":
+        raise ValueError(f"{name}: expected an array of numbers, got dtype {v.dtype}")
+    if callable(shape):
+        shape = shape(v.ndim)
+    if v.ndim == 0 and len(shape) == 1:
+        v = v[None]
+    if v.ndim != len(shape) or any(k is not None and k != s for k, s in zip(shape, v.shape)):
+        axes = [str(k) if k is not None else "d" if i == len(shape) - 1 else "N" for i, k in enumerate(shape)]
+        raise ValueError(f"{name} must have shape ({', '.join(axes)}{',' * (len(shape) == 1)}), got {v.shape}")
+    v = v.astype(np.float64, copy=False)
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
 def _as_probability(value, name: str) -> float:
     """value as a float strictly between 0 and 1, read by _as_real."""
     p = _as_real(value, name)
@@ -116,13 +128,6 @@ def _require_kind(what: str, value, kinds: tuple, model_dim: int) -> None:
     if not isinstance(value, kinds):
         raise ValueError(f"{what} must be a {' or '.join(k.__name__ for k in kinds)}, got {type(value).__name__}")
     _require_dim(what, value.dim, model_dim)
-
-
-def _as_rows(x, dim: int, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 2 or v.shape[1] != dim:
-        raise ValueError(f"{name} must have shape (N, {dim}), got {v.shape}")
-    return _finite(v, name)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -312,14 +317,12 @@ def affine_model(
     """
     if drift_broadcasts is not True:
         raise ValueError(f"drift_broadcasts must be True, got {drift_broadcasts!r}: drift always takes the rows")
-    if np.isscalar(sigma):
-        sigma = _finite(sigma, "constant sigma") * np.eye(dim)
-    elif callable(sigma):
+    if callable(sigma):
         sigma = _state_free_value(sigma, dim)
+    elif np.ndim(sigma) == 0:
+        sigma = _as_reals(sigma, "constant sigma", ()) * np.eye(dim)
     else:
-        sigma = _finite(sigma, "constant sigma")
-        if sigma.shape != (dim, dim):
-            raise ValueError(f"constant sigma must have shape ({dim}, {dim}), got {sigma.shape}")
+        sigma = _as_reals(sigma, "constant sigma", (dim, dim))
 
     # the row callbacks; `model` is bound below
     def sampler(ys, rng):
@@ -501,14 +504,17 @@ def zero_drift():
 
 
 def constant_drift(v: np.ndarray):
-    v = _finite(v, "constant drift")
+    """y -> v, for a vector v (a number is a 1-vector)."""
+    v = _as_reals(v, "constant drift", (None,))
     return lambda y: np.broadcast_to(v, np.shape(y)).copy()
 
 
 def linear_drift(matrix: np.ndarray, offset=None):
-    """y -> A y + v, the standard linear drift."""
-    a = _finite(matrix, "drift matrix")
-    v = np.zeros(a.shape[0]) if offset is None else _finite(offset, "drift offset")
+    """y -> A y + v, the standard linear drift, for a square A and an offset v of A's size (default 0)."""
+    a = _as_reals(matrix, "drift matrix", (None, None))
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"drift matrix must have shape (d, d), got {a.shape}")
+    v = np.zeros(a.shape[0]) if offset is None else _as_reals(offset, "drift offset", a.shape[:1])
     a_t = np.ascontiguousarray(a.T)
 
     def drift(y):

@@ -57,7 +57,7 @@ class BallEvent:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", kernel._as_vector(self.center, None, "center"))
+        object.__setattr__(self, "center", kernel._as_reals(self.center, "center", (None,)))
         object.__setattr__(self, "radius", kernel._as_real(self.radius, "radius", 0, strict=True))
 
     @property
@@ -333,7 +333,7 @@ def _martingale_rows(model, x, n, a, alphas, rng, size) -> np.ndarray:
     acc = np.zeros(size)
     for k, prev, inc, _ in _euler_steps(model, x, n, a, rng, size):
         alpha = alphas[k - 1]
-        price = model.cgf(prev, alpha) + smoothing[k - 1]
+        price = kernel._block("cgf", model.cgf(prev, alpha), (size,)) + smoothing[k - 1]
         pairing = kernel._rdot(inc, alpha)
         acc += np.subtract(pairing, price, out=pairing)
     return np.exp(acc)

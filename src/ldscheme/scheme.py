@@ -70,15 +70,15 @@ def gauss_legendre_01():
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Piecewise-linear path with n + 1 uniformly spaced knots on [0, 1]."""
+    """Piecewise-linear path with n + 1 uniformly spaced knots on [0, 1]; 1-D knots make a 1-D path."""
 
     knots: np.ndarray
 
     def __post_init__(self):
-        k = kernel._finite(self.knots, "knots")
+        k = kernel._as_reals(self.knots, "knots", lambda ndim: (None,) if ndim == 1 else (None, None))
         if k.ndim == 1:
             k = k[:, None]
-        if k.ndim != 2 or k.shape[0] < 2:
+        if k.shape[0] < 2:
             raise ValueError(f"knots must be (n+1, d) with n >= 1, got shape {np.shape(self.knots)}")
         object.__setattr__(self, "knots", k)
 
@@ -96,9 +96,9 @@ class Trajectory:
 
 
 def eval_path_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
-    """Evaluate the path at times in [0, 1], shape (m,) -> (m, d); knot times reproduce knots exactly."""
-    ts = np.asarray(ts, dtype=np.float64)
-    if not np.all((ts >= 0.0) & (ts <= 1.0)):  # NaN fails both comparisons
+    """Evaluate the path at times in [0, 1], shape (m,) -> (m, d), a number being one time; knots come back exactly."""
+    ts = kernel._as_reals(ts, "ts", (None,))
+    if not np.all((ts >= 0.0) & (ts <= 1.0)):
         raise ValueError("all times must lie in [0, 1]")
     n = traj.n
     kf = ts * n
@@ -120,22 +120,19 @@ def resample(traj: Trajectory, n: int) -> Trajectory:
 class DualMeasure:
     """Atomic vector measure sum_j alpha_j delta_{t_j} on [0, 1].
 
-    weights is (len(times), d), or 1-D: one scalar weight per atom when it
-    is as long as times, else the d-vector of a single atom.  Any other
-    shape is a ValueError naming the atom weights.
+    weights is (len(times), d), or 1-D: one scalar weight per atom when it is as long as times, else the d-vector of
+    a single atom.  A bare number is one atom time, never a weight; any other shape is a ValueError naming the weights.
     """
 
     times: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        t = kernel._finite(np.atleast_1d(self.times), "atom times")
-        w = kernel._finite(self.weights, "atom weights")
+        t = kernel._as_reals(self.times, "atom times", (None,))
+        w = kernel._as_reals(self.weights, "atom weights", lambda ndim: (None,) if ndim == 1 else (len(t), None))
         if w.ndim == 1:
             w = w[:, None] if len(t) == len(w) else w[None, :]
-        if w.ndim != 2:
-            raise ValueError(f"atom weights must be 1-D or have shape ({len(t)}, d), got {w.shape}")
-        if t.ndim != 1 or w.shape[0] != t.shape[0]:
+        if w.shape[0] != len(t):
             raise ValueError(f"times {t.shape} and weights {w.shape} do not align")
         if len(t) and (t.min() < 0.0 or t.max() > 1.0):
             raise ValueError("atom times must lie in [0, 1]")
@@ -149,17 +146,15 @@ class DualMeasure:
 
     @classmethod
     def point_mass(cls, t: float, weight) -> "DualMeasure":
-        w = np.atleast_1d(np.asarray(weight, dtype=np.float64))
-        return cls(np.array([t]), w[None, :])
+        """The atom weight delta_t; weight is a d-vector or, for d = 1, a number."""
+        return cls([t], [weight])
 
     @classmethod
     def from_atoms(cls, atoms: Iterable) -> "DualMeasure":
         atoms = list(atoms)
         if not atoms:
             raise ValueError("from_atoms needs at least one atom; use zero(dim) for the empty measure")
-        ts = np.array([a[0] for a in atoms], dtype=np.float64)
-        ws = np.stack([np.atleast_1d(np.asarray(a[1], dtype=np.float64)) for a in atoms])
-        return cls(ts, ws)
+        return cls([a[0] for a in atoms], [a[1] for a in atoms])
 
     @property
     def dim(self) -> int:
@@ -193,7 +188,7 @@ def _run_args(model: KernelModel, x, n_grid, a, seed, samples=1, workers=1, min_
     this first, so a bad argument fails before any model callback, plan,
     reference solve or draw.
     """
-    x = kernel._as_vector(x, model.dim, "x")
+    x = kernel._as_reals(x, "x", (model.dim,))
     n_grid = [kernel._as_count(n, "n", 1) for n in n_grid]
     if not n_grid:
         raise ValueError("n_grid must be nonempty")
@@ -260,14 +255,14 @@ def phi_n(model: KernelModel, x, a, traj: Trajectory, lam: DualMeasure) -> float
     tent-basis integrals of lam.
     """
     amp = kernel._as_real(a, "a", 0)
-    x = kernel._as_vector(x, model.dim, "x")
+    x = kernel._as_reals(x, "x", (model.dim,))
     kernel._require_dim("path", traj.dim, model.dim)
     kernel._require_dim("measure", lam.dim, model.dim)
     n = traj.n
     alphas = lam.basis_integrals(n) / n
     ys = traj.knots[:-1]
     total = float(x @ lam.total_mass())
-    total += float(np.sum(model.cgf(ys, alphas)))
+    total += float(np.sum(kernel._block("cgf", model.cgf(ys, alphas), (n,))))
     if amp > 0.0:
         total += 0.5 * amp * amp * float(np.sum(alphas * alphas))
     return total
@@ -281,7 +276,7 @@ def phi_limit(model: KernelModel, x, a, f: Trajectory, lam: DualMeasure) -> floa
     between consecutive breakpoints (knots of f plus atom times).
     """
     amp = kernel._as_real(a, "a", 0)
-    x = kernel._as_vector(x, model.dim, "x")
+    x = kernel._as_reals(x, "x", (model.dim,))
     kernel._require_dim("path", f.dim, model.dim)
     kernel._require_dim("measure", lam.dim, model.dim)
     breaks = np.unique(np.concatenate([f.times, lam.times, [0.0, 1.0]]))
@@ -298,7 +293,7 @@ def phi_limit(model: KernelModel, x, a, f: Trajectory, lam: DualMeasure) -> floa
     als = np.asarray(als)
     ws = np.asarray(ws)
     ys = eval_path_many(f, ss)
-    vals = model.cgf(ys, als)
+    vals = kernel._block("cgf", model.cgf(ys, als), ss.shape)
     if amp > 0.0:
         vals = vals + 0.5 * amp * amp * kernel._sq_norm(als)
     return float(x @ lam.total_mass()) + float(ws @ vals)
@@ -325,7 +320,7 @@ def coupled_perturbation_gaps(
     x, amp, (n,), seed, _, _ = _run_args(model, x, [n], a, seed)
     b = kernel._as_count(realizations, "realizations", 1)
     if not isinstance(model, AffineNoiseModel):
-        raise TypeError("pathwise coupling needs the affine structure to share draws")
+        raise ValueError("model must be an AffineNoiseModel: pathwise coupling needs the affine structure to share draws")
     plain = _euler_steps(model, x, n, 0.0, np.random.default_rng(seed), b)
     smooth = _euler_steps(model, x, n, amp, np.random.default_rng(seed), b)
     g_stream = np.random.default_rng(seed).spawn(1)[0]

@@ -154,6 +154,15 @@ def test_limit_ode_state_reading_sigma_keeps_cgf_grad():
     assert np.allclose(f.knots[:, 0], 0.5 * np.exp(-f.times), atol=1e-6)
 
 
+def test_limit_ode_refuses_a_cgf_grad_of_the_wrong_shape():
+    # a plain d = 2 model whose cgf_grad returns (m,) used to give a wrong mean flow with no error:
+    # limit_ode(model, [1, 2], 4) ended at [0.368, 1.368], both coordinates driven by -y_0
+    m = KernelModel(dim=2, sampler=lambda ys, rng: -ys, cgf=lambda ys, a: np.zeros(len(ys)),
+                    cgf_grad=lambda ys, a: -ys[:, 0])
+    with pytest.raises(ValueError, match=r"^cgf_grad must return shape \(1, 2\) on its rows, got \(1,\)$"):
+        limit_ode(m, [1, 2], 4)
+
+
 def _assert_certificate(res):
     # converged must mean the KKT residual at the returned knots is within GRAD_TOL
     assert not res.converged or res.grad_norm <= GRAD_TOL

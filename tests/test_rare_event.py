@@ -19,7 +19,7 @@ from ldscheme.action import (
     straight_line,
 )
 from ldscheme.errors import SimulationBlowup, TiltUnreachableError
-from ldscheme.kernel import affine_model, gaussian_base, linear_drift, logistic_drift, preset_model
+from ldscheme.kernel import KernelModel, affine_model, gaussian_base, linear_drift, logistic_drift, preset_model
 from ldscheme.rare_event import (
     BallEvent,
     CHUNK_SIZE,
@@ -44,6 +44,7 @@ from ldscheme.scheme import (
     Trajectory,
     _euler_steps,
     coupled_perturbation_gaps,
+    eval_path_many,
     phi_limit,
     phi_n,
     resample,
@@ -433,6 +434,15 @@ def test_tilted_rejects_state_dependent_sigma():
     m = affine_model(1, linear_drift([[-1.0]]), lambda ys: (1.0 + 0.1 * ys[:, :, None] ** 2), gaussian_base())
     with pytest.raises(ValueError, match="requires a constant sigma"):
         tilted_mc_probability(m, [0.0], 20, TerminalHalfspace([1.0], 0.8), 100, seed=0)
+
+
+def test_martingale_check_refuses_a_scalar_cgf():
+    # a plain model with gaussian-ou's callbacks but a cgf of one scalar used to read a mean of 1.032 here
+    ou = preset_model("gaussian-ou")
+    m = KernelModel(dim=1, sampler=ou.sampler, cgf=lambda ys, a: ou.cgf(ys, a)[0], cgf_grad=ou.cgf_grad,
+                    cgf_hess=ou.cgf_hess)
+    with pytest.raises(ValueError, match=r"^cgf must return shape \(4000,\) on its rows, got \(\)$"):
+        martingale_check(m, [0.0], 20, 0.0, DualMeasure.point_mass(1.0, 0.5), 4000, seed=1)
 
 
 def test_martingale_check_variation_cap(monkeypatch):
@@ -1133,6 +1143,107 @@ def test_real_arguments_take_a_numpy_scalar(case, value):
     call = _REALS[case][1]
     m = preset_model("gaussian-ou")
     assert call(m, value) == call(m, value.item())
+
+
+# the array arguments, each keyed by its case: (the name its errors give, a good value, a value of the wrong
+# shape, the call).  The good values are integers, so an int32 or a float32 array holds them exactly; each call
+# returns what shows its result bit for bit
+_LINE = Trajectory([[0.0], [1.0]])
+_ARRAYS = {
+    "x-simulate": ("x", [0.0], [[0.0]], lambda m, v: simulate(m, v, 10, 0.0, 1).knots.tobytes()),
+    "x-coupled_perturbation_gaps": ("x", [0.0], [0.0, 0.0], lambda m, v: b"".join(
+        g.tobytes() for g in coupled_perturbation_gaps(m, v, 10, 0.5, 1))),
+    "x-mc_probability": ("x", [0.0], [[0.0]], lambda m, v: json.dumps(
+        mc_probability(m, v, 10, 0.0, _HALF, 50, seed=1).to_json_dict())),
+    "x-tilted_mc_probability": ("x", [0.0], [[0.0]], lambda m, v: json.dumps(
+        tilted_mc_probability(m, v, 10, _HALF, 50, seed=1).to_json_dict())),
+    "x-martingale_check": ("x", [0.0], [[0.0]], lambda m, v: json.dumps(
+        martingale_check(m, v, 10, 0.0, _ATOM, 50, seed=1).to_json_dict())),
+    "x-verify_rate": ("x", [0.0], [[0.0]], lambda m, v: json.dumps(
+        verify_rate(m, v, _HALF, [10], 50, seed=1).to_json_dict())),
+    "x-verify_ode_convergence": ("x", [0.0], [[0.0]], lambda m, v: json.dumps(
+        verify_ode_convergence(m, v, 0.5, [10], 50, seed=1).to_json_dict())),
+    "x-ActionProblem": ("x", [0.0], [[0.0]], lambda m, v: ActionProblem(model=m, x=v, terminal=_HALF).x.tobytes()),
+    "x-action": ("x", [0.0], [[0.0]], lambda m, v: action(m, v, 0.0, straight_line([0.0], [0.8], 4)).segments.tobytes()),
+    "x-phi_n": ("x", [0.0], [[0.0]], lambda m, v: repr(phi_n(m, v, 0.0, straight_line([0.0], [0.8], 4), _ATOM))),
+    "x-phi_limit": ("x", [0.0], [[0.0]], lambda m, v: repr(phi_limit(m, v, 0.0, straight_line([0.0], [0.8], 4), _ATOM))),
+    "x-limit_ode": ("x", [1.0], [[1.0]], lambda m, v: limit_ode(m, v, 4).knots.tobytes()),
+    "ys": ("ys", [[0.0]], [[0.0, 0.0]], lambda m, v: conj_mod.fenchel_rows(m, v, [[1.0]]).argmax.tobytes()),
+    "zs": ("zs", [[1.0]], [[1.0], [1.0]], lambda m, v: conj_mod.fenchel_rows(m, [[0.0]], v).argmax.tobytes()),
+    "y": ("y", [0.0], [[0.0]], lambda m, v: conj_mod.perturbed_fenchel(m, 0.0, v, [1.0]).argmax.tobytes()),
+    "z": ("z", [1.0], [[1.0]], lambda m, v: conj_mod.perturbed_fenchel(m, 0.0, [0.0], v).argmax.tobytes()),
+    "knots": ("knots", [[0.0], [1.0], [2.0]], [[[0.0]], [[1.0]]], lambda m, v: Trajectory(v).knots.tobytes()),
+    "times": ("atom times", [1.0], [[1.0]], lambda m, v: DualMeasure(v, [[2.0]]).times.tobytes()),
+    "weights": ("atom weights", [[2.0]], [[[2.0]]], lambda m, v: DualMeasure([1.0], v).weights.tobytes()),
+    "point": ("point", [1.0], [[1.0]], lambda m, v: TerminalPoint(v).point.tobytes()),
+    "normal": ("normal", [2.0], [[2.0]], lambda m, v: TerminalHalfspace(v, 1.0).normal.tobytes()),
+    "center": ("center", [1.0], [[1.0]], lambda m, v: BallEvent(v, 0.5).center.tobytes()),
+    "x-straight_line": ("x", [0.0], [[0.0]], lambda m, v: straight_line(v, [1.0], 3).knots.tobytes()),
+    "z-straight_line": ("z", [1.0], [1.0, 1.0], lambda m, v: straight_line([0.0], v, 3).knots.tobytes()),
+    "ts": ("ts", [0.0, 1.0], [[0.0, 1.0]], lambda m, v: eval_path_many(_LINE, v).tobytes()),
+    "sigma": ("constant sigma", [[1.0]], [[1.0, 0.0]], lambda m, v: affine_model(
+        1, kernel.zero_drift(), v, gaussian_base()).sigma.tobytes()),
+    "constant_drift": ("constant drift", [1.0], [[1.0]], lambda m, v: kernel.constant_drift(v)(np.zeros((1, 1))).tobytes()),
+    "matrix": ("drift matrix", [[-1.0]], [[-1.0, 2.0]], lambda m, v: linear_drift(v)(np.ones((1, 1))).tobytes()),
+    "offset": ("drift offset", [1.0], [1.0, 1.0], lambda m, v: linear_drift([[-1.0]], v)(np.ones((1, 1))).tobytes()),
+}
+# the cases whose argument is a vector, where a bare number is a 1-vector (a bare sigma is sigma times I)
+_BARE = sorted(set(_ARRAYS) - {"ys", "zs", "knots", "weights", "matrix"})
+
+
+def _counting_ou():
+    """gaussian-ou built from a drift, with every callback counting its calls into the list returned beside it."""
+    calls = []
+
+    def counted(name, f):
+        def call(*args):
+            calls.append(name)
+            return f(*args)
+
+        return call
+
+    m = affine_model(1, counted("drift", linear_drift([[-1.0]])), 1.0, gaussian_base())
+    return dataclasses.replace(m, **{k: counted(k, getattr(m, k)) for k in ("sampler", "cgf", "cgf_grad", "cgf_hess")}), calls
+
+
+def _bad_arrays():
+    for case, (arg, good, wrong, call) in _ARRAYS.items():
+        nan = np.array(good, dtype=np.float64)
+        nan.flat[0] = np.nan
+        bad = {"bool": np.full(np.shape(good), True).tolist(), "str": np.array(good).astype(str).tolist(),
+               "shape": wrong, "nan": nan.tolist()}
+        for label, v in bad.items():
+            message = {"bool": f"{arg}: expected an array of numbers, got dtype bool",
+                       "str": f"{arg}: expected an array of numbers, got dtype <U",
+                       "shape": f"{arg} must have shape (", "nan": f"{arg} must be finite"}[label]
+            yield pytest.param(call, message, v, id=f"{case}-{label}")
+
+
+@pytest.mark.parametrize("call, message, value", _bad_arrays())
+def test_array_arguments_reject_bools_strings_shapes_and_nans_before_any_callback(call, message, value):
+    # simulate(model, ["0.5"], ...) used to start at 0.5, TerminalHalfspace([True], 0.5) had normal [1.0],
+    # fenchel_rows(model, [["0.1"]], [[0.3]]) priced 0.08, a short linear_drift offset or straight_line z was
+    # broadcast, and eval_path_many(traj, [[0.5]]) returned a (1, 1, 1) array
+    m, calls = _counting_ou()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call(m, value)
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", sorted(_ARRAYS))
+@pytest.mark.parametrize("dtype", [np.int32, np.float32])
+def test_array_arguments_take_int32_and_float32_arrays(case, dtype):
+    good, call = _ARRAYS[case][1], _ARRAYS[case][3]
+    m = preset_model("gaussian-ou")
+    assert call(m, np.array(good, dtype=dtype)) == call(m, good)
+
+
+@pytest.mark.parametrize("case", _BARE)
+def test_vector_arguments_take_a_bare_number(case):
+    good, call = _ARRAYS[case][1], _ARRAYS[case][3]
+    m = preset_model("gaussian-ou")
+    value = np.ravel(good)[0].item()
+    assert call(m, value) == call(m, [[value]] if case == "sigma" else [value])
 
 
 def test_verify_rate_censors_an_estimate_without_hits(crafted_rates):

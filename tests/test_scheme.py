@@ -7,6 +7,7 @@ from numpy.polynomial.legendre import leggauss
 from numpy.random import default_rng
 
 from ldscheme import kernel
+from ldscheme.action import straight_line
 from ldscheme.errors import SimulationBlowup
 from ldscheme.kernel import KernelModel, affine_model, gaussian_base, linear_drift, preset_model
 from ldscheme.scheme import (
@@ -195,7 +196,7 @@ def test_dual_measure_validation():
 def test_dual_measure_refuses_weights_of_other_shapes(build):
     # a (1, 1, 2) weight array used to read dim 1, pass martingale_check's dimension check on
     # gaussian-ou and fail inside numpy once the run had started
-    with pytest.raises(ValueError, match=r"atom weights must be 1-D or have shape \(1, d\)"):
+    with pytest.raises(ValueError, match=r"^atom weights must have shape \(1, d\), got "):
         build()
 
 
@@ -392,6 +393,25 @@ def test_dual_pairing_point_masses():
     assert _pair(traj, lam) == pytest.approx(3.0 * 1.0 + 1.0 * 2.0)
 
 
+def _scalar_cgf_ou():
+    """A plain model with gaussian-ou's callbacks, except for a cgf that returns one scalar for all its rows."""
+    ou = preset_model("gaussian-ou")
+    return KernelModel(dim=1, sampler=ou.sampler, cgf=lambda ys, a: ou.cgf(ys, a)[0], cgf_grad=ou.cgf_grad,
+                       cgf_hess=ou.cgf_hess)
+
+
+def test_phi_n_refuses_a_scalar_cgf():
+    # it used to return 0.0139 here, where gaussian-ou gives -0.0917
+    with pytest.raises(ValueError, match=r"^cgf must return shape \(3,\) on its rows, got \(\)$"):
+        phi_n(_scalar_cgf_ou(), [0.0], 0.0, straight_line([0.0], [0.8], 4), DualMeasure.point_mass(1.0, 0.5))
+
+
+def test_phi_limit_refuses_a_scalar_cgf():
+    # it used to end in numpy's matmul error
+    with pytest.raises(ValueError, match=r"^cgf must return shape \(15,\) on its rows, got \(\)$"):
+        phi_limit(_scalar_cgf_ou(), [0.0], 0.0, straight_line([0.0], [0.8], 4), DualMeasure.point_mass(1.0, 0.5))
+
+
 def test_phi_n_free_gaussian_closed_form():
     # b=0, sigma=1: phi_n = x lam_tot + sum_i |beta_i/n|^2 / 2
     m = preset_model("gaussian-free")
@@ -546,7 +566,7 @@ def test_coupling_rejects_non_affine():
     from ldscheme.kernel import KernelModel
 
     plain = KernelModel(dim=1, sampler=src.sampler, cgf=src.cgf, cgf_grad=src.cgf_grad, summary="plain")
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="^model must be an AffineNoiseModel: "):
         coupled_perturbation_gaps(plain, [0.0], 10, 0.5, seed=0, realizations=3)
 
 
