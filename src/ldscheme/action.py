@@ -53,7 +53,7 @@ class TerminalPoint:
     point: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "point", kernel._as_reals(self.point, "point", (None,)))
+        object.__setattr__(self, "point", kernel._as_reals(self.point, "point", ("d",)))
 
     @property
     def dim(self) -> int:
@@ -65,20 +65,29 @@ class TerminalHalfspace:
     """Endpoint constraint <f(1), normal> >= level, with unit normal.
 
     Also the terminal event {<Y(1), normal> >= level} of the estimators.
-    A normal whose plain norm over- or underflows is normalized by a
-    rescaled norm (kernel._unit_halfspace); a zero normal, or one whose norm
-    or rescaled level is past the float range, is refused.
+    A normal whose plain norm over- or underflows (past about 1.3e154 or
+    below about 1e-154) is normalized by the rescaled norm s |normal / s|,
+    s = max |normal_i|; a zero normal, or one whose norm or rescaled level
+    is past the float range, is refused.
     """
 
     normal: np.ndarray
     level: float
 
     def __post_init__(self):
-        xi = kernel._as_reals(self.normal, "normal", (None,))
+        xi = kernel._as_reals(self.normal, "normal", ("d",))
         level = kernel._as_real(self.level, "level")
-        xi, level = kernel._unit_halfspace(xi, level, "normal", "level")
-        object.__setattr__(self, "normal", xi)
-        object.__setattr__(self, "level", level)
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(xi))
+        if not 0.0 < norm < np.inf:
+            s = float(np.abs(xi).max())
+            norm = s * float(np.linalg.norm(xi / s)) if s > 0.0 else 0.0
+        if not 0.0 < norm < np.inf:
+            raise ValueError(f"normal must have a finite nonzero norm, got {norm!r}")
+        if not np.isfinite(level / norm):
+            raise ValueError(f"level / |normal| must be finite, got {level!r} / {norm!r}")
+        object.__setattr__(self, "normal", xi / norm)
+        object.__setattr__(self, "level", level / norm)
 
     @property
     def dim(self) -> int:
@@ -163,7 +172,7 @@ def _vector_norm(v: np.ndarray) -> float:
 
 def straight_line(x, z, m: int) -> Trajectory:
     """The path of m >= 2 uniform knots from x to z, two vectors of one length (a number is a 1-vector)."""
-    x = kernel._as_reals(x, "x", (None,))
+    x = kernel._as_reals(x, "x", ("d",))
     z = kernel._as_reals(z, "z", x.shape)
     frac = np.linspace(0.0, 1.0, kernel._as_count(m, "m", 2))[:, None]
     return Trajectory((1.0 - frac) * x + frac * z)

@@ -156,7 +156,7 @@ def fenchel_rows(model: KernelModel, ys, zs, a=0.0) -> ConjugateRows:
     """
     amp = kernel._as_real(a, "a", 0)
     aa = amp * amp
-    ys = kernel._as_reals(ys, "ys", (None, model.dim))
+    ys = kernel._as_reals(ys, "ys", ("N", model.dim))
     zs = kernel._as_reals(zs, "zs", ys.shape)
     n, d = zs.shape
     with np.errstate(over="ignore"):

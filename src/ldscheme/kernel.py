@@ -37,26 +37,6 @@ class ModelConfigError(ValueError):
     """A config record failed validation: a model record or a CLI config."""
 
 
-def _unit_halfspace(xi: np.ndarray, level: float, name: str, level_name: str) -> tuple:
-    """(xi / |xi|, level / |xi|): the half-space {<x, xi> >= level} with a unit normal.
-
-    When the plain norm over- or underflows (past about 1.3e154 or below about 1e-154) it is recomputed as
-    s |xi / s| with s = max |xi_i|, so such normals are normalized, not refused.  A zero normal, a norm past the
-    float range and a level whose rescaling overflows are refused.
-    """
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(xi))
-    if not 0.0 < norm < np.inf:
-        s = float(np.abs(xi).max())
-        norm = s * float(np.linalg.norm(xi / s)) if s > 0.0 else 0.0
-    if not 0.0 < norm < np.inf:
-        raise ValueError(f"{name} must have a finite nonzero norm, got {norm!r}")
-    unit_level = level / norm
-    if not np.isfinite(unit_level):
-        raise ValueError(f"{level_name} / |{name}| must be finite, got {level!r} / {norm!r}")
-    return xi / norm, unit_level
-
-
 def _as_count(value, name: str, least: int) -> int:
     """value as an int, if it is an integer >= least; a numpy integer is accepted, a bool or a float is not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
@@ -83,12 +63,13 @@ def _as_real(value, name: str, least=None, strict: bool = False) -> float:
 
 
 def _as_reals(value, name: str, shape: Union[tuple, Callable[[int], tuple]]) -> np.ndarray:
-    """value as a finite float64 array of shape, where None matches any length; a number is a 1-vector for a (k,) shape.
+    """value as a finite float64 array of shape, where a named axis (a str such as "N" or "d") matches any length.
 
-    Entries of a numpy integer or float dtype are accepted, and a float64 array of that shape is returned uncopied.
-    Bools, strings, other objects and a ragged nesting are refused, as _as_real refuses such scalars.  Every
-    ValueError names the argument; a free last axis is shown as d (coordinates), a free leading one as N (rows).
-    For an argument of either of two shapes, shape is a function of the array's number of axes.
+    A number is a 1-vector for a one-axis shape.  Entries of a numpy integer or float dtype are accepted, and a
+    float64 array of that shape is returned uncopied.  Bools, strings, other objects and a ragged nesting are refused,
+    as _as_real refuses such scalars, and so is a bool among the numbers of a list or tuple.  Every ValueError names
+    the argument and prints shape as given.  For an argument of either of two shapes, shape is a function of the
+    array's number of axes.
     """
     try:
         v = np.asarray(value)
@@ -96,13 +77,16 @@ def _as_reals(value, name: str, shape: Union[tuple, Callable[[int], tuple]]) -> 
         raise ValueError(f"{name}: expected an array of numbers, got a ragged nesting") from None
     if v.dtype.kind not in "iuf":
         raise ValueError(f"{name}: expected an array of numbers, got dtype {v.dtype}")
+    # numpy reads [1.0, True] as float64; only a list or tuple can hide a bool that way
+    if isinstance(value, (list, tuple)) and any(type(e) in (bool, np.bool_) for e in np.asarray(value, object).flat):
+        raise ValueError(f"{name}: expected an array of numbers, got a bool among them")
     if callable(shape):
         shape = shape(v.ndim)
     if v.ndim == 0 and len(shape) == 1:
         v = v[None]
-    if v.ndim != len(shape) or any(k is not None and k != s for k, s in zip(shape, v.shape)):
-        axes = [str(k) if k is not None else "d" if i == len(shape) - 1 else "N" for i, k in enumerate(shape)]
-        raise ValueError(f"{name} must have shape ({', '.join(axes)}{',' * (len(shape) == 1)}), got {v.shape}")
+    if v.ndim != len(shape) or any(not isinstance(k, str) and k != s for k, s in zip(shape, v.shape)):
+        axes = ", ".join(map(str, shape)) + "," * (len(shape) == 1)
+        raise ValueError(f"{name} must have shape ({axes}), got {v.shape}")
     v = v.astype(np.float64, copy=False)
     if not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite")
@@ -319,10 +303,10 @@ def affine_model(
         raise ValueError(f"drift_broadcasts must be True, got {drift_broadcasts!r}: drift always takes the rows")
     if callable(sigma):
         sigma = _state_free_value(sigma, dim)
-    elif np.ndim(sigma) == 0:
-        sigma = _as_reals(sigma, "constant sigma", ()) * np.eye(dim)
     else:
-        sigma = _as_reals(sigma, "constant sigma", (dim, dim))
+        sigma = _as_reals(sigma, "constant sigma", lambda ndim: () if ndim == 0 else (dim, dim))
+        if sigma.ndim == 0:
+            sigma = sigma * np.eye(dim)
 
     # the row callbacks; `model` is bound below
     def sampler(ys, rng):
@@ -505,13 +489,13 @@ def zero_drift():
 
 def constant_drift(v: np.ndarray):
     """y -> v, for a vector v (a number is a 1-vector)."""
-    v = _as_reals(v, "constant drift", (None,))
+    v = _as_reals(v, "constant drift", ("d",))
     return lambda y: np.broadcast_to(v, np.shape(y)).copy()
 
 
 def linear_drift(matrix: np.ndarray, offset=None):
     """y -> A y + v, the standard linear drift, for a square A and an offset v of A's size (default 0)."""
-    a = _as_reals(matrix, "drift matrix", (None, None))
+    a = _as_reals(matrix, "drift matrix", ("d", "d"))
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"drift matrix must have shape (d, d), got {a.shape}")
     v = np.zeros(a.shape[0]) if offset is None else _as_reals(offset, "drift offset", a.shape[:1])
@@ -584,34 +568,18 @@ def _as_dict(v, path):
 
 
 def _as_array(shape: tuple):
-    """Cast to a float array of the given shape, every entry checked by _as_real.
-
-    A vector of length 1 may also be given as a bare number.
-    """
-
-    def entries(v, path, axes):
-        if not axes:
-            return _as_real(v, path)
-        if not (isinstance(v, list) and len(v) == axes[0]):
-            raise ModelConfigError(f"{path}: expected a list of length {axes[0]}, got {v!r}")
-        return [entries(u, f"{path}[{i}]", axes[1:]) for i, u in enumerate(v)]
-
-    def cast(v, path):
-        bare = shape == (1,) and not isinstance(v, list)
-        return np.array([_as_real(v, path)] if bare else entries(v, path, shape))
-
-    return cast
+    """Cast to a finite float array of the given shape, read by _as_reals."""
+    return lambda v, path: _as_reals(v, path, shape)
 
 
 def _as_knots(dim: int):
-    """Cast a path's knots to an (N, dim) array, N >= 2; a 1-D path may list bare numbers."""
+    """Cast a path's knots to an (N, dim) array, N >= 2, read by _as_reals; a 1-D path may list bare numbers."""
 
     def cast(v, path):
-        rows = _as_list(v, path)
-        if len(rows) < 2:
+        knots = _as_reals(v, path, lambda ndim: ("N",) if ndim == 1 and dim == 1 else ("N", dim))
+        if len(knots) < 2:
             raise ModelConfigError(f"{path}: expected at least two knots, got {v!r}")
-        flat = dim == 1 and not any(isinstance(u, list) for u in rows)
-        return _as_array((len(rows),) if flat else (len(rows), dim))(rows, path)
+        return knots
 
     return cast
 

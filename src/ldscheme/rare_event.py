@@ -57,7 +57,7 @@ class BallEvent:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", kernel._as_reals(self.center, "center", (None,)))
+        object.__setattr__(self, "center", kernel._as_reals(self.center, "center", ("d",)))
         object.__setattr__(self, "radius", kernel._as_real(self.radius, "radius", 0, strict=True))
 
     @property

@@ -75,7 +75,7 @@ class Trajectory:
     knots: np.ndarray
 
     def __post_init__(self):
-        k = kernel._as_reals(self.knots, "knots", lambda ndim: (None,) if ndim == 1 else (None, None))
+        k = kernel._as_reals(self.knots, "knots", lambda ndim: ("N",) if ndim == 1 else ("N", "d"))
         if k.ndim == 1:
             k = k[:, None]
         if k.shape[0] < 2:
@@ -97,7 +97,7 @@ class Trajectory:
 
 def eval_path_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
     """Evaluate the path at times in [0, 1], shape (m,) -> (m, d), a number being one time; knots come back exactly."""
-    ts = kernel._as_reals(ts, "ts", (None,))
+    ts = kernel._as_reals(ts, "ts", ("N",))
     if not np.all((ts >= 0.0) & (ts <= 1.0)):
         raise ValueError("all times must lie in [0, 1]")
     n = traj.n
@@ -128,8 +128,8 @@ class DualMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        t = kernel._as_reals(self.times, "atom times", (None,))
-        w = kernel._as_reals(self.weights, "atom weights", lambda ndim: (None,) if ndim == 1 else (len(t), None))
+        t = kernel._as_reals(self.times, "atom times", ("N",))
+        w = kernel._as_reals(self.weights, "atom weights", lambda ndim: ("d",) if ndim == 1 else (len(t), "d"))
         if w.ndim == 1:
             w = w[:, None] if len(t) == len(w) else w[None, :]
         if w.shape[0] != len(t):
@@ -168,10 +168,11 @@ class DualMeasure:
         return float(np.sum(kernel._row_norms(self.weights)))
 
     def scaled(self, factor: float) -> "DualMeasure":
-        return DualMeasure(self.times.copy(), factor * self.weights)
+        return DualMeasure(self.times.copy(), kernel._as_real(factor, "factor") * self.weights)
 
     def basis_integrals(self, n: int) -> np.ndarray:
         """Row i-1 holds int phi_{n,i} d lam = sum_j alpha_j phi_{n,i}(t_j)."""
+        n = kernel._as_count(n, "n", 1)
         i = np.arange(1, n + 1)[:, None]
         phi = np.clip(n * self.times[None, :] - (i - 1), 0.0, 1.0)
         return phi @ self.weights

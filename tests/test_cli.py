@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from ldscheme.action import TerminalHalfspace, TerminalPoint
 from ldscheme.cli import main
+from ldscheme.kernel import affine_model, gaussian_base, linear_drift, model_from_config, zero_drift
+from ldscheme.rare_event import BallEvent
+from ldscheme.scheme import Trajectory, simulate
 
 
 def _write(path, obj):
@@ -102,19 +106,20 @@ def test_action_flat_knots_for_a_1d_model(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "knots, path",
+    "knots, error",
     [
-        ([[0.0], ["0.5"], [True]], "config.knots[1][0]: expected a number"),  # accepted, exit 0
+        ([[0.0], ["0.5"], [True]], "config.knots: expected an array of numbers, got dtype <U32"),  # accepted, exit 0
         # wrote resolved_config.json, then failed with "ys must be finite"
-        ([[0.0], [float("nan")], [1.0]], "config.knots[1][0]: expected a finite number"),
-        ([[0.0], [0.5, 0.5], [1.0]], "config.knots[1]: expected a list of length 1"),  # numpy's "inhomogeneous shape"
+        ([[0.0], [float("nan")], [1.0]], "config.knots must be finite"),
+        # numpy's "inhomogeneous shape"
+        ([[0.0], [0.5, 0.5], [1.0]], "config.knots: expected an array of numbers, got a ragged nesting"),
     ],
     ids=["str-and-bool", "nan", "ragged"],
 )
-def test_action_bad_knots_exit_2(tmp_path, capsys, knots, path):
+def test_action_bad_knots_exit_2(tmp_path, capsys, knots, error):
     code, out = _run(tmp_path, "action", {"model": FREE, "x": [0.0], "knots": knots})
     assert code == 2
-    assert path in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {error}\n"
     assert not (out / "resolved_config.json").exists()
 
 
@@ -287,25 +292,25 @@ def test_estimate_tilted_rejects_smoothing_and_ball(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "event, key",
+    "event, error",
     [
-        ({"kind": "terminal-halfspace", "normal": [1.0], "level": float("nan")}, "level"),
-        ({"kind": "terminal-halfspace", "normal": [1.0], "level": float("inf")}, "level"),
-        ({"kind": "terminal-halfspace", "normal": [float("inf")], "level": 1.0}, "normal[0]"),
-        ({"kind": "terminal-ball", "center": [0.0], "radius": float("nan")}, "radius"),
-        ({"kind": "terminal-ball", "center": [float("nan")], "radius": 1.0}, "center[0]"),
-        ({"kind": "sup-distance-from-path", "epsilon": float("nan")}, "epsilon"),
-        ({"kind": "sup-distance-from-path", "epsilon": float("inf")}, "epsilon"),
+        ({"kind": "terminal-halfspace", "normal": [1.0], "level": float("nan")}, "level: expected a finite number"),
+        ({"kind": "terminal-halfspace", "normal": [1.0], "level": float("inf")}, "level: expected a finite number"),
+        ({"kind": "terminal-halfspace", "normal": [float("inf")], "level": 1.0}, "normal must be finite\n"),
+        ({"kind": "terminal-ball", "center": [0.0], "radius": float("nan")}, "radius: expected a finite number"),
+        ({"kind": "terminal-ball", "center": [float("nan")], "radius": 1.0}, "center must be finite\n"),
+        ({"kind": "sup-distance-from-path", "epsilon": float("nan")}, "epsilon: expected a finite number"),
+        ({"kind": "sup-distance-from-path", "epsilon": float("inf")}, "epsilon: expected a finite number"),
     ],
     ids=["halfspace", "halfspace-level-inf", "halfspace-normal", "ball", "ball-center", "path", "path-inf"],
 )
-def test_estimate_non_finite_event_is_config_error(tmp_path, capsys, event, key):
+def test_estimate_non_finite_event_is_config_error(tmp_path, capsys, event, error):
     # json reads NaN; a NaN parameter used to give p_hat 0 and exit 0.  Every
     # event parameter now fails when the config is read.
     cfg = {"model": FREE, "x": [0.0], "n": 10, "event": event, "samples": 100, "seed": 1}
     code, out = _run(tmp_path, "estimate", cfg)
     assert code == 2
-    assert f"config.event.{key}: expected a finite number" in capsys.readouterr().err
+    assert f"config error: config.event.{error}" in capsys.readouterr().err
     assert not (out / "resolved_config.json").exists()
 
 
@@ -448,8 +453,9 @@ _HUGE = "1" + "0" * 4999
         (_explicit(base={"kind": "bernoulli", "p": "0.3"}), "config.model.base.p: expected"),  # accepted
         (_explicit(base={"kind": "bernoulli", "p": 1.0}), "config.model.base.p must lie in (0, 1), got 1.0"),
         # warned, then exited 2 with "ys must be finite" after writing resolved_config.json
-        (_explicit(drift={"kind": "linear", "matrix": [[float("inf")]]}), "config.model.drift.matrix[0][0]: expected"),
-        (_explicit(sigma={"kind": "constant", "matrix": [["1"]]}), "config.model.sigma.matrix[0][0]: expected"),  # accepted
+        (_explicit(drift={"kind": "linear", "matrix": [[float("inf")]]}), "config.model.drift.matrix must be finite\n"),
+        (_explicit(sigma={"kind": "constant", "matrix": [["1"]]}),
+         "config.model.sigma.matrix: expected an array of numbers, got dtype <U1\n"),  # accepted
         # the JSON reader refuses it, so the error names the file; a traceback, exit 1
         (_explicit(dim=_HUGE), None),
     ],
@@ -486,10 +492,11 @@ def test_minimize_bad_settings_exit_2(tmp_path, capsys, key, value):
     "event, error",
     [
         # exited 0 with p_hat 0.98375: the center broadcast against the (rows, 1) states
-        ({"kind": "terminal-ball", "center": [0.0, 0.0], "radius": 0.5}, "config.event.center: expected a list of length 1"),
+        ({"kind": "terminal-ball", "center": [0.0, 0.0], "radius": 0.5},
+         "config.event.center must have shape (1,), got (2,)\n"),
         # these two wrote resolved_config.json, then failed in the library without the config path
         ({"kind": "terminal-halfspace", "normal": [1.0, 0.0], "level": 1.0},
-         "config.event.normal: expected a list of length 1"),
+         "config.event.normal must have shape (1,), got (2,)\n"),
         ({"kind": "sup-distance-from-path", "epsilon": 0.5, "reference_file": "ref2.csv"},
          "config.event.reference_file: cannot load 'ref2.csv': path dim 2 does not match model dim 1"),
     ],
@@ -623,9 +630,9 @@ def test_out_naming_a_file_exits_2_and_writes_nothing(tmp_path, capsys, sub):
         ("minimize", {**_MINIMIZE, "m": 1}, "config.m must be an integer >= 2, got 1"),
         ("verify-rate", {**_RATE, "samples": 1}, "config.samples must be an integer >= 2, got 1"),
         ("verify-martingale", {**_MARTINGALE, "samples": 1}, "config.samples must be an integer >= 2, got 1"),
-        ("verify-martingale", {**_MARTINGALE, "x": [0.0, 1.0]}, "config.x: expected a list of length 1"),
+        ("verify-martingale", {**_MARTINGALE, "x": [0.0, 1.0]}, "config.x must have shape (1,), got (2,)\n"),
         ("minimize", {**_MINIMIZE, "terminal": {"kind": "point", "point": [1.0, 1.0]}},
-         "config.terminal.point: expected a list of length 1"),
+         "config.terminal.point must have shape (1,), got (2,)\n"),
         ("simulate", {**_SIMULATE, "model": {**_explicit(), "dim": 0}}, "config.model.dim must be an integer >= 1, got 0"),
         # the float ranges: each used to write resolved_config.json, then fail in the library without the key
         ("simulate", {**_SIMULATE, "a": -1.0}, "config.a must be >= 0, got -1.0"),
@@ -674,6 +681,96 @@ def test_bare_number_vector_echoes_as_a_list(tmp_path):
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert resolved["x"] == [0.5]
     assert resolved["event"]["normal"] == [1.0]
+
+
+_D2 = {"dim": 2, "drift": {"kind": "zero"}, "sigma": {"kind": "identity"}, "base": {"kind": "gaussian"}}
+
+
+@pytest.mark.parametrize(
+    "command, config, echoed",
+    [
+        ("action", {"model": FREE, "x": 0, "knots": [0, 1, 2]},
+         {"x": [0.0], "knots": [0.0, 1.0, 2.0], "a": 0.0, "trajectory_file": None}),
+        ("action", {"model": _D2, "x": [0, 1], "knots": [[0, 1], [2, 3]]},
+         {"x": [0.0, 1.0], "knots": [[0.0, 1.0], [2.0, 3.0]], "a": 0.0, "trajectory_file": None}),
+        ("minimize", {"model": OU, "x": 0, "m": 3, "terminal": {"kind": "point", "point": [1]}},
+         {"x": [0.0], "terminal": {"kind": "point", "point": [1.0]}, "a": 0.0, "m": 3, "settings": {"max_iter": 500}}),
+        ("estimate", {"model": OU, "x": [0], "n": 4, "event": {"kind": "terminal-halfspace", "normal": 2, "level": 1},
+                      "samples": 10, "seed": 1},
+         {"x": [0.0], "event": {"kind": "terminal-halfspace", "normal": [2.0], "level": 1.0}, "n": 4, "a": 0.0,
+          "method": "naive", "samples": 10, "seed": 1}),
+        ("estimate", {"model": _D2, "x": [0, 0], "n": 4, "event": {"kind": "terminal-ball", "center": [1, 2], "radius": 1},
+                      "samples": 10, "seed": 1},
+         {"x": [0.0, 0.0], "event": {"kind": "terminal-ball", "center": [1.0, 2.0], "radius": 1.0}, "n": 4, "a": 0.0,
+          "method": "naive", "samples": 10, "seed": 1}),
+    ],
+    ids=["bare-x-flat-knots", "nested-knots", "point", "bare-normal", "center"],
+)
+def test_integer_and_bare_array_entries_echo_as_lists_of_floats(tmp_path, command, config, echoed):
+    code, out = _run(tmp_path, command, config)
+    assert code == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved == {"command": command, "model": config["model"], **echoed}
+
+
+def _with_last(value, entry):
+    """The nested list value with its last number replaced by entry."""
+    return value[:-1] + [_with_last(value[-1], entry)] if isinstance(value, list) else entry
+
+
+# each array of a config, on a 2-D model: (the library's name for it, a good value, the library call, the config)
+_CONFIG_ARRAYS = {
+    "x": ("x", [0.0, 1.0], lambda v: simulate(model_from_config(_D2), v, 4, 0.0, 1),
+          lambda v: ("simulate", {"model": _D2, "x": v, "n": 4, "seed": 1})),
+    "knots": ("knots", [[0.0, 0.0], [1.0, 1.0]], lambda v: Trajectory(v),
+              lambda v: ("action", {"model": _D2, "x": [0.0, 0.0], "knots": v})),
+    "event.normal": ("normal", [0.0, 1.0], lambda v: TerminalHalfspace(v, 1.0),
+                     lambda v: ("estimate", {"model": _D2, "x": [0.0, 0.0], "n": 4, "samples": 10, "seed": 1,
+                                             "event": {"kind": "terminal-halfspace", "normal": v, "level": 1.0}})),
+    "event.center": ("center", [0.0, 1.0], lambda v: BallEvent(v, 0.5),
+                     lambda v: ("estimate", {"model": _D2, "x": [0.0, 0.0], "n": 4, "samples": 10, "seed": 1,
+                                             "event": {"kind": "terminal-ball", "center": v, "radius": 0.5}})),
+    "terminal.point": ("point", [0.0, 1.0], lambda v: TerminalPoint(v),
+                       lambda v: ("minimize", {"model": _D2, "x": [0.0, 0.0], "m": 3,
+                                               "terminal": {"kind": "point", "point": v}})),
+    "model.drift.offset": ("drift offset", [0.0, 1.0], lambda v: linear_drift(-np.eye(2), v),
+                           lambda v: ("simulate", {"model": {**_D2, "drift": {
+                               "kind": "linear", "matrix": [[-1.0, 0.0], [0.0, -1.0]], "offset": v}},
+                               "x": [0.0, 0.0], "n": 4, "seed": 1})),
+    "model.sigma.matrix": ("constant sigma", [[1.0, 0.0], [0.0, 1.0]],
+                           lambda v: affine_model(2, zero_drift(), v, gaussian_base()),
+                           lambda v: ("simulate", {"model": {**_D2, "sigma": {"kind": "constant", "matrix": v}},
+                                                   "x": [0.0, 0.0], "n": 4, "seed": 1})),
+}
+# each kind of bad value, built from a good one, and the words after the name that refuse it
+_BAD_VALUES = {
+    "bool": (lambda good: np.full(np.shape(good), True).tolist(), ": expected an array of numbers, got dtype bool"),
+    "str": (lambda good: np.array(good).astype(str).tolist(), ": expected an array of numbers, got dtype <U"),
+    "bool-beside-a-number": (lambda good: _with_last(good, True), ": expected an array of numbers, got a bool among them"),
+    "nan": (lambda good: _with_last(good, float("nan")), " must be finite"),
+    "ragged": (lambda good: _with_last(good, [1.0]), ": expected an array of numbers, got a ragged nesting"),
+    "shape": (lambda good: good + good[-1:], " must have shape ("),
+}
+# the library states a free axis where the config knows the model's dimension, so only fixed shapes share words
+_SHAPE_FIXED = {"x", "model.drift.offset", "model.sigma.matrix"}
+
+
+@pytest.mark.parametrize(
+    "key, kind", [(key, kind) for key in _CONFIG_ARRAYS for kind in _BAD_VALUES if kind != "shape" or key in _SHAPE_FIXED]
+)
+def test_a_bad_array_gets_the_librarys_words_on_the_cli(tmp_path, capsys, key, kind):
+    # a bool beside a number, such as the normal [0.0, true], was refused by the config but read as 1.0 by the library
+    name, good, library, cli = _CONFIG_ARRAYS[key]
+    make, words = _BAD_VALUES[kind]
+    with pytest.raises(ValueError) as refused:
+        library(make(good))
+    message = str(refused.value)
+    assert message.startswith(name + words)
+    command, config = cli(make(good))
+    code, out = _run(tmp_path, command, config)
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: config.{key}{message[len(name):]}\n"
+    assert not out.exists()
 
 
 _WORKER_RUNS = {

@@ -1,4 +1,4 @@
-"""Every module imports only names it uses, every private helper is used, only kernel reduces rows, only conjugate solves, and a cold import loads only what building a model needs.
+"""Every module imports only names it uses, every private helper is used, only kernel reduces rows, only conjugate solves, the config reads through the library's readers, and a cold import loads only what building a model needs.
 
 A deletion can leave an import or a helper behind that nothing reads.  These
 checks walk the syntax tree of each module under src/ldscheme, tests and
@@ -13,7 +13,10 @@ np.einsum or np.linalg.norm along an axis.  A plain vector norm, with no
 axis, goes through a BLAS dot and keeps its own bits.  Likewise the Newton
 step's linear solve lives in conjugate alone, so that one module decides its
 rounding: no other module of the package names np.linalg.solve or
-np.linalg.inv (or scipy.linalg's), by attribute or by import.  Last, a fresh
+np.linalg.inv (or scipy.linalg's), by attribute or by import.  Every cast
+that cli and kernel's model-record readers pass to _Conf.take is one of
+kernel's _as_* readers or a call of one, so the config refuses a bad value
+with the library's words and no reader serves the config alone.  Last, a fresh
 interpreter imports the package and builds two models without loading the
 estimators, numpy.random, numpy.polynomial or csv.
 """
@@ -172,6 +175,49 @@ def test_only_conjugate_solves_linear_systems():
     found = {str(path.relative_to(ROOT)): linear_solves(path.read_text()) for path in PACKAGE if path.name != "conjugate.py"}
     assert {path: refs for path, refs in found.items() if refs} == {}
     assert linear_solves((ROOT / "src/ldscheme/conjugate.py").read_text())  # the solve the rule keeps in one place
+
+
+def config_casts(source: str, readers: set) -> list:
+    """The casts passed to .take(...) in source, outside class _Conf, that are not a name in readers or a call of one."""
+    tree = ast.parse(source)
+    conf = [top for top in tree.body if isinstance(top, ast.ClassDef) and top.name == "_Conf"]
+    skipped = {id(node) for top in conf for node in ast.walk(top)}  # _Conf.sub's identity cast
+    found = []
+    for node in ast.walk(tree):
+        is_take = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "take"
+        if not is_take or id(node) in skipped:
+            continue
+        cast = node.args[1] if len(node.args) > 1 else None
+        reader = cast.func if isinstance(cast, ast.Call) else cast
+        if not (isinstance(reader, ast.Name) and reader.id in readers):
+            found.append(f"line {node.lineno}: {ast.unparse(cast) if cast else 'no cast'}")
+    return found
+
+
+def test_the_check_finds_a_config_only_cast():
+    source = (
+        "x = c.take('x', _as_array((dim,)))\n"
+        "n = c.take('n', _as_count, 1)\n"
+        "y = c.take('y', lambda v, path: [float(u) for u in v])\n"
+        "z = c.take('z', _own_reader)\n"
+        "w = c.take('w', cast=_as_count)\n"
+        "class _Conf:\n"
+        "    def sub(self, key):\n"
+        "        return self.take(key, lambda v, path: v)\n"
+    )
+    assert config_casts(source, {"_as_array", "_as_count"}) == [
+        "line 3: lambda v, path: [float(u) for u in v]", "line 4: _own_reader", "line 5: no cast"
+    ]
+
+
+def test_config_values_are_read_only_by_the_librarys_readers():
+    from ldscheme import kernel
+
+    readers = {name for name, value in vars(kernel).items() if name.startswith("_as_") and callable(value)}
+    for name in ("cli.py", "kernel.py"):
+        source = (ROOT / "src/ldscheme" / name).read_text()
+        assert ".take(" in source  # the check reads the module's takes
+        assert config_casts(source, readers) == [], name
 
 
 _COLD_IMPORT = """

@@ -1062,8 +1062,9 @@ def test_every_estimator_takes_numpy_integer_samples_and_workers(name):
 
 # the other integer arguments, each keyed by its case: the knot count of a path
 # minimization, the steps of the mean flow, the realizations of a coupling, the
-# lattice of a resampled path and the seed of every run entry point
+# lattice of a resampled path, the basis of a measure's integrals and the seed of every run entry point
 _COUNTS = {
+    "basis_integrals": ("n", 1, lambda m, v: _ATOM.basis_integrals(v).tobytes()),
     "m": ("m", 2, lambda m, v: ActionProblem(model=m, x=[0.0], terminal=_HALF, m=v)),
     "resample": ("n", 1, lambda m, v: resample(Trajectory(np.array([[0.0], [0.5], [0.25]])), v)),
     "steps": ("steps", 1, lambda m, v: limit_ode(m, [0.0], v)),
@@ -1107,9 +1108,10 @@ def test_integer_arguments_take_a_numpy_integer(case):
 
 # the real arguments, each keyed by its case: the smoothing amplitude of the
 # stepper, of an estimator, of a path minimization, of the path cost, of the
-# discrete and limit dual functionals and of the conjugate solve, the level of a half-space event, and the ball radius and path-deviation
-# epsilon; each call returns what shows its result bit for bit
+# discrete and limit dual functionals and of the conjugate solve, the level of a half-space event, the ball radius and path-deviation
+# epsilon, and the factor of a scaled measure; each call returns what shows its result bit for bit
 _REALS = {
+    "factor": ("factor", lambda m, v: _ATOM.scaled(v).weights.tobytes()),
     "a-simulate": ("a", lambda m, v: simulate(m, [0.0], 10, v, 1).knots.tobytes()),
     "a-mc_probability": ("a", lambda m, v: json.dumps(
         mc_probability(m, [0.0], 10, v, _HALF, 50, seed=1).to_json_dict())),

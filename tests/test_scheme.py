@@ -200,6 +200,24 @@ def test_dual_measure_refuses_weights_of_other_shapes(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        # each 1-D argument that is not a coordinate vector used to be shown as (d,)
+        (lambda: eval_path_many(Trajectory([[0.0], [1.0]]), [[0.5]]), "ts must have shape (N,), got (1, 1)"),
+        (lambda: DualMeasure([[1.0]], [[2.0]]), "atom times must have shape (N,), got (1, 1)"),
+        (lambda: Trajectory([[[0.0]], [[1.0]]]), "knots must have shape (N, d), got (2, 1, 1)"),
+        (lambda: DualMeasure([1.0], [[[2.0]]]), "atom weights must have shape (1, d), got (1, 1, 1)"),
+        (lambda: straight_line([[0.0]], [1.0], 3), "x must have shape (d,), got (1, 1)"),
+        (lambda: linear_drift([[[1.0]]]), "drift matrix must have shape (d, d), got (1, 1, 1)"),
+    ],
+    ids=["ts", "atom-times", "knots", "atom-weights", "straight-line-x", "drift-matrix"],
+)
+def test_shape_errors_name_the_free_axes_their_call_site_gives(build, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        build()
+
+
 def test_basis_integrals_against_direct_sum():
     lam = DualMeasure.from_atoms([(0.3, [1.0]), (0.8, [-2.0]), (1.0, [0.5])])
     n = 5

@@ -29,8 +29,8 @@ from ldscheme.kernel import AffineNoiseModel, KernelModel, affine_model, gaussia
 def _masked_fenchel_rows(model, ys, zs, a=0.0):
     amp = kernel._as_real(a, "a", 0)
     aa = amp * amp
-    ys = kernel._as_reals(ys, "ys", (None, model.dim))
-    zs = kernel._as_reals(zs, "zs", (None, model.dim))
+    ys = kernel._as_reals(ys, "ys", ("N", model.dim))
+    zs = kernel._as_reals(zs, "zs", ("N", model.dim))
     n, d = zs.shape
     tol = conjugate.GRAD_TOL_SCALE * (1.0 + np.linalg.norm(zs, axis=1))
     _dot_rows = kernel._dot_rows
