@@ -32,14 +32,13 @@ import numpy as np
 from . import kernel
 from .kernel import (
     ModelConfigError,
-    _as_array,
+    _as_count,
+    _as_counts,
     _as_dict,
-    _as_float_from,
-    _as_int_from,
-    _as_int_list,
     _as_knots,
     _as_list,
     _as_real,
+    _as_reals,
     _as_str,
     _Conf,
 )
@@ -55,6 +54,7 @@ from .errors import NumericalFailure
 from .rare_event import (
     BallEvent,
     PathDeviationEvent,
+    _capped_variation,
     martingale_check,
     mc_probability,
     tilted_mc_probability,
@@ -131,7 +131,7 @@ def _trajectory_from(path: str, key: str, dim: int) -> Trajectory:
 
 
 def _halfspace_from(h: _Conf, dim: int) -> TerminalHalfspace:
-    normal = h.take("normal", _as_array((dim,)))
+    normal = h.take("normal", _as_reals, shape=(dim,))
     level = h.take("level", _as_real)
     h.close()
     try:
@@ -144,7 +144,7 @@ def _terminal_from(c: _Conf, dim: int):
     t = c.sub("terminal")
     kind = t.take("kind", _as_str)
     if kind == "point":
-        point = t.take("point", _as_array((dim,)))
+        point = t.take("point", _as_reals, shape=(dim,))
         t.close()
         return TerminalPoint(point=point)
     if kind == "halfspace":
@@ -158,12 +158,12 @@ def _event_from(c: _Conf, dim: int):
     if kind == "terminal-halfspace":
         return _halfspace_from(e, dim)
     if kind == "terminal-ball":
-        center = e.take("center", _as_array((dim,)))
-        radius = e.take("radius", _as_float_from(0, strict=True))
+        center = e.take("center", _as_reals, shape=(dim,))
+        radius = e.take("radius", _as_real, least=0, strict=True)
         e.close()
         return BallEvent(center=center, radius=radius)
     if kind == "sup-distance-from-path":
-        epsilon = e.take("epsilon", _as_float_from(0, strict=True))
+        epsilon = e.take("epsilon", _as_real, least=0, strict=True)
         ref_file = e.take("reference_file", _as_str, None)
         e.close()
         ref = _trajectory_from(ref_file, f"{e.path}.reference_file", dim) if ref_file else None
@@ -175,19 +175,25 @@ def _measure_from(c: _Conf, dim: int) -> DualMeasure:
     m = c.sub("measure")
     atoms = m.take("atoms", _as_list)
     m.close()
-    if not atoms:
-        return DualMeasure.zero(dim)
     pairs = []
     for j, rec in enumerate(atoms):
         a = _Conf(rec, f"{m.path}.atoms[{j}]")
-        pairs.append((a.take("t", _as_real), a.take("weight", _as_array((dim,)))))
+        pairs.append((a.take("t", _as_real), a.take("weight", _as_reals, shape=(dim,))))
         a.close()
-    return DualMeasure.from_atoms(pairs)
+    try:
+        lam = DualMeasure.from_atoms(pairs) if pairs else DualMeasure.zero(dim)
+    except ValueError as exc:  # an atom time outside [0, 1]
+        raise ModelConfigError(f"{m.path}.atoms: {exc}") from exc
+    try:
+        _capped_variation(lam)
+    except ValueError as exc:  # a measure whose integrand is too heavy tailed to check
+        raise ModelConfigError(f"{m.path}: {exc}") from exc
+    return lam
 
 
 def _minimize_settings_from(c: _Conf) -> MinimizeSettings:
     s = c.sub("settings", default={})
-    settings = MinimizeSettings(max_iter=s.take("max_iter", _as_int_from(1), MinimizeSettings().max_iter))
+    settings = MinimizeSettings(max_iter=s.take("max_iter", _as_count, MinimizeSettings().max_iter, least=1))
     s.close()
     return settings
 
@@ -196,9 +202,9 @@ def _minimize_settings_from(c: _Conf) -> MinimizeSettings:
 # subcommands
 
 def _cmd_simulate(c, model, x, out, workers):
-    n = c.take("n", _as_int_from(1))
-    a = c.take("a", _as_float_from(0), 0.0)
-    seed = c.take("seed", _as_int_from(0))
+    n = c.take("n", _as_count, least=1)
+    a = c.take("a", _as_real, 0.0, least=0)
+    seed = c.take("seed", _as_count, least=0)
     _echo(c, "simulate", out)
     traj = simulate(model, x, n, a, seed)
     save_trajectory(traj, os.path.join(out, "trajectory.csv"))
@@ -206,9 +212,9 @@ def _cmd_simulate(c, model, x, out, workers):
 
 
 def _cmd_action(c, model, x, out, workers):
-    a = c.take("a", _as_float_from(0), 0.0)
+    a = c.take("a", _as_real, 0.0, least=0)
     traj_file = c.take("trajectory_file", _as_str, None)
-    knots = c.take("knots", _as_knots(model.dim), None)
+    knots = c.take("knots", _as_knots, None, dim=model.dim)
     if (traj_file is None) == (knots is None):
         raise ModelConfigError("config: give exactly one of 'trajectory_file' and 'knots'")
     traj = _trajectory_from(traj_file, "config.trajectory_file", model.dim) if traj_file else Trajectory(knots)
@@ -230,8 +236,8 @@ def _cmd_action(c, model, x, out, workers):
 
 
 def _cmd_minimize(c, model, x, out, workers):
-    a = c.take("a", _as_float_from(0), 0.0)
-    m = c.take("m", _as_int_from(2), 21)
+    a = c.take("a", _as_real, 0.0, least=0)
+    m = c.take("m", _as_count, 21, least=2)
     terminal = _terminal_from(c, model.dim)
     settings = _minimize_settings_from(c)
     _echo(c, "minimize", out)
@@ -262,12 +268,12 @@ def _cmd_minimize(c, model, x, out, workers):
 
 
 def _cmd_estimate(c, model, x, out, workers):
-    n = c.take("n", _as_int_from(1))
-    a = c.take("a", _as_float_from(0), 0.0)
+    n = c.take("n", _as_count, least=1)
+    a = c.take("a", _as_real, 0.0, least=0)
     event = _event_from(c, model.dim)
     method = c.take("method", _as_str, "naive")
-    samples = c.take("samples", _as_int_from(2 if method == "tilted" else 1))  # a weighted estimate needs 2
-    seed = c.take("seed", _as_int_from(0))
+    samples = c.take("samples", _as_count, least=2 if method == "tilted" else 1)  # a weighted estimate needs 2
+    seed = c.take("seed", _as_count, least=0)
     if method not in ("naive", "tilted"):
         raise ModelConfigError(f"config.method: expected 'naive' or 'tilted', got {method!r}")
     if method == "tilted":
@@ -285,11 +291,11 @@ def _cmd_estimate(c, model, x, out, workers):
 
 
 def _cmd_verify_martingale(c, model, x, out, workers):
-    n = c.take("n", _as_int_from(1))
-    a = c.take("a", _as_float_from(0), 0.0)
+    n = c.take("n", _as_count, least=1)
+    a = c.take("a", _as_real, 0.0, least=0)
     lam = _measure_from(c, model.dim)
-    samples = c.take("samples", _as_int_from(2))
-    seed = c.take("seed", _as_int_from(0))
+    samples = c.take("samples", _as_count, least=2)
+    seed = c.take("seed", _as_count, least=0)
     _echo(c, "verify-martingale", out)
     check = martingale_check(model, x, n, a, lam, samples, seed, workers=workers)
     ok = abs(check.mean - 1.0) <= TOLERANCE_STDERR * check.stderr + 1e-12
@@ -305,9 +311,9 @@ def _cmd_verify_martingale(c, model, x, out, workers):
 
 def _cmd_verify_rate(c, model, x, out, workers):
     event = _event_from(c, model.dim)
-    n_grid = c.take("n_grid", _as_int_list)
-    samples = c.take("samples", _as_int_from(2))
-    seed = c.take("seed", _as_int_from(0))
+    n_grid = c.take("n_grid", _as_counts, least=1)
+    samples = c.take("samples", _as_count, least=2)
+    seed = c.take("seed", _as_count, least=0)
     if not isinstance(event, TerminalHalfspace):
         raise ModelConfigError("config.event.kind: rate verification needs 'terminal-halfspace'")
     _echo(c, "verify-rate", out)
@@ -336,10 +342,10 @@ def _cmd_verify_rate(c, model, x, out, workers):
 
 
 def _cmd_verify_ode(c, model, x, out, workers):
-    epsilon = c.take("epsilon", _as_float_from(0, strict=True))
-    n_grid = c.take("n_grid", _as_int_list)
-    samples = c.take("samples", _as_int_from(1))
-    seed = c.take("seed", _as_int_from(0))
+    epsilon = c.take("epsilon", _as_real, least=0, strict=True)
+    n_grid = c.take("n_grid", _as_counts, least=1)
+    samples = c.take("samples", _as_count, least=1)
+    seed = c.take("seed", _as_count, least=0)
     _echo(c, "verify-ode", out)
     report = verify_ode_convergence(model, x, epsilon, n_grid, samples, seed, workers=workers)
     ok = (
@@ -397,16 +403,14 @@ def main(argv=None) -> int:
     except ValueError as exc:  # bad JSON, or an integer literal too long to convert
         print(f"config error: cannot parse {args.config}: {exc}", file=sys.stderr)
         return 2
-    if args.workers < 1:
-        print("config error: --workers must be >= 1", file=sys.stderr)
-        return 2
     handler = _COMMANDS[args.command][0]
     try:
+        workers = _as_count(args.workers, "--workers", 1)
         c = _Conf(cfg, "config")
         # the raw model record is echoed to resolved_config.json; model_from_config checks it
         model = kernel.model_from_config(c.take("model", _as_dict), path="config.model")
-        x = c.take("x", _as_array((model.dim,)))
-        return handler(c, model, x, args.out, args.workers)
+        x = c.take("x", _as_reals, shape=(model.dim,))
+        return handler(c, model, x, args.out, workers)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

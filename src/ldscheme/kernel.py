@@ -44,6 +44,14 @@ def _as_count(value, name: str, least: int) -> int:
     return int(value)
 
 
+def _as_counts(value, name: str, least: int) -> list:
+    """A nonempty list, tuple or 1-D numpy array of integers >= least, as a list of ints; entry i is named name[i]."""
+    grid = value.tolist() if isinstance(value, np.ndarray) and value.ndim == 1 else value
+    if not (isinstance(grid, (list, tuple)) and grid):
+        raise ValueError(f"{name}: expected a nonempty list of integers, got {value!r}")
+    return [_as_count(n, f"{name}[{i}]", least) for i, n in enumerate(grid)]
+
+
 def _as_real(value, name: str, least=None, strict: bool = False) -> float:
     """value as a finite float; given least, it must be >= least, or > least when strict.
 
@@ -532,64 +540,40 @@ def logistic_drift():
 _MISSING = object()
 
 
-def _as_int_from(lo: int):
-    """Cast to an integer of at least lo."""
-    return lambda v, path: _as_count(v, path, lo)
+def _as_str(value, name):
+    if not isinstance(value, str):
+        raise ModelConfigError(f"{name}: expected a string, got {value!r}")
+    return value
 
 
-def _as_float_from(lo: float, strict: bool = False):
-    """Cast to a finite float of at least lo, or above lo when strict."""
-    return lambda v, path: _as_real(v, path, lo, strict)
+def _as_list(value, name):
+    if not isinstance(value, list):
+        raise ModelConfigError(f"{name}: expected a list, got {value!r}")
+    return value
 
 
-def _as_str(v, path):
-    if not isinstance(v, str):
-        raise ModelConfigError(f"{path}: expected a string, got {v!r}")
-    return v
+def _as_dict(value, name):
+    if not isinstance(value, dict):
+        raise ModelConfigError(f"{name}: expected an object, got {value!r}")
+    return value
 
 
-def _as_int_list(v, path):
-    """A nonempty list of integers >= 1, such as an n-grid."""
-    if not (isinstance(v, list) and v):
-        raise ModelConfigError(f"{path}: expected a nonempty list of integers, got {v!r}")
-    return [_as_count(u, f"{path}[{i}]", 1) for i, u in enumerate(v)]
-
-
-def _as_list(v, path):
-    if not isinstance(v, list):
-        raise ModelConfigError(f"{path}: expected a list, got {v!r}")
-    return v
-
-
-def _as_dict(v, path):
-    if not isinstance(v, dict):
-        raise ModelConfigError(f"{path}: expected an object, got {v!r}")
-    return v
-
-
-def _as_array(shape: tuple):
-    """Cast to a finite float array of the given shape, read by _as_reals."""
-    return lambda v, path: _as_reals(v, path, shape)
-
-
-def _as_knots(dim: int):
-    """Cast a path's knots to an (N, dim) array, N >= 2, read by _as_reals; a 1-D path may list bare numbers."""
-
-    def cast(v, path):
-        knots = _as_reals(v, path, lambda ndim: ("N",) if ndim == 1 and dim == 1 else ("N", dim))
-        if len(knots) < 2:
-            raise ModelConfigError(f"{path}: expected at least two knots, got {v!r}")
-        return knots
-
-    return cast
+def _as_knots(value, name: str, dim: int) -> np.ndarray:
+    """A path's knots as an (N, dim) array, N >= 2, read by _as_reals; a 1-D path may list bare numbers."""
+    knots = _as_reals(value, name, lambda ndim: ("N",) if ndim == 1 and dim == 1 else ("N", dim))
+    if len(knots) < 2:
+        raise ModelConfigError(f"{name}: expected at least two knots, got {value!r}")
+    return knots
 
 
 class _Conf:
     """Strict view of one JSON object: every key must be taken exactly once.
 
-    A cast gets the value and the key's full path, and refuses a bad value
-    with a ValueError naming that path, as the library's argument checks do
-    with an argument's name; take re-raises it as a ModelConfigError.
+    A cast is one of the module's _as_* readers, called as
+    cast(value, path, **args) with the key's full path and take's keyword
+    arguments (such as least or shape).  It refuses a bad value with a
+    ValueError naming that path, as the library's argument checks do with an
+    argument's name; take re-raises it as a ModelConfigError.
     """
 
     def __init__(self, data, path):
@@ -598,7 +582,7 @@ class _Conf:
         self.used = set()
         self.resolved = {}
 
-    def take(self, key, cast, default=_MISSING):
+    def take(self, key, cast, default=_MISSING, **args):
         self.used.add(key)
         if key not in self.data:
             if default is _MISSING:
@@ -606,7 +590,7 @@ class _Conf:
             self.resolved[key] = default
             return default
         try:
-            value = cast(self.data[key], f"{self.path}.{key}")
+            value = cast(self.data[key], f"{self.path}.{key}", **args)
         except ValueError as exc:
             raise ModelConfigError(str(exc)) from exc
         self.resolved[key] = value
@@ -614,7 +598,7 @@ class _Conf:
 
     def sub(self, key, default=_MISSING):
         """The record at key, or the default record, as a _Conf whose resolved values this one echoes."""
-        sub = _Conf(self.take(key, lambda v, path: v, default), f"{self.path}.{key}")
+        sub = _Conf(self.take(key, _as_dict, default), f"{self.path}.{key}")
         self.resolved[key] = sub.resolved
         return sub
 
@@ -629,10 +613,10 @@ def _drift_from(c: _Conf, dim: int):
     if kind == "zero":
         drift, tag = zero_drift(), "zero"
     elif kind == "constant":
-        drift, tag = constant_drift(c.take("value", _as_array((dim,)))), "const"
+        drift, tag = constant_drift(c.take("value", _as_reals, shape=(dim,))), "const"
     elif kind == "linear":
-        matrix = c.take("matrix", _as_array((dim, dim)))
-        drift, tag = linear_drift(matrix, c.take("offset", _as_array((dim,)), None)), "linear"
+        matrix = c.take("matrix", _as_reals, shape=(dim, dim))
+        drift, tag = linear_drift(matrix, c.take("offset", _as_reals, None, shape=(dim,))), "linear"
     elif kind == "logistic":
         if dim != 1:
             raise ModelConfigError(f"{c.path}: logistic drift requires dim=1, got dim={dim}")
@@ -651,7 +635,7 @@ def _sigma_from(c: _Conf, dim: int):
         scale = c.take("scale", _as_real, 1.0)
         sigma, tag = scale * np.eye(dim), f"{scale}*I"
     elif kind == "constant":
-        sigma, tag = c.take("matrix", _as_array((dim, dim))), "const"
+        sigma, tag = c.take("matrix", _as_reals, shape=(dim, dim)), "const"
     else:
         raise ModelConfigError(f"{c.path}.kind must be one of zero|identity|constant, got {kind!r}")
     c.close()
@@ -717,7 +701,7 @@ def model_from_config(cfg: dict, path: str = "model") -> AffineNoiseModel:
             raise ModelConfigError(f"{path}.preset: unknown preset {name!r}; available: {sorted(PRESETS)}")
         model = model_from_config(PRESETS[name], path=f"{path}.preset[{name}]")
         return dataclasses.replace(model, summary=name)
-    dim = c.take("dim", _as_int_from(1))
+    dim = c.take("dim", _as_count, least=1)
     drift, drift_tag = _drift_from(c.sub("drift"), dim)
     sigma, sigma_tag = _sigma_from(c.sub("sigma"), dim)
     base, base_tag = _base_from(c.sub("base"))

@@ -240,7 +240,8 @@ def mc_probability(model: KernelModel, x, n: int, a, event: EventSpec, samples: 
     sqrt(p (1 - p) / samples); empirical_rate = -log(p_hat) / n is None
     when no hit was observed.
     """
-    x, amp, (n,), seed, samples, workers = _run_args(model, x, [n], a, seed, samples, workers)
+    n = kernel._as_count(n, "n", 1)
+    x, amp, seed, samples, workers = _run_args(model, x, a, seed, samples, workers)
     kernel._require_kind("event", event, (TerminalHalfspace, BallEvent, PathDeviationEvent), model.dim)
     p = float(np.mean(_hits(model, x, n, amp, event, samples, workers, (seed,))))
     return _report(model, event, n, samples, seed, p, float(np.sqrt(p * (1.0 - p) / samples)), "naive")
@@ -319,13 +320,23 @@ def tilted_mc_probability(
     estimate is unbiased whatever the tilt quality.  Requires a Gaussian
     base and an event whose half-space excludes the mean flow terminal.
     """
-    x, _, (n,), seed, samples, workers = _run_args(model, x, [n], 0.0, seed, samples, workers, min_samples=2)
+    n = kernel._as_count(n, "n", 1)
+    x, _, seed, samples, workers = _run_args(model, x, 0.0, seed, samples, workers, min_samples=2)
     plan = _tilt_plan(model, x, event)
     return _tilted_estimate(model, x, n, event, samples, (seed,), workers, plan)
 
 
 # ---------------------------------------------------------------------------
 # exponential normalization check
+
+def _capped_variation(lam: DualMeasure) -> float:
+    """lam's total variation; a ValueError if it exceeds MAX_VARIATION, which is read at each call."""
+    variation = lam.variation()
+    if variation > MAX_VARIATION:
+        raise ValueError(f"dual measure variation {variation:.3g} exceeds the cap {MAX_VARIATION:.3g}; "
+                         "scale the measure down")
+    return variation
+
 
 def _martingale_rows(model, x, n, a, alphas, rng, size) -> np.ndarray:
     """exp of sum_k [<F_k + a g_k, alpha_k> - cgf_a(X_{k-1}, alpha_k)] for `size` replicas."""
@@ -355,14 +366,10 @@ def martingale_check(
     level, and atomic lam.  Large measures make the integrand heavy tailed,
     so the total variation of lam is capped at MAX_VARIATION.
     """
-    x, amp, (n,), seed, samples, workers = _run_args(model, x, [n], a, seed, samples, workers, min_samples=2)
+    n = kernel._as_count(n, "n", 1)
+    x, amp, seed, samples, workers = _run_args(model, x, a, seed, samples, workers, min_samples=2)
     kernel._require_dim("measure", lam.dim, model.dim)
-    variation = lam.variation()
-    if variation > MAX_VARIATION:
-        raise ValueError(
-            f"dual measure variation {variation:.3g} exceeds the cap {MAX_VARIATION:.3g}; "
-            "scale the measure down"
-        )
+    variation = _capped_variation(lam)
     alphas = lam.basis_integrals(n) / n
     worker = lambda rng, size: _martingale_rows(model, x, n, amp, alphas, rng, size)
     mean, stderr = _mean_stderr(_map_chunks(worker, samples, workers, (seed,)))
@@ -400,7 +407,8 @@ def verify_rate(
     increase is recorded as a violation, excused when it sits within two
     combined standard errors of the rates involved.
     """
-    x, _, n_grid, seed, samples, workers = _run_args(model, x, n_grid, 0.0, seed, samples, workers, min_samples=2)
+    n_grid = kernel._as_counts(n_grid, "n_grid", 1)
+    x, _, seed, samples, workers = _run_args(model, x, 0.0, seed, samples, workers, min_samples=2)
     plan = _tilt_plan(model, x, event)
     predicted = float(plan.action.value)
     estimates = []
@@ -470,7 +478,8 @@ def verify_ode_convergence(
     least-squares slope of log q_n against n over the surviving points
     (None when fewer than two survive).
     """
-    x, _, n_grid, seed, samples, workers = _run_args(model, x, n_grid, 0.0, seed, samples, workers)
+    n_grid = kernel._as_counts(n_grid, "n_grid", 1)
+    x, _, seed, samples, workers = _run_args(model, x, 0.0, seed, samples, workers)
     event = PathDeviationEvent(epsilon=epsilon)
     rows = []
     for idx, n in enumerate(n_grid):

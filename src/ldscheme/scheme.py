@@ -178,22 +178,19 @@ class DualMeasure:
         return phi @ self.weights
 
 
-def _run_args(model: KernelModel, x, n_grid, a, seed, samples=1, workers=1, min_samples=1):
-    """The checked arguments of a run: (x, a, n_grid, seed, samples, workers).
+def _run_args(model: KernelModel, x, a, seed, samples=1, workers=1, min_samples=1):
+    """The checked arguments of a run: (x, a, seed, samples, workers).
 
-    x must be a finite vector of the model's dimension, n_grid a nonempty
-    list of integers n >= 1, a finite and >= 0, seed an integer >= 0,
-    samples an integer >= min_samples (2 where a ddof=1 standard error is
-    reported) and workers an integer >= 1.  A numpy integer is returned as
-    a plain int; a bool or a float is refused.  Every run entry point calls
-    this first, so a bad argument fails before any model callback, plan,
-    reference solve or draw.
+    x must be a finite vector of the model's dimension, a finite and >= 0,
+    seed an integer >= 0, samples an integer >= min_samples (2 where a
+    ddof=1 standard error is reported) and workers an integer >= 1.  A
+    numpy integer is returned as a plain int; a bool or a float is refused.
+    Every run entry point reads its n (kernel._as_count) or its n_grid
+    (kernel._as_counts) and then calls this, so a bad argument fails before
+    any model callback, plan, reference solve or draw.
     """
     x = kernel._as_reals(x, "x", (model.dim,))
-    n_grid = [kernel._as_count(n, "n", 1) for n in n_grid]
-    if not n_grid:
-        raise ValueError("n_grid must be nonempty")
-    return (x, kernel._as_real(a, "a", 0), n_grid, kernel._as_count(seed, "seed", 0),
+    return (x, kernel._as_real(a, "a", 0), kernel._as_count(seed, "seed", 0),
             kernel._as_count(samples, "samples", min_samples), kernel._as_count(workers, "workers", 1))
 
 
@@ -213,7 +210,7 @@ def _euler_steps(model: KernelModel, x: np.ndarray, n: int, a: float, rng: Gener
     Every array yielded is new at its step and never written afterwards, so
     a caller may keep prev, inc (or xi) and state across steps.  The other
     row passes of a step write into one scratch array owned by this call.
-    Callers check n with _run_args first.
+    Callers check n with kernel._as_count first.
     """
     state = np.broadcast_to(x, (rows, model.dim)).copy()
     smooth = rng.spawn(1)[0] if a > 0.0 and shifts is None else None
@@ -241,7 +238,8 @@ def simulate(model: KernelModel, x, n: int, a, seed: int) -> Trajectory:
     Raises SimulationBlowup with the offending step index if the state
     leaves the representable range.
     """
-    x, amp, (n,), seed, _, _ = _run_args(model, x, [n], a, seed)
+    n = kernel._as_count(n, "n", 1)
+    x, amp, seed, _, _ = _run_args(model, x, a, seed)
     knots = np.empty((n + 1, model.dim))
     knots[0] = x
     for k, _, _, state in _euler_steps(model, x, n, amp, np.random.default_rng(seed), 1):
@@ -318,7 +316,8 @@ def coupled_perturbation_gaps(
     dominates the realized sup-norm gap realization by realization.  Returns
     arrays of shape (realizations,).
     """
-    x, amp, (n,), seed, _, _ = _run_args(model, x, [n], a, seed)
+    n = kernel._as_count(n, "n", 1)
+    x, amp, seed, _, _ = _run_args(model, x, a, seed)
     b = kernel._as_count(realizations, "realizations", 1)
     if not isinstance(model, AffineNoiseModel):
         raise ValueError("model must be an AffineNoiseModel: pathwise coupling needs the affine structure to share draws")

@@ -6,7 +6,7 @@ import pytest
 from ldscheme.action import TerminalHalfspace, TerminalPoint
 from ldscheme.cli import main
 from ldscheme.kernel import affine_model, gaussian_base, linear_drift, model_from_config, zero_drift
-from ldscheme.rare_event import BallEvent
+from ldscheme.rare_event import BallEvent, verify_ode_convergence, verify_rate
 from ldscheme.scheme import Trajectory, simulate
 
 
@@ -591,7 +591,8 @@ def test_zero_workers_exits_2_before_any_output(tmp_path, capsys):
     cfg = _write(tmp_path / "simulate.json", {"model": OU, "x": [1.0], "n": 4, "seed": 0})
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "0"]) == 2
-    assert "config error: --workers must be >= 1" in capsys.readouterr().err
+    # the library's words for workers
+    assert capsys.readouterr().err == "config error: --workers must be an integer >= 1, got 0\n"
     assert not out.exists()
 
 
@@ -651,10 +652,17 @@ def test_out_naming_a_file_exits_2_and_writes_nothing(tmp_path, capsys, sub):
          "config.event.normal must have a finite nonzero norm, got 0.0"),
         ("estimate", {**_ESTIMATE, "event": {"kind": "terminal-halfspace", "normal": [1e-300], "level": 1e10}},
          "config.event.level / |normal| must be finite, got 10000000000.0 / 1e-300"),
+        # wrote resolved_config.json, then exited 2 with the library's words, which named no key
+        ("verify-martingale", {**_MARTINGALE, "measure": {"atoms": [{"t": 1.0, "weight": [5.0]}]}},
+         "config.measure: dual measure variation 5 exceeds the cap 2; scale the measure down"),
+        # exited 2 with "atom times must lie in [0, 1]", which named no key
+        ("verify-martingale", {**_MARTINGALE, "measure": {"atoms": [{"t": 1.5, "weight": [0.5]}]}},
+         "config.measure.atoms: atom times must lie in [0, 1]"),
     ],
     ids=["ode-n-grid", "seed", "n", "samples", "tilted-samples", "m", "rate-samples", "martingale-samples", "x-dim",
          "point-dim", "model-dim", "simulate-a", "action-a", "minimize-a", "estimate-a", "martingale-a",
-         "ode-epsilon", "path-epsilon", "ball-radius", "estimate-method", "halfspace-zero-normal", "halfspace-level-overflow"],
+         "ode-epsilon", "path-epsilon", "ball-radius", "estimate-method", "halfspace-zero-normal", "halfspace-level-overflow",
+         "martingale-variation", "atom-time-range"],
 )
 def test_config_out_of_range_exits_2_before_the_echo(tmp_path, capsys, command, config, error):
     code, out = _run(tmp_path, command, config)
@@ -770,6 +778,37 @@ def test_a_bad_array_gets_the_librarys_words_on_the_cli(tmp_path, capsys, key, k
     code, out = _run(tmp_path, command, config)
     assert code == 2
     assert capsys.readouterr().err == f"config error: config.{key}{message[len(name):]}\n"
+    assert not out.exists()
+
+
+# each bad n_grid, and the words after the name with which the library and the CLI refuse it
+_BAD_GRIDS = {
+    "int": (5, ": expected a nonempty list of integers, got 5"),  # a TypeError in the library
+    "str": ("ab", ": expected a nonempty list of integers, got 'ab'"),  # walked by character in the library
+    "empty": ([], ": expected a nonempty list of integers, got []"),
+    "zero": ([10, 0], "[1] must be an integer >= 1, got 0"),
+    "bool": ([10, True], "[1] must be an integer >= 1, got True"),
+    "float": ([10, 2.0], "[1] must be an integer >= 1, got 2.0"),
+}
+# each command taking an n_grid: (its library call on a grid, its config)
+_GRID_COMMANDS = {
+    "verify-rate": (lambda grid: verify_rate(model_from_config(FREE), [0.0], TerminalHalfspace([1.0], 1.0), grid,
+                                             200, seed=3), _RATE),
+    "verify-ode": (lambda grid: verify_ode_convergence(model_from_config(OU), [1.0], 0.35, grid, 200, seed=3), _ODE),
+}
+
+
+@pytest.mark.parametrize("command", list(_GRID_COMMANDS))
+@pytest.mark.parametrize("kind", list(_BAD_GRIDS))
+def test_a_bad_n_grid_gets_the_same_words_from_the_library_and_the_cli(tmp_path, capsys, command, kind):
+    grid, words = _BAD_GRIDS[kind]
+    library, config = _GRID_COMMANDS[command]
+    with pytest.raises(ValueError) as refused:
+        library(grid)
+    assert str(refused.value) == "n_grid" + words
+    code, out = _run(tmp_path, command, {**config, "n_grid": grid})
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: config.n_grid{words}\n"
     assert not out.exists()
 
 

@@ -14,14 +14,16 @@ axis, goes through a BLAS dot and keeps its own bits.  Likewise the Newton
 step's linear solve lives in conjugate alone, so that one module decides its
 rounding: no other module of the package names np.linalg.solve or
 np.linalg.inv (or scipy.linalg's), by attribute or by import.  Every cast
-that cli and kernel's model-record readers pass to _Conf.take is one of
-kernel's _as_* readers or a call of one, so the config refuses a bad value
-with the library's words and no reader serves the config alone.  Last, a fresh
+that cli and kernel pass to _Conf.take is the bare name of one of kernel's
+_as_* readers, each of which takes the value and its name first, so the
+config refuses a bad value with the library's words, no reader serves the
+config alone and no reader factory stands between them.  Last, a fresh
 interpreter imports the package and builds two models without loading the
 estimators, numpy.random, numpy.polynomial or csv.
 """
 
 import ast
+import inspect
 import json
 import pathlib
 import subprocess
@@ -178,18 +180,13 @@ def test_only_conjugate_solves_linear_systems():
 
 
 def config_casts(source: str, readers: set) -> list:
-    """The casts passed to .take(...) in source, outside class _Conf, that are not a name in readers or a call of one."""
-    tree = ast.parse(source)
-    conf = [top for top in tree.body if isinstance(top, ast.ClassDef) and top.name == "_Conf"]
-    skipped = {id(node) for top in conf for node in ast.walk(top)}  # _Conf.sub's identity cast
+    """The casts passed to .take(...) in source that are not the bare name of a reader in readers."""
     found = []
-    for node in ast.walk(tree):
-        is_take = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "take"
-        if not is_take or id(node) in skipped:
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "take"):
             continue
         cast = node.args[1] if len(node.args) > 1 else None
-        reader = cast.func if isinstance(cast, ast.Call) else cast
-        if not (isinstance(reader, ast.Name) and reader.id in readers):
+        if not (isinstance(cast, ast.Name) and cast.id in readers):
             found.append(f"line {node.lineno}: {ast.unparse(cast) if cast else 'no cast'}")
     return found
 
@@ -197,7 +194,7 @@ def config_casts(source: str, readers: set) -> list:
 def test_the_check_finds_a_config_only_cast():
     source = (
         "x = c.take('x', _as_array((dim,)))\n"
-        "n = c.take('n', _as_count, 1)\n"
+        "n = c.take('n', _as_count, 1, least=1)\n"
         "y = c.take('y', lambda v, path: [float(u) for u in v])\n"
         "z = c.take('z', _own_reader)\n"
         "w = c.take('w', cast=_as_count)\n"
@@ -206,18 +203,31 @@ def test_the_check_finds_a_config_only_cast():
         "        return self.take(key, lambda v, path: v)\n"
     )
     assert config_casts(source, {"_as_array", "_as_count"}) == [
-        "line 3: lambda v, path: [float(u) for u in v]", "line 4: _own_reader", "line 5: no cast"
+        "line 1: _as_array((dim,))", "line 3: lambda v, path: [float(u) for u in v]", "line 4: _own_reader",
+        "line 5: no cast", "line 8: lambda v, path: v",
     ]
 
 
-def test_config_values_are_read_only_by_the_librarys_readers():
+def _kernel_readers() -> dict:
     from ldscheme import kernel
 
-    readers = {name for name, value in vars(kernel).items() if name.startswith("_as_") and callable(value)}
+    return {name: value for name, value in vars(kernel).items() if name.startswith("_as_") and callable(value)}
+
+
+def test_config_values_are_read_only_by_the_librarys_readers():
+    readers = set(_kernel_readers())
     for name in ("cli.py", "kernel.py"):
         source = (ROOT / "src/ldscheme" / name).read_text()
         assert ".take(" in source  # the check reads the module's takes
         assert config_casts(source, readers) == [], name
+
+
+def test_every_reader_takes_the_value_and_its_name_first():
+    # a reader factory, such as one taking a shape and returning a cast, would take neither
+    readers = _kernel_readers()
+    assert {"_as_count", "_as_counts", "_as_real", "_as_reals", "_as_knots"} <= set(readers)
+    heads = {name: list(inspect.signature(reader).parameters)[:2] for name, reader in readers.items()}
+    assert {name: head for name, head in heads.items() if head != ["value", "name"]} == {}
 
 
 _COLD_IMPORT = """

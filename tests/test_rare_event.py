@@ -883,8 +883,8 @@ def test_verify_ode_all_censored():
     [
         # an empty grid used to return a report with no rows, epsilon=nan included;
         # the grid is a run argument, so it is checked before epsilon
-        (np.nan, [], "n_grid must be nonempty"),
-        (0.5, [], "n_grid must be nonempty"),
+        (np.nan, [], r"^n_grid: expected a nonempty list of integers, got \[\]$"),
+        (0.5, [], r"^n_grid: expected a nonempty list of integers, got \[\]$"),
         (np.nan, [10], "epsilon: expected a finite number, got nan"),
     ],
     ids=["nan-empty", "empty", "nan"],
@@ -946,18 +946,19 @@ def _refusing_ou(dim=1):
 def _bad_runs():
     for name, run in _RUNS.items():
         for label, n in _BAD_N.items():
-            yield pytest.param(run, n, id=f"{name}-{label}")
+            yield pytest.param(run, n, "n", id=f"{name}-{label}")
+    # a grid entry is named by its index, as the config names config.n_grid[1]
     for name, run in _GRID_RUNS.items():
         for label, n in _BAD_N.items():
-            yield pytest.param(run, [n], id=f"{name}-{label}")
-        yield pytest.param(run, [10, 0], id=f"{name}-grid-10-0")
+            yield pytest.param(run, [n], r"n_grid\[0\]", id=f"{name}-{label}")
+        yield pytest.param(run, [10, 0], r"n_grid\[1\]", id=f"{name}-grid-10-0")
 
 
-@pytest.mark.parametrize("run, n", _bad_runs())
-def test_every_run_entry_point_rejects_a_bad_n_before_any_callback(run, n):
+@pytest.mark.parametrize("run, n, name", _bad_runs())
+def test_every_run_entry_point_rejects_a_bad_n_before_any_callback(run, n, name):
     # the refusing callbacks raise AssertionError, so a ValueError shows that
     # n was checked before any callback, minimization, limit_ode or draw
-    with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got "):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got "):
         run(_refusing_ou(), n)
 
 
@@ -1013,6 +1014,15 @@ def test_every_run_entry_point_takes_a_numpy_integer_n(name):
     else:
         got, want = _GRID_RUNS[name](m, [np.int64(5)]), _GRID_RUNS[name](m, [5])
     assert _same_result(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_RUNS))
+@pytest.mark.parametrize("grid", [(5, 10), np.array([5, 10])], ids=["tuple", "numpy"])
+def test_a_tuple_or_numpy_grid_gives_the_lists_report(name, grid):
+    m = preset_model("gaussian-ou")
+    got, want = _GRID_RUNS[name](m, grid), _GRID_RUNS[name](m, [5, 10])
+    assert got.to_json_dict() == want.to_json_dict()
+    assert [type(n) for n in got.n_grid] == [int, int]
 
 
 # every estimator, called with `samples` replicas on `workers` threads from
