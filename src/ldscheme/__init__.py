@@ -49,7 +49,6 @@ from .scheme import (
     load_trajectory,
     phi_limit,
     phi_n,
-    resample,
     save_trajectory,
     simulate,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "phi_limit",
     "phi_n",
     "preset_model",
-    "resample",
     "save_trajectory",
     "simulate",
     "straight_line",

@@ -43,6 +43,10 @@ from .scheme import DualMeasure, Trajectory, _euler_steps, _run_args, eval_path_
 CHUNK_SIZE = 20_000
 MINIMIZE_KNOTS = 21  # knot count of the minimum-cost path that plans a tilt
 MAX_VARIATION = 2.0  # martingale_check's cap on the total variation of its measure
+# the verification suites' gates, read by each report's passed at each call and echoed in its JSON
+TOLERANCE_STDERR = 4.0  # MartingaleCheck: |mean - 1| <= TOLERANCE_STDERR * stderr
+MAX_REL_GAP = 0.15  # RateReport: largest relative gap at the last n
+MAX_ODE_SLOPE = -0.05  # OdeReport: largest fitted slope of log q_n against n
 
 # The terminal event {<Y(1), normal> >= level} is the minimizer's half-space
 # constraint type; HalfspaceEvent names it for callers of this module.
@@ -106,10 +110,14 @@ EventSpec = Union[TerminalHalfspace, BallEvent, PathDeviationEvent]
 
 
 class _Report:
-    """A report of the estimators, written to JSON as its fields."""
+    """A report of the estimators, written to JSON as its fields and its verdict."""
+
+    def _verdict(self) -> dict:
+        """A suite's gate and "pass", echoed beside its fields; an estimate has none."""
+        return {}
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), **self._verdict()}
 
 
 @dataclass
@@ -128,12 +136,21 @@ class EstimateReport(_Report):
 
 @dataclass
 class MartingaleCheck(_Report):
+    model: str
     mean: float
     stderr: float
     samples: int
     n: int
     a: float
     variation: float
+
+    @property
+    def passed(self) -> bool:
+        """Whether the mean lies within TOLERANCE_STDERR standard errors of 1."""
+        return abs(self.mean - 1.0) <= TOLERANCE_STDERR * self.stderr + 1e-12
+
+    def _verdict(self) -> dict:
+        return {"tolerance_stderr": TOLERANCE_STDERR, "pass": self.passed}
 
 
 def _mean_stderr(vals: np.ndarray) -> Tuple[float, float]:
@@ -373,7 +390,7 @@ def martingale_check(
     alphas = lam.basis_integrals(n) / n
     worker = lambda rng, size: _martingale_rows(model, x, n, amp, alphas, rng, size)
     mean, stderr = _mean_stderr(_map_chunks(worker, samples, workers, (seed,)))
-    return MartingaleCheck(mean=mean, stderr=stderr, samples=samples, n=n, a=amp, variation=variation)
+    return MartingaleCheck(model.summary, mean, stderr, samples, n, amp, variation)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +406,22 @@ class RateReport(_Report):
     rel_gaps: List[Optional[float]]
     trend_violations: List[dict]
     minimize_converged: bool
+
+    @property
+    def final_rel_gap(self) -> Optional[float]:
+        """The relative gap of the last n with a finite rate, None when no n has one."""
+        return next((g for g in reversed(self.rel_gaps) if g is not None), None)
+
+    @property
+    def passed(self) -> bool:
+        """Whether the plan converged, every n has a finite rate, the last gap is at most MAX_REL_GAP and the
+        trend has no violation or one excused one."""
+        excused = [v["excused"] for v in self.trend_violations]
+        return bool(self.minimize_converged and None not in self.rel_gaps and self.rel_gaps[-1] <= MAX_REL_GAP
+                    and excused in ([], [True]))
+
+    def _verdict(self) -> dict:
+        return {"max_rel_gap": MAX_REL_GAP, "final_rel_gap": self.final_rel_gap, "pass": self.passed}
 
 
 def verify_rate(
@@ -414,15 +447,9 @@ def verify_rate(
     estimates = []
     for idx, n in enumerate(n_grid):
         estimates.append(_tilted_estimate(model, x, n, event, samples, (seed, idx), workers, plan))
-    rel_gaps = []
-    rate_ses = []
-    for rep in estimates:
-        if rep.empirical_rate is None:
-            rel_gaps.append(None)
-            rate_ses.append(None)
-        else:
-            rel_gaps.append(abs(rep.empirical_rate - predicted) / abs(predicted))
-            rate_ses.append(rep.stderr / (rep.p_hat * rep.n))
+    hit = [rep.empirical_rate is not None for rep in estimates]
+    rel_gaps = [abs(rep.empirical_rate - predicted) / abs(predicted) if h else None for rep, h in zip(estimates, hit)]
+    rate_ses = [rep.stderr / (rep.p_hat * rep.n) if h else None for rep, h in zip(estimates, hit)]
     violations = []
     for i in range(len(n_grid) - 1):
         if rel_gaps[i] is None or rel_gaps[i + 1] is None:
@@ -460,6 +487,14 @@ class OdeReport(_Report):
     intercept: Optional[float]
     monotone_ok: Optional[bool]
     censored: List[int]
+
+    @property
+    def passed(self) -> bool:
+        """Whether the fitted slope is at most MAX_ODE_SLOPE and no kept q_n fails to fall."""
+        return self.slope is not None and self.slope <= MAX_ODE_SLOPE and self.monotone_ok is not False
+
+    def _verdict(self) -> dict:
+        return {"max_slope": MAX_ODE_SLOPE, "pass": self.passed}
 
 
 def verify_ode_convergence(

@@ -110,12 +110,6 @@ def eval_path_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
     return (1.0 - theta)[:, None] * traj.knots[k] + theta[:, None] * traj.knots[k + 1]
 
 
-def resample(traj: Trajectory, n: int) -> Trajectory:
-    """Re-knot the path on the uniform n-lattice (exact when grids nest)."""
-    n = kernel._as_count(n, "n", 1)
-    return Trajectory(eval_path_many(traj, np.arange(n + 1) / n))
-
-
 @dataclass(frozen=True)
 class DualMeasure:
     """Atomic vector measure sum_j alpha_j delta_{t_j} on [0, 1].

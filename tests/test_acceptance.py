@@ -30,11 +30,11 @@ from ldscheme.rare_event import (
 )
 from ldscheme.scheme import (
     DualMeasure,
+    Trajectory,
     coupled_perturbation_gaps,
     eval_path_many,
     phi_limit,
     phi_n,
-    resample,
 )
 
 
@@ -75,7 +75,7 @@ def test_acceptance_2_scaling_limit():
     lim = phi_limit(model, x, 0.0, f, lam)
     gaps = []
     for n in (100, 1000, 10000):
-        fn = resample(f, n)
+        fn = Trajectory(eval_path_many(f, np.arange(n + 1) / n))
         val = phi_n(model, x, 0.0, fn, lam.scaled(n)) / n
         gaps.append(abs(val - lim))
     assert gaps[0] > gaps[1] > gaps[2]

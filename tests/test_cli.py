@@ -6,8 +6,8 @@ import pytest
 from ldscheme.action import TerminalHalfspace, TerminalPoint
 from ldscheme.cli import main
 from ldscheme.kernel import affine_model, gaussian_base, linear_drift, model_from_config, zero_drift
-from ldscheme.rare_event import BallEvent, verify_ode_convergence, verify_rate
-from ldscheme.scheme import Trajectory, simulate
+from ldscheme.rare_event import BallEvent, martingale_check, verify_ode_convergence, verify_rate
+from ldscheme.scheme import DualMeasure, Trajectory, simulate
 
 
 def _write(path, obj):
@@ -361,6 +361,19 @@ _ODE = {"model": OU, "x": [1.0], "epsilon": 0.35, "n_grid": [10, 20], "samples":
 _MINIMIZE = {"model": OU, "x": [0.0], "terminal": {"kind": "halfspace", "normal": [1.0], "level": 1.0}}
 
 
+def _library_report(command, config):
+    """The library's report of a verification config, called with the config's values."""
+    model, x = model_from_config(config["model"]), config["x"]
+    run = {"samples": config["samples"], "seed": config["seed"]}
+    if command == "verify-martingale":
+        lam = DualMeasure.from_atoms([(atom["t"], atom["weight"]) for atom in config["measure"]["atoms"]])
+        return martingale_check(model, x, config["n"], config.get("a", 0.0), lam, **run)
+    if command == "verify-rate":
+        event = TerminalHalfspace(config["event"]["normal"], config["event"]["level"])
+        return verify_rate(model, x, event, config["n_grid"], **run)
+    return verify_ode_convergence(model, x, config["epsilon"], config["n_grid"], **run)
+
+
 @pytest.mark.parametrize(
     "command, config, error",
     [
@@ -418,15 +431,16 @@ def test_verification_gate_key_is_unknown_key(tmp_path, capsys, command, config,
     ids=["martingale", "rate", "ode"],
 )
 def test_verification_verdict_reads_gate_constant(tmp_path, monkeypatch, command, config, constant, value, report, key):
-    import ldscheme.cli as cli
+    from ldscheme import rare_event
 
     code, _ = _run(tmp_path, command, config, sub="fixed")
-    monkeypatch.setattr(cli, constant, value)
+    monkeypatch.setattr(rare_event, constant, value)
     patched, out = _run(tmp_path, command, config, sub="patched")
     assert {code, patched} == {0, 1}
     rep = json.loads((out / report).read_text())
     assert rep[key] == value
     assert rep["pass"] is (patched == 0)
+    assert _library_report(command, config).passed is rep["pass"]
 
 
 def _explicit(drift=None, sigma=None, base=None, dim=1):
@@ -883,17 +897,19 @@ def test_verify_rate_passes_and_writes_tables(tmp_path):
         ({10: (0.05, 0.02), 20: (0.08, 0.02)}, 0),  # one excused violation
         ({10: (0.05, 0.001), 20: (0.08, 0.001)}, 1),  # one unexcused violation
         ({10: (0.05, 0.02), 20: (0.08, 0.02), 40: (0.11, 0.02)}, 1),  # two excused violations
-        ({10: (0.05, 0.02), 20: None}, 0),  # the last finite gap decides
+        ({10: (0.05, 0.02), 20: None}, 1),  # an n without a finite rate fails, whatever the last finite gap
         ({10: None, 20: None}, 1),  # no finite gap at all
     ],
     ids=["excused", "unexcused", "two-violations", "censored-last", "all-censored"],
 )
 def test_verify_rate_verdict_reads_the_trend_and_the_last_finite_gap(tmp_path, crafted_rates, table, code):
     crafted_rates(table)
-    got, out = _run(tmp_path, "verify-rate", {**_RATE, "n_grid": sorted(table)})
+    config = {**_RATE, "n_grid": sorted(table)}
+    got, out = _run(tmp_path, "verify-rate", config)
     assert got == code
     rep = json.loads((out / "rate_report.json").read_text())
     assert rep["pass"] is (code == 0)
+    assert _library_report("verify-rate", config).passed is (code == 0)
     finite = [entry[0] for entry in table.values() if entry is not None]
     assert rep["final_rel_gap"] == (pytest.approx(finite[-1]) if finite else None)
 

@@ -1,4 +1,4 @@
-"""Every module imports only names it uses, every private helper is used, only kernel reduces rows, only conjugate solves, the config reads through the library's readers, and a cold import loads only what building a model needs.
+"""Every module imports only names it uses, every private helper is used, only kernel reduces rows, only conjugate solves, the config reads through the library's readers, the cli binds no number, and a cold import loads only what building a model needs.
 
 A deletion can leave an import or a helper behind that nothing reads.  These
 checks walk the syntax tree of each module under src/ldscheme, tests and
@@ -17,7 +17,9 @@ np.linalg.inv (or scipy.linalg's), by attribute or by import.  Every cast
 that cli and kernel pass to _Conf.take is the bare name of one of kernel's
 _as_* readers, each of which takes the value and its name first, so the
 config refuses a bad value with the library's words, no reader serves the
-config alone and no reader factory stands between them.  Last, a fresh
+config alone and no reader factory stands between them.  The cli module
+binds no number at module level, so no verdict gate of a verification suite
+lives apart from the report that reads it.  Last, a fresh
 interpreter imports the package and builds two models without loading the
 estimators, numpy.random, numpy.polynomial or csv.
 """
@@ -230,6 +232,45 @@ def test_every_reader_takes_the_value_and_its_name_first():
     assert {name: head for name, head in heads.items() if head != ["value", "name"]} == {}
 
 
+def _is_number(expr) -> bool:
+    """Whether expr is arithmetic on number literals alone, such as 0.15, -0.05 or 2 * 0.5."""
+    nodes = list(ast.walk(expr))
+    arithmetic = all(isinstance(node, (ast.Constant, ast.UnaryOp, ast.BinOp, ast.unaryop, ast.operator)) for node in nodes)
+    return arithmetic and all(type(node.value) in (int, float) for node in nodes if isinstance(node, ast.Constant))
+
+
+def module_numbers(source: str) -> list:
+    """The names that the body of source binds to a number, such as a verdict gate."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None and _is_number(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend(f"line {node.lineno}: {ast.unparse(target)}" for target in targets)
+    return found
+
+
+def test_the_check_finds_a_module_number():
+    source = (
+        "MAX_REL_GAP = 0.15\n"
+        "MAX_ODE_SLOPE: float = -0.05\n"
+        "LIMIT = TOL = 2 * 0.5\n"
+        "NAME = 'rate'\n"
+        "FLAG = True\n"
+        "SEP = os.sep\n"
+        "WIDTH: int\n"
+        "def run():\n"
+        "    gate = 0.15\n"
+    )
+    assert module_numbers(source) == [
+        "line 1: MAX_REL_GAP", "line 2: MAX_ODE_SLOPE", "line 3: LIMIT", "line 3: TOL"
+    ]
+
+
+def test_the_cli_binds_no_module_number():
+    # the verification suites' gates live in rare_event, beside the reports that read them
+    assert module_numbers((ROOT / "src/ldscheme/cli.py").read_text()) == []
+
+
 _COLD_IMPORT = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -260,7 +301,7 @@ def test_a_cold_import_loads_only_what_building_a_model_needs():
     report = json.loads(run.stdout)
     assert report["loaded"] == []
     assert report["unresolved"] == [] and report["undir"] == []
-    assert report["star"] == report["all"] and len(report["all"]) == 53
+    assert report["star"] == report["all"] and len(report["all"]) == 52
     assert report["same"]
 
 

@@ -47,7 +47,6 @@ from ldscheme.scheme import (
     eval_path_many,
     phi_limit,
     phi_n,
-    resample,
     simulate,
 )
 
@@ -188,6 +187,66 @@ def test_the_four_reports_share_one_json_rule():
     assert {cls.to_json_dict for cls in (EstimateReport, MartingaleCheck, RateReport, OdeReport)} == {
         EstimateReport.to_json_dict
     }
+
+
+def _rate(rel_gaps, violations=(), converged=True):
+    n_grid = [10 * 2**i for i in range(len(rel_gaps))]
+    return RateReport("m", {}, n_grid, [], 0.5, list(rel_gaps), list(violations), converged)
+
+
+def _violation(excused):
+    return {"n_prev": 10, "n_next": 20, "gap_increase": 0.01, "excused": excused}
+
+
+def _ode(slope, monotone_ok):
+    return OdeReport("m", 0.5, [10, 20], [], slope, None if slope is None else 0.0, monotone_ok, [])
+
+
+@pytest.mark.parametrize(
+    "build, verdict",
+    [
+        # 1e-12 of slack absorbs the rounding of |mean - 1| at the gate
+        (lambda: MartingaleCheck("m", 1.04, 0.01, 100, 10, 0.0, 0.5), {"tolerance_stderr": 4.0, "pass": True}),
+        (lambda: MartingaleCheck("m", 0.9599, 0.01, 100, 10, 0.0, 0.5), {"tolerance_stderr": 4.0, "pass": False}),
+        (lambda: _rate([0.2, 0.1]), {"max_rel_gap": 0.15, "final_rel_gap": 0.1, "pass": True}),
+        (lambda: _rate([0.1, 0.2]), {"max_rel_gap": 0.15, "final_rel_gap": 0.2, "pass": False}),
+        (lambda: _rate([0.1], converged=False), {"max_rel_gap": 0.15, "final_rel_gap": 0.1, "pass": False}),
+        (lambda: _rate([0.1, 0.12], [_violation(True)]), {"max_rel_gap": 0.15, "final_rel_gap": 0.12, "pass": True}),
+        (lambda: _rate([0.1, 0.12], [_violation(False)]),
+         {"max_rel_gap": 0.15, "final_rel_gap": 0.12, "pass": False}),
+        (lambda: _rate([0.1, 0.11, 0.12], [_violation(True)] * 2),
+         {"max_rel_gap": 0.15, "final_rel_gap": 0.12, "pass": False}),
+        (lambda: _rate([0.1, None]), {"max_rel_gap": 0.15, "final_rel_gap": 0.1, "pass": False}),
+        (lambda: _rate([None, 0.1]), {"max_rel_gap": 0.15, "final_rel_gap": 0.1, "pass": False}),
+        (lambda: _rate([None]), {"max_rel_gap": 0.15, "final_rel_gap": None, "pass": False}),
+        (lambda: _ode(-0.1, True), {"max_slope": -0.05, "pass": True}),
+        (lambda: _ode(-0.01, True), {"max_slope": -0.05, "pass": False}),
+        (lambda: _ode(-0.1, False), {"max_slope": -0.05, "pass": False}),
+        (lambda: _ode(None, None), {"max_slope": -0.05, "pass": False}),
+    ],
+    ids=["martingale-at-gate", "martingale-past-gate", "rate", "rate-gap", "rate-not-converged", "rate-excused",
+         "rate-unexcused", "rate-two-violations", "rate-censored-last", "rate-censored-first", "rate-all-censored",
+         "ode", "ode-slope", "ode-not-monotone", "ode-too-few-kept"],
+)
+def test_a_suite_report_judges_itself(build, verdict):
+    report = build()
+    assert report.passed is verdict["pass"]
+    rec = report.to_json_dict()
+    assert {key: rec[key] for key in verdict} == verdict
+    # the verdict is written beside the fields but is none of them
+    assert set(rec) - {field.name for field in dataclasses.fields(report)} == set(verdict)
+
+
+def test_an_estimate_report_has_no_verdict():
+    rep = mc_probability(preset_model("gaussian-free"), [0.0], 10, 0.0, _HALF, 50, seed=1)
+    assert rep.to_json_dict() == dataclasses.asdict(rep)
+    assert not hasattr(rep, "passed")
+
+
+def test_every_suite_report_names_its_model():
+    m = preset_model("gaussian-ou")
+    assert martingale_check(m, [0.0], 10, 0.0, DualMeasure.point_mass(1.0, 0.5), 50, seed=1).model == m.summary
+    assert [field.name for field in dataclasses.fields(MartingaleCheck)][0] == "model"
 
 
 @pytest.mark.parametrize(
@@ -1072,11 +1131,10 @@ def test_every_estimator_takes_numpy_integer_samples_and_workers(name):
 
 # the other integer arguments, each keyed by its case: the knot count of a path
 # minimization, the steps of the mean flow, the realizations of a coupling, the
-# lattice of a resampled path, the basis of a measure's integrals and the seed of every run entry point
+# basis of a measure's integrals and the seed of every run entry point
 _COUNTS = {
     "basis_integrals": ("n", 1, lambda m, v: _ATOM.basis_integrals(v).tobytes()),
     "m": ("m", 2, lambda m, v: ActionProblem(model=m, x=[0.0], terminal=_HALF, m=v)),
-    "resample": ("n", 1, lambda m, v: resample(Trajectory(np.array([[0.0], [0.5], [0.25]])), v)),
     "steps": ("steps", 1, lambda m, v: limit_ode(m, [0.0], v)),
     "realizations": ("realizations", 1, lambda m, v: coupled_perturbation_gaps(m, [0.0], 10, 0.5, 1, realizations=v)),
     "seed-simulate": ("seed", 0, lambda m, v: simulate(m, [0.0], 10, 0.0, v)),

@@ -20,7 +20,6 @@ from ldscheme.scheme import (
     load_trajectory,
     phi_limit,
     phi_n,
-    resample,
     save_trajectory,
     simulate,
 )
@@ -151,7 +150,7 @@ def test_eval_path_stays_in_hull(t, seed):
 def test_resample_nested_lattice_exact():
     rng = default_rng(2)
     coarse = Trajectory(rng.normal(size=(11, 1)))
-    fine = resample(coarse, 50)
+    fine = Trajectory(eval_path_many(coarse, np.arange(51) / 50))
     assert fine.n == 50
     for k in range(11):
         assert np.allclose(fine.knots[5 * k], coarse.knots[k], atol=1e-15)
@@ -614,8 +613,9 @@ def test_package_exports_each_name_once():
     import ldscheme
 
     names = ldscheme.__all__
-    assert len(names) == len(set(names)) == 53
+    assert len(names) == len(set(names)) == 52
     assert [name for name in names if not hasattr(ldscheme, name)] == []
     assert "SchemeRun" not in names and not hasattr(ldscheme, "SchemeRun")
+    assert "resample" not in names and not hasattr(ldscheme.scheme, "resample")
     assert "perturbation_amplitude" not in names and not hasattr(ldscheme.kernel, "perturbation_amplitude")
     assert not {"cgf", "cgf_grad"} & set(names) and not hasattr(ldscheme.kernel, "cgf")
