@@ -5,12 +5,13 @@ the local conjugate along the path,
 
     cost(f) = int_0^1 conj_a(f(s), f'(s)) ds,
 
-and +inf when f(0) != x.  On the piecewise-linear paths used everywhere in
-this package the slope is constant per segment, so each segment contributes
-a Gauss-Legendre quadrature of s -> conj_a(f(s), slope).  One quadrature
-pass prices every node of every segment with a single batched conjugate
-solve (conjugate.fenchel_rows).  The cost vanishes exactly on the solution
-of the mean flow f' = cgf_grad(f, 0), which is what limit_ode integrates.
+and +inf when f(0) != x; path_cost evaluates it.  On the piecewise-linear
+paths used everywhere in this package the slope is constant per segment, so
+each segment contributes a Gauss-Legendre quadrature of
+s -> conj_a(f(s), slope).  One quadrature pass prices every node of every
+segment with a single batched conjugate solve (conjugate.fenchel_rows).
+The cost vanishes exactly on the solution of the mean flow
+f' = cgf_grad(f, 0), which is what limit_ode integrates.
 
 minimize_action hands the interior knots (plus, for a half-space target,
 the terminal knot in a frame whose first axis is the normal, so that the
@@ -256,7 +257,7 @@ def _quadrature_pass(model, a, knots, gradient: bool = False):
     return seg_values, grad, divergent, warnings
 
 
-def action(model: KernelModel, x, a, f: Trajectory) -> ActionValue:
+def path_cost(model: KernelModel, x, a, f: Trajectory) -> ActionValue:
     """Cost of the piecewise-linear path f from start x at smoothing level a.
 
     +inf with feasible_start=False when f(0) misses x beyond 1e-12; +inf

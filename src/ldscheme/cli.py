@@ -47,8 +47,8 @@ from .action import (
     MinimizeSettings,
     TerminalHalfspace,
     TerminalPoint,
-    action,
     minimize_action,
+    path_cost,
 )
 from .errors import NumericalFailure
 from .rare_event import (
@@ -213,7 +213,7 @@ def _cmd_action(c, model, x, out, workers):
         raise ModelConfigError("config: give exactly one of 'trajectory_file' and 'knots'")
     traj = _trajectory_from(traj_file, "config.trajectory_file", model.dim) if traj_file else Trajectory(knots)
     _echo(c, "action", out)
-    val = action(model, x, a, traj)
+    val = path_cost(model, x, a, traj)
     report = {
         "value": val.value,
         "finite": bool(np.isfinite(val.value)),

@@ -16,9 +16,9 @@ from ldscheme.action import (
     ActionProblem,
     TerminalHalfspace,
     TerminalPoint,
-    action,
     limit_ode,
     minimize_action,
+    path_cost,
     straight_line,
 )
 from ldscheme.conjugate import perturbed_fenchel
@@ -219,7 +219,7 @@ def test_acceptance_8_zero_action_flow():
     for name, x in starts.items():
         model = preset_model(name)
         f = limit_ode(model, [x], steps=400)
-        val = action(model, [x], 0.0, f)
+        val = path_cost(model, [x], 0.0, f)
         vals[name] = val.value
         assert np.isfinite(val.value)
         assert val.value <= 1e-6, (name, val.value)

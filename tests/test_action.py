@@ -12,9 +12,9 @@ from ldscheme.action import (
     MinimizeSettings,
     TerminalHalfspace,
     TerminalPoint,
-    action,
     limit_ode,
     minimize_action,
+    path_cost,
     straight_line,
 )
 from ldscheme.errors import InfeasibleProblemError, SimulationBlowup
@@ -32,7 +32,7 @@ def test_straight_line():
 def test_action_free_gaussian_straight_line():
     m = preset_model("gaussian-free")
     f = straight_line([0.0], [1.0], 21)
-    val = action(m, [0.0], 0.0, f)
+    val = path_cost(m, [0.0], 0.0, f)
     # constant slope 1, conjugate 1/2 everywhere
     assert val.value == pytest.approx(0.5, abs=1e-10)
     assert len(val.segments) == 20
@@ -44,7 +44,7 @@ def test_action_free_gaussian_straight_line():
 def test_action_infeasible_start():
     m = preset_model("gaussian-free")
     f = straight_line([0.5], [1.0], 5)
-    val = action(m, [0.0], 0.0, f)
+    val = path_cost(m, [0.0], 0.0, f)
     assert val.value == np.inf
     assert not val.feasible_start
     assert val.reason == "initial condition"
@@ -54,7 +54,7 @@ def test_action_divergent_segment():
     m = preset_model("bernoulli-walk")
     # slope 2 cannot be produced by increments in [0, 1]
     f = straight_line([0.0], [2.0], 6)
-    val = action(m, [0.0], 0.0, f)
+    val = path_cost(m, [0.0], 0.0, f)
     assert val.value == np.inf
     assert val.divergent_segments
     assert "divergent segment" in val.reason
@@ -62,7 +62,7 @@ def test_action_divergent_segment():
 
 def test_action_slope_past_the_tolerance_range_is_divergent():
     # the conjugate solve's tolerance overflowed at this slope and certified alpha = 0: cost 0.0
-    val = action(preset_model("gaussian-ou"), [0.0], 0.0, Trajectory(np.array([[0.0], [1e300]])))
+    val = path_cost(preset_model("gaussian-ou"), [0.0], 0.0, Trajectory(np.array([[0.0], [1e300]])))
     assert val.value == np.inf
     assert val.divergent_segments == [0]
     assert val.reason == "divergent segment 0"
@@ -71,7 +71,7 @@ def test_action_slope_past_the_tolerance_range_is_divergent():
 def test_action_smoothing_makes_divergent_path_finite():
     m = preset_model("bernoulli-walk")
     f = straight_line([0.0], [2.0], 6)
-    val = action(m, [0.0], 0.5, f)
+    val = path_cost(m, [0.0], 0.5, f)
     assert np.isfinite(val.value)
     assert not val.divergent_segments
 
@@ -81,7 +81,7 @@ def test_action_quadratic_integrand_matches_quadrature_exactly():
     # integrated exactly by the order-5 rule
     m = preset_model("gaussian-ou")
     knots = 1.0 - 0.2 * np.linspace(0, 1, 9)
-    val = action(m, [1.0], 0.0, Trajectory(knots))
+    val = path_cost(m, [1.0], 0.0, Trajectory(knots))
 
     def integrand(s):
         y = 1.0 - 0.2 * s
@@ -96,8 +96,8 @@ def test_action_quadratic_integrand_matches_quadrature_exactly():
 def test_action_smoothing_reduces_cost():
     m = preset_model("gaussian-free")
     f = straight_line([0.0], [1.0], 11)
-    v0 = action(m, [0.0], 0.0, f).value
-    v1 = action(m, [0.0], 1.0, f).value
+    v0 = path_cost(m, [0.0], 0.0, f).value
+    v1 = path_cost(m, [0.0], 1.0, f).value
     assert v1 == pytest.approx(0.25, abs=1e-9)
     assert v1 < v0
 

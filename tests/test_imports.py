@@ -21,10 +21,13 @@ config alone and no reader factory stands between them.  The cli module
 binds no number at module level, so no verdict gate of a verification suite
 lives apart from the report that reads it.  Last, a fresh
 interpreter imports the package and builds two models without loading the
-estimators, numpy.random, numpy.polynomial or csv.
+solver, path and estimator modules, numpy.random, numpy.polynomial or csv;
+each of their names resolves through its module on every access, and
+ldscheme.action is the path module, not a function of that name.
 """
 
 import ast
+import importlib
 import inspect
 import json
 import pathlib
@@ -275,7 +278,8 @@ _COLD_IMPORT = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-lazy = {"ldscheme.rare_event", "csv", "numpy.random", "numpy.polynomial"} - set(sys.modules)
+lazy = {"ldscheme.conjugate", "ldscheme.scheme", "ldscheme.action", "ldscheme.rare_event", "csv", "numpy.random",
+        "numpy.polynomial"} - set(sys.modules)
 import ldscheme
 ldscheme.preset_model("gaussian-ou")
 ldscheme.affine_model(1, ldscheme.linear_drift(np.array([[-1.0]])), lambda y: np.eye(1), ldscheme.gaussian_base())
@@ -305,12 +309,35 @@ def test_a_cold_import_loads_only_what_building_a_model_needs():
     assert report["same"]
 
 
-def test_an_estimator_name_follows_its_rebinding_in_rare_event(monkeypatch):
+@pytest.mark.parametrize("module,name", [
+    ("conjugate", "fenchel_rows"), ("scheme", "simulate"), ("action", "minimize_action"), ("rare_event", "verify_rate"),
+])
+def test_a_lazy_name_follows_its_rebinding_in_its_module(monkeypatch, module, name):
     import ldscheme
-    from ldscheme import rare_event
 
-    assert ldscheme.verify_rate is rare_event.verify_rate  # a first access keeps no copy in the package
+    home = importlib.import_module(f"ldscheme.{module}")
+    assert getattr(ldscheme, name) is getattr(home, name)  # a first access keeps no copy in the package
     marker = object()
-    monkeypatch.setattr(rare_event, "verify_rate", marker)
-    assert ldscheme.verify_rate is marker
-    assert "verify_rate" not in vars(ldscheme)
+    monkeypatch.setattr(home, name, marker)
+    assert getattr(ldscheme, name) is marker
+    assert name not in vars(ldscheme)
+
+
+_NAME_CLASH = """
+import sys, types
+sys.path.insert(0, sys.argv[1])
+import ldscheme
+seen = [isinstance(ldscheme.action, types.ModuleType)]
+import ldscheme.action
+from ldscheme import action, rare_event
+seen.append(ldscheme.action is action is sys.modules["ldscheme.action"])
+print(seen, callable(ldscheme.path_cost) and ldscheme.path_cost is ldscheme.action.path_cost,
+      sorted({"conjugate", "scheme", "action", "rare_event"} - set(dir(ldscheme))))
+"""
+
+
+def test_ldscheme_action_is_the_module_and_path_cost_the_function():
+    # the module ldscheme.action was once shadowed by a function of the same name
+    run = subprocess.run([sys.executable, "-c", _NAME_CLASH, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split("\n")[0] == "[True, True] True []"

@@ -13,9 +13,9 @@ from ldscheme.action import (
     ActionProblem,
     TerminalHalfspace,
     TerminalPoint,
-    action,
     limit_ode,
     minimize_action,
+    path_cost,
     straight_line,
 )
 from ldscheme.errors import SimulationBlowup, TiltUnreachableError
@@ -1186,7 +1186,7 @@ _REALS = {
     "a-martingale_check": ("a", lambda m, v: json.dumps(
         martingale_check(m, [0.0], 10, v, DualMeasure.point_mass(1.0, 0.5), 50, seed=1).to_json_dict())),
     "a-ActionProblem": ("a", lambda m, v: repr(ActionProblem(model=m, x=[0.0], terminal=_HALF, a=v).a)),
-    "a-action": ("a", lambda m, v: action(m, [0.0], v, straight_line([0.0], [0.8], 4)).segments.tobytes()),
+    "a-action": ("a", lambda m, v: path_cost(m, [0.0], v, straight_line([0.0], [0.8], 4)).segments.tobytes()),
     "a-phi_n": ("a", lambda m, v: repr(phi_n(m, [0.0], v, straight_line([0.0], [0.8], 4), _ATOM))),
     "a-phi_limit": ("a", lambda m, v: repr(phi_limit(m, [0.0], v, straight_line([0.0], [0.8], 4), _ATOM))),
     "a-fenchel_rows": ("a", lambda m, v: conj_mod.fenchel_rows(m, [[0.0]], [[0.5]], v).argmax.tobytes()),
@@ -1234,7 +1234,7 @@ _ARRAYS = {
     "x-verify_ode_convergence": ("x", [0.0], [[0.0]], lambda m, v: json.dumps(
         verify_ode_convergence(m, v, 0.5, [10], 50, seed=1).to_json_dict())),
     "x-ActionProblem": ("x", [0.0], [[0.0]], lambda m, v: ActionProblem(model=m, x=v, terminal=_HALF).x.tobytes()),
-    "x-action": ("x", [0.0], [[0.0]], lambda m, v: action(m, v, 0.0, straight_line([0.0], [0.8], 4)).segments.tobytes()),
+    "x-action": ("x", [0.0], [[0.0]], lambda m, v: path_cost(m, v, 0.0, straight_line([0.0], [0.8], 4)).segments.tobytes()),
     "x-phi_n": ("x", [0.0], [[0.0]], lambda m, v: repr(phi_n(m, v, 0.0, straight_line([0.0], [0.8], 4), _ATOM))),
     "x-phi_limit": ("x", [0.0], [[0.0]], lambda m, v: repr(phi_limit(m, v, 0.0, straight_line([0.0], [0.8], 4), _ATOM))),
     "x-limit_ode": ("x", [1.0], [[1.0]], lambda m, v: limit_ode(m, v, 4).knots.tobytes()),
