@@ -47,8 +47,8 @@ __version__ = "0.1.0"
 _LAZY = {
     "conjugate": ("ConjugateResult", "fenchel_rows", "perturbed_fenchel"),
     "scheme": (
-        "DualMeasure", "Trajectory", "coupled_perturbation_gaps", "eval_path_many", "gauss_legendre_01",
-        "load_trajectory", "phi_limit", "phi_n", "save_trajectory", "simulate",
+        "DualMeasure", "Trajectory", "coupled_perturbation_gaps", "eval_path_many", "load_trajectory", "phi_limit",
+        "phi_n", "save_trajectory", "simulate",
     ),
     "action": (
         "ActionProblem", "ActionValue", "MinimizeResult", "MinimizeSettings", "TerminalHalfspace",

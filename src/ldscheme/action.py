@@ -7,9 +7,10 @@ the local conjugate along the path,
 
 and +inf when f(0) != x; path_cost evaluates it.  On the piecewise-linear
 paths used everywhere in this package the slope is constant per segment, so
-each segment contributes a Gauss-Legendre quadrature of
-s -> conj_a(f(s), slope).  One quadrature pass prices every node of every
-segment with a single batched conjugate solve (conjugate.fenchel_rows).
+each segment contributes an order-5 Gauss-Legendre quadrature of
+s -> conj_a(f(s), slope), by phi_limit's rule (scheme._GL_NODES, _GL_WEIGHTS).
+One quadrature pass prices every node of every segment with a single
+batched conjugate solve (conjugate.fenchel_rows).
 The cost vanishes exactly on the solution of the mean flow
 f' = cgf_grad(f, 0), which is what limit_ode integrates.
 
@@ -35,7 +36,7 @@ from .errors import InfeasibleProblemError, SimulationBlowup
 from . import conjugate as conj_mod
 from . import kernel
 from .kernel import AffineNoiseModel, KernelModel
-from .scheme import Trajectory, gauss_legendre_01
+from .scheme import Trajectory, _GL_NODES as _NODES, _GL_WEIGHTS as _WEIGHTS
 
 BARRIER = 1e12
 # stationarity tolerance of the KKT residual, and the central-difference step
@@ -43,7 +44,6 @@ BARRIER = 1e12
 GRAD_TOL = 1e-6
 Y_FD_STEP = 1e-5
 
-_NODES, _WEIGHTS = gauss_legendre_01()
 _LEFT_NODES = 1.0 - _NODES  # each node's weight on its segment's left knot
 
 

@@ -26,6 +26,7 @@ exactly 1.  Its n -> inf limit is
         = <x, lam([0,1])> + int_0^1 cgf_a(f(s), lam([s, 1])) ds,
 
 approached at rate O(1/n) after rescaling lam by n (see scaling tests).
+phi_n and phi_limit evaluate the two as one sum over nodes, _dual_functional.
 
 Draw discipline: every simulation in the package runs one batched stepper
 over rows of replicas; a single path is its one-row case.  Each step draws
@@ -56,16 +57,12 @@ if TYPE_CHECKING:  # numpy.random loads on first use, not at import
 _SNAP = 1e-12
 
 
-def gauss_legendre_01():
-    """Order-5 Gauss-Legendre nodes and weights on [0, 1]; weights sum to 1.
-
-    The literals are the exact values of 0.5 * (leggauss(5)[0] + 1.0) and
-    0.5 * leggauss(5)[1], so importing the package loads no numpy.polynomial.
-    """
-    nodes = np.array([0.04691007703066802, 0.23076534494715845, 0.5, 0.7692346550528415, 0.9530899229693319])
-    weights = np.array([0.11846344252809464, 0.23931433524968315, 0.28444444444444433, 0.23931433524968315,
+# Order-5 Gauss-Legendre nodes and weights on [0, 1], read-only and shared (weights sum to 1).  The literals are the
+# exact values of 0.5 * (leggauss(5)[0] + 1.0) and 0.5 * leggauss(5)[1], so importing loads no numpy.polynomial.
+_GL_NODES = np.array([0.04691007703066802, 0.23076534494715845, 0.5, 0.7692346550528415, 0.9530899229693319])
+_GL_WEIGHTS = np.array([0.11846344252809464, 0.23931433524968315, 0.28444444444444433, 0.23931433524968315,
                         0.11846344252809464])
-    return nodes, weights
+_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -241,55 +238,41 @@ def simulate(model: KernelModel, x, n: int, a, seed: int) -> Trajectory:
     return Trajectory(knots)
 
 
+def _dual_functional(model: KernelModel, x, a, path: Trajectory, lam: DualMeasure, ys, alphas, weights=None) -> float:
+    """<x, lam([0,1])> + sum_j w_j cgf_a(ys_j, alphas_j): phi_n's nodes with unit weights, or phi_limit's quadrature."""
+    amp = kernel._as_real(a, "a", 0)
+    x = kernel._as_reals(x, "x", (model.dim,))
+    kernel._require_dim("path", path.dim, model.dim)
+    kernel._require_dim("measure", lam.dim, model.dim)
+    vals = kernel._block("cgf", model.cgf(ys, alphas), (len(ys),))
+    if amp > 0.0:
+        vals = vals + 0.5 * amp * amp * kernel._sq_norm(alphas)
+    return float(x @ lam.total_mass()) + float(np.sum(vals) if weights is None else weights @ vals)
+
+
 def phi_n(model: KernelModel, x, a, traj: Trajectory, lam: DualMeasure) -> float:
     """Discrete dual functional of the scheme at resolution traj.n.
 
     <x, lam([0,1])> + sum_i cgf_a(knots[i-1], beta_i / n) with beta_i the
     tent-basis integrals of lam.
     """
-    amp = kernel._as_real(a, "a", 0)
-    x = kernel._as_reals(x, "x", (model.dim,))
-    kernel._require_dim("path", traj.dim, model.dim)
-    kernel._require_dim("measure", lam.dim, model.dim)
-    n = traj.n
-    alphas = lam.basis_integrals(n) / n
-    ys = traj.knots[:-1]
-    total = float(x @ lam.total_mass())
-    total += float(np.sum(kernel._block("cgf", model.cgf(ys, alphas), (n,))))
-    if amp > 0.0:
-        total += 0.5 * amp * amp * float(np.sum(alphas * alphas))
-    return total
+    return _dual_functional(model, x, a, traj, lam, traj.knots[:-1], lam.basis_integrals(traj.n) / traj.n)
 
 
 def phi_limit(model: KernelModel, x, a, f: Trajectory, lam: DualMeasure) -> float:
     """Continuum dual functional <x, lam([0,1])> + int cgf_a(f(s), lam([s,1])) ds.
 
     The tail lam([s, 1]) is piecewise constant between atoms, so the
-    integral is assembled piecewise with order-5 Gauss-Legendre quadrature
-    between consecutive breakpoints (knots of f plus atom times).
+    integral is assembled piecewise with the order-5 Gauss-Legendre rule
+    (_GL_NODES, _GL_WEIGHTS) between consecutive breakpoints (knots of f
+    plus atom times).
     """
-    amp = kernel._as_real(a, "a", 0)
-    x = kernel._as_reals(x, "x", (model.dim,))
-    kernel._require_dim("path", f.dim, model.dim)
-    kernel._require_dim("measure", lam.dim, model.dim)
     breaks = np.unique(np.concatenate([f.times, lam.times, [0.0, 1.0]]))
-    nodes, weights = gauss_legendre_01()
-
-    ss, als, ws = [], [], []
-    for u, v in zip(breaks[:-1], breaks[1:]):
-        tail = lam.weights[lam.times > u].sum(axis=0)
-        for q, w in zip(nodes, weights):
-            ss.append(u + q * (v - u))
-            als.append(tail)
-            ws.append(w * (v - u))
-    ss = np.asarray(ss)
-    als = np.asarray(als)
-    ws = np.asarray(ws)
-    ys = eval_path_many(f, ss)
-    vals = kernel._block("cgf", model.cgf(ys, als), ss.shape)
-    if amp > 0.0:
-        vals = vals + 0.5 * amp * amp * kernel._sq_norm(als)
-    return float(x @ lam.total_mass()) + float(ws @ vals)
+    u, h = breaks[:-1, None], np.diff(breaks)[:, None]
+    tails = np.array([lam.weights[lam.times > s].sum(axis=0) for s in breaks[:-1]])
+    ys = eval_path_many(f, (u + _GL_NODES * h).ravel())
+    alphas = np.repeat(tails, len(_GL_NODES), axis=0)
+    return _dual_functional(model, x, a, f, lam, ys, alphas, (_GL_WEIGHTS * h).ravel())
 
 
 def coupled_perturbation_gaps(

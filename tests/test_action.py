@@ -6,6 +6,7 @@ from numpy.random import default_rng
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
+from ldscheme import conjugate
 from ldscheme.action import (
     GRAD_TOL,
     ActionProblem,
@@ -391,6 +392,17 @@ def test_minimize_max_iter_stop_is_not_converged():
     assert res.iterations == 1
     assert res.grad_norm > GRAD_TOL
     assert any("ITERATIONS REACHED LIMIT" in w for w in res.warnings)
+
+
+def test_minimize_warns_once_per_logged_iterate_whose_conjugate_solves_stop_at_max_iterations(monkeypatch):
+    problem = ActionProblem(model=preset_model("gaussian-ou"), x=[0.0], terminal=TerminalPoint([0.8]), m=5)
+    assert minimize_action(problem).warnings == []
+    monkeypatch.setattr(conjugate, "MAX_ITER", 1)
+    res = minimize_action(problem)
+    # 4 segments of 5 nodes each, every one stopped after its single Newton iteration
+    assert len(res.log) > 1
+    assert res.warnings == ["conjugate solver hit max-iterations at 20 node(s)"] * len(res.log)
+    assert len(res.action.solver_warnings) == 20
 
 
 def test_minimize_settings_store_a_numpy_integer_as_an_int():

@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from ldscheme.action import TerminalHalfspace, TerminalPoint
-from ldscheme.cli import main
-from ldscheme.kernel import affine_model, gaussian_base, linear_drift, model_from_config, zero_drift
-from ldscheme.rare_event import BallEvent, martingale_check, verify_ode_convergence, verify_rate
-from ldscheme.scheme import DualMeasure, Trajectory, simulate
+from ldscheme.cli import _jsonable, main
+from ldscheme.kernel import affine_model, gaussian_base, linear_drift, model_from_config, preset_model, zero_drift
+from ldscheme.rare_event import (
+    BallEvent,
+    PathDeviationEvent,
+    martingale_check,
+    mc_probability,
+    verify_ode_convergence,
+    verify_rate,
+)
+from ldscheme.scheme import DualMeasure, Trajectory, load_trajectory, simulate
 
 
 def _write(path, obj):
@@ -683,6 +690,59 @@ def test_config_out_of_range_exits_2_before_the_echo(tmp_path, capsys, command, 
     assert code == 2
     assert error in capsys.readouterr().err
     assert not out.exists()  # --out is made only for an accepted config
+
+
+@pytest.mark.parametrize(
+    "command, config, error",
+    [
+        ("minimize", {**_MINIMIZE, "terminal": {"kind": "ball"}}, "config.terminal.kind: unknown terminal kind 'ball'"),
+        ("estimate", {**_ESTIMATE, "event": {"kind": "bogus"}}, "config.event.kind: unknown event kind 'bogus'"),
+        ("verify-rate", {**_RATE, "event": {"kind": "terminal-ball", "center": [0.0], "radius": 0.5}},
+         "config.event.kind: rate verification needs 'terminal-halfspace'"),
+        ("simulate", {**_SIMULATE, "model": {"preset": 3}}, "config.model.preset: expected a string, got 3"),
+        ("verify-martingale", {**_MARTINGALE, "measure": {"atoms": 5}}, "config.measure.atoms: expected a list, got 5"),
+        ("simulate", {**_SIMULATE, "model": []}, "config.model: expected an object, got []"),
+        ("action", {"model": OU, "x": [0.0], "knots": [0.0]}, "config.knots: expected at least two knots, got [0.0]"),
+        ("simulate", {**_SIMULATE, "x": [1.0, 1.0], "model": _explicit(drift={"kind": "logistic"}, dim=2)},
+         "config.model.drift: logistic drift requires dim=1, got dim=2"),
+        ("simulate", {**_SIMULATE, "model": _explicit(sigma={"kind": "diagonal"})},
+         "config.model.sigma.kind must be one of zero|identity|constant, got 'diagonal'"),
+        ("simulate", {**_SIMULATE, "model": _explicit(base={"kind": "laplace"})},
+         "config.model.base.kind must be gaussian or bernoulli, got 'laplace'"),
+    ],
+    ids=["terminal-kind", "event-kind", "rate-ball", "preset-number", "atoms-number", "model-list", "one-knot",
+         "logistic-2d", "sigma-kind", "base-kind"],
+)
+def test_a_refused_config_prints_its_words_and_writes_nothing(tmp_path, capsys, command, config, error):
+    code, _ = _run(tmp_path, command, config)
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert [p.name for p in tmp_path.iterdir()] == [f"{command}.json"]
+
+
+@pytest.mark.parametrize("reference", [None, "ref/trajectory.csv"], ids=["mean-flow", "file"])
+def test_estimate_path_deviation_event_is_the_librarys_estimate(tmp_path, monkeypatch, reference):
+    monkeypatch.chdir(tmp_path)
+    assert _run(tmp_path, "simulate", {"model": OU, "x": [1.0], "n": 10, "seed": 4}, sub="ref")[0] == 0
+    event = {"kind": "sup-distance-from-path", "epsilon": 0.4}
+    if reference:
+        event["reference_file"] = reference
+    code, out = _run(tmp_path, "estimate", {"model": OU, "x": [1.0], "n": 20, "event": event, "samples": 2000, "seed": 6})
+    assert code == 0
+    rep = json.loads((out / "estimate_report.json").read_text())
+    assert rep["event"] == {"kind": "sup-distance-from-path", "epsilon": 0.4,
+                            "reference": "explicit" if reference else "mean-flow"}
+    lib_event = PathDeviationEvent(0.4, load_trajectory(reference) if reference else None)
+    lib = mc_probability(preset_model("gaussian-ou"), [1.0], 20, 0.0, lib_event, 2000, 6)
+    assert 0.0 < rep["p_hat"] < 1.0
+    assert rep["p_hat"] == lib.p_hat and rep["stderr"] == lib.stderr
+
+
+def test_jsonable_writes_nan_numpy_integers_and_numpy_bools_as_json_values():
+    got = _jsonable({"nan": np.float64("nan"), "count": np.int64(7), "flag": np.bool_(True), "list": (np.int32(2),)})
+    assert got == {"nan": "nan", "count": 7, "flag": True, "list": [2]}
+    assert type(got["count"]) is int and type(got["flag"]) is bool and type(got["list"][0]) is int
+    assert json.loads(json.dumps(got)) == got
 
 
 def test_estimate_normal_past_the_plain_norms_range_reports_as_its_unit_normal(tmp_path):

@@ -397,6 +397,16 @@ def test_drift_builders_equal_their_formulas_bit_for_bit():
     assert not np.any(np.signbit(lin[-4:-2]))
 
 
+def test_config_constant_drift_is_constant_drift():
+    model = model_from_config({"dim": 2, "drift": {"kind": "constant", "value": [0.5, -1.25]},
+                               "sigma": {"kind": "identity"}, "base": {"kind": "gaussian"}})
+    ys = default_rng(65).normal(size=(7, 2))
+    expect = constant_drift([0.5, -1.25])(ys)
+    assert np.array_equal(kernel.drift_rows(model, ys), expect)
+    assert np.array_equal(expect, np.broadcast_to([0.5, -1.25], (7, 2)))
+    assert model.summary == "affine(d=2, drift=const, sigma=1.0*I, base=gaussian)"
+
+
 def test_logmgf_hess_broadcasts_over_batch():
     rng = default_rng(5)
     alphas = rng.normal(size=(6, 3))

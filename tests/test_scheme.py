@@ -13,10 +13,11 @@ from ldscheme.kernel import KernelModel, affine_model, gaussian_base, linear_dri
 from ldscheme.scheme import (
     DualMeasure,
     Trajectory,
+    _GL_NODES,
+    _GL_WEIGHTS,
     _euler_steps,
     coupled_perturbation_gaps,
     eval_path_many,
-    gauss_legendre_01,
     load_trajectory,
     phi_limit,
     phi_n,
@@ -26,7 +27,7 @@ from ldscheme.scheme import (
 
 
 def test_gauss_legendre_weights():
-    nodes, weights = gauss_legendre_01()
+    nodes, weights = _GL_NODES, _GL_WEIGHTS
     assert weights.sum() == pytest.approx(1.0, abs=1e-14)
     assert np.all((nodes > 0) & (nodes < 1))
     # order 5 integrates degree-9 polynomials exactly
@@ -35,14 +36,15 @@ def test_gauss_legendre_weights():
 
 def test_gauss_legendre_literals_are_numpys_rule_byte_for_byte():
     x, w = leggauss(5)
-    nodes, weights = gauss_legendre_01()
+    nodes, weights = _GL_NODES, _GL_WEIGHTS
     assert nodes.dtype == weights.dtype == np.float64
     assert nodes.tobytes() == (0.5 * (x + 1.0)).tobytes()
     assert weights.tobytes() == (0.5 * w).tobytes()
-    # every call returns fresh arrays, so a caller that writes to one changes no later call
-    nodes[:] = weights[:] = 0.0
-    again = gauss_legendre_01()
-    assert again[0].tobytes() == (0.5 * (x + 1.0)).tobytes() and again[1].tobytes() == (0.5 * w).tobytes()
+    # the rule is shared by phi_limit and every path-cost pass, so it is read-only: a caller cannot change it
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:] = 0.0
+    assert nodes.tobytes() == (0.5 * (x + 1.0)).tobytes() and weights.tobytes() == (0.5 * w).tobytes()
 
 
 def test_trajectory_validation():
@@ -175,6 +177,11 @@ def test_dual_measure_validation():
         DualMeasure(np.array([1.5]), np.array([[1.0]]))
     with pytest.raises(ValueError):
         DualMeasure(np.array([0.5]), np.array([[np.inf]]))
+    # three 1-D weights for two times read as one atom's 3-vector, so the times and weights do not align
+    with pytest.raises(ValueError, match=r"^times \(2,\) and weights \(1, 3\) do not align$"):
+        DualMeasure([0.2, 0.5], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"^from_atoms needs at least one atom; use zero\(dim\) for the empty measure$"):
+        DualMeasure.from_atoms([])
     z = DualMeasure.zero(3)
     assert z.variation() == 0.0
     assert np.allclose(z.total_mass(), np.zeros(3))
@@ -607,15 +614,20 @@ def test_load_rejects_bad_files(tmp_path):
     p2.write_text("t,x1\n0.0,1.0\n0.3,2.0\n1.0,3.0\n")
     with pytest.raises(ValueError):
         load_trajectory(p2)
+    p3 = tmp_path / "one.csv"
+    p3.write_text("t,x1\n0.0,1.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p3))}: need at least two knot rows$"):
+        load_trajectory(p3)
 
 
 def test_package_exports_each_name_once():
     import ldscheme
 
     names = ldscheme.__all__
-    assert len(names) == len(set(names)) == 52
+    assert len(names) == len(set(names)) == 51
     assert [name for name in names if not hasattr(ldscheme, name)] == []
     assert "SchemeRun" not in names and not hasattr(ldscheme, "SchemeRun")
     assert "resample" not in names and not hasattr(ldscheme.scheme, "resample")
+    assert "gauss_legendre_01" not in names and not hasattr(ldscheme.scheme, "gauss_legendre_01")
     assert "perturbation_amplitude" not in names and not hasattr(ldscheme.kernel, "perturbation_amplitude")
     assert not {"cgf", "cgf_grad"} & set(names) and not hasattr(ldscheme.kernel, "cgf")
