@@ -15,8 +15,12 @@ The cost vanishes exactly on the solution of the mean flow
 f' = cgf_grad(f, 0), which is what limit_ode integrates.
 
 minimize_action hands the interior knots (plus, for a half-space target,
-the terminal knot in a frame whose first axis is the normal, so that the
-constraint is one bound) to scipy's L-BFGS-B.  Gradients come from the
+the terminal knot in a frame whose last axis is the normal, so that the
+constraint is one bound) to scipy's L-BFGS-B, in coordinates that whiten
+the cost's kinetic term: an upper-triangular S = L^-T, L L^T that term's
+Hessian, so that the iterations no longer grow with the knot count and the
+bound stays one bound.  The value, the gradient, the stationarity
+certificate and the log stay in knot coordinates.  Gradients come from the
 envelope identities: d conj/d z at the maximizer alpha* is alpha* itself,
 and d conj/d y is -grad_y cgf_a(y, alpha*), taken in the same pass as
 central differences over all nodes at once: of the model's cgf, or, for an
@@ -179,6 +183,11 @@ def straight_line(x, z, m: int) -> Trajectory:
     return Trajectory((1.0 - frac) * x + frac * z)
 
 
+def _slopes(knots: np.ndarray) -> np.ndarray:
+    """Each segment's slope of the (m, d) knots, shape (m - 1, d): its increment over dt = 1 / (m - 1)."""
+    return (knots[1:] - knots[:-1]) / (1.0 / (knots.shape[0] - 1))
+
+
 def _quadrature_pass(model, a, knots, gradient: bool = False):
     """Segment costs, and the knot gradient if asked for, from one batched solve.
 
@@ -198,7 +207,7 @@ def _quadrature_pass(model, a, knots, gradient: bool = False):
     n_q = len(_NODES)
     dt = 1.0 / m_seg
     left, right = knots[:-1], knots[1:]
-    slopes = (right - left) / dt
+    slopes = _slopes(knots)
     # row k * n_q + q holds node q of segment k
     ys = (_LEFT_NODES[:, None] * left[:, None, :] + _NODES[:, None] * right[:, None, :]).reshape(-1, d)
     zs = np.repeat(slopes, n_q, axis=0)
@@ -317,25 +326,37 @@ def limit_ode(model: KernelModel, x, steps: int) -> Trajectory:
 def minimize_action(problem: ActionProblem) -> MinimizeResult:
     """Minimize the path cost over knots subject to the terminal constraint.
 
-    One scipy L-BFGS-B run over the free coordinates, started at the
-    straight line to the target (its foot on a half-space).  The free
-    coordinates are the interior knots and, for a half-space, the terminal
-    knot w in the orthonormal frame [normal, null_space(normal)], where the
-    constraint is the single bound w_0 >= level.  Each evaluation is one
-    quadrature pass with the envelope gradient; a pass with a divergent
+    One scipy L-BFGS-B run, started at the straight line to the target (its
+    foot on a half-space).  The free coordinates v are the interior knots
+    and, for a half-space, the terminal knot w in the orthonormal frame
+    [null_space(normal), normal], where the constraint is the single bound
+    w_last >= level.
+
+    L-BFGS-B runs on whitened coordinates u, v = v0 + S u.  The path cost's
+    Hessian in v is in the main its kinetic term m B^T (I kron cov^-1) B
+    (a Gaussian step law's has m - 1 in place of m), whose condition number
+    grows as m^2: B maps v to the m - 1 segment increments, and cov is the
+    step covariance at x, the cgf's alpha-Hessian at alpha = 0 plus a^2 I,
+    its eigenvalues floored at 1e-8 of the largest (all one if cov is
+    zero).  S = L^-T, with L the Cholesky factor of that term, makes it the
+    identity in u.  S is upper triangular, so the half-space bound stays one
+    bound, on u_last.  Each evaluation is one quadrature pass with the
+    envelope gradient g in v, and scipy gets S^T g; a pass with a divergent
     segment is priced at BARRIER with a zero gradient, so the line search
     steps back into the finite domain.
 
-    `converged` certifies stationarity: the 2-norm of the projected gradient
-    (the KKT residual; the bound component is dropped while the terminal
-    sits on the boundary and the gradient points outward) is at most
-    GRAD_TOL at the returned knots.  Each log row is (iter, value,
-    grad_norm, step), where step is the length of the accepted move in free
-    coordinates (0 on the row for iteration 0).  An uncertified stop adds
-    scipy's stop message to `warnings`.
+    `converged` certifies stationarity in v: the 2-norm of the projected
+    gradient (the KKT residual; the bound component is dropped while the
+    terminal sits on the boundary and the gradient points outward) is at
+    most GRAD_TOL at the returned knots.  scipy's gtol is GRAD_TOL over
+    sqrt(len(v)) times 2 sqrt(m / lambda_min(cov)), the closed-form bound on
+    |L|_2, so that its stop implies the certificate.  Each log row is (iter,
+    value, grad_norm, step), where step is the length of the accepted move
+    in v (0 on the row for iteration 0).  An uncertified stop adds scipy's
+    stop message to `warnings`.
     """
     from scipy import optimize
-    from scipy.linalg import null_space
+    from scipy.linalg import null_space, solve_triangular
 
     model, x, terminal = problem.model, problem.x, problem.terminal
     m, a, settings = problem.m, problem.a, problem.settings
@@ -347,17 +368,18 @@ def minimize_action(problem: ActionProblem) -> MinimizeResult:
         v0 = straight_line(x, target, m).knots[1:-1].ravel()
     else:
         xi, c = terminal.normal, terminal.level
-        frame = np.column_stack([xi, null_space(xi[None, :])])
+        frame = np.column_stack([null_space(xi[None, :]), xi])
         w_end = frame.T @ x
-        w_end[0] = max(float(x @ xi), c)
+        w_end[-1] = max(float(x @ xi), c)
         v0 = np.concatenate([straight_line(x, frame @ w_end, m).knots[1:-1].ravel(), w_end])
     nfree = len(v0)
 
     def knots_of(v):
-        kn = np.empty((m, d))
-        kn[0] = x
-        kn[1:-1] = v[:n_int].reshape(m - 2, d)
-        kn[-1] = target if frame is None else frame @ v[n_int:]
+        """The (m, d) knots of the free coordinates v, or a stack of them for a stack of rows v."""
+        kn = np.empty(v.shape[:-1] + (m, d))
+        kn[..., 0, :] = x
+        kn[..., 1:-1, :] = v[..., :n_int].reshape(v.shape[:-1] + (m - 2, d))
+        kn[..., -1, :] = target if frame is None else (frame @ v[..., n_int:].T).T
         return kn
 
     last = {}
@@ -377,8 +399,8 @@ def minimize_action(problem: ActionProblem) -> MinimizeResult:
     def residual():
         """KKT residual at the last evaluation."""
         pg = last["g"].copy()
-        if frame is not None and last["v"][n_int] - c <= 1e-9 * (1.0 + abs(c)) and pg[n_int] > 0.0:
-            pg[n_int] = 0.0
+        if frame is not None and last["v"][-1] - c <= 1e-9 * (1.0 + abs(c)) and pg[-1] > 0.0:
+            pg[-1] = 0.0
         return _vector_norm(pg)
 
     warnings: List[str] = []
@@ -399,22 +421,29 @@ def minimize_action(problem: ActionProblem) -> MinimizeResult:
     record(v0)
     it, message = 0, "no free coordinates"
     if nfree:
+        cov = kernel.cgf_hess_rows(model, x[None], np.zeros((1, d)))[0] + a * a * np.eye(d)
+        lam, Q = np.linalg.eigh(cov)
+        lam = np.maximum(lam, 1e-8 * lam[-1]) if lam[-1] > 0.0 else np.ones(d)
+        # row j of G: the segment increments of a unit move of v_j, times W^T, where W^T W = cov^-1
+        increments = np.diff(knots_of(np.eye(nfree)) - knots_of(np.zeros(nfree)), axis=-2)
+        G = (increments @ (Q / np.sqrt(lam))).reshape(nfree, -1)
+        S = solve_triangular(np.linalg.cholesky(m * (G @ G.T)), np.eye(nfree), trans="T", lower=True)
         res = optimize.minimize(
-            lambda v: evaluate(v)["f"],
-            v0,
-            jac=lambda v: evaluate(v)["g"],
+            lambda u: evaluate(v0 + S @ u)["f"],
+            np.zeros(nfree),
+            jac=lambda u: S.T @ evaluate(v0 + S @ u)["g"],
             method="L-BFGS-B",
-            bounds=None if frame is None else [(c, None) if i == n_int else (None, None) for i in range(nfree)],
-            callback=record,
+            bounds=None if frame is None else [(None, None)] * (nfree - 1) + [((c - v0[-1]) / S[-1, -1], None)],
+            callback=lambda u: record(v0 + S @ u),
             options={
                 "maxiter": settings.max_iter,
-                "maxcor": nfree,
-                "gtol": GRAD_TOL / np.sqrt(nfree),
+                # |L|_2 <= 2 sqrt(m) |W|_2 = 2 sqrt(m / lam[0]), so a stop on gtol certifies |g|_2 <= GRAD_TOL
+                "gtol": GRAD_TOL * np.sqrt(lam[0]) / (np.sqrt(nfree) * 2.0 * np.sqrt(m)),
                 "ftol": 0.0,
             },
         )
         it, message = res.nit, res.message
-        evaluate(res.x)
+        evaluate(v0 + S @ res.x)
     grad_norm = residual()
     converged = grad_norm <= GRAD_TOL
     if not converged:

@@ -36,7 +36,7 @@ from numpy.random import default_rng
 from .errors import TiltUnreachableError
 from . import conjugate as conj_mod
 from . import kernel
-from .action import ActionProblem, TerminalHalfspace, limit_ode, minimize_action
+from .action import ActionProblem, TerminalHalfspace, _slopes, limit_ode, minimize_action
 from .kernel import AffineNoiseModel, KernelModel
 from .scheme import DualMeasure, Trajectory, _euler_steps, _run_args, eval_path_many
 
@@ -292,8 +292,7 @@ def _tilt_sequence(model, path: Trajectory, n: int) -> np.ndarray:
     m_seg = path.n
     ts = np.arange(n) / n
     seg = np.minimum(np.floor(ts * m_seg).astype(np.int64), m_seg - 1)
-    slopes = (path.knots[seg + 1] - path.knots[seg]) * m_seg
-    res = conj_mod.fenchel_rows(model, eval_path_many(path, ts), slopes)
+    res = conj_mod.fenchel_rows(model, eval_path_many(path, ts), _slopes(path.knots)[seg])
     failed = np.flatnonzero(res.status)  # code 0 is converged
     if failed.size:
         k = int(failed[0])

@@ -333,15 +333,16 @@ def test_minimize_log_values_decrease():
     _assert_certificate(res)
 
 
-# linear-Gaussian oracle: for F(y) = A y + Z, Z ~ N(0, I), the cheapest path
-# from x = 0 to the point z costs z^T Q^-1 z / 2, and into the half-space
+# linear-Gaussian oracle: for F(y) = A y + sigma Z, Z ~ N(0, I), the cheapest
+# path from x = 0 to the point z costs z^T Q^-1 z / 2, and into the half-space
 # <f(1), xi> >= c (unit xi) it costs c^2 / (2 xi^T Q xi), where Q is the
-# controllability Gramian int_0^1 e^{As} e^{A^T s} ds
+# controllability Gramian int_0^1 e^{As} sigma sigma^T e^{A^T s} ds
 A_2D = np.array([[-1.0, 0.5], [0.0, -1.0]])
 
 
-def _gramian(a):
-    q, _ = quad_vec(lambda s: expm(a * s) @ expm(a.T * s), 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
+def _gramian(a, sigma=None):
+    cov = np.eye(len(a)) if sigma is None else sigma @ sigma.T
+    q, _ = quad_vec(lambda s: expm(a * s) @ cov @ expm(a.T * s), 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
     return q
 
 
@@ -417,6 +418,66 @@ def test_minimize_settings_store_a_numpy_integer_as_an_int():
     assert got.iterations == want.iterations == 5
     assert got.trajectory.knots.tobytes() == want.trajectory.knots.tobytes()
     assert (got.action.value, got.grad_norm, got.log) == (want.action.value, want.grad_norm, want.log)
+
+
+# noise 20 times weaker along the second axis, so the path cost's Hessian is far
+# from a multiple of the plain increments' one: coordinates that whiten only
+# the increments, not the step covariance, can stop here short of GRAD_TOL
+A_ANISO = np.array([[-1.0, 2.0], [0.0, -0.5]])
+SIGMA_ANISO = np.diag([1.0, 0.05])
+
+
+@pytest.mark.parametrize(
+    "terminal", [TerminalHalfspace([0.3, 1.0], 0.5), TerminalPoint([0.4, 0.2])], ids=["halfspace", "point"]
+)
+def test_minimize_anisotropic_sigma_ends_certified(terminal):
+    q = _gramian(A_ANISO, SIGMA_ANISO)
+    if isinstance(terminal, TerminalPoint):
+        exact = 0.5 * terminal.point @ np.linalg.solve(q, terminal.point)
+    else:
+        exact = terminal.level**2 / (2.0 * terminal.normal @ q @ terminal.normal)
+    model = affine_model(2, linear_drift(A_ANISO), SIGMA_ANISO, gaussian_base(), summary="anisotropic")
+    res = minimize_action(ActionProblem(model=model, x=[0.0, 0.0], terminal=terminal, m=21))
+    assert res.converged
+    _assert_certificate(res)
+    assert res.action.value == pytest.approx(exact, rel=2e-4)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+@pytest.mark.parametrize("sigma", [np.eye(2), SIGMA_ANISO], ids=["identity", "anisotropic"])
+def test_minimize_halfspace_iterates_stay_in_the_half_space(sigma, max_iter):
+    # the bound is on the last whitened coordinate alone, so every iterate keeps
+    # <f(1), xi> >= c, up to the rounding of the frame's product frame @ w
+    model = affine_model(2, linear_drift(A_2D), sigma, gaussian_base(), summary="linear-2d")
+    terminal = TerminalHalfspace([1.0, 1.0], 1.0)
+    settings = MinimizeSettings(max_iter=max_iter)
+    res = minimize_action(ActionProblem(model=model, x=[0.0, 0.0], terminal=terminal, m=21, settings=settings))
+    assert res.iterations == max_iter and len(res.log) == max_iter + 1
+    assert res.trajectory.knots[-1] @ terminal.normal >= terminal.level - 1e-14
+
+
+def test_minimize_with_no_free_coordinates_takes_no_iteration():
+    # m = 2 to a point leaves both knots fixed: the straight line is the answer
+    res = minimize_action(ActionProblem(model=preset_model("gaussian-ou"), x=[0.0], terminal=TerminalPoint([1.5]), m=2))
+    assert res.iterations == 0 and res.converged and res.grad_norm == 0.0
+    assert res.warnings == [] and len(res.log) == 1
+    assert res.trajectory.knots.tolist() == [[0.0], [1.5]]
+    assert res.action.value == path_cost(preset_model("gaussian-ou"), [0.0], 0.0, straight_line([0.0], [1.5], 2)).value
+
+
+@pytest.mark.parametrize(
+    "drift,sigma", [(linear_drift(-np.eye(2)), np.ones((2, 2))), (zero_drift(), 0.0)], ids=["rank-one", "zero"]
+)
+def test_minimize_degenerate_sigma_runs(drift, sigma):
+    # a degenerate step covariance has no Cholesky factor; its floored
+    # eigenvalues (all of them one when it is zero) still whiten, and the
+    # minimizer returns a finite path no costlier than the straight line
+    model = affine_model(2, drift, sigma, gaussian_base(), summary="degenerate")
+    res = minimize_action(ActionProblem(model=model, x=[0.5, 0.5], terminal=TerminalPoint([0.5, 0.5]), m=11))
+    line = path_cost(model, [0.5, 0.5], 0.0, straight_line([0.5, 0.5], [0.5, 0.5], 11)).value
+    assert np.all(np.isfinite(res.trajectory.knots))
+    assert res.action.value <= line
+    _assert_certificate(res)
 
 
 GRAMIAN_DRIFTS = [

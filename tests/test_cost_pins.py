@@ -16,17 +16,32 @@ Allocation counts can depend on numpy's version, so the pins hold for the
 numpy they were measured on and are skipped, with the reason, elsewhere.  To
 re-pin, run this module's _*_rows function for each case and write the
 values here; CHANGES.md says which moved and why.
+
+The L-BFGS-B iterations of the benchmark's three minimizes are pinned too,
+on the scipy they were measured on, and skipped elsewhere: L-BFGS-B's
+arithmetic differs between scipy releases (the declared floor, 1.10, runs
+the Fortran code).  A version-free bound on a long path checks the
+whitened coordinates on every scipy.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 
 from ldscheme import kernel, rare_event, scheme
-from ldscheme.action import TerminalHalfspace
+from ldscheme.action import (
+    ActionProblem,
+    MinimizeSettings,
+    TerminalHalfspace,
+    TerminalPoint,
+    minimize_action,
+)
+from test_action import _linear_2d_model
 
 PINNED_NUMPY = "2.4.6"
+PINNED_SCIPY = "1.17.1"
 ROWS, N, WARM_UP, STEPS = 20_000, 50, 2, 5
 SHIFT = 0.1
 
@@ -48,6 +63,17 @@ MARTINGALE_CALL_ROWS = {
 }
 # preset -> peak row arrays of one _tilted_rows call
 TILTED_CALL_ROWS = {"gaussian-free": 8.1, "gaussian-ou": 8.1, "logistic": 8.1}
+
+
+# benchmark minimize -> (problem, L-BFGS-B iterations)
+MINIMIZE_ITERATIONS = {
+    "minimize-2d-point": (lambda: ActionProblem(_linear_2d_model(), [0.0, 0.0], TerminalPoint([0.6, 0.4]), m=21), 6),
+    "minimize-2d-halfspace": (lambda: ActionProblem(_linear_2d_model(), [0.0, 0.0],
+                                                    TerminalHalfspace([1.0, 1.0], 1.0), m=21,
+                                                    settings=MinimizeSettings(200)), 8),
+    "minimize-ou-halfspace": (lambda: ActionProblem(kernel.preset_model("gaussian-ou"), [0.0],
+                                                    TerminalHalfspace([1.0], 0.8), m=41), 5),
+}
 
 
 def _peak_rows(run, dim):
@@ -131,3 +157,22 @@ def test_martingale_call_peak_row_arrays(preset, a):
 @pytest.mark.parametrize("preset", list(TILTED_CALL_ROWS))
 def test_tilted_call_peak_row_arrays(preset):
     _check(lambda: _tilted_rows(preset), TILTED_CALL_ROWS[preset], preset, "TILTED_CALL_ROWS")
+
+
+@pytest.mark.parametrize("name", list(MINIMIZE_ITERATIONS))
+def test_benchmark_minimize_iterations(name):
+    if scipy.__version__ != PINNED_SCIPY:
+        pytest.skip(f"iterations pinned on scipy {PINNED_SCIPY}, this is scipy {scipy.__version__}")
+    problem, pin = MINIMIZE_ITERATIONS[name]
+    res = minimize_action(problem())
+    assert res.converged
+    assert res.iterations == pin, (f"{name}: {res.iterations} L-BFGS-B iterations, pinned {pin}; "
+                                   "re-pin MINIMIZE_ITERATIONS and say in CHANGES.md which pins moved and why")
+
+
+def test_long_path_minimize_iterations_do_not_grow_with_m():
+    # gaussian-ou to the point 1.5 at m = 81, where the plain increments' Hessian has condition number about 2,600
+    problem = ActionProblem(kernel.preset_model("gaussian-ou"), [0.0], TerminalPoint([1.5]), m=81)
+    res = minimize_action(problem)
+    assert res.converged
+    assert res.iterations <= 10
