@@ -26,7 +26,6 @@ from .kernel import (
     AffineNoiseModel,
     BaseNoise,
     KernelModel,
-    ModelConfigError,
     PRESETS,
     affine_model,
     bernoulli_base,
@@ -63,7 +62,7 @@ _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     "InfeasibleProblemError", "NumericalFailure", "SimulationBlowup", "TiltUnreachableError",
-    "AffineNoiseModel", "BaseNoise", "KernelModel", "ModelConfigError", "PRESETS", "affine_model",
+    "AffineNoiseModel", "BaseNoise", "KernelModel", "PRESETS", "affine_model",
     "bernoulli_base", "constant_drift", "gaussian_base", "linear_drift", "logistic_drift",
     "model_from_config", "preset_model", "zero_drift", *_HOME,
 ]

@@ -189,15 +189,15 @@ def _slopes(knots: np.ndarray) -> np.ndarray:
 
 
 def _quadrature_pass(model, a, knots, gradient: bool = False):
-    """Segment costs, and the knot gradient if asked for, from one batched solve.
+    """The path's ActionValue, and its knot gradient if asked for, from one batched solve.
 
     All m_seg x 5 Gauss-Legendre nodes go through a single fenchel_rows
-    call.  Returns (seg_values, grad, divergent, warnings): divergent lists
-    the segments where some node's conjugate is +inf, warnings the
-    (segment, node) pairs that ended as max-iterations ahead of the
-    segment's first divergent node, and grad is None unless gradient is
-    true and every segment is finite.  Y_FD_STEP is the central-difference
-    step in y of the envelope gradient.  That difference is one call of the
+    call.  Returns (cost, grad): cost.divergent_segments lists the segments
+    where some node's conjugate is +inf, which make the value +inf, and
+    cost.solver_warnings the (segment, node) pairs that ended as
+    max-iterations ahead of the segment's first divergent node; grad is None
+    unless gradient is true and every segment is finite.  Y_FD_STEP is the
+    central-difference step in y of the envelope gradient.  That difference is one call of the
     model's cgf on the 2 d shifted copies of the rows, or, for an affine
     model with a constant sigma, one call of its drift: the cgf's logmgf term
     has no y, and differencing it only adds its rounding.
@@ -229,8 +229,9 @@ def _quadrature_pass(model, a, knots, gradient: bool = False):
     seg_values = dt * np.add.accumulate(weighted, axis=1)[:, -1]
     if divergent:
         seg_values[divergent] = np.inf
+    cost = ActionValue(np.inf if divergent else float(np.sum(seg_values)), seg_values, True, divergent, warnings)
     if not gradient or divergent:
-        return seg_values, None, divergent, warnings
+        return cost, None
 
     # envelope identities: d conj/dz = alpha*, d conj/dy = -grad_y cgf(y, alpha*),
     # the latter by central differences in y (the smoothing term has no y)
@@ -262,8 +263,7 @@ def _quadrature_pass(model, a, knots, gradient: bool = False):
     right_t += dz
     np.multiply(left_w[:, None], cy, out=left_t)
     left_t -= dz
-    grad = np.add.accumulate(terms, axis=1)[:, -1]
-    return seg_values, grad, divergent, warnings
+    return cost, np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def path_cost(model: KernelModel, x, a, f: Trajectory) -> ActionValue:
@@ -279,9 +279,7 @@ def path_cost(model: KernelModel, x, a, f: Trajectory) -> ActionValue:
     kernel._require_dim("path", f.dim, model.dim)
     if float(np.max(np.abs(f.knots[0] - x))) > 1e-12:
         return ActionValue(np.inf, np.empty(0), feasible_start=False)
-    seg, _, divergent, warnings = _quadrature_pass(model, amp, f.knots)
-    value = float(np.sum(seg)) if not divergent else np.inf
-    return ActionValue(value, seg, True, divergent, warnings)
+    return _quadrature_pass(model, amp, f.knots)[0]
 
 
 def limit_ode(model: KernelModel, x, steps: int) -> Trajectory:
@@ -345,15 +343,18 @@ def minimize_action(problem: ActionProblem) -> MinimizeResult:
     segment is priced at BARRIER with a zero gradient, so the line search
     steps back into the finite domain.
 
-    `converged` certifies stationarity in v: the 2-norm of the projected
-    gradient (the KKT residual; the bound component is dropped while the
-    terminal sits on the boundary and the gradient points outward) is at
-    most GRAD_TOL at the returned knots.  scipy's gtol is GRAD_TOL over
+    `converged` certifies a fully solved stationary point in v: every
+    conjugate solve of the final pass converged or diverged (its
+    solver_warnings are empty), and the 2-norm of the projected gradient
+    (the KKT residual; the bound component is dropped while the terminal
+    sits on the boundary and the gradient points outward) is at most
+    GRAD_TOL at the returned knots.  scipy's gtol is GRAD_TOL over
     sqrt(len(v)) times 2 sqrt(m / lambda_min(cov)), the closed-form bound on
     |L|_2, so that its stop implies the certificate.  Each log row is (iter,
     value, grad_norm, step), where step is the length of the accepted move
-    in v (0 on the row for iteration 0).  An uncertified stop adds scipy's
-    stop message to `warnings`.
+    in v (0 on the row for iteration 0).  An uncertified stop adds a warning:
+    the final pass's count of max-iterations nodes if it has any, else
+    scipy's stop message.
     """
     from scipy import optimize
     from scipy.linalg import null_space, solve_triangular
@@ -387,13 +388,13 @@ def minimize_action(problem: ActionProblem) -> MinimizeResult:
     def evaluate(v):
         """One quadrature pass at v, memoized so that fun, jac and the callback share it."""
         if "v" not in last or not (last["v"] == v).all():
-            seg, grad, divergent, warn = _quadrature_pass(model, a, knots_of(v), gradient=True)
-            if divergent:
+            cost, grad = _quadrature_pass(model, a, knots_of(v), gradient=True)
+            if cost.divergent_segments:
                 f, g = BARRIER, np.zeros(nfree)
             else:
-                f = float(seg.sum())
+                f = cost.value
                 g = grad[1:-1].ravel() if frame is None else np.concatenate([grad[1:-1].ravel(), frame.T @ grad[-1]])
-            last.update(v=v.copy(), f=f, g=g, seg=seg, divergent=divergent, warn=warn)
+            last.update(v=v.copy(), f=f, g=g, cost=cost)
         return last
 
     def residual():
@@ -408,16 +409,14 @@ def minimize_action(problem: ActionProblem) -> MinimizeResult:
     accepted = [v0]
 
     def record(v):
-        warn = evaluate(v)["warn"]
+        warn = evaluate(v)["cost"].solver_warnings
         if warn:
             warnings.append(f"conjugate solver hit max-iterations at {len(warn)} node(s)")
         log.append((len(log), last["f"], residual(), _vector_norm(v - accepted[-1])))
         accepted.append(last["v"])
 
-    if evaluate(v0)["divergent"]:
-        raise InfeasibleProblemError(
-            f"straight-line candidate has infinite cost (divergent segment {last['divergent'][0]})"
-        )
+    if evaluate(v0)["cost"].divergent_segments:
+        raise InfeasibleProblemError(f"straight-line candidate has infinite cost ({last['cost'].reason})")
     record(v0)
     it, message = 0, "no free coordinates"
     if nfree:
@@ -444,11 +443,11 @@ def minimize_action(problem: ActionProblem) -> MinimizeResult:
         )
         it, message = res.nit, res.message
         evaluate(v0 + S @ res.x)
+    final = last["cost"]
     grad_norm = residual()
-    converged = grad_norm <= GRAD_TOL
+    converged = grad_norm <= GRAD_TOL and not final.solver_warnings
+    if final.solver_warnings:
+        message = f"the final pass's conjugate solver hit max-iterations at {len(final.solver_warnings)} node(s)"
     if not converged:
         warnings.append(f"stopped without a stationarity certificate: {message}")
-
-    value = np.inf if last["divergent"] else last["f"]
-    final = ActionValue(value, last["seg"], True, last["divergent"], last["warn"])
     return MinimizeResult(Trajectory(knots_of(last["v"])), final, converged, grad_norm, it, warnings, log)

@@ -22,7 +22,6 @@ Exit codes: 0 success, 1 verification suite failed its assertion,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -31,7 +30,6 @@ import numpy as np
 
 from . import kernel
 from .kernel import (
-    ModelConfigError,
     _as_count,
     _as_counts,
     _as_dict,
@@ -64,6 +62,7 @@ from .rare_event import (
 from .scheme import (
     DualMeasure,
     Trajectory,
+    _write_csv,
     load_trajectory,
     save_trajectory,
     simulate,
@@ -96,21 +95,13 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
 def _echo(c: _Conf, command: str, out: str) -> None:
     """Refuse the config's unknown keys, then make out and write resolved_config.json there, defaults included."""
     c.close()
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:  # out names a file, or cannot be made
-        raise ModelConfigError(f"--out: cannot make directory {out!r}: {exc}") from exc
+        raise ValueError(f"--out: cannot make directory {out!r}: {exc}") from exc
     _write_json(os.path.join(out, "resolved_config.json"), {"command": command, **c.resolved})
 
 
@@ -121,7 +112,7 @@ def _trajectory_from(path: str, key: str, dim: int) -> Trajectory:
         kernel._require_dim("path", traj.dim, dim)
         return traj
     except (OSError, ValueError) as exc:
-        raise ModelConfigError(f"{key}: cannot load {path!r}: {exc}") from exc
+        raise ValueError(f"{key}: cannot load {path!r}: {exc}") from exc
 
 
 def _halfspace_from(h: _Conf, dim: int) -> TerminalHalfspace:
@@ -131,7 +122,7 @@ def _halfspace_from(h: _Conf, dim: int) -> TerminalHalfspace:
     try:
         return TerminalHalfspace(normal=normal, level=level)
     except ValueError as exc:  # a normal or level past the float range once normalized
-        raise ModelConfigError(f"{h.path}.{exc}") from exc
+        raise ValueError(f"{h.path}.{exc}") from exc
 
 
 def _terminal_from(c: _Conf, dim: int):
@@ -143,7 +134,7 @@ def _terminal_from(c: _Conf, dim: int):
         return TerminalPoint(point=point)
     if kind == "halfspace":
         return _halfspace_from(t, dim)
-    raise ModelConfigError(f"{t.path}.kind: unknown terminal kind {kind!r}")
+    raise ValueError(f"{t.path}.kind: unknown terminal kind {kind!r}")
 
 
 def _event_from(c: _Conf, dim: int):
@@ -162,7 +153,7 @@ def _event_from(c: _Conf, dim: int):
         e.close()
         ref = _trajectory_from(ref_file, f"{e.path}.reference_file", dim) if ref_file else None
         return PathDeviationEvent(epsilon=epsilon, reference=ref)
-    raise ModelConfigError(f"{e.path}.kind: unknown event kind {kind!r}")
+    raise ValueError(f"{e.path}.kind: unknown event kind {kind!r}")
 
 
 def _measure_from(c: _Conf, dim: int) -> DualMeasure:
@@ -177,11 +168,11 @@ def _measure_from(c: _Conf, dim: int) -> DualMeasure:
     try:
         lam = DualMeasure.from_atoms(pairs) if pairs else DualMeasure.zero(dim)
     except ValueError as exc:  # an atom time outside [0, 1]
-        raise ModelConfigError(f"{m.path}.atoms: {exc}") from exc
+        raise ValueError(f"{m.path}.atoms: {exc}") from exc
     try:
         _capped_variation(lam)
     except ValueError as exc:  # a measure whose integrand is too heavy tailed to check
-        raise ModelConfigError(f"{m.path}: {exc}") from exc
+        raise ValueError(f"{m.path}: {exc}") from exc
     return lam
 
 
@@ -210,7 +201,7 @@ def _cmd_action(c, model, x, out, workers):
     traj_file = c.take("trajectory_file", _as_str, None)
     knots = c.take("knots", _as_knots, None, dim=model.dim)
     if (traj_file is None) == (knots is None):
-        raise ModelConfigError("config: give exactly one of 'trajectory_file' and 'knots'")
+        raise ValueError("config: give exactly one of 'trajectory_file' and 'knots'")
     traj = _trajectory_from(traj_file, "config.trajectory_file", model.dim) if traj_file else Trajectory(knots)
     _echo(c, "action", out)
     val = path_cost(model, x, a, traj)
@@ -269,12 +260,12 @@ def _cmd_estimate(c, model, x, out, workers):
     samples = c.take("samples", _as_count, least=2 if method == "tilted" else 1)  # a weighted estimate needs 2
     seed = c.take("seed", _as_count, least=0)
     if method not in ("naive", "tilted"):
-        raise ModelConfigError(f"config.method: expected 'naive' or 'tilted', got {method!r}")
+        raise ValueError(f"config.method: expected 'naive' or 'tilted', got {method!r}")
     if method == "tilted":
         if a != 0.0:
-            raise ModelConfigError("config.a: the tilted estimator runs the unsmoothed scheme; set a to 0")
+            raise ValueError("config.a: the tilted estimator runs the unsmoothed scheme; set a to 0")
         if not isinstance(event, TerminalHalfspace):
-            raise ModelConfigError("config.event.kind: the tilted estimator needs 'terminal-halfspace'")
+            raise ValueError("config.event.kind: the tilted estimator needs 'terminal-halfspace'")
     _echo(c, "estimate", out)
     if method == "naive":
         report = mc_probability(model, x, n, a, event, samples, seed, workers=workers)
@@ -302,7 +293,7 @@ def _cmd_verify_rate(c, model, x, out, workers):
     samples = c.take("samples", _as_count, least=2)
     seed = c.take("seed", _as_count, least=0)
     if not isinstance(event, TerminalHalfspace):
-        raise ModelConfigError("config.event.kind: rate verification needs 'terminal-halfspace'")
+        raise ValueError("config.event.kind: rate verification needs 'terminal-halfspace'")
     _echo(c, "verify-rate", out)
     report = verify_rate(model, x, event, n_grid, samples, seed, workers=workers)
     _write_json(os.path.join(out, "rate_report.json"), report.to_json_dict())

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Everything deriving from NumericalFailure maps to CLI exit code 3; config
-problems map to exit code 2 and are raised as kernel.ModelConfigError (a
-ValueError) by the one strict config reader.
+Everything deriving from NumericalFailure maps to CLI exit code 3.  A bad
+argument or config record is a plain ValueError naming it, from the library's
+argument checks and the one strict config reader alike, and maps to exit
+code 2.
 """
 
 

@@ -33,10 +33,6 @@ if TYPE_CHECKING:  # numpy.random loads on first use, not at import
     from numpy.random import Generator
 
 
-class ModelConfigError(ValueError):
-    """A config record failed validation: a model record or a CLI config."""
-
-
 def _as_count(value, name: str, least: int) -> int:
     """value as an int, if it is an integer >= least; a numpy integer is accepted, a bool or a float is not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
@@ -542,19 +538,19 @@ _MISSING = object()
 
 def _as_str(value, name):
     if not isinstance(value, str):
-        raise ModelConfigError(f"{name}: expected a string, got {value!r}")
+        raise ValueError(f"{name}: expected a string, got {value!r}")
     return value
 
 
 def _as_list(value, name):
     if not isinstance(value, list):
-        raise ModelConfigError(f"{name}: expected a list, got {value!r}")
+        raise ValueError(f"{name}: expected a list, got {value!r}")
     return value
 
 
 def _as_dict(value, name):
     if not isinstance(value, dict):
-        raise ModelConfigError(f"{name}: expected an object, got {value!r}")
+        raise ValueError(f"{name}: expected an object, got {value!r}")
     return value
 
 
@@ -562,7 +558,7 @@ def _as_knots(value, name: str, dim: int) -> np.ndarray:
     """A path's knots as an (N, dim) array, N >= 2, read by _as_reals; a 1-D path may list bare numbers."""
     knots = _as_reals(value, name, lambda ndim: ("N",) if ndim == 1 and dim == 1 else ("N", dim))
     if len(knots) < 2:
-        raise ModelConfigError(f"{name}: expected at least two knots, got {value!r}")
+        raise ValueError(f"{name}: expected at least two knots, got {value!r}")
     return knots
 
 
@@ -573,7 +569,8 @@ class _Conf:
     cast(value, path, **args) with the key's full path and take's keyword
     arguments (such as least or shape).  It refuses a bad value with a
     ValueError naming that path, as the library's argument checks do with an
-    argument's name; take re-raises it as a ModelConfigError.
+    argument's name, and take lets it through.  A missing or unknown key is a
+    ValueError naming its path too.
     """
 
     def __init__(self, data, path):
@@ -586,13 +583,10 @@ class _Conf:
         self.used.add(key)
         if key not in self.data:
             if default is _MISSING:
-                raise ModelConfigError(f"missing required key '{self.path}.{key}'")
+                raise ValueError(f"missing required key '{self.path}.{key}'")
             self.resolved[key] = default
             return default
-        try:
-            value = cast(self.data[key], f"{self.path}.{key}", **args)
-        except ValueError as exc:
-            raise ModelConfigError(str(exc)) from exc
+        value = cast(self.data[key], f"{self.path}.{key}", **args)
         self.resolved[key] = value
         return value
 
@@ -605,7 +599,7 @@ class _Conf:
     def close(self):
         unknown = sorted(set(self.data) - self.used)
         if unknown:
-            raise ModelConfigError(f"unknown key '{self.path}.{unknown[0]}'")
+            raise ValueError(f"unknown key '{self.path}.{unknown[0]}'")
 
 
 def _drift_from(c: _Conf, dim: int):
@@ -619,10 +613,10 @@ def _drift_from(c: _Conf, dim: int):
         drift, tag = linear_drift(matrix, c.take("offset", _as_reals, None, shape=(dim,))), "linear"
     elif kind == "logistic":
         if dim != 1:
-            raise ModelConfigError(f"{c.path}: logistic drift requires dim=1, got dim={dim}")
+            raise ValueError(f"{c.path}: logistic drift requires dim=1, got dim={dim}")
         drift, tag = logistic_drift(), "logistic"
     else:
-        raise ModelConfigError(f"{c.path}.kind must be one of zero|constant|linear|logistic, got {kind!r}")
+        raise ValueError(f"{c.path}.kind must be one of zero|constant|linear|logistic, got {kind!r}")
     c.close()
     return drift, tag
 
@@ -637,7 +631,7 @@ def _sigma_from(c: _Conf, dim: int):
     elif kind == "constant":
         sigma, tag = c.take("matrix", _as_reals, shape=(dim, dim)), "const"
     else:
-        raise ModelConfigError(f"{c.path}.kind must be one of zero|identity|constant, got {kind!r}")
+        raise ValueError(f"{c.path}.kind must be one of zero|identity|constant, got {kind!r}")
     c.close()
     return sigma, tag
 
@@ -650,7 +644,7 @@ def _base_from(c: _Conf):
         p = c.take("p", _as_probability)
         base, tag = bernoulli_base(p), f"bernoulli({p})"
     else:
-        raise ModelConfigError(f"{c.path}.kind must be gaussian or bernoulli, got {kind!r}")
+        raise ValueError(f"{c.path}.kind must be gaussian or bernoulli, got {kind!r}")
     c.close()
     return base, tag
 
@@ -691,14 +685,14 @@ def model_from_config(cfg: dict, path: str = "model") -> AffineNoiseModel:
 
     Either {"preset": name} or an explicit {"dim", "drift", "sigma", "base"}
     record.  Unknown keys, missing keys and values of the wrong type
-    (numbers must be finite) raise ModelConfigError naming their path.
+    (numbers must be finite) raise a ValueError naming their path.
     """
     c = _Conf(cfg, path)
     if "preset" in c.data:
         name = c.take("preset", _as_str)
         c.close()
         if name not in PRESETS:
-            raise ModelConfigError(f"{path}.preset: unknown preset {name!r}; available: {sorted(PRESETS)}")
+            raise ValueError(f"{path}.preset: unknown preset {name!r}; available: {sorted(PRESETS)}")
         model = model_from_config(PRESETS[name], path=f"{path}.preset[{name}]")
         return dataclasses.replace(model, summary=name)
     dim = c.take("dim", _as_count, least=1)

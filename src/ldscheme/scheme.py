@@ -320,14 +320,19 @@ def coupled_perturbation_gaps(
 # ---------------------------------------------------------------------------
 # trajectory serialization: CSV with header t,x1,...,xd
 
-def save_trajectory(traj: Trajectory, path) -> None:
+def _write_csv(path, header, rows) -> None:
+    """The header, then each row, a float (numpy's too) written as repr(float(v)), which reads back bit for bit."""
     import csv
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x{i + 1}" for i in range(traj.dim)])
-        for t, row in zip(traj.times, traj.knots):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
+
+
+def save_trajectory(traj: Trajectory, path) -> None:
+    _write_csv(path, ["t"] + [f"x{i + 1}" for i in range(traj.dim)], np.column_stack([traj.times, traj.knots]))
 
 
 def load_trajectory(path) -> Trajectory:

@@ -286,16 +286,16 @@ def test_minimize_gradient_consistency():
     m = preset_model("gaussian-ou")
     rng = default_rng(4)
     knots = straight_line([1.0], [0.5], 7).knots + 0.05 * rng.normal(size=(7, 1))
-    seg, grad, divergent, _ = _quadrature_pass(m, 0.0, knots, gradient=True)
-    assert not divergent
-    total = seg.sum()
+    cost, grad = _quadrature_pass(m, 0.0, knots, gradient=True)
+    assert not cost.divergent_segments
+    total = cost.segments.sum()
     h = 1e-6
     for row in [2, 5]:
         bump = knots.copy()
         bump[row, 0] += h
-        up = _quadrature_pass(m, 0.0, bump)[0].sum()
+        up = _quadrature_pass(m, 0.0, bump)[0].segments.sum()
         bump[row, 0] -= 2 * h
-        dn = _quadrature_pass(m, 0.0, bump)[0].sum()
+        dn = _quadrature_pass(m, 0.0, bump)[0].segments.sum()
         fd = (up - dn) / (2 * h)
         assert grad[row, 0] == pytest.approx(fd, rel=5e-4, abs=1e-7)
 
@@ -402,8 +402,25 @@ def test_minimize_warns_once_per_logged_iterate_whose_conjugate_solves_stop_at_m
     res = minimize_action(problem)
     # 4 segments of 5 nodes each, every one stopped after its single Newton iteration
     assert len(res.log) > 1
-    assert res.warnings == ["conjugate solver hit max-iterations at 20 node(s)"] * len(res.log)
+    assert res.warnings == ["conjugate solver hit max-iterations at 20 node(s)"] * len(res.log) + [
+        "stopped without a stationarity certificate: the final pass's conjugate solver hit max-iterations at 20 node(s)"
+    ]
     assert len(res.action.solver_warnings) == 20
+    assert not res.converged
+
+
+def test_minimize_certifies_no_final_pass_with_unsolved_nodes(monkeypatch):
+    # a small gradient priced from unconverged conjugates is no stationarity certificate
+    problem = ActionProblem(model=preset_model("bernoulli-walk"), x=[0.0], terminal=TerminalPoint([0.8]), m=5)
+    assert minimize_action(problem).converged
+    monkeypatch.setattr(conjugate, "MAX_ITER", 1)
+    res = minimize_action(problem)
+    assert res.grad_norm <= GRAD_TOL and res.action.solver_warnings
+    assert not res.converged
+    assert res.warnings[-1] == (
+        "stopped without a stationarity certificate: the final pass's conjugate solver hit max-iterations"
+        f" at {len(res.action.solver_warnings)} node(s)"
+    )
 
 
 def test_minimize_settings_store_a_numpy_integer_as_an_int():
@@ -544,8 +561,8 @@ def test_gradient_pass_callback_counts(monkeypatch):
         m = dataclasses.replace(src, **{k: counted(k, getattr(src, k)) for k in ("cgf", "cgf_grad", "cgf_hess")})
         for path in (line, bent):
             calls.update(dict.fromkeys(calls, 0))
-            seg, grad, divergent, warnings = _quadrature_pass(m, 0.0, path, gradient=True)
-            assert grad is not None and not divergent and not warnings
+            cost, grad = _quadrature_pass(m, 0.0, path, gradient=True)
+            assert grad is not None and not cost.divergent_segments and not cost.solver_warnings
             assert calls == want
 
 
@@ -575,8 +592,8 @@ def test_envelope_gradient_of_a_constant_sigma_differences_the_drift_alone(s):
         exact[:-1] += dt * w * (1.0 - theta) * cy[:, q] - w * astar[:, q]
     errors = []
     for m in (model, plain):
-        seg, grad, divergent, warnings = _quadrature_pass(m, 0.0, knots, gradient=True)
-        assert not divergent and not warnings
+        cost, grad = _quadrature_pass(m, 0.0, knots, gradient=True)
+        assert not cost.divergent_segments and not cost.solver_warnings
         errors.append(float(np.max(np.abs(grad - exact)) / np.max(np.abs(exact))))
     drift_only, whole = errors
     assert drift_only < whole and drift_only < 1e-13, errors

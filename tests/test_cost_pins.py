@@ -17,8 +17,8 @@ numpy they were measured on and are skipped, with the reason, elsewhere.  To
 re-pin, run this module's _*_rows function for each case and write the
 values here; CHANGES.md says which moved and why.
 
-The L-BFGS-B iterations of the benchmark's three minimizes are pinned too,
-on the scipy they were measured on, and skipped elsewhere: L-BFGS-B's
+The L-BFGS-B iterations and quadrature passes of the benchmark's three
+minimizes are pinned too, on the scipy they were measured on, and skipped elsewhere: L-BFGS-B's
 arithmetic differs between scipy releases (the declared floor, 1.10, runs
 the Fortran code).  A version-free bound on a long path checks the
 whitened coordinates on every scipy.
@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 import scipy
 
-from ldscheme import kernel, rare_event, scheme
+from ldscheme import action, kernel, rare_event, scheme
 from ldscheme.action import (
     ActionProblem,
     MinimizeSettings,
@@ -65,14 +65,15 @@ MARTINGALE_CALL_ROWS = {
 TILTED_CALL_ROWS = {"gaussian-free": 8.1, "gaussian-ou": 8.1, "logistic": 8.1}
 
 
-# benchmark minimize -> (problem, L-BFGS-B iterations)
+# benchmark minimize -> (problem, L-BFGS-B iterations, quadrature passes)
 MINIMIZE_ITERATIONS = {
-    "minimize-2d-point": (lambda: ActionProblem(_linear_2d_model(), [0.0, 0.0], TerminalPoint([0.6, 0.4]), m=21), 6),
+    "minimize-2d-point": (lambda: ActionProblem(_linear_2d_model(), [0.0, 0.0], TerminalPoint([0.6, 0.4]), m=21),
+                          6, 8),
     "minimize-2d-halfspace": (lambda: ActionProblem(_linear_2d_model(), [0.0, 0.0],
                                                     TerminalHalfspace([1.0, 1.0], 1.0), m=21,
-                                                    settings=MinimizeSettings(200)), 8),
+                                                    settings=MinimizeSettings(200)), 8, 9),
     "minimize-ou-halfspace": (lambda: ActionProblem(kernel.preset_model("gaussian-ou"), [0.0],
-                                                    TerminalHalfspace([1.0], 0.8), m=41), 5),
+                                                    TerminalHalfspace([1.0], 0.8), m=41), 5, 6),
 }
 
 
@@ -163,11 +164,30 @@ def test_tilted_call_peak_row_arrays(preset):
 def test_benchmark_minimize_iterations(name):
     if scipy.__version__ != PINNED_SCIPY:
         pytest.skip(f"iterations pinned on scipy {PINNED_SCIPY}, this is scipy {scipy.__version__}")
-    problem, pin = MINIMIZE_ITERATIONS[name]
+    problem, pin, _ = MINIMIZE_ITERATIONS[name]
     res = minimize_action(problem())
     assert res.converged
     assert res.iterations == pin, (f"{name}: {res.iterations} L-BFGS-B iterations, pinned {pin}; "
                                    "re-pin MINIMIZE_ITERATIONS and say in CHANGES.md which pins moved and why")
+
+
+@pytest.mark.parametrize("name", list(MINIMIZE_ITERATIONS))
+def test_benchmark_minimize_quadrature_passes(name, monkeypatch):
+    # every pass is one batched conjugate solve; a memo that prices a point twice adds one
+    if scipy.__version__ != PINNED_SCIPY:
+        pytest.skip(f"passes pinned on scipy {PINNED_SCIPY}, this is scipy {scipy.__version__}")
+    problem, _, pin = MINIMIZE_ITERATIONS[name]
+    passes = []
+    quadrature_pass = action._quadrature_pass
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return quadrature_pass(*args, **kwargs)
+
+    monkeypatch.setattr(action, "_quadrature_pass", counted)
+    assert minimize_action(problem()).converged
+    assert len(passes) == pin, (f"{name}: {len(passes)} quadrature passes, pinned {pin}; "
+                                "re-pin MINIMIZE_ITERATIONS and say in CHANGES.md which pins moved and why")
 
 
 def test_long_path_minimize_iterations_do_not_grow_with_m():

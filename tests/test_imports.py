@@ -305,7 +305,7 @@ def test_a_cold_import_loads_only_what_building_a_model_needs():
     report = json.loads(run.stdout)
     assert report["loaded"] == []
     assert report["unresolved"] == [] and report["undir"] == []
-    assert report["star"] == report["all"] and len(report["all"]) == 51
+    assert report["star"] == report["all"] and len(report["all"]) == 50
     assert report["same"]
 
 

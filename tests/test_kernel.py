@@ -12,7 +12,6 @@ from ldscheme.conjugate import fenchel_rows
 from ldscheme.kernel import (
     BaseNoise,
     KernelModel,
-    ModelConfigError,
     affine_model,
     bernoulli_base,
     constant_drift,
@@ -763,7 +762,7 @@ def test_presets_registry():
         m = preset_model(name)
         assert m.dim == 1
         assert m.summary == name
-    with pytest.raises(ModelConfigError):
+    with pytest.raises(ValueError):
         preset_model("missing")
 
 
@@ -783,17 +782,17 @@ def test_model_from_config_preset_and_explicit_agree():
 
 
 def test_model_from_config_error_paths():
-    with pytest.raises(ModelConfigError, match="model.preset"):
+    with pytest.raises(ValueError, match="model.preset"):
         model_from_config({"preset": "nope"})
-    with pytest.raises(ModelConfigError, match="model.drift.kind"):
+    with pytest.raises(ValueError, match="model.drift.kind"):
         model_from_config(
             {"dim": 1, "drift": {"kind": "wavy"}, "sigma": {"kind": "identity"}, "base": {"kind": "gaussian"}}
         )
-    with pytest.raises(ModelConfigError, match="bogus"):
+    with pytest.raises(ValueError, match="bogus"):
         model_from_config({"preset": "gaussian-ou", "bogus": 1})
-    with pytest.raises(ModelConfigError):
+    with pytest.raises(ValueError):
         model_from_config({})
-    with pytest.raises(ModelConfigError, match="model.base.p"):
+    with pytest.raises(ValueError, match="model.base.p"):
         model_from_config(
             {"dim": 1, "drift": {"kind": "zero"}, "sigma": {"kind": "identity"}, "base": {"kind": "bernoulli", "p": 1.5}}
         )

@@ -16,6 +16,7 @@ from ldscheme.scheme import (
     _GL_NODES,
     _GL_WEIGHTS,
     _euler_steps,
+    _write_csv,
     coupled_perturbation_gaps,
     eval_path_many,
     load_trajectory,
@@ -595,14 +596,24 @@ def test_coupling_rejects_non_affine():
 
 
 def test_save_load_roundtrip(tmp_path):
+    # every bit comes back, a negative zero, a subnormal and the extremes of the float range too
     rng = default_rng(12)
-    traj = Trajectory(rng.normal(size=(9, 2)))
+    knots = rng.normal(size=(40, 2)) * 10.0 ** rng.integers(-300, 300, size=(40, 2))
+    knots[:4, 0] = [-0.0, 5e-324, -1.7976931348623157e308, 1.0 / 3.0]
+    traj = Trajectory(knots)
     path = tmp_path / "traj.csv"
     save_trajectory(traj, path)
     back = load_trajectory(path)
-    assert np.array_equal(back.knots, traj.knots)
+    assert back.knots.tobytes() == traj.knots.tobytes()
     header = path.read_text().splitlines()[0]
     assert header == "t,x1,x2"
+
+
+def test_write_csv_writes_a_numpy_float_as_its_float_repr(tmp_path):
+    path = tmp_path / "rows.csv"
+    rows = [[np.int64(3), np.float64(0.1), 0.1, "", False], [4, np.float64(-0.0), 1e-310, "x", np.bool_(True)]]
+    _write_csv(path, ["n", "q", "p", "s", "censored"], rows)
+    assert path.read_bytes() == b"n,q,p,s,censored\r\n3,0.1,0.1,,False\r\n4,-0.0,1e-310,x,True\r\n"
 
 
 def test_load_rejects_bad_files(tmp_path):
@@ -624,10 +635,11 @@ def test_package_exports_each_name_once():
     import ldscheme
 
     names = ldscheme.__all__
-    assert len(names) == len(set(names)) == 51
+    assert len(names) == len(set(names)) == 50
     assert [name for name in names if not hasattr(ldscheme, name)] == []
     assert "SchemeRun" not in names and not hasattr(ldscheme, "SchemeRun")
     assert "resample" not in names and not hasattr(ldscheme.scheme, "resample")
     assert "gauss_legendre_01" not in names and not hasattr(ldscheme.scheme, "gauss_legendre_01")
+    assert "ModelConfigError" not in names and not hasattr(ldscheme.kernel, "ModelConfigError")
     assert "perturbation_amplitude" not in names and not hasattr(ldscheme.kernel, "perturbation_amplitude")
     assert not {"cgf", "cgf_grad"} & set(names) and not hasattr(ldscheme.kernel, "cgf")

@@ -344,7 +344,8 @@ def test_stacked_pass_equals_the_per_coordinate_reference(case, gradient, max_it
 
     monkeypatch.setattr(conjugate, "fenchel_rows", recording)
     model, a, knots = _paths()[case]
-    seg, grad, divergent, warnings = _quadrature_pass(model, a, knots, gradient=gradient)
+    cost, grad = _quadrature_pass(model, a, knots, gradient=gradient)
+    seg, divergent, warnings = cost.segments, cost.divergent_segments, cost.solver_warnings
     ref_seg, ref_grad, ref_divergent, ref_warnings = _looped_quadrature_pass(model, a, knots, gradient=gradient)
     _assert_bits_equal(seg, ref_seg)
     assert divergent == ref_divergent and warnings == ref_warnings
